@@ -251,13 +251,12 @@ def cmd_mfpr(args, data):
     }
     if args.n is not None and not args.table:
         payload["n"] = args.n
-        payload["value"] = ts.dynamical_sigma_mfpr(mfpr, args.n)
+        payload["value"] = ts.dynamical_sigma_mfpr(lengths, args.n)
     else:
         n_max = args.n if args.n is not None else (
             int(lengths.fl_group) if lengths.fl_group != math.inf else 8
         )
-        summary = ts.mfpr_summary(mfpr)
-        rows = ts.sigma_table(summary, n_max)
+        rows = ts.sigma_table(ts.mfpr_summary(lengths), n_max)
         payload["table"] = [{"n": n, "value": v} for n, v in rows]
         if args.csv:
             _write_csv(args.csv, rows)

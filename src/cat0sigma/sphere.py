@@ -8,8 +8,11 @@ primitive integer vector on the ray.  Everything in this module is exact:
 hemisphere membership is a strict inequality and floating point would make
 it undecidable on the boundary.
 
-All values are immutable and all operations are pure functions, safe to
-evaluate concurrently; the one internal memo table has value semantics.
+All values are immutable and all operations are pure functions without
+hidden state, safe to evaluate concurrently.  The m-function is decided by
+a bounded search over subsets of rays, each checked by exact integer
+elimination; the simplex and Fourier-Motzkin deciders of ``exactlp`` serve
+only as oracles in ``verify`` and the tests.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from math import gcd
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import DimensionMismatch, NotTranslationAction, ZeroCharacter
-from .exactlp import strictly_representable_lp
 
 RationalLike = Union[int, Fraction, float, str]
 
@@ -230,53 +232,71 @@ def polyhedral_contains(P: PolyhedralSet, p: SpherePoint) -> bool:
 INF = math.inf
 
 
-def minimal_ray_count(
-    A: Iterable[SpherePoint],
-    chi: Character,
-    representable=strictly_representable_lp,
-) -> int | float:
+def _positive_kernel(columns: Sequence[Sequence[int]]) -> bool:
+    """True when the integer matrix with these columns has a one-dimensional
+    kernel spanned by a strictly positive vector.
+
+    Fraction-free Gauss-Jordan elimination in the style of Bareiss: every
+    division is exact and every entry stays an integer minor of the input.
+    At the end each pivot row reads d x_p + a x_f = 0 for the one free
+    column f, so (x_p, x_f) = (-a, d) spans the kernel.
+    """
+    n = len(columns)
+    rows = [list(r) for r in zip(*columns)]
+    pivot_cols: list[int] = []
+    prev = 1
+    for c in range(n):
+        r = len(pivot_cols)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        top = rows[r]
+        d = top[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                rows[i] = [(d * a - f * b) // prev for a, b in zip(row, top)]
+        prev = d
+        pivot_cols.append(c)
+    if len(pivot_cols) != n - 1:
+        return False
+    free = next(c for c in range(n) if c not in pivot_cols)
+    return all(rows[i][free] * prev < 0 for i in range(len(pivot_cols)))
+
+
+def minimal_ray_count(A: Iterable[SpherePoint], chi: Character) -> int | float:
     """Least number of distinct rays of A - {[chi]} whose strictly positive
     conic combination equals chi, or infinity if there is none.
 
     The zero character is allowed; its representation must be nontrivial
     (at least one ray, all coefficients > 0).  Subsets are tried in
-    increasing size; each feasibility question "chi = sum lam_i v_i with
-    all lam_i > 0" is decided exactly by the supplied routine (default:
-    rational simplex maximizing the minimum coefficient).
+    increasing size, and Caratheodory's theorem for cones bounds the size:
+    a minimal representation of chi != 0 uses linearly independent rays,
+    so at most k of them, and a minimal positive dependence (chi = 0) is a
+    circuit, so at most k + 1 rays.  A subset S of that kind is accepted
+    exactly when the integer matrix [S | -chi] (just [S] for chi = 0) has
+    a one-dimensional kernel spanned by a strictly positive vector, which
+    one exact integer elimination decides; chi enters as the primitive
+    vector of its ray, a positive multiple.
     """
     pts = sorted(set(A), key=lambda s: s.primitive)
-    if not chi.is_zero:
+    if chi.is_zero:
+        tail: list[tuple[int, ...]] = []
+    else:
         ray = normalize_ray(chi)
         pts = [p for p in pts if p != ray]
+        tail = [tuple(-c for c in ray.primitive)]
     for p in pts:
         if p.k != chi.k:
             raise DimensionMismatch(f"point rank {p.k}, character rank {chi.k}")
-    key = (tuple(p.primitive for p in pts), chi.coords, representable)
-    hit = _RAY_COUNT_CACHE.get(key)
-    if hit is not None:
-        return hit
-    target = chi.coords
-    result = INF
-    for size in range(1, len(pts) + 1):
-        found = False
-        for subset in itertools.combinations(pts, size):
-            vectors = [tuple(Fraction(c) for c in s.primitive) for s in subset]
-            if representable(vectors, target):
-                result = size
-                found = True
-                break
-        if found:
-            break
-    if len(_RAY_COUNT_CACHE) > 4096:
-        _RAY_COUNT_CACHE.clear()
-    _RAY_COUNT_CACHE[key] = result
-    return result
-
-
-# Memoization preserves the functional contract (immutable keys, value
-# semantics) and keeps the piecewise formulas cheap when they reuse the
-# same complement at every degree.
-_RAY_COUNT_CACHE: dict = {}
+    bound = chi.k + 1 if chi.is_zero else chi.k
+    vectors = [p.primitive for p in pts]
+    for size in range(1, min(bound, len(vectors)) + 1):
+        for subset in itertools.combinations(vectors, size):
+            if _positive_kernel(list(subset) + tail):
+                return size
+    return INF
 
 
 @dataclass(frozen=True)
@@ -306,12 +326,8 @@ class MValue:
         return self.value < (other.value if isinstance(other, MValue) else other)
 
 
-def m_value(
-    A: Iterable[SpherePoint],
-    chi: Character,
-    representable=strictly_representable_lp,
-) -> MValue:
-    r = minimal_ray_count(A, chi, representable=representable)
+def m_value(A: Iterable[SpherePoint], chi: Character) -> MValue:
+    r = minimal_ray_count(A, chi)
     return MValue(INF if r == INF else r - 1)
 
 

@@ -123,6 +123,8 @@ class MFPRData:
     splitting_character: Character
 
     def __init__(self, k: int, complement: Iterable[SpherePoint], splitting_character: Character):
+        if k < 1:
+            raise ValueError(f"the character sphere has rank k >= 1, got {k}")
         comp = tuple(sorted(set(complement), key=lambda p: p.primitive))
         for p in comp:
             if p.k != k:
@@ -160,15 +162,14 @@ class MFPRLengths:
     fl_base: object
 
 
-def mfpr_lengths(data: MFPRData, representable=None) -> MFPRLengths:
+def mfpr_lengths(data: MFPRData) -> MFPRLengths:
     """The three lengths of an MFPR splitting, through the m-function:
     fl(G) = m(0), cl(chi) = min(m(chi), m(0)), and the base group's length
     min(m(chi), m(-chi), m(0))."""
-    kwargs = {} if representable is None else {"representable": representable}
     chi = data.splitting_character
-    m_zero = m_value(data.complement, Character.zero(data.k), **kwargs).value
-    m_chi = m_value(data.complement, chi, **kwargs).value
-    m_neg = m_value(data.complement, -chi, **kwargs).value
+    m_zero = m_value(data.complement, Character.zero(data.k)).value
+    m_chi = m_value(data.complement, chi).value
+    m_neg = m_value(data.complement, -chi).value
     return MFPRLengths(
         fl_group=m_zero,
         cl_character=min(m_chi, m_zero),
@@ -176,8 +177,7 @@ def mfpr_lengths(data: MFPRData, representable=None) -> MFPRLengths:
     )
 
 
-def mfpr_summary(data: MFPRData, representable=None) -> GraphOfGroupsSummary:
-    lengths = mfpr_lengths(data, representable=representable)
+def mfpr_summary(lengths: MFPRLengths) -> GraphOfGroupsSummary:
     return GraphOfGroupsSummary(
         fl_group=lengths.fl_group,
         fl_stabilizers=lengths.fl_base,
@@ -186,13 +186,12 @@ def mfpr_summary(data: MFPRData, representable=None) -> GraphOfGroupsSummary:
     )
 
 
-def dynamical_sigma_mfpr(data: MFPRData, n: int, representable=None) -> str:
+def dynamical_sigma_mfpr(lengths: MFPRLengths, n: int) -> str:
     """Dynamical subset in degree n for the rooted tree of an MFPR
-    splitting, straight from the m-values: whole boundary while n is at
-    most min(m(chi), m(-chi), m(0)), the fixed end alone while n is at most
-    min(m(chi), m(0)), empty up to m(0).  Coincides with the fixed-end
-    formula applied to the computed lengths."""
-    lengths = mfpr_lengths(data, representable=representable)
+    splitting with these lengths (from ``mfpr_lengths``): whole boundary
+    while n is at most min(m(chi), m(-chi), m(0)), the fixed end alone
+    while n is at most min(m(chi), m(0)), empty up to m(0).  Coincides with
+    the fixed-end formula applied to ``mfpr_summary(lengths)``."""
     if n < 0 or n > lengths.fl_group:
         raise DegreeOutOfRange(f"degree {n} outside [0, {lengths.fl_group}]")
     if n <= lengths.fl_base:

@@ -59,7 +59,7 @@ def test_criterion_03_m_value_oracle_equivalence():
     rep, elapsed = run_suite_timed("sphere", seed=5, limit=60.0, cases=200)
     ok = rep.ok and elapsed < 60.0
     report(
-        "criterion 3: 200 seeded instances (k <= 3, |A| <= 6): simplex m-value "
+        "criterion 3: 200 seeded instances (k <= 3, |A| <= 6): production m-value "
         "equals the elimination oracle exactly (< 60s)",
         ok,
         f"{summarize(rep)}, {elapsed:.2f}s",

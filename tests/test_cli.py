@@ -3,6 +3,7 @@ round-tripping of emitted JSON."""
 
 import io
 import json
+import pathlib
 
 import pytest
 
@@ -167,6 +168,28 @@ def test_mfpr_command(tmp_path):
     payload = json.loads(out)
     assert payload["lengths"] == {"cl_character": 1, "fl_base": 1, "fl_group": 1}
     assert [row["value"] for row in payload["table"]] == ["whole_boundary", "whole_boundary"]
+
+
+def test_mfpr_rejects_rank_zero(tmp_path):
+    data = write(tmp_path, "m0.json", {"k": 0, "complement": [], "splitting_character": []})
+    code, out, err = run_cli(["mfpr", "--data", data, "--table"])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def test_mfpr_stdout_matches_golden_files():
+    # Byte-exact stdout of mfpr on the inputs in tests/golden/, recorded
+    # with the unbounded simplex subset search that preceded the kernel
+    # search: ranks 1-4, zero and nonzero splitting characters, a pointed
+    # cone with m(0) infinite.
+    cases = json.loads((GOLDEN / "mfpr_stdout.json").read_text(encoding="utf-8"))
+    assert len(cases) == 18
+    for case in cases:
+        code, out, _ = run_cli(["mfpr", "--data", str(GOLDEN / case["input"])] + case["args"])
+        assert (code, out) == (case["code"], case["stdout"]), case["input"]
 
 
 def test_audit_command(tmp_path):

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cat0sigma.errors import DimensionMismatch, NotTranslationAction, ZeroCharacter
-from cat0sigma.exactlp import strictly_representable_fm
 from cat0sigma.sphere import (
     Character,
     MValue,
@@ -25,6 +24,7 @@ from cat0sigma.sphere import (
     polyhedral_contains,
 )
 from cat0sigma.treesigma import generate_sphere_points
+from cat0sigma.verify import enumeration_m_value
 
 INF = float("inf")
 
@@ -119,6 +119,20 @@ def test_minimal_ray_count_frozen_examples():
     assert minimal_ray_count(trio, Character.zero(2)) == 3
 
 
+def test_minimal_ray_count_reaches_the_caratheodory_bounds():
+    basis = [SpherePoint((1, 0, 0)), SpherePoint((0, 1, 0)), SpherePoint((0, 0, 1))]
+    # chi != 0 needs k = 3 independent rays.
+    assert minimal_ray_count(basis, Character([1, 1, 1])) == 3
+    # chi = 0 needs a circuit of k + 1 = 4 rays.
+    assert minimal_ray_count(basis + [SpherePoint((-1, -1, -1))], Character.zero(3)) == 4
+    # A pointed cone of 12 rays (first coordinate positive) has no positive
+    # dependence at all.
+    cone = [SpherePoint((1, a, b)) for a in (-1, 0, 1) for b in (-1, 0, 1)]
+    cone += [SpherePoint(v) for v in [(2, 1, 0), (2, 0, 1), (2, -1, 1)]]
+    assert len(cone) == 12
+    assert minimal_ray_count(cone, Character.zero(3)) == INF
+
+
 def test_m_value_frozen_examples():
     assert m_value([], Character.zero(3)).value == INF
     pair = [SpherePoint((1,)), SpherePoint((-1,))]
@@ -144,15 +158,33 @@ def test_m_value_validation():
     assert MValue(1) <= MValue(INF)
 
 
-def test_lp_route_equals_enumeration_oracle_on_seeded_instances():
+def test_m_value_equals_enumeration_oracle_on_seeded_instances():
+    # The oracle tries every subset with Fourier-Motzkin, so agreement also
+    # checks the Caratheodory bound of the production search.
     rng = random.Random(99)
-    for _ in range(120):
+    for i in range(240):
         k = rng.randrange(1, 4)
-        pts = generate_sphere_points(rng, k, rng.randrange(0, 7), forbid_antipodal=False)
-        chi = Character(tuple(rng.randrange(-3, 4) for _ in range(k)))
-        lp = m_value(pts, chi).value
-        fm = m_value(pts, chi, representable=strictly_representable_fm).value
-        assert lp == fm
+        pts = generate_sphere_points(rng, k, rng.randrange(0, 7), forbid_antipodal=i % 2 == 0)
+        if i % 2 == 1 and pts and pts[0].antipode() not in pts:
+            pts.append(pts[0].antipode())
+        if i % 4 == 0:
+            chi = Character.zero(k)
+        elif i % 4 == 1:
+            chi = Character(tuple(F(rng.randrange(-3, 4), rng.randrange(1, 4)) for _ in range(k)))
+        elif i % 4 == 2 and pts:
+            chi = rng.choice(pts).character().scaled(rng.choice([2, F(1, 2), F(-3, 2)]))
+        else:
+            chi = Character(tuple(rng.randrange(-3, 4) for _ in range(k)))
+        assert m_value(pts, chi).value == enumeration_m_value(pts, chi), (pts, chi)
+    for i in range(60):
+        pts = generate_sphere_points(rng, 4, rng.randrange(0, 5), forbid_antipodal=False)
+        if i % 3 == 0:
+            chi = Character.zero(4)
+        elif i % 3 == 1 and pts:
+            chi = rng.choice(pts).antipode().character()
+        else:
+            chi = Character(tuple(rng.randrange(-2, 3) for _ in range(4)))
+        assert m_value(pts, chi).value == enumeration_m_value(pts, chi), (pts, chi)
 
 
 def test_m_value_monotone_under_enlarging_the_set():

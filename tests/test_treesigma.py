@@ -109,24 +109,25 @@ def test_mfpr_piecewise_values():
         [SpherePoint((1, 0)), SpherePoint((0, 1)), SpherePoint((-1, -1))],
         Character([-1, 0]),
     )
-    assert dynamical_sigma_mfpr(trio, 0) == WHOLE_BOUNDARY
-    assert dynamical_sigma_mfpr(trio, 1) == WHOLE_BOUNDARY
-    assert dynamical_sigma_mfpr(trio, 2) == EMPTY
+    lengths = mfpr_lengths(trio)
+    assert dynamical_sigma_mfpr(lengths, 0) == WHOLE_BOUNDARY
+    assert dynamical_sigma_mfpr(lengths, 1) == WHOLE_BOUNDARY
+    assert dynamical_sigma_mfpr(lengths, 2) == EMPTY
     with pytest.raises(DegreeOutOfRange):
-        dynamical_sigma_mfpr(trio, 3)
+        dynamical_sigma_mfpr(lengths, 3)
 
-    empty = MFPRData(2, [], Character([1, 0]))
+    empty = mfpr_lengths(MFPRData(2, [], Character([1, 0])))
     for n in range(6):
         assert dynamical_sigma_mfpr(empty, n) == WHOLE_BOUNDARY
 
 
 def test_mfpr_matches_fixed_end_formula(rng):
     for _ in range(40):
-        data = generate_mfpr_data(rng)
-        summary = mfpr_summary(data)
+        lengths = mfpr_lengths(generate_mfpr_data(rng))
+        summary = mfpr_summary(lengths)
         horizon = 8 if summary.fl_group == INF else int(summary.fl_group)
         for n in range(0, min(horizon, 8) + 1):
-            assert dynamical_sigma_mfpr(data, n) == dynamical_sigma_fixed_end(summary, n)
+            assert dynamical_sigma_mfpr(lengths, n) == dynamical_sigma_fixed_end(summary, n)
 
 
 def test_antipodal_pair_detection_and_convention(rng):

@@ -441,25 +441,24 @@ def suite_tits(seed: int = 0, tol: float = GLOBAL_TOL, cases: int = 100) -> Suit
 # m-values: the bounded kernel search against the elimination oracle
 
 
-def enumeration_ray_count(A, chi: Character, representable=strictly_representable_fm) -> int | float:
+def enumeration_ray_count(A, chi: Character) -> int | float:
     """Reference for ``sphere.minimal_ray_count``: every subset of
     A - {[chi]}, smallest first and without the Caratheodory bound, each
-    decided by ``representable`` (Fourier-Motzkin by default; the simplex
-    ``exactlp.strictly_representable_lp`` takes the same arguments)."""
+    decided by Fourier-Motzkin elimination."""
     pts = sorted(set(A), key=lambda s: s.primitive)
     if not chi.is_zero:
         ray = normalize_ray(chi)
         pts = [p for p in pts if p != ray]
     for size in range(1, len(pts) + 1):
         for subset in itertools.combinations(pts, size):
-            if representable([tuple(Fraction(c) for c in s.primitive) for s in subset], chi.coords):
+            if strictly_representable_fm([tuple(Fraction(c) for c in s.primitive) for s in subset], chi.coords):
                 return size
     return math.inf
 
 
-def enumeration_m_value(A, chi: Character, representable=strictly_representable_fm) -> int | float:
+def enumeration_m_value(A, chi: Character) -> int | float:
     """The m-value from ``enumeration_ray_count``: one less, or infinity."""
-    r = enumeration_ray_count(A, chi, representable)
+    r = enumeration_ray_count(A, chi)
     return math.inf if r == math.inf else r - 1
 
 

@@ -192,6 +192,24 @@ def test_mfpr_stdout_matches_golden_files():
         assert (code, out) == (case["code"], case["stdout"]), case["input"]
 
 
+@pytest.mark.parametrize("sigma_log", [None, "1"], ids=["quiet", "SIGMA_LOG"])
+def test_cli_stdout_matches_golden_files(sigma_log, monkeypatch):
+    # Byte-exact stdout of the other nine commands on the inputs in
+    # tests/golden/ (E2, E3, H2, Cayley and HNN trees; boundary and point
+    # ray ends; custom schedules).  Progress logging goes to stderr only,
+    # so turning it on must leave stdout unchanged.
+    if sigma_log is None:
+        monkeypatch.delenv("SIGMA_LOG", raising=False)
+    else:
+        monkeypatch.setenv("SIGMA_LOG", sigma_log)
+    cases = json.loads((GOLDEN / "cli_stdout.json").read_text(encoding="utf-8"))
+    assert sorted({case["argv"][0] for case in cases}) == sorted(set(cli.HANDLERS) - {"mfpr"})
+    for case in cases:
+        argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in case["argv"]]
+        code, out, _ = run_cli(argv)
+        assert (code, out) == (case["code"], case["stdout"]), case["argv"]
+
+
 def test_audit_command(tmp_path):
     data = write(
         tmp_path,

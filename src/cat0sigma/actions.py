@@ -31,6 +31,7 @@ from .errors import (
     UnsupportedNumberForm,
     WrongSpace,
 )
+from .jsonio import parse_fraction, parse_int, parse_real, read_field
 from .spaces import (
     EDirection,
     EuclideanSpace,
@@ -51,7 +52,6 @@ from .trees import (
     HnnUp,
     HnnVertex,
     TreePoint,
-    WordEnd,
     invert_word,
     make_word_end,
     n_valuation,
@@ -62,7 +62,15 @@ GLOBAL_TOL = spaces.GLOBAL_TOL
 
 
 # ---------------------------------------------------------------------------
-# Isometries
+# Isometries: each class has apply(space, p), boundary(space, e), compose,
+# inverse, to_json, classify, identity(space) and from_json(space, data).
+
+
+def _square_matrix(data, n: int) -> list:
+    """An n x n JSON matrix, checked for shape only."""
+    if not (isinstance(data, list) and len(data) == n and all(isinstance(r, list) and len(r) == n for r in data)):
+        raise ValueError(f"expected a {n} x {n} matrix, got {data!r}")
+    return data
 
 
 @dataclass(frozen=True)
@@ -93,6 +101,20 @@ class EuclideanIsometry:
         eye = tuple(tuple(1.0 if i == j else 0.0 for j in range(k)) for i in range(k))
         return EuclideanIsometry(eye, v)
 
+    @staticmethod
+    def identity(space: EuclideanSpace) -> "EuclideanIsometry":
+        return EuclideanIsometry.pure_translation((0.0,) * space.k)
+
+    @staticmethod
+    def from_json(space: EuclideanSpace, data) -> "EuclideanIsometry":
+        matrix = _square_matrix(read_field(data, "matrix", list), space.k)
+        translation = read_field(data, "translation", list)
+        if len(translation) != space.k:
+            raise WrongSpace(f"translation of dimension {len(translation)} in {space.name}")
+        return EuclideanIsometry(
+            [[parse_real(x) for x in row] for row in matrix], [parse_real(x) for x in translation]
+        )
+
     @property
     def is_translation(self) -> bool:
         k = len(self.translation)
@@ -100,13 +122,16 @@ class EuclideanIsometry:
             self.matrix[i][j] == (1.0 if i == j else 0.0) for i in range(k) for j in range(k)
         )
 
-    def apply(self, p):
+    def _affine(self, p):
         return tuple(
             sum(self.matrix[i][j] * p[j] for j in range(len(p))) + self.translation[i]
             for i in range(len(p))
         )
 
-    def boundary(self, e: EDirection) -> EDirection:
+    def apply(self, space, p):
+        return self._affine(p)
+
+    def boundary(self, space, e: EDirection) -> EDirection:
         u = e.vector
         w = tuple(sum(self.matrix[i][j] * u[j] for j in range(len(u))) for i in range(len(u)))
         return EDirection(spaces.direction(w))
@@ -117,7 +142,7 @@ class EuclideanIsometry:
             tuple(sum(self.matrix[i][r] * other.matrix[r][j] for r in range(k)) for j in range(k))
             for i in range(k)
         )
-        v = self.apply(other.translation)
+        v = self._affine(other.translation)
         return EuclideanIsometry(m, v)
 
     def inverse(self) -> "EuclideanIsometry":
@@ -126,15 +151,19 @@ class EuclideanIsometry:
         v = tuple(-sum(mt[i][j] * self.translation[j] for j in range(k)) for i in range(k))
         return EuclideanIsometry(mt, v)
 
+    def to_json(self) -> dict:
+        return {"matrix": [list(r) for r in self.matrix], "translation": list(self.translation)}
+
+    def classify(self) -> "IsometryClass":
+        raise WrongSpace("classification implemented for H2 and tree actions")
+
 
 def _num(x):
-    """Normalize a matrix entry: exact Fraction for int/Fraction/str input,
-    float otherwise."""
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    return float(x)
+    """Normalize a matrix entry: floats stay floats, everything else (ints,
+    Fractions, strings like "1/2") becomes an exact Fraction."""
+    if isinstance(x, (float, Fraction)):
+        return x
+    return parse_fraction(x)
 
 
 @dataclass(frozen=True)
@@ -162,11 +191,20 @@ class MoebiusIsometry:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
 
-    def apply(self, z: complex) -> complex:
+    @staticmethod
+    def identity(space: HyperbolicPlane) -> "MoebiusIsometry":
+        return MoebiusIsometry(1, 0, 0, 1)
+
+    @staticmethod
+    def from_json(space: HyperbolicPlane, data) -> "MoebiusIsometry":
+        m = _square_matrix(read_field(data, "matrix", list), 2)
+        return MoebiusIsometry(m[0][0], m[0][1], m[1][0], m[1][1])
+
+    def apply(self, space, z: complex) -> complex:
         a, b, c, d = (float(x) for x in (self.a, self.b, self.c, self.d))
         return (a * z + b) / (c * z + d)
 
-    def boundary(self, xi):
+    def boundary(self, space, xi):
         a, b, c, d = self.a, self.b, self.c, self.d
         if xi == H2_INFINITY:
             if c == 0:
@@ -192,6 +230,37 @@ class MoebiusIsometry:
     def trace(self) -> float:
         return float(self.a + self.d)
 
+    def to_json(self) -> dict:
+        return {"matrix": [[str(self.a), str(self.b)], [str(self.c), str(self.d)]]}
+
+    def classify(self) -> "IsometryClass":
+        """Elliptic / parabolic / hyperbolic by the trace."""
+        vals = [float(x) for x in (self.a, self.b, self.c, self.d)]
+        if abs(abs(vals[0]) - 1) < 1e-12 and abs(vals[1]) < 1e-12 and abs(vals[2]) < 1e-12:
+            if abs(vals[0] - vals[3]) < 1e-12:
+                return IsometryClass("identity")
+        tr = abs(self.trace())
+        if tr < 2 - 1e-12:
+            return IsometryClass("elliptic")
+        if tr <= 2 + 1e-12:
+            return IsometryClass("parabolic")
+        length = 2 * math.acosh(tr / 2)
+        a, b, c, d = vals
+        if abs(c) < 1e-15:
+            fixed = [H2_INFINITY, b / (d - a)]
+        else:
+            disc = math.sqrt((a + d) ** 2 - 4)
+            fixed = [((a - d) + s * disc) / (2 * c) for s in (+1, -1)]
+
+        def derivative(x):
+            if x == H2_INFINITY:
+                return (d / a) ** 2 if a != 0 else math.inf
+            return 1.0 / (c * x + d) ** 2
+
+        # Attracting fixed point first.
+        fixed = sorted(fixed, key=lambda x: abs(derivative(x)))
+        return IsometryClass("hyperbolic", length, tuple(fixed))
+
 
 @dataclass(frozen=True)
 class CayleyIsometry:
@@ -203,27 +272,54 @@ class CayleyIsometry:
     def __init__(self, word):
         object.__setattr__(self, "word", reduce_word(tuple(word)))
 
-    def apply_vertex(self, model: CayleyTree, v):
-        return model.left_multiply_vertex(self.word, v)
+    @staticmethod
+    def identity(space: TreeSpace) -> "CayleyIsometry":
+        return CayleyIsometry(())
 
-    def apply(self, model: CayleyTree, p: TreePoint) -> TreePoint:
-        gv = self.apply_vertex(model, p.vertex)
+    @staticmethod
+    def from_json(space: TreeSpace, data) -> "CayleyIsometry":
+        iso = CayleyIsometry(space.model.parse_vertex(read_field(data, "word", list)))
+        space.model.check_vertex(iso.word)
+        return iso
+
+    def apply(self, space, p: TreePoint) -> TreePoint:
+        model = space.model
+        gv = model.left_multiply_vertex(self.word, p.vertex)
         if p.up == 0:
             return TreePoint(gv)
-        gparent = self.apply_vertex(model, model.parent(p.vertex))
+        gparent = model.left_multiply_vertex(self.word, model.parent(p.vertex))
         # Left multiplication can flip which endpoint of the edge is deeper.
         if model.parent(gv) == gparent:
             return TreePoint(gv, p.up)
         return TreePoint(gparent, 1 - p.up)
 
-    def boundary(self, model: CayleyTree, end: WordEnd) -> WordEnd:
-        return model.left_multiply_end(self.word, end)
+    def boundary(self, space, end):
+        return space.model.left_multiply_end(self.word, end)
 
     def compose(self, o: "CayleyIsometry") -> "CayleyIsometry":
         return CayleyIsometry(self.word + o.word)
 
     def inverse(self) -> "CayleyIsometry":
         return CayleyIsometry(invert_word(self.word))
+
+    def to_json(self) -> dict:
+        return {"word": list(self.word)}
+
+    def classify(self) -> "IsometryClass":
+        """Hyperbolic along the axis of the cyclically reduced core."""
+        w = self.word
+        if not w:
+            return IsometryClass("identity", 0)
+        conj = []
+        core = list(w)
+        while len(core) >= 2 and core[0] == -core[-1]:
+            conj.append(core[0])
+            core = core[1:-1]
+        core_t = tuple(core)
+        prefix = tuple(conj)
+        forward = make_word_end(prefix, core_t)
+        backward = make_word_end(prefix, invert_word(core_t))
+        return IsometryClass("hyperbolic", len(core_t), (forward, backward))
 
 
 @dataclass(frozen=True)
@@ -240,14 +336,19 @@ class HnnIsometry:
         object.__setattr__(self, "shift", int(shift))
         object.__setattr__(self, "add", Fraction(add))
 
-    def apply_vertex(self, model: HnnTree, v: HnnVertex) -> HnnVertex:
-        return model.affine_vertex(self.shift, self.add, v)
+    @staticmethod
+    def identity(space: TreeSpace) -> "HnnIsometry":
+        return HnnIsometry(space.model.index, 0, 0)
 
-    def apply(self, model: HnnTree, p: TreePoint) -> TreePoint:
+    @staticmethod
+    def from_json(space: TreeSpace, data) -> "HnnIsometry":
+        return HnnIsometry(space.model.index, parse_int(read_field(data, "shift")), parse_fraction(read_field(data, "add")))
+
+    def apply(self, space, p: TreePoint) -> TreePoint:
         # Affine maps preserve the parent direction, so offsets carry over.
-        return TreePoint(self.apply_vertex(model, p.vertex), p.up)
+        return TreePoint(space.model.affine_vertex(self.shift, self.add, p.vertex), p.up)
 
-    def boundary(self, model: HnnTree, end):
+    def boundary(self, space, end):
         if isinstance(end, HnnUp):
             return HnnUp()
         n = Fraction(self.index)
@@ -261,57 +362,42 @@ class HnnIsometry:
         n = Fraction(self.index)
         return HnnIsometry(self.index, -self.shift, -(n ** (-self.shift)) * self.add)
 
+    def to_json(self) -> dict:
+        return {"shift": self.shift, "add": str(self.add)}
+
+    def classify(self) -> "IsometryClass":
+        """Elliptic (with a fixed vertex) for shift 0, else hyperbolic."""
+        if self.shift == 0:
+            if self.add == 0:
+                return IsometryClass("identity", 0)
+            level = n_valuation(self.add, self.index)
+            witness = HnnVertex(level, Fraction(0)) if level <= 0 else HnnTree(self.index).canonical(level, Fraction(0))
+            return IsometryClass("elliptic", 0, (), witness)
+        fixed_value = self.add / (1 - Fraction(self.index) ** self.shift)
+        # Positive shifts contract n-adically toward the finite fixed point
+        # (levels grow, balls shrink), so the downward end attracts.
+        ends = (HnnDown(fixed_value), HnnUp())
+        if self.shift < 0:
+            ends = (ends[1], ends[0])
+        return IsometryClass("hyperbolic", abs(self.shift), ends)
+
 
 Isometry = Union[EuclideanIsometry, MoebiusIsometry, CayleyIsometry, HnnIsometry]
 
-
-def _apply_isometry(space: ModelSpace, iso: Isometry, p):
-    if isinstance(space, EuclideanSpace):
-        return iso.apply(space.check_point(p))
-    if isinstance(space, HyperbolicPlane):
-        return iso.apply(space.check_point(p))
-    if isinstance(space, TreeSpace):
-        return iso.apply(space.model, space.check_point(p))
-    raise WrongSpace(f"unknown space {space!r}")
+ISOMETRY_TYPES = {
+    EuclideanSpace: EuclideanIsometry,
+    HyperbolicPlane: MoebiusIsometry,
+    CayleyTree: CayleyIsometry,
+    HnnTree: HnnIsometry,
+}
 
 
-def _apply_boundary(space: ModelSpace, iso: Isometry, e):
-    if isinstance(space, EuclideanSpace):
-        return iso.boundary(space.check_boundary(e))
-    if isinstance(space, HyperbolicPlane):
-        return iso.boundary(space.check_boundary(e))
-    if isinstance(space, TreeSpace):
-        return iso.boundary(space.model, space.check_boundary(e))
-    raise WrongSpace(f"unknown space {space!r}")
-
-
-def _identity_isometry(space: ModelSpace) -> Isometry:
-    if isinstance(space, EuclideanSpace):
-        return EuclideanIsometry.pure_translation((0.0,) * space.k)
-    if isinstance(space, HyperbolicPlane):
-        return MoebiusIsometry(1, 0, 0, 1)
-    if isinstance(space, TreeSpace):
-        if isinstance(space.model, CayleyTree):
-            return CayleyIsometry(())
-        if isinstance(space.model, HnnTree):
-            return HnnIsometry(space.model.index, 0, 0)
-    raise WrongSpace(f"no isometries implemented for {space!r}")
-
-
-def _check_isometry_kind(space: ModelSpace, iso: Isometry) -> None:
-    ok = (
-        (isinstance(space, EuclideanSpace) and isinstance(iso, EuclideanIsometry))
-        or (isinstance(space, HyperbolicPlane) and isinstance(iso, MoebiusIsometry))
-        or (
-            isinstance(space, TreeSpace)
-            and (
-                (isinstance(space.model, CayleyTree) and isinstance(iso, CayleyIsometry))
-                or (isinstance(space.model, HnnTree) and isinstance(iso, HnnIsometry))
-            )
-        )
-    )
-    if not ok:
-        raise WrongSpace(f"{type(iso).__name__} does not act on {space.name}")
+def isometry_type(space: ModelSpace) -> type:
+    """The isometry class that acts on the space."""
+    cls = ISOMETRY_TYPES.get(space.family())
+    if cls is None:
+        raise WrongSpace(f"no isometries implemented on {space.name}")
+    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -327,29 +413,33 @@ class GroupAction:
     pairs at construction (exact on trees, 1e-9 otherwise).
     """
 
-    def __init__(self, space: ModelSpace, generators: Mapping[str, Isometry], check: bool = True):
+    def __init__(self, space: ModelSpace, generators: Mapping[str, Isometry]):
         self.space = space
         self.generators = dict(generators)
         for name, iso in self.generators.items():
             if len(name) != 1 or not name.islower():
                 raise ValueError(f"generator names are single lowercase characters, got {name!r}")
-            _check_isometry_kind(space, iso)
-        if check:
-            self._check_distance_preservation()
+            if not isinstance(iso, isometry_type(space)):
+                raise WrongSpace(f"{type(iso).__name__} does not act on {space.name}")
+        self._check_distance_preservation()
 
     def _check_distance_preservation(self):
         pts = spaces.sample_points_near(self.space, self.space.origin(), 4, radius=2.0, seed=1789)
-        tol = 0 if isinstance(self.space, TreeSpace) else GLOBAL_TOL
+        tol = self.space.slack(GLOBAL_TOL)
         for name, iso in self.generators.items():
             for p, q in itertools.combinations(pts, 2):
                 before = distance(self.space, p, q)
-                after = distance(
-                    self.space, _apply_isometry(self.space, iso, p), _apply_isometry(self.space, iso, q)
-                )
+                after = distance(self.space, self._act(iso, p), self._act(iso, q))
                 if abs(after - before) > tol:
                     raise ValueError(
                         f"generator {name!r} distorts distances: {before} -> {after}"
                     )
+
+    def _act(self, iso: Isometry, p):
+        return iso.apply(self.space, self.space.check_point(p))
+
+    def _act_boundary(self, iso: Isometry, e):
+        return iso.boundary(self.space, self.space.check_boundary(e))
 
     # -- constructors ------------------------------------------------------
 
@@ -409,7 +499,7 @@ class GroupAction:
         return out
 
     def word_isometry(self, word: str) -> Isometry:
-        result = _identity_isometry(self.space)
+        result = isometry_type(self.space).identity(self.space)
         for iso in self.letters(word):
             result = result.compose(iso)
         return result
@@ -417,17 +507,17 @@ class GroupAction:
     def apply(self, word: str, p):
         """Evaluate the word (leftmost letter acts last) on a point."""
         for iso in reversed(self.letters(word)):
-            p = _apply_isometry(self.space, iso, p)
+            p = self._act(iso, p)
         return p
 
     def boundary_apply(self, word: str, e):
         for iso in reversed(self.letters(word)):
-            e = _apply_boundary(self.space, iso, e)
+            e = self._act_boundary(iso, e)
         return e
 
     def translation_vectors(self) -> dict[str, tuple[Fraction, ...]]:
         """Exact translation vectors of a Euclidean translation action."""
-        if not isinstance(self.space, EuclideanSpace):
+        if not self.space.flat:
             raise NotTranslationAction(f"action is on {self.space.name}, not Euclidean space")
         out = {}
         for name, iso in self.generators.items():
@@ -439,37 +529,16 @@ class GroupAction:
     def to_json(self) -> dict:
         return {
             "space": self.space.to_json(),
-            "generators": {name: isometry_to_json(iso) for name, iso in sorted(self.generators.items())},
+            "generators": {name: iso.to_json() for name, iso in sorted(self.generators.items())},
         }
 
 
-def isometry_to_json(iso: Isometry) -> dict:
-    if isinstance(iso, EuclideanIsometry):
-        return {"matrix": [list(r) for r in iso.matrix], "translation": list(iso.translation)}
-    if isinstance(iso, MoebiusIsometry):
-        return {"matrix": [[str(iso.a), str(iso.b)], [str(iso.c), str(iso.d)]]}
-    if isinstance(iso, CayleyIsometry):
-        return {"word": list(iso.word)}
-    if isinstance(iso, HnnIsometry):
-        return {"shift": iso.shift, "add": str(iso.add)}
-    raise TypeError(f"not an isometry: {iso!r}")
-
-
 def action_from_json(data: Mapping) -> GroupAction:
-    space = spaces.space_from_json(data["space"])
-    gens = {}
-    for name, iso in data["generators"].items():
-        if isinstance(space, EuclideanSpace):
-            gens[name] = EuclideanIsometry(iso["matrix"], iso["translation"])
-        elif isinstance(space, HyperbolicPlane):
-            m = iso["matrix"]
-            gens[name] = MoebiusIsometry(m[0][0], m[0][1], m[1][0], m[1][1])
-        elif isinstance(space, TreeSpace) and isinstance(space.model, CayleyTree):
-            gens[name] = CayleyIsometry(tuple(iso["word"]))
-        elif isinstance(space, TreeSpace) and isinstance(space.model, HnnTree):
-            gens[name] = HnnIsometry(space.model.index, iso["shift"], Fraction(iso["add"]))
-        else:
-            raise WrongSpace(f"no isometries implemented on {space.name}")
+    space = spaces.space_from_json(read_field(data, "space"))
+    gens = {
+        name: isometry_type(space).from_json(space, iso)
+        for name, iso in read_field(data, "generators", dict).items()
+    }
     return GroupAction(space, gens)
 
 
@@ -494,77 +563,7 @@ def classify_isometry(action: GroupAction, word: str) -> IsometryClass:
     by the trace; elliptic (fixes a vertex) or hyperbolic (translates an
     axis) on trees, computed in closed form from the reduced word or the
     affine normal form."""
-    iso = action.word_isometry(word)
-    space = action.space
-    if isinstance(space, HyperbolicPlane):
-        return _classify_moebius(iso)
-    if isinstance(space, TreeSpace):
-        if isinstance(iso, CayleyIsometry):
-            return _classify_cayley(iso)
-        return _classify_hnn(iso)
-    raise WrongSpace("classification implemented for H2 and tree actions")
-
-
-def _classify_moebius(m: MoebiusIsometry) -> IsometryClass:
-    vals = [float(x) for x in (m.a, m.b, m.c, m.d)]
-    if abs(abs(vals[0]) - 1) < 1e-12 and abs(vals[1]) < 1e-12 and abs(vals[2]) < 1e-12:
-        if abs(vals[0] - vals[3]) < 1e-12:
-            return IsometryClass("identity")
-    tr = abs(m.trace())
-    if tr < 2 - 1e-12:
-        return IsometryClass("elliptic")
-    if tr <= 2 + 1e-12:
-        return IsometryClass("parabolic")
-    length = 2 * math.acosh(tr / 2)
-    a, b, c, d = (float(x) for x in (m.a, m.b, m.c, m.d))
-    if abs(c) < 1e-15:
-        fixed = [H2_INFINITY, b / (d - a)]
-    else:
-        disc = math.sqrt((a + d) ** 2 - 4)
-        fixed = [((a - d) + s * disc) / (2 * c) for s in (+1, -1)]
-
-    def attracting_first(points):
-        def derivative(x):
-            if x == H2_INFINITY:
-                return (d / a) ** 2 if a != 0 else math.inf
-            return 1.0 / (c * x + d) ** 2
-
-        return sorted(points, key=lambda x: abs(derivative(x)))
-
-    fixed = attracting_first(fixed)
-    return IsometryClass("hyperbolic", length, tuple(fixed))
-
-
-def _classify_cayley(iso: CayleyIsometry) -> IsometryClass:
-    w = iso.word
-    if not w:
-        return IsometryClass("identity", 0)
-    conj = []
-    core = list(w)
-    while len(core) >= 2 and core[0] == -core[-1]:
-        conj.append(core[0])
-        core = core[1:-1]
-    core_t = tuple(core)
-    prefix = tuple(conj)
-    forward = make_word_end(prefix, core_t)
-    backward = make_word_end(prefix, invert_word(core_t))
-    return IsometryClass("hyperbolic", len(core_t), (forward, backward))
-
-
-def _classify_hnn(iso: HnnIsometry) -> IsometryClass:
-    if iso.shift == 0:
-        if iso.add == 0:
-            return IsometryClass("identity", 0)
-        level = n_valuation(iso.add, iso.index)
-        witness = HnnVertex(level, Fraction(0)) if level <= 0 else HnnTree(iso.index).canonical(level, Fraction(0))
-        return IsometryClass("elliptic", 0, (), witness)
-    fixed_value = iso.add / (1 - Fraction(iso.index) ** iso.shift)
-    # Positive shifts contract n-adically toward the finite fixed point
-    # (levels grow, balls shrink), so the downward end attracts.
-    ends = (HnnDown(fixed_value), HnnUp())
-    if iso.shift < 0:
-        ends = (ends[1], ends[0])
-    return IsometryClass("hyperbolic", abs(iso.shift), ends)
+    return action.word_isometry(word).classify()
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +585,7 @@ class FixedEndReport:
 
 
 def fixed_ends_tree(action: GroupAction, depth: int = 8) -> FixedEndReport:
-    if not isinstance(action.space, TreeSpace):
+    if not action.space.exact:
         raise WrongSpace("fixed_ends_tree needs a tree action")
     space = action.space
     gens = {name: iso for name, iso in action.generators.items()}
@@ -596,7 +595,7 @@ def fixed_ends_tree(action: GroupAction, depth: int = 8) -> FixedEndReport:
 
     def fixed_by_all(end) -> bool:
         return all(
-            _apply_boundary(space, iso, end) == end for iso in gens.values()
+            action._act_boundary(iso, end) == end for iso in gens.values()
         )
 
     hyperbolic = [name for name, c in classes.items() if c.kind == "hyperbolic"]
@@ -614,7 +613,7 @@ def fixed_ends_tree(action: GroupAction, depth: int = 8) -> FixedEndReport:
     # Only elliptic generators remain.  On the HNN tree a nontrivial
     # translation x -> x + b fixes the upward end and no downward end, so
     # the answer is again exact.
-    if isinstance(space.model, HnnTree):
+    if isometry_type(space) is HnnIsometry:
         up = HnnUp()
         if fixed_by_all(up):
             return FixedEndReport("singleton", (up,), depth)
@@ -631,11 +630,9 @@ def character_at_end(action: GroupAction, e, a, word: str):
     generator to fix e (raises EndNotFixed otherwise)."""
     space = action.space
     for name in sorted(action.generators):
-        if not spaces._boundary_equal(space, action.boundary_apply(name, e), e):
+        if not space.boundary_equal(action.boundary_apply(name, e), e):
             raise EndNotFixed(f"generator {name!r} moves the boundary point {e!r}")
-    ray = ray_from(space, a, e)
-    ga = action.apply(word, a)
-    return busemann(space, ray, ga) - busemann(space, ray, a)
+    return psi_cocycle(action, e, word, a)
 
 
 def psi_cocycle(action: GroupAction, e, word: str, a):
@@ -686,8 +683,7 @@ class ShiftReport:
     norm: object
     is_contraction: bool
 
-    def __init__(self, end, shifts: dict, displacements: dict, exact: bool):
-        tol = 0 if exact else GLOBAL_TOL
+    def __init__(self, end, shifts: dict, displacements: dict, tol):
         for label, sh in shifts.items():
             alpha = displacements[label]
             if abs(sh) > alpha + tol:
@@ -706,12 +702,7 @@ class ShiftReport:
 
 def _resolve_image(cfg: ControlConfiguration, value):
     # Labels win over raw points when a value could be read as either.
-    try:
-        if value in cfg.points:
-            return cfg.points[value]
-    except TypeError:
-        pass
-    return cfg.space.check_point(value)
+    return cfg.points[value] if _is_label(cfg, value) else cfg.space.check_point(value)
 
 
 def _is_label(cfg: ControlConfiguration, value) -> bool:
@@ -742,7 +733,7 @@ def shift_report(cfg: ControlConfiguration, f: Mapping, e) -> ShiftReport:
         dst = _resolve_image(cfg, target)
         shifts[label] = busemann(space, ray, dst) - busemann(space, ray, src)
         alphas[label] = distance(space, src, dst)
-    return ShiftReport(e, shifts, alphas, exact=isinstance(space, TreeSpace))
+    return ShiftReport(e, shifts, alphas, space.slack(GLOBAL_TOL))
 
 
 @dataclass(frozen=True)
@@ -764,7 +755,7 @@ def iterate_shift_check(cfg: ControlConfiguration, f: Mapping, e, m: int) -> Ite
         current = {label: f[current[label]] for label in current}
     iterate = shift_report(cfg, current, e)
     bound = m * base.gsh
-    tol = 0 if isinstance(cfg.space, TreeSpace) else GLOBAL_TOL
+    tol = cfg.space.slack(GLOBAL_TOL)
     return IterateCheck(iterate.gsh >= bound - tol, m, iterate.gsh, bound)
 
 
@@ -788,7 +779,7 @@ def equivariance_check(
     }
     moved_e = action.boundary_apply(word, e)
     translated = shift_report(moved_cfg, moved_f, moved_e)
-    tol = 0 if isinstance(space, TreeSpace) else GLOBAL_TOL
+    tol = space.slack(GLOBAL_TOL)
     return EquivarianceCheck(
         abs(original.gsh - translated.gsh) <= tol, original.gsh, translated.gsh
     )
@@ -821,102 +812,39 @@ class UnknownVerdict:
     reason: str
 
 
+# Largest orbit the cocompactness test enumerates.  Above every orbit the
+# tests, verify and the benchmark reach (F2 at depth 7 has 4373 points);
+# the orbit of a free group grows exponentially in the depth.
+ORBIT_BUDGET = 5000
+
+
 def _orbit(action: GroupAction, a, depth: int):
-    """Orbit points of a up to generator-word length depth, deduplicated."""
+    """Orbit points of a up to generator-word length depth, deduplicated,
+    and the word length reached.  The points are None when the orbit
+    outgrows ORBIT_BUDGET at that length."""
     space = action.space
     gens = []
     for name, iso in sorted(action.generators.items()):
         gens.append(iso)
         gens.append(iso.inverse())
 
-    def key(p):
-        if isinstance(space, TreeSpace):
-            return p
-        if isinstance(space, HyperbolicPlane):
-            return (round(p.real, 9), round(p.imag, 9))
-        return tuple(round(c, 9) for c in p)
-
     frontier = [space.check_point(a)]
-    seen = {key(frontier[0]): frontier[0]}
-    for _ in range(depth):
+    seen = {space.orbit_key(frontier[0]): frontier[0]}
+    for length in range(1, depth + 1):
         new = []
         for p in frontier:
             for iso in gens:
-                q = _apply_isometry(space, iso, p)
-                k = key(q)
+                q = action._act(iso, p)
+                k = space.orbit_key(q)
                 if k not in seen:
+                    if len(seen) == ORBIT_BUDGET:
+                        return None, length
                     seen[k] = q
                     new.append(q)
         frontier = new
         if not frontier:
             break
-    return list(seen.values())
-
-
-def _region_samples(space: ModelSpace, center, region_radius, seed: int):
-    if isinstance(space, TreeSpace):
-        # All vertices within the radius.
-        model = space.model
-        out, frontier, seen = [], [center.vertex], {center.vertex}
-        out.append(TreePoint(center.vertex))
-        for _ in range(int(region_radius)):
-            new = []
-            for v in frontier:
-                nbrs = model.children(v)
-                parent = model.parent(v)
-                if parent is not None:
-                    nbrs = nbrs + [parent]
-                for w in nbrs:
-                    if w not in seen:
-                        seen.add(w)
-                        new.append(w)
-                        out.append(TreePoint(w))
-            frontier = new
-        return out
-    if isinstance(space, EuclideanSpace):
-        # Even tick count keeps grid points off any integer lattice through
-        # the center, so lattice orbits are probed at their worst spots.
-        ticks = 8
-        axes = [
-            [center[i] + region_radius * (2.0 * t / (ticks - 1) - 1.0) for t in range(ticks)]
-            for i in range(space.k)
-        ]
-        out = [
-            p
-            for p in itertools.product(*axes)
-            if spaces._norm(spaces._sub(p, center)) <= region_radius + 1e-9
-        ]
-        out.extend(spaces.sample_points_near(space, center, 64, radius=region_radius, seed=seed))
-        return out
-    return spaces.sample_points_near(space, center, 200, radius=region_radius, seed=seed)
-
-
-def _candidate_directions(space: ModelSpace, center, far_point):
-    if isinstance(space, EuclideanSpace):
-        out = []
-        for i in range(space.k):
-            for sign in (+1.0, -1.0):
-                v = [0.0] * space.k
-                v[i] = sign
-                out.append(EDirection(tuple(v)))
-        if far_point is not None and spaces._norm(spaces._sub(far_point, center)) > 1e-9:
-            out.append(EDirection(spaces.direction(spaces._sub(far_point, center))))
-        return out
-    if isinstance(space, TreeSpace):
-        model = space.model
-        if isinstance(model, HnnTree):
-            return [HnnUp()] + [HnnDown(Fraction(d)) for d in range(model.index)]
-        out = []
-        for child in model.children(model.base_vertex()):
-            letter = child[-1]
-            try:
-                end = make_word_end((), (letter,))
-                model.check_end(end)
-                out.append(end)
-            except ValueError:
-                continue
-        return out
-    return [H2_INFINITY, Fraction(0), Fraction(1), Fraction(-1)]
+    return list(seen.values()), depth
 
 
 def cocompactness_witness(action: GroupAction, a, radius: float, depth: int = 6, seed: int = 0):
@@ -929,13 +857,17 @@ def cocompactness_witness(action: GroupAction, a, radius: float, depth: int = 6,
     is met by the sampled region but by no enumerated orbit point (level
     margin 1, following the construction that tracks points at growing
     distance from the orbit).  Returns Unknown when the depth is exhausted
-    without either certificate.
+    without either certificate, or when the orbit outgrows ORBIT_BUDGET
+    points before the depth is reached.
     """
     space = action.space
     a = space.check_point(a)
-    orbit = _orbit(action, a, depth)
-    region_radius = max(2, depth // 2) if isinstance(space, TreeSpace) else max(2.0, depth / 2.0)
-    samples = _region_samples(space, a, region_radius, seed)
+    orbit, reached = _orbit(action, a, depth)
+    if orbit is None:
+        return UnknownVerdict(
+            f"orbit budget of {ORBIT_BUDGET} points exceeded at word length {reached} of depth {depth}"
+        )
+    region_radius, samples = space.region(a, depth, seed)
 
     worst = None
     worst_point = None
@@ -947,7 +879,7 @@ def cocompactness_witness(action: GroupAction, a, radius: float, depth: int = 6,
     if worst is not None and worst <= radius:
         return NetCertificate(radius, float(region_radius), len(samples), len(orbit), worst)
 
-    for e in _candidate_directions(space, a, worst_point):
+    for e in space.probe_ends(a, worst_point):
         ray = ray_from(space, a, e)
         orbit_max = max(busemann(space, ray, q) for q in orbit)
         region_max = max(busemann(space, ray, p) for p in samples)
@@ -978,8 +910,10 @@ def local_busemann_audit(
     works; this one is used throughout).
     """
     c = M.check_point(c)
-    if isinstance(M, TreeSpace):
+    if M.exact:
         r, eps = Fraction(r), Fraction(eps)
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     R = r * (1 + 2 * r / eps) + eps
     ray1 = ray_from(M, c, e)
     ray2 = ray_from(M, c, e2)
@@ -1003,7 +937,7 @@ def angle_estimate_audit(M: ModelSpace, ray1: GeneralizedRay, ray2: GeneralizedR
     """Check the chord bound d(ray1(t), ray2(t)) <= 2 t sin(angle/2) where
     the angle is the angular distance of the two endpoints; equality on
     E^k, inequality elsewhere."""
-    if distance(M, ray1.base, ray2.base) > (0 if isinstance(M, TreeSpace) else 1e-12):
+    if distance(M, ray1.base, ray2.base) > M.slack(1e-12):
         raise ValueError("the chord estimate needs a common base point")
     ang = angular_distance(M, ray1.end, ray2.end)
     worst = None

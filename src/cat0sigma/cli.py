@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 from . import actions as ac
 from . import jsonio, spaces as sp, svg, treesigma as ts, verify
@@ -42,13 +41,22 @@ def _dump(payload, out_path, stdout) -> None:
 
 def _load(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"the data file must hold a JSON object, not {type(data).__name__}")
+    return data
 
 
 def _length(value):
     if value in ("inf", math.inf):
         return math.inf
-    return int(value)
+    return jsonio.parse_int(value)
+
+
+def _boundary_pair(space, pair):
+    if not (isinstance(pair, list) and len(pair) == 2):
+        raise ValueError(f"expected a list of two boundary points, got {pair!r}")
+    return jsonio.parse_boundary(space, pair[0]), jsonio.parse_boundary(space, pair[1])
 
 
 def _space_override(args, data):
@@ -69,13 +77,10 @@ def _space_override(args, data):
 def cmd_busemann(args, data):
     space = sp.space_from_json(data["space"])
     ray = jsonio.parse_ray(space, data["ray"])
-    points = [jsonio.parse_point(space, p) for p in data.get("points", [])]
-    schedule = data.get("schedule") or [1, 2, 5, 10, 20, 40]
-    if isinstance(space, sp.TreeSpace):
-        schedule = [Fraction(t) for t in schedule]
-    exact = isinstance(space, sp.TreeSpace)
-    mono_slack = 0 if exact else 1e-12
-    bound_slack = 0 if exact else args.tol
+    points = [jsonio.parse_point(space, p) for p in jsonio.read_field(data, "points", list, [])]
+    schedule = [space.parse_scalar(t) for t in jsonio.read_field(data, "schedule", list, []) or [1, 2, 5, 10, 20, 40]]
+    mono_slack = space.slack(1e-12)
+    bound_slack = space.slack(args.tol)
     values, audits = [], []
     for p in points:
         closed = sp.busemann(space, ray, p)
@@ -107,9 +112,8 @@ def cmd_tits(args, data):
     space = sp.space_from_json(data["space"])
     results = []
     ok = True
-    for pair in data["pairs"]:
-        e1 = jsonio.parse_boundary(space, pair[0])
-        e2 = jsonio.parse_boundary(space, pair[1])
+    for pair in jsonio.read_field(data, "pairs", list):
+        e1, e2 = _boundary_pair(space, pair)
         ang = sp.angular_distance(space, e1, e2)
         td = sp.tits_distance(space, e1, e2)
         ok = ok and td >= ang - args.tol
@@ -122,7 +126,10 @@ def cmd_character(args, data):
     action = ac.action_from_json(data["action"])
     end = jsonio.parse_boundary(action.space, data["end"])
     base = jsonio.parse_point(action.space, data["base"])
-    values = {word: ac.character_at_end(action, end, base, word) for word in data["words"]}
+    words = jsonio.read_field(data, "words", list)
+    if not all(isinstance(word, str) for word in words):
+        raise ValueError(f"words are strings over the generator names, got {words!r}")
+    values = {word: ac.character_at_end(action, end, base, word) for word in words}
     payload = {
         "command": "character",
         "seed": args.seed,
@@ -135,10 +142,10 @@ def cmd_character(args, data):
 def cmd_shift(args, data):
     space = sp.space_from_json(data["space"])
     cfg = ac.ControlConfiguration(
-        space, {label: jsonio.parse_point(space, p) for label, p in data["config"].items()}
+        space, {label: jsonio.parse_point(space, p) for label, p in jsonio.read_field(data, "config", dict).items()}
     )
     fmap = {}
-    for label, target in data["map"].items():
+    for label, target in jsonio.read_field(data, "map", dict).items():
         fmap[label] = target if isinstance(target, str) and target in cfg.points else jsonio.parse_point(space, target)
     end = jsonio.parse_boundary(space, data["end"])
     report = ac.shift_report(cfg, fmap, end)
@@ -269,30 +276,24 @@ def cmd_mfpr(args, data):
 
 def cmd_audit(args, data):
     space = sp.space_from_json(data["space"])
-    exact = isinstance(space, sp.TreeSpace)
-
-    def num(x):
-        return Fraction(x) if exact else float(Fraction(x))
-
+    e1, e2 = _boundary_pair(space, jsonio.read_field(data, "ends", list))
     if args.which == "local-busemann":
         report = ac.local_busemann_audit(
             space,
             jsonio.parse_point(space, data["center"]),
-            num(data["r"]),
-            num(data["eps"]),
-            jsonio.parse_boundary(space, data["ends"][0]),
-            jsonio.parse_boundary(space, data["ends"][1]),
-            samples=int(data.get("samples", 50)),
+            space.parse_scalar(data["r"]),
+            space.parse_scalar(data["eps"]),
+            e1,
+            e2,
+            samples=jsonio.parse_int(jsonio.read_field(data, "samples", default=50)),
             seed=args.seed,
         )
-    elif args.which == "angle-estimate":
-        base = jsonio.parse_point(space, data["base"])
-        ray1 = sp.ray_from(space, base, jsonio.parse_boundary(space, data["ends"][0]))
-        ray2 = sp.ray_from(space, base, jsonio.parse_boundary(space, data["ends"][1]))
-        schedule = [num(t) for t in data.get("schedule", [1, 2, 5, 10])]
-        report = ac.angle_estimate_audit(space, ray1, ray2, schedule)
     else:
-        raise ValueError(f"unknown audit {args.which!r}")
+        base = jsonio.parse_point(space, data["base"])
+        ray1 = sp.ray_from(space, base, e1)
+        ray2 = sp.ray_from(space, base, e2)
+        schedule = [space.parse_scalar(t) for t in jsonio.read_field(data, "schedule", list, [1, 2, 5, 10])]
+        report = ac.angle_estimate_audit(space, ray1, ray2, schedule)
     payload = {
         "command": "audit",
         "which": args.which,

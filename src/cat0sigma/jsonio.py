@@ -1,99 +1,75 @@
-"""JSON parsing and serialization for points, boundary points, rays,
-actions and reports.  The schemas are documented in docs/formats.md."""
+"""JSON parsing and serialization for points, boundary points, rays and
+reports.  The schemas are documented in docs/formats.md.  Each model space
+parses its own points and ends with the readers here, which turn a
+malformed shape into a ValueError (exit 2 on the command line)."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import is_dataclass, fields
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
-from . import spaces as sp
-from .trees import (
-    CayleyTree,
-    HnnDown,
-    HnnTree,
-    HnnUp,
-    HnnVertex,
-    TreePoint,
-    WordEnd,
-    make_word_end,
-)
+_REQUIRED = object()
+
+
+def read_field(data, key: str, kind=object, default=_REQUIRED):
+    """data[key], checked to be an instance of kind.  A missing or null field
+    gives the default, or a KeyError when there is none."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object with the field {key!r}, got {data!r}")
+    value = data.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise KeyError(key)
+        return default
+    if not isinstance(value, kind):
+        raise ValueError(f"field {key!r} must be of type {kind.__name__}, got {value!r}")
+    return value
 
 
 def parse_fraction(value) -> Fraction:
+    """An exact rational: an int, an integral float, or a string like "3/7"."""
     if isinstance(value, bool):
         raise ValueError("booleans are not numbers here")
-    if isinstance(value, (int, str)):
-        return Fraction(value)
     if isinstance(value, float):
         if not value.is_integer():
             raise ValueError(f"{value} is not exact; pass a string like '1/3'")
         return Fraction(int(value))
-    raise ValueError(f"cannot read {value!r} as an exact rational")
+    if not isinstance(value, (int, str)):
+        raise ValueError(f"cannot read {value!r} as an exact rational")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"cannot read {value!r} as an exact rational") from exc
 
 
-def parse_cayley_word(word, rank: int) -> tuple[int, ...]:
-    """Words as int lists (1 = first generator, negative = inverse) or as
-    strings with uppercase letters for inverses ("abA")."""
-    if isinstance(word, str):
-        letters = []
-        for ch in word:
-            idx = ord(ch.lower()) - ord("a") + 1
-            if not 1 <= idx <= rank:
-                raise ValueError(f"letter {ch!r} outside rank {rank}")
-            letters.append(-idx if ch.isupper() else idx)
-        return tuple(letters)
-    return tuple(int(x) for x in word)
+def parse_int(value) -> int:
+    x = parse_fraction(value)
+    if x.denominator != 1:
+        raise ValueError(f"{value!r} is not an integer")
+    return int(x)
 
 
-def parse_point(space: sp.ModelSpace, data):
-    if isinstance(space, sp.EuclideanSpace):
-        return space.check_point(tuple(float(c) for c in data))
-    if isinstance(space, sp.HyperbolicPlane):
-        if isinstance(data, dict):
-            return space.check_point(complex(float(data["x"]), float(data["y"])))
-        x, y = data
-        return space.check_point(complex(float(x), float(y)))
-    model = space.model
-    if isinstance(data, dict):
-        vertex = parse_vertex(space, data["vertex"])
-        up = parse_fraction(data.get("up", 0))
-        return space.check_point(TreePoint(vertex, up))
-    return space.check_point(TreePoint(parse_vertex(space, data)))
+def parse_real(value) -> float:
+    """A finite float: a JSON number or a string like "0.25" or "1/10"."""
+    try:
+        x = float(value if isinstance(value, float) else parse_fraction(value))
+    except OverflowError as exc:
+        raise ValueError(f"{value!r} is too large") from exc
+    if not math.isfinite(x):
+        raise ValueError(f"{value!r} is not a finite number")
+    return x
 
 
-def parse_vertex(space: sp.TreeSpace, data):
-    model = space.model
-    if isinstance(model, HnnTree):
-        return HnnVertex(int(data["level"]), parse_fraction(data["center"]))
-    if isinstance(model, CayleyTree):
-        return parse_cayley_word(data, model.rank)
-    return tuple(int(x) for x in data)
+def parse_point(space, data):
+    return space.parse_point(data)
 
 
-def parse_boundary(space: sp.ModelSpace, data):
-    if isinstance(space, sp.EuclideanSpace):
-        return space.check_boundary(sp.EDirection(tuple(float(c) for c in data["direction"])))
-    if isinstance(space, sp.HyperbolicPlane):
-        xi = data["xi"] if isinstance(data, dict) else data
-        if xi in ("inf", "oo", "infinity"):
-            return sp.H2_INFINITY
-        return space.check_boundary(parse_fraction(xi))
-    model = space.model
-    if "up" in data and data["up"] is True:
-        return space.check_boundary(HnnUp())
-    if "down" in data:
-        return space.check_boundary(HnnDown(parse_fraction(data["down"])))
-    if isinstance(model, CayleyTree):
-        prefix = parse_cayley_word(data.get("prefix", ()), model.rank)
-        period = parse_cayley_word(data["period"], model.rank)
-    else:
-        prefix = tuple(int(x) for x in data.get("prefix", ()))
-        period = tuple(int(x) for x in data["period"])
-    return space.check_boundary(make_word_end(prefix, period))
+def parse_boundary(space, data):
+    return space.parse_boundary(data)
 
 
-def parse_end_or_point(space: sp.ModelSpace, data):
+def parse_end_or_point(space, data):
     """Ray targets: {"boundary": B} or {"point": P}."""
     if isinstance(data, dict) and "boundary" in data:
         return parse_boundary(space, data["boundary"])
@@ -102,10 +78,10 @@ def parse_end_or_point(space: sp.ModelSpace, data):
     raise ValueError('ray target must be {"boundary": ...} or {"point": ...}')
 
 
-def parse_ray(space: sp.ModelSpace, data) -> sp.GeneralizedRay:
-    base = parse_point(space, data["base"])
-    end = parse_end_or_point(space, data["end"])
-    return sp.ray_from(space, base, end)
+def parse_ray(space, data):
+    base = parse_point(space, read_field(data, "base"))
+    end = parse_end_or_point(space, read_field(data, "end"))
+    return space.ray_from(base, end)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +92,8 @@ def jsonable(value):
     """Recursively convert package values to JSON-safe structures.
 
     Exact rationals become "p/q" strings, infinities the string "inf",
-    and geometry objects small tagged dicts.
+    and geometry objects small tagged dicts (their ``to_json``, or their
+    fields).
     """
     if value is None or isinstance(value, (bool, int, str)):
         return value
@@ -130,18 +107,9 @@ def jsonable(value):
         return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
     if isinstance(value, complex):
         return {"x": value.real, "y": value.imag}
-    if isinstance(value, sp.EDirection):
-        return {"direction": [jsonable(c) for c in value.vector]}
-    if isinstance(value, HnnUp):
-        return {"up": True}
-    if isinstance(value, HnnDown):
-        return {"down": jsonable(value.value)}
-    if isinstance(value, WordEnd):
-        return {"prefix": list(value.prefix), "period": list(value.period)}
-    if isinstance(value, HnnVertex):
-        return {"level": value.level, "center": jsonable(value.center)}
-    if isinstance(value, TreePoint):
-        return {"vertex": jsonable(value.vertex), "up": jsonable(value.up)}
+    to_json = getattr(value, "to_json", None)
+    if to_json is not None:
+        return jsonable(to_json())
     if is_dataclass(value) and not isinstance(value, type):
         return {f.name: jsonable(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, dict):

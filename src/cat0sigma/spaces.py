@@ -2,9 +2,13 @@
 
 Euclidean k-space and the hyperbolic plane (upper half-plane model) are
 computed in binary64 with a global tolerance of 1e-9 for assertions;
-simplicial trees are exact over Fractions.  The public operations --
-distance, geodesics, generalized rays, Busemann functions, horoballs,
-comparison angles, the angular and Tits metrics -- dispatch on the space.
+simplicial trees are exact over Fractions.  Each space class owns its
+operations: distance, geodesics, generalized rays, the Busemann closed
+form, boundary equality, angles and the angular and Tits metrics, the
+seeded samplers, parsing of its points and ends, and the helpers of the
+cocompactness test.  The module-level functions (:func:`distance`,
+:func:`busemann`, :func:`ray_from`, ...) are the public entry points and
+hold only the logic that all spaces share.
 
 A generalized ray is a unit-speed geodesic ray, or a geodesic segment held
 constant after its endpoint (the degenerate case, with the stopping
@@ -15,12 +19,14 @@ directly so the two can be checked against each other.
 
 Values are immutable and the functions pure; tree expansion is lazy but
 deterministic and replayable, with no caller-visible state.  The samplers
-at the bottom take explicit seeds.
+take explicit seeds.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -32,11 +38,10 @@ from .errors import (
     ParameterOutOfRange,
     WrongSpace,
 )
+from .jsonio import parse_fraction, parse_real, read_field
 from .trees import (
     HnnDown,
-    HnnTree,
     HnnUp,
-    TreeEnd,
     TreeModel,
     TreePoint,
     WordEnd,
@@ -55,16 +60,49 @@ Real = Union[int, float, Fraction]
 
 
 class ModelSpace:
+    """A model CAT(0) space.  Each subclass implements the per-space
+    operations that the entry points below dispatch to: ``check_point``,
+    ``check_boundary``, ``origin``, ``to_json``, the JSON readers (``parse_point``, ``parse_boundary``,
+    ``parse_scalar``), ``distance``, ``geodesic_point``, ``ray_from``,
+    ``ray_point``, ``busemann_to_end`` (the closed form toward a boundary
+    point), ``angle_between_rays``, one seeded draw of a point
+    (``sample_point``) or an end (``sample_end``), and the cocompactness
+    helpers ``orbit_key``, ``region`` and ``probe_ends``.
+
+    ``exact`` spaces (the trees) compute over Fractions with zero slack.
+    ``flat`` marks Euclidean space, whose boundary is a round sphere in
+    the Tits metric; on the others distinct boundary points span a
+    geodesic line, so the angular metric is 0 or pi and the Tits metric 0
+    or infinity, as the defaults below compute.
+    """
+
     name = "abstract"
+    exact = False
+    flat = False
 
-    def check_point(self, p):
-        raise NotImplementedError
+    def slack(self, tol):
+        """Allowed error of a comparison: 0 on exact spaces, tol otherwise."""
+        return 0 if self.exact else tol
 
-    def check_boundary(self, e):
-        raise NotImplementedError
+    def family(self) -> type:
+        """The class that fixes how isometries of this space are
+        represented: the space's own class, or the tree model's on trees."""
+        return type(self)
 
-    def to_json(self) -> dict:
-        raise NotImplementedError
+    def parse_scalar(self, data):
+        return parse_real(data)
+
+    def boundary_equal(self, e, e2) -> bool:
+        return self.check_boundary(e) == self.check_boundary(e2)
+
+    def angular_distance(self, e, e2) -> float:
+        return 0.0 if self.boundary_equal(e, e2) else math.pi
+
+    def tits_distance(self, e, e2) -> float:
+        return 0.0 if self.boundary_equal(e, e2) else math.inf
+
+    def orbit_key(self, p):
+        return p
 
 
 @dataclass(frozen=True)
@@ -80,10 +118,15 @@ class EDirection:
             raise WrongSpace(f"boundary direction {v} is not a unit vector")
         object.__setattr__(self, "vector", v)
 
+    def to_json(self) -> dict:
+        return {"direction": list(self.vector)}
+
 
 class EuclideanSpace(ModelSpace):
     """E^k with the standard metric; points are float tuples, boundary
     points are :class:`EDirection` unit vectors."""
+
+    flat = True
 
     def __init__(self, k: int):
         if k < 1:
@@ -110,6 +153,97 @@ class EuclideanSpace(ModelSpace):
 
     def to_json(self):
         return {"space": self.name}
+
+    def parse_point(self, data):
+        if not isinstance(data, list):
+            raise ValueError(f"a point of {self.name} is a list of {self.k} numbers, got {data!r}")
+        return self.check_point(tuple(parse_real(c) for c in data))
+
+    def parse_boundary(self, data):
+        return self.check_boundary(EDirection(tuple(parse_real(c) for c in read_field(data, "direction", list))))
+
+    def distance(self, a, b):
+        return _norm(_sub(self.check_point(a), self.check_point(b)))
+
+    def geodesic_point(self, a, b, t, d):
+        t = min(max(float(t), 0.0), d)
+        if d == 0:
+            return self.check_point(a)
+        a, b = self.check_point(a), self.check_point(b)
+        return _add(a, _scale(_sub(b, a), t / d))
+
+    def ray_from(self, a, e):
+        a = self.check_point(a)
+        if isinstance(e, EDirection):
+            u = self.check_boundary(e)
+            return GeneralizedRay(self, a, u, None, u.vector)
+        b = self.check_point(e)
+        mu = _norm(_sub(b, a))
+        u = direction(_sub(b, a)) if mu > 0 else (0.0,) * self.k
+        return GeneralizedRay(self, a, b, mu, u)
+
+    def ray_point(self, ray, t):
+        return _add(ray.base, _scale(ray._param, t))
+
+    def busemann_to_end(self, ray, b):
+        b = self.check_point(b)
+        return _dot(_sub(b, ray.base), ray._param)
+
+    def angle_between_rays(self, ray1, ray2, tol):
+        return math.acos(max(-1.0, min(1.0, _dot(ray1._param, ray2._param))))
+
+    def boundary_equal(self, e, e2) -> bool:
+        u, v = self.check_boundary(e), self.check_boundary(e2)
+        return _norm(_sub(u.vector, v.vector)) <= 1e-12
+
+    def angular_distance(self, e, e2) -> float:
+        u, v = self.check_boundary(e), self.check_boundary(e2)
+        if u.vector == v.vector:
+            return 0.0
+        return math.acos(max(-1.0, min(1.0, _dot(u.vector, v.vector))))
+
+    def tits_distance(self, e, e2) -> float:
+        return self.angular_distance(e, e2)
+
+    def sample_point(self, center, radius, rng):
+        offset = [rng.uniform(-1.0, 1.0) for _ in range(self.k)]
+        n = _norm(offset)
+        r = radius * rng.random() ** (1.0 / self.k)
+        return _add(center, _scale(offset, r / n if n else 0.0))
+
+    def sample_end(self, rng):
+        v = [rng.gauss(0.0, 1.0) for _ in range(self.k)]
+        while _norm(v) < 1e-6:
+            v = [rng.gauss(0.0, 1.0) for _ in range(self.k)]
+        return EDirection(direction(v))
+
+    def orbit_key(self, p):
+        return tuple(round(c, 9) for c in p)
+
+    def region(self, center, depth: int, seed: int):
+        radius = max(2.0, depth / 2.0)
+        # Even tick count keeps grid points off any integer lattice through
+        # the center, so lattice orbits are probed at their worst spots.
+        ticks = 8
+        axes = [
+            [center[i] + radius * (2.0 * t / (ticks - 1) - 1.0) for t in range(ticks)]
+            for i in range(self.k)
+        ]
+        out = [p for p in itertools.product(*axes) if _norm(_sub(p, center)) <= radius + 1e-9]
+        out.extend(sample_points_near(self, center, 64, radius=radius, seed=seed))
+        return radius, out
+
+    def probe_ends(self, center, far_point):
+        """The coordinate directions, and the direction of far_point."""
+        out = []
+        for i in range(self.k):
+            for sign in (+1.0, -1.0):
+                v = [0.0] * self.k
+                v[i] = sign
+                out.append(EDirection(tuple(v)))
+        if far_point is not None and _norm(_sub(far_point, center)) > 1e-9:
+            out.append(EDirection(direction(_sub(far_point, center))))
+        return out
 
 
 class HyperbolicPlane(ModelSpace):
@@ -138,13 +272,101 @@ class HyperbolicPlane(ModelSpace):
     def to_json(self):
         return {"space": "H2"}
 
+    def parse_point(self, data):
+        if isinstance(data, dict):
+            x, y = read_field(data, "x"), read_field(data, "y")
+        elif isinstance(data, list) and len(data) == 2:
+            x, y = data
+        else:
+            raise ValueError(f'an H2 point is {{"x": X, "y": Y}} or [X, Y], got {data!r}')
+        return self.check_point(complex(parse_real(x), parse_real(y)))
+
+    def parse_boundary(self, data):
+        xi = read_field(data, "xi") if isinstance(data, dict) else data
+        if xi in ("inf", "oo", "infinity"):
+            return H2_INFINITY
+        return self.check_boundary(parse_fraction(xi))
+
+    def distance(self, a, b):
+        return _h2_distance(self.check_point(a), self.check_point(b))
+
+    def geodesic_point(self, a, b, t, d):
+        t = min(max(float(t), 0.0), d)
+        if d == 0:
+            return self.check_point(a)
+        z, w = self.check_point(a), self.check_point(b)
+        geo = _h2_geodesic_through(z, w)
+        sa, sb = geo.param(z), geo.param(w)
+        return geo.point(sa + (t if sb >= sa else -t))
+
+    def ray_from(self, a, e):
+        a = self.check_point(a)
+        if isinstance(e, complex) and e.imag > 0:
+            z = e
+            mu = _h2_distance(a, z)
+            geo = _h2_geodesic_through(a, z)
+            sign = +1 if geo.param(z) >= geo.param(a) else -1
+            return GeneralizedRay(self, a, z, mu, (geo, sign))
+        xi = self.check_boundary(e)
+        geo, sign = _h2_geodesic_to_boundary(a, xi)
+        return GeneralizedRay(self, a, xi, None, (geo, sign))
+
+    def ray_point(self, ray, t):
+        geo, sign = ray._param
+        return geo.point(geo.param(ray.base) + sign * float(t))
+
+    def busemann_to_end(self, ray, b):
+        return _h2_busemann(ray.end, ray.base, self.check_point(b))
+
+    def angle_between_rays(self, ray1, ray2, tol):
+        # The monotone limit of comparison angles, halving the time until
+        # the step is below tol.
+        t = 1.0
+        prev = None
+        for _ in range(64):
+            a1 = ray1.point_at(t)
+            a2 = ray2.point_at(t)
+            d12 = _h2_distance(a1, a2)
+            if d12 == 0:
+                return 0.0
+            angle = comparison_angle(self, ray1.base, a1, a2)
+            if prev is not None and abs(angle - prev) < tol:
+                return angle
+            prev = angle
+            t /= 2.0
+        return prev
+
+    def sample_point(self, center, radius, rng):
+        xi = math.tan(rng.uniform(-1.5, 1.5))
+        return self.ray_from(center, xi).point_at(rng.uniform(0.0, radius))
+
+    def sample_end(self, rng):
+        if rng.random() < 0.15:
+            return H2_INFINITY
+        return Fraction(rng.randrange(-50, 51), rng.randrange(1, 8))
+
+    def orbit_key(self, p):
+        return (round(p.real, 9), round(p.imag, 9))
+
+    def region(self, center, depth: int, seed: int):
+        radius = max(2.0, depth / 2.0)
+        return radius, sample_points_near(self, center, 200, radius=radius, seed=seed)
+
+    def probe_ends(self, center, far_point):
+        return [H2_INFINITY, Fraction(0), Fraction(1), Fraction(-1)]
+
 
 class TreeSpace(ModelSpace):
     """A locally finite simplicial tree given by a lazy descriptor."""
 
+    exact = True
+
     def __init__(self, model: TreeModel):
         self.model = model
         self.name = "tree"
+
+    def family(self) -> type:
+        return type(self.model)
 
     def check_point(self, p):
         if not isinstance(p, TreePoint):
@@ -162,13 +384,101 @@ class TreeSpace(ModelSpace):
     def to_json(self):
         return {"space": "tree", "descriptor": self.model.descriptor()}
 
+    def parse_point(self, data):
+        if not isinstance(data, dict):
+            return self.check_point(TreePoint(self.model.parse_vertex(data)))
+        vertex = self.model.parse_vertex(read_field(data, "vertex"))
+        p = self.check_point(TreePoint(vertex, parse_fraction(read_field(data, "up", default=0))))
+        if p.up and self.model.parent(vertex) is None:
+            raise WrongSpace(f"the root {vertex!r} has no parent edge to hold the offset {p.up}")
+        return p
 
-def space_from_json(data: dict) -> ModelSpace:
-    name = data["space"]
+    def parse_boundary(self, data):
+        return self.check_boundary(self.model.parse_end(data))
+
+    def parse_scalar(self, data):
+        return parse_fraction(data)
+
+    def distance(self, a, b):
+        return trees.point_distance(self.model, self.check_point(a), self.check_point(b))
+
+    def geodesic_point(self, a, b, t, d):
+        return trees.walk_to_point(self.model, self.check_point(a), self.check_point(b), Fraction(t))
+
+    def ray_from(self, a, e):
+        a = self.check_point(a)
+        if isinstance(e, (WordEnd, HnnUp, HnnDown)):
+            self.check_boundary(e)
+            return GeneralizedRay(self, a, e, None)
+        p = self.check_point(e)
+        mu = trees.point_distance(self.model, a, p)
+        return GeneralizedRay(self, a, p, mu)
+
+    def ray_point(self, ray, t):
+        if ray.is_degenerate:
+            return trees.walk_to_point(self.model, ray.base, ray.end, Fraction(t))
+        return trees.ray_point_at(self.model, ray.base, ray.end, Fraction(t))
+
+    def busemann_to_end(self, ray, b):
+        # The exact limit: t - d(b, ray(t)) increases with slope 2 until the
+        # geodesic from b merges with the ray, then is constant; stop at the
+        # first repeat.
+        b = self.check_point(b)
+        prev = None
+        t = 0
+        while True:
+            pos = trees.ray_point_at(self.model, ray.base, ray.end, Fraction(t))
+            value = Fraction(t) - trees.point_distance(self.model, b, pos)
+            if prev is not None and value == prev:
+                return value
+            prev = value
+            t += 1
+
+    def angle_between_rays(self, ray1, ray2, tol):
+        # Rays from a common point either share their first arc or separate
+        # immediately, so the angle is 0 or pi.
+        eps = Fraction(1, 4)
+        p1 = ray1.point_at(eps)
+        p2 = ray2.point_at(eps)
+        return 0.0 if trees.point_distance(self.model, p1, p2) == 0 else math.pi
+
+    def sample_point(self, center, radius, rng):
+        v = center.vertex
+        for _ in range(rng.randrange(0, max(1, int(radius)))):
+            v = rng.choice(self.model.neighbors(v))
+        up = rng.choice([Fraction(0), Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)])
+        if up != 0 and self.model.parent(v) is None:
+            up = Fraction(0)
+        return TreePoint(v, up)
+
+    def sample_end(self, rng):
+        return self.model.sample_end(rng)
+
+    def region(self, center, depth: int, seed: int):
+        """All vertices within the radius."""
+        radius = max(2, depth // 2)
+        out, frontier, seen = [TreePoint(center.vertex)], [center.vertex], {center.vertex}
+        for _ in range(radius):
+            new = []
+            for v in frontier:
+                for w in self.model.neighbors(v):
+                    if w not in seen:
+                        seen.add(w)
+                        new.append(w)
+                        out.append(TreePoint(w))
+            frontier = new
+        return radius, out
+
+    def probe_ends(self, center, far_point):
+        return self.model.basic_ends()
+
+
+def space_from_json(data) -> ModelSpace:
+    name = read_field(data, "space", str)
     if name == "H2":
         return HyperbolicPlane()
     if name == "tree":
-        return TreeSpace(tree_from_descriptor(data["descriptor"]))
+        return TreeSpace(tree_from_descriptor(read_field(data, "descriptor")))
     if name.startswith("E"):
         return EuclideanSpace(int(name[1:]))
     raise ValueError(f"unknown space {name!r}")
@@ -207,44 +517,30 @@ def direction(v) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Distances and geodesics
-
-
-def distance(M: ModelSpace, a, b):
-    if isinstance(M, EuclideanSpace):
-        return _norm(_sub(M.check_point(a), M.check_point(b)))
-    if isinstance(M, HyperbolicPlane):
-        return _h2_distance(M.check_point(a), M.check_point(b))
-    if isinstance(M, TreeSpace):
-        return trees.point_distance(M.model, M.check_point(a), M.check_point(b))
-    raise WrongSpace(f"unknown space {M!r}")
+# Hyperbolic geometry
 
 
 def _h2_distance(z: complex, w: complex) -> float:
     # arccosh(1 + |z-w|^2 / (2 Im z Im w)), in the numerically stable form
-    # log1p(u + sqrt(u (u + 2))) for u >= 0.
-    u = abs(z - w) ** 2 / (2.0 * z.imag * w.imag)
-    return math.log1p(u + math.sqrt(u * (u + 2.0)))
+    # log1p(u + sqrt(u (u + 2))) for u >= 0.  Where u or its square
+    # overflows, the half-distance form 2 asinh(|z-w| / (2 sqrt(Im z Im w))).
+    try:
+        u = abs(z - w) ** 2 / (2.0 * z.imag * w.imag)
+        d = math.log1p(u + math.sqrt(u * (u + 2.0)))
+    except OverflowError:
+        d = math.inf
+    if d == math.inf:
+        return 2.0 * math.asinh(abs(z - w) / (2.0 * math.sqrt(z.imag) * math.sqrt(w.imag)))
+    return d
 
 
-def geodesic_point(M: ModelSpace, a, b, t):
-    """Unit-speed point on the geodesic from a to b at parameter t."""
-    d = distance(M, a, b)
-    tol = 0 if isinstance(M, TreeSpace) else GLOBAL_TOL
-    if t < -tol or t > d + tol:
-        raise ParameterOutOfRange(f"t = {t} outside [0, {d}]")
-    if isinstance(M, TreeSpace):
-        return trees.walk_to_point(M.model, M.check_point(a), M.check_point(b), Fraction(t))
-    t = min(max(float(t), 0.0), d)
-    if d == 0:
-        return M.check_point(a)
-    if isinstance(M, EuclideanSpace):
-        a, b = M.check_point(a), M.check_point(b)
-        return _add(a, _scale(_sub(b, a), t / d))
-    z, w = M.check_point(a), M.check_point(b)
-    geo = _h2_geodesic_through(z, w)
-    sa, sb = geo.param(z), geo.param(w)
-    return geo.point(sa + (t if sb >= sa else -t))
+def _h2_busemann(xi, base: complex, z: complex) -> float:
+    """log of the Poisson-kernel quotient: the Busemann function toward xi
+    vanishing at the base point."""
+    if xi == H2_INFINITY:
+        return math.log(z.imag) - math.log(base.imag)
+    x = float(xi)
+    return math.log(z.imag / abs(z - x) ** 2) - math.log(base.imag / abs(base - x) ** 2)
 
 
 # A complete hyperbolic geodesic: a vertical line or a semicircle centered
@@ -259,10 +555,10 @@ class _H2Vertical:
         return math.log(z.imag)
 
     def point(self, s: float) -> complex:
-        return complex(self.x, math.exp(s))
-
-    def endpoint(self, increasing: bool):
-        return H2_INFINITY if increasing else self.x
+        try:
+            return complex(self.x, math.exp(s))
+        except OverflowError:
+            raise ParameterOutOfRange(f"the point at height exp({s}) is beyond binary64") from None
 
 
 @dataclass(frozen=True)
@@ -288,10 +584,6 @@ class _H2Circle:
         sin_t = 2.0 / denom
         cos_t = (1.0 / u - u) / denom
         return complex(self.center + self.radius * cos_t, self.radius * sin_t)
-
-    def endpoint(self, increasing: bool):
-        # s -> +inf is theta -> pi (the left foot), s -> -inf the right foot.
-        return self.center - self.radius if increasing else self.center + self.radius
 
 
 def _h2_geodesic_through(z: complex, w: complex):
@@ -340,58 +632,36 @@ class GeneralizedRay:
     def point_at(self, t):
         if t < 0:
             raise ParameterOutOfRange("ray parameter must be nonnegative")
-        M = self.space
         if self.is_degenerate:
             t = min(t, self.mu)
-        if isinstance(M, TreeSpace):
-            if self.is_degenerate:
-                return trees.walk_to_point(M.model, self.base, self.end, Fraction(t))
-            return trees.ray_point_at(M.model, self.base, self.end, Fraction(t))
-        if isinstance(M, EuclideanSpace):
-            u = self._param
-            return _add(self.base, _scale(u, t))
-        geo, sign = self._param
-        return geo.point(geo.param(self.base) + sign * float(t))
+        return self.space.ray_point(self, t)
 
     def arc_from_base(self, t) -> Real:
         """d(ray(0), ray(t)): equals t, capped at mu for degenerate rays."""
         return min(t, self.mu) if self.is_degenerate else t
 
 
+# ---------------------------------------------------------------------------
+# Entry points: distances, geodesics, rays
+
+
+def distance(M: ModelSpace, a, b):
+    return M.distance(a, b)
+
+
+def geodesic_point(M: ModelSpace, a, b, t):
+    """Unit-speed point on the geodesic from a to b at parameter t."""
+    d = distance(M, a, b)
+    tol = M.slack(GLOBAL_TOL)
+    if t < -tol or t > d + tol:
+        raise ParameterOutOfRange(f"t = {t} outside [0, {d}]")
+    return M.geodesic_point(a, b, t, d)
+
+
 def ray_from(M: ModelSpace, a, e) -> GeneralizedRay:
     """The unique generalized ray from a to e (a point of M or of its
     boundary)."""
-    if isinstance(M, EuclideanSpace):
-        a = M.check_point(a)
-        if isinstance(e, EDirection):
-            u = M.check_boundary(e)
-            return GeneralizedRay(M, a, u, None, u.vector)
-        b = M.check_point(e)
-        mu = _norm(_sub(b, a))
-        u = direction(_sub(b, a)) if mu > 0 else (0.0,) * M.k
-        return GeneralizedRay(M, a, b, mu, u)
-    if isinstance(M, HyperbolicPlane):
-        a = M.check_point(a)
-        if isinstance(e, complex) and e.imag > 0:
-            z = e
-            mu = _h2_distance(a, z)
-            if mu == 0:
-                return GeneralizedRay(M, a, z, 0.0, (_H2Vertical(a.real), +1))
-            geo = _h2_geodesic_through(a, z)
-            sign = +1 if geo.param(z) >= geo.param(a) else -1
-            return GeneralizedRay(M, a, z, mu, (geo, sign))
-        xi = M.check_boundary(e)
-        geo, sign = _h2_geodesic_to_boundary(a, xi)
-        return GeneralizedRay(M, a, xi, None, (geo, sign))
-    if isinstance(M, TreeSpace):
-        a = M.check_point(a)
-        if isinstance(e, (WordEnd, HnnUp, HnnDown)):
-            M.check_boundary(e)
-            return GeneralizedRay(M, a, e, None)
-        p = M.check_point(e)
-        mu = trees.point_distance(M.model, a, p)
-        return GeneralizedRay(M, a, p, mu)
-    raise WrongSpace(f"unknown space {M!r}")
+    return M.ray_from(a, e)
 
 
 # ---------------------------------------------------------------------------
@@ -411,38 +681,7 @@ def busemann(M: ModelSpace, ray: GeneralizedRay, b):
     if ray.is_degenerate:
         tip = ray.point_at(ray.mu)
         return ray.mu - distance(M, b, tip)
-    if isinstance(M, EuclideanSpace):
-        b = M.check_point(b)
-        return _dot(_sub(b, ray.base), ray._param)
-    if isinstance(M, HyperbolicPlane):
-        z = M.check_point(b)
-        return _h2_busemann(ray.end, ray.base, z)
-    if isinstance(M, TreeSpace):
-        return _tree_busemann(M.model, ray, M.check_point(b))
-    raise WrongSpace(f"unknown space {M!r}")
-
-
-def _h2_busemann(xi, base: complex, z: complex) -> float:
-    """log of the Poisson-kernel quotient: the Busemann function toward xi
-    vanishing at the base point."""
-    if xi == H2_INFINITY:
-        return math.log(z.imag) - math.log(base.imag)
-    x = float(xi)
-    return math.log(z.imag / abs(z - x) ** 2) - math.log(base.imag / abs(base - x) ** 2)
-
-
-def _tree_busemann(model: TreeModel, ray: GeneralizedRay, b: TreePoint) -> Fraction:
-    # t - d(b, ray(t)) increases with slope 2 until the geodesic from b
-    # merges with the ray, then is constant; stop at the first repeat.
-    prev = None
-    t = 0
-    while True:
-        pos = trees.ray_point_at(model, ray.base, ray.end, Fraction(t))
-        value = Fraction(t) - trees.point_distance(model, b, pos)
-        if prev is not None and value == prev:
-            return value
-        prev = value
-        t += 1
+    return M.busemann_to_end(ray, b)
 
 
 def busemann_limit_audit(M: ModelSpace, ray: GeneralizedRay, b, schedule: Sequence[Real]):
@@ -500,36 +739,7 @@ def angle_between_rays(M: ModelSpace, ray1: GeneralizedRay, ray2: GeneralizedRay
     doubling refinement (stop when the step is below tol) on H2; and the
     first-edge rule (0 or pi) on trees.
     """
-    if isinstance(M, EuclideanSpace):
-        return math.acos(max(-1.0, min(1.0, _dot(ray1._param, ray2._param))))
-    if isinstance(M, TreeSpace):
-        # Rays from a common point either share their first arc or separate
-        # immediately, so the angle is 0 or pi.
-        eps = Fraction(1, 4)
-        p1 = ray1.point_at(eps)
-        p2 = ray2.point_at(eps)
-        return 0.0 if trees.point_distance(M.model, p1, p2) == 0 else math.pi
-    t = 1.0
-    prev = None
-    for _ in range(64):
-        a1 = ray1.point_at(t)
-        a2 = ray2.point_at(t)
-        d12 = _h2_distance(a1, a2)
-        if d12 == 0:
-            return 0.0
-        angle = comparison_angle(M, ray1.base, a1, a2)
-        if prev is not None and abs(angle - prev) < tol:
-            return angle
-        prev = angle
-        t /= 2.0
-    return prev
-
-
-def _boundary_equal(M: ModelSpace, e, e2) -> bool:
-    if isinstance(M, EuclideanSpace):
-        u, v = M.check_boundary(e), M.check_boundary(e2)
-        return _norm(_sub(u.vector, v.vector)) <= 1e-12
-    return M.check_boundary(e) == M.check_boundary(e2)
+    return M.angle_between_rays(ray1, ray2, tol)
 
 
 def angular_distance(M: ModelSpace, e, e2) -> float:
@@ -539,12 +749,7 @@ def angular_distance(M: ModelSpace, e, e2) -> float:
     trees two distinct boundary points are joined by a bi-infinite
     geodesic, and a base point on it sees them at comparison angle pi.
     """
-    if isinstance(M, EuclideanSpace):
-        u, v = M.check_boundary(e), M.check_boundary(e2)
-        if u.vector == v.vector:
-            return 0.0
-        return math.acos(max(-1.0, min(1.0, _dot(u.vector, v.vector))))
-    return 0.0 if _boundary_equal(M, e, e2) else math.pi
+    return M.angular_distance(e, e2)
 
 
 def tits_distance(M: ModelSpace, e, e2) -> float:
@@ -552,9 +757,7 @@ def tits_distance(M: ModelSpace, e, e2) -> float:
     no rectifiable path joins the two points.  Coincides with the angular
     distance on E^k; on H2 and trees the boundary is discrete: 0 or inf.
     """
-    if isinstance(M, EuclideanSpace):
-        return angular_distance(M, e, e2)
-    return 0.0 if _boundary_equal(M, e, e2) else math.inf
+    return M.tits_distance(e, e2)
 
 
 # ---------------------------------------------------------------------------
@@ -577,9 +780,9 @@ def asymptotic_offset(
     if ray1.is_degenerate:
         tip1 = ray1.point_at(ray1.mu)
         tip2 = ray2.point_at(ray2.mu)
-        if distance(M, tip1, tip2) > (0 if isinstance(M, TreeSpace) else 1e-12):
+        if distance(M, tip1, tip2) > M.slack(1e-12):
             raise NotAsymptotic("degenerate rays end at different points")
-    elif not _boundary_equal(M, ray1.end, ray2.end):
+    elif not M.boundary_equal(ray1.end, ray2.end):
         raise NotAsymptotic(f"endpoints differ: {ray1.end!r} vs {ray2.end!r}")
     c = busemann(M, ray1, ray2.base) - busemann(M, ray2, ray2.base)
     worst = 0.0
@@ -597,90 +800,12 @@ def asymptotic_offset(
 
 def sample_points_near(M: ModelSpace, center, count: int, radius: float = 3.0, seed: int = 0):
     """Deterministic sample of points within the given radius of center."""
-    import random
-
     rng = random.Random(str((seed, M.name, "points")))
-    out = []
-    if isinstance(M, EuclideanSpace):
-        center = M.check_point(center)
-        for _ in range(count):
-            offset = [rng.uniform(-1.0, 1.0) for _ in range(M.k)]
-            n = _norm(offset)
-            r = radius * rng.random() ** (1.0 / M.k)
-            out.append(_add(center, _scale(offset, r / n if n else 0.0)))
-        return out
-    if isinstance(M, HyperbolicPlane):
-        z = M.check_point(center)
-        for _ in range(count):
-            xi = math.tan(rng.uniform(-1.5, 1.5))
-            ray = ray_from(M, z, xi)
-            out.append(ray.point_at(rng.uniform(0.0, radius)))
-        return out
-    model = M.model
     center = M.check_point(center)
-    for _ in range(count):
-        v = center.vertex
-        steps = rng.randrange(0, max(1, int(radius)))
-        for _ in range(steps):
-            nbrs = model.children(v)
-            parent = model.parent(v)
-            if parent is not None:
-                nbrs = nbrs + [parent]
-            v = rng.choice(nbrs)
-        up = rng.choice([Fraction(0), Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)])
-        if up != 0 and model.parent(v) is None:
-            up = Fraction(0)
-        out.append(TreePoint(v, up))
-    return out
+    return [M.sample_point(center, radius, rng) for _ in range(count)]
 
 
 def sample_boundary_points(M: ModelSpace, count: int, seed: int = 0):
     """Deterministic sample of boundary points of M."""
-    import random
-
     rng = random.Random(str((seed, M.name, "ends")))
-    out = []
-    if isinstance(M, EuclideanSpace):
-        for _ in range(count):
-            v = [rng.gauss(0.0, 1.0) for _ in range(M.k)]
-            while _norm(v) < 1e-6:
-                v = [rng.gauss(0.0, 1.0) for _ in range(M.k)]
-            out.append(EDirection(direction(v)))
-        return out
-    if isinstance(M, HyperbolicPlane):
-        for _ in range(count):
-            if rng.random() < 0.15:
-                out.append(H2_INFINITY)
-            else:
-                out.append(Fraction(rng.randrange(-50, 51), rng.randrange(1, 8)))
-        return out
-    model = M.model
-    for _ in range(count):
-        out.append(_sample_tree_end(model, rng))
-    return out
-
-
-def _sample_tree_end(model: TreeModel, rng) -> TreeEnd:
-    if isinstance(model, HnnTree):
-        if rng.random() < 0.3:
-            return HnnUp()
-        return HnnDown(Fraction(rng.randrange(-30, 31), rng.choice([1, 1, 2, 3, 5])))
-    # Word trees: extend a random prefix by a cyclically valid period.  A
-    # period made of non-root letters repeats validly; for the Cayley tree we
-    # also need the seams not to cancel, so retry a few times and fall back
-    # to the first-generator axis end.
-    for _ in range(40):
-        v = model.base_vertex()
-        for _ in range(rng.randrange(0, 3)):
-            v = rng.choice(model.children(v))
-        w = v
-        for _ in range(rng.randrange(1, 4)):
-            w = rng.choice(model.children(w))
-        period = w[len(v):]
-        try:
-            end = trees.make_word_end(v, period)
-            model.check_end(end)
-            return end
-        except ValueError:
-            continue
-    return trees.make_word_end((), (model.children(model.base_vertex())[0][-1],))
+    return [M.sample_end(rng) for _ in range(count)]

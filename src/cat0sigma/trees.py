@@ -27,7 +27,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
+
+from .jsonio import parse_fraction, parse_int, read_field
 
 Word = tuple[int, ...]
 
@@ -96,6 +98,9 @@ class HnnUp:
     def __hash__(self):
         return hash("HnnUp")
 
+    def to_json(self) -> dict:
+        return {"up": True}
+
 
 @dataclass(frozen=True)
 class HnnDown:
@@ -105,6 +110,9 @@ class HnnDown:
 
     def __init__(self, value):
         object.__setattr__(self, "value", Fraction(value))
+
+    def to_json(self) -> dict:
+        return {"down": self.value}
 
 
 TreeEnd = Union[WordEnd, HnnUp, HnnDown]
@@ -172,7 +180,11 @@ class HnnVertex:
 
 
 class TreeModel:
-    """Shared geodesic machinery; subclasses supply the local structure."""
+    """Shared geodesic machinery.  Subclasses supply the local structure,
+    the JSON readers ``parse_vertex`` and ``parse_end`` (docs/formats.md),
+    ``sample_end(rng)`` for the seeded samplers, and ``basic_ends()``: a
+    few ends of rays from the base vertex, probed by the cocompactness
+    test."""
 
     def base_vertex(self):
         raise NotImplementedError
@@ -198,6 +210,14 @@ class TreeModel:
 
     def descriptor(self) -> dict:
         raise NotImplementedError
+
+    def neighbors(self, v) -> list:
+        """The children of v, then its parent (when it has one)."""
+        nbrs = self.children(v)
+        parent = self.parent(v)
+        if parent is not None:
+            nbrs = nbrs + [parent]
+        return nbrs
 
     # -- generic geodesics -------------------------------------------------
 
@@ -240,21 +260,10 @@ class TreeModel:
         down.pop()
         return up + down[::-1]
 
-    def ray_vertices(self, v, end) -> Iterator:
-        current = v
-        while True:
-            yield current
-            current = self.end_step(current, end)
 
-
-class RegularTree(TreeModel):
-    """Degree-regular rooted word tree: the root has ``degree`` children,
-    every other vertex one parent and ``degree - 1`` children."""
-
-    def __init__(self, degree: int):
-        if degree < 3:
-            raise ValueError("regular tree needs degree >= 3 to have more than two ends")
-        self.degree = degree
+class WordTree(TreeModel):
+    """Rooted tree whose vertices are words from the root (parent = drop the
+    last letter) and whose ends are eventually periodic words."""
 
     def base_vertex(self) -> Word:
         return ()
@@ -265,6 +274,70 @@ class RegularTree(TreeModel):
     def level(self, v: Word) -> int:
         return len(v)
 
+    def end_step(self, v: Word, end: WordEnd) -> Word:
+        if end.head(len(v)) == v:
+            return v + (end.letter(len(v)),)
+        return v[:-1]
+
+    def check_end(self, end: TreeEnd) -> None:
+        # Two periods and one more letter cover every letter of the end and
+        # every seam between periods.
+        if not isinstance(end, WordEnd):
+            raise ValueError(f"ends of a {self.descriptor()['type']} tree are word ends")
+        self.check_vertex(end.head(len(end.prefix) + 2 * len(end.period) + 1))
+
+    def parse_vertex(self, data) -> Word:
+        if not isinstance(data, (list, tuple)):
+            raise ValueError(f"a word is a list of letters, got {data!r}")
+        return tuple(parse_int(x) for x in data)
+
+    def parse_end(self, data) -> WordEnd:
+        prefix = self.parse_vertex(read_field(data, "prefix", default=()))
+        return make_word_end(prefix, self.parse_vertex(read_field(data, "period")))
+
+    def sample_end(self, rng) -> WordEnd:
+        # Extend a random prefix by a cyclically valid period.  A period made
+        # of non-root letters repeats validly; for the Cayley tree we also
+        # need the seams not to cancel, so retry a few times and fall back
+        # to the first-generator axis end.
+        for _ in range(40):
+            v = self.base_vertex()
+            for _ in range(rng.randrange(0, 3)):
+                v = rng.choice(self.children(v))
+            w = v
+            for _ in range(rng.randrange(1, 4)):
+                w = rng.choice(self.children(w))
+            period = w[len(v):]
+            try:
+                end = make_word_end(v, period)
+                self.check_end(end)
+                return end
+            except ValueError:
+                continue
+        return make_word_end((), (self.children(self.base_vertex())[0][-1],))
+
+    def basic_ends(self) -> list[WordEnd]:
+        """The ends letter^infinity for each letter that repeats validly."""
+        out = []
+        for child in self.children(self.base_vertex()):
+            try:
+                end = make_word_end((), (child[-1],))
+                self.check_end(end)
+                out.append(end)
+            except ValueError:
+                continue
+        return out
+
+
+class RegularTree(WordTree):
+    """Degree-regular rooted word tree: the root has ``degree`` children,
+    every other vertex one parent and ``degree - 1`` children."""
+
+    def __init__(self, degree: int):
+        if degree < 3:
+            raise ValueError("regular tree needs degree >= 3 to have more than two ends")
+        self.degree = degree
+
     def children(self, v: Word) -> list[Word]:
         width = self.degree if not v else self.degree - 1
         return [v + (i,) for i in range(width)]
@@ -274,16 +347,6 @@ class RegularTree(TreeModel):
             width = self.degree if i == 0 else self.degree - 1
             if not 0 <= letter < width:
                 raise ValueError(f"address digit {letter} out of range at position {i}")
-
-    def check_end(self, end: TreeEnd) -> None:
-        if not isinstance(end, WordEnd):
-            raise ValueError("regular tree ends are word ends")
-        self.check_vertex(end.head(len(end.prefix) + 2 * len(end.period)))
-
-    def end_step(self, v: Word, end: WordEnd) -> Word:
-        if end.head(len(v)) == v:
-            return v + (end.letter(len(v)),)
-        return v[:-1]
 
     def descriptor(self) -> dict:
         return {"type": "regular", "degree": self.degree}
@@ -303,7 +366,7 @@ def invert_word(word) -> Word:
     return tuple(-x for x in reversed(word))
 
 
-class CayleyTree(TreeModel):
+class CayleyTree(WordTree):
     """Cayley tree of the free group of the given rank.
 
     Vertices are reduced words over letters +-1..+-rank, rooted at the
@@ -319,15 +382,6 @@ class CayleyTree(TreeModel):
     def letters(self) -> list[int]:
         return list(range(1, self.rank + 1)) + [-i for i in range(1, self.rank + 1)]
 
-    def base_vertex(self) -> Word:
-        return ()
-
-    def parent(self, v: Word) -> Optional[Word]:
-        return v[:-1] if v else None
-
-    def level(self, v: Word) -> int:
-        return len(v)
-
     def children(self, v: Word) -> list[Word]:
         last = v[-1] if v else None
         return [v + (x,) for x in self.letters() if last is None or x != -last]
@@ -339,15 +393,18 @@ class CayleyTree(TreeModel):
             if i and v[i - 1] == -letter:
                 raise ValueError(f"word {v} is not reduced at position {i}")
 
-    def check_end(self, end: TreeEnd) -> None:
-        if not isinstance(end, WordEnd):
-            raise ValueError("Cayley tree ends are word ends")
-        self.check_vertex(end.head(len(end.prefix) + 2 * len(end.period) + 1))
-
-    def end_step(self, v: Word, end: WordEnd) -> Word:
-        if end.head(len(v)) == v:
-            return v + (end.letter(len(v)),)
-        return v[:-1]
+    def parse_vertex(self, data) -> Word:
+        """Words as int lists (1 = first generator, negative = inverse) or as
+        strings with uppercase letters for inverses ("abA")."""
+        if not isinstance(data, str):
+            return super().parse_vertex(data)
+        letters = []
+        for ch in data:
+            idx = ord(ch.lower()) - ord("a") + 1
+            if not 1 <= idx <= self.rank:
+                raise ValueError(f"letter {ch!r} outside rank {self.rank}")
+            letters.append(-idx if ch.isupper() else idx)
+        return tuple(letters)
 
     def left_multiply_vertex(self, g, v: Word) -> Word:
         return reduce_word(tuple(g) + tuple(v))
@@ -408,6 +465,23 @@ class HnnTree(TreeModel):
         if not isinstance(end, (HnnUp, HnnDown)):
             raise ValueError("HNN tree ends are HnnUp or HnnDown")
 
+    def parse_vertex(self, data) -> HnnVertex:
+        return HnnVertex(parse_int(read_field(data, "level")), parse_fraction(read_field(data, "center")))
+
+    def parse_end(self, data) -> TreeEnd:
+        if read_field(data, "up", default=False) is True:
+            return HnnUp()
+        return HnnDown(parse_fraction(read_field(data, "down")))
+
+    def sample_end(self, rng) -> TreeEnd:
+        if rng.random() < 0.3:
+            return HnnUp()
+        return HnnDown(Fraction(rng.randrange(-30, 31), rng.choice([1, 1, 2, 3, 5])))
+
+    def basic_ends(self) -> list[TreeEnd]:
+        """The upward end and the downward ends toward 0, 1, ..., n - 1."""
+        return [HnnUp()] + [HnnDown(Fraction(d)) for d in range(self.index)]
+
     def contains_value(self, v: HnnVertex, x: Fraction) -> bool:
         return n_valuation(x - v.center, self.index) >= v.level
 
@@ -448,13 +522,13 @@ class HnnTree(TreeModel):
 
 
 def tree_from_descriptor(desc: dict) -> TreeModel:
-    kind = desc.get("type")
+    kind = read_field(desc, "type", default=None)
     if kind == "regular":
-        return RegularTree(int(desc["degree"]))
+        return RegularTree(parse_int(read_field(desc, "degree")))
     if kind == "cayley":
-        return CayleyTree(int(desc["rank"]))
+        return CayleyTree(parse_int(read_field(desc, "rank")))
     if kind == "hnn":
-        return HnnTree(int(desc["index"]))
+        return HnnTree(parse_int(read_field(desc, "index")))
     raise ValueError(f"unknown tree descriptor {desc!r}")
 
 
@@ -476,10 +550,6 @@ class TreePoint:
             raise ValueError("edge offset must lie in [0, 1)")
         object.__setattr__(self, "vertex", vertex)
         object.__setattr__(self, "up", up)
-
-    @property
-    def at_vertex(self) -> bool:
-        return self.up == 0
 
 
 def _exits(model: TreeModel, p: TreePoint) -> list[tuple[object, Fraction]]:

@@ -129,7 +129,7 @@ def suite_busemann(seed: int = 0, tol: float = GLOBAL_TOL, cases: int = 100) -> 
     degenerate = report.check("degenerate rays: constant after mu, ball horoballs")
 
     for M in _suite_spaces():
-        exact = isinstance(M, sp.TreeSpace)
+        exact = M.exact
         for i in range(cases):
             rng = random.Random(str((seed, M.name, i)))
             ray = _random_ray(M, rng, seed * 1000 + i)
@@ -141,7 +141,7 @@ def suite_busemann(seed: int = 0, tol: float = GLOBAL_TOL, cases: int = 100) -> 
                 audit = sp.busemann_limit_audit(M, ray, b, list(range(horizon + 1)))
                 gap = abs(audit[-1][1] - closed)
                 agree.record(gap == 0, float(gap))
-            elif isinstance(M, sp.HyperbolicPlane):
+            elif not M.flat:
                 audit = sp.busemann_limit_audit(M, ray, b, [1, 2, 5, 10, 20, 40])
                 gap = abs(audit[-1][1] - closed)
                 agree.record(gap <= tol, gap)
@@ -152,16 +152,16 @@ def suite_busemann(seed: int = 0, tol: float = GLOBAL_TOL, cases: int = 100) -> 
                 agree.record(gap <= tol, gap)
 
             values = [v for _, v in audit]
-            slack = 1e-12 if not exact else 0
+            slack = M.slack(1e-12)
             mono_ok = all(values[j] <= values[j + 1] + slack for j in range(len(values) - 1))
             top = sp.distance(M, ray.base, b)
             monotone.record(mono_ok and all(v <= top + slack for v in values))
 
-            bound.record(closed <= top + (0 if exact else tol))
+            bound.record(closed <= top + M.slack(tol))
             on_ray = ray.point_at(min(Fraction(3) if exact else 3.0, ray.mu if ray.is_degenerate else (Fraction(3) if exact else 3.0)))
             d_on = sp.distance(M, ray.base, on_ray)
             beta_on = sp.busemann(M, ray, on_ray)
-            bound.record(abs(beta_on - d_on) <= (0 if exact else tol), abs(float(beta_on - d_on)))
+            bound.record(abs(beta_on - d_on) <= M.slack(tol), abs(float(beta_on - d_on)))
             if exact and not ray.is_degenerate:
                 # Equality characterizes ray points exactly on trees.
                 hits_ray = ray.point_at(top) == b
@@ -170,7 +170,7 @@ def suite_busemann(seed: int = 0, tol: float = GLOBAL_TOL, cases: int = 100) -> 
             b2 = sp.sample_points_near(M, M.origin(), 1, radius=3.0, seed=seed * 13 + i)[0]
             lhs = abs(sp.busemann(M, ray, b) - sp.busemann(M, ray, b2))
             rhs = sp.distance(M, b, b2)
-            lipschitz.record(lhs <= rhs + (0 if exact else tol), float(lhs - rhs))
+            lipschitz.record(lhs <= rhs + M.slack(tol), float(lhs - rhs))
 
             if not ray.is_degenerate:
                 base2 = sp.sample_points_near(M, M.origin(), 1, radius=2.0, seed=seed * 17 + i)[0]
@@ -187,9 +187,9 @@ def suite_busemann(seed: int = 0, tol: float = GLOBAL_TOL, cases: int = 100) -> 
             mu = dray.mu
             horizon = [mu, mu + 1, mu + 3]
             vals = [v for _, v in sp.busemann_limit_audit(M, dray, b, horizon)]
-            const_ok = max(vals) - min(vals) <= (0 if exact else 1e-12)
+            const_ok = max(vals) - min(vals) <= M.slack(1e-12)
             beta_deg = sp.busemann(M, dray, b)
-            ball_ok = abs(beta_deg - (mu - sp.distance(M, b, tip))) <= (0 if exact else tol)
+            ball_ok = abs(beta_deg - (mu - sp.distance(M, b, tip))) <= M.slack(tol)
             degenerate.record(const_ok and ball_ok)
     return report
 
@@ -199,7 +199,7 @@ def suite_horoball(seed: int = 0, tol: float = GLOBAL_TOL, cases: int = 40) -> S
     nesting = report.check("horoballs nest as the level grows")
     balls = report.check("horoball contains the balls along its ray")
     for M in _suite_spaces():
-        exact = isinstance(M, sp.TreeSpace)
+        exact = M.exact
         for i in range(cases):
             rng = random.Random(str((seed, "horoball", M.name, i)))
             ray = _random_ray(M, rng, seed * 31 + i)
@@ -216,7 +216,7 @@ def suite_horoball(seed: int = 0, tol: float = GLOBAL_TOL, cases: int = 40) -> S
             center = ray.point_at(t)
             radius = float(t - s1)
             for p in sp.sample_points_near(M, center, 5, radius=radius * 0.9, seed=seed + i):
-                if sp.distance(M, center, p) <= (t - s1) - (0 if exact else 1e-9):
+                if sp.distance(M, center, p) <= (t - s1) - M.slack(1e-9):
                     balls.record(sp.horoball_contains(M, h_low, p))
     return report
 
@@ -250,7 +250,6 @@ def suite_character(seed: int = 0, tol: float = GLOBAL_TOL, cases: int = 100) ->
 
     for action, end, label in _character_actions():
         M = action.space
-        exact = isinstance(M, sp.TreeSpace)
         names = sorted(action.generators)
         rng = random.Random(str((seed, label)))
         base = M.origin()
@@ -260,13 +259,13 @@ def suite_character(seed: int = 0, tol: float = GLOBAL_TOL, cases: int = 100) ->
             total = ac.character_at_end(action, end, base, g + h)
             parts = ac.character_at_end(action, end, base, g) + ac.character_at_end(action, end, base, h)
             err = abs(total - parts)
-            additive.record(err <= (0 if exact else tol), float(err))
+            additive.record(err <= M.slack(tol), float(err))
 
             base2 = sp.sample_points_near(M, base, 1, radius=2.0, seed=seed * 3 + i)[0]
             v1 = ac.character_at_end(action, end, base, g)
             v2 = ac.character_at_end(action, end, base2, g)
             err = abs(v1 - v2)
-            basefree.record(err <= (0 if exact else tol), float(err))
+            basefree.record(err <= M.slack(tol), float(err))
 
     cocycle_actions = [
         (ac.GroupAction.euclidean_translations(2, {"a": (1, 0), "b": (0, 1)}), "E2"),
@@ -279,7 +278,6 @@ def suite_character(seed: int = 0, tol: float = GLOBAL_TOL, cases: int = 100) ->
     ]
     for action, label in cocycle_actions:
         M = action.space
-        exact = isinstance(M, sp.TreeSpace)
         names = sorted(action.generators)
         rng = random.Random(str((seed, "cocycle", label)))
         for i in range(cases):
@@ -291,15 +289,11 @@ def suite_character(seed: int = 0, tol: float = GLOBAL_TOL, cases: int = 100) ->
             lhs = ac.psi_cocycle(action, e, g + h, a)
             rhs = ac.psi_cocycle(action, e, g, ha) + ac.psi_cocycle(action, e, h, a)
             err = abs(lhs - rhs)
-            cocycle.record(err <= (0 if exact else tol), float(err))
+            cocycle.record(err <= M.slack(tol), float(err))
 
             e_gh = action.boundary_apply(g + h, e)
             e_then = action.boundary_apply(g, action.boundary_apply(h, e))
-            if isinstance(M, sp.EuclideanSpace):
-                ok = sp._norm(sp._sub(e_gh.vector, e_then.vector)) <= tol
-            else:
-                ok = e_gh == e_then
-            action_law.record(ok)
+            action_law.record(M.boundary_equal(e_gh, e_then))
 
     for index in (2, 3, 5):
         action = ac.GroupAction.ascending_hnn(index)
@@ -328,7 +322,6 @@ def suite_shift(seed: int = 0, tol: float = GLOBAL_TOL, cases: int = 50) -> Suit
     equivariant = report.check("gsh is equivariant under translation by g")
 
     for M in _suite_spaces():
-        exact = isinstance(M, sp.TreeSpace)
         for i in range(cases):
             rng = random.Random(str((seed, "shift", M.name, i)))
             size = rng.randrange(2, 6)
@@ -338,7 +331,7 @@ def suite_shift(seed: int = 0, tol: float = GLOBAL_TOL, cases: int = 50) -> Suit
             closed_map = {x: rng.choice(labels) for x in labels}
             try:
                 rep = ac.shift_report(cfg, closed_map, e)
-                in_type.record(all(abs(rep.shifts[x]) <= rep.displacements[x] + (0 if exact else 1e-12) for x in labels))
+                in_type.record(all(abs(rep.shifts[x]) <= rep.displacements[x] + M.slack(1e-12) for x in labels))
             except AssertionError:
                 in_type.record(False)
                 continue
@@ -361,7 +354,6 @@ def suite_shift(seed: int = 0, tol: float = GLOBAL_TOL, cases: int = 50) -> Suit
     ]
     for action, label in equivariance_actions:
         M = action.space
-        exact = isinstance(M, sp.TreeSpace)
         names = sorted(action.generators)
         for i in range(cases // 2):
             rng = random.Random(str((seed, "equi", label, i)))
@@ -385,12 +377,8 @@ def suite_audits(seed: int = 0, tol: float = GLOBAL_TOL, cases: int = 100) -> Su
     local = report.check("local Busemann comparison bound, strict")
     chord = report.check("chord length <= 2 t sin(angle/2)")
 
-    setups = [
-        (sp.EuclideanSpace(2), False),
-        (sp.HyperbolicPlane(), False),
-        (sp.TreeSpace(CayleyTree(2)), True),
-    ]
-    for M, exact in setups:
+    for M in (sp.EuclideanSpace(2), sp.HyperbolicPlane(), sp.TreeSpace(CayleyTree(2))):
+        exact = M.exact
         for i in range(cases):
             rng = random.Random(str((seed, "audit", M.name, i)))
             c = sp.sample_points_near(M, M.origin(), 1, radius=1.5, seed=seed * 43 + i)[0]
@@ -427,10 +415,10 @@ def suite_tits(seed: int = 0, tol: float = GLOBAL_TOL, cases: int = 100) -> Suit
             es = sp.sample_boundary_points(M, 2, seed=seed * 53 + i)
             td = sp.tits_distance(M, es[0], es[1])
             ang = sp.angular_distance(M, es[0], es[1])
-            if isinstance(M, sp.EuclideanSpace):
+            if M.flat:
                 euclid.record(abs(td - ang) <= tol, abs(td - ang))
             else:
-                same = sp._boundary_equal(M, es[0], es[1])
+                same = M.boundary_equal(es[0], es[1])
                 discrete.record(td == (0.0 if same else math.inf))
             dominates.record(td >= ang - tol)
             dominates.record(sp.tits_distance(M, es[0], es[0]) <= tol)

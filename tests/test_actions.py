@@ -4,6 +4,7 @@ classification."""
 
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -23,6 +24,8 @@ from cat0sigma.actions import (
     EmptyHoroballWitness,
     fixed_ends_tree,
     NetCertificate,
+    ORBIT_BUDGET,
+    UnknownVerdict,
     psi_cocycle,
     sl2z_sigma0_complement,
 )
@@ -248,6 +251,16 @@ def test_trivial_group_on_the_line():
     verdict = cocompactness_witness(act, (0.0,), 0.75, depth=4)
     assert isinstance(verdict, EmptyHoroballWitness)
     assert verdict.end == EDirection((1.0,))
+
+
+def test_orbit_budget_stops_deep_free_group_orbits():
+    # F2 has 1 + 4 (3^d - 1) / 2 orbit points within word length d: 4373
+    # at depth 7, 13121 at depth 8; depth 12 would need 1062881.
+    start = time.perf_counter()
+    verdict = cocompactness_witness(GroupAction.free_group(2), TreePoint(()), 1, depth=12)
+    assert time.perf_counter() - start < 5
+    assert isinstance(verdict, UnknownVerdict)
+    assert str(ORBIT_BUDGET) in verdict.reason and "word length 8" in verdict.reason
 
 
 def test_modular_group_is_not_cocompact():

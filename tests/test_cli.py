@@ -284,6 +284,35 @@ def test_error_paths(tmp_path):
     assert json.loads(err)["error"] == "UnsupportedDimension"
 
 
+H2_RAY = {"base": {"x": 0, "y": 1}, "end": {"boundary": {"xi": "inf"}}}
+HNN2 = {"space": "tree", "descriptor": {"type": "hnn", "index": 2}}
+HNN_ACTION = {"space": HNN2, "generators": {"a": {"shift": 0, "add": "1"}, "t": {"shift": 1, "add": "0"}}}
+MALFORMED = {
+    "busemann-points-number": ("busemann", {"space": {"space": "H2"}, "ray": H2_RAY, "points": 5}),
+    "busemann-schedule-number": ("busemann", {"space": {"space": "H2"}, "ray": H2_RAY, "points": [], "schedule": 3}),
+    "h2-point-number": ("busemann", {"space": {"space": "H2"}, "ray": H2_RAY, "points": [5]}),
+    "hnn-vertex-list": (
+        "character",
+        {"action": HNN_ACTION, "end": {"up": True}, "base": {"vertex": [1, 2]}, "words": ["t"]},
+    ),
+    "top-level-array": ("busemann", [{"space": {"space": "H2"}}]),
+    "tits-bare-space-name": ("tits", {"space": "E2", "pairs": []}),
+    "tits-tree-boundary-number": ("tits", {"space": HNN2, "pairs": [[7, {"up": True}]]}),
+    "shift-config-list": (
+        "shift",
+        {"space": {"space": "E2"}, "config": [1], "map": {}, "end": {"direction": [1, 0]}},
+    ),
+}
+
+
+@pytest.mark.parametrize("command,payload", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_malformed_shapes_are_input_errors(tmp_path, command, payload):
+    code, out, err = run_cli([command, "--data", write(tmp_path, "bad.json", payload)])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert set(json.loads(err)) == {"error", "message"}
+
+
 def test_sigma_log_prints_progress(busemann_file, monkeypatch):
     monkeypatch.setenv("SIGMA_LOG", "1")
     code, _, err = run_cli(["busemann", "--data", busemann_file])

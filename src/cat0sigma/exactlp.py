@@ -1,15 +1,10 @@
-"""Exact rational linear programming and strict conic feasibility.
+"""Exact strict conic feasibility by Fourier-Motzkin elimination.
 
-Two independent decision routes for the same question -- does a rational
-vector lie in the *strictly* positive cone of a finite set of rational
-vectors? -- are kept side by side on purpose:
-
-* :func:`strictly_representable_lp` maximizes the minimum coefficient with
-  a two-phase simplex over ``fractions.Fraction`` (Bland's rule, so it
-  terminates on degenerate tableaus).
-* :func:`strictly_representable_fm` eliminates variables one at a time
-  (Fourier-Motzkin) keeping track of strictness, which makes it a slow but
-  transparent enumeration oracle.
+:func:`strictly_representable_fm` decides whether a rational vector lies in
+the *strictly* positive cone of a finite set of rational vectors by
+eliminating variables one at a time, keeping track of strictness.  It is a
+slow but transparent enumeration oracle: ``verify`` and the tests check the
+integer kernel search of :mod:`cat0sigma.sphere` against it.
 
 All arithmetic is exact; no tolerances appear anywhere in this module.
 """
@@ -21,166 +16,7 @@ from typing import Sequence
 
 Vector = Sequence[Fraction]
 
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
-
-
-def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    piv = tableau[row][col]
-    tableau[row] = [x / piv for x in tableau[row]]
-    for r, line in enumerate(tableau):
-        if r != row and line[col] != 0:
-            factor = line[col]
-            tableau[r] = [a - factor * b for a, b in zip(line, tableau[row])]
-    basis[row] = col
-
-
-def _run_simplex(tableau: list[list[Fraction]], basis: list[int], ncols: int) -> str:
-    """Run the simplex loop on a tableau whose last row is the objective.
-
-    The objective row holds reduced costs for a maximization problem; we
-    pivot while some reduced cost is positive.  Bland's rule: entering
-    variable is the lowest-index improving column, leaving variable the
-    lowest-index row among the minimum-ratio ties.
-    """
-    nrows = len(tableau) - 1
-    while True:
-        obj = tableau[-1]
-        col = -1
-        for j in range(ncols):
-            if obj[j] > 0:
-                col = j
-                break
-        if col < 0:
-            return OPTIMAL
-        row = -1
-        best: Fraction | None = None
-        for i in range(nrows):
-            a = tableau[i][col]
-            if a > 0:
-                ratio = tableau[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[row]):
-                    best = ratio
-                    row = i
-        if row < 0:
-            return UNBOUNDED
-        _pivot(tableau, basis, row, col)
-
-
-def simplex_maximize(
-    objective: Vector,
-    eq_lhs: Sequence[Vector],
-    eq_rhs: Vector,
-) -> tuple[str, list[Fraction] | None, Fraction | None]:
-    """Maximize ``objective . x`` subject to ``eq_lhs x = eq_rhs`` and ``x >= 0``.
-
-    Returns ``(status, x, value)`` with exact rational entries.  Status is
-    one of ``"optimal"``, ``"infeasible"``, ``"unbounded"``.
-    """
-    m = len(eq_lhs)
-    n = len(objective)
-    rows = [[Fraction(x) for x in line] for line in eq_lhs]
-    rhs = [Fraction(b) for b in eq_rhs]
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-x for x in rows[i]]
-            rhs[i] = -rhs[i]
-
-    # Phase 1: artificial variables form the starting basis.
-    ncols = n + m
-    tableau = [rows[i] + [Fraction(int(i == j)) for j in range(m)] + [rhs[i]] for i in range(m)]
-    basis = [n + i for i in range(m)]
-    phase1 = [Fraction(0)] * n + [Fraction(-1)] * m + [Fraction(0)]
-    tableau.append(phase1)
-    for i in range(m):
-        tableau[-1] = [a + b for a, b in zip(tableau[-1], tableau[i])]
-    _run_simplex(tableau, basis, ncols)
-    if tableau[-1][-1] != 0:
-        return INFEASIBLE, None, None
-
-    # Drive artificial variables out of the basis where possible; rows that
-    # cannot be pivoted are redundant equations and may be dropped.
-    keep = []
-    for i in range(m):
-        if basis[i] >= n:
-            piv_col = next((j for j in range(n) if tableau[i][j] != 0), None)
-            if piv_col is None:
-                continue
-            _pivot(tableau, basis, i, piv_col)
-        keep.append(i)
-    tableau = [[tableau[i][j] for j in range(n)] + [tableau[i][-1]] for i in keep]
-    basis = [basis[i] for i in keep]
-
-    # Phase 2.
-    obj = [Fraction(c) for c in objective] + [Fraction(0)]
-    for i, b in enumerate(basis):
-        if obj[b] != 0:
-            factor = obj[b]
-            obj = [a - factor * x for a, x in zip(obj, tableau[i])]
-    tableau.append(obj)
-    status = _run_simplex(tableau, basis, n)
-    if status == UNBOUNDED:
-        return UNBOUNDED, None, None
-    x = [Fraction(0)] * n
-    for i, b in enumerate(basis):
-        x[b] = tableau[i][-1]
-    value = sum(c * v for c, v in zip(objective, x))
-    return OPTIMAL, x, value
-
-
-def max_min_coefficient(
-    vectors: Sequence[Vector], target: Vector
-) -> Fraction | None:
-    """Maximize ``min(lam_i)`` over ``sum lam_i v_i = target``, capped at 1.
-
-    Variables are ``lam_1..lam_j`` and ``t``; the program maximizes ``t``
-    subject to ``lam_i >= t`` and ``t <= 1``.  The cap keeps the program
-    bounded without changing the sign of the optimum, and the sign is all
-    that strict representability needs.  Returns ``None`` when even the
-    linear system ``sum lam_i v_i = target`` has no nonnegative solution.
-    """
-    j = len(vectors)
-    if j == 0:
-        return None
-    k = len(target)
-    # Columns: lam_1..lam_j, t, s_1..s_j (lam_i - t - s_i = 0), s_0 (t + s_0 = 1).
-    n = j + 1 + j + 1
-    eq_lhs: list[list[Fraction]] = []
-    eq_rhs: list[Fraction] = []
-    for row in range(k):
-        line = [Fraction(vectors[i][row]) for i in range(j)] + [Fraction(0)] * (n - j)
-        eq_lhs.append(line)
-        eq_rhs.append(Fraction(target[row]))
-    for i in range(j):
-        line = [Fraction(0)] * n
-        line[i] = Fraction(1)
-        line[j] = Fraction(-1)
-        line[j + 1 + i] = Fraction(-1)
-        eq_lhs.append(line)
-        eq_rhs.append(Fraction(0))
-    cap = [Fraction(0)] * n
-    cap[j] = Fraction(1)
-    cap[n - 1] = Fraction(1)
-    eq_lhs.append(cap)
-    eq_rhs.append(Fraction(1))
-
-    objective = [Fraction(0)] * n
-    objective[j] = Fraction(1)
-    status, _, value = simplex_maximize(objective, eq_lhs, eq_rhs)
-    if status != OPTIMAL:
-        return None
-    return value
-
-
-def strictly_representable_lp(vectors: Sequence[Vector], target: Vector) -> bool:
-    """True iff target = sum lam_i v_i has a solution with every lam_i > 0."""
-    value = max_min_coefficient(vectors, target)
-    return value is not None and value > 0
-
-
-# ---------------------------------------------------------------------------
-# Fourier-Motzkin route.  Constraints are (coeffs, rhs, strict) meaning
+# Constraints are (coeffs, rhs, strict) meaning
 # coeffs . x < rhs when strict else coeffs . x <= rhs.
 
 
@@ -230,7 +66,7 @@ def strictly_representable_fm(vectors: Sequence[Vector], target: Vector) -> bool
 
     Decides ``exists lam, all lam_i > 0, sum lam_i v_i = target`` by turning
     each equality into a pair of inequalities and eliminating the lam_i one
-    by one.  Independent of the simplex route above.
+    by one.
     """
     j = len(vectors)
     if j == 0:
@@ -257,8 +93,8 @@ def grid_witness(
     """Search a rational coefficient grid for a strictly positive witness.
 
     Only useful as a positive check: a hit proves representability, a miss
-    proves nothing.  Kept small; the exhaustive routes above are the ones
-    relied on for decisions.
+    proves nothing.  Kept small; the elimination above is the one relied on
+    for decisions.
     """
     j = len(vectors)
     if j == 0:

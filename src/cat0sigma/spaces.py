@@ -420,19 +420,11 @@ class TreeSpace(ModelSpace):
         return trees.ray_point_at(self.model, ray.base, ray.end, Fraction(t))
 
     def busemann_to_end(self, ray, b):
-        # The exact limit: t - d(b, ray(t)) increases with slope 2 until the
-        # geodesic from b merges with the ray, then is constant; stop at the
-        # first repeat.
+        # The geodesic from b joins the ray at some ray(s) with
+        # s <= T = d(base, b), and t - d(b, ray(t)) is constant from s on.
         b = self.check_point(b)
-        prev = None
-        t = 0
-        while True:
-            pos = trees.ray_point_at(self.model, ray.base, ray.end, Fraction(t))
-            value = Fraction(t) - trees.point_distance(self.model, b, pos)
-            if prev is not None and value == prev:
-                return value
-            prev = value
-            t += 1
+        T = trees.point_distance(self.model, ray.base, b)
+        return T - trees.point_distance(self.model, b, trees.ray_point_at(self.model, ray.base, ray.end, T))
 
     def angle_between_rays(self, ray1, ray2, tol):
         # Rays from a common point either share their first arc or separate
@@ -673,8 +665,8 @@ def busemann(M: ModelSpace, ray: GeneralizedRay, b):
 
     Degenerate rays use mu - d(b, ray(mu)).  Otherwise: the inner product
     with the direction on E^k; a logarithmic density quotient on H2; and on
-    trees the exact limit, which stabilizes at the merge point of b onto
-    the ray.
+    trees T - d(b, ray(T)) at T = d(ray(0), b), where the geodesic from b
+    has already joined the ray.
     """
     if ray.space is not M and ray.space.to_json() != M.to_json():
         raise WrongSpace("ray does not belong to the given space")

@@ -11,8 +11,8 @@ it undecidable on the boundary.
 All values are immutable and all operations are pure functions without
 hidden state, safe to evaluate concurrently.  The m-function is decided by
 a bounded search over subsets of rays, each checked by exact integer
-elimination; the simplex and Fourier-Motzkin deciders of ``exactlp`` serve
-only as oracles in ``verify`` and the tests.
+elimination; the Fourier-Motzkin decider of ``exactlp`` serves only as an
+oracle in ``verify`` and the tests.
 """
 
 from __future__ import annotations
@@ -537,16 +537,3 @@ def euclidean_join_decomposition(rho, sigma_g: PolyhedralSet, n: int) -> Euclide
         span_basis=tuple(span),
         complement_basis=tuple(comp),
     )
-
-
-def points_to_json(k: int, points: Iterable[SpherePoint]) -> dict:
-    return {"k": k, "points": sorted(list(p.primitive) for p in points)}
-
-
-def points_from_json(data: Mapping) -> tuple[int, list[SpherePoint]]:
-    k = int(data["k"])
-    pts = [SpherePoint(tuple(int(c) for c in v)) for v in data["points"]]
-    for p in pts:
-        if p.k != k:
-            raise DimensionMismatch(f"point rank {p.k} in rank-{k} data")
-    return k, pts

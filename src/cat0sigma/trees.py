@@ -24,6 +24,7 @@ or a downward end labeled by the rational it converges to n-adically.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,7 +58,7 @@ class WordEnd:
         return self.period[(i - len(self.prefix)) % len(self.period)]
 
     def head(self, n: int) -> Word:
-        return tuple(self.letter(i) for i in range(n))
+        return (self.prefix + self.period * (n // len(self.period) + 1))[:n]
 
 
 def _primitive_period(period: Word) -> Word:
@@ -221,44 +222,38 @@ class TreeModel:
 
     # -- generic geodesics -------------------------------------------------
 
+    def meet(self, u, v) -> tuple[object, int, int]:
+        """The highest vertex of the geodesic from u to v, where the climbs
+        from u and v toward the parent join, with the number of steps each
+        climb takes to reach it."""
+        du, dv = self.level(u), self.level(v)
+        i = j = 0
+        while du - i > dv:
+            u = self.parent(u)
+            i += 1
+        while dv - j > du:
+            v = self.parent(v)
+            j += 1
+        while u != v:
+            u, v = self.parent(u), self.parent(v)
+            i += 1
+            j += 1
+        return u, i, j
+
     def vertex_distance(self, u, v) -> int:
-        a, b = u, v
-        da, db = self.level(a), self.level(b)
-        dist = 0
-        while da > db:
-            a = self.parent(a)
-            da -= 1
-            dist += 1
-        while db > da:
-            b = self.parent(b)
-            db -= 1
-            dist += 1
-        while a != b:
-            a = self.parent(a)
-            b = self.parent(b)
-            dist += 2
-        return dist
+        _, i, j = self.meet(u, v)
+        return i + j
 
     def vertex_path(self, u, v) -> list:
         """Vertices of the geodesic from u to v, inclusive."""
-        up, down = [u], [v]
-        a, b = u, v
-        da, db = self.level(a), self.level(b)
-        while da > db:
-            a = self.parent(a)
-            da -= 1
-            up.append(a)
-        while db > da:
-            b = self.parent(b)
-            db -= 1
-            down.append(b)
-        while a != b:
-            a = self.parent(a)
-            b = self.parent(b)
-            up.append(a)
-            down.append(b)
-        down.pop()
-        return up + down[::-1]
+        _, i, j = self.meet(u, v)
+        return self._climb(u, i) + self._climb(v, j)[-2::-1]
+
+    def _climb(self, v, steps: int) -> list:
+        out = [v]
+        for _ in range(steps):
+            out.append(self.parent(out[-1]))
+        return out
 
 
 class WordTree(TreeModel):
@@ -552,42 +547,31 @@ class TreePoint:
         object.__setattr__(self, "up", up)
 
 
-def _exits(model: TreeModel, p: TreePoint) -> list[tuple[object, Fraction]]:
-    out = [(p.vertex, p.up)]
-    if p.up > 0:
-        out.append((model.parent(p.vertex), 1 - p.up))
-    return out
-
-
 def point_distance(model: TreeModel, p: TreePoint, q: TreePoint) -> Fraction:
-    """Exact distance between two metric points."""
+    """Exact distance between two metric points.
+
+    From d(p.vertex, q.vertex), each offset is subtracted when its edge
+    climbs toward the meet and added when its vertex is the meet.
+    """
     if p.vertex == q.vertex:
         return abs(p.up - q.up)
-    return min(
-        pc + model.vertex_distance(pv, qv) + qc
-        for pv, pc in _exits(model, p)
-        for qv, qc in _exits(model, q)
-    )
+    _, i, j = model.meet(p.vertex, q.vertex)
+    return i + j + (p.up if i == 0 else -p.up) + (q.up if j == 0 else -q.up)
 
 
-def _point_on_edge_above(model: TreeModel, lower, upper, dist_from_lower: Fraction) -> TreePoint:
-    """Point on the edge between lower and its parent upper."""
-    if dist_from_lower == 0:
-        return TreePoint(lower)
-    if dist_from_lower == 1:
-        return TreePoint(upper)
-    return TreePoint(lower, dist_from_lower)
-
-
-def _edge_point(model: TreeModel, a, b, frac: Fraction) -> TreePoint:
-    """Point at distance frac from vertex a along the edge toward vertex b."""
+def _point_along(model: TreeModel, vertices, s: Fraction) -> TreePoint:
+    """Point at arc coordinate s >= 0 along a sequence of adjacent vertices,
+    taking only as many of them as it needs."""
+    whole = math.floor(s)
+    frac = s - whole
+    it = iter(vertices)
+    a = next(itertools.islice(it, whole, None))
     if frac == 0:
         return TreePoint(a)
-    if model.parent(a) == b:
+    b = next(it)
+    if model.level(b) < model.level(a):
         return TreePoint(a, frac)
-    if model.parent(b) == a:
-        return TreePoint(b, 1 - frac)
-    raise ValueError("vertices are not adjacent")
+    return TreePoint(b, 1 - frac)
 
 
 def walk_to_point(model: TreeModel, start: TreePoint, target: TreePoint, t: Fraction) -> TreePoint:
@@ -596,39 +580,25 @@ def walk_to_point(model: TreeModel, start: TreePoint, target: TreePoint, t: Frac
     total = point_distance(model, start, target)
     if t < 0 or t > total:
         raise ValueError(f"parameter {t} outside [0, {total}]")
-    if total == 0 or t == 0:
-        return start if t < total else target
     if start.vertex == target.vertex:
         sign = 1 if target.up > start.up else -1
         return TreePoint(start.vertex, start.up + sign * t)
-    best = None
-    for pv, pc in _exits(model, start):
-        for qv, qc in _exits(model, target):
-            d = pc + model.vertex_distance(pv, qv) + qc
-            if best is None or d < best[0]:
-                best = (d, pv, pc, qv, qc)
-    _, pv, pc, qv, qc = best
-    if t < pc:
-        # Still on start's edge.
-        if pv == start.vertex:
-            return TreePoint(start.vertex, start.up - t)
-        return _point_on_edge_above(model, start.vertex, pv, start.up + t)
-    t = t - pc
-    path = model.vertex_path(pv, qv)
-    steps = len(path) - 1
-    if t <= steps:
-        whole = math.floor(t)
-        frac = t - whole
-        if frac == 0:
-            return TreePoint(path[whole])
-        return _edge_point(model, path[whole], path[whole + 1], frac)
-    t = t - steps
-    # Final partial segment from qv toward target, 0 < t <= qc.
-    if qv == target.vertex:
-        # Entering target's edge at the anchor and climbing toward target.
-        return TreePoint(target.vertex, t)
-    # qv is target's parent; descending, the up-coordinate falls from 1.
-    return _point_on_edge_above(model, target.vertex, qv, 1 - t)
+    # An offset whose vertex is the meet (the path leaves it downward) lies
+    # on the parent edge above the path.
+    path = model.vertex_path(start.vertex, target.vertex)
+    s = start.up
+    if start.up and model.level(path[1]) > model.level(path[0]):
+        path.insert(0, model.parent(start.vertex))
+        s = 1 - start.up
+    if target.up and model.level(path[-2]) > model.level(path[-1]):
+        path.append(model.parent(target.vertex))
+    return _point_along(model, path, s + t)
+
+
+def _ray_vertices(model: TreeModel, v, end: TreeEnd):
+    while True:
+        yield v
+        v = model.end_step(v, end)
 
 
 def ray_point_at(model: TreeModel, base: TreePoint, end: TreeEnd, t: Fraction) -> TreePoint:
@@ -636,23 +606,11 @@ def ray_point_at(model: TreeModel, base: TreePoint, end: TreeEnd, t: Fraction) -
     t = Fraction(t)
     if t < 0:
         raise ValueError("ray parameter must be nonnegative")
-    current = base.vertex
-    if base.up > 0:
-        first = model.end_step(base.vertex, end)
-        if first == model.parent(base.vertex):
-            gap = 1 - base.up
-            if t < gap:
-                return TreePoint(base.vertex, base.up + t)
-            t -= gap
-            current = model.parent(base.vertex)
-        else:
-            if t <= base.up:
-                return TreePoint(base.vertex, base.up - t)
-            t -= base.up
-    while t >= 1:
-        current = model.end_step(current, end)
-        t -= 1
-    if t == 0:
-        return TreePoint(current)
-    nxt = model.end_step(current, end)
-    return _edge_point(model, current, nxt, t)
+    if not base.up:
+        return _point_along(model, _ray_vertices(model, base.vertex, end), t)
+    first = model.end_step(base.vertex, end)
+    vertices = itertools.chain([base.vertex], _ray_vertices(model, first, end))
+    if model.level(first) < model.level(base.vertex):
+        # The ray climbs the edge that holds the base.
+        return _point_along(model, vertices, base.up + t)
+    return _point_along(model, itertools.chain([model.parent(base.vertex)], vertices), 1 - base.up + t)

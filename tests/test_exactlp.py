@@ -1,89 +1,44 @@
-"""The exact simplex against the Fourier-Motzkin eliminator, and both
-against hand-checked systems."""
+"""The Fourier-Motzkin eliminator against hand-checked systems and against
+the integer kernel test of the m-function search."""
 
 import random
 from fractions import Fraction as F
 
-import pytest
-
-from cat0sigma.exactlp import (
-    INFEASIBLE,
-    OPTIMAL,
-    grid_witness,
-    max_min_coefficient,
-    simplex_maximize,
-    strictly_representable_fm,
-    strictly_representable_lp,
-)
-
-
-def test_simplex_solves_a_textbook_program():
-    # max x + y st x + 2y + s1 = 4, 3x + y + s2 = 6, all >= 0.
-    status, x, value = simplex_maximize(
-        [F(1), F(1), F(0), F(0)],
-        [[F(1), F(2), F(1), F(0)], [F(3), F(1), F(0), F(1)]],
-        [F(4), F(6)],
-    )
-    assert status == OPTIMAL
-    assert value == F(14, 5)
-    assert x[0] == F(8, 5) and x[1] == F(6, 5)
-
-
-def test_simplex_survives_beale_cycling_example():
-    # The classic tableau on which the naive most-negative rule cycles
-    # forever; Bland's rule must terminate at the optimum 1/20.
-    objective = [F(3, 4), F(-150), F(1, 50), F(-6), F(0), F(0), F(0)]
-    rows = [
-        [F(1, 4), F(-60), F(-1, 25), F(9), F(1), F(0), F(0)],
-        [F(1, 2), F(-90), F(-1, 50), F(3), F(0), F(1), F(0)],
-        [F(0), F(0), F(1), F(0), F(0), F(0), F(1)],
-    ]
-    rhs = [F(0), F(0), F(1)]
-    status, x, value = simplex_maximize(objective, rows, rhs)
-    assert status == OPTIMAL
-    assert value == F(1, 20)
-    assert x[0] == F(1, 25) and x[2] == F(1)
-
-
-def test_simplex_detects_infeasibility():
-    status, _, _ = simplex_maximize(
-        [F(1)],
-        [[F(1)], [F(1)]],
-        [F(1), F(2)],
-    )
-    assert status == INFEASIBLE
-
-
-def test_max_min_coefficient_signs():
-    # (1) and (-1) strictly represent 0 with lam = (t, t).
-    assert max_min_coefficient([(F(1),), (F(-1),)], (F(0),)) == 1
-    # A single ray cannot strictly represent the opposite ray.
-    assert strictly_representable_lp([(F(-1),)], (F(1),)) is False
-    # Positive multiples on one ray are fine.
-    assert strictly_representable_lp([(F(2),)], (F(3),)) is True
+from cat0sigma.exactlp import grid_witness, strictly_representable_fm
+from cat0sigma.homology import rational_rank
+from cat0sigma.sphere import _positive_kernel
 
 
 def test_representable_needs_all_coefficients_positive():
+    # (1) and (-1) strictly represent 0 with lam = (t, t).
+    assert strictly_representable_fm([(F(1),), (F(-1),)], (F(0),)) is True
+    # A single ray cannot strictly represent the opposite ray.
+    assert strictly_representable_fm([(F(-1),)], (F(1),)) is False
+    # Positive multiples on one ray are fine.
+    assert strictly_representable_fm([(F(2),)], (F(3),)) is True
     # (1,0) alone spans the target only with lam2 = 0 for the second ray.
     vectors = [(F(1), F(0)), (F(0), F(1))]
-    assert strictly_representable_lp(vectors, (F(1), F(0))) is False
     assert strictly_representable_fm(vectors, (F(1), F(0))) is False
-    assert strictly_representable_lp(vectors, (F(1), F(2))) is True
+    assert strictly_representable_fm(vectors, (F(1), F(2))) is True
 
 
-def test_fm_matches_lp_on_seeded_systems():
+def test_fm_matches_positive_kernel_on_seeded_systems():
+    # target = sum lam_i v_i with every lam_i > 0 iff the columns
+    # v_1..v_j, -target have a strictly positive kernel vector.  When that
+    # kernel is a line, the integer kernel test decides it on its own.
     rng = random.Random(20240)
-    for _ in range(300):
+    compared = 0
+    for _ in range(400):
         k = rng.randrange(1, 4)
-        j = rng.randrange(1, 5)
-        vectors = [tuple(F(rng.randrange(-3, 4)) for _ in range(k)) for _ in range(j)]
-        vectors = [v for v in vectors if any(c != 0 for c in v)]
-        if not vectors:
+        j = rng.randrange(1, k + 1)
+        vectors = [tuple(rng.randrange(-3, 4) for _ in range(k)) for _ in range(j)]
+        target = tuple(rng.randrange(-4, 5) for _ in range(k))
+        columns = vectors + [tuple(-c for c in target)]
+        if rational_rank([list(r) for r in zip(*columns)]) != j:
             continue
-        target = tuple(F(rng.randrange(-4, 5)) for _ in range(k))
-        assert strictly_representable_lp(vectors, target) == strictly_representable_fm(
-            vectors, target
-        )
+        compared += 1
+        assert strictly_representable_fm(vectors, target) == _positive_kernel(columns), (vectors, target)
+    assert compared > 200
 
 
 def test_grid_witness_confirms_feasible_cases():

@@ -19,8 +19,6 @@ from cat0sigma.sphere import (
     m_value,
     minimal_ray_count,
     normalize_ray,
-    points_from_json,
-    points_to_json,
     polyhedral_contains,
 )
 from cat0sigma.treesigma import generate_sphere_points
@@ -100,8 +98,6 @@ def test_polyhedral_json_round_trip():
     for vec in [(1, 1), (1, -2), (-1, -1), (-2, 1)]:
         p = SpherePoint(vec)
         assert polyhedral_contains(pset, p) == polyhedral_contains(again, p)
-    k, pts = points_from_json(points_to_json(2, [SpherePoint((1, 2))]))
-    assert k == 2 and pts == [SpherePoint((1, 2))]
 
 
 # ---------------------------------------------------------------------------

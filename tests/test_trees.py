@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cat0sigma import spaces as sp
 from cat0sigma.trees import (
     CayleyTree,
     HnnDown,
@@ -214,6 +215,117 @@ def test_ray_point_at_is_unit_speed(rng):
             off = ray_point_at(model, base, end, F(1, 2))
             pos = ray_point_at(model, off, end, F(2))
             assert point_distance(model, off, pos) == F(2)
+
+
+def _bfs_distances(model, u, radius):
+    dist, frontier = {u: 0}, [u]
+    for d in range(1, radius + 1):
+        nxt = []
+        for x in frontier:
+            for w in model.neighbors(x):
+                if w not in dist:
+                    dist[w] = d
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
+def _reference_distance(model, p, q, bfs):
+    """The least distance over the (at most) four ways out of the two edges
+    that hold p and q, with vertex distances from a breadth-first search."""
+    if p.vertex == q.vertex:
+        return abs(p.up - q.up)
+
+    def exits(x):
+        out = [(x.vertex, x.up)]
+        if x.up:
+            out.append((model.parent(x.vertex), 1 - x.up))
+        return out
+
+    def vertex_distance(u, v):
+        if u not in bfs:
+            bfs[u] = _bfs_distances(model, u, 6)
+        return bfs[u][v]
+
+    return min(pc + vertex_distance(pv, qv) + qc for pv, pc in exits(p) for qv, qc in exits(q))
+
+
+def _reference_points(model, rng):
+    """Points within three edges of the base: a shared edge, ancestor and
+    descendant pairs with offsets on both ends, the root (or, on an HNN
+    tree, the base with an offset), and a seeded sample."""
+    base = model.base_vertex()
+    c, c2 = model.children(base)[:2]
+    g = model.children(c)[-1]
+    gg = model.children(g)[0]
+    pts = [
+        TreePoint(c, F(1, 4)),
+        TreePoint(c, F(3, 4)),
+        TreePoint(c),
+        TreePoint(c2, F(1, 2)),
+        TreePoint(g, F(1, 3)),
+        TreePoint(gg, F(2, 3)),
+        TreePoint(gg),
+        TreePoint(base),
+    ]
+    if model.parent(base) is not None:
+        pts.append(TreePoint(base, F(1, 2)))
+    for _ in range(12):
+        v = base
+        for _ in range(rng.randrange(0, 3)):
+            v = rng.choice(model.neighbors(v))
+        up = rng.choice([F(0), F(1, 2), F(1, 3), F(2, 3)])
+        pts.append(TreePoint(v, up if model.parent(v) is not None else F(0)))
+    return pts
+
+
+@pytest.mark.parametrize(
+    "model", [CayleyTree(2), RegularTree(3), HnnTree(2), HnnTree(3)], ids=["cayley2", "regular3", "hnn2", "hnn3"]
+)
+def test_point_distance_and_walk_match_breadth_first_reference(model, rng):
+    pts = _reference_points(model, rng)
+    bfs = {}
+    for p in pts:
+        for q in pts:
+            total = _reference_distance(model, p, q, bfs)
+            assert point_distance(model, p, q) == total, (p, q)
+            for frac in [F(0), F(1, 3), F(1, 2), F(1)]:
+                mid = walk_to_point(model, p, q, frac * total)
+                model.check_vertex(mid.vertex)
+                assert mid.up == 0 or model.parent(mid.vertex) is not None
+                assert _reference_distance(model, p, mid, bfs) == frac * total, (p, q, frac)
+                assert _reference_distance(model, mid, q, bfs) == total - frac * total, (p, q, frac)
+
+
+def _count_end_steps(monkeypatch, model):
+    calls = [0]
+    step = model.end_step
+
+    def counted(v, end):
+        calls[0] += 1
+        return step(v, end)
+
+    monkeypatch.setattr(model, "end_step", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "model, end, b",
+    [
+        (CayleyTree(2), make_word_end((), (1,)), TreePoint((1,) * 200 + (2,) * 5)),
+        # Five levels below the level -200 ancestor of the base, off the ray.
+        (HnnTree(2), HnnUp(), TreePoint(HnnVertex(-195, F(1, 2**200)))),
+    ],
+    ids=["cayley", "hnn"],
+)
+def test_busemann_value_walks_the_ray_once(model, end, b, monkeypatch):
+    # The geodesic from b joins the ray 200 steps from the base; one value
+    # costs one walk of d(base, b) = 205 steps, not a walk per parameter.
+    M = sp.TreeSpace(model)
+    ray = sp.ray_from(M, M.origin(), end)
+    calls = _count_end_steps(monkeypatch, model)
+    assert sp.busemann(M, ray, b) == 195
+    assert calls[0] <= 207
 
 
 def test_tree_point_validation():

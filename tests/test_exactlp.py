@@ -9,13 +9,18 @@ from cat0sigma.homology import rational_rank
 from cat0sigma.sphere import _positive_kernel
 
 
-def test_representable_needs_all_coefficients_positive():
+def test_max_min_coefficient_signs():
+    # The sign of the largest achievable minimum coefficient decides strict
+    # representability; these are its one-dimensional cases.
     # (1) and (-1) strictly represent 0 with lam = (t, t).
     assert strictly_representable_fm([(F(1),), (F(-1),)], (F(0),)) is True
     # A single ray cannot strictly represent the opposite ray.
     assert strictly_representable_fm([(F(-1),)], (F(1),)) is False
     # Positive multiples on one ray are fine.
     assert strictly_representable_fm([(F(2),)], (F(3),)) is True
+
+
+def test_representable_needs_all_coefficients_positive():
     # (1,0) alone spans the target only with lam2 = 0 for the second ray.
     vectors = [(F(1), F(0)), (F(0), F(1))]
     assert strictly_representable_fm(vectors, (F(1), F(0))) is False

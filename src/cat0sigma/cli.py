@@ -17,8 +17,8 @@ import sys
 
 from . import actions as ac
 from . import jsonio, spaces as sp, svg, treesigma as ts, verify
-from .errors import Cat0SigmaError, UnsupportedDimension
-from .raag import SimpleGraph, bestvina_brady, connectivity_verdict, coordinate_hemisphere, flag_complex
+from .errors import Cat0SigmaError, UnsupportedDimension, UsageError
+from .raag import SimpleGraph, connectivity_verdict, coordinate_hemisphere, flag_complex
 from .sphere import PolyhedralSet
 from .treesigma import GraphOfGroupsSummary, MFPRData
 
@@ -187,14 +187,12 @@ def _load_graph(path) -> SimpleGraph:
 
 def cmd_raag(args, data):
     graph = _load_graph(args.graph)
-    n = args.n if args.n is not None else 1
-    verdict = connectivity_verdict(flag_complex(graph), n)
-    membership = bestvina_brady(graph, n)
+    verdict = connectivity_verdict(flag_complex(graph), args.n)
     payload = {
         "command": "raag",
         "seed": args.seed,
-        "n": n,
-        "membership": membership,
+        "n": args.n,
+        "membership": verdict.membership,
         "verdict": {
             "nonempty": verdict.nonempty,
             "connected": verdict.connected,
@@ -322,34 +320,44 @@ def cmd_verify(args, data):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises on a malformed command line, so that run() reports it like any
+    other input error instead of printing usage and exiting."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog=PROG,
         description="Boundary geometry of CAT(0) group actions: Busemann "
         "functions, characters, shift calculus and invariant formulas.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, needs_data=True, **extra):
+    def add(name, data=True, space=False, tol=False):
         p = sub.add_parser(name)
-        if needs_data:
-            p.add_argument("--data", required=name not in ("raag", "verify"), help="input JSON file")
+        if data:
+            p.add_argument("--data", required=True, help="input JSON file")
+        if space:
             p.add_argument("--space", help="override the space in the data file (E2, H2, or a JSON descriptor)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-9)
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--out", help="write the JSON report here instead of stdout")
         return p
 
-    add("busemann")
-    add("tits")
+    add("busemann", space=True, tol=True)
+    add("tits", space=True, tol=True)
     add("character")
-    add("shift")
+    add("shift", space=True)
     p = add("cocompact")
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--depth", type=int, default=6)
-    p = add("raag", needs_data=False)
+    p = add("raag", data=False)
     p.add_argument("--graph", required=True, help="graph JSON or edge-list file")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=int, default=1)
     p.add_argument("--svg", help="emit the positive coordinate chamber as SVG")
     p = add("tree-sigma")
     p.add_argument("--n", type=int, default=None)
@@ -360,9 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", action="store_true")
     p.add_argument("--csv", help="also write the degree table as CSV")
     p.add_argument("--svg", help="emit the complement point set as SVG")
-    p = add("audit")
+    p = add("audit", space=True)
     p.add_argument("--which", required=True, choices=["local-busemann", "angle-estimate"])
-    p = add("verify", needs_data=False)
+    p = add("verify", data=False)
     p.add_argument("--suite", default="all", choices=sorted(verify.SUITES) + ["all"])
     return parser
 
@@ -381,26 +389,30 @@ HANDLERS = {
 }
 
 
+def _input_error(exc, stderr) -> int:
+    diagnostic = {"error": type(exc).__name__, "message": str(exc)}
+    print(json.dumps(diagnostic, sort_keys=True), file=stderr)
+    return 2
+
+
 def run(argv, stdout=None, stderr=None) -> int:
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    handler = HANDLERS[args.command]
+        args = build_parser().parse_args(argv)
+    except SystemExit:  # --help has printed the usage
+        return 0
+    except UsageError as exc:
+        return _input_error(exc, stderr)
     try:
         data = _load(args.data) if getattr(args, "data", None) else None
         data = _space_override(args, data)
         _log(f"running {args.command} (seed {args.seed})", stderr)
-        code, payload = handler(args, data)
+        code, payload = HANDLERS[args.command](args, data)
         _dump(payload, args.out, stdout)
         return code
     except (Cat0SigmaError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        diagnostic = {"error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(diagnostic, sort_keys=True), file=stderr)
-        return 2
+        return _input_error(exc, stderr)
 
 
 def main() -> None:

@@ -71,3 +71,8 @@ class InvalidChain(Cat0SigmaError):
 
 class UnsupportedDimension(Cat0SigmaError):
     """Sphere drawing supports only k = 1, 2, 3."""
+
+
+class UsageError(Cat0SigmaError):
+    """The command line does not parse: an unknown option, a missing one, or
+    a value of the wrong type."""

@@ -2,9 +2,9 @@
 
 Boundary matrices are reduced by Smith normal form over arbitrary-precision
 integers.  Pivots are chosen as the smallest nonzero entry in the remaining
-block (partial pivoting) to limit coefficient growth.  Betti numbers can be
-cross-checked against a rank computation over the rationals, which shares
-no code with the integer reduction.
+block (partial pivoting) to limit coefficient growth.  ``rational_rank``,
+a rank over the rationals that shares no code with the integer reduction,
+is the oracle the tests check the Smith ranks against.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ Simplex = tuple[int, ...]
 class SimplicialComplex:
     """Finite abstract simplicial complex, closed under taking faces.
 
-    Simplices are sorted tuples of vertex indices.  Build from the maximal
-    simplices with :meth:`from_maximal`; the constructor closes under faces
-    either way, so the invariant holds by construction.
+    Simplices are sorted tuples of vertex indices.  The constructor takes
+    any generating simplices (the maximal ones suffice) and closes them
+    under faces, so the invariant holds by construction.
     """
 
     simplices: frozenset
@@ -38,10 +38,6 @@ class SimplicialComplex:
             for r in range(1, len(s) + 1):
                 closed.update(itertools.combinations(s, r))
         object.__setattr__(self, "simplices", frozenset(closed))
-
-    @staticmethod
-    def from_maximal(maximal: Iterable[Sequence[int]]) -> "SimplicialComplex":
-        return SimplicialComplex(maximal)
 
     @property
     def dimension(self) -> int:
@@ -229,13 +225,12 @@ class HomologyProfile:
         )
 
 
-def homology(K: SimplicialComplex, max_degree: int | None = None, use_rational_oracle: bool = False) -> HomologyProfile:
+def homology(K: SimplicialComplex, max_degree: int | None = None) -> HomologyProfile:
     """Integer simplicial homology of a finite complex via Smith reduction.
 
-    Computes degrees 0..max_degree (default: the dimension of K).  With
-    ``use_rational_oracle`` the ranks come from Fraction Gaussian
-    elimination instead of the integer reduction; torsion always comes from
-    the Smith form.
+    Computes degrees 0..max_degree (default: the dimension of K).  The rank
+    of each boundary map is the number of its invariant factors, all
+    nonzero; the factors above 1 are the torsion.
     """
     if max_degree is None:
         max_degree = max(K.dimension, 0)
@@ -243,17 +238,8 @@ def homology(K: SimplicialComplex, max_degree: int | None = None, use_rational_o
     ranks = []
     torsions = []
     for d in range(max_degree + 2):
-        if counts[d] == 0:
-            ranks.append(0)
-            torsions.append(())
-            continue
-        m = K.boundary_matrix(d)
-        if not m or not m[0]:
-            ranks.append(0)
-            torsions.append(())
-            continue
-        factors = smith_normal_form(m)
-        ranks.append(len([x for x in factors if x != 0]) if not use_rational_oracle else rational_rank(m))
+        factors = smith_normal_form(K.boundary_matrix(d)) if counts[d] else []
+        ranks.append(len(factors))
         torsions.append(tuple(x for x in factors if x > 1))
     betti = []
     torsion_by_degree = []

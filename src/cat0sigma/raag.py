@@ -23,7 +23,13 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import UnknownVertex
 from .homology import HomologyProfile, SimplicialComplex, homology
+from .jsonio import parse_int, read_field
 from .sphere import OpenHemisphere, SpherePoint
+from .trees import reduce_word
+
+# Rewriting passes one Tietze trivialization may spend before it answers
+# Unknown.
+TIETZE_BUDGET = 10_000
 
 
 @dataclass(frozen=True)
@@ -75,7 +81,17 @@ class SimpleGraph:
 
     @staticmethod
     def from_json(data: Mapping) -> "SimpleGraph":
-        return SimpleGraph(data["vertices"], data["edges"])
+        """{"vertices": [...], "edges": [[u, v], ...]}; vertices are integers
+        or strings."""
+
+        def vertex(v):
+            return v if isinstance(v, str) else parse_int(v)
+
+        edges = read_field(data, "edges", list)
+        for e in edges:
+            if not (isinstance(e, list) and len(e) == 2):
+                raise ValueError(f"an edge is a pair [u, v], got {e!r}")
+        return SimpleGraph(map(vertex, read_field(data, "vertices", list)), [tuple(map(vertex, e)) for e in edges])
 
     def to_json(self) -> dict:
         return {
@@ -129,7 +145,7 @@ def flag_complex(graph: SimpleGraph) -> SimplicialComplex:
 
     if graph.vertices:
         bron_kerbosch(set(), set(adj), set())
-    return SimplicialComplex.from_maximal(maximal)
+    return SimplicialComplex(maximal)
 
 
 # ---------------------------------------------------------------------------
@@ -164,37 +180,27 @@ def _spanning_tree(vertices: list, edges: list) -> set:
     return tree
 
 
-def _free_reduce(word: tuple) -> tuple:
-    out = []
-    for letter in word:
-        if out and out[-1] == -letter:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
-
-
 def _cyclic_reduce(word: tuple) -> tuple:
-    word = _free_reduce(word)
+    word = reduce_word(word)
     while len(word) >= 2 and word[0] == -word[-1]:
         word = word[1:-1]
     return word
 
 
-def tietze_trivialize(generator_count: int, relators: list, budget: int = 10_000) -> TietzeCertificate:
+def tietze_trivialize(generator_count: int, relators: list) -> TietzeCertificate:
     """Try to reduce a finite presentation to the trivial one.
 
     Moves: free/cyclic reduction, deletion of trivial relators, and
     substitution along a relator containing some generator exactly once.
-    Each rewriting pass costs budget; returns trivialized=True only when no
-    generators remain.
+    Each rewriting pass costs one step of TIETZE_BUDGET; returns
+    trivialized=True only when no generators remain.
     """
     gens = set(range(1, generator_count + 1))
     rels = [_cyclic_reduce(tuple(r)) for r in relators]
     steps = 0
     log = []
     changed = True
-    while changed and steps < budget:
+    while changed and steps < TIETZE_BUDGET:
         changed = False
         rels = [r for r in (_cyclic_reduce(r) for r in rels) if r]
         rels.sort(key=len)
@@ -300,48 +306,41 @@ class ConnectivityVerdict:
             return UNKNOWN
         return YES
 
+    @property
+    def membership(self) -> str:
+        """In / Out / Unknown for the diagonal character of the right-angled
+        Artin group whose flag complex this is, by the Bestvina-Brady
+        criterion."""
+        return {YES: IN, NO: OUT, UNKNOWN: MEMBERSHIP_UNKNOWN}[self.all_requirements()]
 
-def connectivity_verdict(K: SimplicialComplex, n: int, tietze_budget: int = 10_000) -> ConnectivityVerdict:
+
+def connectivity_verdict(K: SimplicialComplex, n: int) -> ConnectivityVerdict:
     """Decide (n-1)-connectedness of a finite complex as far as possible.
 
     n = 0 asks the complex to be nonempty, n = 1 connected, and n >= 2
     additionally simply connected with reduced homology vanishing up to
-    degree n-1.  Homology vanishing in degree 1 is implied by (and checked
-    against) simple connectivity.
+    degree n-1.  A Tietze search for simple connectivity runs only when
+    reduced homology vanishes through degree 1 (connected, H1 = 0); the
+    homology vanishing field reports degrees 0..max(n-1, 0).
     """
-    nonempty = bool(K.simplices)
-    if not nonempty:
-        return ConnectivityVerdict(n, False, NO, NO, NO, None, None)
+    if not K.simplices:
+        return ConnectivityVerdict(n, False, NO, NO, NO)
     profile = homology(K, max_degree=max(n - 1, 1))
-    connected = YES if profile.betti_reduced(0) == 0 else NO
-    h1_trivial = profile.betti_reduced(1) == 0 and not profile.torsion_at(1)
-    if connected == NO:
-        simply = NO
-        certificate = None
-    elif not h1_trivial:
-        simply = NO
-        certificate = None
-    else:
-        gens, rels = edge_path_presentation(K)
-        certificate = tietze_trivialize(gens, rels, budget=tietze_budget)
+    if profile.reduced_trivial_through(1):
+        certificate = tietze_trivialize(*edge_path_presentation(K))
         simply = YES if certificate.trivialized else UNKNOWN
+    else:
+        certificate, simply = None, NO
+    connected = YES if profile.betti_reduced(0) == 0 else NO
     vanishing = YES if profile.reduced_trivial_through(max(n - 1, 0)) else NO
-    if n <= 1:
-        vanishing = YES if connected == YES else NO
-    return ConnectivityVerdict(n, nonempty, connected, simply, vanishing, profile, certificate)
+    return ConnectivityVerdict(n, True, connected, simply, vanishing, profile, certificate)
 
 
-def bestvina_brady(graph: SimpleGraph, n: int, tietze_budget: int = 10_000) -> str:
+def bestvina_brady(graph: SimpleGraph, n: int) -> str:
     """Membership of the diagonal character in the degree-n invariant of
     the right-angled Artin group of the graph: In / Out / Unknown, by the
     flag-complex connectivity criterion."""
-    verdict = connectivity_verdict(flag_complex(graph), n, tietze_budget=tietze_budget)
-    combined = verdict.all_requirements()
-    if combined == YES:
-        return IN
-    if combined == NO:
-        return OUT
-    return MEMBERSHIP_UNKNOWN
+    return connectivity_verdict(flag_complex(graph), n).membership
 
 
 def coordinate_hemisphere(graph: SimpleGraph, v) -> OpenHemisphere:

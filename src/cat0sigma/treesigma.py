@@ -26,6 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import DegreeOutOfRange, InvalidChain
+from .jsonio import parse_fraction, parse_int, read_field
 from .sphere import (
     Character,
     SpherePoint,
@@ -150,9 +151,13 @@ class MFPRData:
 
     @staticmethod
     def from_json(data) -> "MFPRData":
-        pts = [SpherePoint(tuple(int(c) for c in v)) for v in data["complement"]]
-        chi = Character(Fraction(c) for c in data["splitting_character"])
-        return MFPRData(int(data["k"]), pts, chi)
+        complement = read_field(data, "complement", list)
+        for v in complement:
+            if not isinstance(v, list):
+                raise ValueError(f"a complement point is a list of integers, got {v!r}")
+        pts = [SpherePoint(tuple(parse_int(c) for c in v)) for v in complement]
+        chi = Character(parse_fraction(c) for c in read_field(data, "splitting_character", list))
+        return MFPRData(parse_int(read_field(data, "k")), pts, chi)
 
 
 @dataclass(frozen=True)

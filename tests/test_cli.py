@@ -7,7 +7,7 @@ import pathlib
 
 import pytest
 
-from cat0sigma import cli
+from cat0sigma import cli, raag
 
 
 def run_cli(argv):
@@ -210,6 +210,45 @@ def test_cli_stdout_matches_golden_files(sigma_log, monkeypatch):
         assert (code, out) == (case["code"], case["stdout"]), case["argv"]
 
 
+def test_options_exist_only_where_a_command_reads_them(tmp_path):
+    # --space on tree-sigma and --tol on verify would be ignored; they are
+    # usage errors, reported on the given stderr as one line of JSON.
+    for argv in (
+        ["tree-sigma", "--data", str(GOLDEN / "tree_sigma.json"), "--space", "E2"],
+        ["verify", "--suite", "tits", "--tol", "1e-3"],
+        ["raag"],
+    ):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, ""), argv
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "UsageError"
+
+    # --space stands in for the space named in the data file.
+    data = json.loads((GOLDEN / "tits_h2.json").read_text(encoding="utf-8"))
+    del data["space"]
+    golden = next(c for c in json.loads((GOLDEN / "cli_stdout.json").read_text(encoding="utf-8"))
+                  if c["argv"] == ["tits", "--data", "tits_h2.json"])
+    code, out, _ = run_cli(["tits", "--data", write(tmp_path, "tits.json", data), "--space", "H2"])
+    assert (code, out) == (golden["code"], golden["stdout"])
+
+
+def test_raag_job_builds_one_flag_complex_and_one_homology(monkeypatch):
+    calls = {"flag_complex": 0, "homology": 0}
+    for name in calls:
+        original = getattr(raag, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (raag, cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    code, out, _ = run_cli(["raag", "--graph", str(GOLDEN / "raag_octahedron.json"), "--n", "2"])
+    assert (code, json.loads(out)["membership"]) == (0, "In")
+    assert calls == {"flag_complex": 1, "homology": 1}
+
+
 def test_audit_command(tmp_path):
     data = write(
         tmp_path,
@@ -302,12 +341,21 @@ MALFORMED = {
         "shift",
         {"space": {"space": "E2"}, "config": [1], "map": {}, "end": {"direction": [1, 0]}},
     ),
+    "raag-edge-number": ("raag", {"vertices": [0, 1], "edges": [1]}),
+    "raag-vertices-number": ("raag", {"vertices": 5, "edges": []}),
+    "raag-edge-endpoint-list": ("raag", {"vertices": [0, 1], "edges": [[0, [1]]]}),
+    "raag-vertex-list": ("raag", {"vertices": [[0], 1], "edges": []}),
+    "mfpr-k-list": ("mfpr", {"k": [2], "complement": [[1, 0]], "splitting_character": ["-1", "0"]}),
+    "mfpr-complement-point-number": ("mfpr", {"k": 1, "complement": [1], "splitting_character": ["-1"]}),
+    "mfpr-character-coordinate-list": ("mfpr", {"k": 2, "complement": [[1, 0]], "splitting_character": [[1], 0]}),
+    "mfpr-character-number": ("mfpr", {"k": 1, "complement": [[1]], "splitting_character": 5}),
 }
 
 
 @pytest.mark.parametrize("command,payload", list(MALFORMED.values()), ids=list(MALFORMED))
 def test_malformed_shapes_are_input_errors(tmp_path, command, payload):
-    code, out, err = run_cli([command, "--data", write(tmp_path, "bad.json", payload)])
+    flag = "--graph" if command == "raag" else "--data"
+    code, out, err = run_cli([command, flag, write(tmp_path, "bad.json", payload)])
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1
     assert set(json.loads(err)) == {"error", "message"}

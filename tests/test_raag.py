@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from cat0sigma import raag
 from cat0sigma.errors import UnknownVertex
 from cat0sigma.homology import homology
 from cat0sigma.raag import (
@@ -129,6 +130,17 @@ def test_connectivity_verdicts():
     v = connectivity_verdict(two_points, 1)
     assert v.connected == "no"
     assert connectivity_verdict(two_points, 0).all_requirements() == "yes"
+
+
+def test_exhausted_tietze_budget_is_an_honest_unknown(monkeypatch):
+    # The octahedron is a 2-sphere, so homology vanishes and only the Tietze
+    # search can prove simple connectivity; with no budget it cannot.
+    monkeypatch.setattr(raag, "TIETZE_BUDGET", 0)
+    v = connectivity_verdict(flag_complex(SimpleGraph.octahedron()), 2)
+    assert (v.connected, v.simply_connected, v.homology_vanishing) == ("yes", "unknown", "yes")
+    assert not v.certificate.trivialized and v.certificate.steps == 0
+    assert v.membership == "Unknown"
+    assert bestvina_brady(SimpleGraph.octahedron(), 2) == "Unknown"
 
 
 def test_bestvina_brady_fixed_points():

@@ -205,7 +205,7 @@ def test_cli_stdout_matches_golden_files(sigma_log, monkeypatch):
     cases = json.loads((GOLDEN / "cli_stdout.json").read_text(encoding="utf-8"))
     assert sorted({case["argv"][0] for case in cases}) == sorted(set(cli.HANDLERS) - {"mfpr"})
     for case in cases:
-        argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in case["argv"]]
+        argv = [str(GOLDEN / a) if a.endswith((".json", ".txt")) else a for a in case["argv"]]
         code, out, _ = run_cli(argv)
         assert (code, out) == (case["code"], case["stdout"]), case["argv"]
 

@@ -10,6 +10,8 @@ SIGMA_LOG=1 turns on progress logging to standard error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import math
 import os
@@ -328,7 +330,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first run() and then reused."""
     parser = _Parser(
         prog=PROG,
         description="Boundary geometry of CAT(0) group actions: Busemann "
@@ -399,8 +403,9 @@ def run(argv, stdout=None, stderr=None) -> int:
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit:  # --help has printed the usage
+        with contextlib.redirect_stdout(stdout):
+            args = build_parser().parse_args(argv)
+    except SystemExit:  # --help has printed the usage to stdout
         return 0
     except UsageError as exc:
         return _input_error(exc, stderr)

@@ -1,10 +1,11 @@
 """Finite simplicial complexes and integer simplicial homology.
 
-Boundary matrices are reduced by Smith normal form over arbitrary-precision
-integers.  Pivots are chosen as the smallest nonzero entry in the remaining
-block (partial pivoting) to limit coefficient growth.  ``rational_rank``,
-a rank over the rationals that shares no code with the integer reduction,
-is the oracle the tests check the Smith ranks against.
+Boundary matrices are built as sparse rows and reduced by a sparse Smith
+normal form over arbitrary-precision integers that takes unit pivots first;
+only when no +-1 entry is left does it pivot on a smallest entry and take
+Euclidean steps.  ``rational_rank``, a rank over the rationals that shares
+no code with the integer reduction, is the oracle the tests check the Smith
+ranks against.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -39,14 +41,20 @@ class SimplicialComplex:
                 closed.update(itertools.combinations(s, r))
         object.__setattr__(self, "simplices", frozenset(closed))
 
+    @cached_property
+    def _graded(self) -> list[list[Simplex]]:
+        """The simplices grouped by dimension, each group sorted."""
+        graded: list[list[Simplex]] = [[] for _ in range(max(map(len, self.simplices), default=0))]
+        for s in sorted(self.simplices):
+            graded[len(s) - 1].append(s)
+        return graded
+
     @property
     def dimension(self) -> int:
-        if not self.simplices:
-            return -1
-        return max(len(s) for s in self.simplices) - 1
+        return len(self._graded) - 1
 
     def faces(self, dim: int) -> list[Simplex]:
-        return sorted(s for s in self.simplices if len(s) == dim + 1)
+        return list(self._graded[dim]) if 0 <= dim < len(self._graded) else []
 
     @property
     def vertices(self) -> list[int]:
@@ -55,71 +63,96 @@ class SimplicialComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** (len(s) - 1) for s in self.simplices)
 
-    def boundary_matrix(self, dim: int) -> list[list[int]]:
-        """Matrix of the boundary map from dim-chains to (dim-1)-chains.
+    def boundary_matrix(self, dim: int) -> list[dict[int, int]]:
+        """Matrix of the boundary map from dim-chains to (dim-1)-chains, as
+        sparse rows {column: entry}.
 
         Rows are indexed by (dim-1)-faces, columns by dim-faces; dim = 0
         gives the augmentation to the integers (reduced homology).
         """
         cols = self.faces(dim)
         if dim == 0:
-            return [[1 for _ in cols]]
-        rows = self.faces(dim - 1)
-        index = {s: i for i, s in enumerate(rows)}
-        matrix = [[0] * len(cols) for _ in rows]
+            return [dict.fromkeys(range(len(cols)), 1)]
+        index = {s: i for i, s in enumerate(self.faces(dim - 1))}
+        rows: list[dict[int, int]] = [{} for _ in index]
         for j, s in enumerate(cols):
             for drop in range(len(s)):
-                face = s[:drop] + s[drop + 1:]
-                matrix[index[face]][j] = (-1) ** drop
-        return matrix
+                rows[index[s[:drop] + s[drop + 1:]]][j] = -1 if drop % 2 else 1
+        return rows
 
 
 # ---------------------------------------------------------------------------
 # Smith normal form
 
 
-def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
+def smith_normal_form(matrix: Sequence) -> list[int]:
     """Invariant factors of an integer matrix, positive and ordered by
     divisibility.  Only the diagonal is returned.
 
-    Pivots start at the smallest nonzero entry of the working block, and
-    each clearing step is a single Euclidean reduction: subtract the
-    nearest multiple and, if a remainder survives, swap it into the pivot
-    (the pivot's absolute value strictly drops, so the loop terminates and
-    coefficients stay tame).
+    Rows are dense sequences or sparse {column: entry} dicts.  Elimination
+    is sparse and takes unit pivots first (Dumas-Saunders-Villard): the
+    pivot is the first +-1 entry found, or an entry of smallest absolute
+    value when no unit is left.  Row operations clear the pivot column; the
+    pivot row is then reduced modulo the pivot by column operations, which
+    change no other row, so a unit pivot's row is simply dropped.  A
+    remainder that survives either step is strictly smaller than the pivot
+    and replaces it, so the loop terminates.
     """
-    a = [list(map(int, row)) for row in matrix]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
+    rows = {}
+    holders: dict = {}  # column -> indices of the rows with an entry in it
+    for i, row in enumerate(matrix):
+        row = dict(row) if isinstance(row, dict) else {j: int(x) for j, x in enumerate(row) if x}
+        if row:
+            rows[i] = row
+            for j in row:
+                holders.setdefault(j, set()).add(i)
+
+    def subtract(i, r, q):
+        """Row i -= q * row r."""
+        if not q:
+            return
+        target = rows[i]
+        for j, x in rows[r].items():
+            y = target.get(j, 0) - q * x
+            if y:
+                if j not in target:
+                    holders[j].add(i)
+                target[j] = y
+            else:
+                del target[j]
+                holders[j].discard(i)
+        if not target:
+            del rows[i]
+
     diag: list[int] = []
-    top = 0
-    while top < min(rows, cols):
-        pivot = _smallest_nonzero(a, top)
-        if pivot is None:
-            break
-        _move_pivot(a, top, pivot)
+    while rows:
+        pivot = next(((r, j) for r, row in rows.items() for j, x in row.items() if x in (1, -1)), None)
+        r, j = pivot or min(((r, j) for r, row in rows.items() for j in row), key=lambda rj: abs(rows[rj[0]][rj[1]]))
         while True:
-            i = next((r for r in range(top + 1, rows) if a[r][top] != 0), None)
+            p = rows[r][j]
+            i = next((i for i in holders[j] if i != r), None)
             if i is not None:
-                q = a[i][top] // a[top][top]
-                _row_sub(a, i, top, q)
-                if a[i][top] != 0:
-                    a[top], a[i] = a[i], a[top]
+                subtract(i, r, rows[i][j] // p)
+                if j in rows.get(i, ()):
+                    r = i
                 continue
-            j = next((c for c in range(top + 1, cols) if a[top][c] != 0), None)
-            if j is not None:
-                q = a[top][j] // a[top][top]
-                _col_sub(a, j, top, q)
-                if a[top][j] != 0:
-                    _col_swap(a, top, j)
-                # A column swap can repopulate the cleared column below the
-                # pivot; the loop restarts with a strictly smaller pivot.
-                continue
-            break
-        diag.append(abs(a[top][top]))
-        top += 1
+            if p in (1, -1):
+                break
+            row = rows[r]
+            for k in [k for k in row if k != j]:
+                row[k] %= p
+                if not row[k]:
+                    del row[k]
+                    holders[k].discard(r)
+            if len(row) == 1:
+                break
+            j = next(k for k in row if k != j)
+        diag.append(abs(p))
+        for k in rows.pop(r):
+            holders[k].discard(r)
     # Enforce the divisibility chain d1 | d2 | ... with the standard
     # gcd/lcm exchange on adjacent entries.
+    diag.sort()
     changed = True
     while changed:
         changed = False
@@ -130,39 +163,6 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
                 diag[i], diag[i + 1] = g, x * y // g
                 changed = True
     return diag
-
-
-def _smallest_nonzero(a, top):
-    best = None
-    for i in range(top, len(a)):
-        for j in range(top, len(a[0])):
-            v = abs(a[i][j])
-            if v and (best is None or v < abs(a[best[0]][best[1]])):
-                best = (i, j)
-    return best
-
-
-def _move_pivot(a, top, pivot):
-    i, j = pivot
-    a[top], a[i] = a[i], a[top]
-    if j != top:
-        _col_swap(a, top, j)
-
-
-def _col_swap(a, j1, j2):
-    for row in a:
-        row[j1], row[j2] = row[j2], row[j1]
-
-
-def _row_sub(a, i, src, q):
-    if q:
-        a[i] = [x - q * y for x, y in zip(a[i], a[src])]
-
-
-def _col_sub(a, j, src, q):
-    if q:
-        for row in a:
-            row[j] -= q * row[src]
 
 
 def rational_rank(matrix: Sequence[Sequence[int]]) -> int:
@@ -235,18 +235,8 @@ def homology(K: SimplicialComplex, max_degree: int | None = None) -> HomologyPro
     if max_degree is None:
         max_degree = max(K.dimension, 0)
     counts = [len(K.faces(d)) for d in range(max_degree + 2)]
-    ranks = []
-    torsions = []
-    for d in range(max_degree + 2):
-        factors = smith_normal_form(K.boundary_matrix(d)) if counts[d] else []
-        ranks.append(len(factors))
-        torsions.append(tuple(x for x in factors if x > 1))
-    betti = []
-    torsion_by_degree = []
-    for d in range(max_degree + 1):
-        kernel = counts[d] - ranks[d]
-        image_next = ranks[d + 1]
-        reduced = kernel - image_next
-        betti.append(reduced + (1 if d == 0 and counts[0] > 0 else 0))
-        torsion_by_degree.append(torsions[d + 1])
-    return HomologyProfile(tuple(betti), tuple(torsion_by_degree))
+    factors = [smith_normal_form(K.boundary_matrix(d)) if counts[d] else [] for d in range(max_degree + 2)]
+    ranks = [len(f) for f in factors]
+    # Degree 0 reduces against the augmentation: add the component it hides.
+    betti = tuple(counts[d] - ranks[d] - ranks[d + 1] + (d == 0 and counts[0] > 0) for d in range(max_degree + 1))
+    return HomologyProfile(betti, tuple(tuple(x for x in f if x > 1) for f in factors[1:]))

@@ -1,9 +1,13 @@
 """Command-line interface: every command, exit codes, determinism,
 round-tripping of emitted JSON."""
 
+import importlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -247,6 +251,67 @@ def test_raag_job_builds_one_flag_complex_and_one_homology(monkeypatch):
     code, out, _ = run_cli(["raag", "--graph", str(GOLDEN / "raag_octahedron.json"), "--n", "2"])
     assert (code, json.loads(out)["membership"]) == (0, "In")
     assert calls == {"flag_complex": 1, "homology": 1}
+
+
+def test_raag_job_reduces_each_boundary_map_once(monkeypatch):
+    # homology() hands every boundary map to the Smith form exactly once,
+    # through the module global: the octahedron at n = 2 needs degrees 0-1,
+    # so the maps from 0-, 1- and 2-chains, whose rows are the augmentation
+    # target, the 6 vertices and the 12 edges.
+    homology = importlib.import_module("cat0sigma.homology")  # the package exports a function of that name
+    shapes = []
+    original = homology.smith_normal_form
+
+    def counted(matrix):
+        shapes.append(len(matrix))
+        return original(matrix)
+
+    monkeypatch.setattr(homology, "smith_normal_form", counted)
+    code, out, _ = run_cli(["raag", "--graph", str(GOLDEN / "raag_octahedron.json"), "--n", "2"])
+    assert (code, json.loads(out)["membership"]) == (0, "In")
+    assert shapes == [1, 6, 12]
+
+
+def test_one_parser_serves_many_runs():
+    # The parser is built on the first run() and reused; interleaving good
+    # and malformed command lines in one process changes no result.
+    golden = json.loads((GOLDEN / "cli_stdout.json").read_text(encoding="utf-8"))
+    picks = [golden[i] for i in (0, 9, 13, 21, 25, len(golden) - 1)]
+    malformed = [
+        [],
+        ["nope"],
+        ["raag", "--n", "2"],
+        ["busemann", "--data"],
+        ["cocompact", "--data", str(GOLDEN / "cocompact_e2.json"), "--radius", "wide"],
+        ["verify", "--suite", "missing"],
+    ]
+    for _ in range(2):
+        for case, bad in zip(picks, malformed):
+            argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in case["argv"]]
+            code, out, _ = run_cli(argv)
+            assert (code, out) == (case["code"], case["stdout"]), case["argv"]
+            code, out, err = run_cli(bad)
+            assert (code, out) == (2, ""), bad
+            assert json.loads(err)["error"] == "UsageError"
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_parser_is_not_built_at_import():
+    probe = "import cat0sigma.cli as c; print(c.build_parser.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout == "0\n"
+
+
+def test_help_goes_to_the_given_stdout(capsys):
+    for argv in (["--help"], ["raag", "--help"]):
+        buf = io.StringIO()
+        assert cli.run(argv, stdout=buf) == 0
+        assert buf.getvalue().startswith("usage: cat0sigma")
+        assert capsys.readouterr() == ("", "")
+    # Without a stdout argument the usage goes to sys.stdout, as before.
+    assert cli.run(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: cat0sigma")
 
 
 def test_audit_command(tmp_path):

@@ -12,8 +12,9 @@ The package computes, exactly where the space allows it:
   desk-scale cocompactness decision (``actions``);
 * flag complexes, integer simplicial homology and the Bestvina-Brady
   diagonal test for right-angled Artin groups (``raag``, ``homology``);
-* the piecewise formulas for the dynamical invariant of cocompact tree
-  actions and of metabelian groups of finite Prufer rank (``treesigma``);
+* the piecewise formula for the dynamical invariant of cocompact tree
+  actions, with the lengths of metabelian groups of finite Prufer rank
+  read off the m-function (``treesigma``);
 * seeded property suites covering every checkable claim (``verify``) and a
   command-line interface (``cli``).
 """
@@ -87,10 +88,9 @@ from .treesigma import (
     GraphOfGroupsSummary,
     MFPRData,
     brown_consistency,
-    dynamical_sigma_fixed_end,
-    dynamical_sigma_mfpr,
-    dynamical_sigma_no_fixed_end,
+    dynamical_sigma,
     mfpr_lengths,
+    sigma_table,
 )
 
 __version__ = "0.1.0"

@@ -49,12 +49,6 @@ def _load(path):
     return data
 
 
-def _length(value):
-    if value in ("inf", math.inf):
-        return math.inf
-    return jsonio.parse_int(value)
-
-
 def _boundary_pair(space, pair):
     if not (isinstance(pair, list) and len(pair) == 2):
         raise ValueError(f"expected a list of two boundary points, got {pair!r}")
@@ -221,14 +215,10 @@ def _write_csv(path, rows) -> None:
             fh.write(f"{n},{v}\n")
 
 
-def cmd_tree_sigma(args, data):
-    summary = GraphOfGroupsSummary(
-        fl_group=_length(data["fl_group"]),
-        fl_stabilizers=_length(data["fl_stabilizers"]),
-        has_fixed_end=bool(data["has_fixed_end"]),
-        cl_character=_length(data["cl_character"]) if data.get("cl_character") is not None else None,
-    )
-    payload = {"command": "tree-sigma", "seed": args.seed, "summary": data}
+def _add_degrees(args, summary, payload) -> None:
+    """The degree report shared by tree-sigma and mfpr: a table up to --n (or
+    up to fl(G), 8 when it is infinite) when --table or --csv is given or
+    --n is not, and the value at --n when --table is not given."""
     if args.table or args.n is None or args.csv:
         n_max = args.n if args.n is not None else (int(summary.fl_group) if summary.fl_group != math.inf else 8)
         rows = ts.sigma_table(summary, n_max)
@@ -237,37 +227,30 @@ def cmd_tree_sigma(args, data):
             _write_csv(args.csv, rows)
             payload["csv"] = args.csv
     if args.n is not None and not args.table:
-        fn = ts.dynamical_sigma_fixed_end if summary.has_fixed_end else ts.dynamical_sigma_no_fixed_end
         payload["n"] = args.n
-        payload["value"] = fn(summary, args.n)
+        payload["value"] = ts.dynamical_sigma(summary, args.n)
+
+
+def cmd_tree_sigma(args, data):
+    payload = {"command": "tree-sigma", "seed": args.seed, "summary": data}
+    _add_degrees(args, GraphOfGroupsSummary.from_json(data), payload)
     return 0, payload
 
 
 def cmd_mfpr(args, data):
     mfpr = MFPRData.from_json(data)
-    lengths = ts.mfpr_lengths(mfpr)
+    summary = ts.mfpr_lengths(mfpr)
     payload = {
         "command": "mfpr",
         "seed": args.seed,
         "lengths": {
-            "fl_group": lengths.fl_group,
-            "cl_character": lengths.cl_character,
-            "fl_base": lengths.fl_base,
+            "fl_group": summary.fl_group,
+            "cl_character": summary.cl_character,
+            "fl_base": summary.fl_stabilizers,
         },
         "antipodal_pair": mfpr.has_antipodal_pair(),
     }
-    if args.n is not None and not args.table:
-        payload["n"] = args.n
-        payload["value"] = ts.dynamical_sigma_mfpr(lengths, args.n)
-    else:
-        n_max = args.n if args.n is not None else (
-            int(lengths.fl_group) if lengths.fl_group != math.inf else 8
-        )
-        rows = ts.sigma_table(ts.mfpr_summary(lengths), n_max)
-        payload["table"] = [{"n": n, "value": v} for n, v in rows]
-        if args.csv:
-            _write_csv(args.csv, rows)
-            payload["csv"] = args.csv
+    _add_degrees(args, summary, payload)
     if args.svg:
         svg.emit_sphere_svg(list(mfpr.complement), args.svg)
         payload["svg"] = args.svg

@@ -37,10 +37,6 @@ class UnknownGenerator(Cat0SigmaError):
     """A word uses a letter that is not a declared generator."""
 
 
-class DepthExhausted(Cat0SigmaError):
-    """A depth-bounded tree search hit its bound before deciding."""
-
-
 class EndNotFixed(Cat0SigmaError):
     """A generator moves the boundary point, so no character is induced."""
 

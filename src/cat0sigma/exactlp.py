@@ -82,39 +82,3 @@ def strictly_representable_fm(vectors: Sequence[Vector], target: Vector) -> bool
         coeffs = tuple(Fraction(-int(i == t)) for t in range(j))
         cons.append((coeffs, Fraction(0), True))  # -lam_i < 0
     return _fm_feasible(cons, j)
-
-
-def grid_witness(
-    vectors: Sequence[Vector],
-    target: Vector,
-    max_denominator: int = 6,
-    max_numerator: int = 24,
-) -> list[Fraction] | None:
-    """Search a rational coefficient grid for a strictly positive witness.
-
-    Only useful as a positive check: a hit proves representability, a miss
-    proves nothing.  Kept small; the elimination above is the one relied on
-    for decisions.
-    """
-    j = len(vectors)
-    if j == 0:
-        return None
-    k = len(target)
-    values = sorted(
-        {Fraction(num, den) for den in range(1, max_denominator + 1) for num in range(1, max_numerator + 1)}
-    )
-
-    def rec(prefix: list[Fraction]) -> list[Fraction] | None:
-        if len(prefix) == j:
-            for row in range(k):
-                total = sum(lam * Fraction(vectors[i][row]) for i, lam in enumerate(prefix))
-                if total != Fraction(target[row]):
-                    return None
-            return prefix
-        for v in values:
-            hit = rec(prefix + [v])
-            if hit is not None:
-                return hit
-        return None
-
-    return rec([])

@@ -196,13 +196,12 @@ def tietze_trivialize(generator_count: int, relators: list) -> TietzeCertificate
     trivialized=True only when no generators remain.
     """
     gens = set(range(1, generator_count + 1))
-    rels = [_cyclic_reduce(tuple(r)) for r in relators]
+    rels = [r for r in (_cyclic_reduce(tuple(r)) for r in relators) if r]
     steps = 0
     log = []
     changed = True
     while changed and steps < TIETZE_BUDGET:
         changed = False
-        rels = [r for r in (_cyclic_reduce(r) for r in rels) if r]
         rels.sort(key=len)
         for r in rels:
             steps += 1
@@ -219,6 +218,9 @@ def tietze_trivialize(generator_count: int, relators: list) -> TietzeCertificate
             new_rels = []
             for other in rels:
                 if other is r:
+                    continue
+                if lone not in other and -lone not in other:
+                    new_rels.append(other)
                     continue
                 word = []
                 for letter in other:

@@ -41,9 +41,19 @@ SINGLETON = "singleton"
 EMPTY = "empty"
 
 
+def _length(value):
+    """A length from JSON: an integer >= 0 or "inf"."""
+    if value in ("inf", INF):
+        return INF
+    n = parse_int(value)
+    if n < 0:
+        raise ValueError(f"a length is an integer >= 0 or \"inf\", got {value!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class GraphOfGroupsSummary:
-    """The three lengths steering the piecewise formulas.
+    """The three lengths steering the piecewise formula.
 
     fl_group and fl_stabilizers are finiteness lengths (stabilizers never
     exceed the group); cl_character is the connectivity length of the
@@ -70,29 +80,27 @@ class GraphOfGroupsSummary:
                     f"<= {self.fl_group} fails"
                 )
 
+    @staticmethod
+    def from_json(data) -> "GraphOfGroupsSummary":
+        cl = read_field(data, "cl_character", default=None)
+        return GraphOfGroupsSummary(
+            fl_group=_length(read_field(data, "fl_group")),
+            fl_stabilizers=_length(read_field(data, "fl_stabilizers")),
+            has_fixed_end=read_field(data, "has_fixed_end", bool),
+            cl_character=None if cl is None else _length(cl),
+        )
 
-def dynamical_sigma_no_fixed_end(summary: GraphOfGroupsSummary, n: int) -> str:
-    """Dynamical subset in degree n for a tree action without fixed end:
-    the whole boundary while n is at most the stabilizer length, empty
-    beyond it (up to the group's finiteness length)."""
-    if summary.has_fixed_end:
-        raise InvalidChain("summary declares a fixed end; use the fixed-end formula")
-    if n < 0 or n > summary.fl_group:
-        raise DegreeOutOfRange(f"degree {n} outside [0, {summary.fl_group}]")
-    return WHOLE_BOUNDARY if n <= summary.fl_stabilizers else EMPTY
 
-
-def dynamical_sigma_fixed_end(summary: GraphOfGroupsSummary, n: int) -> str:
-    """Dynamical subset in degree n for a tree action with exactly one
-    fixed end: whole boundary up to the stabilizer length, the fixed end
-    alone up to the connectivity length of its character, empty beyond."""
-    if not summary.has_fixed_end:
-        raise InvalidChain("summary declares no fixed end; use the no-fixed-end formula")
+def dynamical_sigma(summary: GraphOfGroupsSummary, n: int) -> str:
+    """Dynamical subset in degree n: the whole boundary while n is at most
+    the stabilizer length, then the fixed end alone (when the tree has one)
+    while n is at most the connectivity length of its character, empty
+    beyond, up to the group's finiteness length."""
     if n < 0 or n > summary.fl_group:
         raise DegreeOutOfRange(f"degree {n} outside [0, {summary.fl_group}]")
     if n <= summary.fl_stabilizers:
         return WHOLE_BOUNDARY
-    if n <= summary.cl_character:
+    if summary.has_fixed_end and n <= summary.cl_character:
         return SINGLETON
     return EMPTY
 
@@ -104,8 +112,7 @@ def sigma_table(summary: GraphOfGroupsSummary, n_max: Optional[int] = None) -> l
         if summary.fl_group == INF:
             raise DegreeOutOfRange("unbounded table: pass n_max for infinite fl")
         n_max = int(summary.fl_group)
-    fn = dynamical_sigma_fixed_end if summary.has_fixed_end else dynamical_sigma_no_fixed_end
-    return [(n, fn(summary, n)) for n in range(0, n_max + 1)]
+    return [(n, dynamical_sigma(summary, n)) for n in range(0, n_max + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -160,50 +167,21 @@ class MFPRData:
         return MFPRData(parse_int(read_field(data, "k")), pts, chi)
 
 
-@dataclass(frozen=True)
-class MFPRLengths:
-    fl_group: object
-    cl_character: object
-    fl_base: object
-
-
-def mfpr_lengths(data: MFPRData) -> MFPRLengths:
-    """The three lengths of an MFPR splitting, through the m-function:
-    fl(G) = m(0), cl(chi) = min(m(chi), m(0)), and the base group's length
-    min(m(chi), m(-chi), m(0))."""
+def mfpr_lengths(data: MFPRData) -> GraphOfGroupsSummary:
+    """The lengths of an MFPR splitting, through the m-function: fl(G) =
+    m(0), cl(chi) = min(m(chi), m(0)), and the base group's length
+    min(m(chi), m(-chi), m(0)) as the stabilizer length.  The rooted tree
+    of the splitting has a fixed end."""
     chi = data.splitting_character
     m_zero = m_value(data.complement, Character.zero(data.k)).value
     m_chi = m_value(data.complement, chi).value
     m_neg = m_value(data.complement, -chi).value
-    return MFPRLengths(
-        fl_group=m_zero,
-        cl_character=min(m_chi, m_zero),
-        fl_base=min(m_chi, m_neg, m_zero),
-    )
-
-
-def mfpr_summary(lengths: MFPRLengths) -> GraphOfGroupsSummary:
     return GraphOfGroupsSummary(
-        fl_group=lengths.fl_group,
-        fl_stabilizers=lengths.fl_base,
+        fl_group=m_zero,
+        fl_stabilizers=min(m_chi, m_neg, m_zero),
         has_fixed_end=True,
-        cl_character=lengths.cl_character,
+        cl_character=min(m_chi, m_zero),
     )
-
-
-def dynamical_sigma_mfpr(lengths: MFPRLengths, n: int) -> str:
-    """Dynamical subset in degree n for the rooted tree of an MFPR
-    splitting with these lengths (from ``mfpr_lengths``): whole boundary
-    while n is at most min(m(chi), m(-chi), m(0)), the fixed end alone
-    while n is at most min(m(chi), m(0)), empty up to m(0).  Coincides with
-    the fixed-end formula applied to ``mfpr_summary(lengths)``."""
-    if n < 0 or n > lengths.fl_group:
-        raise DegreeOutOfRange(f"degree {n} outside [0, {lengths.fl_group}]")
-    if n <= lengths.fl_base:
-        return WHOLE_BOUNDARY
-    if n <= lengths.cl_character:
-        return SINGLETON
-    return EMPTY
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +234,13 @@ def generate_sphere_points(rng: random.Random, k: int, count: int, forbid_antipo
     return points
 
 
-def generate_mfpr_data(rng: random.Random, k_max: int = 3, size_max: int = 6) -> MFPRData:
-    """Random MFPR instance: rational complement without antipodal pairs
-    and a splitting character whose negative ray lies in the complement
-    (as Brown's theorem requires of a genuine splitting)."""
-    k = rng.randrange(1, k_max + 1)
-    size = rng.randrange(1, size_max + 1)
+def generate_mfpr_data(rng: random.Random) -> MFPRData:
+    """Random MFPR instance of rank 1-3 with 1-6 complement points: a
+    rational complement without antipodal pairs and a splitting character
+    whose negative ray lies in the complement (as Brown's theorem requires
+    of a genuine splitting)."""
+    k = rng.randrange(1, 4)
+    size = rng.randrange(1, 7)
     points = generate_sphere_points(rng, k, size)
     if not points:
         points = [SpherePoint(tuple(1 if i == 0 else 0 for i in range(k)))]
@@ -271,15 +250,10 @@ def generate_mfpr_data(rng: random.Random, k_max: int = 3, size_max: int = 6) ->
     return MFPRData(k, points, chi)
 
 
-def generate_summary(rng: random.Random, allow_infinite: bool = False) -> GraphOfGroupsSummary:
-    values = list(range(0, 7)) + ([INF] if allow_infinite else [])
-    fl_group = rng.choice(values)
-    finite_cap = 6 if fl_group == INF else fl_group
-    fl_stab = rng.choice([v for v in range(0, int(finite_cap) + 1)])
+def generate_summary(rng: random.Random) -> GraphOfGroupsSummary:
+    """Random finite lengths up to 6, with a fixed end half of the time."""
+    fl_group = rng.choice(range(7))
+    fl_stab = rng.choice(range(fl_group + 1))
     if rng.random() < 0.5:
         return GraphOfGroupsSummary(fl_group, fl_stab, False)
-    if fl_group == INF:
-        cl = rng.choice([v for v in range(fl_stab, 7)] + [INF])
-    else:
-        cl = rng.randrange(fl_stab, int(fl_group) + 1)
-    return GraphOfGroupsSummary(fl_group, fl_stab, True, cl)
+    return GraphOfGroupsSummary(fl_group, fl_stab, True, rng.randrange(fl_stab, fl_group + 1))

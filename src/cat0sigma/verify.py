@@ -18,7 +18,6 @@ from typing import Callable, Optional
 from . import actions as ac
 from . import spaces as sp
 from . import treesigma as ts
-from .errors import DegreeOutOfRange
 from .exactlp import strictly_representable_fm
 from .raag import IN, OUT, SimpleGraph, bestvina_brady
 from .sphere import Character, m_value, normalize_ray
@@ -484,6 +483,20 @@ def suite_sphere(seed: int = 0, cases: int = 200) -> SuiteReport:
 # Piecewise formulas for tree invariants
 
 
+def mfpr_sigma_oracle(data: ts.MFPRData, horizon: int = 8) -> list:
+    """The dynamical subset of an MFPR splitting in degrees 0..min(m(0),
+    horizon), by the paper's rule read off three m-values and no treesigma
+    formula code: the whole boundary while n <= min(m(chi), m(-chi), m(0)),
+    the fixed end alone while n <= min(m(chi), m(0)), empty up to m(0)."""
+    chi = data.splitting_character
+    m_zero = m_value(data.complement, Character.zero(data.k)).value
+    m_chi = m_value(data.complement, chi).value
+    m_neg = m_value(data.complement, -chi).value
+    whole, fixed_end = min(m_chi, m_neg, m_zero), min(m_chi, m_zero)
+    top = horizon if m_zero == math.inf else min(int(m_zero), horizon)
+    return [ts.WHOLE_BOUNDARY if n <= whole else ts.SINGLETON if n <= fixed_end else ts.EMPTY for n in range(top + 1)]
+
+
 def suite_treesigma(seed: int = 0, cases: int = 100) -> SuiteReport:
     report = SuiteReport("treesigma", seed)
     consistent = report.check("MFPR formula factors through the three lengths")
@@ -492,37 +505,24 @@ def suite_treesigma(seed: int = 0, cases: int = 100) -> SuiteReport:
     rng = random.Random(str((seed, "treesigma")))
     for i in range(cases):
         data = ts.generate_mfpr_data(rng)
-        lengths = ts.mfpr_lengths(data)
-        summary = ts.mfpr_summary(lengths)
-        horizon = 8 if lengths.fl_group == math.inf else int(lengths.fl_group)
-        ok = True
-        for n in range(0, min(horizon, 8) + 1):
-            try:
-                direct = ts.dynamical_sigma_mfpr(lengths, n)
-            except DegreeOutOfRange:
-                break
-            via_summary = ts.dynamical_sigma_fixed_end(summary, n)
-            ok = ok and direct == via_summary
-        consistent.record(ok)
+        summary = ts.mfpr_lengths(data)
+        expected = mfpr_sigma_oracle(data)
+        consistent.record([ts.dynamical_sigma(summary, n) for n in range(len(expected))] == expected)
         if not data.has_antipodal_pair():
-            convention.record(lengths.fl_group >= 2)
+            convention.record(summary.fl_group >= 2)
 
         summary2 = ts.generate_summary(rng)
-        if summary2.fl_group != math.inf:
-            values = [
-                (ts.dynamical_sigma_fixed_end if summary2.has_fixed_end else ts.dynamical_sigma_no_fixed_end)(summary2, n)
-                for n in range(0, int(summary2.fl_group) + 1)
-            ]
-            expected_whole = int(summary2.fl_stabilizers) + 1
-            whole = sum(1 for v in values if v == ts.WHOLE_BOUNDARY)
-            empty = sum(1 for v in values if v == ts.EMPTY)
-            single = sum(1 for v in values if v == ts.SINGLETON)
-            ok = whole == expected_whole and whole + empty + single == len(values)
-            if summary2.has_fixed_end:
-                ok = ok and single == int(summary2.cl_character) - int(summary2.fl_stabilizers)
-            else:
-                ok = ok and single == 0
-            partition.record(ok)
+        values = [v for _, v in ts.sigma_table(summary2)]
+        expected_whole = int(summary2.fl_stabilizers) + 1
+        whole = sum(1 for v in values if v == ts.WHOLE_BOUNDARY)
+        empty = sum(1 for v in values if v == ts.EMPTY)
+        single = sum(1 for v in values if v == ts.SINGLETON)
+        ok = whole == expected_whole and whole + empty + single == len(values)
+        if summary2.has_fixed_end:
+            ok = ok and single == int(summary2.cl_character) - int(summary2.fl_stabilizers)
+        else:
+            ok = ok and single == 0
+        partition.record(ok)
     return report
 
 

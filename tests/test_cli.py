@@ -174,6 +174,29 @@ def test_mfpr_command(tmp_path):
     assert [row["value"] for row in payload["table"]] == ["whole_boundary", "whole_boundary"]
 
 
+def test_mfpr_and_tree_sigma_share_the_degree_report(tmp_path):
+    # An MFPR splitting with lengths fl(G) = inf, cl(chi) = inf, base 1, and
+    # a tree-sigma summary with the same lengths: the same flags give the
+    # same table, value and CSV rows.
+    mfpr = write(
+        tmp_path, "m.json", {"k": 2, "complement": [[-2, -1], [1, 2], [2, 3]], "splitting_character": ["-2", "-4"]}
+    )
+    summary = write(
+        tmp_path, "s.json", {"fl_group": "inf", "fl_stabilizers": 1, "has_fixed_end": True, "cl_character": "inf"}
+    )
+    for n in ("1", "2"):
+        reports = []
+        for command, data in (("mfpr", mfpr), ("tree-sigma", summary)):
+            csv = tmp_path / f"{command}-{n}.csv"
+            code, out, err = run_cli([command, "--data", data, "--n", n, "--csv", str(csv)])
+            assert (code, err) == (0, ""), command
+            payload = json.loads(out)
+            assert payload["csv"] == str(csv)
+            reports.append((csv.read_text(encoding="utf-8"), payload["table"], payload["value"]))
+        assert reports[0] == reports[1]
+    assert reports[0][0] == "n,value\n0,whole_boundary\n1,whole_boundary\n2,singleton\n"
+
+
 def test_mfpr_rejects_rank_zero(tmp_path):
     data = write(tmp_path, "m0.json", {"k": 0, "complement": [], "splitting_character": []})
     code, out, err = run_cli(["mfpr", "--data", data, "--table"])
@@ -414,6 +437,20 @@ MALFORMED = {
     "mfpr-complement-point-number": ("mfpr", {"k": 1, "complement": [1], "splitting_character": ["-1"]}),
     "mfpr-character-coordinate-list": ("mfpr", {"k": 2, "complement": [[1, 0]], "splitting_character": [[1], 0]}),
     "mfpr-character-number": ("mfpr", {"k": 1, "complement": [[1]], "splitting_character": 5}),
+    "tree-sigma-fixed-end-string-false": (
+        "tree-sigma",
+        {"fl_group": 3, "fl_stabilizers": 1, "has_fixed_end": "false", "cl_character": 2},
+    ),
+    "tree-sigma-fixed-end-string": (
+        "tree-sigma",
+        {"fl_group": 3, "fl_stabilizers": 1, "has_fixed_end": "x", "cl_character": 2},
+    ),
+    "tree-sigma-fixed-end-number": (
+        "tree-sigma",
+        {"fl_group": 3, "fl_stabilizers": 1, "has_fixed_end": -1, "cl_character": 2},
+    ),
+    "tree-sigma-negative-lengths": ("tree-sigma", {"fl_group": -1, "fl_stabilizers": -1, "has_fixed_end": False}),
+    "tree-sigma-length-list": ("tree-sigma", {"fl_group": [3], "fl_stabilizers": 1, "has_fixed_end": False}),
 }
 
 

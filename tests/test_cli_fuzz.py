@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from cat0sigma import cli
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
-FUZZED_COMMANDS = {"busemann", "tits", "character", "shift", "audit"}
+FUZZED_COMMANDS = {"busemann", "tits", "character", "shift", "audit", "tree-sigma"}
 CASES = [
     case["argv"]
     for case in json.loads((GOLDEN / "cli_stdout.json").read_text(encoding="utf-8"))

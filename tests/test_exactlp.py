@@ -4,7 +4,7 @@ the integer kernel test of the m-function search."""
 import random
 from fractions import Fraction as F
 
-from cat0sigma.exactlp import grid_witness, strictly_representable_fm
+from cat0sigma.exactlp import strictly_representable_fm
 from cat0sigma.homology import rational_rank
 from cat0sigma.sphere import _positive_kernel
 
@@ -45,9 +45,3 @@ def test_fm_matches_positive_kernel_on_seeded_systems():
         assert strictly_representable_fm(vectors, target) == _positive_kernel(columns), (vectors, target)
     assert compared > 200
 
-
-def test_grid_witness_confirms_feasible_cases():
-    vectors = [(F(1), F(0)), (F(0), F(1))]
-    hit = grid_witness(vectors, (F(2), F(3)))
-    assert hit == [F(2), F(3)]
-    assert grid_witness([(F(-1),)], (F(1),)) is None

@@ -103,6 +103,21 @@ def test_tietze_trivializes_simple_presentations():
     assert not cert.trivialized
 
 
+def test_tietze_reduces_only_rewritten_relators(monkeypatch):
+    # Each input relator is cyclically reduced once, and after that only a
+    # relator rewritten by a substitution is reduced again.
+    calls = []
+    reduce = raag._cyclic_reduce
+    monkeypatch.setattr(raag, "_cyclic_reduce", lambda word: calls.append(word) or reduce(word))
+    for graph, relators, expected in ((SimpleGraph.octahedron(), 8, 15), (SimpleGraph.complete(8), 56, 161)):
+        calls.clear()
+        gens, rels = edge_path_presentation(flag_complex(graph))
+        assert len(rels) == relators
+        cert = tietze_trivialize(gens, rels)
+        assert cert.trivialized and cert.steps > 0
+        assert len(calls) == expected
+
+
 def test_edge_path_group_of_sphere_is_trivial():
     octa = flag_complex(SimpleGraph.octahedron())
     gens, rels = edge_path_presentation(octa)

@@ -16,39 +16,40 @@ from cat0sigma.treesigma import (
     GraphOfGroupsSummary,
     MFPRData,
     brown_consistency,
-    dynamical_sigma_fixed_end,
-    dynamical_sigma_mfpr,
-    dynamical_sigma_no_fixed_end,
+    dynamical_sigma,
     generate_mfpr_data,
     generate_summary,
     mfpr_lengths,
-    mfpr_summary,
     sigma_table,
 )
+from cat0sigma.verify import mfpr_sigma_oracle
 
 INF = math.inf
 
 
 def test_no_fixed_end_formula():
     s = GraphOfGroupsSummary(4, 2, False)
-    assert dynamical_sigma_no_fixed_end(s, 1) == WHOLE_BOUNDARY
-    assert dynamical_sigma_no_fixed_end(s, 2) == WHOLE_BOUNDARY
-    assert dynamical_sigma_no_fixed_end(s, 3) == EMPTY
+    assert dynamical_sigma(s, 1) == WHOLE_BOUNDARY
+    assert dynamical_sigma(s, 2) == WHOLE_BOUNDARY
+    assert dynamical_sigma(s, 3) == EMPTY
     with pytest.raises(DegreeOutOfRange):
-        dynamical_sigma_no_fixed_end(s, 5)
-    with pytest.raises(InvalidChain):
-        dynamical_sigma_fixed_end(s, 1)
+        dynamical_sigma(s, 5)
+    with pytest.raises(DegreeOutOfRange):
+        dynamical_sigma(s, -1)
+    # Without a fixed end a connectivity length is ignored: no singleton.
+    s2 = GraphOfGroupsSummary(4, 1, False, 3)
+    assert [dynamical_sigma(s2, n) for n in range(5)] == [WHOLE_BOUNDARY] * 2 + [EMPTY] * 3
 
 
 def test_fixed_end_formula():
     s = GraphOfGroupsSummary(3, 1, True, 2)
-    values = [dynamical_sigma_fixed_end(s, n) for n in range(4)]
+    values = [dynamical_sigma(s, n) for n in range(4)]
     assert values == [WHOLE_BOUNDARY, WHOLE_BOUNDARY, SINGLETON, EMPTY]
     with pytest.raises(DegreeOutOfRange):
-        dynamical_sigma_fixed_end(s, 4)
+        dynamical_sigma(s, 4)
     # cl equal to the stabilizer length collapses the singleton range.
     s2 = GraphOfGroupsSummary(3, 1, True, 1)
-    assert [dynamical_sigma_fixed_end(s2, n) for n in range(4)] == [
+    assert [dynamical_sigma(s2, n) for n in range(4)] == [
         WHOLE_BOUNDARY,
         WHOLE_BOUNDARY,
         EMPTY,
@@ -86,12 +87,12 @@ def test_mfpr_lengths_frozen_examples():
     # Empty complement: every length is infinite.
     empty = MFPRData(2, [], Character([1, 0]))
     lengths = mfpr_lengths(empty)
-    assert (lengths.fl_group, lengths.cl_character, lengths.fl_base) == (INF, INF, INF)
+    assert lengths == GraphOfGroupsSummary(INF, INF, True, INF)
 
     # One dimensional pair with chi = (-1).
     pair = MFPRData(1, [SpherePoint((1,)), SpherePoint((-1,))], Character([-1]))
     lengths = mfpr_lengths(pair)
-    assert (lengths.fl_group, lengths.cl_character, lengths.fl_base) == (1, 1, 1)
+    assert lengths == GraphOfGroupsSummary(1, 1, True, 1)
 
     # Three rays at mutual 120 degrees, chi = -v1.
     trio = MFPRData(
@@ -100,7 +101,7 @@ def test_mfpr_lengths_frozen_examples():
         Character([-1, 0]),
     )
     lengths = mfpr_lengths(trio)
-    assert (lengths.fl_group, lengths.cl_character, lengths.fl_base) == (2, 1, 1)
+    assert lengths == GraphOfGroupsSummary(fl_group=2, fl_stabilizers=1, has_fixed_end=True, cl_character=1)
 
 
 def test_mfpr_piecewise_values():
@@ -110,24 +111,30 @@ def test_mfpr_piecewise_values():
         Character([-1, 0]),
     )
     lengths = mfpr_lengths(trio)
-    assert dynamical_sigma_mfpr(lengths, 0) == WHOLE_BOUNDARY
-    assert dynamical_sigma_mfpr(lengths, 1) == WHOLE_BOUNDARY
-    assert dynamical_sigma_mfpr(lengths, 2) == EMPTY
+    assert dynamical_sigma(lengths, 0) == WHOLE_BOUNDARY
+    assert dynamical_sigma(lengths, 1) == WHOLE_BOUNDARY
+    assert dynamical_sigma(lengths, 2) == EMPTY
     with pytest.raises(DegreeOutOfRange):
-        dynamical_sigma_mfpr(lengths, 3)
+        dynamical_sigma(lengths, 3)
 
     empty = mfpr_lengths(MFPRData(2, [], Character([1, 0])))
     for n in range(6):
-        assert dynamical_sigma_mfpr(empty, n) == WHOLE_BOUNDARY
+        assert dynamical_sigma(empty, n) == WHOLE_BOUNDARY
 
 
 def test_mfpr_matches_fixed_end_formula(rng):
+    # The fixed-end formula on the MFPR lengths agrees with the paper's rule
+    # evaluated straight from m(0), m(chi) and m(-chi); the singleton range
+    # is met on some of the instances.
+    singletons = 0
     for _ in range(40):
-        lengths = mfpr_lengths(generate_mfpr_data(rng))
-        summary = mfpr_summary(lengths)
-        horizon = 8 if summary.fl_group == INF else int(summary.fl_group)
-        for n in range(0, min(horizon, 8) + 1):
-            assert dynamical_sigma_mfpr(lengths, n) == dynamical_sigma_fixed_end(summary, n)
+        data = generate_mfpr_data(rng)
+        summary = mfpr_lengths(data)
+        assert summary.has_fixed_end
+        expected = mfpr_sigma_oracle(data)
+        assert [dynamical_sigma(summary, n) for n in range(len(expected))] == expected
+        singletons += SINGLETON in expected
+    assert singletons > 0
 
 
 def test_antipodal_pair_detection_and_convention(rng):

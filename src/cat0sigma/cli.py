@@ -19,7 +19,7 @@ import sys
 
 from . import actions as ac
 from . import jsonio, spaces as sp, svg, treesigma as ts, verify
-from .errors import Cat0SigmaError, UnsupportedDimension, UsageError
+from .errors import Cat0SigmaError, DegreeOutOfRange, UnsupportedDimension, UsageError
 from .raag import SimpleGraph, connectivity_verdict, coordinate_hemisphere, flag_complex
 from .sphere import PolyhedralSet
 from .treesigma import GraphOfGroupsSummary, MFPRData
@@ -218,7 +218,10 @@ def _write_csv(path, rows) -> None:
 def _add_degrees(args, summary, payload) -> None:
     """The degree report shared by tree-sigma and mfpr: a table up to --n (or
     up to fl(G), 8 when it is infinite) when --table or --csv is given or
-    --n is not, and the value at --n when --table is not given."""
+    --n is not, and the value at --n when --table is not given.  A negative
+    --n is rejected before any table or CSV is made."""
+    if args.n is not None and args.n < 0:
+        raise DegreeOutOfRange(f"degree {args.n} outside [0, {summary.fl_group}]")
     if args.table or args.n is None or args.csv:
         n_max = args.n if args.n is not None else (int(summary.fl_group) if summary.fl_group != math.inf else 8)
         rows = ts.sigma_table(summary, n_max)

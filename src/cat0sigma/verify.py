@@ -483,9 +483,9 @@ def suite_sphere(seed: int = 0, cases: int = 200) -> SuiteReport:
 # Piecewise formulas for tree invariants
 
 
-def mfpr_sigma_oracle(data: ts.MFPRData, horizon: int = 8) -> list:
-    """The dynamical subset of an MFPR splitting in degrees 0..min(m(0),
-    horizon), by the paper's rule read off three m-values and no treesigma
+def mfpr_sigma_oracle(data: ts.MFPRData) -> list:
+    """The dynamical subset of an MFPR splitting in degrees 0..min(m(0), 8),
+    by the paper's rule read off three m-values and no treesigma
     formula code: the whole boundary while n <= min(m(chi), m(-chi), m(0)),
     the fixed end alone while n <= min(m(chi), m(0)), empty up to m(0)."""
     chi = data.splitting_character
@@ -493,7 +493,7 @@ def mfpr_sigma_oracle(data: ts.MFPRData, horizon: int = 8) -> list:
     m_chi = m_value(data.complement, chi).value
     m_neg = m_value(data.complement, -chi).value
     whole, fixed_end = min(m_chi, m_neg, m_zero), min(m_chi, m_zero)
-    top = horizon if m_zero == math.inf else min(int(m_zero), horizon)
+    top = 8 if m_zero == math.inf else min(int(m_zero), 8)
     return [ts.WHOLE_BOUNDARY if n <= whole else ts.SINGLETON if n <= fixed_end else ts.EMPTY for n in range(top + 1)]
 
 

@@ -197,6 +197,25 @@ def test_mfpr_and_tree_sigma_share_the_degree_report(tmp_path):
     assert reports[0][0] == "n,value\n0,whole_boundary\n1,whole_boundary\n2,singleton\n"
 
 
+@pytest.mark.parametrize("flags", [["--table"], ["--csv"], []], ids=["table", "csv", "value"])
+@pytest.mark.parametrize("command", ["mfpr", "tree-sigma"])
+def test_negative_degree_is_an_input_error(tmp_path, command, flags):
+    data = write(
+        tmp_path,
+        "d.json",
+        {"k": 1, "complement": [[1], [-1]], "splitting_character": ["-1"]}
+        if command == "mfpr"
+        else {"fl_group": 3, "fl_stabilizers": 1, "has_fixed_end": True, "cl_character": 2},
+    )
+    csv = tmp_path / "out.csv"
+    if flags == ["--csv"]:
+        flags = ["--csv", str(csv)]
+    code, out, err = run_cli([command, "--data", data, "--n", "-1", *flags])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "DegreeOutOfRange"
+    assert not csv.exists()
+
+
 def test_mfpr_rejects_rank_zero(tmp_path):
     data = write(tmp_path, "m0.json", {"k": 0, "complement": [], "splitting_character": []})
     code, out, err = run_cli(["mfpr", "--data", data, "--table"])

@@ -576,22 +576,22 @@ class FixedEndReport:
 
     ``status`` is one of empty / singleton / pair / all / unknown.  A pair
     only arises in the axis case: the two ends of a common translation
-    axis.  ``unknown`` is the honest answer when the search bound is hit.
+    axis.  ``unknown`` is the answer for elliptic generators on a word
+    tree, where no exact rule applies.
     """
 
     status: str
     ends: tuple = ()
-    depth: int = 0
 
 
-def fixed_ends_tree(action: GroupAction, depth: int = 8) -> FixedEndReport:
+def fixed_ends_tree(action: GroupAction) -> FixedEndReport:
     if not action.space.exact:
         raise WrongSpace("fixed_ends_tree needs a tree action")
     space = action.space
     gens = {name: iso for name, iso in action.generators.items()}
     classes = {name: classify_isometry(action, name) for name in sorted(gens)}
     if all(c.kind == "identity" for c in classes.values()):
-        return FixedEndReport("all", (), depth)
+        return FixedEndReport("all")
 
     def fixed_by_all(end) -> bool:
         return all(
@@ -605,10 +605,10 @@ def fixed_ends_tree(action: GroupAction, depth: int = 8) -> FixedEndReport:
         candidates = classes[hyperbolic[0]].axis_ends
         fixed = tuple(e for e in candidates if fixed_by_all(e))
         if len(fixed) == 0:
-            return FixedEndReport("empty", (), depth)
+            return FixedEndReport("empty")
         if len(fixed) == 1:
-            return FixedEndReport("singleton", fixed, depth)
-        return FixedEndReport("pair", fixed, depth)
+            return FixedEndReport("singleton", fixed)
+        return FixedEndReport("pair", fixed)
 
     # Only elliptic generators remain.  On the HNN tree a nontrivial
     # translation x -> x + b fixes the upward end and no downward end, so
@@ -616,9 +616,9 @@ def fixed_ends_tree(action: GroupAction, depth: int = 8) -> FixedEndReport:
     if isometry_type(space) is HnnIsometry:
         up = HnnUp()
         if fixed_by_all(up):
-            return FixedEndReport("singleton", (up,), depth)
-        return FixedEndReport("empty", (), depth)
-    return FixedEndReport("unknown", (), depth)
+            return FixedEndReport("singleton", (up,))
+        return FixedEndReport("empty")
+    return FixedEndReport("unknown")
 
 
 # ---------------------------------------------------------------------------
@@ -860,6 +860,8 @@ def cocompactness_witness(action: GroupAction, a, radius: float, depth: int = 6,
     without either certificate, or when the orbit outgrows ORBIT_BUDGET
     points before the depth is reached.
     """
+    if depth < 0 or not radius >= 0:  # NaN fails every comparison
+        raise ValueError(f"depth {depth} and radius {radius} must be nonnegative numbers")
     space = action.space
     a = space.check_point(a)
     orbit, reached = _orbit(action, a, depth)

@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import UnknownVertex
+from .errors import DegreeOutOfRange, UnknownVertex
 from .homology import HomologyProfile, SimplicialComplex, homology
 from .jsonio import parse_int, read_field
 from .sphere import OpenHemisphere, SpherePoint
@@ -325,6 +325,8 @@ def connectivity_verdict(K: SimplicialComplex, n: int) -> ConnectivityVerdict:
     reduced homology vanishes through degree 1 (connected, H1 = 0); the
     homology vanishing field reports degrees 0..max(n-1, 0).
     """
+    if n < 0:
+        raise DegreeOutOfRange(f"degree {n} is negative")
     if not K.simplices:
         return ConnectivityVerdict(n, False, NO, NO, NO)
     profile = homology(K, max_degree=max(n - 1, 1))

@@ -12,9 +12,11 @@ Three families cover everything the rest of the package needs:
   denominator divides a power of n.  Each vertex has one parent (toward
   the distinguished fixed end) and n children.
 
-Edges all have length one.  Every non-root vertex has a parent, so
-geodesics resolve by climbing to the common ancestor; all quantities are
-exact over ints and Fractions.
+Edges all have length one.  Geodesics come from closed forms, not from
+walks: the meet of two vertices is their longest common prefix (word
+trees) or the smallest ball holding both centers (HNN tree), and the k-th
+vertex of a ray is an ancestor or lies on the end past the branch point.
+All quantities are exact over ints and Fractions.
 
 Ends are restricted to the eventually periodic ones -- the computable
 dense subset of the boundary.  For the word trees an end is a canonical
@@ -24,7 +26,7 @@ or a downward end labeled by the rational it converges to n-adically.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +35,12 @@ from typing import Optional, Union
 from .jsonio import parse_fraction, parse_int, read_field
 
 Word = tuple[int, ...]
+
+
+def _common_prefix(a: Word, b: Word) -> int:
+    """Length of the longest common prefix of two words."""
+    n = min(len(a), len(b))
+    return next((i for i in range(n) if a[i] != b[i]), n)
 
 
 # ---------------------------------------------------------------------------
@@ -51,11 +59,6 @@ class WordEnd:
 
     prefix: Word
     period: Word
-
-    def letter(self, i: int) -> int:
-        if i < len(self.prefix):
-            return self.prefix[i]
-        return self.period[(i - len(self.prefix)) % len(self.period)]
 
     def head(self, n: int) -> Word:
         return (self.prefix + self.period * (n // len(self.period) + 1))[:n]
@@ -123,49 +126,38 @@ TreeEnd = Union[WordEnd, HnnUp, HnnDown]
 # n-adic helpers
 
 
-def _prime_factors(n: int) -> list[int]:
-    out, d, m = [], 2, n
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
 def _shared_part(den: int, n: int) -> int:
-    """Largest divisor of den built from primes of n."""
-    g = 1
-    for p in _prime_factors(n):
-        while den % p == 0:
-            den //= p
-            g *= p
-    return g
+    """Largest divisor of den built from primes of n: every prime power
+    dividing den has exponent below den.bit_length()."""
+    return math.gcd(den, n ** den.bit_length())
 
 
 def n_valuation(x: Fraction, n: int) -> int | float:
     """Largest h such that x / n^h is n-adically integral; +inf for x = 0.
 
-    Denominator factors coprime to n are units and are ignored.
+    Denominator factors coprime to n are units and are ignored.  The test
+    "x / n^h is integral" holds exactly for h up to the valuation, so a
+    doubling search brackets the valuation and bisection pins it down.
     """
     if x == 0:
         return math.inf
-    shared = _shared_part(x.denominator, n)
-    w = Fraction(x.numerator, shared)
-    h = 0
-    if w.denominator == 1:
-        v = abs(w.numerator)
-        while v % n == 0:
-            v //= n
-            h += 1
-        return h
-    while w.denominator != 1:
-        w *= n
-        h -= 1
-    return h
+    num, shared = x.numerator, _shared_part(x.denominator, n)
+
+    def integral(h: int) -> bool:
+        # The numerator is prime to the denominator, so x n^-h is integral
+        # when n^-h absorbs the shared part, and x / n^h (h >= 0) when there
+        # is no shared part and n^h divides the numerator.
+        return n ** -h % shared == 0 if h < 0 else shared == 1 and num % n ** h == 0
+
+    lo, hi = (0, 1) if integral(0) else (-1, 0)
+    while integral(hi):
+        lo, hi = hi, 2 * hi
+    while not integral(lo):
+        lo, hi = 2 * lo, lo
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if integral(mid) else (lo, mid)
+    return lo
 
 
 @dataclass(frozen=True)
@@ -182,7 +174,8 @@ class HnnVertex:
 
 class TreeModel:
     """Shared geodesic machinery.  Subclasses supply the local structure,
-    the JSON readers ``parse_vertex`` and ``parse_end`` (docs/formats.md),
+    the closed forms ``ancestor``, ``meet`` and ``ray_vertex``, the JSON
+    readers ``parse_vertex`` and ``parse_end`` (docs/formats.md),
     ``sample_end(rng)`` for the seeded samplers, and ``basic_ends()``: a
     few ends of rays from the base vertex, probed by the cocompactness
     test."""
@@ -191,7 +184,7 @@ class TreeModel:
         raise NotImplementedError
 
     def parent(self, v):
-        raise NotImplementedError
+        return self.ancestor(v, 1)
 
     def level(self, v) -> int:
         raise NotImplementedError
@@ -199,8 +192,17 @@ class TreeModel:
     def children(self, v) -> list:
         raise NotImplementedError
 
-    def end_step(self, v, end):
-        """The neighbor of v on the geodesic ray from v to the end."""
+    def ancestor(self, v, k: int):
+        """The vertex k levels above v."""
+        raise NotImplementedError
+
+    def meet(self, u, v) -> tuple[object, int, int]:
+        """The highest vertex of the geodesic from u to v, with the number
+        of steps from u and from v up to it."""
+        raise NotImplementedError
+
+    def ray_vertex(self, v, end, k: int):
+        """The k-th vertex of the geodesic ray from v to the end."""
         raise NotImplementedError
 
     def check_vertex(self, v) -> None:
@@ -220,40 +222,9 @@ class TreeModel:
             nbrs = nbrs + [parent]
         return nbrs
 
-    # -- generic geodesics -------------------------------------------------
-
-    def meet(self, u, v) -> tuple[object, int, int]:
-        """The highest vertex of the geodesic from u to v, where the climbs
-        from u and v toward the parent join, with the number of steps each
-        climb takes to reach it."""
-        du, dv = self.level(u), self.level(v)
-        i = j = 0
-        while du - i > dv:
-            u = self.parent(u)
-            i += 1
-        while dv - j > du:
-            v = self.parent(v)
-            j += 1
-        while u != v:
-            u, v = self.parent(u), self.parent(v)
-            i += 1
-            j += 1
-        return u, i, j
-
     def vertex_distance(self, u, v) -> int:
         _, i, j = self.meet(u, v)
         return i + j
-
-    def vertex_path(self, u, v) -> list:
-        """Vertices of the geodesic from u to v, inclusive."""
-        _, i, j = self.meet(u, v)
-        return self._climb(u, i) + self._climb(v, j)[-2::-1]
-
-    def _climb(self, v, steps: int) -> list:
-        out = [v]
-        for _ in range(steps):
-            out.append(self.parent(out[-1]))
-        return out
 
 
 class WordTree(TreeModel):
@@ -269,10 +240,18 @@ class WordTree(TreeModel):
     def level(self, v: Word) -> int:
         return len(v)
 
-    def end_step(self, v: Word, end: WordEnd) -> Word:
-        if end.head(len(v)) == v:
-            return v + (end.letter(len(v)),)
-        return v[:-1]
+    def ancestor(self, v: Word, k: int) -> Word:
+        return v[: len(v) - k]
+
+    def meet(self, u: Word, v: Word) -> tuple[Word, int, int]:
+        p = _common_prefix(u, v)
+        return u[:p], len(u) - p, len(v) - p
+
+    def ray_vertex(self, v: Word, end: WordEnd, k: int) -> Word:
+        # Climb to the longest prefix of v on the end, then follow the end.
+        p = _common_prefix(v, end.head(len(v)))
+        climb = len(v) - p
+        return self.ancestor(v, k) if k <= climb else end.head(p + k - climb)
 
     def check_end(self, end: TreeEnd) -> None:
         # Two periods and one more letter cover every letter of the end and
@@ -434,12 +413,10 @@ class HnnTree(TreeModel):
         return HnnVertex(0, Fraction(0))
 
     def canonical(self, level: int, center: Fraction) -> HnnVertex:
-        modulus = Fraction(self.index) ** level
-        c = center - math.floor(center / modulus) * modulus
-        return HnnVertex(level, c)
+        return HnnVertex(level, center % Fraction(self.index) ** level)
 
-    def parent(self, v: HnnVertex) -> HnnVertex:
-        return self.canonical(v.level - 1, v.center)
+    def ancestor(self, v: HnnVertex, k: int) -> HnnVertex:
+        return self.canonical(v.level - k, v.center)
 
     def level(self, v: HnnVertex) -> int:
         return v.level
@@ -480,29 +457,27 @@ class HnnTree(TreeModel):
     def contains_value(self, v: HnnVertex, x: Fraction) -> bool:
         return n_valuation(x - v.center, self.index) >= v.level
 
-    def end_step(self, v: HnnVertex, end: TreeEnd) -> HnnVertex:
-        if isinstance(end, HnnUp):
-            return self.parent(v)
-        x = end.value
-        if not self.contains_value(v, x):
-            return self.parent(v)
-        n = self.index
-        t = (x - v.center) / Fraction(n) ** v.level
-        # t is n-adically integral; its residue mod n picks the child.
-        digit = (t.numerator * pow(t.denominator, -1, n)) % n
-        return HnnVertex(v.level + 1, v.center + digit * Fraction(n) ** v.level)
+    def meet(self, u: HnnVertex, v: HnnVertex) -> tuple[HnnVertex, int, int]:
+        # The balls of u and v first coincide where n^level divides c_u - c_v.
+        top = min(u.level, v.level, n_valuation(u.center - v.center, self.index))
+        return self.canonical(top, u.center), u.level - top, v.level - top
+
+    def ray_vertex(self, v: HnnVertex, end: TreeEnd, k: int) -> HnnVertex:
+        # Climb to the largest ball around v that holds the end's value (the
+        # up end has none), then descend through the balls that hold it.
+        climb = k if isinstance(end, HnnUp) else max(0, v.level - n_valuation(end.value - v.center, self.index))
+        if k <= climb:
+            return self.ancestor(v, k)
+        return self.vertex_containing(end.value, v.level - climb + (k - climb))
 
     def vertex_containing(self, x: Fraction, level: int) -> HnnVertex:
         """The ball of the given level containing the rational x."""
         n = self.index
-        j = 0
-        y = Fraction(x)
-        while _shared_part(y.denominator, n) != 1:
-            y *= n
-            j += 1
+        j = max(0, -n_valuation(x, n))  # x n^j is n-adically integral
         exp = level + j
         if exp <= 0:
             return self.canonical(level, Fraction(0))
+        y = x * n ** j
         modulus = n ** exp
         m = (y.numerator * pow(y.denominator, -1, modulus)) % modulus
         return self.canonical(level, Fraction(m, n ** j))
@@ -559,16 +534,15 @@ def point_distance(model: TreeModel, p: TreePoint, q: TreePoint) -> Fraction:
     return i + j + (p.up if i == 0 else -p.up) + (q.up if j == 0 else -q.up)
 
 
-def _point_along(model: TreeModel, vertices, s: Fraction) -> TreePoint:
-    """Point at arc coordinate s >= 0 along a sequence of adjacent vertices,
-    taking only as many of them as it needs."""
+def _point_along(model: TreeModel, vertex_at, s: Fraction) -> TreePoint:
+    """Point at arc coordinate s >= 0 along a path of adjacent vertices,
+    where vertex_at(k) is its k-th vertex."""
     whole = math.floor(s)
     frac = s - whole
-    it = iter(vertices)
-    a = next(itertools.islice(it, whole, None))
+    a = vertex_at(whole)
     if frac == 0:
         return TreePoint(a)
-    b = next(it)
+    b = vertex_at(whole + 1)
     if model.level(b) < model.level(a):
         return TreePoint(a, frac)
     return TreePoint(b, 1 - frac)
@@ -583,22 +557,15 @@ def walk_to_point(model: TreeModel, start: TreePoint, target: TreePoint, t: Frac
     if start.vertex == target.vertex:
         sign = 1 if target.up > start.up else -1
         return TreePoint(start.vertex, start.up + sign * t)
+    u, v, s = start.vertex, target.vertex, start.up
+    _, i, j = model.meet(u, v)
     # An offset whose vertex is the meet (the path leaves it downward) lies
-    # on the parent edge above the path.
-    path = model.vertex_path(start.vertex, target.vertex)
-    s = start.up
-    if start.up and model.level(path[1]) > model.level(path[0]):
-        path.insert(0, model.parent(start.vertex))
-        s = 1 - start.up
-    if target.up and model.level(path[-2]) > model.level(path[-1]):
-        path.append(model.parent(target.vertex))
-    return _point_along(model, path, s + t)
-
-
-def _ray_vertices(model: TreeModel, v, end: TreeEnd):
-    while True:
-        yield v
-        v = model.end_step(v, end)
+    # on the parent edge above the path, so the path runs through the parent.
+    if start.up and i == 0:
+        u, j, s = model.parent(u), j + 1, 1 - start.up
+    if target.up and j == 0:
+        v, i = model.parent(v), i + 1
+    return _point_along(model, lambda k: model.ancestor(u, k) if k <= i else model.ancestor(v, i + j - k), s + t)
 
 
 def ray_point_at(model: TreeModel, base: TreePoint, end: TreeEnd, t: Fraction) -> TreePoint:
@@ -606,11 +573,9 @@ def ray_point_at(model: TreeModel, base: TreePoint, end: TreeEnd, t: Fraction) -
     t = Fraction(t)
     if t < 0:
         raise ValueError("ray parameter must be nonnegative")
-    if not base.up:
-        return _point_along(model, _ray_vertices(model, base.vertex, end), t)
-    first = model.end_step(base.vertex, end)
-    vertices = itertools.chain([base.vertex], _ray_vertices(model, first, end))
-    if model.level(first) < model.level(base.vertex):
-        # The ray climbs the edge that holds the base.
-        return _point_along(model, vertices, base.up + t)
-    return _point_along(model, itertools.chain([model.parent(base.vertex)], vertices), 1 - base.up + t)
+    v, s = base.vertex, base.up + t
+    if base.up and model.level(model.ray_vertex(v, end, 1)) > model.level(v):
+        # The ray crosses the base's edge downward, so it runs on the ray
+        # from the parent.
+        v, s = model.parent(v), 1 - base.up + t
+    return _point_along(model, functools.partial(model.ray_vertex, v, end), s)

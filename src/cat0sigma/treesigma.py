@@ -218,20 +218,22 @@ def brown_consistency(A: Iterable[SpherePoint], tree_characters: Sequence[Charac
 
 
 def generate_sphere_points(rng: random.Random, k: int, count: int, forbid_antipodal: bool = True) -> list[SpherePoint]:
-    points: list[SpherePoint] = []
+    """Up to count distinct primitive vectors with entries drawn from -3..3,
+    in at most 400 draws; repeats (and antipodes, when forbidden) are
+    rejected on the integer tuples before any SpherePoint is built."""
+    vectors: list[tuple[int, ...]] = []
     attempts = 0
-    while len(points) < count and attempts < 400:
+    while len(vectors) < count and attempts < 400:
         attempts += 1
         vec = tuple(rng.randrange(-3, 4) for _ in range(k))
-        if all(c == 0 for c in vec):
+        g = math.gcd(*vec)
+        if g == 0:
             continue
-        p = normalize_ray(Character(vec))
-        if p in points:
+        vec = tuple(c // g for c in vec)
+        if vec in vectors or (forbid_antipodal and tuple(-c for c in vec) in vectors):
             continue
-        if forbid_antipodal and p.antipode() in points:
-            continue
-        points.append(p)
-    return points
+        vectors.append(vec)
+    return [SpherePoint(v) for v in vectors]
 
 
 def generate_mfpr_data(rng: random.Random) -> MFPRData:

@@ -2,8 +2,9 @@
 
 Each suite draws its instances from a seeded generator, so a (suite, seed)
 pair is fully reproducible, and returns a report with one line per checked
-property.  The command line exposes these through ``verify --suite``; the
-acceptance tests run them with their contract tolerances.
+property.  The command line exposes these through ``verify --suite``.
+Case counts and the tolerance GLOBAL_TOL are fixed, so the acceptance
+tests run exactly what ``verify`` runs.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ def _random_ray(M, rng: random.Random, seed: int):
     return sp.ray_from(M, base, end)
 
 
-def euclidean_limit_estimate(M, ray, b, t_scale: float = 5e3) -> float:
+def euclidean_limit_estimate(M, ray, b) -> float:
     """Extrapolated defining limit of the Busemann function on E^k.
 
     The gap t - d(b, ray(t)) approaches the limit like c/t, far too slowly
@@ -107,7 +108,7 @@ def euclidean_limit_estimate(M, ray, b, t_scale: float = 5e3) -> float:
     values at t, 2t, 4t remove the 1/t and 1/t^2 terms.  Uses distances
     only, never the closed form.
     """
-    t = t_scale * (1.0 + sp.distance(M, ray.base, b))
+    t = 5e3 * (1.0 + sp.distance(M, ray.base, b))
     v1 = t - sp.distance(M, b, ray.point_at(t))
     v2 = 2 * t - sp.distance(M, b, ray.point_at(2 * t))
     v3 = 4 * t - sp.distance(M, b, ray.point_at(4 * t))
@@ -118,7 +119,7 @@ def euclidean_limit_estimate(M, ray, b, t_scale: float = 5e3) -> float:
 # Busemann suite
 
 
-def suite_busemann(seed: int = 0, tol: float = GLOBAL_TOL, cases: int = 100) -> SuiteReport:
+def suite_busemann(seed: int = 0) -> SuiteReport:
     report = SuiteReport("busemann", seed)
     agree = report.check("closed form agrees with the defining limit")
     monotone = report.check("limit sequence is nondecreasing and bounded")
@@ -129,7 +130,7 @@ def suite_busemann(seed: int = 0, tol: float = GLOBAL_TOL, cases: int = 100) -> 
 
     for M in _suite_spaces():
         exact = M.exact
-        for i in range(cases):
+        for i in range(100):
             rng = random.Random(str((seed, M.name, i)))
             ray = _random_ray(M, rng, seed * 1000 + i)
             b = sp.sample_points_near(M, M.origin(), 1, radius=3.0, seed=seed * 7 + i)[0]
@@ -143,12 +144,12 @@ def suite_busemann(seed: int = 0, tol: float = GLOBAL_TOL, cases: int = 100) -> 
             elif not M.flat:
                 audit = sp.busemann_limit_audit(M, ray, b, [1, 2, 5, 10, 20, 40])
                 gap = abs(audit[-1][1] - closed)
-                agree.record(gap <= tol, gap)
+                agree.record(gap <= GLOBAL_TOL, gap)
             else:
                 audit = sp.busemann_limit_audit(M, ray, b, [1, 2, 5, 10, 50, 200])
                 est = euclidean_limit_estimate(M, ray, b)
                 gap = abs(est - closed)
-                agree.record(gap <= tol, gap)
+                agree.record(gap <= GLOBAL_TOL, gap)
 
             values = [v for _, v in audit]
             slack = M.slack(1e-12)
@@ -156,11 +157,11 @@ def suite_busemann(seed: int = 0, tol: float = GLOBAL_TOL, cases: int = 100) -> 
             top = sp.distance(M, ray.base, b)
             monotone.record(mono_ok and all(v <= top + slack for v in values))
 
-            bound.record(closed <= top + M.slack(tol))
+            bound.record(closed <= top + M.slack(GLOBAL_TOL))
             on_ray = ray.point_at(min(Fraction(3) if exact else 3.0, ray.mu if ray.is_degenerate else (Fraction(3) if exact else 3.0)))
             d_on = sp.distance(M, ray.base, on_ray)
             beta_on = sp.busemann(M, ray, on_ray)
-            bound.record(abs(beta_on - d_on) <= M.slack(tol), abs(float(beta_on - d_on)))
+            bound.record(abs(beta_on - d_on) <= M.slack(GLOBAL_TOL), abs(float(beta_on - d_on)))
             if exact and not ray.is_degenerate:
                 # Equality characterizes ray points exactly on trees.
                 hits_ray = ray.point_at(top) == b
@@ -169,13 +170,13 @@ def suite_busemann(seed: int = 0, tol: float = GLOBAL_TOL, cases: int = 100) -> 
             b2 = sp.sample_points_near(M, M.origin(), 1, radius=3.0, seed=seed * 13 + i)[0]
             lhs = abs(sp.busemann(M, ray, b) - sp.busemann(M, ray, b2))
             rhs = sp.distance(M, b, b2)
-            lipschitz.record(lhs <= rhs + M.slack(tol), float(lhs - rhs))
+            lipschitz.record(lhs <= rhs + M.slack(GLOBAL_TOL), float(lhs - rhs))
 
             if not ray.is_degenerate:
                 base2 = sp.sample_points_near(M, M.origin(), 1, radius=2.0, seed=seed * 17 + i)[0]
                 ray2 = sp.ray_from(M, base2, ray.end)
                 try:
-                    sp.asymptotic_offset(M, ray, ray2, seed=seed, tol=tol)
+                    sp.asymptotic_offset(M, ray, ray2, seed=seed)
                     offset.record(True)
                 except AssertionError:
                     offset.record(False)
@@ -188,18 +189,18 @@ def suite_busemann(seed: int = 0, tol: float = GLOBAL_TOL, cases: int = 100) -> 
             vals = [v for _, v in sp.busemann_limit_audit(M, dray, b, horizon)]
             const_ok = max(vals) - min(vals) <= M.slack(1e-12)
             beta_deg = sp.busemann(M, dray, b)
-            ball_ok = abs(beta_deg - (mu - sp.distance(M, b, tip))) <= M.slack(tol)
+            ball_ok = abs(beta_deg - (mu - sp.distance(M, b, tip))) <= M.slack(GLOBAL_TOL)
             degenerate.record(const_ok and ball_ok)
     return report
 
 
-def suite_horoball(seed: int = 0, tol: float = GLOBAL_TOL, cases: int = 40) -> SuiteReport:
+def suite_horoball(seed: int = 0) -> SuiteReport:
     report = SuiteReport("horoball", seed)
     nesting = report.check("horoballs nest as the level grows")
     balls = report.check("horoball contains the balls along its ray")
     for M in _suite_spaces():
         exact = M.exact
-        for i in range(cases):
+        for i in range(40):
             rng = random.Random(str((seed, "horoball", M.name, i)))
             ray = _random_ray(M, rng, seed * 31 + i)
             if ray.is_degenerate:
@@ -239,7 +240,7 @@ def _random_word(rng: random.Random, names: list, length: int) -> str:
     return "".join(rng.choice(names + [n.upper() for n in names]) for _ in range(length))
 
 
-def suite_character(seed: int = 0, tol: float = GLOBAL_TOL, cases: int = 100) -> SuiteReport:
+def suite_character(seed: int = 0) -> SuiteReport:
     report = SuiteReport("character", seed)
     additive = report.check("endpoint character is additive on words")
     basefree = report.check("endpoint character ignores the base point")
@@ -252,19 +253,19 @@ def suite_character(seed: int = 0, tol: float = GLOBAL_TOL, cases: int = 100) ->
         names = sorted(action.generators)
         rng = random.Random(str((seed, label)))
         base = M.origin()
-        for i in range(cases):
+        for i in range(100):
             g = _random_word(rng, names, rng.randrange(1, 4))
             h = _random_word(rng, names, rng.randrange(1, 4))
             total = ac.character_at_end(action, end, base, g + h)
             parts = ac.character_at_end(action, end, base, g) + ac.character_at_end(action, end, base, h)
             err = abs(total - parts)
-            additive.record(err <= M.slack(tol), float(err))
+            additive.record(err <= M.slack(GLOBAL_TOL), float(err))
 
             base2 = sp.sample_points_near(M, base, 1, radius=2.0, seed=seed * 3 + i)[0]
             v1 = ac.character_at_end(action, end, base, g)
             v2 = ac.character_at_end(action, end, base2, g)
             err = abs(v1 - v2)
-            basefree.record(err <= M.slack(tol), float(err))
+            basefree.record(err <= M.slack(GLOBAL_TOL), float(err))
 
     cocycle_actions = [
         (ac.GroupAction.euclidean_translations(2, {"a": (1, 0), "b": (0, 1)}), "E2"),
@@ -279,7 +280,7 @@ def suite_character(seed: int = 0, tol: float = GLOBAL_TOL, cases: int = 100) ->
         M = action.space
         names = sorted(action.generators)
         rng = random.Random(str((seed, "cocycle", label)))
-        for i in range(cases):
+        for i in range(100):
             e = sp.sample_boundary_points(M, 1, seed=seed * 11 + i)[0]
             a = sp.sample_points_near(M, M.origin(), 1, radius=2.0, seed=seed * 5 + i)[0]
             g = _random_word(rng, names, rng.randrange(1, 3))
@@ -288,7 +289,7 @@ def suite_character(seed: int = 0, tol: float = GLOBAL_TOL, cases: int = 100) ->
             lhs = ac.psi_cocycle(action, e, g + h, a)
             rhs = ac.psi_cocycle(action, e, g, ha) + ac.psi_cocycle(action, e, h, a)
             err = abs(lhs - rhs)
-            cocycle.record(err <= M.slack(tol), float(err))
+            cocycle.record(err <= M.slack(GLOBAL_TOL), float(err))
 
             e_gh = action.boundary_apply(g + h, e)
             e_then = action.boundary_apply(g, action.boundary_apply(h, e))
@@ -314,14 +315,14 @@ def _random_configuration(M, rng: random.Random, size: int, seed: int):
     return ac.ControlConfiguration(M, {f"x{i}": p for i, p in enumerate(pts)})
 
 
-def suite_shift(seed: int = 0, tol: float = GLOBAL_TOL, cases: int = 50) -> SuiteReport:
+def suite_shift(seed: int = 0) -> SuiteReport:
     report = SuiteReport("shift", seed)
     in_type = report.check("|shift| <= displacement holds in-type")
     iterate = report.check("gsh of the m-th iterate >= m gsh")
     equivariant = report.check("gsh is equivariant under translation by g")
 
     for M in _suite_spaces():
-        for i in range(cases):
+        for i in range(50):
             rng = random.Random(str((seed, "shift", M.name, i)))
             size = rng.randrange(2, 6)
             cfg = _random_configuration(M, rng, size, seed * 23 + i)
@@ -354,7 +355,7 @@ def suite_shift(seed: int = 0, tol: float = GLOBAL_TOL, cases: int = 50) -> Suit
     for action, label in equivariance_actions:
         M = action.space
         names = sorted(action.generators)
-        for i in range(cases // 2):
+        for i in range(25):
             rng = random.Random(str((seed, "equi", label, i)))
             cfg = _random_configuration(M, rng, rng.randrange(2, 5), seed * 37 + i)
             e = sp.sample_boundary_points(M, 1, seed=seed * 41 + i)[0]
@@ -371,14 +372,14 @@ def suite_shift(seed: int = 0, tol: float = GLOBAL_TOL, cases: int = 50) -> Suit
 # Audits (local Busemann comparison and chord-angle estimate)
 
 
-def suite_audits(seed: int = 0, tol: float = GLOBAL_TOL, cases: int = 100) -> SuiteReport:
+def suite_audits(seed: int = 0) -> SuiteReport:
     report = SuiteReport("audits", seed)
     local = report.check("local Busemann comparison bound, strict")
     chord = report.check("chord length <= 2 t sin(angle/2)")
 
     for M in (sp.EuclideanSpace(2), sp.HyperbolicPlane(), sp.TreeSpace(CayleyTree(2))):
         exact = M.exact
-        for i in range(cases):
+        for i in range(100):
             rng = random.Random(str((seed, "audit", M.name, i)))
             c = sp.sample_points_near(M, M.origin(), 1, radius=1.5, seed=seed * 43 + i)[0]
             ends = sp.sample_boundary_points(M, 2, seed=seed * 47 + i)
@@ -403,24 +404,24 @@ def suite_audits(seed: int = 0, tol: float = GLOBAL_TOL, cases: int = 100) -> Su
 # Tits distance facts
 
 
-def suite_tits(seed: int = 0, tol: float = GLOBAL_TOL, cases: int = 100) -> SuiteReport:
+def suite_tits(seed: int = 0) -> SuiteReport:
     report = SuiteReport("tits", seed)
     euclid = report.check("Tits distance equals angular distance on E^k")
     discrete = report.check("distinct ends on H2 and trees: Tits distance infinite")
     dominates = report.check("Tits distance >= angular distance everywhere")
 
     for M in _suite_spaces():
-        for i in range(cases):
+        for i in range(100):
             es = sp.sample_boundary_points(M, 2, seed=seed * 53 + i)
             td = sp.tits_distance(M, es[0], es[1])
             ang = sp.angular_distance(M, es[0], es[1])
             if M.flat:
-                euclid.record(abs(td - ang) <= tol, abs(td - ang))
+                euclid.record(abs(td - ang) <= GLOBAL_TOL, abs(td - ang))
             else:
                 same = M.boundary_equal(es[0], es[1])
                 discrete.record(td == (0.0 if same else math.inf))
-            dominates.record(td >= ang - tol)
-            dominates.record(sp.tits_distance(M, es[0], es[0]) <= tol)
+            dominates.record(td >= ang - GLOBAL_TOL)
+            dominates.record(sp.tits_distance(M, es[0], es[0]) <= GLOBAL_TOL)
     return report
 
 
@@ -449,14 +450,14 @@ def enumeration_m_value(A, chi: Character) -> int | float:
     return math.inf if r == math.inf else r - 1
 
 
-def suite_sphere(seed: int = 0, cases: int = 200) -> SuiteReport:
+def suite_sphere(seed: int = 0) -> SuiteReport:
     report = SuiteReport("sphere", seed)
     # The label predates the kernel search; check labels are part of the
     # verify report, which stays byte-stable.
     oracle = report.check("m-value by simplex equals m-value by elimination")
     mono = report.check("enlarging the ray set never increases the m-value")
     rng = random.Random(str((seed, "sphere")))
-    for i in range(cases):
+    for i in range(200):
         k = rng.randrange(1, 4)
         size = rng.randrange(0, 7)
         pts = ts.generate_sphere_points(rng, k, size, forbid_antipodal=False)
@@ -497,13 +498,13 @@ def mfpr_sigma_oracle(data: ts.MFPRData) -> list:
     return [ts.WHOLE_BOUNDARY if n <= whole else ts.SINGLETON if n <= fixed_end else ts.EMPTY for n in range(top + 1)]
 
 
-def suite_treesigma(seed: int = 0, cases: int = 100) -> SuiteReport:
+def suite_treesigma(seed: int = 0) -> SuiteReport:
     report = SuiteReport("treesigma", seed)
     consistent = report.check("MFPR formula factors through the three lengths")
     partition = report.check("fixed-end ranges partition 0..fl(G)")
     convention = report.check("no antipodal pair forces m(0) >= 2")
     rng = random.Random(str((seed, "treesigma")))
-    for i in range(cases):
+    for i in range(100):
         data = ts.generate_mfpr_data(rng)
         summary = ts.mfpr_lengths(data)
         expected = mfpr_sigma_oracle(data)
@@ -530,14 +531,14 @@ def suite_treesigma(seed: int = 0, cases: int = 100) -> SuiteReport:
 # Fixed examples: the modular group, graph groups, cocompactness
 
 
-def suite_sl2z(seed: int = 0, cases: int = 20) -> SuiteReport:
+def suite_sl2z(seed: int = 0) -> SuiteReport:
     report = SuiteReport("sl2z", seed)
     rational = report.check("rationals and infinity are in the complement")
     irrational = report.check("quadratic irrationals are not")
     rng = random.Random(str((seed, "sl2z")))
     rational.record(ac.sl2z_sigma0_complement(sp.H2_INFINITY))
     nonsquares = [2, 3, 5, 6, 7, 8, 10, 11, 12, 13, 14, 15, 17, 19, 21, 22, 23, 26, 29, 31]
-    for i in range(cases):
+    for i in range(20):
         q = Fraction(rng.randrange(-120, 121), rng.randrange(1, 40))
         rational.record(ac.sl2z_sigma0_complement(q))
         d = nonsquares[i % len(nonsquares)]
@@ -604,7 +605,7 @@ SUITES: dict[str, Callable] = {
 }
 
 
-def run_suite(name: str, seed: int = 0, **kwargs) -> SuiteReport:
+def run_suite(name: str, seed: int = 0) -> SuiteReport:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](seed=seed, **kwargs)
+    return SUITES[name](seed=seed)

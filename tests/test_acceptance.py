@@ -20,9 +20,9 @@ def report(criterion: str, ok: bool, extra: str = ""):
     assert ok, criterion
 
 
-def run_suite_timed(name: str, seed: int, limit: float, **kwargs):
+def run_suite_timed(name: str, seed: int, limit: float):
     start = time.monotonic()
-    rep = verify.run_suite(name, seed=seed, **kwargs)
+    rep = verify.run_suite(name, seed=seed)
     elapsed = time.monotonic() - start
     return rep, elapsed
 
@@ -34,7 +34,7 @@ def summarize(rep) -> str:
 
 
 def test_criterion_01_modular_group_boundary():
-    rep, elapsed = run_suite_timed("sl2z", seed=11, limit=1.0, cases=20)
+    rep, elapsed = run_suite_timed("sl2z", seed=11, limit=1.0)
     ok = rep.ok and elapsed < 1.0
     report(
         "criterion 1: modular-group boundary classification (20 rationals + "
@@ -56,7 +56,7 @@ def test_criterion_02_diagonal_membership_fixed_points():
 
 
 def test_criterion_03_m_value_oracle_equivalence():
-    rep, elapsed = run_suite_timed("sphere", seed=5, limit=60.0, cases=200)
+    rep, elapsed = run_suite_timed("sphere", seed=5, limit=60.0)
     ok = rep.ok and elapsed < 60.0
     report(
         "criterion 3: 200 seeded instances (k <= 3, |A| <= 6): production m-value "
@@ -67,7 +67,7 @@ def test_criterion_03_m_value_oracle_equivalence():
 
 
 def test_criterion_04_formula_consistency():
-    rep, _ = run_suite_timed("treesigma", seed=3, limit=120.0, cases=100)
+    rep, _ = run_suite_timed("treesigma", seed=3, limit=120.0)
     report(
         "criterion 4: 100 MFPR instances factor through the three lengths, and "
         "100 summaries partition the degree range exactly",
@@ -77,7 +77,7 @@ def test_criterion_04_formula_consistency():
 
 
 def test_criterion_05_busemann_suite():
-    rep, _ = run_suite_timed("busemann", seed=1, limit=120.0, cases=100)
+    rep, _ = run_suite_timed("busemann", seed=1, limit=120.0)
     report(
         "criterion 5: Busemann closed forms agree with the defining limit "
         "(1e-9 on E^k and H2, exact on trees) on 100 seeded cases per space, "
@@ -88,7 +88,7 @@ def test_criterion_05_busemann_suite():
 
 
 def test_criterion_06_character_suite():
-    rep, _ = run_suite_timed("character", seed=2, limit=120.0, cases=100)
+    rep, _ = run_suite_timed("character", seed=2, limit=120.0)
     report(
         "criterion 6: endpoint characters additive and base-point free within "
         "1e-9 (exact on trees) on 100 word pairs per action; cocycle identity "
@@ -100,7 +100,7 @@ def test_criterion_06_character_suite():
 
 
 def test_criterion_07_shift_calculus():
-    rep, _ = run_suite_timed("shift", seed=4, limit=120.0, cases=50)
+    rep, _ = run_suite_timed("shift", seed=4, limit=120.0)
     report(
         "criterion 7: the shift bound holds in-type on every report; iterates "
         "clear m times the guaranteed shift for m <= 5 on 50 closed "
@@ -111,7 +111,7 @@ def test_criterion_07_shift_calculus():
 
 
 def test_criterion_08_audits():
-    rep, _ = run_suite_timed("audits", seed=6, limit=120.0, cases=100)
+    rep, _ = run_suite_timed("audits", seed=6, limit=120.0)
     report(
         "criterion 8: the local Busemann comparison bound holds strictly on 100 "
         "seeded instances in each of E2, H2 and a tree; the chord-angle "
@@ -134,7 +134,7 @@ def test_criterion_09_cocompactness_desk_checks():
 
 
 def test_criterion_10_tits_distance_facts():
-    rep, _ = run_suite_timed("tits", seed=8, limit=60.0, cases=100)
+    rep, _ = run_suite_timed("tits", seed=8, limit=60.0)
     report(
         "criterion 10: Tits = angular on Euclidean samples, infinite for "
         "distinct ends on H2 and trees, and dominates the angular metric on "

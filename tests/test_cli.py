@@ -197,20 +197,30 @@ def test_mfpr_and_tree_sigma_share_the_degree_report(tmp_path):
     assert reports[0][0] == "n,value\n0,whole_boundary\n1,whole_boundary\n2,singleton\n"
 
 
-@pytest.mark.parametrize("flags", [["--table"], ["--csv"], []], ids=["table", "csv", "value"])
-@pytest.mark.parametrize("command", ["mfpr", "tree-sigma"])
+NEGATIVE_DEGREE = {
+    f"{command}-{name}": (command, flags)
+    for command in ("mfpr", "tree-sigma")
+    for name, flags in (("table", ["--table"]), ("csv", ["--csv"]), ("value", []))
+}
+NEGATIVE_DEGREE["raag-value"] = ("raag", [])
+
+
+@pytest.mark.parametrize("command,flags", list(NEGATIVE_DEGREE.values()), ids=list(NEGATIVE_DEGREE))
 def test_negative_degree_is_an_input_error(tmp_path, command, flags):
     data = write(
         tmp_path,
         "d.json",
         {"k": 1, "complement": [[1], [-1]], "splitting_character": ["-1"]}
         if command == "mfpr"
+        else {"vertices": [0, 1], "edges": [[0, 1]]}
+        if command == "raag"
         else {"fl_group": 3, "fl_stabilizers": 1, "has_fixed_end": True, "cl_character": 2},
     )
     csv = tmp_path / "out.csv"
     if flags == ["--csv"]:
         flags = ["--csv", str(csv)]
-    code, out, err = run_cli([command, "--data", data, "--n", "-1", *flags])
+    flag = "--graph" if command == "raag" else "--data"
+    code, out, err = run_cli([command, flag, data, "--n", "-1", *flags])
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == "DegreeOutOfRange"
     assert not csv.exists()
@@ -471,12 +481,22 @@ MALFORMED = {
     "tree-sigma-negative-lengths": ("tree-sigma", {"fl_group": -1, "fl_stabilizers": -1, "has_fixed_end": False}),
     "tree-sigma-length-list": ("tree-sigma", {"fl_group": [3], "fl_stabilizers": 1, "has_fixed_end": False}),
 }
+# Sizes given on the command line follow the payload.
+F2_ACTION = json.loads((GOLDEN / "cocompact_f2.json").read_text(encoding="utf-8"))
+MALFORMED.update(
+    {
+        "cocompact-negative-depth": ("cocompact", F2_ACTION, "--radius", "1", "--depth", "-5"),
+        "cocompact-negative-radius": ("cocompact", F2_ACTION, "--radius", "-1"),
+        "cocompact-nan-radius": ("cocompact", F2_ACTION, "--radius", "nan"),
+    }
+)
 
 
-@pytest.mark.parametrize("command,payload", list(MALFORMED.values()), ids=list(MALFORMED))
-def test_malformed_shapes_are_input_errors(tmp_path, command, payload):
+@pytest.mark.parametrize("case", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_malformed_shapes_are_input_errors(tmp_path, case):
+    command, payload, *extra = case
     flag = "--graph" if command == "raag" else "--data"
-    code, out, err = run_cli([command, flag, write(tmp_path, "bad.json", payload)])
+    code, out, err = run_cli([command, flag, write(tmp_path, "bad.json", payload), *extra])
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1
     assert set(json.loads(err)) == {"error", "message"}

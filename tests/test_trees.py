@@ -1,6 +1,7 @@
 """The three tree models: structure, geodesics, ends, exact arithmetic."""
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +17,7 @@ from cat0sigma.trees import (
     HnnVertex,
     RegularTree,
     TreePoint,
+    _shared_part,
     invert_word,
     make_word_end,
     n_valuation,
@@ -66,7 +68,8 @@ def test_regular_tree_distance_example():
     # Nodes at addresses "ab" and "ac" are two apart, through "a".
     model = RegularTree(3)
     assert model.vertex_distance((0, 0), (0, 1)) == 2
-    assert model.vertex_path((0, 0), (0, 1)) == [(0, 0), (0,), (0, 1)]
+    path = [walk_to_point(model, TreePoint((0, 0)), TreePoint((0, 1)), t) for t in range(3)]
+    assert path == [TreePoint((0, 0)), TreePoint((0,)), TreePoint((0, 1))]
 
 
 def test_cayley_tree_distance_is_word_metric():
@@ -115,16 +118,17 @@ def test_hnn_vertex_structure():
     assert model.vertex_distance(a, b) == 4
 
 
-def test_hnn_end_steps_and_containment():
+def test_hnn_ray_vertices_and_containment():
     model = HnnTree(2)
     base = model.base_vertex()
-    assert model.end_step(base, HnnUp()) == HnnVertex(-1, F(0))
+    assert model.ray_vertex(base, HnnUp(), 1) == HnnVertex(-1, F(0))
     down = HnnDown(F(5))
     # 5 = 101 in binary: digits 1, 0, 1 descending from the base ball.
-    v1 = model.end_step(base, down)
-    v2 = model.end_step(v1, down)
-    v3 = model.end_step(v2, down)
-    assert (v1, v2, v3) == (HnnVertex(1, F(1)), HnnVertex(2, F(1)), HnnVertex(3, F(5)))
+    steps = [model.ray_vertex(base, down, k) for k in range(4)]
+    assert steps == [base, HnnVertex(1, F(1)), HnnVertex(2, F(1)), HnnVertex(3, F(5))]
+    # From a ball that misses 5, the ray climbs to the base, then descends.
+    off = HnnVertex(2, F(2))
+    assert [model.ray_vertex(off, down, k) for k in range(5)] == [off, HnnVertex(1, F(0)), base] + steps[1:3]
     assert model.vertex_containing(F(5), 3) == HnnVertex(3, F(5))
     assert model.vertex_containing(F(1, 3), 0) == HnnVertex(0, F(0))
     # The ball containing 1/3 at level 2 has the 2-adic expansion of 1/3.
@@ -297,35 +301,43 @@ def test_point_distance_and_walk_match_breadth_first_reference(model, rng):
                 assert _reference_distance(model, mid, q, bfs) == total - frac * total, (p, q, frac)
 
 
-def _count_end_steps(monkeypatch, model):
+def _count_ray_vertices(monkeypatch, model):
     calls = [0]
-    step = model.end_step
+    vertex = model.ray_vertex
 
-    def counted(v, end):
+    def counted(v, end, k):
         calls[0] += 1
-        return step(v, end)
+        return vertex(v, end, k)
 
-    monkeypatch.setattr(model, "end_step", counted)
+    monkeypatch.setattr(model, "ray_vertex", counted)
     return calls
 
 
+def _deep_point(model, L):
+    """A point whose geodesic joins the ray from the base L edges out, and
+    five edges off it (on the HNN tree, five levels below the level -L
+    ancestor of the base)."""
+    if isinstance(model, CayleyTree):
+        return TreePoint((1,) * L + (2,) * 5)
+    return TreePoint(HnnVertex(5 - L, F(1, 2**L)))
+
+
 @pytest.mark.parametrize(
-    "model, end, b",
-    [
-        (CayleyTree(2), make_word_end((), (1,)), TreePoint((1,) * 200 + (2,) * 5)),
-        # Five levels below the level -200 ancestor of the base, off the ray.
-        (HnnTree(2), HnnUp(), TreePoint(HnnVertex(-195, F(1, 2**200)))),
-    ],
-    ids=["cayley", "hnn"],
+    "model, end", [(CayleyTree(2), make_word_end((), (1,))), (HnnTree(2), HnnUp())], ids=["cayley", "hnn"]
 )
-def test_busemann_value_walks_the_ray_once(model, end, b, monkeypatch):
-    # The geodesic from b joins the ray 200 steps from the base; one value
-    # costs one walk of d(base, b) = 205 steps, not a walk per parameter.
+def test_busemann_value_reads_three_ray_vertices(model, end, monkeypatch):
+    # One value is one ray point at T = d(base, b), at any merge distance:
+    # one ray vertex for the offset rule and two for the edge that holds it.
     M = sp.TreeSpace(model)
     ray = sp.ray_from(M, M.origin(), end)
-    calls = _count_end_steps(monkeypatch, model)
-    assert sp.busemann(M, ray, b) == 195
-    assert calls[0] <= 207
+    calls = _count_ray_vertices(monkeypatch, model)
+    for L in (200, 10**5):
+        b = _deep_point(model, L)
+        calls[0] = 0
+        start = time.perf_counter()
+        assert sp.busemann(M, ray, b) == L - 5
+        assert time.perf_counter() - start < 2.0
+        assert calls[0] <= 3
 
 
 def test_tree_point_validation():
@@ -353,3 +365,122 @@ def test_hnn_composite_index():
         assert model.contains_value(w, F(1, 5))
     # Mixed denominator 1/10 = (1/2) * (1/5): one step below level -1.
     assert n_valuation(F(1, 10), 6) == -1
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the parent-by-parent climb, the one-step ray rule and the
+# one-factor-per-pass n-adic loops that the closed forms replaced.
+
+
+def _prime_factors(n):
+    out, d, m = [], 2, n
+    while d * d <= m:
+        if m % d == 0:
+            out.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1:
+        out.append(m)
+    return out
+
+
+def _reference_shared_part(den, n):
+    g = 1
+    for p in _prime_factors(n):
+        while den % p == 0:
+            den //= p
+            g *= p
+    return g
+
+
+def _reference_n_valuation(x, n):
+    if x == 0:
+        return float("inf")
+    w = F(x.numerator, _reference_shared_part(x.denominator, n))
+    h = 0
+    if w.denominator == 1:
+        v = abs(w.numerator)
+        while v % n == 0:
+            v //= n
+            h += 1
+        return h
+    while w.denominator != 1:
+        w *= n
+        h -= 1
+    return h
+
+
+def _climb_meet(model, u, v):
+    """Climb from u and v toward the parent until the climbs join."""
+    du, dv = model.level(u), model.level(v)
+    i = j = 0
+    while du - i > dv:
+        u = model.parent(u)
+        i += 1
+    while dv - j > du:
+        v = model.parent(v)
+        j += 1
+    while u != v:
+        u, v = model.parent(u), model.parent(v)
+        i += 1
+        j += 1
+    return u, i, j
+
+
+def _end_step(model, v, end):
+    """The neighbor of v on the ray to the end: down when v's ball holds the
+    end's value (its word is a prefix of the end), up otherwise."""
+    if isinstance(model, HnnTree):
+        n = model.index
+        if isinstance(end, HnnUp) or _reference_n_valuation(end.value - v.center, n) < v.level:
+            return model.parent(v)
+        t = (end.value - v.center) / F(n) ** v.level
+        digit = (t.numerator * pow(t.denominator, -1, n)) % n
+        return HnnVertex(v.level + 1, v.center + digit * F(n) ** v.level)
+    if end.head(len(v)) == v:
+        return end.head(len(v) + 1)
+    return v[:-1]
+
+
+def test_n_adic_helpers_match_the_one_factor_loops():
+    rng = random.Random(23)
+    for _ in range(10**4):
+        n = rng.randrange(2, 13)
+        den = rng.choice([1, 2, 3, 5, 6, 7, 10, 12, n]) ** rng.randrange(0, 7) * rng.randrange(1, 60)
+        num = rng.choice([1, n, n**3, rng.randrange(1, 50)]) ** rng.randrange(0, 5) * rng.randrange(-999, 1000)
+        assert _shared_part(den, n) == _reference_shared_part(den, n), (den, n)
+        x = F(num, den)
+        assert n_valuation(x, n) == _reference_n_valuation(x, n), (x, n)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [CayleyTree(2), RegularTree(3), HnnTree(2), HnnTree(3), HnnTree(6)],
+    ids=["cayley2", "regular3", "hnn2", "hnn3", "hnn6"],
+)
+def test_meet_and_ray_vertex_match_the_climb_and_the_step_rule(model):
+    rng = random.Random(str(model.descriptor()))
+    base = model.base_vertex()
+    ends = model.basic_ends() + [model.sample_end(rng) for _ in range(4)]
+    if isinstance(model, HnnTree):
+        ends += [HnnDown(F(1, 3)), HnnDown(F(-7, 5)), HnnDown(F(5, 4))]
+    for end in ends:
+        ray = [base]
+        for _ in range(6):
+            ray.append(_end_step(model, ray[-1], end))
+        # Vertices on the ray, one step off it, and seeded walks from the base.
+        verts = ray + [c for w in ray for c in model.children(w)[:2] if c not in ray]
+        for _ in range(8):
+            v = base
+            for _ in range(rng.randrange(0, 6)):
+                v = rng.choice(model.neighbors(v))
+            verts.append(v)
+        for v in verts:
+            _, i, j = _climb_meet(model, base, v)
+            step = v
+            for k in range(2 * (i + j) + 4):
+                assert model.ray_vertex(v, end, k) == step, (v, end, k)
+                step = _end_step(model, step, end)
+            for u in verts:
+                assert model.meet(u, v) == _climb_meet(model, u, v), (u, v)

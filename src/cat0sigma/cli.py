@@ -4,7 +4,8 @@ runner, and SVG emission of character-sphere sets.
 Every command is deterministic given its inputs and seed; the seed appears
 in every report.  Exit codes: 0 success, 1 a checked property failed,
 2 input error (with a machine-readable diagnostic on standard error).
-SIGMA_LOG=1 turns on progress logging to standard error.
+SIGMA_LOG=1 turns on progress logging to standard error; ``verify`` then
+logs each suite's wall time.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import math
 import os
 import sys
+import time
 
 from . import actions as ac
 from . import jsonio, spaces as sp, svg, treesigma as ts, verify
@@ -294,7 +296,11 @@ def cmd_audit(args, data):
 
 def cmd_verify(args, data):
     names = sorted(verify.SUITES) if args.suite == "all" else [args.suite]
-    reports = [verify.run_suite(name, seed=args.seed) for name in names]
+    reports = []
+    for name in names:
+        start = time.perf_counter()
+        reports.append(verify.run_suite(name, seed=args.seed))
+        _log(f"suite {name} (seed {args.seed}): {1000 * (time.perf_counter() - start):.1f} ms", args.stderr)
     ok = all(r.ok for r in reports)
     payload = {
         "command": "verify",
@@ -399,6 +405,7 @@ def run(argv, stdout=None, stderr=None) -> int:
         data = _load(args.data) if getattr(args, "data", None) else None
         data = _space_override(args, data)
         _log(f"running {args.command} (seed {args.seed})", stderr)
+        args.stderr = stderr  # handlers that log as they go write here
         code, payload = HANDLERS[args.command](args, data)
         _dump(payload, args.out, stdout)
         return code

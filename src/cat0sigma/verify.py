@@ -432,14 +432,18 @@ def suite_tits(seed: int = 0) -> SuiteReport:
 def enumeration_ray_count(A, chi: Character) -> int | float:
     """Reference for ``sphere.minimal_ray_count``: every subset of
     A - {[chi]}, smallest first and without the Caratheodory bound, each
-    decided by Fourier-Motzkin elimination."""
+    decided by Fourier-Motzkin elimination on the integer vectors, with chi
+    scaled once to its primitive vector."""
     pts = sorted(set(A), key=lambda s: s.primitive)
-    if not chi.is_zero:
+    if chi.is_zero:
+        target = (0,) * len(chi.coords)
+    else:
         ray = normalize_ray(chi)
         pts = [p for p in pts if p != ray]
+        target = ray.primitive
     for size in range(1, len(pts) + 1):
         for subset in itertools.combinations(pts, size):
-            if strictly_representable_fm([tuple(Fraction(c) for c in s.primitive) for s in subset], chi.coords):
+            if strictly_representable_fm([s.primitive for s in subset], target):
                 return size
     return math.inf
 

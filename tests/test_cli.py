@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -507,3 +508,15 @@ def test_sigma_log_prints_progress(busemann_file, monkeypatch):
     code, _, err = run_cli(["busemann", "--data", busemann_file])
     assert code == 0
     assert "running busemann" in err
+
+
+def test_verify_logs_each_suite_time_only_under_sigma_log(monkeypatch):
+    monkeypatch.delenv("SIGMA_LOG", raising=False)
+    quiet = run_cli(["verify", "--suite", "tits", "--seed", "3"])
+    assert quiet[0] == 0 and quiet[2] == ""
+    monkeypatch.setenv("SIGMA_LOG", "1")
+    code, out, err = run_cli(["verify", "--suite", "tits", "--seed", "3"])
+    assert (code, out) == quiet[:2]
+    timed = [line for line in err.splitlines() if "suite tits" in line]
+    assert len(timed) == 1
+    assert re.fullmatch(r"cat0sigma: suite tits \(seed 3\): \d+\.\d ms", timed[0])

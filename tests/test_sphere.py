@@ -183,6 +183,33 @@ def test_m_value_equals_enumeration_oracle_on_seeded_instances():
         assert m_value(pts, chi).value == enumeration_m_value(pts, chi), (pts, chi)
 
 
+def test_m_value_equals_enumeration_oracle_on_rank_four_five_rays():
+    # Rank 4 with five rays: the oracle's largest subset is a five-variable
+    # system with four equalities, once out of reach of the elimination.
+    # Half the instances put the fifth ray opposite a positive combination
+    # of the other four, or chi inside the cone of some rays, so that finite
+    # m-values occur next to infinite ones.
+    rng = random.Random(404)
+    values = []
+    for i in range(40):
+        pts = generate_sphere_points(rng, 4, 4 if i % 4 == 1 else 5, forbid_antipodal=False)
+        if i % 4 == 1:
+            combination = [-sum(rng.randrange(1, 3) * p.primitive[c] for p in pts) for c in range(4)]
+            pts = list(dict.fromkeys(pts + [normalize_ray(Character(combination))]))
+        assert len(pts) == 5
+        if i % 4 in (0, 1):
+            chi = Character.zero(4)
+        elif i % 4 == 2:
+            subset = rng.sample(pts, rng.randrange(2, 5))
+            chi = Character([sum(rng.choice([1, 2, F(1, 2)]) * p.primitive[c] for p in subset) for c in range(4)])
+        else:
+            chi = Character(tuple(F(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in range(4)))
+        value = m_value(pts, chi).value
+        assert value == enumeration_m_value(pts, chi), (pts, chi)
+        values.append(value)
+    assert INF in values and len(set(values)) >= 3, values
+
+
 def test_m_value_monotone_under_enlarging_the_set():
     rng = random.Random(7)
     for _ in range(60):

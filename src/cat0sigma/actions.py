@@ -52,6 +52,7 @@ from .trees import (
     HnnUp,
     HnnVertex,
     TreePoint,
+    check_depth,
     invert_word,
     make_word_end,
     n_valuation,
@@ -342,7 +343,9 @@ class HnnIsometry:
 
     @staticmethod
     def from_json(space: TreeSpace, data) -> "HnnIsometry":
-        return HnnIsometry(space.model.index, parse_int(read_field(data, "shift")), parse_fraction(read_field(data, "add")))
+        shift = parse_int(read_field(data, "shift"))
+        check_depth("shift", shift)
+        return HnnIsometry(space.model.index, shift, parse_fraction(read_field(data, "add")))
 
     def apply(self, space, p: TreePoint) -> TreePoint:
         # Affine maps preserve the parent direction, so offsets carry over.

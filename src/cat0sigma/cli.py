@@ -85,7 +85,8 @@ def cmd_busemann(args, data):
         seq = sp.busemann_limit_audit(space, ray, p, schedule)
         vals = [v for _, v in seq]
         monotone = all(vals[i] <= vals[i + 1] + mono_slack for i in range(len(vals) - 1))
-        bounded = all(v <= sp.distance(space, ray.base, p) + bound_slack for v in vals)
+        top = sp.distance(space, ray.base, p) + bound_slack
+        bounded = all(v <= top for v in vals)
         values.append(closed)
         audits.append(
             {

@@ -22,7 +22,8 @@ class WrongSpace(Cat0SigmaError):
 
 
 class ParameterOutOfRange(Cat0SigmaError):
-    """A geodesic parameter lies outside [0, d(a, b)]."""
+    """A geodesic parameter lies outside [0, d(a, b)], or a tree depth or
+    ray parameter exceeds ``trees.DEPTH_BUDGET``."""
 
 
 class DegenerateTriangle(Cat0SigmaError):

@@ -403,6 +403,7 @@ class TreeSpace(ModelSpace):
         return trees.point_distance(self.model, self.check_point(a), self.check_point(b))
 
     def geodesic_point(self, a, b, t, d):
+        trees.check_depth("geodesic parameter", t)
         return trees.walk_to_point(self.model, self.check_point(a), self.check_point(b), Fraction(t))
 
     def ray_from(self, a, e):
@@ -415,16 +416,15 @@ class TreeSpace(ModelSpace):
         return GeneralizedRay(self, a, p, mu)
 
     def ray_point(self, ray, t):
+        trees.check_depth("ray parameter", t)
         if ray.is_degenerate:
             return trees.walk_to_point(self.model, ray.base, ray.end, Fraction(t))
         return trees.ray_point_at(self.model, ray.base, ray.end, Fraction(t))
 
     def busemann_to_end(self, ray, b):
-        # The geodesic from b joins the ray at some ray(s) with
-        # s <= T = d(base, b), and t - d(b, ray(t)) is constant from s on.
+        # The difference of the end's horofunction heights.
         b = self.check_point(b)
-        T = trees.point_distance(self.model, ray.base, b)
-        return T - trees.point_distance(self.model, b, trees.ray_point_at(self.model, ray.base, ray.end, T))
+        return trees.point_height(self.model, ray.base, ray.end) - trees.point_height(self.model, b, ray.end)
 
     def angle_between_rays(self, ray1, ray2):
         # Rays from a common point either share their first arc or separate
@@ -665,8 +665,8 @@ def busemann(M: ModelSpace, ray: GeneralizedRay, b):
 
     Degenerate rays use mu - d(b, ray(mu)).  Otherwise: the inner product
     with the direction on E^k; a logarithmic density quotient on H2; and on
-    trees T - d(b, ray(T)) at T = d(ray(0), b), where the geodesic from b
-    has already joined the ray.
+    trees h(ray(0)) - h(b) for the horofunction height h toward the end
+    (:func:`trees.point_height`).
     """
     if ray.space is not M and ray.space.to_json() != M.to_json():
         raise WrongSpace("ray does not belong to the given space")

@@ -16,7 +16,16 @@ Edges all have length one.  Geodesics come from closed forms, not from
 walks: the meet of two vertices is their longest common prefix (word
 trees) or the smallest ball holding both centers (HNN tree), and the k-th
 vertex of a ray is an ancestor or lies on the end past the branch point.
+Busemann values come from a third closed form, the horofunction height of
+a vertex toward an end: |v| - 2 |lcp(v, end)| on word trees, the level
+toward the upward HNN end, and level - 2 min(level, v_n(x - c)) toward the
+downward end x.  The height reads no meet and no ray vertex, so the
+defining limit, evaluated through those, stays an independent check of it.
 All quantities are exact over ints and Fractions.
+
+Depths read from the input (word lengths, HNN levels and shifts) and ray
+or geodesic parameters are bounded by DEPTH_BUDGET; beyond it ParameterOutOfRange is
+raised, an input error on the command line.
 
 Ends are restricted to the eventually periodic ones -- the computable
 dense subset of the boundary.  For the word trees an end is a canonical
@@ -32,9 +41,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+from .errors import ParameterOutOfRange
 from .jsonio import parse_fraction, parse_int, read_field
 
 Word = tuple[int, ...]
+
+# At the budget one Busemann value or ray point takes at most about 1.5 s
+# on a 2-vCPU machine (an HNN value toward a down end).
+DEPTH_BUDGET = 10**6
+
+
+def check_depth(what: str, size) -> None:
+    if abs(size) > DEPTH_BUDGET:
+        raise ParameterOutOfRange(f"{what} {size} exceeds the tree depth budget of {DEPTH_BUDGET}")
 
 
 def _common_prefix(a: Word, b: Word) -> int:
@@ -174,7 +193,7 @@ class HnnVertex:
 
 class TreeModel:
     """Shared geodesic machinery.  Subclasses supply the local structure,
-    the closed forms ``ancestor``, ``meet`` and ``ray_vertex``, the JSON
+    the closed forms ``ancestor``, ``meet``, ``ray_vertex`` and ``height``, the JSON
     readers ``parse_vertex`` and ``parse_end`` (docs/formats.md),
     ``sample_end(rng)`` for the seeded samplers, and ``basic_ends()``: a
     few ends of rays from the base vertex, probed by the cocompactness
@@ -203,6 +222,12 @@ class TreeModel:
 
     def ray_vertex(self, v, end, k: int):
         """The k-th vertex of the geodesic ray from v to the end."""
+        raise NotImplementedError
+
+    def height(self, v, end) -> tuple[int, bool]:
+        """The horofunction height of v toward the end (it falls by one per
+        step along a ray to the end), and whether v's parent edge points
+        toward the end."""
         raise NotImplementedError
 
     def check_vertex(self, v) -> None:
@@ -253,6 +278,10 @@ class WordTree(TreeModel):
         climb = len(v) - p
         return self.ancestor(v, k) if k <= climb else end.head(p + k - climb)
 
+    def height(self, v: Word, end: WordEnd) -> tuple[int, bool]:
+        p = _common_prefix(v, end.head(len(v)))
+        return len(v) - 2 * p, p < len(v)
+
     def check_end(self, end: TreeEnd) -> None:
         # Two periods and one more letter cover every letter of the end and
         # every seam between periods.
@@ -263,6 +292,7 @@ class WordTree(TreeModel):
     def parse_vertex(self, data) -> Word:
         if not isinstance(data, (list, tuple)):
             raise ValueError(f"a word is a list of letters, got {data!r}")
+        check_depth("word length", len(data))
         return tuple(parse_int(x) for x in data)
 
     def parse_end(self, data) -> WordEnd:
@@ -372,6 +402,7 @@ class CayleyTree(WordTree):
         strings with uppercase letters for inverses ("abA")."""
         if not isinstance(data, str):
             return super().parse_vertex(data)
+        check_depth("word length", len(data))
         letters = []
         for ch in data:
             idx = ord(ch.lower()) - ord("a") + 1
@@ -438,7 +469,9 @@ class HnnTree(TreeModel):
             raise ValueError("HNN tree ends are HnnUp or HnnDown")
 
     def parse_vertex(self, data) -> HnnVertex:
-        return HnnVertex(parse_int(read_field(data, "level")), parse_fraction(read_field(data, "center")))
+        level = parse_int(read_field(data, "level"))
+        check_depth("level", level)
+        return HnnVertex(level, parse_fraction(read_field(data, "center")))
 
     def parse_end(self, data) -> TreeEnd:
         if read_field(data, "up", default=False) is True:
@@ -469,6 +502,14 @@ class HnnTree(TreeModel):
         if k <= climb:
             return self.ancestor(v, k)
         return self.vertex_containing(end.value, v.level - climb + (k - climb))
+
+    def height(self, v: HnnVertex, end: TreeEnd) -> tuple[int, bool]:
+        # Toward a down end x the ray climbs to the largest ball holding v
+        # and x, at level min(level, v_n(x - c)), then descends.
+        if isinstance(end, HnnUp):
+            return v.level, True
+        top = min(v.level, n_valuation(end.value - v.center, self.index))
+        return v.level - 2 * top, top < v.level
 
     def vertex_containing(self, x: Fraction, level: int) -> HnnVertex:
         """The ball of the given level containing the rational x."""
@@ -532,6 +573,14 @@ def point_distance(model: TreeModel, p: TreePoint, q: TreePoint) -> Fraction:
         return abs(p.up - q.up)
     _, i, j = model.meet(p.vertex, q.vertex)
     return i + j + (p.up if i == 0 else -p.up) + (q.up if j == 0 else -q.up)
+
+
+def point_height(model: TreeModel, p: TreePoint, end: TreeEnd) -> Fraction:
+    """Horofunction height of a metric point toward an end: its vertex's
+    height, less the offset when the parent edge points toward the end and
+    plus it otherwise."""
+    h, toward = model.height(p.vertex, end)
+    return h - p.up if toward else h + p.up
 
 
 def _point_along(model: TreeModel, vertex_at, s: Fraction) -> TreePoint:

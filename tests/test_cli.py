@@ -443,6 +443,11 @@ def test_error_paths(tmp_path):
 
 H2_RAY = {"base": {"x": 0, "y": 1}, "end": {"boundary": {"xi": "inf"}}}
 HNN2 = {"space": "tree", "descriptor": {"type": "hnn", "index": 2}}
+HNN3 = {"space": "tree", "descriptor": {"type": "hnn", "index": 3}}
+HNN_ROOT = {"level": 0, "center": 0}
+HNN_DOWN_RAY = {"base": {"vertex": HNN_ROOT}, "end": {"boundary": {"down": "1/2"}}}
+CAYLEY2 = {"space": "tree", "descriptor": {"type": "cayley", "rank": 2}}
+CAYLEY_RAY = {"base": {"vertex": []}, "end": {"boundary": {"period": [1]}}}
 HNN_ACTION = {"space": HNN2, "generators": {"a": {"shift": 0, "add": "1"}, "t": {"shift": 1, "add": "0"}}}
 MALFORMED = {
     "busemann-points-number": ("busemann", {"space": {"space": "H2"}, "ray": H2_RAY, "points": 5}),
@@ -481,6 +486,32 @@ MALFORMED = {
     ),
     "tree-sigma-negative-lengths": ("tree-sigma", {"fl_group": -1, "fl_stabilizers": -1, "has_fixed_end": False}),
     "tree-sigma-length-list": ("tree-sigma", {"fl_group": [3], "fl_stabilizers": 1, "has_fixed_end": False}),
+    # Beyond trees.DEPTH_BUDGET = 10**6: a ray time, a word length, an HNN level.
+    "busemann-cayley-time-over-depth-budget": (
+        "busemann",
+        {"space": CAYLEY2, "ray": CAYLEY_RAY, "points": [[2]], "schedule": [1, 3 * 10**6]},
+    ),
+    "busemann-hnn-down-time-over-depth-budget": (
+        "busemann",
+        {"space": HNN3, "ray": HNN_DOWN_RAY, "points": [{"vertex": HNN_ROOT}], "schedule": [10**6 + 1]},
+    ),
+    "busemann-cayley-word-over-depth-budget": (
+        "busemann",
+        {"space": CAYLEY2, "ray": CAYLEY_RAY, "points": ["a" * (10**6 + 1)]},
+    ),
+    "character-hnn-shift-over-depth-budget": (
+        "character",
+        {
+            "action": {"space": HNN2, "generators": {"t": {"shift": 10**6 + 1, "add": "0"}}},
+            "end": {"up": True},
+            "base": {"vertex": HNN_ROOT},
+            "words": ["t"],
+        },
+    ),
+    "busemann-hnn-level-over-depth-budget": (
+        "busemann",
+        {"space": HNN3, "ray": HNN_DOWN_RAY, "points": [{"vertex": {"level": -(10**6) - 1, "center": 0}}]},
+    ),
 }
 # Sizes given on the command line follow the payload.
 F2_ACTION = json.loads((GOLDEN / "cocompact_f2.json").read_text(encoding="utf-8"))

@@ -9,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cat0sigma import spaces as sp
+from cat0sigma import trees
+from cat0sigma.errors import ParameterOutOfRange
 from cat0sigma.trees import (
+    DEPTH_BUDGET,
     CayleyTree,
     HnnDown,
     HnnTree,
@@ -301,15 +304,18 @@ def test_point_distance_and_walk_match_breadth_first_reference(model, rng):
                 assert _reference_distance(model, mid, q, bfs) == total - frac * total, (p, q, frac)
 
 
-def _count_ray_vertices(monkeypatch, model):
-    calls = [0]
-    vertex = model.ray_vertex
+def _count_calls(monkeypatch, *targets):
+    """Replace each (owner, name) function by a wrapper that counts its
+    calls; returns the counts by name."""
+    calls = {name: 0 for _, name in targets}
+    for owner, name in targets:
+        orig = getattr(owner, name)
 
-    def counted(v, end, k):
-        calls[0] += 1
-        return vertex(v, end, k)
+        def counted(*args, _name=name, _orig=orig, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
 
-    monkeypatch.setattr(model, "ray_vertex", counted)
+        monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -325,19 +331,67 @@ def _deep_point(model, L):
 @pytest.mark.parametrize(
     "model, end", [(CayleyTree(2), make_word_end((), (1,))), (HnnTree(2), HnnUp())], ids=["cayley", "hnn"]
 )
-def test_busemann_value_reads_three_ray_vertices(model, end, monkeypatch):
-    # One value is one ray point at T = d(base, b), at any merge distance:
-    # one ray vertex for the offset rule and two for the edge that holds it.
+def test_busemann_value_reads_two_heights_and_no_ray_vertex(model, end, monkeypatch):
+    # One value is the difference of two horofunction heights, at any merge
+    # distance up to the depth budget (the Cayley word has length L + 5).
     M = sp.TreeSpace(model)
     ray = sp.ray_from(M, M.origin(), end)
-    calls = _count_ray_vertices(monkeypatch, model)
-    for L in (200, 10**5):
+    calls = _count_calls(monkeypatch, (model, "ray_vertex"), (model, "height"))
+    for L in (200, 10**5, DEPTH_BUDGET - 5):
         b = _deep_point(model, L)
-        calls[0] = 0
+        calls.update(ray_vertex=0, height=0)
         start = time.perf_counter()
         assert sp.busemann(M, ray, b) == L - 5
         assert time.perf_counter() - start < 2.0
-        assert calls[0] <= 3
+        assert calls == {"ray_vertex": 0, "height": 2}
+
+
+@pytest.mark.parametrize(
+    "model", [CayleyTree(2), RegularTree(3), HnnTree(2), HnnTree(3)], ids=["cayley2", "regular3", "hnn2", "hnn3"]
+)
+def test_busemann_and_its_limit_audit_share_no_model_method(model, monkeypatch, rng):
+    # The closed form reads heights only; the audit reads ray points and
+    # distances only, so each checks the other.
+    M = sp.TreeSpace(model)
+    base = TreePoint(model.children(model.base_vertex())[1], F(1, 3))
+    points = sp.sample_points_near(M, base, 12, seed=4)
+    ends = model.basic_ends() + [model.sample_end(rng) for _ in range(3)]
+    geodesic = _count_calls(
+        monkeypatch, (model, "meet"), (model, "ray_vertex"), (trees, "ray_point_at"), (trees, "point_distance")
+    )
+    heights = _count_calls(monkeypatch, (model, "height"), (trees, "point_height"))
+    rays = [sp.ray_from(M, base, end) for end in ends]
+    values = [sp.busemann(M, ray, b) for ray in rays for b in points]
+    assert geodesic == {"meet": 0, "ray_vertex": 0, "ray_point_at": 0, "point_distance": 0}
+    assert heights == {"height": 2 * len(values), "point_height": 2 * len(values)}
+    heights.update(height=0, point_height=0)
+    limits = [sp.busemann_limit_audit(M, ray, b, [0, 1, 5, 12])[-1][1] for ray in rays for b in points]
+    assert heights == {"height": 0, "point_height": 0}
+    assert geodesic["ray_point_at"] > 0 and geodesic["point_distance"] > 0
+    assert limits == values
+
+
+def test_depth_budget_bounds_parsed_depths_and_ray_parameters():
+    cayley, hnn = sp.TreeSpace(CayleyTree(2)), sp.TreeSpace(HnnTree(3))
+    # test_cli.py's malformed inputs cover a letter string and a negative level.
+    for space, data in [
+        (cayley, {"vertex": [1] * (DEPTH_BUDGET + 1)}),
+        (hnn, {"vertex": {"level": DEPTH_BUDGET + 1, "center": 0}}),
+    ]:
+        with pytest.raises(ParameterOutOfRange, match="depth budget"):
+            space.parse_point(data)
+    with pytest.raises(ParameterOutOfRange, match="depth budget"):
+        cayley.parse_boundary({"prefix": [2] * (DEPTH_BUDGET + 1), "period": [1]})
+    for space, end in [(cayley, make_word_end((), (1,))), (hnn, HnnDown(F(1, 2)))]:
+        ray = sp.ray_from(space, space.origin(), end)
+        assert space.distance(space.origin(), ray.point_at(DEPTH_BUDGET)) == DEPTH_BUDGET
+        with pytest.raises(ParameterOutOfRange, match="depth budget"):
+            ray.point_at(DEPTH_BUDGET + F(1, 2))
+    # Levels at the budget parse, and lie twice the budget apart.
+    low, high = (hnn.parse_point({"vertex": {"level": s * DEPTH_BUDGET, "center": 0}}) for s in (-1, 1))
+    assert sp.geodesic_point(hnn, low, high, 7) == TreePoint(HnnVertex(7 - DEPTH_BUDGET, F(0)))
+    with pytest.raises(ParameterOutOfRange, match="depth budget"):
+        sp.geodesic_point(hnn, low, high, DEPTH_BUDGET + 1)
 
 
 def test_tree_point_validation():
@@ -368,8 +422,9 @@ def test_hnn_composite_index():
 
 
 # ---------------------------------------------------------------------------
-# Oracles: the parent-by-parent climb, the one-step ray rule and the
-# one-factor-per-pass n-adic loops that the closed forms replaced.
+# Oracles: the parent-by-parent climb, the one-step ray rule, the
+# one-factor-per-pass n-adic loops and the ray-point Busemann evaluation
+# that the closed forms replaced.
 
 
 def _prime_factors(n):
@@ -484,3 +539,49 @@ def test_meet_and_ray_vertex_match_the_climb_and_the_step_rule(model):
                 step = _end_step(model, step, end)
             for u in verts:
                 assert model.meet(u, v) == _climb_meet(model, u, v), (u, v)
+
+
+def _ray_point_busemann(model, base, end, b):
+    """T - d(b, ray(T)) at T = d(base, b): the geodesic from b has joined
+    the ray by then, and t - d(b, ray(t)) is constant from there on."""
+    T = point_distance(model, base, b)
+    return T - point_distance(model, b, ray_point_at(model, base, end, T))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [CayleyTree(2), RegularTree(3), HnnTree(2), HnnTree(3), HnnTree(6)],
+    ids=["cayley2", "regular3", "hnn2", "hnn3", "hnn6"],
+)
+def test_busemann_heights_match_the_ray_point_evaluation(model):
+    rng = random.Random(str(("heights", model.descriptor())))
+    M = sp.TreeSpace(model)
+    root = model.base_vertex()
+    ends = model.basic_ends() + [model.sample_end(rng) for _ in range(6)]
+    if isinstance(model, HnnTree):
+        ends += [HnnDown(F(1, 3)), HnnDown(F(-7, 5)), HnnDown(F(5, 4)), HnnDown(F(1, model.index**3))]
+
+    def point(end):
+        # A vertex on the ray from the root, or a seeded walk, with an offset.
+        if rng.random() < 0.4:
+            v = model.ray_vertex(root, end, rng.randrange(1, 5))
+        else:
+            v = root
+            for _ in range(rng.randrange(0, 7)):
+                v = rng.choice(model.neighbors(v))
+        up = rng.choice([F(0), F(0), F(1, 2), F(1, 3), F(3, 4)])
+        return TreePoint(v, up if model.parent(v) is not None else F(0))
+
+    kinds = {"up": 0, "other": 0, "offset": 0, "crossing": 0}
+    for _ in range(2100):
+        end = rng.choice(ends)
+        base, b = point(end), point(end)
+        ray = sp.ray_from(M, base, end)
+        assert sp.busemann(M, ray, b) == _ray_point_busemann(model, base, end, b), (base, end, b)
+        kinds["up" if isinstance(end, HnnUp) else "other"] += 1
+        kinds["offset"] += bool(base.up and b.up)
+        # The ray leaves the base downward, across the base's own edge.
+        first = model.ray_vertex(base.vertex, end, 1)
+        kinds["crossing"] += bool(base.up) and model.level(first) > model.level(base.vertex)
+    assert min(kinds["other"], kinds["offset"], kinds["crossing"]) >= 100, kinds
+    assert kinds["up"] >= 100 or not isinstance(model, HnnTree), kinds

@@ -50,7 +50,6 @@ from .trees import (
     HnnDown,
     HnnTree,
     HnnUp,
-    HnnVertex,
     TreePoint,
     check_depth,
     invert_word,
@@ -374,7 +373,7 @@ class HnnIsometry:
             if self.add == 0:
                 return IsometryClass("identity", 0)
             level = n_valuation(self.add, self.index)
-            witness = HnnVertex(level, Fraction(0)) if level <= 0 else HnnTree(self.index).canonical(level, Fraction(0))
+            witness = HnnTree(self.index).vertex(level, Fraction(0))
             return IsometryClass("elliptic", 0, (), witness)
         fixed_value = self.add / (1 - Fraction(self.index) ** self.shift)
         # Positive shifts contract n-adically toward the finite fixed point

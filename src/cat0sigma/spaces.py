@@ -2,9 +2,9 @@
 
 Euclidean k-space and the hyperbolic plane (upper half-plane model) are
 computed in binary64 with a global tolerance of 1e-9 for assertions;
-simplicial trees are exact over Fractions.  Each space class owns its
-operations: distance, geodesics, generalized rays, the Busemann closed
-form, boundary equality, angles and the angular and Tits metrics, the
+simplicial trees are exact over ints and Fractions.  Each space class
+owns its operations: distance, geodesics, generalized rays, the Busemann
+closed form, boundary equality, angles and the angular and Tits metrics, the
 seeded samplers, parsing of its points and ends, and the helpers of the
 cocompactness test.  The module-level functions (:func:`distance`,
 :func:`busemann`, :func:`ray_from`, ...) are the public entry points and
@@ -356,6 +356,10 @@ class HyperbolicPlane(ModelSpace):
         return [H2_INFINITY, Fraction(0), Fraction(1), Fraction(-1)]
 
 
+# Edge offsets of sampled tree points, 0 twice as often as each other value.
+_SAMPLE_OFFSETS = (Fraction(0), Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3))
+
+
 class TreeSpace(ModelSpace):
     """A locally finite simplicial tree given by a lazy descriptor."""
 
@@ -424,7 +428,8 @@ class TreeSpace(ModelSpace):
     def busemann_to_end(self, ray, b):
         # The difference of the end's horofunction heights.
         b = self.check_point(b)
-        return trees.point_height(self.model, ray.base, ray.end) - trees.point_height(self.model, b, ray.end)
+        value = trees.point_height(self.model, ray.base, ray.end) - trees.point_height(self.model, b, ray.end)
+        return value if isinstance(value, Fraction) else Fraction(value)
 
     def angle_between_rays(self, ray1, ray2):
         # Rays from a common point either share their first arc or separate
@@ -438,9 +443,9 @@ class TreeSpace(ModelSpace):
         v = center.vertex
         for _ in range(rng.randrange(0, max(1, int(radius)))):
             v = rng.choice(self.model.neighbors(v))
-        up = rng.choice([Fraction(0), Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)])
-        if up != 0 and self.model.parent(v) is None:
-            up = Fraction(0)
+        up = rng.choice(_SAMPLE_OFFSETS)
+        if up and self.model.parent(v) is None:
+            up = _SAMPLE_OFFSETS[0]
         return TreePoint(v, up)
 
     def sample_end(self, rng):

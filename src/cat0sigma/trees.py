@@ -9,8 +9,9 @@ Three families cover everything the rest of the package needs:
 * ``HnnTree(index)`` -- the Bass-Serre tree of an ascending HNN extension
   of index n, modeled on nested n-adic balls: a vertex is a pair
   ``(level k, center c)`` with c a rational taken in [0, n^k) whose
-  denominator divides a power of n.  Each vertex has one parent (toward
-  the distinguished fixed end) and n children.
+  denominator divides a power of n, stored as the integers (k, a, e) with
+  c = a / n^e in lowest terms.  Each vertex has one parent (toward the
+  distinguished fixed end) and n children.
 
 Edges all have length one.  Geodesics come from closed forms, not from
 walks: the meet of two vertices is their longest common prefix (word
@@ -21,7 +22,9 @@ a vertex toward an end: |v| - 2 |lcp(v, end)| on word trees, the level
 toward the upward HNN end, and level - 2 min(level, v_n(x - c)) toward the
 downward end x.  The height reads no meet and no ray vertex, so the
 defining limit, evaluated through those, stays an independent check of it.
-All quantities are exact over ints and Fractions.
+All quantities are exact: HNN vertices hold their centers as integers over
+a power of n, heights and vertex distances are ints, and a Fraction enters
+only with an edge offset or a result.
 
 Depths read from the input (word lengths, HNN levels and shifts) and ray
 or geodesic parameters are bounded by DEPTH_BUDGET; beyond it ParameterOutOfRange is
@@ -46,8 +49,11 @@ from .jsonio import parse_fraction, parse_int, read_field
 
 Word = tuple[int, ...]
 
-# At the budget one Busemann value or ray point takes at most about 1.5 s
-# on a 2-vCPU machine (an HNN value toward a down end).
+# At the budget one Busemann value or ray point takes at most about 0.25 s
+# on a 2-vCPU machine when the point lies near the ray or far from it; the
+# slowest case found, an HNN(6) value toward a down end whose point's center
+# agrees with the end to half the budget's digits, takes about 6.5 s (the
+# n-adic valuation divides by powers half the operand's size).
 DEPTH_BUDGET = 10**6
 
 
@@ -57,9 +63,18 @@ def check_depth(what: str, size) -> None:
 
 
 def _common_prefix(a: Word, b: Word) -> int:
-    """Length of the longest common prefix of two words."""
-    n = min(len(a), len(b))
-    return next((i for i in range(n) if a[i] != b[i]), n)
+    """Length of the longest common prefix of two words, by bisection on
+    slice equality (a C-level compare) with a[:lo] == b[:lo] != ... a[:hi]."""
+    lo, hi = 0, min(len(a), len(b))
+    if a[:hi] == b[:hi]:
+        return hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if a[lo:mid] == b[lo:mid]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 # ---------------------------------------------------------------------------
@@ -145,46 +160,96 @@ TreeEnd = Union[WordEnd, HnnUp, HnnDown]
 # n-adic helpers
 
 
+def _power(n: int, k: int) -> int:
+    """n^k for k >= 0, by a shift when n is a power of two."""
+    return 1 << k * (n.bit_length() - 1) if n & (n - 1) == 0 else n**k
+
+
+def _valuation(m: int, n: int) -> int:
+    """Largest h such that n^h divides the nonzero integer m.
+
+    For n = 2^a this is the trailing zero bits over a.  Otherwise n, n^2,
+    n^4, ... are divided out while they divide, so the operand shrinks as
+    the powers grow; what is left has valuation below the last power
+    tried, and the same powers in reverse order read it off bit by bit.
+    Once 255 factors are out, the rest is also tried from the top: with
+    |m| < n^(t+1), m mod n^(t - 64) costs a few passes over m, where the
+    climb toward t would divide by powers half its size.
+    """
+    if n & (n - 1) == 0:
+        return ((m & -m).bit_length() - 1) // (n.bit_length() - 1)
+    if m % n:
+        return 0
+    h, powers = 0, [n]
+    while True:
+        q, r = divmod(m, powers[-1])
+        if r:
+            break
+        m, h = q, h + (1 << len(powers) - 1)
+        powers.append(powers[-1] * powers[-1])
+        if len(powers) == 9:
+            k = int(m.bit_length() / math.log2(n)) - 64
+            if k > 0 and m % n**k == 0:
+                return h + k + _valuation(m // n**k, n)
+    for i in range(len(powers) - 2, -1, -1):
+        q, r = divmod(m, powers[i])
+        if not r:
+            m, h = q, h + (1 << i)
+    return h
+
+
 def _shared_part(den: int, n: int) -> int:
     """Largest divisor of den built from primes of n: every prime power
     dividing den has exponent below den.bit_length()."""
-    return math.gcd(den, n ** den.bit_length())
+    return math.gcd(den, _power(n, den.bit_length()))
+
+
+def _n_adic(x: Fraction, n: int) -> tuple[int, int, int]:
+    """(num, unit, exp) with x = num / (unit n^exp), unit prime to n and exp
+    least; then n does not divide num when exp > 0."""
+    num, den = x.numerator, x.denominator
+    shared = _shared_part(den, n)
+    if shared == 1:
+        return num, den, 0
+    # A doubling search finds a power n^top that the shared part divides;
+    # the least exponent is top less the valuation of the cofactor.
+    top, power = 1, n
+    while power % shared:
+        top, power = 2 * top, power * power
+    cofactor = power // shared
+    exp = top - _valuation(cofactor, n)
+    return num * (cofactor // _power(n, top - exp)), den // shared, exp
 
 
 def n_valuation(x: Fraction, n: int) -> int | float:
     """Largest h such that x / n^h is n-adically integral; +inf for x = 0.
 
-    Denominator factors coprime to n are units and are ignored.  The test
-    "x / n^h is integral" holds exactly for h up to the valuation, so a
-    doubling search brackets the valuation and bisection pins it down.
+    Denominator factors coprime to n are units and are ignored.
     """
     if x == 0:
         return math.inf
-    num, shared = x.numerator, _shared_part(x.denominator, n)
-
-    def integral(h: int) -> bool:
-        # The numerator is prime to the denominator, so x n^-h is integral
-        # when n^-h absorbs the shared part, and x / n^h (h >= 0) when there
-        # is no shared part and n^h divides the numerator.
-        return n ** -h % shared == 0 if h < 0 else shared == 1 and num % n ** h == 0
-
-    lo, hi = (0, 1) if integral(0) else (-1, 0)
-    while integral(hi):
-        lo, hi = hi, 2 * hi
-    while not integral(lo):
-        lo, hi = 2 * lo, lo
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if integral(mid) else (lo, mid)
-    return lo
+    num, _, exp = _n_adic(x, n)
+    return _valuation(num, n) - exp
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HnnVertex:
-    """Ball of n-adic radius n^-level with rational center in [0, n^level)."""
+    """Ball c + n^level Z_n of the HNN tree of index n, with its center c =
+    num / n^exp in [0, n^level) held in lowest terms (exp = 0 or n does not
+    divide num).  Build vertices through an :class:`HnnTree`, which keeps
+    them canonical, so equal balls are equal tuples of ints."""
 
     level: int
-    center: Fraction
+    num: int
+    exp: int
+    index: int
+
+    @property
+    def center(self) -> Fraction:
+        return Fraction(self.num, self.index**self.exp)
+
+    def to_json(self) -> dict:
+        return {"level": self.level, "center": self.center}
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +406,16 @@ class RegularTree(WordTree):
         if degree < 3:
             raise ValueError("regular tree needs degree >= 3 to have more than two ends")
         self.degree = degree
+        self._digits = frozenset(range(degree - 1))
 
     def children(self, v: Word) -> list[Word]:
         width = self.degree if not v else self.degree - 1
         return [v + (i,) for i in range(width)]
 
     def check_vertex(self, v: Word) -> None:
+        # A set containment test at C speed; the loop only names the fault.
+        if not v or 0 <= v[0] < self.degree and self._digits.issuperset(v[1:]):
+            return
         for i, letter in enumerate(v):
             width = self.degree if i == 0 else self.degree - 1
             if not 0 <= letter < width:
@@ -382,6 +451,10 @@ class CayleyTree(WordTree):
         if rank < 1:
             raise ValueError("free group rank must be >= 1")
         self.rank = rank
+        # One character per letter, so that a word becomes a string and its
+        # cancelling pairs are substrings.
+        self._chars = {x: chr(rank + x) for x in self.letters()}
+        self._cancelling = [self._chars[x] + self._chars[-x] for x in self.letters()]
 
     def letters(self) -> list[int]:
         return list(range(1, self.rank + 1)) + [-i for i in range(1, self.rank + 1)]
@@ -391,6 +464,14 @@ class CayleyTree(WordTree):
         return [v + (x,) for x in self.letters() if last is None or x != -last]
 
     def check_vertex(self, v: Word) -> None:
+        # The letters are read and the cancelling pairs found at C speed;
+        # the loop only names the fault.
+        try:
+            word = "".join(map(self._chars.__getitem__, v))
+            if not any(map(word.__contains__, self._cancelling)):
+                return
+        except KeyError:
+            pass
         for i, letter in enumerate(v):
             if letter == 0 or abs(letter) > self.rank:
                 raise ValueError(f"letter {letter} outside rank {self.rank}")
@@ -439,30 +520,56 @@ class HnnTree(TreeModel):
         if index < 2:
             raise ValueError("ascending HNN extensions here have index >= 2")
         self.index = index
+        self._log2 = math.log2(index)
 
     def base_vertex(self) -> HnnVertex:
-        return HnnVertex(0, Fraction(0))
+        return HnnVertex(0, 0, 0, self.index)
 
-    def canonical(self, level: int, center: Fraction) -> HnnVertex:
-        return HnnVertex(level, center % Fraction(self.index) ** level)
+    def vertex(self, level: int, center: Fraction) -> HnnVertex:
+        """The ball of the given level around a center in [0, n^level)
+        whose denominator divides a power of n."""
+        n, num, den = self.index, center.numerator, center.denominator
+        if num < 0 or num and (num * _power(n, -level) >= den if level < 0 else num >= den * _power(n, level)):
+            raise ValueError(f"center {center} outside [0, {n}^{level})")
+        num, unit, exp = _n_adic(center, n)
+        if unit != 1:
+            raise ValueError(f"center {center} is not an {n}-adic rational")
+        return HnnVertex(level, num, exp, n)
+
+    def canonical(self, level: int, num: int, exp: int) -> HnnVertex:
+        """The ball of the given level around num / n^exp, in lowest terms."""
+        if level + exp <= 0:
+            return HnnVertex(level, 0, 0, self.index)
+        # num / n^exp mod n^level.  The modulus n^(level + exp) is a multiple
+        # of n, so num keeps its residue mod n and the center its lowest terms.
+        return HnnVertex(level, num % _power(self.index, level + exp), exp, self.index)
 
     def ancestor(self, v: HnnVertex, k: int) -> HnnVertex:
-        return self.canonical(v.level - k, v.center)
+        return self.canonical(v.level - k, v.num, v.exp)
 
     def level(self, v: HnnVertex) -> int:
         return v.level
 
     def children(self, v: HnnVertex) -> list[HnnVertex]:
-        step = Fraction(self.index) ** v.level
-        return [HnnVertex(v.level + 1, v.center + d * step) for d in range(self.index)]
+        n, level = self.index, v.level + 1
+        if v.level + v.exp < 0:
+            # Above level 0 the center is 0 and the children's are d / n^-level.
+            return [HnnVertex(level, d, -v.level if d else 0, n) for d in range(n)]
+        step = _power(n, v.level + v.exp)
+        return [HnnVertex(level, v.num + d * step, v.exp, n) for d in range(n)]
 
     def check_vertex(self, v: HnnVertex) -> None:
-        if not isinstance(v, HnnVertex):
-            raise ValueError("HNN tree vertices are (level, center) balls")
-        if not 0 <= v.center < Fraction(self.index) ** v.level:
-            raise ValueError(f"center {v.center} outside [0, {self.index}^{v.level})")
-        if _shared_part(v.center.denominator, self.index) != v.center.denominator:
-            raise ValueError(f"center {v.center} is not an {self.index}-adic rational")
+        if not isinstance(v, HnnVertex) or v.index != self.index:
+            raise ValueError(f"HNN tree vertices are (level, center) balls of index {self.index}")
+        if v.num == v.exp == 0:
+            return
+        # 0 < num < n^(level + exp); a bit count settles most cases without
+        # the power.
+        k = v.level + v.exp
+        if v.exp < 0 or k <= 0 or v.num <= 0 or (
+            v.num.bit_length() > k * self._log2 - 1 and v.num >= _power(self.index, k)
+        ):
+            raise ValueError(f"center {v.num}/{self.index}^{v.exp} outside [0, {self.index}^{v.level})")
 
     def check_end(self, end: TreeEnd) -> None:
         if not isinstance(end, (HnnUp, HnnDown)):
@@ -471,7 +578,7 @@ class HnnTree(TreeModel):
     def parse_vertex(self, data) -> HnnVertex:
         level = parse_int(read_field(data, "level"))
         check_depth("level", level)
-        return HnnVertex(level, parse_fraction(read_field(data, "center")))
+        return self.vertex(level, parse_fraction(read_field(data, "center")))
 
     def parse_end(self, data) -> TreeEnd:
         if read_field(data, "up", default=False) is True:
@@ -487,18 +594,30 @@ class HnnTree(TreeModel):
         """The upward end and the downward ends toward 0, 1, ..., n - 1."""
         return [HnnUp()] + [HnnDown(Fraction(d)) for d in range(self.index)]
 
+    def _valuation_from(self, v: HnnVertex, x: Fraction) -> int | float:
+        """v_n(x - c) for the center c of v; +inf when x = c."""
+        n = self.index
+        num, unit, exp = _n_adic(x, n)
+        # x - c = (num n^e - c_num unit n^exp) / (unit n^(exp + e)).
+        diff = num * _power(n, v.exp) - v.num * unit * _power(n, exp)
+        return _valuation(diff, n) - exp - v.exp if diff else math.inf
+
     def contains_value(self, v: HnnVertex, x: Fraction) -> bool:
-        return n_valuation(x - v.center, self.index) >= v.level
+        return self._valuation_from(v, x) >= v.level
 
     def meet(self, u: HnnVertex, v: HnnVertex) -> tuple[HnnVertex, int, int]:
         # The balls of u and v first coincide where n^level divides c_u - c_v.
-        top = min(u.level, v.level, n_valuation(u.center - v.center, self.index))
-        return self.canonical(top, u.center), u.level - top, v.level - top
+        n, exp = self.index, max(u.exp, v.exp)
+        diff = u.num * _power(n, exp - u.exp) - v.num * _power(n, exp - v.exp)
+        top = min(u.level, v.level)
+        if diff:
+            top = min(top, _valuation(diff, n) - exp)
+        return self.canonical(top, u.num, u.exp), u.level - top, v.level - top
 
     def ray_vertex(self, v: HnnVertex, end: TreeEnd, k: int) -> HnnVertex:
         # Climb to the largest ball around v that holds the end's value (the
         # up end has none), then descend through the balls that hold it.
-        climb = k if isinstance(end, HnnUp) else max(0, v.level - n_valuation(end.value - v.center, self.index))
+        climb = k if isinstance(end, HnnUp) else max(0, v.level - self._valuation_from(v, end.value))
         if k <= climb:
             return self.ancestor(v, k)
         return self.vertex_containing(end.value, v.level - climb + (k - climb))
@@ -508,25 +627,31 @@ class HnnTree(TreeModel):
         # and x, at level min(level, v_n(x - c)), then descends.
         if isinstance(end, HnnUp):
             return v.level, True
-        top = min(v.level, n_valuation(end.value - v.center, self.index))
+        top = min(v.level, self._valuation_from(v, end.value))
         return v.level - 2 * top, top < v.level
 
     def vertex_containing(self, x: Fraction, level: int) -> HnnVertex:
         """The ball of the given level containing the rational x."""
         n = self.index
-        j = max(0, -n_valuation(x, n))  # x n^j is n-adically integral
-        exp = level + j
-        if exp <= 0:
-            return self.canonical(level, Fraction(0))
-        y = x * n ** j
-        modulus = n ** exp
-        m = (y.numerator * pow(y.denominator, -1, modulus)) % modulus
-        return self.canonical(level, Fraction(m, n ** j))
+        num, unit, exp = _n_adic(x, n)
+        if level + exp <= 0:
+            return HnnVertex(level, 0, 0, n)
+        # The center is x mod n^level: num / unit read mod n^(level + exp).
+        modulus = _power(n, level + exp)
+        return HnnVertex(level, num * pow(unit, -1, modulus) % modulus, exp, n)
 
     def affine_vertex(self, shift: int, add: Fraction, v: HnnVertex) -> HnnVertex:
         """Image of the ball under x -> n^shift x + add."""
-        n = Fraction(self.index)
-        return self.canonical(v.level + shift, n ** shift * v.center + add)
+        n = self.index
+        add_num, unit, add_exp = _n_adic(add, n)
+        if unit != 1:
+            raise ValueError(f"add {add} is not an {n}-adic rational")
+        # n^shift c = v.num / n^(v.exp - shift); add both over n^exp.
+        num, exp = (v.num, v.exp - shift) if v.exp >= shift else (v.num * _power(n, shift - v.exp), 0)
+        top = max(exp, add_exp)
+        num = num * _power(n, top - exp) + add_num * _power(n, top - add_exp)
+        k = min(top, _valuation(num, n)) if num else top  # to lowest terms
+        return self.canonical(v.level + shift, num // _power(n, k), top - k)
 
     def descriptor(self) -> dict:
         return {"type": "hnn", "index": self.index}
@@ -556,8 +681,9 @@ class TreePoint:
     up: Fraction = Fraction(0)
 
     def __init__(self, vertex, up=Fraction(0)):
-        up = Fraction(up)
-        if not 0 <= up < 1:
+        if not isinstance(up, Fraction):
+            up = Fraction(up)
+        if not 0 <= up.numerator < up.denominator:
             raise ValueError("edge offset must lie in [0, 1)")
         object.__setattr__(self, "vertex", vertex)
         object.__setattr__(self, "up", up)
@@ -572,14 +698,21 @@ def point_distance(model: TreeModel, p: TreePoint, q: TreePoint) -> Fraction:
     if p.vertex == q.vertex:
         return abs(p.up - q.up)
     _, i, j = model.meet(p.vertex, q.vertex)
-    return i + j + (p.up if i == 0 else -p.up) + (q.up if j == 0 else -q.up)
+    d = i + j
+    if p.up:
+        d += p.up if i == 0 else -p.up
+    if q.up:
+        d += q.up if j == 0 else -q.up
+    return d if isinstance(d, Fraction) else Fraction(d)
 
 
-def point_height(model: TreeModel, p: TreePoint, end: TreeEnd) -> Fraction:
+def point_height(model: TreeModel, p: TreePoint, end: TreeEnd) -> int | Fraction:
     """Horofunction height of a metric point toward an end: its vertex's
-    height, less the offset when the parent edge points toward the end and
-    plus it otherwise."""
+    height (an int), less the offset when the parent edge points toward the
+    end and plus it otherwise."""
     h, toward = model.height(p.vertex, end)
+    if not p.up:
+        return h
     return h - p.up if toward else h + p.up
 
 

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 from cat0sigma import spaces as sp
 from cat0sigma import trees
 from cat0sigma.errors import ParameterOutOfRange
+from cat0sigma.jsonio import jsonable
 from cat0sigma.trees import (
     DEPTH_BUDGET,
     CayleyTree,
     HnnDown,
     HnnTree,
     HnnUp,
-    HnnVertex,
     RegularTree,
     TreePoint,
     _shared_part,
@@ -112,28 +112,28 @@ def test_hnn_vertex_structure():
     model = HnnTree(2)
     base = model.base_vertex()
     kids = model.children(base)
-    assert kids == [HnnVertex(1, F(0)), HnnVertex(1, F(1))]
+    assert kids == [model.vertex(1, F(0)), model.vertex(1, F(1))]
     assert model.parent(kids[1]) == base
-    assert model.parent(base) == HnnVertex(-1, F(0))
+    assert model.parent(base) == model.vertex(-1, F(0))
     # Distance between the two grandchildren below different children.
-    a = HnnVertex(2, F(1))   # digits 1,0 below base
-    b = HnnVertex(2, F(2))   # digits 0,1
+    a = model.vertex(2, F(1))   # digits 1,0 below base
+    b = model.vertex(2, F(2))   # digits 0,1
     assert model.vertex_distance(a, b) == 4
 
 
 def test_hnn_ray_vertices_and_containment():
     model = HnnTree(2)
     base = model.base_vertex()
-    assert model.ray_vertex(base, HnnUp(), 1) == HnnVertex(-1, F(0))
+    assert model.ray_vertex(base, HnnUp(), 1) == model.vertex(-1, F(0))
     down = HnnDown(F(5))
     # 5 = 101 in binary: digits 1, 0, 1 descending from the base ball.
     steps = [model.ray_vertex(base, down, k) for k in range(4)]
-    assert steps == [base, HnnVertex(1, F(1)), HnnVertex(2, F(1)), HnnVertex(3, F(5))]
+    assert steps == [base, model.vertex(1, F(1)), model.vertex(2, F(1)), model.vertex(3, F(5))]
     # From a ball that misses 5, the ray climbs to the base, then descends.
-    off = HnnVertex(2, F(2))
-    assert [model.ray_vertex(off, down, k) for k in range(5)] == [off, HnnVertex(1, F(0)), base] + steps[1:3]
-    assert model.vertex_containing(F(5), 3) == HnnVertex(3, F(5))
-    assert model.vertex_containing(F(1, 3), 0) == HnnVertex(0, F(0))
+    off = model.vertex(2, F(2))
+    assert [model.ray_vertex(off, down, k) for k in range(5)] == [off, model.vertex(1, F(0)), base] + steps[1:3]
+    assert model.vertex_containing(F(5), 3) == model.vertex(3, F(5))
+    assert model.vertex_containing(F(1, 3), 0) == model.vertex(0, F(0))
     # The ball containing 1/3 at level 2 has the 2-adic expansion of 1/3.
     v = model.vertex_containing(F(1, 3), 2)
     assert model.contains_value(v, F(1, 3))
@@ -319,26 +319,39 @@ def _count_calls(monkeypatch, *targets):
     return calls
 
 
-def _deep_point(model, L):
+def _deep_point(model, end, L):
     """A point whose geodesic joins the ray from the base L edges out, and
-    five edges off it (on the HNN tree, five levels below the level -L
-    ancestor of the base)."""
+    five edges off it (on the HNN tree toward the up end, five levels below
+    the level -L ancestor of the base; toward a down end x, five levels
+    below the level-L ball around x, in a child ball that misses x)."""
     if isinstance(model, CayleyTree):
         return TreePoint((1,) * L + (2,) * 5)
-    return TreePoint(HnnVertex(5 - L, F(1, 2**L)))
+    if isinstance(end, HnnUp):
+        return TreePoint(model.vertex(5 - L, F(1, 2**L)))
+    ball = model.vertex_containing(end.value, L)
+    off = next(c for c in model.children(ball) if not model.contains_value(c, end.value))
+    return TreePoint(model.canonical(L + 5, off.num, off.exp))
 
 
 @pytest.mark.parametrize(
-    "model, end", [(CayleyTree(2), make_word_end((), (1,))), (HnnTree(2), HnnUp())], ids=["cayley", "hnn"]
+    "model, end",
+    [
+        (CayleyTree(2), make_word_end((), (1,))),
+        (HnnTree(2), HnnUp()),
+        (HnnTree(2), HnnDown(F(1, 3))),
+        (HnnTree(3), HnnDown(F(1, 5))),
+    ],
+    ids=["cayley", "hnn", "hnn2-down", "hnn3-down"],
 )
 def test_busemann_value_reads_two_heights_and_no_ray_vertex(model, end, monkeypatch):
     # One value is the difference of two horofunction heights, at any merge
-    # distance up to the depth budget (the Cayley word has length L + 5).
+    # distance up to the depth budget (the Cayley word has length L + 5, the
+    # down-end points lie at level L + 5).
     M = sp.TreeSpace(model)
     ray = sp.ray_from(M, M.origin(), end)
     calls = _count_calls(monkeypatch, (model, "ray_vertex"), (model, "height"))
     for L in (200, 10**5, DEPTH_BUDGET - 5):
-        b = _deep_point(model, L)
+        b = _deep_point(model, end, L)
         calls.update(ray_vertex=0, height=0)
         start = time.perf_counter()
         assert sp.busemann(M, ray, b) == L - 5
@@ -389,7 +402,7 @@ def test_depth_budget_bounds_parsed_depths_and_ray_parameters():
             ray.point_at(DEPTH_BUDGET + F(1, 2))
     # Levels at the budget parse, and lie twice the budget apart.
     low, high = (hnn.parse_point({"vertex": {"level": s * DEPTH_BUDGET, "center": 0}}) for s in (-1, 1))
-    assert sp.geodesic_point(hnn, low, high, 7) == TreePoint(HnnVertex(7 - DEPTH_BUDGET, F(0)))
+    assert sp.geodesic_point(hnn, low, high, 7) == TreePoint(hnn.model.vertex(7 - DEPTH_BUDGET, F(0)))
     with pytest.raises(ParameterOutOfRange, match="depth budget"):
         sp.geodesic_point(hnn, low, high, DEPTH_BUDGET + 1)
 
@@ -399,7 +412,7 @@ def test_tree_point_validation():
         TreePoint((), F(3, 2))
     model = HnnTree(2)
     with pytest.raises(ValueError):
-        model.check_vertex(HnnVertex(0, F(1, 3)))  # center not 2-adic
+        model.vertex(0, F(1, 3))  # center not 2-adic
 
 
 def test_hnn_composite_index():
@@ -411,7 +424,7 @@ def test_hnn_composite_index():
     assert n_valuation(F(1, 5), 6) == 0  # unit denominator
     # 1/5 inverts mod every power of 6: 5 * 1037 = 4 * 1296 + 1.
     v = model.vertex_containing(F(1, 5), 4)
-    assert v == HnnVertex(4, F(1037))
+    assert v == model.vertex(4, F(1037))
     assert model.contains_value(v, F(1, 5))
     for level in [-2, 0, 1, 3]:
         w = model.vertex_containing(F(1, 5), level)
@@ -492,7 +505,7 @@ def _end_step(model, v, end):
             return model.parent(v)
         t = (end.value - v.center) / F(n) ** v.level
         digit = (t.numerator * pow(t.denominator, -1, n)) % n
-        return HnnVertex(v.level + 1, v.center + digit * F(n) ** v.level)
+        return model.vertex(v.level + 1, v.center + digit * F(n) ** v.level)
     if end.head(len(v)) == v:
         return end.head(len(v) + 1)
     return v[:-1]
@@ -507,6 +520,116 @@ def test_n_adic_helpers_match_the_one_factor_loops():
         assert _shared_part(den, n) == _reference_shared_part(den, n), (den, n)
         x = F(num, den)
         assert n_valuation(x, n) == _reference_n_valuation(x, n), (x, n)
+
+
+class _FractionHnn:
+    """The HNN ball formulas on (level, Fraction center) pairs, with the
+    one-factor valuation loop: the reference for the integer model."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def canonical(self, level, center):
+        return level, center % F(self.n) ** level
+
+    def ancestor(self, v, k):
+        return self.canonical(v[0] - k, v[1])
+
+    def children(self, v):
+        step = F(self.n) ** v[0]
+        return [(v[0] + 1, v[1] + d * step) for d in range(self.n)]
+
+    def meet(self, u, v):
+        top = min(u[0], v[0], _reference_n_valuation(u[1] - v[1], self.n))
+        return self.canonical(top, u[1]), u[0] - top, v[0] - top
+
+    def _top(self, v, end):
+        return min(v[0], _reference_n_valuation(end.value - v[1], self.n))
+
+    def height(self, v, end):
+        if isinstance(end, HnnUp):
+            return v[0], True
+        top = self._top(v, end)
+        return v[0] - 2 * top, top < v[0]
+
+    def ray_vertex(self, v, end, k):
+        climb = k if isinstance(end, HnnUp) else max(0, v[0] - self._top(v, end))
+        if k <= climb:
+            return self.ancestor(v, k)
+        return self.vertex_containing(end.value, v[0] - climb + (k - climb))
+
+    def vertex_containing(self, x, level):
+        n = self.n
+        j = max(0, -_reference_n_valuation(x, n))
+        if level + j <= 0:
+            return self.canonical(level, F(0))
+        y, modulus = x * n**j, n ** (level + j)
+        return self.canonical(level, F(y.numerator * pow(y.denominator, -1, modulus) % modulus, n**j))
+
+    def affine_vertex(self, shift, add, v):
+        return self.canonical(v[0] + shift, F(self.n) ** shift * v[1] + add)
+
+
+@st.composite
+def _hnn_cases(draw):
+    n = draw(st.sampled_from([2, 3, 6]))
+    levels = st.integers(-8, 8)
+
+    def ball():
+        # A center in [0, n^level) over a power of n.
+        level, exp = draw(levels), draw(st.integers(0, 4))
+        top = n ** (level + exp) - 1 if level + exp > 0 else 0
+        return level, F(draw(st.integers(0, top)), n**exp)
+
+    fixed = [F(1, 3), F(1, 2), F(1, 4), F(-7, 5)]
+    drawn = F(draw(st.integers(-40, 40)), draw(st.sampled_from([1, 2, 3, 4, 5, 9, 12, 36])))
+    ends = [HnnUp()] + [HnnDown(x) for x in fixed + [drawn]]
+    add = F(draw(st.integers(-40, 40)), n ** draw(st.integers(0, 3)))
+    return n, ball(), ball(), ends, draw(levels), draw(st.integers(-3, 3)), add
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_hnn_cases())
+def test_integer_hnn_model_matches_the_fraction_formulas(case):
+    n, (lu, cu), (lv, cv), ends, level, shift, add = case
+    model, ref = HnnTree(n), _FractionHnn(n)
+
+    def pair(w):
+        # Each vertex is canonical, in lowest terms, and its JSON is the
+        # (level, center) ball.
+        model.check_vertex(w)
+        assert w.exp == 0 or w.num % n, w
+        assert jsonable(w) == {"level": w.level, "center": jsonable(w.center)}
+        return w.level, w.center
+
+    u, v = model.vertex(lu, cu), model.vertex(lv, cv)
+    assert pair(u) == (lu, cu) and pair(v) == (lv, cv)
+    assert pair(model.canonical(level, u.num, u.exp)) == ref.canonical(level, cu)
+    assert [pair(w) for w in model.children(u)] == ref.children((lu, cu))
+    for k in range(4):
+        assert pair(model.ancestor(u, k)) == ref.ancestor((lu, cu), k)
+    w, i, j = model.meet(u, v)
+    assert (pair(w), i, j) == ref.meet((lu, cu), (lv, cv))
+    assert pair(model.affine_vertex(shift, add, u)) == ref.affine_vertex(shift, add, (lu, cu))
+    for end in ends:
+        assert model.height(u, end) == ref.height((lu, cu), end), end
+        for k in (0, 1, 3, 9):
+            assert pair(model.ray_vertex(u, end, k)) == ref.ray_vertex((lu, cu), end, k), (end, k)
+        if isinstance(end, HnnDown):
+            assert pair(model.vertex_containing(end.value, level)) == ref.vertex_containing(end.value, level)
+
+
+def test_valuation_of_large_powers_from_the_bottom_and_the_top():
+    # Valuations past 255 are also tried from the top; the cofactor decides
+    # whether that probe lands (small) or the climb finishes (large).
+    rng = random.Random(31)
+    for n in (3, 5, 6, 10, 2, 8):
+        for v in (0, 1, 254, 255, 256, 300, 777):
+            for cofactor in (1, n - 1, n + 1, rng.randrange(1, n**3), n ** 70 + 1, rng.randrange(n**200, n**201)):
+                if cofactor % n == 0:
+                    cofactor += 1
+                x = F(cofactor * n**v * rng.choice([1, -1]), rng.choice([1, 7, 11]))
+                assert n_valuation(x, n) == _reference_n_valuation(x, n) == v, (n, v, cofactor)
 
 
 @pytest.mark.parametrize(

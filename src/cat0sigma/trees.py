@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -165,6 +166,17 @@ def _power(n: int, k: int) -> int:
     return 1 << k * (n.bit_length() - 1) if n & (n - 1) == 0 else n**k
 
 
+# _valuation's probe from the top: it is tried once the climb has divided
+# out n^(2^_PROBE_AFTER - 1), and it lands when what is left has at most
+# about _PROBE_MARGIN base-n digits above its valuation.  On a million-digit
+# operand (n = 3, 2-vCPU machine) a probe that misses costs about 0.1 s,
+# as much as the climb to 2^12 - 1 factors; one that lands turns the 2.2 s
+# climb of an HNN(3) Busemann value at the depth budget into 0.24 s.  No
+# benchmark workload reaches it.
+_PROBE_AFTER = 12
+_PROBE_MARGIN = 64
+
+
 def _valuation(m: int, n: int) -> int:
     """Largest h such that n^h divides the nonzero integer m.
 
@@ -172,9 +184,9 @@ def _valuation(m: int, n: int) -> int:
     n^4, ... are divided out while they divide, so the operand shrinks as
     the powers grow; what is left has valuation below the last power
     tried, and the same powers in reverse order read it off bit by bit.
-    Once 255 factors are out, the rest is also tried from the top: with
-    |m| < n^(t+1), m mod n^(t - 64) costs a few passes over m, where the
-    climb toward t would divide by powers half its size.
+    A long climb also probes from the top: with |m| < n^(t+1), the test
+    m mod n^(t - _PROBE_MARGIN) costs a few passes over m, where the climb
+    toward t would divide by powers half its size.
     """
     if n & (n - 1) == 0:
         return ((m & -m).bit_length() - 1) // (n.bit_length() - 1)
@@ -187,8 +199,8 @@ def _valuation(m: int, n: int) -> int:
             break
         m, h = q, h + (1 << len(powers) - 1)
         powers.append(powers[-1] * powers[-1])
-        if len(powers) == 9:
-            k = int(m.bit_length() / math.log2(n)) - 64
+        if len(powers) == _PROBE_AFTER + 1:
+            k = int(m.bit_length() / math.log2(n)) - _PROBE_MARGIN
             if k > 0 and m % n**k == 0:
                 return h + k + _valuation(m // n**k, n)
     for i in range(len(powers) - 2, -1, -1):
@@ -398,6 +410,15 @@ class WordTree(TreeModel):
         return out
 
 
+# The word checks below run at C speed with a table of the letters when the
+# tree has fewer than this many; larger trees fall back to a loop, so building
+# a tree allocates nothing that grows with its degree or rank.
+_TABLED_LETTERS = 256
+
+# Each signed byte's negation, for the Cayley word check.
+_NEGATED_BYTES = bytes(-b % 256 for b in range(256))
+
+
 class RegularTree(WordTree):
     """Degree-regular rooted word tree: the root has ``degree`` children,
     every other vertex one parent and ``degree - 1`` children."""
@@ -406,15 +427,17 @@ class RegularTree(WordTree):
         if degree < 3:
             raise ValueError("regular tree needs degree >= 3 to have more than two ends")
         self.degree = degree
-        self._digits = frozenset(range(degree - 1))
+        # The non-root digits as a set, for degrees small enough to table.
+        self._digits = frozenset(range(degree - 1)) if degree < _TABLED_LETTERS else None
 
     def children(self, v: Word) -> list[Word]:
         width = self.degree if not v else self.degree - 1
         return [v + (i,) for i in range(width)]
 
     def check_vertex(self, v: Word) -> None:
-        # A set containment test at C speed; the loop only names the fault.
-        if not v or 0 <= v[0] < self.degree and self._digits.issuperset(v[1:]):
+        # A set containment test at C speed; the loop only names the fault
+        # (and checks degrees too large to table).
+        if not v or self._digits is not None and 0 <= v[0] < self.degree and self._digits.issuperset(v[1:]):
             return
         for i, letter in enumerate(v):
             width = self.degree if i == 0 else self.degree - 1
@@ -451,10 +474,8 @@ class CayleyTree(WordTree):
         if rank < 1:
             raise ValueError("free group rank must be >= 1")
         self.rank = rank
-        # One character per letter, so that a word becomes a string and its
-        # cancelling pairs are substrings.
-        self._chars = {x: chr(rank + x) for x in self.letters()}
-        self._cancelling = [self._chars[x] + self._chars[-x] for x in self.letters()]
+        # The letters as signed bytes, for ranks whose letters fit one.
+        self._letter_bytes = bytes(x % 256 for x in self.letters()) if 2 * rank < _TABLED_LETTERS else None
 
     def letters(self) -> list[int]:
         return list(range(1, self.rank + 1)) + [-i for i in range(1, self.rank + 1)]
@@ -464,14 +485,20 @@ class CayleyTree(WordTree):
         return [v + (x,) for x in self.letters() if last is None or x != -last]
 
     def check_vertex(self, v: Word) -> None:
-        # The letters are read and the cancelling pairs found at C speed;
-        # the loop only names the fault.
-        try:
-            word = "".join(map(self._chars.__getitem__, v))
-            if not any(map(word.__contains__, self._cancelling)):
-                return
-        except KeyError:
-            pass
+        # Below rank 128 the word is packed at C speed as signed bytes: none
+        # outside the letters, and none followed by its negation (a zero
+        # byte in the XOR of the word shifted by one and its negation).  The
+        # loop only names the fault (and checks larger ranks).
+        if self._letter_bytes is not None:
+            try:
+                word = struct.pack(f"{len(v)}b", *v)
+            except struct.error:
+                word = None
+            if word is not None and not word.translate(None, self._letter_bytes):
+                negated = word.translate(_NEGATED_BYTES)
+                pairs = int.from_bytes(word[1:], "little") ^ int.from_bytes(negated[:-1], "little")
+                if 0 not in pairs.to_bytes(max(len(word) - 1, 0), "little"):
+                    return
         for i, letter in enumerate(v):
             if letter == 0 or abs(letter) > self.rank:
                 raise ValueError(f"letter {letter} outside rank {self.rank}")
@@ -565,11 +592,12 @@ class HnnTree(TreeModel):
             return
         # 0 < num < n^(level + exp); a bit count settles most cases without
         # the power.
-        k = v.level + v.exp
-        if v.exp < 0 or k <= 0 or v.num <= 0 or (
-            v.num.bit_length() > k * self._log2 - 1 and v.num >= _power(self.index, k)
-        ):
-            raise ValueError(f"center {v.num}/{self.index}^{v.exp} outside [0, {self.index}^{v.level})")
+        n, k = self.index, v.level + v.exp
+        if v.exp < 0 or k <= 0 or v.num <= 0 or (v.num.bit_length() > k * self._log2 - 1 and v.num >= _power(n, k)):
+            raise ValueError(f"center {v.num}/{n}^{v.exp} outside [0, {n}^{v.level})")
+        # Lowest terms, so that equal balls are equal tuples.
+        if v.exp and v.num % n == 0:
+            raise ValueError(f"center {v.num}/{n}^{v.exp} is not in lowest terms")
 
     def check_end(self, end: TreeEnd) -> None:
         if not isinstance(end, (HnnUp, HnnDown)):

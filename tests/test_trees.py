@@ -1,6 +1,7 @@
 """The three tree models: structure, geodesics, ends, exact arithmetic."""
 
 import random
+import re
 import time
 from fractions import Fraction as F
 
@@ -18,6 +19,7 @@ from cat0sigma.trees import (
     HnnDown,
     HnnTree,
     HnnUp,
+    HnnVertex,
     RegularTree,
     TreePoint,
     _shared_part,
@@ -65,6 +67,93 @@ def test_regular_tree_degrees():
     model.check_vertex((2, 1, 0))
     with pytest.raises(ValueError):
         model.check_vertex((0, 2))  # non-root digit out of range
+
+
+def _word_fault(word, letter_ok, follows_ok):
+    """The kind of the first fault of a word ("letter" or "pair"), read
+    letter by letter; None for a valid word."""
+    for i, letter in enumerate(word):
+        if not letter_ok(i, letter):
+            return "letter"
+        if i and not follows_ok(word[i - 1], letter):
+            return "pair"
+    return None
+
+
+@pytest.mark.parametrize("rank", [1, 2, 127, 128, 10**6])
+def test_cayley_word_check_matches_the_letter_loop(rank):
+    # Below rank 128 words are checked as signed bytes; the letters near
+    # the rank and near the byte's edges are drawn most.
+    model = CayleyTree(rank)
+    rng = random.Random(rank)
+    pool = [0, 1, -1, 2, -2, rank, -rank, rank + 1, -rank - 1, 127, -127, 128, -128, 129, -129]
+    for _ in range(600):
+        word = tuple(rng.choice(pool) for _ in range(rng.randrange(0, 6)))
+        fault = _word_fault(word, lambda i, x: x != 0 and abs(x) <= rank, lambda x, y: x != -y)
+        if fault is None:
+            model.check_vertex(word)
+            continue
+        message = "outside rank" if fault == "letter" else "is not reduced"
+        with pytest.raises(ValueError, match=message):
+            model.check_vertex(word)
+
+
+@pytest.mark.parametrize("degree", [3, 5, 255, 256, 10**6])
+def test_regular_word_check_matches_the_digit_loop(degree):
+    model = RegularTree(degree)
+    rng = random.Random(degree)
+    pool = [0, 1, -1, degree - 2, degree - 1, degree, 255, 256]
+    for _ in range(600):
+        word = tuple(rng.choice(pool) for _ in range(rng.randrange(0, 6)))
+        fault = _word_fault(word, lambda i, x: 0 <= x < (degree if i == 0 else degree - 1), lambda x, y: True)
+        if fault is None:
+            model.check_vertex(word)
+            continue
+        with pytest.raises(ValueError, match="out of range"):
+            model.check_vertex(word)
+
+
+def test_vertex_checks_reject_with_their_messages():
+    cayley = CayleyTree(2)
+    for word, message in [
+        ((1, -1), "word (1, -1) is not reduced at position 1"),
+        ((2, 1, -1), "word (2, 1, -1) is not reduced at position 2"),
+        ((3,), "letter 3 outside rank 2"),
+        ((0,), "letter 0 outside rank 2"),
+        ((1, 300), "letter 300 outside rank 2"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cayley.check_vertex(word)
+    regular = RegularTree(3)
+    for word, message in [
+        ((3,), "address digit 3 out of range at position 0"),
+        ((2, 2), "address digit 2 out of range at position 1"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            regular.check_vertex(word)
+    # Large ranks and degrees build no letter table; their words are checked
+    # by the loop.
+    big = CayleyTree(10**9)
+    big.check_vertex((10**9, -5, 10**9))
+    with pytest.raises(ValueError, match="not reduced"):
+        big.check_vertex((7, 10**9, -(10**9)))
+    with pytest.raises(ValueError, match="outside rank"):
+        big.check_vertex((10**9 + 1,))
+    RegularTree(10**9).check_vertex((10**9 - 1, 10**9 - 2))
+    # Hand-built HNN vertices: a center outside [0, n^level), a negative
+    # exponent, a center not in lowest terms (the ball of (1, 1, 0, 2)) and
+    # another index.
+    hnn = HnnTree(2)
+    hnn.check_vertex(HnnVertex(1, 1, 0, 2))
+    for v, message in [
+        (HnnVertex(1, 2, 0, 2), "center 2/2^0 outside [0, 2^1)"),
+        (HnnVertex(-1, 1, 0, 2), "center 1/2^0 outside [0, 2^-1)"),
+        (HnnVertex(3, 1, -1, 2), "center 1/2^-1 outside [0, 2^3)"),
+        (HnnVertex(1, 2, 1, 2), "center 2/2^1 is not in lowest terms"),
+        (HnnVertex(0, 0, 0, 3), "balls of index 2"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            hnn.check_vertex(v)
 
 
 def test_regular_tree_distance_example():
@@ -620,11 +709,12 @@ def test_integer_hnn_model_matches_the_fraction_formulas(case):
 
 
 def test_valuation_of_large_powers_from_the_bottom_and_the_top():
-    # Valuations past 255 are also tried from the top; the cofactor decides
-    # whether that probe lands (small) or the climb finishes (large).
+    # Long climbs are also tried from the top; the cofactor decides whether
+    # that probe lands (small) or the climb finishes (large).
     rng = random.Random(31)
+    top = 2**trees._PROBE_AFTER - 1
     for n in (3, 5, 6, 10, 2, 8):
-        for v in (0, 1, 254, 255, 256, 300, 777):
+        for v in (0, 1, 254, top - 1, top, top + 1, top + 30):
             for cofactor in (1, n - 1, n + 1, rng.randrange(1, n**3), n ** 70 + 1, rng.randrange(n**200, n**201)):
                 if cofactor % n == 0:
                     cofactor += 1

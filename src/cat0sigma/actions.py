@@ -23,6 +23,7 @@ from typing import Mapping, Sequence, Union
 
 from . import spaces
 from .errors import (
+    Cat0SigmaError,
     EmptyConfiguration,
     EndNotFixed,
     NotClosed,
@@ -344,7 +345,9 @@ class HnnIsometry:
     def from_json(space: TreeSpace, data) -> "HnnIsometry":
         shift = parse_int(read_field(data, "shift"))
         check_depth("shift", shift)
-        return HnnIsometry(space.model.index, shift, parse_fraction(read_field(data, "add")))
+        add = parse_fraction(read_field(data, "add"))
+        space.model.affine_vertex(0, add, space.model.base_vertex())  # rejects an add that is not n-adic
+        return HnnIsometry(space.model.index, shift, add)
 
     def apply(self, space, p: TreePoint) -> TreePoint:
         # Affine maps preserve the parent direction, so offsets carry over.
@@ -431,17 +434,11 @@ class GroupAction:
         for name, iso in self.generators.items():
             for p, q in itertools.combinations(pts, 2):
                 before = distance(self.space, p, q)
-                after = distance(self.space, self._act(iso, p), self._act(iso, q))
+                after = distance(self.space, iso.apply(self.space, p), iso.apply(self.space, q))
                 if abs(after - before) > tol:
                     raise ValueError(
                         f"generator {name!r} distorts distances: {before} -> {after}"
                     )
-
-    def _act(self, iso: Isometry, p):
-        return iso.apply(self.space, self.space.check_point(p))
-
-    def _act_boundary(self, iso: Isometry, e):
-        return iso.boundary(self.space, self.space.check_boundary(e))
 
     # -- constructors ------------------------------------------------------
 
@@ -508,13 +505,17 @@ class GroupAction:
 
     def apply(self, word: str, p):
         """Evaluate the word (leftmost letter acts last) on a point."""
-        for iso in reversed(self.letters(word)):
-            p = self._act(iso, p)
+        isos = self.letters(word)
+        p = self.space.check_point(p)
+        for iso in reversed(isos):
+            p = iso.apply(self.space, p)
         return p
 
     def boundary_apply(self, word: str, e):
-        for iso in reversed(self.letters(word)):
-            e = self._act_boundary(iso, e)
+        isos = self.letters(word)
+        e = self.space.check_boundary(e)
+        for iso in reversed(isos):
+            e = iso.boundary(self.space, e)
         return e
 
     def translation_vectors(self) -> dict[str, tuple[Fraction, ...]]:
@@ -537,10 +538,12 @@ class GroupAction:
 
 def action_from_json(data: Mapping) -> GroupAction:
     space = spaces.space_from_json(read_field(data, "space"))
-    gens = {
-        name: isometry_type(space).from_json(space, iso)
-        for name, iso in read_field(data, "generators", dict).items()
-    }
+    gens = {}
+    for name, iso in read_field(data, "generators", dict).items():
+        try:
+            gens[name] = isometry_type(space).from_json(space, iso)
+        except (ValueError, Cat0SigmaError) as exc:
+            raise type(exc)(f"generator {name!r}: {exc}") from exc
     return GroupAction(space, gens)
 
 
@@ -596,9 +599,7 @@ def fixed_ends_tree(action: GroupAction) -> FixedEndReport:
         return FixedEndReport("all")
 
     def fixed_by_all(end) -> bool:
-        return all(
-            action._act_boundary(iso, end) == end for iso in gens.values()
-        )
+        return all(iso.boundary(space, end) == end for iso in gens.values())
 
     hyperbolic = [name for name, c in classes.items() if c.kind == "hyperbolic"]
     if hyperbolic:
@@ -836,7 +837,7 @@ def _orbit(action: GroupAction, a, depth: int):
         new = []
         for p in frontier:
             for iso in gens:
-                q = action._act(iso, p)
+                q = iso.apply(space, p)
                 k = space.orbit_key(q)
                 if k not in seen:
                     if len(seen) == ORBIT_BUDGET:
@@ -876,7 +877,7 @@ def cocompactness_witness(action: GroupAction, a, radius: float, depth: int = 6,
     worst = None
     worst_point = None
     for p in samples:
-        dmin = min(distance(space, p, q) for q in orbit)
+        dmin = min(space.distance(p, q) for q in orbit)
         if worst is None or dmin > worst:
             worst = dmin
             worst_point = p

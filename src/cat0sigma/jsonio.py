@@ -44,6 +44,8 @@ def parse_fraction(value) -> Fraction:
 
 
 def parse_int(value) -> int:
+    if type(value) is int:  # not bool, which parse_fraction rejects
+        return value
     x = parse_fraction(value)
     if x.denominator != 1:
         raise ValueError(f"{value!r} is not an integer")

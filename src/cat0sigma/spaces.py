@@ -10,6 +10,12 @@ cocompactness test.  The module-level functions (:func:`distance`,
 :func:`busemann`, :func:`ray_from`, ...) are the public entry points and
 hold only the logic that all spaces share.
 
+A point is checked once, where it enters: the JSON readers and the entry
+points check each point from their caller with ``check_point`` and hand
+the checked value to the space methods, which compute and check nothing.
+Points the library builds itself (ray points, samples, images under an
+isometry) are valid by construction.
+
 A generalized ray is a unit-speed geodesic ray, or a geodesic segment held
 constant after its endpoint (the degenerate case, with the stopping
 parameter stored as ``mu``).  The Busemann function of a ray is
@@ -68,6 +74,11 @@ class ModelSpace:
     point), ``angle_between_rays``, one seeded draw of a point
     (``sample_point``) or an end (``sample_end``), and the cocompactness
     helpers ``orbit_key``, ``region`` and ``probe_ends``.
+
+    The methods take points already returned by ``check_point`` (or built
+    by the space itself) and do not check them again; ``ray_from`` checks
+    only its target, as a point or as an end, since that is how it tells
+    them apart.
 
     ``exact`` spaces (the trees) compute over Fractions with zero slack.
     ``flat`` marks Euclidean space, whose boundary is a round sphere in
@@ -163,17 +174,15 @@ class EuclideanSpace(ModelSpace):
         return self.check_boundary(EDirection(tuple(parse_real(c) for c in read_field(data, "direction", list))))
 
     def distance(self, a, b):
-        return _norm(_sub(self.check_point(a), self.check_point(b)))
+        return _norm(_sub(a, b))
 
     def geodesic_point(self, a, b, t, d):
         t = min(max(float(t), 0.0), d)
         if d == 0:
-            return self.check_point(a)
-        a, b = self.check_point(a), self.check_point(b)
+            return a
         return _add(a, _scale(_sub(b, a), t / d))
 
     def ray_from(self, a, e):
-        a = self.check_point(a)
         if isinstance(e, EDirection):
             u = self.check_boundary(e)
             return GeneralizedRay(self, a, u, None, u.vector)
@@ -186,7 +195,6 @@ class EuclideanSpace(ModelSpace):
         return _add(ray.base, _scale(ray._param, t))
 
     def busemann_to_end(self, ray, b):
-        b = self.check_point(b)
         return _dot(_sub(b, ray.base), ray._param)
 
     def angle_between_rays(self, ray1, ray2):
@@ -288,19 +296,17 @@ class HyperbolicPlane(ModelSpace):
         return self.check_boundary(parse_fraction(xi))
 
     def distance(self, a, b):
-        return _h2_distance(self.check_point(a), self.check_point(b))
+        return _h2_distance(a, b)
 
     def geodesic_point(self, a, b, t, d):
         t = min(max(float(t), 0.0), d)
         if d == 0:
-            return self.check_point(a)
-        z, w = self.check_point(a), self.check_point(b)
-        geo = _h2_geodesic_through(z, w)
-        sa, sb = geo.param(z), geo.param(w)
+            return a
+        geo = _h2_geodesic_through(a, b)
+        sa, sb = geo.param(a), geo.param(b)
         return geo.point(sa + (t if sb >= sa else -t))
 
     def ray_from(self, a, e):
-        a = self.check_point(a)
         if isinstance(e, complex) and e.imag > 0:
             z = e
             mu = _h2_distance(a, z)
@@ -316,7 +322,7 @@ class HyperbolicPlane(ModelSpace):
         return geo.point(geo.param(ray.base) + sign * float(t))
 
     def busemann_to_end(self, ray, b):
-        return _h2_busemann(ray.end, ray.base, self.check_point(b))
+        return _h2_busemann(ray.end, ray.base, b)
 
     def angle_between_rays(self, ray1, ray2):
         # The monotone limit of comparison angles, halving the time until
@@ -329,7 +335,7 @@ class HyperbolicPlane(ModelSpace):
             d12 = _h2_distance(a1, a2)
             if d12 == 0:
                 return 0.0
-            angle = comparison_angle(self, ray1.base, a1, a2)
+            angle = _comparison_angle(self, ray1.base, a1, a2)
             if prev is not None and abs(angle - prev) < GLOBAL_TOL:
                 return angle
             prev = angle
@@ -404,14 +410,13 @@ class TreeSpace(ModelSpace):
         return parse_fraction(data)
 
     def distance(self, a, b):
-        return trees.point_distance(self.model, self.check_point(a), self.check_point(b))
+        return trees.point_distance(self.model, a, b)
 
     def geodesic_point(self, a, b, t, d):
         trees.check_depth("geodesic parameter", t)
-        return trees.walk_to_point(self.model, self.check_point(a), self.check_point(b), Fraction(t))
+        return trees.walk_to_point(self.model, a, b, Fraction(t))
 
     def ray_from(self, a, e):
-        a = self.check_point(a)
         if isinstance(e, (WordEnd, HnnUp, HnnDown)):
             self.check_boundary(e)
             return GeneralizedRay(self, a, e, None)
@@ -427,7 +432,6 @@ class TreeSpace(ModelSpace):
 
     def busemann_to_end(self, ray, b):
         # The difference of the end's horofunction heights.
-        b = self.check_point(b)
         value = trees.point_height(self.model, ray.base, ray.end) - trees.point_height(self.model, b, ray.end)
         return value if isinstance(value, Fraction) else Fraction(value)
 
@@ -643,12 +647,13 @@ class GeneralizedRay:
 
 
 def distance(M: ModelSpace, a, b):
-    return M.distance(a, b)
+    return M.distance(M.check_point(a), M.check_point(b))
 
 
 def geodesic_point(M: ModelSpace, a, b, t):
     """Unit-speed point on the geodesic from a to b at parameter t."""
-    d = distance(M, a, b)
+    a, b = M.check_point(a), M.check_point(b)
+    d = M.distance(a, b)
     tol = M.slack(GLOBAL_TOL)
     if t < -tol or t > d + tol:
         raise ParameterOutOfRange(f"t = {t} outside [0, {d}]")
@@ -658,7 +663,7 @@ def geodesic_point(M: ModelSpace, a, b, t):
 def ray_from(M: ModelSpace, a, e) -> GeneralizedRay:
     """The unique generalized ray from a to e (a point of M or of its
     boundary)."""
-    return M.ray_from(a, e)
+    return M.ray_from(M.check_point(a), e)
 
 
 # ---------------------------------------------------------------------------
@@ -675,9 +680,9 @@ def busemann(M: ModelSpace, ray: GeneralizedRay, b):
     """
     if ray.space is not M and ray.space.to_json() != M.to_json():
         raise WrongSpace("ray does not belong to the given space")
+    b = M.check_point(b)
     if ray.is_degenerate:
-        tip = ray.point_at(ray.mu)
-        return ray.mu - distance(M, b, tip)
+        return ray.mu - M.distance(b, ray.point_at(ray.mu))
     return M.busemann_to_end(ray, b)
 
 
@@ -689,10 +694,11 @@ def busemann_limit_audit(M: ModelSpace, ray: GeneralizedRay, b, schedule: Sequen
     degenerate rays it is constant from mu on.  Deliberately uses only the
     metric, no closed forms, so it can audit :func:`busemann`.
     """
+    b = M.check_point(b)
     out = []
     for t in schedule:
         pos = ray.point_at(t)
-        value = ray.arc_from_base(t) - distance(M, b, pos)
+        value = ray.arc_from_base(t) - M.distance(b, pos)
         out.append((t, value))
     return out
 
@@ -720,9 +726,13 @@ def horoball_contains(M: ModelSpace, H: Horoball, b) -> bool:
 def comparison_angle(M: ModelSpace, apex, b, c) -> float:
     """Angle at the apex of the Euclidean comparison triangle with the same
     three side lengths."""
-    p = distance(M, apex, b)
-    q = distance(M, apex, c)
-    r = distance(M, b, c)
+    return _comparison_angle(M, M.check_point(apex), M.check_point(b), M.check_point(c))
+
+
+def _comparison_angle(M: ModelSpace, apex, b, c) -> float:
+    p = M.distance(apex, b)
+    q = M.distance(apex, c)
+    r = M.distance(b, c)
     if p == 0 or q == 0:
         raise DegenerateTriangle("comparison angle needs b != apex != c")
     cosine = (p * p + q * q - r * r) / (2 * p * q)

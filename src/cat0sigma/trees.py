@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -50,11 +49,12 @@ from .jsonio import parse_fraction, parse_int, read_field
 
 Word = tuple[int, ...]
 
-# At the budget one Busemann value or ray point takes at most about 0.25 s
-# on a 2-vCPU machine when the point lies near the ray or far from it; the
-# slowest case found, an HNN(6) value toward a down end whose point's center
-# agrees with the end to half the budget's digits, takes about 6.5 s (the
-# n-adic valuation divides by powers half the operand's size).
+# At the budget one Busemann value or ray point takes at most about 0.35 s
+# on a 2-vCPU machine when the point lies near the ray or far from it (on a
+# word tree 0.12-0.18 s, most of it the one check of the point's letters);
+# the slowest case found, an HNN(6) value toward a down end whose point's
+# center agrees with the end to half the budget's digits, takes about 6.4 s
+# (the n-adic valuation divides by powers half the operand's size).
 DEPTH_BUDGET = 10**6
 
 
@@ -410,15 +410,6 @@ class WordTree(TreeModel):
         return out
 
 
-# The word checks below run at C speed with a table of the letters when the
-# tree has fewer than this many; larger trees fall back to a loop, so building
-# a tree allocates nothing that grows with its degree or rank.
-_TABLED_LETTERS = 256
-
-# Each signed byte's negation, for the Cayley word check.
-_NEGATED_BYTES = bytes(-b % 256 for b in range(256))
-
-
 class RegularTree(WordTree):
     """Degree-regular rooted word tree: the root has ``degree`` children,
     every other vertex one parent and ``degree - 1`` children."""
@@ -427,18 +418,12 @@ class RegularTree(WordTree):
         if degree < 3:
             raise ValueError("regular tree needs degree >= 3 to have more than two ends")
         self.degree = degree
-        # The non-root digits as a set, for degrees small enough to table.
-        self._digits = frozenset(range(degree - 1)) if degree < _TABLED_LETTERS else None
 
     def children(self, v: Word) -> list[Word]:
         width = self.degree if not v else self.degree - 1
         return [v + (i,) for i in range(width)]
 
     def check_vertex(self, v: Word) -> None:
-        # A set containment test at C speed; the loop only names the fault
-        # (and checks degrees too large to table).
-        if not v or self._digits is not None and 0 <= v[0] < self.degree and self._digits.issuperset(v[1:]):
-            return
         for i, letter in enumerate(v):
             width = self.degree if i == 0 else self.degree - 1
             if not 0 <= letter < width:
@@ -474,8 +459,6 @@ class CayleyTree(WordTree):
         if rank < 1:
             raise ValueError("free group rank must be >= 1")
         self.rank = rank
-        # The letters as signed bytes, for ranks whose letters fit one.
-        self._letter_bytes = bytes(x % 256 for x in self.letters()) if 2 * rank < _TABLED_LETTERS else None
 
     def letters(self) -> list[int]:
         return list(range(1, self.rank + 1)) + [-i for i in range(1, self.rank + 1)]
@@ -485,20 +468,6 @@ class CayleyTree(WordTree):
         return [v + (x,) for x in self.letters() if last is None or x != -last]
 
     def check_vertex(self, v: Word) -> None:
-        # Below rank 128 the word is packed at C speed as signed bytes: none
-        # outside the letters, and none followed by its negation (a zero
-        # byte in the XOR of the word shifted by one and its negation).  The
-        # loop only names the fault (and checks larger ranks).
-        if self._letter_bytes is not None:
-            try:
-                word = struct.pack(f"{len(v)}b", *v)
-            except struct.error:
-                word = None
-            if word is not None and not word.translate(None, self._letter_bytes):
-                negated = word.translate(_NEGATED_BYTES)
-                pairs = int.from_bytes(word[1:], "little") ^ int.from_bytes(negated[:-1], "little")
-                if 0 not in pairs.to_bytes(max(len(word) - 1, 0), "little"):
-                    return
         for i, letter in enumerate(v):
             if letter == 0 or abs(letter) > self.rank:
                 raise ValueError(f"letter {letter} outside rank {self.rank}")

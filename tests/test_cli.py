@@ -534,6 +534,16 @@ def test_malformed_shapes_are_input_errors(tmp_path, case):
     assert set(json.loads(err)) == {"error", "message"}
 
 
+def test_hnn_generator_add_is_checked_where_it_is_read(tmp_path):
+    # x -> 2x + 1/3 maps no 2-adic ball to a ball; the diagnostic names the
+    # generator and the field.
+    action = {"space": HNN2, "generators": {"a": {"shift": 0, "add": "1"}, "t": {"shift": 1, "add": "1/3"}}}
+    data = write(tmp_path, "bad-add.json", {"action": action, "base": {"vertex": HNN_ROOT}})
+    code, out, err = run_cli(["cocompact", "--data", data, "--radius", "1"])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "ValueError", "message": "generator 't': add 1/3 is not an 2-adic rational"}
+
+
 def test_sigma_log_prints_progress(busemann_file, monkeypatch):
     monkeypatch.setenv("SIGMA_LOG", "1")
     code, _, err = run_cli(["busemann", "--data", busemann_file])

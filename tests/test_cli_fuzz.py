@@ -6,11 +6,13 @@ JSON diagnostic on stderr, exit 1 with a JSON report on stdout."""
 import io
 import json
 import pathlib
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cat0sigma import cli
+from cat0sigma.jsonio import jsonable, parse_int
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 FUZZED_COMMANDS = {"busemann", "tits", "character", "shift", "audit", "tree-sigma"}
@@ -69,3 +71,16 @@ def test_malformed_json_never_raises(data, workdir, monkeypatch):
         assert len(lines) == 1 and set(json.loads(lines[0])) == {"error", "message"}
     else:
         assert isinstance(json.loads(out.getvalue()), dict)
+
+
+def test_json_ints_read_exactly_and_other_numbers_as_before():
+    for value in (0, -7, 10**100):
+        read = parse_int(json.loads(json.dumps(value)))
+        assert type(read) is int and jsonable(read) == value
+    for value, message in [
+        (True, "booleans are not numbers here"),
+        (1.5, "1.5 is not exact; pass a string like '1/3'"),
+        ("1/2", "'1/2' is not an integer"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_int(value)

@@ -1,8 +1,17 @@
-"""Tooling guard: only the space and tree modules may ask which model space
-or tree model a value is; everything else goes through the space protocol."""
+"""Tooling guards for the space protocol: only the space and tree modules
+may ask which model space or tree model a value is, and a point is checked
+once, where it enters (the entry points and JSON readers), never again by
+the space methods that compute with it."""
 
 import ast
 import pathlib
+import re
+
+import pytest
+
+from cat0sigma import actions, spaces as sp
+from cat0sigma.errors import WrongSpace
+from cat0sigma.trees import CayleyTree, HnnTree, HnnVertex, RegularTree, TreePoint
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "cat0sigma"
 OWNERS = {"spaces.py", "trees.py"}
@@ -40,3 +49,114 @@ def test_only_space_modules_check_model_classes():
         if path.name not in OWNERS
     }
     assert {name: hits for name, hits in offenders.items() if hits} == {}
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Where points are checked
+
+
+def check_point_callers(source: str) -> set[str]:
+    """Names of the module-level functions and the "Class.method"s whose
+    bodies call ``.check_point``."""
+    out = set()
+    for top in ast.parse(source).body:
+        defs = [(top.name, top)] if isinstance(top, ast.FunctionDef) else []
+        if isinstance(top, ast.ClassDef):
+            defs = [(f"{top.name}.{f.name}", f) for f in top.body if isinstance(f, ast.FunctionDef)]
+        for name, func in defs:
+            if any(
+                isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "check_point"
+                for node in ast.walk(func)
+            ):
+                out.add(name)
+    return out
+
+
+# The space methods that compute with checked points.
+COMPUTING_METHODS = {"distance", "geodesic_point", "ray_point", "busemann_to_end", "angle_between_rays"}
+CHECKING_SPACES = {
+    # The entry points, each for the points from its caller.
+    "distance",
+    "geodesic_point",
+    "ray_from",
+    "busemann",
+    "busemann_limit_audit",
+    "comparison_angle",
+    "sample_points_near",
+    # The JSON readers.
+    "EuclideanSpace.parse_point",
+    "HyperbolicPlane.parse_point",
+    "TreeSpace.parse_point",
+    # The dispatch on a ray's target, a point or an end (H2 tells them
+    # apart by type).
+    "EuclideanSpace.ray_from",
+    "TreeSpace.ray_from",
+}
+CHECKING_ACTIONS = {
+    "GroupAction.apply",
+    "ControlConfiguration.__init__",
+    "_resolve_image",
+    "_orbit",
+    "cocompactness_witness",
+    "local_busemann_audit",
+}
+
+
+def test_guard_finds_check_point_callers():
+    sample = (
+        "def entry(M, p):\n    return M.distance(M.check_point(p), p)\n"
+        "class S:\n    def distance(self, a, b):\n        return [self.check_point(x) for x in (a, b)]\n"
+        "    def ray_point(self, ray, t):\n        return ray.base\n"
+    )
+    assert check_point_callers(sample) == {"entry", "S.distance"}
+
+
+def test_points_are_checked_only_where_they_enter():
+    in_spaces = check_point_callers((PACKAGE / "spaces.py").read_text(encoding="utf-8"))
+    assert not {name for name in in_spaces if name.partition(".")[2] in COMPUTING_METHODS}
+    assert in_spaces == CHECKING_SPACES
+    assert check_point_callers((PACKAGE / "actions.py").read_text(encoding="utf-8")) == CHECKING_ACTIONS
+
+
+# Each model with one hand-built bad point and the error it draws today.
+CAYLEY2 = sp.TreeSpace(CayleyTree(2))
+BAD_POINTS = {
+    "cayley-unreduced": (CAYLEY2, TreePoint((1, -1)), ValueError, "word (1, -1) is not reduced at position 1"),
+    "cayley-letter": (CAYLEY2, TreePoint((3,)), ValueError, "letter 3 outside rank 2"),
+    "regular-digit": (
+        sp.TreeSpace(RegularTree(3)), TreePoint((3,)), ValueError, "address digit 3 out of range at position 0"
+    ),
+    "hnn-lowest-terms": (
+        sp.TreeSpace(HnnTree(2)), TreePoint(HnnVertex(1, 2, 1, 2)), ValueError, "center 2/2^1 is not in lowest terms"
+    ),
+    "e2-dimension": (sp.EuclideanSpace(2), (1.0, 2.0, 3.0), WrongSpace, "point of dimension 3 in E2"),
+    "h2-real-axis": (sp.HyperbolicPlane(), complex(1, 0), WrongSpace, "point (1+0j) is not in the upper half-plane"),
+}
+
+
+def _end(M):
+    return sp.sample_boundary_points(M, 1)[0]
+
+
+ENTRY_POINTS = {
+    "distance": lambda M, bad: sp.distance(M, M.origin(), bad),
+    "geodesic_point": lambda M, bad: sp.geodesic_point(M, bad, M.origin(), 0),
+    "ray_from": lambda M, bad: sp.ray_from(M, bad, _end(M)),
+    "busemann": lambda M, bad: sp.busemann(M, sp.ray_from(M, M.origin(), _end(M)), bad),
+    "busemann-degenerate": lambda M, bad: sp.busemann(M, sp.ray_from(M, M.origin(), M.origin()), bad),
+    "busemann_limit_audit": lambda M, bad: sp.busemann_limit_audit(M, sp.ray_from(M, M.origin(), _end(M)), bad, [0, 1]),
+    "comparison_angle": lambda M, bad: sp.comparison_angle(M, M.origin(), M.origin(), bad),
+    "GroupAction.apply": lambda M, bad: actions.GroupAction(M, {}).apply("", bad),
+    "ControlConfiguration": lambda M, bad: actions.ControlConfiguration(M, {"x": M.origin(), "y": bad}),
+    "cocompactness_witness": lambda M, bad: actions.cocompactness_witness(actions.GroupAction(M, {}), bad, 1, depth=1),
+    "local_busemann_audit": lambda M, bad: actions.local_busemann_audit(M, bad, 1, 1, _end(M), _end(M)),
+}
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+@pytest.mark.parametrize("case", list(BAD_POINTS))
+def test_entry_points_reject_bad_points(case, entry):
+    M, bad, error, message = BAD_POINTS[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        ENTRY_POINTS[entry](M, bad)

@@ -82,8 +82,8 @@ def _word_fault(word, letter_ok, follows_ok):
 
 @pytest.mark.parametrize("rank", [1, 2, 127, 128, 10**6])
 def test_cayley_word_check_matches_the_letter_loop(rank):
-    # Below rank 128 words are checked as signed bytes; the letters near
-    # the rank and near the byte's edges are drawn most.
+    # The letters near the rank, and near a signed byte's edges, are drawn
+    # most.
     model = CayleyTree(rank)
     rng = random.Random(rank)
     pool = [0, 1, -1, 2, -2, rank, -rank, rank + 1, -rank - 1, 127, -127, 128, -128, 129, -129]
@@ -131,8 +131,7 @@ def test_vertex_checks_reject_with_their_messages():
     ]:
         with pytest.raises(ValueError, match=message):
             regular.check_vertex(word)
-    # Large ranks and degrees build no letter table; their words are checked
-    # by the loop.
+    # Large ranks and degrees allocate nothing per letter.
     big = CayleyTree(10**9)
     big.check_vertex((10**9, -5, 10**9))
     with pytest.raises(ValueError, match="not reduced"):

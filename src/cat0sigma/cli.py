@@ -80,12 +80,12 @@ def cmd_busemann(args, data):
     mono_slack = space.slack(1e-12)
     bound_slack = space.slack(args.tol)
     values, audits = [], []
+    # The points and the ray base were checked where they were parsed.
     for p in points:
-        closed = sp.busemann(space, ray, p)
-        seq = sp.busemann_limit_audit(space, ray, p, schedule)
-        vals = [v for _, v in seq]
+        closed = ray.busemann(p)
+        vals = [v for _, v in ray.limit_audit(p, schedule)]
         monotone = all(vals[i] <= vals[i + 1] + mono_slack for i in range(len(vals) - 1))
-        top = sp.distance(space, ray.base, p) + bound_slack
+        top = space.distance(ray.base, p) + bound_slack
         bounded = all(v <= top for v in vals)
         values.append(closed)
         audits.append(

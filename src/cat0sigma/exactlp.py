@@ -3,9 +3,9 @@
 :func:`strictly_representable_fm` decides whether a rational vector lies in
 the *strictly* positive cone of a finite set of rational vectors by
 eliminating variables one at a time, keeping track of strictness.  It is a
-transparent enumeration oracle: ``verify`` and the tests check the integer
-kernel search of :mod:`cat0sigma.sphere` against it, so it shares no code
-with that search and imports nothing but the standard library.
+transparent enumeration oracle: ``verify`` and the tests check the simplex
+and the integer kernel search of :mod:`cat0sigma.sphere` against it, so it
+shares no code with them and imports nothing but the standard library.
 
 Every row is a primitive integer row: each input row is scaled once (by the
 lcm of its denominators, then divided by the gcd of its entries), and every

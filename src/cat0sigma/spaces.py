@@ -641,6 +641,18 @@ class GeneralizedRay:
         """d(ray(0), ray(t)): equals t, capped at mu for degenerate rays."""
         return min(t, self.mu) if self.is_degenerate else t
 
+    def busemann(self, b):
+        """Closed-form Busemann value at b, a point already checked (see
+        :func:`busemann`, which checks it)."""
+        if self.is_degenerate:
+            return self.mu - self.space.distance(b, self.point_at(self.mu))
+        return self.space.busemann_to_end(self, b)
+
+    def limit_audit(self, b, schedule: Sequence[Real]):
+        """The defining limit at b, a point already checked, along the
+        schedule (see :func:`busemann_limit_audit`, which checks it)."""
+        return [(t, self.arc_from_base(t) - self.space.distance(b, self.point_at(t))) for t in schedule]
+
 
 # ---------------------------------------------------------------------------
 # Entry points: distances, geodesics, rays
@@ -680,10 +692,7 @@ def busemann(M: ModelSpace, ray: GeneralizedRay, b):
     """
     if ray.space is not M and ray.space.to_json() != M.to_json():
         raise WrongSpace("ray does not belong to the given space")
-    b = M.check_point(b)
-    if ray.is_degenerate:
-        return ray.mu - M.distance(b, ray.point_at(ray.mu))
-    return M.busemann_to_end(ray, b)
+    return ray.busemann(M.check_point(b))
 
 
 def busemann_limit_audit(M: ModelSpace, ray: GeneralizedRay, b, schedule: Sequence[Real]):
@@ -694,13 +703,7 @@ def busemann_limit_audit(M: ModelSpace, ray: GeneralizedRay, b, schedule: Sequen
     degenerate rays it is constant from mu on.  Deliberately uses only the
     metric, no closed forms, so it can audit :func:`busemann`.
     """
-    b = M.check_point(b)
-    out = []
-    for t in schedule:
-        pos = ray.point_at(t)
-        value = ray.arc_from_base(t) - M.distance(b, pos)
-        out.append((t, value))
-    return out
+    return ray.limit_audit(M.check_point(b), schedule)
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,13 @@ it undecidable on the boundary.
 
 All values are immutable and all operations are pure functions without
 hidden state, safe to evaluate concurrently.  The m-function is decided by
-a bounded search over subsets of rays, each checked by exact integer
-elimination; the Fourier-Motzkin decider of ``exactlp`` serves only as an
-oracle in ``verify`` and the tests.
+an LP finiteness test, then a subset search bounded by the basis: one
+fraction-free phase-1 simplex either returns a Farkas (or, for the zero
+character, Gordan) vector that proves the value infinite, or a basic
+solution whose support size bounds the count, and only smaller subsets of
+rays are then tried, each by one exact integer kernel computation.  The
+Fourier-Motzkin decider of ``exactlp`` serves only as an oracle in
+``verify`` and the tests.
 """
 
 from __future__ import annotations
@@ -232,14 +236,29 @@ def polyhedral_contains(P: PolyhedralSet, p: SpherePoint) -> bool:
 INF = math.inf
 
 
-def _positive_kernel(columns: Sequence[Sequence[int]]) -> bool:
-    """True when the integer matrix with these columns has a one-dimensional
-    kernel spanned by a strictly positive vector.
+def _pivot(rows: list[list[int]], r: int, c: int, prev: int) -> int:
+    """One fraction-free pivot on rows[r][c], in the style of Bareiss:
+    every other row becomes (p * row - f * top) // prev, with p the pivot,
+    f the row's entry in column c and prev the previous pivot (1 at the
+    start); the pivot row stays.  Each division is exact, since every
+    entry stays a minor of the input.  Returns p, the next divisor."""
+    top = rows[r]
+    p = top[c]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[c]
+            rows[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+    return p
 
-    Fraction-free Gauss-Jordan elimination in the style of Bareiss: every
-    division is exact and every entry stays an integer minor of the input.
-    At the end each pivot row reads d x_p + a x_f = 0 for the one free
-    column f, so (x_p, x_f) = (-a, d) spans the kernel.
+
+def _positive_kernel(columns: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
+    """The primitive strictly positive vector spanning the kernel of the
+    integer matrix with these columns, or None when the kernel is not a
+    line spanned by a strictly positive vector.
+
+    Fraction-free Gauss-Jordan elimination (:func:`_pivot`).  At the end
+    each pivot row reads d x_p + a x_f = 0 for the one free column f, so
+    (x_p, x_f) = (-a, d) spans the kernel.
     """
     n = len(columns)
     rows = [list(r) for r in zip(*columns)]
@@ -251,18 +270,71 @@ def _positive_kernel(columns: Sequence[Sequence[int]]) -> bool:
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        top = rows[r]
-        d = top[c]
-        for i, row in enumerate(rows):
-            if i != r:
-                f = row[c]
-                rows[i] = [(d * a - f * b) // prev for a, b in zip(row, top)]
-        prev = d
+        prev = _pivot(rows, r, c, prev)
         pivot_cols.append(c)
     if len(pivot_cols) != n - 1:
-        return False
+        return None
     free = next(c for c in range(n) if c not in pivot_cols)
-    return all(rows[i][free] * prev < 0 for i in range(len(pivot_cols)))
+    sign = 1 if prev > 0 else -1
+    x = [abs(prev)] * n
+    for row, c in zip(rows, pivot_cols):
+        x[c] = -sign * row[free]
+    if min(x) <= 0:
+        return None
+    g = gcd(*x)
+    return tuple(v // g for v in x)
+
+
+def _conic_lp(
+    columns: Sequence[Sequence[int]], target: Sequence[int]
+) -> tuple[Optional[tuple[int, ...]], Optional[tuple[int, ...]]]:
+    """Decide whether target is a nonnegative combination of the integer
+    columns: phase 1 of the simplex method with Bland's rule (Bland 1977).
+
+    Returns (support, None), with the sorted indices of the columns that a
+    basic feasible solution uses with a positive coefficient, or
+    (None, y), with a primitive integer Farkas vector: y . a >= 0 for every
+    column a and y . target < 0.
+
+    The rows with a negative right-hand side are negated and each row gets
+    an artificial column; the phase-1 objective, the sum of the artificial
+    variables, is one more row of the tableau.  Every pivot is the
+    fraction-free step of :func:`_pivot`, so the tableau holds d times the
+    true one, with d > 0 the last pivot.  Only original columns enter the
+    basis.  When none of them has a negative reduced cost, the objective
+    row over the artificial columns reads d (1 - pi) for the simplex
+    multipliers pi, with pi . a <= 0 on every (sign-adjusted) column and
+    pi . target equal to the phase-1 optimum.  An optimum above 0 makes
+    -d pi, with the row signs undone, a Farkas vector.
+    """
+    k, n = len(target), len(columns)
+    signs = [-1 if b < 0 else 1 for b in target]
+    rows = [
+        [s * a[i] for a in columns] + [int(j == i) for j in range(k)] + [s * target[i]]
+        for i, s in enumerate(signs)
+    ]
+    obj = [-sum(col) for col in zip(*rows)]
+    obj[n : n + k] = [0] * k
+    rows.append(obj)
+    basis = list(range(n, n + k))
+    prev = 1
+    while True:
+        c = next((j for j in range(n) if obj[j] < 0), None)
+        if c is None:
+            break
+        r = None
+        for i in range(k):
+            a = rows[i][c]
+            if a > 0 and (r is None or (rows[i][-1] * rows[r][c], basis[i]) < (rows[r][-1] * a, basis[r])):
+                r = i
+        prev = _pivot(rows, r, c, prev)
+        obj = rows[k]
+        basis[r] = c
+    if obj[-1] == 0:
+        return tuple(sorted(b for b, row in zip(basis, rows) if b < n and row[-1] > 0)), None
+    y = [s * (obj[n + i] - prev) for i, s in enumerate(signs)]
+    g = gcd(*y)
+    return None, tuple(v // g for v in y)
 
 
 def minimal_ray_count(A: Iterable[SpherePoint], chi: Character) -> int | float:
@@ -270,33 +342,45 @@ def minimal_ray_count(A: Iterable[SpherePoint], chi: Character) -> int | float:
     conic combination equals chi, or infinity if there is none.
 
     The zero character is allowed; its representation must be nontrivial
-    (at least one ray, all coefficients > 0).  Subsets are tried in
-    increasing size, and Caratheodory's theorem for cones bounds the size:
-    a minimal representation of chi != 0 uses linearly independent rays,
-    so at most k of them, and a minimal positive dependence (chi = 0) is a
-    circuit, so at most k + 1 rays.  A subset S of that kind is accepted
-    exactly when the integer matrix [S | -chi] (just [S] for chi = 0) has
-    a one-dimensional kernel spanned by a strictly positive vector, which
-    one exact integer elimination decides; chi enters as the primitive
-    vector of its ray, a positive multiple.
+    (at least one ray, all coefficients > 0).  An LP finiteness test comes
+    first, then a subset search bounded by the basis.  chi enters as the
+    primitive vector of its ray, a positive multiple.
+
+    - The LP (:func:`_conic_lp`) asks for lam >= 0 with sum lam_a a = chi;
+      for chi = 0 every ray and chi get a trailing coordinate, 1 and 1, so
+      that sum lam_a = 1 rules out lam = 0.  The support of any feasible
+      lam is a strictly positive representation, so an infeasible LP means
+      infinity, with a Farkas vector y (y . a >= 0 on the rays, y . chi < 0)
+      or for chi = 0 a Gordan vector (y . a > 0 on every ray) as the proof.
+    - A basic feasible solution uses s rays, at most k (k + 1 for chi = 0),
+      so s bounds the count.  Subsets of 1 .. s - 1 rays are tried in
+      increasing size; a subset S is accepted exactly when the integer
+      matrix [S | -chi] (just [S] for chi = 0) has a one-dimensional
+      kernel spanned by a strictly positive vector (:func:`_positive_kernel`).
+      A minimal representation uses linearly independent rays (a circuit
+      for chi = 0), so this test finds it.  When none is found, s rays are
+      the fewest.
     """
     pts = sorted(set(A), key=lambda s: s.primitive)
-    if chi.is_zero:
-        tail: list[tuple[int, ...]] = []
-    else:
-        ray = normalize_ray(chi)
-        pts = [p for p in pts if p != ray]
-        tail = [tuple(-c for c in ray.primitive)]
     for p in pts:
         if p.k != chi.k:
             raise DimensionMismatch(f"point rank {p.k}, character rank {chi.k}")
-    bound = chi.k + 1 if chi.is_zero else chi.k
-    vectors = [p.primitive for p in pts]
-    for size in range(1, min(bound, len(vectors)) + 1):
+    if chi.is_zero:
+        vectors = [p.primitive for p in pts]
+        tail: list[tuple[int, ...]] = []
+        support, _ = _conic_lp([v + (1,) for v in vectors], (0,) * chi.k + (1,))
+    else:
+        ray = normalize_ray(chi)
+        vectors = [p.primitive for p in pts if p != ray]
+        tail = [tuple(-c for c in ray.primitive)]
+        support, _ = _conic_lp(vectors, ray.primitive)
+    if support is None:
+        return INF
+    for size in range(1, len(support)):
         for subset in itertools.combinations(vectors, size):
-            if _positive_kernel(list(subset) + tail):
+            if _positive_kernel(list(subset) + tail) is not None:
                 return size
-    return INF
+    return len(support)
 
 
 @dataclass(frozen=True)

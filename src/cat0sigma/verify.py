@@ -426,12 +426,12 @@ def suite_tits(seed: int = 0) -> SuiteReport:
 
 
 # ---------------------------------------------------------------------------
-# m-values: the bounded kernel search against the elimination oracle
+# m-values: the simplex and the bounded kernel search against the elimination oracle
 
 
 def enumeration_ray_count(A, chi: Character) -> int | float:
     """Reference for ``sphere.minimal_ray_count``: every subset of
-    A - {[chi]}, smallest first and without the Caratheodory bound, each
+    A - {[chi]}, smallest first, with no LP and no bound on the size, each
     decided by Fourier-Motzkin elimination on the integer vectors, with chi
     scaled once to its primitive vector."""
     pts = sorted(set(A), key=lambda s: s.primitive)
@@ -456,8 +456,8 @@ def enumeration_m_value(A, chi: Character) -> int | float:
 
 def suite_sphere(seed: int = 0) -> SuiteReport:
     report = SuiteReport("sphere", seed)
-    # The label predates the kernel search; check labels are part of the
-    # verify report, which stays byte-stable.
+    # The production path decides finiteness by a simplex, and the oracle
+    # enumerates subsets by elimination, as the label says.
     oracle = report.check("m-value by simplex equals m-value by elimination")
     mono = report.check("enlarging the ray set never increases the m-value")
     rng = random.Random(str((seed, "sphere")))

@@ -1,6 +1,7 @@
 """Command-line interface: every command, exit codes, determinism,
 round-tripping of emitted JSON."""
 
+import collections
 import importlib
 import io
 import json
@@ -13,6 +14,7 @@ import sys
 import pytest
 
 from cat0sigma import cli, raag
+from cat0sigma.trees import CayleyTree
 
 
 def run_cli(argv):
@@ -354,6 +356,36 @@ def test_parser_is_not_built_at_import():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
     assert result.stdout == "0\n"
+
+
+def test_package_runs_as_a_module():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    argv = ["verify", "--suite", "tits", "--seed", "3"]
+    result = subprocess.run([sys.executable, "-m", "cat0sigma"] + argv, capture_output=True, text=True, env=env)
+    assert (result.returncode, result.stdout) == run_cli(argv)[:2]
+
+
+def test_busemann_job_checks_each_parsed_point_once(monkeypatch):
+    # The points and the ray base are checked where they are parsed; the
+    # Busemann value, the limit audit and the bound compute on them as
+    # they are.  A second check would walk each deep word again.
+    data = json.loads((GOLDEN / "busemann_cayley_deep.json").read_text(encoding="utf-8"))
+    tree = CayleyTree(data["space"]["descriptor"]["rank"])
+    parsed = [tree.parse_vertex(p["vertex"]) for p in data["points"] + [data["ray"]["base"]]]
+    assert max(map(len, parsed)) > 500
+    checked = collections.Counter()
+    check_vertex = CayleyTree.check_vertex
+
+    def counted(self, vertex):
+        checked[vertex] += 1
+        return check_vertex(self, vertex)
+
+    monkeypatch.setattr(CayleyTree, "check_vertex", counted)
+    golden = next(c for c in json.loads((GOLDEN / "cli_stdout.json").read_text(encoding="utf-8"))
+                  if c["argv"] == ["busemann", "--data", "busemann_cayley_deep.json"])
+    code, out, _ = run_cli(["busemann", "--data", str(GOLDEN / "busemann_cayley_deep.json")])
+    assert (code, out) == (golden["code"], golden["stdout"])
+    assert {v: checked[v] for v in parsed} == {v: 1 for v in parsed}
 
 
 def test_help_goes_to_the_given_stdout(capsys):

@@ -1,13 +1,16 @@
 """Character sphere: rays, hemispheres, polyhedral sets, m-values, and the
 join description of Euclidean translation actions."""
 
+import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cat0sigma import sphere
 from cat0sigma.errors import DimensionMismatch, NotTranslationAction, ZeroCharacter
 from cat0sigma.sphere import (
     Character,
@@ -15,6 +18,8 @@ from cat0sigma.sphere import (
     OpenHemisphere,
     PolyhedralSet,
     SpherePoint,
+    _conic_lp,
+    _positive_kernel,
     euclidean_join_decomposition,
     m_value,
     minimal_ray_count,
@@ -22,7 +27,7 @@ from cat0sigma.sphere import (
     polyhedral_contains,
 )
 from cat0sigma.treesigma import generate_sphere_points
-from cat0sigma.verify import enumeration_m_value
+from cat0sigma.verify import enumeration_m_value, enumeration_ray_count
 
 INF = float("inf")
 
@@ -263,6 +268,128 @@ def test_m_chi_near_m_zero_holds_often_but_not_always():
     chi = Character([1, 0, -1])
     assert m_value(pts, chi).value == 1
     assert m_value(pts, Character.zero(3)).value == 3
+
+
+# ---------------------------------------------------------------------------
+# The LP finiteness test.  Its certificates are checked here with integer
+# dot products alone, and its values against the Fourier-Motzkin oracle.
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _primitive(v):
+    g = math.gcd(*v)
+    return tuple(c // g for c in v)
+
+
+@st.composite
+def lp_instances(draw):
+    """(rays, chi): distinct primitive integer rays of rank 1-5 and an
+    integer character that is zero, random, or on the ray of a given ray or
+    of its antipode."""
+    k = draw(st.integers(1, 5))
+    vector = st.lists(st.integers(-3, 3), min_size=k, max_size=k).filter(any).map(tuple)
+    rays = draw(st.lists(vector.map(_primitive), max_size=7 if k < 4 else 6, unique=True))
+    kind = draw(st.sampled_from(["zero", "random", "on-ray"]))
+    if kind == "random":
+        chi = draw(vector)
+    elif kind == "on-ray" and rays:
+        scale = draw(st.sampled_from([1, 2, -1]))
+        chi = tuple(scale * c for c in draw(st.sampled_from(rays)))
+    else:
+        chi = (0,) * k
+    return rays, chi
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(lp_instances())
+def test_lp_certificates_hold_in_integer_arithmetic(instance):
+    rays, chi = instance
+    k = len(chi)
+    # The LP that minimal_ray_count solves: chi on its primitive vector
+    # with its own ray removed; for chi = 0, a trailing 1 on every ray and
+    # the target (0, ..., 0, 1).
+    if any(chi):
+        target = _primitive(chi)
+        vectors = [a for a in rays if a != target]
+        support, y = _conic_lp(vectors, target)
+        tail = [tuple(-c for c in target)]
+    else:
+        vectors = rays
+        support, y = _conic_lp([a + (1,) for a in rays], (0,) * k + (1,))
+        tail = []
+    points = [SpherePoint(a) for a in rays]
+    count = minimal_ray_count(points, Character(chi))
+    assert count == enumeration_ray_count(points, Character(chi))
+    if support is None:
+        assert count == INF
+        if any(chi):
+            # Farkas: the rays lie in a closed half-space that misses chi.
+            assert all(_dot(y, a) >= 0 for a in vectors) and _dot(y, target) < 0
+        else:
+            # Gordan: every ray lies in one open half-space.
+            assert all(_dot(y[:k], a) > 0 for a in vectors)
+    else:
+        assert 0 < len(support) <= k + (not any(chi)) and count <= len(support)
+        used = [vectors[i] for i in support]
+        witness = _positive_kernel(used + tail)
+        assert witness is not None and min(witness) > 0
+        combination = [sum(w * a[c] for w, a in zip(witness, used)) for c in range(k)]
+        assert combination == ([witness[-1] * c for c in target] if any(chi) else [0] * k)
+
+
+def _pointed_cone(k, size, seed):
+    """size distinct primitive rays with positive first coordinate."""
+    rng = random.Random(seed)
+    rays = set()
+    while len(rays) < size:
+        rays.add(_primitive([rng.randint(1, 4)] + [rng.randint(-4, 4) for _ in range(k - 1)]))
+    return [SpherePoint(a) for a in sorted(rays)]
+
+
+def _counting_kernel(monkeypatch):
+    """The column counts of the _positive_kernel calls made from here on."""
+    calls = []
+    kernel = sphere._positive_kernel
+
+    def counted(columns):
+        calls.append(len(columns))
+        return kernel(columns)
+
+    monkeypatch.setattr(sphere, "_positive_kernel", counted)
+    return calls
+
+
+@pytest.mark.parametrize("k, size", [(3, 24), (4, 20), (5, 20), (6, 20)])
+def test_m_zero_on_pointed_cones_tries_no_subset(monkeypatch, k, size):
+    # The bounded subset search tried every subset of up to k + 1 rays
+    # here: 1.1 s at rank 5 and 3.8 s at rank 6 on a 2-CPU machine.  One
+    # LP with a Gordan certificate now decides it.
+    calls = _counting_kernel(monkeypatch)
+    cone = _pointed_cone(k, size, seed=100 * k + size)
+    start = time.perf_counter()
+    assert minimal_ray_count(cone, Character.zero(k)) == INF
+    assert time.perf_counter() - start < 0.05
+    assert calls == []
+
+
+def test_subset_search_stops_below_the_basis_size(monkeypatch):
+    # Nine rays in rank 6 whose LP basis uses six of them, while five
+    # rays already form a positive circuit; no subset of six is tried.
+    rays = [
+        (-1, -2, -2, -1, 1, -1), (-1, -1, 2, 0, 1, 0), (-1, 1, -2, 2, -2, 2),
+        (0, -2, 2, 0, 0, -1), (0, 1, 1, 0, 0, -1), (0, 2, 0, -1, 1, 2),
+        (1, -1, 0, -2, -1, -2), (1, 1, 0, 1, -1, 2), (2, 0, -1, 2, 0, -1),
+    ]
+    support, _ = _conic_lp([a + (1,) for a in rays], (0,) * 6 + (1,))
+    assert len(support) == 6
+    calls = _counting_kernel(monkeypatch)
+    points = [SpherePoint(a) for a in rays]
+    assert minimal_ray_count(points, Character.zero(6)) == 5
+    assert max(calls) == 5 and len(calls) <= sum(math.comb(9, size) for size in range(1, 6))
+    assert enumeration_ray_count(points, Character.zero(6)) == 5
 
 
 # ---------------------------------------------------------------------------

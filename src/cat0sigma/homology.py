@@ -3,18 +3,14 @@
 Boundary matrices are built as sparse rows and reduced by a sparse Smith
 normal form over arbitrary-precision integers that takes unit pivots first;
 only when no +-1 entry is left does it pivot on a smallest entry and take
-Euclidean steps.  ``rational_rank``, a rank over the rationals that shares
-no code with the integer reduction, is the oracle the tests check the Smith
-ranks against.
+Euclidean steps.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from functools import cached_property
-from fractions import Fraction
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 Simplex = tuple[int, ...]
@@ -22,46 +18,44 @@ Simplex = tuple[int, ...]
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Finite abstract simplicial complex, closed under taking faces.
+    """Finite abstract simplicial complex, given by generating simplices.
 
     Simplices are sorted tuples of vertex indices.  The constructor takes
-    any generating simplices (the maximal ones suffice) and closes them
-    under faces, so the invariant holds by construction.
+    any generating simplices (the maximal ones suffice); the faces of one
+    dimension are listed from the generators the first time they are
+    asked for, so a caller that reads a skeleton never builds the rest.
     """
 
-    simplices: frozenset
+    generators: frozenset
+    _faces: dict = field(repr=False, compare=False)  # dimension -> its faces, sorted
 
     def __init__(self, simplices: Iterable[Sequence[int]]):
-        closed = set()
-        for s in simplices:
-            s = tuple(sorted(set(s)))
-            if not s:
-                continue
-            for r in range(1, len(s) + 1):
-                closed.update(itertools.combinations(s, r))
-        object.__setattr__(self, "simplices", frozenset(closed))
-
-    @cached_property
-    def _graded(self) -> list[list[Simplex]]:
-        """The simplices grouped by dimension, each group sorted."""
-        graded: list[list[Simplex]] = [[] for _ in range(max(map(len, self.simplices), default=0))]
-        for s in sorted(self.simplices):
-            graded[len(s) - 1].append(s)
-        return graded
+        normalized = (tuple(sorted(set(s))) for s in simplices)
+        object.__setattr__(self, "generators", frozenset(s for s in normalized if s))
+        object.__setattr__(self, "_faces", {})
 
     @property
     def dimension(self) -> int:
-        return len(self._graded) - 1
+        return max(map(len, self.generators), default=0) - 1
 
     def faces(self, dim: int) -> list[Simplex]:
-        return list(self._graded[dim]) if 0 <= dim < len(self._graded) else []
+        """The dim-simplices in sorted order, listed on the first call."""
+        if not 0 <= dim <= self.dimension:
+            return []
+        if dim not in self._faces:
+            self._faces[dim] = sorted({f for s in self.generators for f in itertools.combinations(s, dim + 1)})
+        return list(self._faces[dim])
+
+    @property
+    def simplices(self) -> frozenset:
+        return frozenset(s for d in range(self.dimension + 1) for s in self.faces(d))
 
     @property
     def vertices(self) -> list[int]:
         return [s[0] for s in self.faces(0)]
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** (len(s) - 1) for s in self.simplices)
+        return sum((-1) ** d * len(self.faces(d)) for d in range(self.dimension + 1))
 
     def boundary_matrix(self, dim: int) -> list[dict[int, int]]:
         """Matrix of the boundary map from dim-chains to (dim-1)-chains, as
@@ -163,34 +157,6 @@ def smith_normal_form(matrix: Sequence) -> list[int]:
                 diag[i], diag[i + 1] = g, x * y // g
                 changed = True
     return diag
-
-
-def rational_rank(matrix: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals by Gaussian elimination with Fractions.
-
-    Independent of the Smith reduction; used as the Betti-number oracle.
-    """
-    a = [[Fraction(x) for x in row] for row in matrix]
-    rank = 0
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    row = 0
-    for col in range(cols):
-        piv = next((r for r in range(row, rows) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        scale = a[row][col]
-        a[row] = [x / scale for x in a[row]]
-        for r in range(rows):
-            if r != row and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[row])]
-        rank += 1
-        row += 1
-        if row == rows:
-            break
-    return rank
 
 
 # ---------------------------------------------------------------------------

@@ -125,8 +125,9 @@ class SimpleGraph:
 def flag_complex(graph: SimpleGraph) -> SimplicialComplex:
     """The complex whose simplices are the cliques of the graph.
 
-    Maximal cliques are enumerated by Bron-Kerbosch with pivoting; the
-    complex closes them under faces.
+    Maximal cliques are enumerated by Bron-Kerbosch with pivoting and
+    generate the complex, which lists the cliques of one size only when
+    they are read.
     """
     index = {v: i for i, v in enumerate(graph.vertices)}
     adj = {index[v]: {index[w] for w in graph.neighbors(v)} for v in graph.vertices}
@@ -323,20 +324,24 @@ def connectivity_verdict(K: SimplicialComplex, n: int) -> ConnectivityVerdict:
     additionally simply connected with reduced homology vanishing up to
     degree n-1.  A Tietze search for simple connectivity runs only when
     reduced homology vanishes through degree 1 (connected, H1 = 0); the
-    homology vanishing field reports degrees 0..max(n-1, 0).
+    homology vanishing field reports degrees 0..max(n-1, 0).  Reduced
+    homology vanishes above the dimension, so the profile stops at degree
+    max(min(n-1, dim K), 1), and no simplex above dimension max(n, 2) is
+    listed.
     """
     if n < 0:
         raise DegreeOutOfRange(f"degree {n} is negative")
-    if not K.simplices:
+    if not K.generators:
         return ConnectivityVerdict(n, False, NO, NO, NO)
-    profile = homology(K, max_degree=max(n - 1, 1))
+    top = max(min(n - 1, K.dimension), 1)
+    profile = homology(K, max_degree=top)
     if profile.reduced_trivial_through(1):
         certificate = tietze_trivialize(*edge_path_presentation(K))
         simply = YES if certificate.trivialized else UNKNOWN
     else:
         certificate, simply = None, NO
     connected = YES if profile.betti_reduced(0) == 0 else NO
-    vanishing = YES if profile.reduced_trivial_through(max(n - 1, 0)) else NO
+    vanishing = YES if profile.reduced_trivial_through(min(max(n - 1, 0), top)) else NO
     return ConnectivityVerdict(n, True, connected, simply, vanishing, profile, certificate)
 
 

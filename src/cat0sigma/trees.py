@@ -118,24 +118,9 @@ def make_word_end(prefix, period) -> WordEnd:
     return WordEnd(prefix, period)
 
 
+@dataclass(frozen=True)
 class HnnUp:
     """The distinguished fixed end of an HNN tree (levels decreasing)."""
-
-    _instance: Optional["HnnUp"] = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "HnnUp()"
-
-    def __eq__(self, other):
-        return isinstance(other, HnnUp)
-
-    def __hash__(self):
-        return hash("HnnUp")
 
     def to_json(self) -> dict:
         return {"up": True}

@@ -10,6 +10,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -325,6 +326,20 @@ def test_raag_job_reduces_each_boundary_map_once(monkeypatch):
     code, out, _ = run_cli(["raag", "--graph", str(GOLDEN / "raag_octahedron.json"), "--n", "2"])
     assert (code, json.loads(out)["membership"]) == (0, "In")
     assert shapes == [1, 6, 12]
+
+
+def test_raag_degree_above_the_dimension_reads_no_further_degrees():
+    # Reduced homology vanishes above dim K, so --n 10^7 on K4 gives the
+    # --n 4 verdict without looping over the degrees between (over 10 s
+    # when every degree up to n-1 was computed).
+    graph = str(GOLDEN / "raag_k4.json")
+    start = time.perf_counter()
+    code, out, _ = run_cli(["raag", "--graph", graph, "--n", "10000000"])
+    assert time.perf_counter() - start < 1.0
+    small = json.loads(run_cli(["raag", "--graph", graph, "--n", "4"])[1])
+    big = json.loads(out)
+    assert code == 0
+    assert (big["membership"], big["verdict"]) == (small["membership"], small["verdict"])
 
 
 def test_one_parser_serves_many_runs():

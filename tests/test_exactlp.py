@@ -9,8 +9,8 @@ from fractions import Fraction as F
 import pytest
 
 from cat0sigma.exactlp import strictly_representable_fm
-from cat0sigma.homology import rational_rank
 from cat0sigma.sphere import _positive_kernel
+from oracles import rational_rank
 
 
 def test_max_min_coefficient_signs():

@@ -11,10 +11,10 @@ import pytest
 from cat0sigma.homology import (
     SimplicialComplex,
     homology,
-    rational_rank,
     smith_normal_form,
 )
 from cat0sigma.raag import SimpleGraph, connectivity_verdict, flag_complex
+from oracles import rational_rank
 
 # The six-vertex triangulation of the projective plane (antipodal quotient
 # of the icosahedron); its first homology is Z/2.
@@ -22,6 +22,16 @@ RP2_TRIANGLES = [
     (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
     (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5),
 ]
+
+
+def closure(generators) -> set:
+    """Every nonempty subset of every generator, as a sorted tuple."""
+    return {
+        face
+        for s in generators
+        for r in range(1, len(set(s)) + 1)
+        for face in itertools.combinations(sorted(set(s)), r)
+    }
 
 
 def test_smith_normal_form_known_matrices():
@@ -194,6 +204,25 @@ def test_projective_plane_torsion():
     assert profile.betti_reduced(2) == 0
 
 
+def test_flag_triangulation_of_the_projective_plane_has_torsion():
+    # The comparability graph of the nonempty faces of the six-vertex RP^2
+    # (31 vertices, 90 edges): its flag complex is the barycentric
+    # subdivision, so H1 = Z/2 and the rational Betti numbers vanish.
+    cells = sorted(closure(RP2_TRIANGLES))
+    graph = SimpleGraph(cells, [(a, b) for a, b in itertools.combinations(cells, 2) if set(a) < set(b) or set(b) < set(a)])
+    assert (len(graph.vertices), len(graph.edges)) == (31, 90)
+    K = flag_complex(graph)
+    profile = homology(K)
+    assert profile.torsion_at(1) == (2,)
+    assert [profile.betti_reduced(d) for d in range(3)] == [0, 0, 0]
+    for d in range(K.dimension + 2):
+        dense = [[row.get(j, 0) for j in range(len(K.faces(d)))] for row in K.boundary_matrix(d)]
+        assert len(smith_normal_form(K.boundary_matrix(d))) == rational_rank(dense)
+    verdicts = [connectivity_verdict(K, n) for n in range(4)]
+    assert [v.membership for v in verdicts] == ["In", "In", "Out", "Out"]
+    assert (verdicts[2].simply_connected, verdicts[2].homology_vanishing) == ("no", "no")
+
+
 def test_full_simplex_is_acyclic():
     K = SimplicialComplex([tuple(range(6))])
     profile = homology(K, max_degree=5)
@@ -238,16 +267,44 @@ def test_sparse_smith_form_reaches_large_flag_complexes():
 
 
 def test_euler_characteristic_equals_alternating_betti_sum():
+    # Generator lists that repeat a simplex, nest one in another, overlap,
+    # list vertices out of order or twice, or hold an empty simplex: the
+    # faces of each dimension, the dimension and the simplex set are those
+    # of the closure under faces.
     rng = random.Random(8)
-    for _ in range(25):
+    for trial in range(25):
         verts = rng.randrange(3, 7)
-        maximal = set()
+        generators = []
         for _ in range(rng.randrange(2, 7)):
             size = rng.randrange(1, 4)
-            maximal.add(tuple(sorted(rng.sample(range(verts), size))))
-        K = SimplicialComplex(maximal)
+            generators.append(tuple(rng.sample(range(verts), size)))
+        generators += [generators[0], generators[-1][:1], generators[1] + generators[1][:1], ()]
+        rng.shuffle(generators)
+        K = SimplicialComplex(generators)
+        faces = closure(generators)
+        assert K.dimension == max(map(len, faces)) - 1
+        for d in range(-1, K.dimension + 3):
+            assert K.faces(d) == sorted(f for f in faces if len(f) == d + 1), (trial, d)
+        assert K.simplices == faces
         profile = homology(K)
         chi_from_homology = sum(
             (-1) ** d * profile.betti[d] for d in range(len(profile.betti))
         )
         assert chi_from_homology == K.euler_characteristic()
+    empty = SimplicialComplex([(), ()])
+    assert (empty.dimension, empty.faces(0), empty.simplices) == (-1, [], frozenset())
+
+
+def test_faces_are_listed_per_dimension_on_first_use(monkeypatch):
+    # A complex lists no face until one is read, lists each dimension once,
+    # and answers a dimension outside 0..dim K without storing anything.
+    combinations = itertools.combinations
+    sizes = []
+    monkeypatch.setattr(itertools, "combinations", lambda s, r: sizes.append(r) or combinations(s, r))
+    K = SimplicialComplex([tuple(range(8)), (7, 8)])
+    assert (K.dimension, sizes) == (7, [])
+    assert K.faces(2) == list(combinations(range(8), 3))
+    assert K.faces(2) == K.faces(2) and sizes == [3, 3]
+    for d in (-1, 8, 10**9):
+        assert K.faces(d) == []
+    assert sizes == [3, 3]

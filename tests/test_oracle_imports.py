@@ -1,6 +1,7 @@
 """Tooling guard: the Fourier-Motzkin oracle shares no code with production.
 ``exactlp`` imports only the standard library, and only ``verify`` (the
-oracle side of the package) imports ``exactlp``."""
+oracle side of the package) imports ``exactlp``.  The rational rank oracle
+lives in the tests, not in the package."""
 
 import ast
 import pathlib
@@ -62,3 +63,26 @@ def test_only_verify_imports_exactlp():
         if any(imports_exactlp(m) for _, m in imported_modules(path.read_text(encoding="utf-8")))
     }
     assert importers == {"verify.py"}
+
+
+def bound_names(source: str) -> set:
+    """Every name a module binds: functions, classes, assignment targets
+    and imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+    return names
+
+
+def test_no_package_module_defines_the_rank_oracle():
+    sample = "def rational_rank(m):\n    pass\nfrom x import y as z\nw = 1\n"
+    assert bound_names(sample) == {"rational_rank", "z", "w"}
+    definers = [
+        path.name for path in sorted(PACKAGE.glob("*.py")) if "rational_rank" in bound_names(path.read_text(encoding="utf-8"))
+    ]
+    assert definers == []

@@ -42,7 +42,7 @@ from .actions import (
     sl2z_sigma0_complement,
 )
 from .homology import SimplicialComplex, homology, smith_normal_form
-from .raag import SimpleGraph, bestvina_brady, connectivity_verdict, coordinate_hemisphere, flag_complex
+from .raag import SimpleGraph, bestvina_brady, connectivity_verdict, coordinate_hemisphere, dominated_core, flag_complex
 from .spaces import (
     EDirection,
     EuclideanSpace,

@@ -426,6 +426,7 @@ class GroupAction:
                 raise ValueError(f"generator names are single lowercase characters, got {name!r}")
             if not isinstance(iso, isometry_type(space)):
                 raise WrongSpace(f"{type(iso).__name__} does not act on {space.name}")
+        self._inverses = {name: iso.inverse() for name, iso in self.generators.items()}
         self._check_distance_preservation()
 
     def _check_distance_preservation(self):
@@ -493,8 +494,7 @@ class GroupAction:
             lower = ch.lower()
             if lower not in self.generators:
                 raise UnknownGenerator(f"letter {ch!r} is not a generator")
-            iso = self.generators[lower]
-            out.append(iso.inverse() if ch.isupper() else iso)
+            out.append(self._inverses[lower] if ch.isupper() else self.generators[lower])
         return out
 
     def word_isometry(self, word: str) -> Isometry:

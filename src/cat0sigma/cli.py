@@ -22,7 +22,7 @@ import time
 from . import actions as ac
 from . import jsonio, spaces as sp, svg, treesigma as ts, verify
 from .errors import Cat0SigmaError, DegreeOutOfRange, UnsupportedDimension, UsageError
-from .raag import SimpleGraph, connectivity_verdict, coordinate_hemisphere, flag_complex
+from .raag import SimpleGraph, connectivity_verdict, coordinate_hemisphere, dominated_core, flag_complex
 from .sphere import PolyhedralSet
 from .treesigma import GraphOfGroupsSummary, MFPRData
 
@@ -186,7 +186,7 @@ def _load_graph(path) -> SimpleGraph:
 
 def cmd_raag(args, data):
     graph = _load_graph(args.graph)
-    verdict = connectivity_verdict(flag_complex(graph), args.n)
+    verdict = connectivity_verdict(flag_complex(dominated_core(graph)), args.n)
     payload = {
         "command": "raag",
         "seed": args.seed,

@@ -196,13 +196,18 @@ def homology(K: SimplicialComplex, max_degree: int | None = None) -> HomologyPro
 
     Computes degrees 0..max_degree (default: the dimension of K).  The rank
     of each boundary map is the number of its invariant factors, all
-    nonzero; the factors above 1 are the torsion.
+    nonzero; the factors above 1 are the torsion.  Homology vanishes above
+    the dimension, so boundary maps are built only through degree
+    min(max_degree, dim K) + 1 and the higher degrees are zero.
     """
     if max_degree is None:
         max_degree = max(K.dimension, 0)
-    counts = [len(K.faces(d)) for d in range(max_degree + 2)]
-    factors = [smith_normal_form(K.boundary_matrix(d)) if counts[d] else [] for d in range(max_degree + 2)]
+    top = min(max_degree, K.dimension)
+    counts = [len(K.faces(d)) for d in range(top + 2)]
+    factors = [smith_normal_form(K.boundary_matrix(d)) if counts[d] else [] for d in range(top + 2)]
     ranks = [len(f) for f in factors]
     # Degree 0 reduces against the augmentation: add the component it hides.
-    betti = tuple(counts[d] - ranks[d] - ranks[d + 1] + (d == 0 and counts[0] > 0) for d in range(max_degree + 1))
-    return HomologyProfile(betti, tuple(tuple(x for x in f if x > 1) for f in factors[1:]))
+    betti = tuple(counts[d] - ranks[d] - ranks[d + 1] + (d == 0 and counts[0] > 0) for d in range(top + 1))
+    torsion = tuple(tuple(x for x in f if x > 1) for f in factors[1:])
+    pad = max_degree - top
+    return HomologyProfile(betti + (0,) * pad, torsion + ((),) * pad)

@@ -6,7 +6,9 @@ generators commuting (the right-angled Artin convention; right-angled
 Coxeter groups would add involution relations and are not modeled here).
 The diagonal character sends every generator to 1; by the Bestvina-Brady
 criterion it lies in the degree-n invariant of the group exactly when the
-flag complex of the graph is (n-1)-connected.
+flag complex of the graph is (n-1)-connected.  That depends only on the
+homotopy type, which deleting a dominated vertex keeps, so the verdict is
+decided on the graph's dominated-vertex core.
 
 Connectedness and homology vanishing are decided exactly; simple
 connectivity is undecidable in general, so the verdict is three-valued:
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import DegreeOutOfRange, UnknownVertex
 from .homology import HomologyProfile, SimplicialComplex, homology
@@ -60,8 +62,14 @@ class SimpleGraph:
     def adjacent(self, u, v) -> bool:
         return frozenset((u, v)) in self.edges
 
-    def neighbors(self, v) -> set:
-        return {next(iter(e - {v})) for e in self.edges if v in e}
+    def adjacency(self) -> dict:
+        """Each vertex's set of neighbours, built in one pass over the edges."""
+        adj: dict = {v: set() for v in self.vertices}
+        for e in self.edges:
+            u, v = e
+            adj[u].add(v)
+            adj[v].add(u)
+        return adj
 
     @staticmethod
     def complete(m: int) -> "SimpleGraph":
@@ -130,7 +138,7 @@ def flag_complex(graph: SimpleGraph) -> SimplicialComplex:
     they are read.
     """
     index = {v: i for i, v in enumerate(graph.vertices)}
-    adj = {index[v]: {index[w] for w in graph.neighbors(v)} for v in graph.vertices}
+    adj = {index[v]: {index[w] for w in ws} for v, ws in graph.adjacency().items()}
     maximal: list[tuple[int, ...]] = []
 
     def bron_kerbosch(r: set, p: set, x: set):
@@ -147,6 +155,44 @@ def flag_complex(graph: SimpleGraph) -> SimplicialComplex:
     if graph.vertices:
         bron_kerbosch(set(), set(adj), set())
     return SimplicialComplex(maximal)
+
+
+def strong_collapses(graph: SimpleGraph) -> Iterator[tuple]:
+    """Delete dominated vertices until none is left, yielding each deletion
+    as a pair (v, w) with N[v] contained in N[w] (closed neighbourhoods) in
+    the graph that the earlier deletions left.
+
+    The link of such a v in the flag complex is a cone with apex w, so
+    deleting v is a strong collapse and keeps the homotopy type
+    (Barmak-Minian).  Passes scan the vertices in the graph's order until
+    one deletes nothing.
+    """
+    closed = graph.adjacency()
+    for v, ws in closed.items():
+        ws.add(v)
+    deleted = True
+    while deleted:
+        deleted = False
+        for v in graph.vertices:
+            nv = closed.get(v, ())
+            for w in nv:
+                if w != v and nv <= closed[w]:
+                    yield v, w
+                    del closed[v]
+                    for u in nv - {v}:
+                        closed[u].discard(v)
+                    deleted = True
+                    break
+
+
+def dominated_core(graph: SimpleGraph) -> SimpleGraph:
+    """The graph left when :func:`strong_collapses` has run out: its flag
+    complex has the homotopy type of the graph's.  A graph with no dominated
+    vertex is returned as it is."""
+    gone = {v for v, _ in strong_collapses(graph)}
+    if not gone:
+        return graph
+    return SimpleGraph([v for v in graph.vertices if v not in gone], [e for e in graph.edges if gone.isdisjoint(e)])
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +394,8 @@ def connectivity_verdict(K: SimplicialComplex, n: int) -> ConnectivityVerdict:
 def bestvina_brady(graph: SimpleGraph, n: int) -> str:
     """Membership of the diagonal character in the degree-n invariant of
     the right-angled Artin group of the graph: In / Out / Unknown, by the
-    flag-complex connectivity criterion."""
-    return connectivity_verdict(flag_complex(graph), n).membership
+    flag-complex connectivity criterion on the dominated-vertex core."""
+    return connectivity_verdict(flag_complex(dominated_core(graph)), n).membership
 
 
 def coordinate_hemisphere(graph: SimpleGraph, v) -> OpenHemisphere:

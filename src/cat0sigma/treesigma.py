@@ -171,11 +171,15 @@ def mfpr_lengths(data: MFPRData) -> GraphOfGroupsSummary:
     """The lengths of an MFPR splitting, through the m-function: fl(G) =
     m(0), cl(chi) = min(m(chi), m(0)), and the base group's length
     min(m(chi), m(-chi), m(0)) as the stabilizer length.  The rooted tree
-    of the splitting has a fixed end."""
+    of the splitting has a fixed end.  A zero chi is its own negative, so
+    its m-values are m(0)."""
     chi = data.splitting_character
     m_zero = m_value(data.complement, Character.zero(data.k)).value
-    m_chi = m_value(data.complement, chi).value
-    m_neg = m_value(data.complement, -chi).value
+    if chi.is_zero:
+        m_chi = m_neg = m_zero
+    else:
+        m_chi = m_value(data.complement, chi).value
+        m_neg = m_value(data.complement, -chi).value
     return GraphOfGroupsSummary(
         fl_group=m_zero,
         fl_stabilizers=min(m_chi, m_neg, m_zero),

@@ -50,6 +50,24 @@ def test_word_letters_respect_case():
     assert act.apply("A", (0.0,)) == (-1.0,)
 
 
+def test_word_evaluation_inverts_no_generator(monkeypatch):
+    # Each generator's inverse is built once with the action; evaluating
+    # a word with uppercase letters only looks it up (six inverse() calls
+    # per evaluation of "TTTAAA" before).
+    hnn = GroupAction.ascending_hnn(2)
+    t, a = hnn.generators["t"], hnn.generators["a"]
+    expected = t.inverse().compose(t.inverse()).compose(t.inverse()).compose(a.inverse())
+    expected = expected.compose(a.inverse()).compose(a.inverse())
+    calls = []
+    inverse = HnnIsometry.inverse
+    monkeypatch.setattr(HnnIsometry, "inverse", lambda iso: calls.append(iso) or inverse(iso))
+    origin = hnn.space.origin()
+    assert hnn.apply("TTTAAA", origin) == expected.apply(hnn.space, origin)
+    assert hnn.word_isometry("TTTAAA") == expected
+    assert hnn.boundary_apply("TA", HnnUp()) == HnnUp()
+    assert calls == []
+
+
 def test_boundary_apply_examples():
     # Translations fix every boundary direction.
     act = GroupAction.euclidean_translations(2, {"t": (3, 1)})

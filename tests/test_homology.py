@@ -9,6 +9,7 @@ import time
 import pytest
 
 from cat0sigma.homology import (
+    HomologyProfile,
     SimplicialComplex,
     homology,
     smith_normal_form,
@@ -308,3 +309,26 @@ def test_faces_are_listed_per_dimension_on_first_use(monkeypatch):
     for d in (-1, 8, 10**9):
         assert K.faces(d) == []
     assert sizes == [3, 3]
+
+
+def test_degrees_above_the_dimension_build_no_boundary_map(monkeypatch):
+    # Homology vanishes above dim K: asking for degree N > dim K reads faces
+    # only through dim K + 1 and pads the profile with zeros.  One triangle
+    # at N = 10^6 took about 1 s when every degree up to N + 1 was built.
+    asked = []
+    faces = SimplicialComplex.faces
+    monkeypatch.setattr(SimplicialComplex, "faces", lambda K, dim: asked.append(dim) or faces(K, dim))
+    circle = SimplicialComplex([(0, 1), (1, 2), (0, 2)])
+    for K, low in ((SimplicialComplex([(0, 1, 2)]), (1, 0, 0)), (circle, (1, 1))):
+        for N in range(K.dimension, K.dimension + 4):
+            asked.clear()
+            profile = homology(K, max_degree=N)
+            assert max(asked) <= K.dimension + 1
+            assert profile == HomologyProfile(low + (0,) * (N - K.dimension), ((),) * (N + 1))
+    empty = homology(SimplicialComplex([]), max_degree=2)
+    assert empty == HomologyProfile((0, 0, 0), ((), (), ()))
+    start = time.perf_counter()
+    profile = homology(SimplicialComplex([(0, 1, 2)]), max_degree=10**6)
+    assert time.perf_counter() - start < 0.25
+    assert len(profile.betti) == len(profile.torsion) == 10**6 + 1
+    assert profile.reduced_trivial_through(10**6)

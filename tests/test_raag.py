@@ -1,5 +1,5 @@
-"""Graphs, flag complexes, connectivity verdicts, the diagonal-character
-membership test, and coordinate hemispheres."""
+"""Graphs, dominated-vertex cores, flag complexes, connectivity verdicts,
+the diagonal-character membership test, and coordinate hemispheres."""
 
 import itertools
 import random
@@ -17,8 +17,10 @@ from cat0sigma.raag import (
     bestvina_brady,
     connectivity_verdict,
     coordinate_hemisphere,
+    dominated_core,
     edge_path_presentation,
     flag_complex,
+    strong_collapses,
     tietze_trivialize,
 )
 from cat0sigma.sphere import Character, SpherePoint
@@ -100,6 +102,76 @@ def test_verdict_lists_only_the_skeleton_its_degree_reads(monkeypatch):
         assert max(asked) <= max(n, 2), n
         if n < 3:
             assert elapsed < 0.5, n
+
+
+def verdict_fields(verdict) -> tuple:
+    return (verdict.nonempty, verdict.connected, verdict.simply_connected, verdict.homology_vanishing, verdict.membership)
+
+
+def closed_neighbourhoods(graph: SimpleGraph) -> dict:
+    return {v: {v} | {w for w in graph.vertices if graph.adjacent(v, w)} for v in graph.vertices}
+
+
+def test_core_verdicts_equal_full_complex_verdicts_on_small_graphs():
+    # Every labelled graph on 1-5 vertices, degrees 0-4: deleting dominated
+    # vertices keeps the homotopy type, so every verdict field agrees.
+    count = 0
+    for k in range(1, 6):
+        pairs = list(itertools.combinations(range(k), 2))
+        for mask in range(1 << len(pairs)):
+            graph = SimpleGraph(range(k), [e for i, e in enumerate(pairs) if mask >> i & 1])
+            full, core = flag_complex(graph), flag_complex(dominated_core(graph))
+            for n in range(5):
+                assert verdict_fields(connectivity_verdict(core, n)) == verdict_fields(connectivity_verdict(full, n))
+                count += 1
+    assert count == 5495
+
+
+def test_each_deletion_is_a_domination_at_its_step(rng):
+    graphs = [SimpleGraph.complete(6), SimpleGraph([0, 1, 2, 3], [(3, 2), (2, 1), (1, 0)])]
+    for _ in range(40):
+        k = rng.randrange(1, 12)
+        p = rng.choice((0.2, 0.4, 0.6, 0.8))
+        graphs.append(SimpleGraph(range(k), [e for e in itertools.combinations(range(k), 2) if rng.random() < p]))
+    graphs.append(SimpleGraph.from_edge_list("a b\nb c\nc a\nc d\nd e\nf\n"))
+    for graph in graphs:
+        left = set(graph.vertices)
+        for v, w in strong_collapses(graph):
+            assert v != w and {v, w} <= left
+            closed = closed_neighbourhoods(SimpleGraph(left, [e for e in graph.edges if e <= left]))
+            assert closed[v] <= closed[w]
+            left.remove(v)
+        core = dominated_core(graph)
+        assert core.vertices == tuple(u for u in graph.vertices if u in left)
+        assert core.edges == frozenset(e for e in graph.edges if e <= left)
+        closed = closed_neighbourhoods(core)
+        assert not any(closed[v] <= closed[w] for v in core.vertices for w in core.vertices if v != w)
+        assert dominated_core(core) is core
+
+
+def test_complete_graph_collapses_to_one_vertex():
+    for m in range(1, 41):
+        core = dominated_core(SimpleGraph.complete(m))
+        assert (core.vertices, core.edges) == ((m - 1,), frozenset())
+
+
+def test_cross_polytopes_and_cycles_are_their_own_cores():
+    # No closed neighbourhood contains another: the verdict runs on the
+    # whole complex, and finding that out deletes nothing.
+    crosses = [
+        SimpleGraph(range(2 * m), [(i, j) for i, j in itertools.combinations(range(2 * m), 2) if j != i + m])
+        for m in range(1, 7)
+    ]
+    for graph in crosses + [SimpleGraph.cycle(m) for m in range(4, 11)]:
+        assert dominated_core(graph) is graph
+        assert list(strong_collapses(graph)) == []
+
+
+def test_bestvina_brady_decides_k40_on_its_core():
+    graph = SimpleGraph.complete(40)
+    start = time.perf_counter()
+    assert bestvina_brady(graph, 2) == IN
+    assert time.perf_counter() - start < 0.05
 
 
 def test_octahedron_flag_complex_is_a_two_sphere():

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from cat0sigma import sphere
 from cat0sigma.errors import DegreeOutOfRange, InvalidChain
 from cat0sigma.sphere import Character, SpherePoint
 from cat0sigma.treesigma import (
@@ -102,6 +103,22 @@ def test_mfpr_lengths_frozen_examples():
     )
     lengths = mfpr_lengths(trio)
     assert lengths == GraphOfGroupsSummary(fl_group=2, fl_stabilizers=1, has_fixed_end=True, cl_character=1)
+
+
+def test_a_zero_splitting_character_runs_one_ray_search(monkeypatch):
+    # chi = -chi = 0 when the splitting character is zero, so m(chi) and
+    # m(-chi) are m(0); a nonzero chi needs all three searches.
+    calls = []
+    search = sphere.minimal_ray_count
+    monkeypatch.setattr(sphere, "minimal_ray_count", lambda A, chi: calls.append(chi) or search(A, chi))
+    trio = [SpherePoint((1, 0)), SpherePoint((0, 1)), SpherePoint((-1, -1))]
+    for chi, searches, lengths in (
+        (Character([0, 0]), 1, GraphOfGroupsSummary(2, 2, True, 2)),
+        (Character([-1, 0]), 3, GraphOfGroupsSummary(2, 1, True, 1)),
+    ):
+        calls.clear()
+        assert mfpr_lengths(MFPRData(2, trio, chi)) == lengths
+        assert len(calls) == searches
 
 
 def test_mfpr_piecewise_values():

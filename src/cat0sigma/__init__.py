@@ -41,8 +41,17 @@ from .actions import (
     shift_report,
     sl2z_sigma0_complement,
 )
-from .homology import SimplicialComplex, homology, smith_normal_form
-from .raag import SimpleGraph, bestvina_brady, connectivity_verdict, coordinate_hemisphere, dominated_core, flag_complex
+from .homology import SimplicialComplex, homology, join_homology, smith_normal_form
+from .raag import (
+    SimpleGraph,
+    bestvina_brady,
+    connectivity_verdict,
+    coordinate_hemisphere,
+    dominated_core,
+    flag_complex,
+    flag_verdict,
+    join_factors,
+)
 from .spaces import (
     EDirection,
     EuclideanSpace,

@@ -22,7 +22,7 @@ import time
 from . import actions as ac
 from . import jsonio, spaces as sp, svg, treesigma as ts, verify
 from .errors import Cat0SigmaError, DegreeOutOfRange, UnsupportedDimension, UsageError
-from .raag import SimpleGraph, connectivity_verdict, coordinate_hemisphere, dominated_core, flag_complex
+from .raag import SimpleGraph, coordinate_hemisphere, flag_verdict
 from .sphere import PolyhedralSet
 from .treesigma import GraphOfGroupsSummary, MFPRData
 
@@ -186,7 +186,7 @@ def _load_graph(path) -> SimpleGraph:
 
 def cmd_raag(args, data):
     graph = _load_graph(args.graph)
-    verdict = connectivity_verdict(flag_complex(dominated_core(graph)), args.n)
+    verdict = flag_verdict(graph, args.n)
     payload = {
         "command": "raag",
         "seed": args.seed,
@@ -279,8 +279,7 @@ def cmd_audit(args, data):
         )
     else:
         base = jsonio.parse_point(space, data["base"])
-        ray1 = sp.ray_from(space, base, e1)
-        ray2 = sp.ray_from(space, base, e2)
+        ray1, ray2 = space.ray_from(base, e1), space.ray_from(base, e2)
         schedule = [space.parse_scalar(t) for t in jsonio.read_field(data, "schedule", list, [1, 2, 5, 10])]
         report = ac.angle_estimate_audit(space, ray1, ray2, schedule)
     payload = {

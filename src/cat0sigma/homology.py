@@ -3,7 +3,8 @@
 Boundary matrices are built as sparse rows and reduced by a sparse Smith
 normal form over arbitrary-precision integers that takes unit pivots first;
 only when no +-1 entry is left does it pivot on a smallest entry and take
-Euclidean steps.
+Euclidean steps.  The homology of a join is folded from its factors'
+homology by the Kunneth formula for joins.
 """
 
 from __future__ import annotations
@@ -144,9 +145,14 @@ def smith_normal_form(matrix: Sequence) -> list[int]:
         diag.append(abs(p))
         for k in rows.pop(r):
             holders[k].discard(r)
-    # Enforce the divisibility chain d1 | d2 | ... with the standard
-    # gcd/lcm exchange on adjacent entries.
-    diag.sort()
+    return _invariant_factors(diag)
+
+
+def _invariant_factors(orders: Iterable[int]) -> list[int]:
+    """The invariant factors d1 | d2 | ... of the direct sum of cyclic groups
+    of the given positive orders, by the standard gcd/lcm exchange on
+    adjacent entries; units are kept."""
+    diag = sorted(orders)
     changed = True
     while changed:
         changed = False
@@ -211,3 +217,57 @@ def homology(K: SimplicialComplex, max_degree: int | None = None) -> HomologyPro
     torsion = tuple(tuple(x for x in f if x > 1) for f in factors[1:])
     pad = max_degree - top
     return HomologyProfile(betti + (0,) * pad, torsion + ((),) * pad)
+
+
+# ---------------------------------------------------------------------------
+# Joins
+
+
+def _tensor(a: tuple, b: tuple) -> tuple:
+    """(rank, cyclic orders) of A (x) B for A = Z^r + sum Z/s and B = Z^t +
+    sum Z/u: Z^(rt), each Z/s t times, each Z/u r times, and Z/gcd(s, u)."""
+    (r, s), (t, u) = a, b
+    return r * t, s * t + u * r + _tor(a, b)[1]
+
+
+def _tor(a: tuple, b: tuple) -> tuple:
+    """(rank, cyclic orders) of Tor(A, B): Z/gcd(s, u) over the torsion pairs."""
+    return 0, tuple(g for s in a[1] for u in b[1] if (g := math.gcd(s, u)) > 1)
+
+
+def join_homology(profiles: Sequence[HomologyProfile], max_degree: int) -> HomologyProfile:
+    """Homology through max_degree of the join of nonempty complexes with the
+    given profiles, folded one factor at a time by the Kunneth formula for
+    joins over the integers (Milnor):
+
+        H~_(q+1)(K * L) = sum_(i+j=q) H~_i(K) (x) H~_j(L)
+                          + sum_(i+j=q-1) Tor(H~_i(K), H~_j(L)).
+
+    A profile counts as zero above the degrees it holds.  Reduced homology
+    of a join of r factors in degree d reads factor degrees <= d - r + 1
+    only, so profiles through max(max_degree - r + 1, 0) give the exact
+    answer.  Betti numbers and torsion coefficients are both kept: the
+    torsion comes back as invariant factors, as :func:`homology` gives it.
+    """
+
+    def nonzero(p: HomologyProfile) -> list:
+        """The nonzero reduced groups, as (degree, (rank, cyclic orders))."""
+        groups = ((d, (p.betti_reduced(d), p.torsion_at(d))) for d in range(len(p.betti)))
+        return [(d, g) for d, g in groups if g != (0, ())]
+
+    groups = nonzero(profiles[0])
+    for p in profiles[1:]:
+        joined: dict = {}
+        other = nonzero(p)
+        for i, a in groups:
+            for j, b in other:
+                for d, (r, s) in ((i + j + 1, _tensor(a, b)), (i + j + 2, _tor(a, b))):
+                    if d <= max_degree and (r or s):
+                        rank, orders = joined.get(d, (0, ()))
+                        joined[d] = (rank + r, orders + s)
+        groups = list(joined.items())
+    found = dict(groups)
+    degrees = [found.get(d, (0, ())) for d in range(max_degree + 1)]
+    betti = tuple(rank + (d == 0) for d, (rank, _) in enumerate(degrees))
+    torsion = tuple(tuple(x for x in _invariant_factors(orders) if x > 1) for _, orders in degrees)
+    return HomologyProfile(betti, torsion)

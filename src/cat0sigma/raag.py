@@ -8,13 +8,18 @@ The diagonal character sends every generator to 1; by the Bestvina-Brady
 criterion it lies in the degree-n invariant of the group exactly when the
 flag complex of the graph is (n-1)-connected.  That depends only on the
 homotopy type, which deleting a dominated vertex keeps, so the verdict is
-decided on the graph's dominated-vertex core.
+decided on the graph's dominated-vertex core.  When the complement of the
+core is disconnected, the core is the join of the subgraphs its complement
+components induce, its flag complex is the join of theirs, and the verdict
+is decided from the factors' homology alone.
 
 Connectedness and homology vanishing are decided exactly; simple
 connectivity is undecidable in general, so the verdict is three-valued:
 Yes comes with a Tietze trivialization certificate of the edge-path group,
 No with a nonvanishing first homology group, and Unknown is an honest
-answer when the rewriting budget runs out.
+answer when the rewriting budget runs out.  On a join it is exact: the
+fundamental group of a join is free, so it is trivial exactly when the
+first homology vanishes, and the answer is never Unknown.
 """
 
 from __future__ import annotations
@@ -24,12 +29,12 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import DegreeOutOfRange, UnknownVertex
-from .homology import HomologyProfile, SimplicialComplex, homology
+from .homology import HomologyProfile, SimplicialComplex, homology, join_homology
 from .jsonio import parse_int, read_field
 from .sphere import OpenHemisphere, SpherePoint
 from .trees import reduce_word
 
-# Rewriting passes one Tietze trivialization may spend before it answers
+# Relator visits one Tietze trivialization may spend before it answers
 # Unknown.
 TIETZE_BUDGET = 10_000
 
@@ -195,6 +200,43 @@ def dominated_core(graph: SimpleGraph) -> SimpleGraph:
     return SimpleGraph([v for v in graph.vertices if v not in gone], [e for e in graph.edges if gone.isdisjoint(e)])
 
 
+def join_factors(graph: SimpleGraph) -> list[SimpleGraph]:
+    """The components of the complement graph, in graph order, each as the
+    subgraph of the graph that it induces.
+
+    Every vertex of one factor is adjacent to every vertex of another, so
+    with two or more factors the graph is their join, and its flag complex
+    is the join of theirs.  A graph whose complement is connected is its
+    one factor, returned as it is; the empty graph has none.
+    """
+    adj = graph.adjacency()
+    unplaced = set(graph.vertices)
+    part_of: dict = {}
+    count = 0
+    for v in graph.vertices:
+        if v not in unplaced:
+            continue
+        unplaced.remove(v)
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            part_of[u] = count
+            far = unplaced - adj[u]  # complement neighbours not yet placed
+            unplaced -= far
+            stack.extend(far)
+        count += 1
+    if count < 2:
+        return [graph] if count else []
+    parts = [([], []) for _ in range(count)]
+    for v in graph.vertices:
+        parts[part_of[v]][0].append(v)
+    for e in graph.edges:
+        u, v = e
+        if part_of[u] == part_of[v]:
+            parts[part_of[u]][1].append(e)
+    return [SimpleGraph(vertices, edges) for vertices, edges in parts]
+
+
 # ---------------------------------------------------------------------------
 # Simple connectivity by bounded Tietze trivialization
 
@@ -239,8 +281,9 @@ def tietze_trivialize(generator_count: int, relators: list) -> TietzeCertificate
 
     Moves: free/cyclic reduction, deletion of trivial relators, and
     substitution along a relator containing some generator exactly once.
-    Each rewriting pass costs one step of TIETZE_BUDGET; returns
-    trivialized=True only when no generators remain.
+    Each visit to a relator, in search of a generator to eliminate, costs
+    one step of TIETZE_BUDGET; returns trivialized=True only when no
+    generators remain.
     """
     gens = set(range(1, generator_count + 1))
     rels = [r for r in (_cyclic_reduce(tuple(r)) for r in relators) if r]
@@ -329,8 +372,9 @@ class ConnectivityVerdict:
     """Status of the requirements for (n-1)-connectedness of a complex.
 
     connected and homology vanishing are decided; simple connectivity may
-    be Unknown.  Yes for simple connectivity always carries a Tietze
-    trivialization certificate; No carries nonvanishing first homology.
+    be Unknown.  Yes for simple connectivity carries a Tietze
+    trivialization certificate, except on a join, whose fundamental group
+    is free; No carries nonvanishing first homology.
     """
 
     level: int
@@ -386,16 +430,55 @@ def connectivity_verdict(K: SimplicialComplex, n: int) -> ConnectivityVerdict:
         simply = YES if certificate.trivialized else UNKNOWN
     else:
         certificate, simply = None, NO
+    return _verdict(n, top, profile, simply, certificate)
+
+
+def _join_verdict(factors: Sequence[SimpleGraph], n: int) -> ConnectivityVerdict:
+    """The verdict of :func:`connectivity_verdict` for the flag complex of
+    the join of two or more nonempty graphs, from one flag complex and one
+    homology profile per factor.
+
+    The join has dimension sum(dim) + r - 1 for r factors and is connected.
+    Its profile is folded by :func:`homology.join_homology` from factor
+    profiles through degree max(top - r + 1, 0), for the same top degree
+    as on a complex.  A join is homotopy equivalent to a suspension, so its
+    fundamental group is free and it is simply connected exactly when its
+    first homology vanishes: no Tietze search runs.
+    """
+    if n < 0:
+        raise DegreeOutOfRange(f"degree {n} is negative")
+    complexes = [flag_complex(factor) for factor in factors]
+    r = len(complexes)
+    top = max(min(n - 1, sum(K.dimension for K in complexes) + r - 1), 1)
+    profile = join_homology([homology(K, max_degree=max(top - r + 1, 0)) for K in complexes], top)
+    return _verdict(n, top, profile, YES if profile.reduced_trivial_through(1) else NO)
+
+
+def _verdict(n, top, profile, simply, certificate=None) -> ConnectivityVerdict:
+    """The verdict on a nonempty complex whose profile holds degrees
+    0..top, given its simple-connectivity status."""
     connected = YES if profile.betti_reduced(0) == 0 else NO
     vanishing = YES if profile.reduced_trivial_through(min(max(n - 1, 0), top)) else NO
     return ConnectivityVerdict(n, True, connected, simply, vanishing, profile, certificate)
 
 
+def flag_verdict(graph: SimpleGraph, n: int) -> ConnectivityVerdict:
+    """The connectivity verdict for the flag complex of a graph, decided on
+    its dominated-vertex core: from the factors when the core is a join
+    (a factor of a core is itself a core), and from the core's whole flag
+    complex otherwise."""
+    core = dominated_core(graph)
+    factors = join_factors(core)
+    if len(factors) >= 2:
+        return _join_verdict(factors, n)
+    return connectivity_verdict(flag_complex(core), n)
+
+
 def bestvina_brady(graph: SimpleGraph, n: int) -> str:
     """Membership of the diagonal character in the degree-n invariant of
     the right-angled Artin group of the graph: In / Out / Unknown, by the
-    flag-complex connectivity criterion on the dominated-vertex core."""
-    return connectivity_verdict(flag_complex(dominated_core(graph)), n).membership
+    flag-complex connectivity criterion (:func:`flag_verdict`)."""
+    return flag_verdict(graph, n).membership
 
 
 def coordinate_hemisphere(graph: SimpleGraph, v) -> OpenHemisphere:

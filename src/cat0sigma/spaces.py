@@ -68,17 +68,17 @@ Real = Union[int, float, Fraction]
 class ModelSpace:
     """A model CAT(0) space.  Each subclass implements the per-space
     operations that the entry points below dispatch to: ``check_point``,
-    ``check_boundary``, ``origin``, ``to_json``, the JSON readers (``parse_point``, ``parse_boundary``,
+    ``check_boundary``, ``check_target`` (a ray's target, an end or a
+    point), ``origin``, ``to_json``, the JSON readers (``parse_point``, ``parse_boundary``,
     ``parse_scalar``), ``distance``, ``geodesic_point``, ``ray_from``,
     ``ray_point``, ``busemann_to_end`` (the closed form toward a boundary
     point), ``angle_between_rays``, one seeded draw of a point
     (``sample_point``) or an end (``sample_end``), and the cocompactness
     helpers ``orbit_key``, ``region`` and ``probe_ends``.
 
-    The methods take points already returned by ``check_point`` (or built
-    by the space itself) and do not check them again; ``ray_from`` checks
-    only its target, as a point or as an end, since that is how it tells
-    them apart.
+    The methods take points and ends already returned by ``check_point``,
+    ``check_boundary`` or ``check_target`` (or built by the space itself)
+    and do not check them again.
 
     ``exact`` spaces (the trees) compute over Fractions with zero slack.
     ``flat`` marks Euclidean space, whose boundary is a round sphere in
@@ -182,14 +182,15 @@ class EuclideanSpace(ModelSpace):
             return a
         return _add(a, _scale(_sub(b, a), t / d))
 
+    def check_target(self, e):
+        return self.check_boundary(e) if isinstance(e, EDirection) else self.check_point(e)
+
     def ray_from(self, a, e):
         if isinstance(e, EDirection):
-            u = self.check_boundary(e)
-            return GeneralizedRay(self, a, u, None, u.vector)
-        b = self.check_point(e)
-        mu = _norm(_sub(b, a))
-        u = direction(_sub(b, a)) if mu > 0 else (0.0,) * self.k
-        return GeneralizedRay(self, a, b, mu, u)
+            return GeneralizedRay(self, a, e, None, e.vector)
+        mu = _norm(_sub(e, a))
+        u = direction(_sub(e, a)) if mu > 0 else (0.0,) * self.k
+        return GeneralizedRay(self, a, e, mu, u)
 
     def ray_point(self, ray, t):
         return _add(ray.base, _scale(ray._param, t))
@@ -306,16 +307,19 @@ class HyperbolicPlane(ModelSpace):
         sa, sb = geo.param(a), geo.param(b)
         return geo.point(sa + (t if sb >= sa else -t))
 
+    def check_target(self, e):
+        # A complex number with positive imaginary part is all that
+        # check_point asks of a point.
+        return e if isinstance(e, complex) and e.imag > 0 else self.check_boundary(e)
+
     def ray_from(self, a, e):
-        if isinstance(e, complex) and e.imag > 0:
-            z = e
-            mu = _h2_distance(a, z)
-            geo = _h2_geodesic_through(a, z)
-            sign = +1 if geo.param(z) >= geo.param(a) else -1
-            return GeneralizedRay(self, a, z, mu, (geo, sign))
-        xi = self.check_boundary(e)
-        geo, sign = _h2_geodesic_to_boundary(a, xi)
-        return GeneralizedRay(self, a, xi, None, (geo, sign))
+        if isinstance(e, complex):
+            mu = _h2_distance(a, e)
+            geo = _h2_geodesic_through(a, e)
+            sign = +1 if geo.param(e) >= geo.param(a) else -1
+            return GeneralizedRay(self, a, e, mu, (geo, sign))
+        geo, sign = _h2_geodesic_to_boundary(a, e)
+        return GeneralizedRay(self, a, e, None, (geo, sign))
 
     def ray_point(self, ray, t):
         geo, sign = ray._param
@@ -416,13 +420,13 @@ class TreeSpace(ModelSpace):
         trees.check_depth("geodesic parameter", t)
         return trees.walk_to_point(self.model, a, b, Fraction(t))
 
+    def check_target(self, e):
+        return self.check_boundary(e) if isinstance(e, (WordEnd, HnnUp, HnnDown)) else self.check_point(e)
+
     def ray_from(self, a, e):
         if isinstance(e, (WordEnd, HnnUp, HnnDown)):
-            self.check_boundary(e)
             return GeneralizedRay(self, a, e, None)
-        p = self.check_point(e)
-        mu = trees.point_distance(self.model, a, p)
-        return GeneralizedRay(self, a, p, mu)
+        return GeneralizedRay(self, a, e, trees.point_distance(self.model, a, e))
 
     def ray_point(self, ray, t):
         trees.check_depth("ray parameter", t)
@@ -674,8 +678,8 @@ def geodesic_point(M: ModelSpace, a, b, t):
 
 def ray_from(M: ModelSpace, a, e) -> GeneralizedRay:
     """The unique generalized ray from a to e (a point of M or of its
-    boundary)."""
-    return M.ray_from(M.check_point(a), e)
+    boundary); both are checked here."""
+    return M.ray_from(M.check_point(a), M.check_target(e))
 
 
 # ---------------------------------------------------------------------------

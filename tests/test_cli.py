@@ -292,7 +292,9 @@ def test_options_exist_only_where_a_command_reads_them(tmp_path):
     assert (code, out) == (golden["code"], golden["stdout"])
 
 
-def test_raag_job_builds_one_flag_complex_and_one_homology(monkeypatch):
+def count_raag_calls(monkeypatch) -> dict:
+    """Counters on raag.flag_complex and the homology function that raag
+    calls, wherever raag or the CLI holds them."""
     calls = {"flag_complex": 0, "homology": 0}
     for name in calls:
         original = getattr(raag, name)
@@ -304,16 +306,29 @@ def test_raag_job_builds_one_flag_complex_and_one_homology(monkeypatch):
         for module in (raag, cli):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
-    code, out, _ = run_cli(["raag", "--graph", str(GOLDEN / "raag_octahedron.json"), "--n", "2"])
+    return calls
+
+
+def test_raag_job_builds_one_flag_complex_and_one_homology(monkeypatch):
+    # The icosahedron is its own core and not a join, so the verdict runs
+    # on its whole flag complex.
+    calls = count_raag_calls(monkeypatch)
+    code, out, _ = run_cli(["raag", "--graph", str(GOLDEN / "raag_icosahedron.json"), "--n", "2"])
     assert (code, json.loads(out)["membership"]) == (0, "In")
     assert calls == {"flag_complex": 1, "homology": 1}
 
 
-def test_raag_job_reduces_each_boundary_map_once(monkeypatch):
-    # homology() hands every boundary map to the Smith form exactly once,
-    # through the module global: the octahedron at n = 2 needs degrees 0-1,
-    # so the maps from 0-, 1- and 2-chains, whose rows are the augmentation
-    # target, the 6 vertices and the 12 edges.
+def test_raag_join_job_builds_one_flag_complex_and_one_homology_per_factor(monkeypatch):
+    # The octahedron is the join of three pairs of antipodal points.
+    calls = count_raag_calls(monkeypatch)
+    code, out, _ = run_cli(["raag", "--graph", str(GOLDEN / "raag_octahedron.json"), "--n", "2"])
+    assert (code, json.loads(out)["membership"]) == (0, "In")
+    assert calls == {"flag_complex": 3, "homology": 3}
+
+
+def count_snf_rows(monkeypatch) -> list:
+    """The row count of every matrix handed to the Smith form, through the
+    module global that homology() calls."""
     homology = importlib.import_module("cat0sigma.homology")  # the package exports a function of that name
     shapes = []
     original = homology.smith_normal_form
@@ -323,9 +338,44 @@ def test_raag_job_reduces_each_boundary_map_once(monkeypatch):
         return original(matrix)
 
     monkeypatch.setattr(homology, "smith_normal_form", counted)
+    return shapes
+
+
+def test_raag_job_reduces_each_boundary_map_once(monkeypatch):
+    # homology() hands every boundary map to the Smith form exactly once:
+    # the icosahedron at n = 2 needs degrees 0-1, so the maps from 0-, 1-
+    # and 2-chains, whose rows are the augmentation target, the 12 vertices
+    # and the 30 edges.
+    shapes = count_snf_rows(monkeypatch)
+    code, out, _ = run_cli(["raag", "--graph", str(GOLDEN / "raag_icosahedron.json"), "--n", "2"])
+    assert (code, json.loads(out)["membership"]) == (0, "In")
+    assert shapes == [1, 12, 30]
+
+
+def test_raag_join_job_reduces_only_its_factors_boundary_maps(monkeypatch):
+    # Degree 1 of a join of three factors reads no factor degree, so each
+    # pair of points is profiled through degree 0: its augmentation, and no
+    # edges.  Three one-row maps replace the octahedron's 1-, 6- and 12-row
+    # maps.
+    shapes = count_snf_rows(monkeypatch)
     code, out, _ = run_cli(["raag", "--graph", str(GOLDEN / "raag_octahedron.json"), "--n", "2"])
     assert (code, json.loads(out)["membership"]) == (0, "In")
-    assert shapes == [1, 6, 12]
+    assert shapes == [1, 1, 1]
+
+
+def test_raag_cross_polytope_of_dimension_40_takes_under_a_second(tmp_path):
+    # The 40-cross-polytope is the join of 40 pairs of points: 3^40 faces,
+    # none of them listed.  Its whole flag complex took 2.5 s at m = 10.
+    m = 40
+    graph = write(tmp_path, "cross40.json", {
+        "vertices": list(range(2 * m)),
+        "edges": [[i, j] for i in range(2 * m) for j in range(i + 1, 2 * m) if j != i + m],
+    })
+    for n, membership in ((m - 1, "In"), (m, "Out")):
+        start = time.perf_counter()
+        code, out, _ = run_cli(["raag", "--graph", graph, "--n", str(n)])
+        assert time.perf_counter() - start < 1.0
+        assert (code, json.loads(out)["membership"]) == (0, membership)
 
 
 def test_raag_degree_above_the_dimension_reads_no_further_degrees():
@@ -401,6 +451,16 @@ def test_busemann_job_checks_each_parsed_point_once(monkeypatch):
     code, out, _ = run_cli(["busemann", "--data", str(GOLDEN / "busemann_cayley_deep.json")])
     assert (code, out) == (golden["code"], golden["stdout"])
     assert {v: checked[v] for v in parsed} == {v: 1 for v in parsed}
+
+
+def test_busemann_job_checks_its_ray_end_once(monkeypatch):
+    # parse_boundary checks the end where it is read; the ray built from it
+    # takes it as it is.
+    ends = []
+    check_end = CayleyTree.check_end
+    monkeypatch.setattr(CayleyTree, "check_end", lambda self, end: ends.append(end) or check_end(self, end))
+    code, _, _ = run_cli(["busemann", "--data", str(GOLDEN / "busemann_cayley_deep.json")])
+    assert code == 0 and len(ends) == 1
 
 
 def test_help_goes_to_the_given_stdout(capsys):

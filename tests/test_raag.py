@@ -1,7 +1,10 @@
-"""Graphs, dominated-vertex cores, flag complexes, connectivity verdicts,
-the diagonal-character membership test, and coordinate hemispheres."""
+"""Graphs, dominated-vertex cores, join factors, flag complexes,
+connectivity verdicts, the diagonal-character membership test, and
+coordinate hemispheres."""
 
 import itertools
+import json
+import pathlib
 import random
 import time
 
@@ -9,7 +12,7 @@ import pytest
 
 from cat0sigma import raag
 from cat0sigma.errors import UnknownVertex
-from cat0sigma.homology import SimplicialComplex, homology
+from cat0sigma.homology import HomologyProfile, SimplicialComplex, homology, join_homology
 from cat0sigma.raag import (
     IN,
     OUT,
@@ -20,11 +23,27 @@ from cat0sigma.raag import (
     dominated_core,
     edge_path_presentation,
     flag_complex,
+    flag_verdict,
+    join_factors,
     strong_collapses,
     tietze_trivialize,
 )
 from cat0sigma.sphere import Character, SpherePoint
 
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# The six-vertex projective plane (H1 = Z/2) and a pseudo-projective plane
+# of order 3 (H1 = Z/3): a disk on a 9-cycle r1..r9 around the apex 0,
+# whose boundary wraps three times around the triangle 10, 11, 12.
+RP2_TRIANGLES = [
+    (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
+    (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5),
+]
+MOORE3_TRIANGLES = [
+    t
+    for i in range(9)
+    for t in ((0, 1 + i, 1 + (i + 1) % 9), (1 + i, 10 + i % 3, 10 + (i + 1) % 3), (1 + i, 1 + (i + 1) % 9, 10 + (i + 1) % 3))
+]
 
 def brute_force_cliques(graph: SimpleGraph) -> set:
     index = {v: i for i, v in enumerate(graph.vertices)}
@@ -167,6 +186,130 @@ def test_cross_polytopes_and_cycles_are_their_own_cores():
         assert list(strong_collapses(graph)) == []
 
 
+def subdivision_graph(triangles) -> SimpleGraph:
+    """The comparability graph of the nonempty faces: its flag complex is the
+    barycentric subdivision."""
+    cells = sorted({f for t in triangles for k in (1, 2, 3) for f in itertools.combinations(sorted(t), k)})
+    return SimpleGraph(cells, [(a, b) for a, b in itertools.combinations(cells, 2) if set(a) < set(b) or set(b) < set(a)])
+
+
+def graph_join(*graphs) -> SimpleGraph:
+    """The join of graphs, the vertex v of the i-th relabelled (i, v)."""
+    vertices = [(i, v) for i, g in enumerate(graphs) for v in g.vertices]
+    edges = [((i, u), (i, v)) for i, g in enumerate(graphs) for u, v in g.edges]
+    edges += [(a, b) for a, b in itertools.combinations(vertices, 2) if a[0] != b[0]]
+    return SimpleGraph(vertices, edges)
+
+
+def test_join_factors_are_the_complement_components():
+    octa = join_factors(SimpleGraph.octahedron())
+    assert [(f.vertices, f.edges) for f in octa] == [((0, 1), frozenset()), ((2, 3), frozenset()), ((4, 5), frozenset())]
+    assert [f.vertices for f in join_factors(SimpleGraph.cycle(4))] == [(0, 2), (1, 3)]
+    assert [f.vertices for f in join_factors(SimpleGraph.complete(3))] == [(0,), (1,), (2,)]
+    c5 = SimpleGraph.cycle(5)
+    assert join_factors(c5) == [c5] and join_factors(c5)[0] is c5
+    assert join_factors(SimpleGraph([], [])) == []
+
+
+def test_join_factors_split_seeded_graphs(rng):
+    for _ in range(60):
+        k = rng.randrange(1, 12)
+        p = rng.choice((0.5, 0.7, 0.85))
+        graph = SimpleGraph(range(k), [e for e in itertools.combinations(range(k), 2) if rng.random() < p])
+        factors = join_factors(graph)
+        # A partition into induced subgraphs, in graph order, each with a
+        # connected complement, every pair across two factors adjacent.
+        assert sorted(v for f in factors for v in f.vertices) == list(graph.vertices)
+        assert [f.vertices[0] for f in factors] == sorted(f.vertices[0] for f in factors)
+        for f in factors:
+            assert list(f.vertices) == sorted(f.vertices)
+            assert f.edges == frozenset(e for e in graph.edges if e <= set(f.vertices))
+            assert join_factors(f) == [f]
+        for f, g in itertools.combinations(factors, 2):
+            assert all(graph.adjacent(u, v) for u in f.vertices for v in g.vertices)
+
+
+def test_join_verdicts_equal_whole_complex_verdicts_on_dense_graphs():
+    # Dense graphs, half of them G(k, p) and half joins of sparse random
+    # graphs, have cores that are joins.  On each such core the verdict from
+    # the factors has the fields, the membership and the homology profile of
+    # the verdict on the whole flag complex, and simple connectivity is
+    # decided without a search.
+    rng = random.Random(20261018)
+
+    def random_graph(k, p):
+        return SimpleGraph(range(k), [e for e in itertools.combinations(range(k), 2) if rng.random() < p])
+
+    joins, factor_counts = 0, set()
+    while joins < 120:
+        if joins % 2:
+            graph = random_graph(rng.randrange(4, 12), rng.choice((0.6, 0.7, 0.8, 0.9)))
+        else:
+            graph = graph_join(*(random_graph(rng.randrange(2, 7), rng.choice((0.3, 0.45, 0.6))) for _ in range(rng.choice((2, 3)))))
+        core = dominated_core(graph)
+        factors = join_factors(core)
+        if len(factors) < 2:
+            continue
+        joins += 1
+        factor_counts.add(len(factors))
+        K = flag_complex(core)
+        for n in range(6):
+            whole, joined = connectivity_verdict(K, n), flag_verdict(core, n)
+            assert verdict_fields(joined) == verdict_fields(whole), (core, n)
+            assert joined.profile == whole.profile, (core, n)
+            assert joined.simply_connected != "unknown" and joined.certificate is None
+    assert {2, 3, 4} <= factor_counts
+
+
+RP2_PROFILE = HomologyProfile((1, 0, 0), ((), (2,), ()))
+
+
+def test_kunneth_suspension_moves_torsion_up_a_degree():
+    rp2 = subdivision_graph(RP2_TRIANGLES)
+    suspension = graph_join(rp2, SimpleGraph(["n", "s"], []))
+    assert [len(f.vertices) for f in join_factors(dominated_core(suspension))] == [31, 2]
+    for n in range(6):
+        joined = flag_verdict(suspension, n)
+        whole = connectivity_verdict(flag_complex(suspension), n)
+        assert verdict_fields(joined) == verdict_fields(whole)
+        assert joined.profile == whole.profile
+    profile = join_homology([homology(flag_complex(rp2)), HomologyProfile((2,), ((),))], 4)
+    assert profile == HomologyProfile((1, 0, 0, 0, 0), ((), (), (2,), (), ()))
+    assert [bestvina_brady(suspension, n) for n in range(5)] == [IN, IN, IN, OUT, OUT]
+
+
+def test_kunneth_join_of_projective_planes_has_a_tor_term():
+    # Z/2 (x) Z/2 in degree 1 + 1 + 1 = 3, and Tor(Z/2, Z/2) one degree up.
+    assert join_homology([RP2_PROFILE, RP2_PROFILE], 6) == HomologyProfile((1,) + (0,) * 6, ((), (), (), (2,), (2,), (), ()))
+    rp2 = subdivision_graph(RP2_TRIANGLES)
+    graph = graph_join(rp2, rp2)
+    assert (len(graph.vertices), len(graph.edges)) == (62, 1141)
+    start = time.perf_counter()
+    verdict = flag_verdict(graph, 5)
+    assert time.perf_counter() - start < 0.5  # about 3.5 s on the whole flag complex
+    assert verdict.profile.torsion[3:] == ((2,), (2,))
+    assert (verdict.membership, verdict.simply_connected, verdict.homology_vanishing) == (OUT, "yes", "no")
+
+
+def test_kunneth_coprime_torsion_vanishes_in_the_join():
+    # Z/2 (x) Z/3 = Tor(Z/2, Z/3) = 0: the join of a projective plane with a
+    # pseudo-projective plane of order 3 is acyclic, hence contractible.
+    moore3 = subdivision_graph(MOORE3_TRIANGLES)
+    profile = homology(flag_complex(moore3))
+    assert profile == HomologyProfile((1, 0, 0), ((), (3,), ()))
+    assert join_homology([RP2_PROFILE, profile], 6).reduced_trivial_through(6)
+    graph = graph_join(subdivision_graph(RP2_TRIANGLES), moore3)
+    assert [len(f.vertices) for f in join_factors(dominated_core(graph))] == [31, 79]
+    assert [bestvina_brady(graph, n) for n in (2, 4, 6, 10)] == [IN] * 4
+    # Orders that share a factor keep it, as invariant factors: Z/4 (x) Z/6
+    # and Tor(Z/4, Z/6) are Z/2; Z/6 (x) (Z + Z/10 + Z/15) is Z/6 + Z/2 + Z/3
+    # = (Z/6)^2, and Tor(Z/6, Z/10 + Z/15) = Z/2 + Z/3 = Z/6.
+    z4, z6 = HomologyProfile((1, 0), ((), (4,))), HomologyProfile((1, 0), ((), (6,)))
+    assert join_homology([z4, z6], 5).torsion == ((), (), (), (2,), (2,), ())
+    mixed = join_homology([z6, HomologyProfile((1, 1), ((), (10, 15)))], 4)
+    assert (mixed.betti, mixed.torsion) == ((1, 0, 0, 0, 0), ((), (), (), (6, 6), (6,)))
+
+
 def test_bestvina_brady_decides_k40_on_its_core():
     graph = SimpleGraph.complete(40)
     start = time.perf_counter()
@@ -245,7 +388,13 @@ def test_exhausted_tietze_budget_is_an_honest_unknown(monkeypatch):
     assert (v.connected, v.simply_connected, v.homology_vanishing) == ("yes", "unknown", "yes")
     assert not v.certificate.trivialized and v.certificate.steps == 0
     assert v.membership == "Unknown"
-    assert bestvina_brady(SimpleGraph.octahedron(), 2) == "Unknown"
+    # The icosahedron is not a join, so it is decided on its whole complex
+    # and the verdict is Unknown too.  The octahedron is a join of three
+    # pairs of points, whose fundamental group is free; it needs no search.
+    icosahedron = SimpleGraph.from_json(json.loads((GOLDEN / "raag_icosahedron.json").read_text(encoding="utf-8")))
+    assert bestvina_brady(icosahedron, 2) == "Unknown"
+    octa = flag_verdict(SimpleGraph.octahedron(), 2)
+    assert (octa.simply_connected, octa.membership, octa.certificate) == ("yes", "In", None)
 
 
 def test_bestvina_brady_fixed_points():

@@ -1,7 +1,7 @@
 """Tooling guards for the space protocol: only the space and tree modules
-may ask which model space or tree model a value is, and a point is checked
-once, where it enters (the entry points and JSON readers), never again by
-the space methods that compute with it."""
+may ask which model space or tree model a value is, and a point or an end
+is checked once, where it enters (the entry points and JSON readers),
+never again by the space methods that compute with it."""
 
 import ast
 import pathlib
@@ -11,7 +11,7 @@ import pytest
 
 from cat0sigma import actions, spaces as sp
 from cat0sigma.errors import WrongSpace
-from cat0sigma.trees import CayleyTree, HnnTree, HnnVertex, RegularTree, TreePoint
+from cat0sigma.trees import CayleyTree, HnnTree, HnnVertex, RegularTree, TreePoint, WordEnd
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "cat0sigma"
 OWNERS = {"spaces.py", "trees.py"}
@@ -56,9 +56,9 @@ def test_only_space_modules_check_model_classes():
 # Where points are checked
 
 
-def check_point_callers(source: str) -> set[str]:
+def check_point_callers(source: str, method: str = "check_point") -> set[str]:
     """Names of the module-level functions and the "Class.method"s whose
-    bodies call ``.check_point``."""
+    bodies call ``.check_point`` (or the given method)."""
     out = set()
     for top in ast.parse(source).body:
         defs = [(top.name, top)] if isinstance(top, ast.FunctionDef) else []
@@ -66,7 +66,7 @@ def check_point_callers(source: str) -> set[str]:
             defs = [(f"{top.name}.{f.name}", f) for f in top.body if isinstance(f, ast.FunctionDef)]
         for name, func in defs:
             if any(
-                isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "check_point"
+                isinstance(node, ast.Call) and getattr(node.func, "attr", None) == method
                 for node in ast.walk(func)
             ):
                 out.add(name)
@@ -88,10 +88,25 @@ CHECKING_SPACES = {
     "EuclideanSpace.parse_point",
     "HyperbolicPlane.parse_point",
     "TreeSpace.parse_point",
-    # The dispatch on a ray's target, a point or an end (H2 tells them
-    # apart by type).
-    "EuclideanSpace.ray_from",
-    "TreeSpace.ray_from",
+    # The check of a ray's target, a point or an end, for the entry point
+    # ray_from (H2 tells them apart by type).
+    "EuclideanSpace.check_target",
+    "TreeSpace.check_target",
+}
+CHECKING_ENDS = {
+    # The JSON readers.
+    "EuclideanSpace.parse_boundary",
+    "HyperbolicPlane.parse_boundary",
+    "TreeSpace.parse_boundary",
+    # The check of a ray's target, for the entry point ray_from.
+    "EuclideanSpace.check_target",
+    "HyperbolicPlane.check_target",
+    "TreeSpace.check_target",
+    # The boundary comparisons, which the metric entry points hand their
+    # ends to as they are.
+    "ModelSpace.boundary_equal",
+    "EuclideanSpace.boundary_equal",
+    "EuclideanSpace.angular_distance",
 }
 CHECKING_ACTIONS = {
     "GroupAction.apply",
@@ -117,6 +132,22 @@ def test_points_are_checked_only_where_they_enter():
     assert not {name for name in in_spaces if name.partition(".")[2] in COMPUTING_METHODS}
     assert in_spaces == CHECKING_SPACES
     assert check_point_callers((PACKAGE / "actions.py").read_text(encoding="utf-8")) == CHECKING_ACTIONS
+
+
+def test_ends_are_checked_only_where_they_enter():
+    # A parsed end is checked by parse_boundary, and the library entry point
+    # ray_from checks its target through check_target; the ray_from methods
+    # that both hand it to compute with it as it is.
+    spaces_source = (PACKAGE / "spaces.py").read_text(encoding="utf-8")
+    in_spaces = check_point_callers(spaces_source, "check_boundary")
+    assert not {name for name in in_spaces if name.partition(".")[2] in COMPUTING_METHODS | {"ray_from"}}
+    assert in_spaces == CHECKING_ENDS
+    assert check_point_callers(spaces_source, "check_target") == {"ray_from"}
+    actions_source = (PACKAGE / "actions.py").read_text(encoding="utf-8")
+    assert check_point_callers(actions_source, "check_boundary") == {"GroupAction.boundary_apply"}
+    for name in ("jsonio.py", "cli.py"):
+        source = (PACKAGE / name).read_text(encoding="utf-8")
+        assert check_point_callers(source, "check_boundary") | check_point_callers(source, "check_target") == set()
 
 
 # Each model with one hand-built bad point and the error it draws today.
@@ -160,3 +191,14 @@ def test_entry_points_reject_bad_points(case, entry):
     M, bad, error, message = BAD_POINTS[case]
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         ENTRY_POINTS[entry](M, bad)
+
+
+@pytest.mark.parametrize("M, bad, message", [
+    (CAYLEY2, WordEnd((1, -1), (2,)), "word (1, -1, 2, 2, 2) is not reduced at position 1"),
+    (CAYLEY2, WordEnd((), (3,)), "letter 3 outside rank 2"),
+    (sp.EuclideanSpace(2), sp.EDirection((0.6, 0.0, 0.8)), "direction of dimension 3 in E2"),
+    (sp.HyperbolicPlane(), complex(1, -1), "boundary of H2 is R plus infinity, got (1-1j)"),
+], ids=["cayley-unreduced", "cayley-letter", "e2-dimension", "h2-lower-half-plane"])
+def test_ray_from_rejects_bad_ends(M, bad, message):
+    with pytest.raises((ValueError, WrongSpace), match=f"^{re.escape(message)}$"):
+        sp.ray_from(M, M.origin(), bad)

@@ -223,16 +223,13 @@ def homology(K: SimplicialComplex, max_degree: int | None = None) -> HomologyPro
 # Joins
 
 
-def _tensor(a: tuple, b: tuple) -> tuple:
-    """(rank, cyclic orders) of A (x) B for A = Z^r + sum Z/s and B = Z^t +
-    sum Z/u: Z^(rt), each Z/s t times, each Z/u r times, and Z/gcd(s, u)."""
+def _tensor_and_tor(a: tuple, b: tuple) -> tuple:
+    """A (x) B and Tor(A, B) as (rank, cyclic orders), for A = Z^r + sum Z/s
+    and B = Z^t + sum Z/u.  Tor is Z/gcd(s, u) over the torsion pairs; the
+    tensor product is Z^(rt), each Z/s t times, each Z/u r times, and Tor."""
     (r, s), (t, u) = a, b
-    return r * t, s * t + u * r + _tor(a, b)[1]
-
-
-def _tor(a: tuple, b: tuple) -> tuple:
-    """(rank, cyclic orders) of Tor(A, B): Z/gcd(s, u) over the torsion pairs."""
-    return 0, tuple(g for s in a[1] for u in b[1] if (g := math.gcd(s, u)) > 1)
+    tor = tuple(g for x in s for y in u if (g := math.gcd(x, y)) > 1)
+    return (r * t, s * t + u * r + tor), (0, tor)
 
 
 def join_homology(profiles: Sequence[HomologyProfile], max_degree: int) -> HomologyProfile:
@@ -261,7 +258,8 @@ def join_homology(profiles: Sequence[HomologyProfile], max_degree: int) -> Homol
         other = nonzero(p)
         for i, a in groups:
             for j, b in other:
-                for d, (r, s) in ((i + j + 1, _tensor(a, b)), (i + j + 2, _tor(a, b))):
+                tensor, tor = _tensor_and_tor(a, b)
+                for d, (r, s) in ((i + j + 1, tensor), (i + j + 2, tor)):
                     if d <= max_degree and (r or s):
                         rank, orders = joined.get(d, (0, ()))
                         joined[d] = (rank + r, orders + s)

@@ -29,16 +29,13 @@ from cat0sigma.raag import (
     tietze_trivialize,
 )
 from cat0sigma.sphere import Character, SpherePoint
+from test_homology import RP2_TRIANGLES
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
-# The six-vertex projective plane (H1 = Z/2) and a pseudo-projective plane
-# of order 3 (H1 = Z/3): a disk on a 9-cycle r1..r9 around the apex 0,
-# whose boundary wraps three times around the triangle 10, 11, 12.
-RP2_TRIANGLES = [
-    (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
-    (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5),
-]
+# A pseudo-projective plane of order 3 (H1 = Z/3): a disk on a 9-cycle
+# r1..r9 around the apex 0, whose boundary wraps three times around the
+# triangle 10, 11, 12.
 MOORE3_TRIANGLES = [
     t
     for i in range(9)

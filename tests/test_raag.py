@@ -42,6 +42,7 @@ MOORE3_TRIANGLES = [
     for t in ((0, 1 + i, 1 + (i + 1) % 9), (1 + i, 10 + i % 3, 10 + (i + 1) % 3), (1 + i, 1 + (i + 1) % 9, 10 + (i + 1) % 3))
 ]
 
+
 def brute_force_cliques(graph: SimpleGraph) -> set:
     index = {v: i for i, v in enumerate(graph.vertices)}
     out = set()

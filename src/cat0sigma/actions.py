@@ -11,6 +11,11 @@ Isometries are exact wherever the underlying space is exact: tree
 isometries are deck transformations computed over ints and Fractions, and
 Moebius maps with rational entries act exactly on rational boundary
 points.
+
+Each public function checks each point and end from its caller once, then
+computes with the space methods, the rays' ``busemann`` and the
+isometries' ``apply`` and ``boundary``, which check nothing: the images,
+orbit points, samples, rays and probe ends the library builds are valid.
 """
 
 from __future__ import annotations
@@ -41,10 +46,6 @@ from .spaces import (
     HyperbolicPlane,
     ModelSpace,
     TreeSpace,
-    angular_distance,
-    busemann,
-    distance,
-    ray_from,
 )
 from .trees import (
     CayleyTree,
@@ -53,6 +54,7 @@ from .trees import (
     HnnUp,
     TreePoint,
     check_depth,
+    cyclic_reduce,
     invert_word,
     make_word_end,
     n_valuation,
@@ -308,19 +310,12 @@ class CayleyIsometry:
 
     def classify(self) -> "IsometryClass":
         """Hyperbolic along the axis of the cyclically reduced core."""
-        w = self.word
-        if not w:
+        if not self.word:
             return IsometryClass("identity", 0)
-        conj = []
-        core = list(w)
-        while len(core) >= 2 and core[0] == -core[-1]:
-            conj.append(core[0])
-            core = core[1:-1]
-        core_t = tuple(core)
-        prefix = tuple(conj)
-        forward = make_word_end(prefix, core_t)
-        backward = make_word_end(prefix, invert_word(core_t))
-        return IsometryClass("hyperbolic", len(core_t), (forward, backward))
+        prefix, core = cyclic_reduce(self.word)
+        forward = make_word_end(prefix, core)
+        backward = make_word_end(prefix, invert_word(core))
+        return IsometryClass("hyperbolic", len(core), (forward, backward))
 
 
 @dataclass(frozen=True)
@@ -434,8 +429,8 @@ class GroupAction:
         tol = self.space.slack(GLOBAL_TOL)
         for name, iso in self.generators.items():
             for p, q in itertools.combinations(pts, 2):
-                before = distance(self.space, p, q)
-                after = distance(self.space, iso.apply(self.space, p), iso.apply(self.space, q))
+                before = self.space.distance(p, q)
+                after = self.space.distance(iso.apply(self.space, p), iso.apply(self.space, q))
                 if abs(after - before) > tol:
                     raise ValueError(
                         f"generator {name!r} distorts distances: {before} -> {after}"
@@ -505,8 +500,10 @@ class GroupAction:
 
     def apply(self, word: str, p):
         """Evaluate the word (leftmost letter acts last) on a point."""
-        isos = self.letters(word)
-        p = self.space.check_point(p)
+        return self._evaluate(self.letters(word), self.space.check_point(p))
+
+    def _evaluate(self, isos: list[Isometry], p):
+        """The image of a checked point under the letters, the last first."""
         for iso in reversed(isos):
             p = iso.apply(self.space, p)
         return p
@@ -632,19 +629,22 @@ def character_at_end(action: GroupAction, e, a, word: str):
     """chi_e(g) = beta(ga) - beta(a) along a ray from a to e; requires every
     generator to fix e (raises EndNotFixed otherwise)."""
     space = action.space
-    for name in sorted(action.generators):
-        if not space.boundary_equal(action.boundary_apply(name, e), e):
+    e = space.check_boundary(e)
+    for name, iso in sorted(action.generators.items()):
+        if not space.boundary_equal(iso.boundary(space, e), e):
             raise EndNotFixed(f"generator {name!r} moves the boundary point {e!r}")
-    return psi_cocycle(action, e, word, a)
+    return _psi(action, word, space.check_point(a), e)
 
 
 def psi_cocycle(action: GroupAction, e, word: str, a):
     """psi_e(g, a) = beta(ga) - beta(a); defined for every g, whether or not
     it fixes e, and independent of the ray chosen for e."""
-    space = action.space
-    ray = ray_from(space, a, e)
-    ga = action.apply(word, a)
-    return busemann(space, ray, ga) - busemann(space, ray, a)
+    return _psi(action, word, action.space.check_point(a), action.space.check_target(e))
+
+
+def _psi(action: GroupAction, word: str, a, e):
+    ray = action.space.ray_from(a, e)
+    return ray.busemann(action._evaluate(action.letters(word), a)) - ray.busemann(a)
 
 
 # ---------------------------------------------------------------------------
@@ -729,13 +729,13 @@ def shift_report(cfg: ControlConfiguration, f: Mapping, e) -> ShiftReport:
     for label in f:
         if label not in cfg.points:
             raise NotClosed(f"domain label {label!r} is not in the configuration")
-    ray = ray_from(space, space.origin(), e)
+    ray = space.ray_from(space.origin(), space.check_target(e))
     shifts, alphas = {}, {}
     for label, target in sorted(f.items(), key=lambda kv: str(kv[0])):
         src = cfg.points[label]
         dst = _resolve_image(cfg, target)
-        shifts[label] = busemann(space, ray, dst) - busemann(space, ray, src)
-        alphas[label] = distance(space, src, dst)
+        shifts[label] = ray.busemann(dst) - ray.busemann(src)
+        alphas[label] = space.distance(src, dst)
     return ShiftReport(e, shifts, alphas, space.slack(GLOBAL_TOL))
 
 
@@ -822,17 +822,17 @@ ORBIT_BUDGET = 5000
 
 
 def _orbit(action: GroupAction, a, depth: int):
-    """Orbit points of a up to generator-word length depth, deduplicated,
-    and the word length reached.  The points are None when the orbit
-    outgrows ORBIT_BUDGET at that length."""
+    """Orbit points of a (a checked point) up to generator-word length
+    depth, deduplicated, and the word length reached.  The points are None
+    when the orbit outgrows ORBIT_BUDGET at that length."""
     space = action.space
     gens = []
     for name, iso in sorted(action.generators.items()):
         gens.append(iso)
         gens.append(iso.inverse())
 
-    frontier = [space.check_point(a)]
-    seen = {space.orbit_key(frontier[0]): frontier[0]}
+    frontier = [a]
+    seen = {space.orbit_key(a): a}
     for length in range(1, depth + 1):
         new = []
         for p in frontier:
@@ -885,9 +885,9 @@ def cocompactness_witness(action: GroupAction, a, radius: float, depth: int = 6,
         return NetCertificate(radius, float(region_radius), len(samples), len(orbit), worst)
 
     for e in space.probe_ends(a, worst_point):
-        ray = ray_from(space, a, e)
-        orbit_max = max(busemann(space, ray, q) for q in orbit)
-        region_max = max(busemann(space, ray, p) for p in samples)
+        ray = space.ray_from(a, e)
+        orbit_max = max(ray.busemann(q) for q in orbit)
+        region_max = max(ray.busemann(p) for p in samples)
         level = orbit_max + 1
         if region_max >= level:
             return EmptyHoroballWitness(e, level, orbit_max, region_max, len(orbit))
@@ -920,17 +920,17 @@ def local_busemann_audit(
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     R = r * (1 + 2 * r / eps) + eps
-    ray1 = ray_from(M, c, e)
-    ray2 = ray_from(M, c, e2)
-    rhs = 2 * eps + distance(M, ray1.point_at(R), ray2.point_at(R))
+    ray1 = M.ray_from(c, M.check_target(e))
+    ray2 = M.ray_from(c, M.check_target(e2))
+    rhs = 2 * eps + M.distance(ray1.point_at(R), ray2.point_at(R))
     pts = [
         p
         for p in spaces.sample_points_near(M, c, samples * 2, radius=float(r), seed=seed)
-        if distance(M, c, p) <= r
+        if M.distance(c, p) <= r
     ][:samples]
     worst = None
     for p in pts:
-        lhs = abs(busemann(M, ray1, p) - busemann(M, ray2, p))
+        lhs = abs(ray1.busemann(p) - ray2.busemann(p))
         slack = rhs - lhs
         if worst is None or slack < worst:
             worst = slack
@@ -942,13 +942,16 @@ def angle_estimate_audit(M: ModelSpace, ray1: GeneralizedRay, ray2: GeneralizedR
     """Check the chord bound d(ray1(t), ray2(t)) <= 2 t sin(angle/2) where
     the angle is the angular distance of the two endpoints; equality on
     E^k, inequality elsewhere."""
-    if distance(M, ray1.base, ray2.base) > M.slack(1e-12):
+    ray1, ray2 = M.check_ray(ray1), M.check_ray(ray2)
+    if ray1.is_degenerate or ray2.is_degenerate:
+        raise ValueError("the chord estimate needs rays to boundary points")
+    if M.distance(ray1.base, ray2.base) > M.slack(1e-12):
         raise ValueError("the chord estimate needs a common base point")
-    ang = angular_distance(M, ray1.end, ray2.end)
+    ang = M.angular_distance(ray1.end, ray2.end)
     worst = None
     rows = []
     for t in schedule:
-        lhs = distance(M, ray1.point_at(t), ray2.point_at(t))
+        lhs = M.distance(ray1.point_at(t), ray2.point_at(t))
         rhs = 2 * float(t) * math.sin(ang / 2)
         slack = rhs - float(lhs)
         rows.append((float(t), float(lhs), rhs))

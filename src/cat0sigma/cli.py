@@ -54,7 +54,7 @@ def _load(path):
 def _boundary_pair(space, pair):
     if not (isinstance(pair, list) and len(pair) == 2):
         raise ValueError(f"expected a list of two boundary points, got {pair!r}")
-    return jsonio.parse_boundary(space, pair[0]), jsonio.parse_boundary(space, pair[1])
+    return space.parse_boundary(pair[0]), space.parse_boundary(pair[1])
 
 
 def _space_override(args, data):
@@ -75,7 +75,7 @@ def _space_override(args, data):
 def cmd_busemann(args, data):
     space = sp.space_from_json(data["space"])
     ray = jsonio.parse_ray(space, data["ray"])
-    points = [jsonio.parse_point(space, p) for p in jsonio.read_field(data, "points", list, [])]
+    points = [space.parse_point(p) for p in jsonio.read_field(data, "points", list, [])]
     schedule = [space.parse_scalar(t) for t in jsonio.read_field(data, "schedule", list, []) or [1, 2, 5, 10, 20, 40]]
     mono_slack = space.slack(1e-12)
     bound_slack = space.slack(args.tol)
@@ -112,9 +112,10 @@ def cmd_tits(args, data):
     results = []
     ok = True
     for pair in jsonio.read_field(data, "pairs", list):
+        # The ends were checked where they were parsed.
         e1, e2 = _boundary_pair(space, pair)
-        ang = sp.angular_distance(space, e1, e2)
-        td = sp.tits_distance(space, e1, e2)
+        ang = space.angular_distance(e1, e2)
+        td = space.tits_distance(e1, e2)
         ok = ok and td >= ang - args.tol
         results.append({"angular": ang, "tits": td})
     payload = {"command": "tits", "seed": args.seed, "space": space.to_json(), "results": results}
@@ -123,8 +124,8 @@ def cmd_tits(args, data):
 
 def cmd_character(args, data):
     action = ac.action_from_json(data["action"])
-    end = jsonio.parse_boundary(action.space, data["end"])
-    base = jsonio.parse_point(action.space, data["base"])
+    end = action.space.parse_boundary(data["end"])
+    base = action.space.parse_point(data["base"])
     words = jsonio.read_field(data, "words", list)
     if not all(isinstance(word, str) for word in words):
         raise ValueError(f"words are strings over the generator names, got {words!r}")
@@ -141,12 +142,12 @@ def cmd_character(args, data):
 def cmd_shift(args, data):
     space = sp.space_from_json(data["space"])
     cfg = ac.ControlConfiguration(
-        space, {label: jsonio.parse_point(space, p) for label, p in jsonio.read_field(data, "config", dict).items()}
+        space, {label: space.parse_point(p) for label, p in jsonio.read_field(data, "config", dict).items()}
     )
     fmap = {}
     for label, target in jsonio.read_field(data, "map", dict).items():
-        fmap[label] = target if isinstance(target, str) and target in cfg.points else jsonio.parse_point(space, target)
-    end = jsonio.parse_boundary(space, data["end"])
+        fmap[label] = target if isinstance(target, str) and target in cfg.points else space.parse_point(target)
+    end = space.parse_boundary(data["end"])
     report = ac.shift_report(cfg, fmap, end)
     payload = {
         "command": "shift",
@@ -162,7 +163,7 @@ def cmd_shift(args, data):
 
 def cmd_cocompact(args, data):
     action = ac.action_from_json(data["action"])
-    base = jsonio.parse_point(action.space, data["base"])
+    base = action.space.parse_point(data["base"])
     verdict = ac.cocompactness_witness(action, base, args.radius, depth=args.depth, seed=args.seed)
     payload = {
         "command": "cocompact",
@@ -269,7 +270,7 @@ def cmd_audit(args, data):
     if args.which == "local-busemann":
         report = ac.local_busemann_audit(
             space,
-            jsonio.parse_point(space, data["center"]),
+            space.parse_point(data["center"]),
             space.parse_scalar(data["r"]),
             space.parse_scalar(data["eps"]),
             e1,
@@ -278,7 +279,7 @@ def cmd_audit(args, data):
             seed=args.seed,
         )
     else:
-        base = jsonio.parse_point(space, data["base"])
+        base = space.parse_point(data["base"])
         ray1, ray2 = space.ray_from(base, e1), space.ray_from(base, e2)
         schedule = [space.parse_scalar(t) for t in jsonio.read_field(data, "schedule", list, [1, 2, 5, 10])]
         report = ac.angle_estimate_audit(space, ray1, ray2, schedule)

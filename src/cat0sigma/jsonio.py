@@ -63,25 +63,17 @@ def parse_real(value) -> float:
     return x
 
 
-def parse_point(space, data):
-    return space.parse_point(data)
-
-
-def parse_boundary(space, data):
-    return space.parse_boundary(data)
-
-
 def parse_end_or_point(space, data):
     """Ray targets: {"boundary": B} or {"point": P}."""
     if isinstance(data, dict) and "boundary" in data:
-        return parse_boundary(space, data["boundary"])
+        return space.parse_boundary(data["boundary"])
     if isinstance(data, dict) and "point" in data:
-        return parse_point(space, data["point"])
+        return space.parse_point(data["point"])
     raise ValueError('ray target must be {"boundary": ...} or {"point": ...}')
 
 
 def parse_ray(space, data):
-    base = parse_point(space, read_field(data, "base"))
+    base = space.parse_point(read_field(data, "base"))
     end = parse_end_or_point(space, read_field(data, "end"))
     return space.ray_from(base, end)
 

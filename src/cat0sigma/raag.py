@@ -32,7 +32,7 @@ from .errors import DegreeOutOfRange, UnknownVertex
 from .homology import HomologyProfile, SimplicialComplex, homology, join_homology
 from .jsonio import parse_int, read_field
 from .sphere import OpenHemisphere, SpherePoint
-from .trees import reduce_word
+from .trees import cyclic_reduce, reduce_word
 
 # Relator visits one Tietze trivialization may spend before it answers
 # Unknown.
@@ -270,10 +270,7 @@ def _spanning_tree(vertices: list, edges: list) -> set:
 
 
 def _cyclic_reduce(word: tuple) -> tuple:
-    word = reduce_word(word)
-    while len(word) >= 2 and word[0] == -word[-1]:
-        word = word[1:-1]
-    return word
+    return cyclic_reduce(reduce_word(word))[1]
 
 
 def tietze_trivialize(generator_count: int, relators: list) -> TietzeCertificate:

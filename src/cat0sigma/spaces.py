@@ -10,11 +10,12 @@ cocompactness test.  The module-level functions (:func:`distance`,
 :func:`busemann`, :func:`ray_from`, ...) are the public entry points and
 hold only the logic that all spaces share.
 
-A point is checked once, where it enters: the JSON readers and the entry
-points check each point from their caller with ``check_point`` and hand
-the checked value to the space methods, which compute and check nothing.
-Points the library builds itself (ray points, samples, images under an
-isometry) are valid by construction.
+A point or an end is checked once, where it enters: the JSON readers and
+the entry points check each one from their caller (``check_point``,
+``check_boundary``, ``check_target``) and hand the checked value to the
+space methods, which compute and check nothing.  Values the library
+builds itself (ray points, samples, images under an isometry, probe ends)
+are valid by construction; a ray is checked only to belong to the space.
 
 A generalized ray is a unit-speed geodesic ray, or a geodesic segment held
 constant after its endpoint (the degenerate case, with the stopping
@@ -78,7 +79,8 @@ class ModelSpace:
 
     The methods take points and ends already returned by ``check_point``,
     ``check_boundary`` or ``check_target`` (or built by the space itself)
-    and do not check them again.
+    and do not check them again; ``check_ray`` rejects a ray of another
+    space.
 
     ``exact`` spaces (the trees) compute over Fractions with zero slack.
     ``flat`` marks Euclidean space, whose boundary is a round sphere in
@@ -103,8 +105,13 @@ class ModelSpace:
     def parse_scalar(self, data):
         return parse_real(data)
 
+    def check_ray(self, ray):
+        if ray.space is not self and ray.space.to_json() != self.to_json():
+            raise WrongSpace("ray does not belong to the given space")
+        return ray
+
     def boundary_equal(self, e, e2) -> bool:
-        return self.check_boundary(e) == self.check_boundary(e2)
+        return e == e2
 
     def angular_distance(self, e, e2) -> float:
         return 0.0 if self.boundary_equal(e, e2) else math.pi
@@ -202,14 +209,12 @@ class EuclideanSpace(ModelSpace):
         return math.acos(max(-1.0, min(1.0, _dot(ray1._param, ray2._param))))
 
     def boundary_equal(self, e, e2) -> bool:
-        u, v = self.check_boundary(e), self.check_boundary(e2)
-        return _norm(_sub(u.vector, v.vector)) <= 1e-12
+        return _norm(_sub(e.vector, e2.vector)) <= 1e-12
 
     def angular_distance(self, e, e2) -> float:
-        u, v = self.check_boundary(e), self.check_boundary(e2)
-        if u.vector == v.vector:
+        if e.vector == e2.vector:
             return 0.0
-        return math.acos(max(-1.0, min(1.0, _dot(u.vector, v.vector))))
+        return math.acos(max(-1.0, min(1.0, _dot(e.vector, e2.vector))))
 
     def tits_distance(self, e, e2) -> float:
         return self.angular_distance(e, e2)
@@ -694,9 +699,7 @@ def busemann(M: ModelSpace, ray: GeneralizedRay, b):
     trees h(ray(0)) - h(b) for the horofunction height h toward the end
     (:func:`trees.point_height`).
     """
-    if ray.space is not M and ray.space.to_json() != M.to_json():
-        raise WrongSpace("ray does not belong to the given space")
-    return ray.busemann(M.check_point(b))
+    return M.check_ray(ray).busemann(M.check_point(b))
 
 
 def busemann_limit_audit(M: ModelSpace, ray: GeneralizedRay, b, schedule: Sequence[Real]):
@@ -763,7 +766,7 @@ def angular_distance(M: ModelSpace, e, e2) -> float:
     trees two distinct boundary points are joined by a bi-infinite
     geodesic, and a base point on it sees them at comparison angle pi.
     """
-    return M.angular_distance(e, e2)
+    return M.angular_distance(M.check_boundary(e), M.check_boundary(e2))
 
 
 def tits_distance(M: ModelSpace, e, e2) -> float:
@@ -771,7 +774,7 @@ def tits_distance(M: ModelSpace, e, e2) -> float:
     no rectifiable path joins the two points.  Coincides with the angular
     distance on E^k; on H2 and trees the boundary is discrete: 0 or inf.
     """
-    return M.tits_distance(e, e2)
+    return M.tits_distance(M.check_boundary(e), M.check_boundary(e2))
 
 
 # ---------------------------------------------------------------------------
@@ -782,19 +785,18 @@ def asymptotic_offset(M: ModelSpace, ray1: GeneralizedRay, ray2: GeneralizedRay,
     """The constant c with beta_ray1 - beta_ray2 = c, for rays with the same
     endpoint.  Verified to GLOBAL_TOL on ten sampled points; raises
     NotAsymptotic when the endpoints differ."""
+    ray1, ray2 = M.check_ray(ray1), M.check_ray(ray2)
     if ray1.is_degenerate != ray2.is_degenerate:
         raise NotAsymptotic("one ray is degenerate, the other is not")
     if ray1.is_degenerate:
-        tip1 = ray1.point_at(ray1.mu)
-        tip2 = ray2.point_at(ray2.mu)
-        if distance(M, tip1, tip2) > M.slack(1e-12):
+        if M.distance(ray1.point_at(ray1.mu), ray2.point_at(ray2.mu)) > M.slack(1e-12):
             raise NotAsymptotic("degenerate rays end at different points")
     elif not M.boundary_equal(ray1.end, ray2.end):
         raise NotAsymptotic(f"endpoints differ: {ray1.end!r} vs {ray2.end!r}")
-    c = busemann(M, ray1, ray2.base) - busemann(M, ray2, ray2.base)
+    c = ray1.busemann(ray2.base) - ray2.busemann(ray2.base)
     worst = 0.0
     for p in sample_points_near(M, ray1.base, 10, seed=seed):
-        dev = abs((busemann(M, ray1, p) - busemann(M, ray2, p)) - c)
+        dev = abs((ray1.busemann(p) - ray2.busemann(p)) - c)
         worst = max(worst, float(dev))
     if worst > GLOBAL_TOL:
         raise AssertionError(f"Busemann difference deviates by {worst} from constancy")

@@ -25,7 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import DimensionMismatch, NotTranslationAction, ZeroCharacter
@@ -111,10 +111,7 @@ def normalize_ray(chi: Character) -> SpherePoint:
     """
     if chi.is_zero:
         raise ZeroCharacter("the zero character has no ray")
-    denom_lcm = 1
-    for c in chi.coords:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in chi.coords]
+    ints = _integer_row(chi.coords)
     g = 0
     for v in ints:
         g = gcd(g, abs(v))
@@ -251,20 +248,18 @@ def _pivot(rows: list[list[int]], r: int, c: int, prev: int) -> int:
     return p
 
 
-def _positive_kernel(columns: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
-    """The primitive strictly positive vector spanning the kernel of the
-    integer matrix with these columns, or None when the kernel is not a
-    line spanned by a strictly positive vector.
+def _eliminate(rows: list[list[int]], width: int) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan elimination (:func:`_pivot`) of the
+    integer rows, in place, pivoting in their first ``width`` columns.
 
-    Fraction-free Gauss-Jordan elimination (:func:`_pivot`).  At the end
-    each pivot row reads d x_p + a x_f = 0 for the one free column f, so
-    (x_p, x_f) = (-a, d) spans the kernel.
+    Returns the pivot columns and the last pivot d.  Row i then holds d in
+    pivot column i and 0 in the other pivot columns, so row i over d is
+    row i of the reduced row-echelon form; the rows below the rank are
+    zero in the first ``width`` columns.
     """
-    n = len(columns)
-    rows = [list(r) for r in zip(*columns)]
     pivot_cols: list[int] = []
     prev = 1
-    for c in range(n):
+    for c in range(width):
         r = len(pivot_cols)
         piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if piv is None:
@@ -272,6 +267,26 @@ def _positive_kernel(columns: Sequence[Sequence[int]]) -> Optional[tuple[int, ..
         rows[r], rows[piv] = rows[piv], rows[r]
         prev = _pivot(rows, r, c, prev)
         pivot_cols.append(c)
+    return pivot_cols, prev
+
+
+def _integer_row(row: Sequence[Fraction]) -> list[int]:
+    """The rational row times the lcm of its denominators."""
+    m = lcm(*(c.denominator for c in row))
+    return [int(c * m) for c in row]
+
+
+def _positive_kernel(columns: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
+    """The primitive strictly positive vector spanning the kernel of the
+    integer matrix with these columns, or None when the kernel is not a
+    line spanned by a strictly positive vector.
+
+    At the end of :func:`_eliminate` each pivot row reads d x_p + a x_f = 0
+    for the one free column f, so (x_p, x_f) = (-a, d) spans the kernel.
+    """
+    n = len(columns)
+    rows = [list(r) for r in zip(*columns)]
+    pivot_cols, prev = _eliminate(rows, n)
     if len(pivot_cols) != n - 1:
         return None
     free = next(c for c in range(n) if c not in pivot_cols)
@@ -441,49 +456,6 @@ def _extract_translation_vectors(rho) -> list[tuple[Fraction, ...]]:
     return out
 
 
-def _rational_row_space_basis(vectors: Sequence[tuple[Fraction, ...]], k: int) -> list[tuple[Fraction, ...]]:
-    """Reduced row-echelon basis of the span, exact."""
-    rows = [list(v) for v in vectors if any(c != 0 for c in v)]
-    basis: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for row in rows:
-        row = row[:]
-        for b, p in zip(basis, pivots):
-            if row[p] != 0:
-                factor = row[p]
-                row = [a - factor * c for a, c in zip(row, b)]
-        piv = next((i for i, c in enumerate(row) if c != 0), None)
-        if piv is None:
-            continue
-        row = [c / row[piv] for c in row]
-        basis.append(row)
-        pivots.append(piv)
-    # Back-substitute for a clean reduced form.
-    for i, p in enumerate(pivots):
-        for j in range(len(basis)):
-            if j != i and basis[j][p] != 0:
-                factor = basis[j][p]
-                basis[j] = [a - factor * c for a, c in zip(basis[j], basis[i])]
-    order = sorted(range(len(basis)), key=lambda i: pivots[i])
-    return [tuple(basis[i]) for i in order]
-
-
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a nonsingular rational linear system by Gaussian elimination."""
-    n = len(matrix)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = aug[col][col]
-        aug[col] = [c / scale for c in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
 def _orthogonal_complement_basis(span: Sequence[tuple[Fraction, ...]], k: int) -> list[tuple[Fraction, ...]]:
     """Rational basis of the orthogonal complement (standard inner product)."""
     if not span:
@@ -554,13 +526,15 @@ class EuclideanSigmaDescription:
         e = [_frac(c) for c in direction]
         if len(e) != self.k:
             raise DimensionMismatch(f"direction rank {len(e)}, space rank {self.k}")
-        basis = [list(b) for b in self.span_basis]
+        basis = self.span_basis
         if basis:
             # Exact orthogonal projection: solve (B B^T) x = B e, u = B^T x.
+            # The Gram matrix is nonsingular, so row i of the eliminated
+            # system reads d x_i = its last entry.
             r = len(basis)
-            gram = [[sum(a * b for a, b in zip(basis[i], basis[j])) for j in range(r)] for i in range(r)]
-            rhs = [sum(a * b for a, b in zip(basis[i], e)) for i in range(r)]
-            x = _solve_exact(gram, rhs)
+            system = [_integer_row([sum(a * c for a, c in zip(b, row)) for row in (*basis, e)]) for b in basis]
+            _, d = _eliminate(system, r)
+            x = [Fraction(row[r], d) for row in system]
             u = [sum(x[i] * basis[i][t] for i in range(r)) for t in range(self.k)]
         else:
             u = [Fraction(0)] * self.k
@@ -611,7 +585,9 @@ def euclidean_join_decomposition(rho, sigma_g: PolyhedralSet, n: int) -> Euclide
     for v in vectors:
         if len(v) != k:
             raise NotTranslationAction("translation vectors of mixed dimension")
-    span = _rational_row_space_basis(vectors, k)
+    rows = [_integer_row(v) for v in vectors]
+    pivot_cols, d = _eliminate(rows, k)
+    span = [tuple(Fraction(c, d) for c in row) for row in rows[: len(pivot_cols)]]
     comp = _orthogonal_complement_basis(span, k)
     return EuclideanSigmaDescription(
         k=k,

@@ -112,10 +112,14 @@ def make_word_end(prefix, period) -> WordEnd:
         raise ValueError("end period must be nonempty")
     period = _primitive_period(tuple(period))
     prefix = tuple(prefix)
-    while prefix and prefix[-1] == period[-1]:
-        prefix = prefix[:-1]
-        period = (period[-1],) + period[:-1]
-    return WordEnd(prefix, period)
+    # Roll the period back over the trailing letters of the prefix that
+    # match it read backwards: drop them at once, then rotate the period
+    # right by their number.
+    p, k = len(period), 0
+    while k < len(prefix) and prefix[-1 - k] == period[-1 - k % p]:
+        k += 1
+    r = k % p
+    return WordEnd(prefix[: len(prefix) - k], period[p - r :] + period[: p - r])
 
 
 @dataclass(frozen=True)
@@ -426,6 +430,15 @@ def reduce_word(word) -> Word:
         else:
             out.append(letter)
     return tuple(out)
+
+
+def cyclic_reduce(word: Word) -> tuple[Word, Word]:
+    """(c, core) for a reduced word w = c . core . c^-1 with core cyclically
+    reduced: count the end pairs that cancel, then slice once."""
+    n, k = len(word), 0
+    while 2 * k + 1 < n and word[k] == -word[n - 1 - k]:
+        k += 1
+    return word[:k], word[k : n - k]
 
 
 def invert_word(word) -> Word:

@@ -31,7 +31,7 @@ from cat0sigma.actions import (
 )
 from cat0sigma.errors import EndNotFixed, UnknownGenerator, UnsupportedNumberForm, WrongSpace
 from cat0sigma.spaces import EDirection, EuclideanSpace, H2_INFINITY, HyperbolicPlane, TreeSpace
-from cat0sigma.trees import CayleyTree, HnnDown, HnnTree, HnnUp, TreePoint, make_word_end
+from cat0sigma.trees import CayleyTree, HnnDown, HnnTree, HnnUp, TreePoint, invert_word, make_word_end
 
 
 def test_apply_examples():
@@ -135,6 +135,16 @@ def test_classification_examples():
     assert cls6.axis_ends == (HnnDown(F(-6, 5)), HnnUp())
     assert classify_isometry(hnn6, "T").axis_ends == (HnnUp(), HnnDown(F(0)))
     assert character_at_end(hnn6, HnnUp(), hnn6.space.origin(), "t") == -1
+
+
+def test_classifying_a_long_conjugate_takes_one_pass():
+    # c a c^-1 with |c| = 10^5: the axis is c . a^inf, found in one pass
+    # over the word (peeling one cancelling pair per turn was quadratic).
+    c = (1, 2) * 50_000
+    start = time.perf_counter()
+    cls = CayleyIsometry(c + (1,) + invert_word(c)).classify()
+    assert time.perf_counter() - start < 1.0
+    assert (cls.translation_length, cls.axis_ends) == (1, (make_word_end(c, (1,)), make_word_end(c, (-1,))))
 
 
 def test_tree_translation_length_is_homogeneous(rng):

@@ -14,8 +14,8 @@ import time
 
 import pytest
 
-from cat0sigma import cli, raag
-from cat0sigma.trees import CayleyTree
+from cat0sigma import cli, raag, spaces as sp
+from cat0sigma.trees import CayleyTree, HnnTree
 
 
 def run_cli(argv):
@@ -461,6 +461,67 @@ def test_busemann_job_checks_its_ray_end_once(monkeypatch):
     monkeypatch.setattr(CayleyTree, "check_end", lambda self, end: ends.append(end) or check_end(self, end))
     code, _, _ = run_cli(["busemann", "--data", str(GOLDEN / "busemann_cayley_deep.json")])
     assert code == 0 and len(ends) == 1
+
+
+# Point and end checks per golden job.  Each is one check by the reader that
+# parses the value, or one by the library function it is handed to
+# (GroupAction's sample center, the base and end of each character word,
+# ControlConfiguration's points); nothing computes a check on an image, a
+# sample, an orbit point, a ray point or a probe end.
+CHECKS_PER_JOB = {
+    "tits_tree.json": {"check_end": 6},
+    "character_cayley.json": {"check_point": 7, "check_end": 6},
+    "character_hnn.json": {"check_point": 7, "check_end": 6},
+    "cocompact_f2.json": {"check_point": 3},
+    "audit_local_tree.json": {"check_point": 3, "check_end": 4},
+    "audit_local_e2.json": {"check_point": 3},
+    "shift_tree.json": {"check_point": 8, "check_end": 2},
+}
+
+
+def test_golden_jobs_check_each_point_and_end_once(monkeypatch):
+    counts = collections.Counter()
+
+    def counted(cls, method):
+        original = getattr(cls, method)
+        monkeypatch.setattr(cls, method, lambda *args: counts.update([method]) or original(*args))
+
+    for cls in (sp.EuclideanSpace, sp.HyperbolicPlane, sp.TreeSpace):
+        counted(cls, "check_point")
+    for cls in (CayleyTree, HnnTree):
+        counted(cls, "check_end")
+    cases = json.loads((GOLDEN / "cli_stdout.json").read_text(encoding="utf-8"))
+    for name, expected in CHECKS_PER_JOB.items():
+        case = next(c for c in cases if c["argv"][2] == name)
+        counts.clear()
+        code, out, _ = run_cli([str(GOLDEN / a) if a.endswith(".json") else a for a in case["argv"]])
+        assert (code, out) == (case["code"], case["stdout"])
+        assert dict(counts) == expected, name
+
+
+def test_character_job_with_a_long_generator_takes_seconds(tmp_path):
+    # h = c a c^-1 with |c| = 10^5 fixes the end c a^inf.  Moving that end
+    # by h leaves about 2 |c| letters a after c, all rolled back into the
+    # period; one copy of the prefix per letter took minutes.
+    c = [1, 2] * 50_000
+    word = c + [1] + [-x for x in reversed(c)]
+    data = write(
+        tmp_path,
+        "long.json",
+        {
+            "action": {
+                "space": {"space": "tree", "descriptor": {"type": "cayley", "rank": 2}},
+                "generators": {"h": {"word": word}},
+            },
+            "end": {"prefix": c, "period": [1]},
+            "base": {"vertex": []},
+            "words": ["h", "H", "hh"],
+        },
+    )
+    start = time.perf_counter()
+    code, out, _ = run_cli(["character", "--data", data])
+    assert time.perf_counter() - start < 5.0
+    assert (code, json.loads(out)["values"]) == (0, {"H": "-1", "h": "1", "hh": "2"})
 
 
 def test_help_goes_to_the_given_stdout(capsys):

@@ -334,6 +334,14 @@ def test_tietze_trivializes_simple_presentations():
     assert not cert.trivialized
 
 
+def test_cyclic_reduction_of_a_long_relator_takes_one_pass():
+    # A relator c a c^-1 with |c| = 10^5 reduces to a in one pass.
+    c = tuple(range(1, 6)) * 20_000
+    start = time.perf_counter()
+    assert raag._cyclic_reduce(c + (1,) + tuple(-x for x in reversed(c))) == (1,)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_tietze_reduces_only_rewritten_relators(monkeypatch):
     # Each input relator is cyclically reduced once, and after that only a
     # relator rewritten by a substitution is reduced again.

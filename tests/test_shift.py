@@ -16,7 +16,7 @@ from cat0sigma.actions import (
     local_busemann_audit,
     shift_report,
 )
-from cat0sigma.errors import EmptyConfiguration, NotClosed
+from cat0sigma.errors import EmptyConfiguration, NotClosed, WrongSpace
 from cat0sigma.spaces import EDirection, EuclideanSpace, H2_INFINITY, HyperbolicPlane, TreeSpace, ray_from
 from cat0sigma.trees import CayleyTree, HnnTree, HnnUp, TreePoint, make_word_end
 
@@ -175,3 +175,8 @@ def test_angle_estimate_audit_examples():
     assert rep.passed
     with pytest.raises(ValueError):
         angle_estimate_audit(E2, r1, ray_from(E2, (1.0, 0.0), EDirection((0, 1))), [1])
+    # A ray of another space, or one that stops at a point, has no chord bound.
+    with pytest.raises(WrongSpace):
+        angle_estimate_audit(H2, h1, r2, [1])
+    with pytest.raises(ValueError, match="^the chord estimate needs rays to boundary points$"):
+        angle_estimate_audit(E2, r1, ray_from(E2, (0.0, 0.0), (1.0, 0.0)), [1])

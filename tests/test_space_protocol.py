@@ -102,20 +102,29 @@ CHECKING_ENDS = {
     "EuclideanSpace.check_target",
     "HyperbolicPlane.check_target",
     "TreeSpace.check_target",
-    # The boundary comparisons, which the metric entry points hand their
-    # ends to as they are.
-    "ModelSpace.boundary_equal",
-    "EuclideanSpace.boundary_equal",
-    "EuclideanSpace.angular_distance",
+    # The entry points of the boundary metrics, each for the two ends from
+    # its caller.
+    "angular_distance",
+    "tits_distance",
 }
+# The public functions of actions, each for the points from its caller.
 CHECKING_ACTIONS = {
     "GroupAction.apply",
     "ControlConfiguration.__init__",
     "_resolve_image",
-    "_orbit",
+    "character_at_end",
+    "psi_cocycle",
     "cocompactness_witness",
     "local_busemann_audit",
 }
+# The public functions of actions, each for the ends from its caller:
+# boundary_apply and character_at_end take an end, the others a ray's
+# target, an end or a point.
+ACTIONS_CHECKING_ENDS = {"GroupAction.boundary_apply", "character_at_end"}
+ACTIONS_CHECKING_TARGETS = {"psi_cocycle", "shift_report", "local_busemann_audit"}
+# The entry points of spaces that check what they are given; actions calls
+# the space methods and the rays' busemann instead.
+CHECKING_ENTRY_POINTS = {"distance", "ray_from", "busemann", "busemann_limit_audit", "angular_distance", "tits_distance"}
 
 
 def test_guard_finds_check_point_callers():
@@ -135,19 +144,43 @@ def test_points_are_checked_only_where_they_enter():
 
 
 def test_ends_are_checked_only_where_they_enter():
-    # A parsed end is checked by parse_boundary, and the library entry point
-    # ray_from checks its target through check_target; the ray_from methods
-    # that both hand it to compute with it as it is.
+    # A parsed end is checked by parse_boundary, the library entry points
+    # check the ends from their caller (ray_from through check_target), and
+    # the space methods that they hand them to, boundary_equal and the
+    # boundary metrics among them, compute with them as they are.
     spaces_source = (PACKAGE / "spaces.py").read_text(encoding="utf-8")
     in_spaces = check_point_callers(spaces_source, "check_boundary")
     assert not {name for name in in_spaces if name.partition(".")[2] in COMPUTING_METHODS | {"ray_from"}}
     assert in_spaces == CHECKING_ENDS
     assert check_point_callers(spaces_source, "check_target") == {"ray_from"}
     actions_source = (PACKAGE / "actions.py").read_text(encoding="utf-8")
-    assert check_point_callers(actions_source, "check_boundary") == {"GroupAction.boundary_apply"}
+    assert check_point_callers(actions_source, "check_boundary") == ACTIONS_CHECKING_ENDS
+    assert check_point_callers(actions_source, "check_target") == ACTIONS_CHECKING_TARGETS
     for name in ("jsonio.py", "cli.py"):
         source = (PACKAGE / name).read_text(encoding="utf-8")
         assert check_point_callers(source, "check_boundary") | check_point_callers(source, "check_target") == set()
+
+
+def spaces_names_used(source: str) -> set[str]:
+    """The names a module imports from .spaces, and the attributes it reads
+    from the module object ``spaces`` or ``sp``."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "spaces":
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in ("spaces", "sp"):
+            out.add(node.attr)
+    return out
+
+
+def test_guard_finds_names_used_from_spaces():
+    sample = "from .spaces import busemann, EDirection\nfrom . import spaces\nspaces.distance(M, a, b)\n"
+    assert spaces_names_used(sample) == {"busemann", "EDirection", "distance"}
+
+
+def test_actions_calls_no_checking_entry_point():
+    used = spaces_names_used((PACKAGE / "actions.py").read_text(encoding="utf-8"))
+    assert used & CHECKING_ENTRY_POINTS == set()
 
 
 # Each model with one hand-built bad point and the error it draws today.

@@ -324,6 +324,8 @@ def test_asymptotic_offset_examples():
     assert asymptotic_offset(E2, r2, r2) == 0.0
     with pytest.raises(NotAsymptotic):
         asymptotic_offset(E2, r2, ray_from(E2, (0, 0), EDirection((0, 1))))
+    with pytest.raises(WrongSpace):
+        asymptotic_offset(E2, r2, ray_from(E3, (0, 0, 0), EDirection((1, 0, 0))))
 
 
 def test_asymptotic_offset_all_spaces(space):

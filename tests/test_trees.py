@@ -22,7 +22,9 @@ from cat0sigma.trees import (
     HnnVertex,
     RegularTree,
     TreePoint,
+    WordEnd,
     _shared_part,
+    cyclic_reduce,
     invert_word,
     make_word_end,
     n_valuation,
@@ -57,6 +59,51 @@ def test_word_end_canonicalization():
     assert e1.head(5) == (1, 2, 1, 2, 1)
     with pytest.raises(ValueError):
         make_word_end((1,), ())
+
+
+def rolled_back_end(prefix, period) -> WordEnd:
+    """The reference canonical form: roll the period back one letter per
+    turn, copying the prefix each time (quadratic in the rolled length)."""
+    period = trees._primitive_period(tuple(period))
+    prefix = tuple(prefix)
+    while prefix and prefix[-1] == period[-1]:
+        prefix = prefix[:-1]
+        period = (period[-1],) + period[:-1]
+    return WordEnd(prefix, period)
+
+
+def test_word_end_canonical_form_matches_the_roll_back_loop(rng):
+    # Prefixes end in a piece of the period's powers, so the roll-back runs
+    # over several periods and stops at a letter that breaks the match.
+    for _ in range(3000):
+        period = tuple(rng.choice((1, 2, -1)) for _ in range(rng.randrange(1, 5)))
+        powers = period * 4
+        tail = powers[len(powers) - rng.randrange(0, len(powers) + 1):]
+        prefix = tuple(rng.choice((1, 2, -2)) for _ in range(rng.randrange(0, 4))) + tail
+        assert make_word_end(prefix, period) == rolled_back_end(prefix, period), (prefix, period)
+
+
+def peeled(word):
+    """The reference cyclic reduction: peel one cancelling end pair per turn."""
+    conj, core = [], list(word)
+    while len(core) >= 2 and core[0] == -core[-1]:
+        conj.append(core[0])
+        core = core[1:-1]
+    return tuple(conj), tuple(core)
+
+
+def test_cyclic_reduction_matches_the_peel_loop(rng):
+    letters = (1, 2, -1, -2)
+    for _ in range(3000):
+        c = reduce_word(rng.choice(letters) for _ in range(rng.randrange(0, 6)))
+        core = reduce_word(rng.choice(letters) for _ in range(rng.randrange(0, 4)))
+        word = reduce_word(c + core + invert_word(c))
+        assert cyclic_reduce(word) == peeled(word), word
+    # A conjugate of 2 * 10^5 + 1 letters: one pass, not one slice per pair.
+    c = (1, 2) * 50_000
+    start = time.perf_counter()
+    assert cyclic_reduce(c + (1,) + invert_word(c)) == (c, (1,))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_regular_tree_degrees():

@@ -103,6 +103,26 @@ def test_group_action_rejects_distance_distortion():
         GroupAction(EuclideanSpace(2), {"a": MoebiusIsometry(1, 0, 0, 1)})
 
 
+def test_group_action_accepts_what_the_gram_rule_accepts():
+    # The Gram rule is the whole acceptance test on E^k: diag(1 + 4.9e-10)
+    # has Gram error 9.8e-10, diag(1 + 6e-10) has 1.2e-9.
+    near = EuclideanIsometry([[1 + 4.9e-10, 0.0], [0.0, 1 + 4.9e-10]], (0.0, 0.0))
+    assert GroupAction(EuclideanSpace(2), {"a": near}).generators == {"a": near}
+    with pytest.raises(ValueError, match="not orthogonal within 1e-9"):
+        EuclideanIsometry([[1 + 6e-10, 0.0], [0.0, 1 + 6e-10]], (0.0, 0.0))
+
+
+def test_float_h2_powers_classify():
+    # Products of a float matrix of determinant one drift from determinant
+    # one; they are not checked again, so long powers still classify.
+    ch, sh = math.cosh(0.5), math.sinh(0.5)
+    action = GroupAction.moebius({"h": [[ch, sh], [sh, ch]]})
+    for n in (16, 30):
+        cls = classify_isometry(action, "h" * n)
+        assert cls.kind == "hyperbolic"
+        assert abs(cls.translation_length - n) < 1e-9
+
+
 def test_classification_examples():
     hyp = GroupAction.moebius({"p": [[1, 1], [0, 1]], "h": [[2, 0], [0, F(1, 2)]], "r": [[0, -1], [1, 0]]})
     assert classify_isometry(hyp, "p").kind == "parabolic"

@@ -470,9 +470,9 @@ def test_busemann_job_checks_its_ray_end_once(monkeypatch):
 # sample, an orbit point, a ray point or a probe end.
 CHECKS_PER_JOB = {
     "tits_tree.json": {"check_end": 6},
-    "character_cayley.json": {"check_point": 7, "check_end": 6},
-    "character_hnn.json": {"check_point": 7, "check_end": 6},
-    "cocompact_f2.json": {"check_point": 3},
+    "character_cayley.json": {"check_point": 6, "check_end": 6},
+    "character_hnn.json": {"check_point": 6, "check_end": 6},
+    "cocompact_f2.json": {"check_point": 2},
     "audit_local_tree.json": {"check_point": 3, "check_end": 4},
     "audit_local_e2.json": {"check_point": 3},
     "shift_tree.json": {"check_point": 8, "check_end": 2},

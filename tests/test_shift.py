@@ -1,5 +1,6 @@
 """Shift calculus: shift reports, iterates, equivariance, audits."""
 
+import collections
 import math
 from fractions import Fraction as F
 
@@ -132,6 +133,24 @@ def test_equivariance_examples():
     fT = {"x": TreePoint((1,)), "y": TreePoint(())}
     chk = equivariance_check(cfgT, fT, free, "ab", make_word_end((), (1,)))
     assert chk.passed and chk.gsh_original == chk.gsh_translated
+
+
+def test_shift_checks_check_each_argument_once(monkeypatch):
+    # The configuration's points are checked when it is built; the shift
+    # checks check the end once and nothing that they move or build.
+    free = GroupAction.free_group(2)
+    cfg = ControlConfiguration(free.space, {i: TreePoint(w) for i, w in enumerate([(), (1,), (2,), (1, 1), (-2,)])})
+    fmap = {i: (i + 1) % 5 for i in range(5)}
+    end = make_word_end((2,), (1,))
+    counts = collections.Counter()
+    for cls, method in ((TreeSpace, "check_point"), (CayleyTree, "check_end")):
+        original = getattr(cls, method)
+        monkeypatch.setattr(cls, method, lambda *args, m=method, f=original: counts.update([m]) or f(*args))
+    assert equivariance_check(cfg, fmap, free, "abA", end).passed
+    assert dict(counts) == {"check_end": 1}
+    counts.clear()
+    iterate_shift_check(cfg, fmap, end, 3)
+    assert dict(counts) == {"check_end": 1}
 
 
 def test_local_busemann_audit_spec_examples():

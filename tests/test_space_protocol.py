@@ -111,17 +111,17 @@ CHECKING_ENDS = {
 CHECKING_ACTIONS = {
     "GroupAction.apply",
     "ControlConfiguration.__init__",
-    "_resolve_image",
+    "_image_pairs",
     "character_at_end",
     "psi_cocycle",
     "cocompactness_witness",
     "local_busemann_audit",
 }
 # The public functions of actions, each for the ends from its caller:
-# boundary_apply and character_at_end take an end, the others a ray's
-# target, an end or a point.
-ACTIONS_CHECKING_ENDS = {"GroupAction.boundary_apply", "character_at_end"}
-ACTIONS_CHECKING_TARGETS = {"psi_cocycle", "shift_report", "local_busemann_audit"}
+# boundary_apply, character_at_end and equivariance_check take an end, the
+# others a ray's target, an end or a point.
+ACTIONS_CHECKING_ENDS = {"GroupAction.boundary_apply", "character_at_end", "equivariance_check"}
+ACTIONS_CHECKING_TARGETS = {"psi_cocycle", "shift_report", "iterate_shift_check", "local_busemann_audit"}
 # The entry points of spaces that check what they are given; actions calls
 # the space methods and the rays' busemann instead.
 CHECKING_ENTRY_POINTS = {"distance", "ray_from", "busemann", "busemann_limit_audit", "angular_distance", "tits_distance"}
@@ -181,6 +181,66 @@ def test_guard_finds_names_used_from_spaces():
 def test_actions_calls_no_checking_entry_point():
     used = spaces_names_used((PACKAGE / "actions.py").read_text(encoding="utf-8"))
     assert used & CHECKING_ENTRY_POINTS == set()
+
+
+# ---------------------------------------------------------------------------
+# Where isometries are checked
+
+
+def calls_in(cls: ast.ClassDef, method: str) -> set[str]:
+    """Names called in a method of the class (``f(...)`` and ``x.f(...)``),
+    following its calls of ``self.<method>`` within the class."""
+    methods = {f.name: f for f in cls.body if isinstance(f, ast.FunctionDef)}
+    out, todo, seen = set(), [method], set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(methods[name]):
+            if isinstance(node, ast.Call):
+                func = node.func
+                out.add(getattr(func, "attr", None) or getattr(func, "id", None))
+                if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "self" and func.attr in methods:
+                    todo.append(func.attr)
+    return out
+
+
+def validating_classes(tree: ast.Module) -> set[str]:
+    """The classes whose constructor raises on a bad value."""
+    return {
+        top.name
+        for top in tree.body
+        if isinstance(top, ast.ClassDef)
+        for f in top.body
+        if isinstance(f, ast.FunctionDef) and f.name == "__init__" and any(isinstance(n, ast.Raise) for n in ast.walk(f))
+    }
+
+
+def test_guard_follows_self_calls():
+    sample = (
+        "class A:\n    def __init__(self, x):\n        if x:\n            raise ValueError\n        self._check()\n"
+        "    def _check(self):\n        sample_points_near(1)\n"
+        "class B:\n    def __init__(self):\n        pass\n"
+    )
+    tree = ast.parse(sample)
+    assert calls_in(tree.body[0], "__init__") == {"_check", "sample_points_near"}
+    assert validating_classes(tree) == {"A"}
+
+
+def test_isometries_are_checked_only_where_they_are_built():
+    # The class constructors and from_json check an isometry; a group
+    # action takes its generators as they are, and a product or an inverse
+    # of checked isometries is not checked again.
+    tree = ast.parse((PACKAGE / "actions.py").read_text(encoding="utf-8"))
+    classes = {top.name: top for top in tree.body if isinstance(top, ast.ClassDef)}
+    init_calls = calls_in(classes["GroupAction"], "__init__")
+    assert {name for name in init_calls if name.startswith("sample") or name == "apply"} == set()
+    validating = validating_classes(tree)
+    assert {"EuclideanIsometry", "MoebiusIsometry"} <= validating
+    for name in ("EuclideanIsometry", "MoebiusIsometry", "CayleyIsometry", "HnnIsometry"):
+        for method in ("compose", "inverse"):
+            assert calls_in(classes[name], method) & validating == set(), (name, method)
 
 
 # Each model with one hand-built bad point and the error it draws today.

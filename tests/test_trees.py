@@ -1,5 +1,6 @@
 """The three tree models: structure, geodesics, ends, exact arithmetic."""
 
+import math
 import random
 import re
 import time
@@ -200,6 +201,39 @@ def test_vertex_checks_reject_with_their_messages():
     ]:
         with pytest.raises(ValueError, match=re.escape(message)):
             hnn.check_vertex(v)
+
+
+def test_hnn_check_vertex_range_agrees_with_the_exact_power():
+    # The range check 0 < num < n^k decides by logarithms outside a 1e-6
+    # margin; at n^k +- 1, at relative offsets 2^-20 (just outside the
+    # margin) and 2^-21 (inside it) and at random values it must agree with
+    # the exact comparison.
+    rng = random.Random(7)
+    for _ in range(3000):
+        n = rng.choice([2, 3, 5, 6, 7, 10, rng.randrange(2, 1000)])
+        k = rng.choice([rng.randrange(1, 64), rng.randrange(1, 3000)])
+        model, power = HnnTree(n), n**k
+        for num in (power - 1, power, power + 1, power + (power >> 20), power - (power >> 20),
+                    power + (power >> 21), power - (power >> 21), rng.randrange(1, 2 * power)):
+            inside = 0 < num < power
+            try:
+                model.check_vertex(HnnVertex(k, num, 0, n))
+                assert inside, (n, k, num)
+            except ValueError:
+                assert not inside, (n, k, num)
+
+
+def test_hnn_check_vertex_needs_no_power_at_the_depth_budget():
+    # The level-10^6 ball of HNN(3) around 1/2: its center has 1584962 bits
+    # against 10^6 log2 3 = 1584962.5, which the bit count cannot settle.
+    model = HnnTree(3)
+    v = model.vertex_containing(F(1, 2), DEPTH_BUDGET)
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        model.check_vertex(v)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.01
 
 
 def test_regular_tree_distance_example():

@@ -16,9 +16,9 @@ Each public function checks each point and end from its caller once, then
 computes with the space methods, the rays' ``busemann`` and the
 isometries' ``apply`` and ``boundary``, which check nothing: the images,
 orbit points, samples, rays and probe ends the library builds are valid.
-An isometry is checked once too, by its class constructor or its
-``from_json``; nothing checks the products and inverses the library
-computes from checked isometries, or the generators of an action.
+An isometry is checked once too: its constructor checks its values and
+``GroupAction`` its fit with the space; nothing checks the products and
+inverses the library computes from checked isometries.
 """
 
 from __future__ import annotations
@@ -68,7 +68,8 @@ GLOBAL_TOL = spaces.GLOBAL_TOL
 
 # ---------------------------------------------------------------------------
 # Isometries: each class has apply(space, p), boundary(space, e), compose,
-# inverse, to_json, classify, identity(space) and from_json(space, data).
+# inverse, to_json, classify, check(space) (the fit with the space),
+# identity(space) and from_json(space, data).
 
 
 def _built(cls, **fields):
@@ -121,13 +122,15 @@ class EuclideanIsometry:
 
     @staticmethod
     def from_json(space: EuclideanSpace, data) -> "EuclideanIsometry":
-        matrix = _square_matrix(read_field(data, "matrix", list), space.k)
         translation = read_field(data, "translation", list)
-        if len(translation) != space.k:
-            raise WrongSpace(f"translation of dimension {len(translation)} in {space.name}")
+        matrix = _square_matrix(read_field(data, "matrix", list), len(translation))
         return EuclideanIsometry(
             [[parse_real(x) for x in row] for row in matrix], [parse_real(x) for x in translation]
         )
+
+    def check(self, space: EuclideanSpace) -> None:
+        if len(self.translation) != space.k:
+            raise WrongSpace(f"translation of dimension {len(self.translation)} in {space.name}")
 
     @property
     def is_translation(self) -> bool:
@@ -213,6 +216,9 @@ class MoebiusIsometry:
         m = _square_matrix(read_field(data, "matrix", list), 2)
         return MoebiusIsometry(m[0][0], m[0][1], m[1][0], m[1][1])
 
+    def check(self, space: HyperbolicPlane) -> None:
+        """Every matrix of determinant one acts on H2."""
+
     def apply(self, space, z: complex) -> complex:
         a, b, c, d = (float(x) for x in (self.a, self.b, self.c, self.d))
         return (a * z + b) / (c * z + d)
@@ -292,9 +298,10 @@ class CayleyIsometry:
 
     @staticmethod
     def from_json(space: TreeSpace, data) -> "CayleyIsometry":
-        iso = CayleyIsometry(space.model.parse_vertex(read_field(data, "word", list)))
-        space.model.check_vertex(iso.word)
-        return iso
+        return CayleyIsometry(space.model.parse_vertex(read_field(data, "word", list)))
+
+    def check(self, space: TreeSpace) -> None:
+        space.model.check_vertex(self.word)
 
     def apply(self, space, p: TreePoint) -> TreePoint:
         model = space.model
@@ -349,11 +356,15 @@ class HnnIsometry:
 
     @staticmethod
     def from_json(space: TreeSpace, data) -> "HnnIsometry":
-        shift = parse_int(read_field(data, "shift"))
-        check_depth("shift", shift)
-        add = parse_fraction(read_field(data, "add"))
-        space.model.affine_vertex(0, add, space.model.base_vertex())  # rejects an add that is not n-adic
+        shift, add = parse_int(read_field(data, "shift")), parse_fraction(read_field(data, "add"))
         return HnnIsometry(space.model.index, shift, add)
+
+    def check(self, space: TreeSpace) -> None:
+        model = space.model
+        if self.index != model.index:
+            raise WrongSpace(f"HNN isometry of index {self.index} on {space.name}")
+        check_depth("shift", self.shift)
+        model.affine_vertex(0, self.add, model.base_vertex())  # rejects an add that is not n-adic
 
     def apply(self, space, p: TreePoint) -> TreePoint:
         # Affine maps preserve the parent direction, so offsets carry over.
@@ -420,8 +431,8 @@ class GroupAction:
 
     Words are strings over single-character generator names; an uppercase
     letter is the inverse of the corresponding lowercase generator.  The
-    generators were checked where they were built, by their class
-    constructor or ``from_json``; the action takes them as they are.
+    action checks each generator's fit with the space once, with its
+    ``check``; it applies no generator to test it.
     """
 
     def __init__(self, space: ModelSpace, generators: Mapping[str, Isometry]):
@@ -432,6 +443,10 @@ class GroupAction:
                 raise ValueError(f"generator names are single lowercase characters, got {name!r}")
             if not isinstance(iso, isometry_type(space)):
                 raise WrongSpace(f"{type(iso).__name__} does not act on {space.name}")
+            try:
+                iso.check(space)
+            except (ValueError, Cat0SigmaError) as exc:
+                raise type(exc)(f"generator {name!r}: {exc}") from exc
         self._inverses = {name: iso.inverse() for name, iso in self.generators.items()}
 
     # -- constructors ------------------------------------------------------
@@ -603,22 +618,15 @@ def fixed_ends_tree(action: GroupAction) -> FixedEndReport:
         # Any end fixed by the whole action is fixed by this hyperbolic
         # element, hence is one of its two axis ends: the answer is exact.
         candidates = classes[hyperbolic[0]].axis_ends
-        fixed = tuple(e for e in candidates if fixed_by_all(e))
-        if len(fixed) == 0:
-            return FixedEndReport("empty")
-        if len(fixed) == 1:
-            return FixedEndReport("singleton", fixed)
-        return FixedEndReport("pair", fixed)
-
-    # Only elliptic generators remain.  On the HNN tree a nontrivial
-    # translation x -> x + b fixes the upward end and no downward end, so
-    # the answer is again exact.
-    if isometry_type(space) is HnnIsometry:
-        up = HnnUp()
-        if fixed_by_all(up):
-            return FixedEndReport("singleton", (up,))
-        return FixedEndReport("empty")
-    return FixedEndReport("unknown")
+    elif isometry_type(space) is HnnIsometry:
+        # Only elliptic generators remain.  On the HNN tree a nontrivial
+        # translation x -> x + b fixes the upward end and no downward end,
+        # so the answer is again exact.
+        candidates = (HnnUp(),)
+    else:
+        return FixedEndReport("unknown")
+    fixed = tuple(e for e in candidates if fixed_by_all(e))
+    return FixedEndReport(("empty", "singleton", "pair")[len(fixed)], fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -873,13 +881,8 @@ def cocompactness_witness(action: GroupAction, a, radius: float, depth: int = 6,
         )
     region_radius, samples = space.region(a, depth, seed)
 
-    worst = None
-    worst_point = None
-    for p in samples:
-        dmin = min(space.distance(p, q) for q in orbit)
-        if worst is None or dmin > worst:
-            worst = dmin
-            worst_point = p
+    nearest = ((min(space.distance(p, q) for q in orbit), p) for p in samples)
+    worst, worst_point = max(nearest, key=lambda pair: pair[0], default=(None, None))
     if worst is not None and worst <= radius:
         return NetCertificate(radius, float(region_radius), len(samples), len(orbit), worst)
 
@@ -927,12 +930,7 @@ def local_busemann_audit(
         for p in spaces.sample_points_near(M, c, samples * 2, radius=float(r), seed=seed)
         if M.distance(c, p) <= r
     ][:samples]
-    worst = None
-    for p in pts:
-        lhs = abs(ray1.busemann(p) - ray2.busemann(p))
-        slack = rhs - lhs
-        if worst is None or slack < worst:
-            worst = slack
+    worst = min((rhs - abs(ray1.busemann(p) - ray2.busemann(p)) for p in pts), default=None)
     passed = worst is not None and worst > 0
     return AuditReport(passed, len(pts), worst, {"R": R, "rhs": rhs})
 

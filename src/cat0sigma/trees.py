@@ -557,11 +557,12 @@ class HnnTree(TreeModel):
             raise ValueError(f"HNN tree vertices are (level, center) balls of index {self.index}")
         if v.num == v.exp == 0:
             return
-        # 0 < num < n^(level + exp).  The logarithms err by about 1e-9 here,
-        # so outside a 1e-6 margin they settle it without the power.
+        # 0 < num < n^(level + exp) with exp >= 0; the gap is infinite when
+        # the signs already fail.  The logarithms err by about 1e-9 here, so
+        # outside a 1e-6 margin they settle it without the power.
         n, k = self.index, v.level + v.exp
-        gap = math.log2(v.num) - k * self._log2 if v.num > 0 else 0
-        if v.exp < 0 or k <= 0 or v.num <= 0 or gap > 1e-6 or (gap > -1e-6 and v.num >= _power(n, k)):
+        gap = math.log2(v.num) - k * self._log2 if v.exp >= 0 and k > 0 and v.num > 0 else math.inf
+        if gap > 1e-6 or (gap > -1e-6 and v.num >= _power(n, k)):
             raise ValueError(f"center {v.num}/{n}^{v.exp} outside [0, {n}^{v.level})")
         # Lowest terms, so that equal balls are equal tuples.
         if v.exp and v.num % n == 0:

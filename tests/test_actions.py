@@ -4,6 +4,7 @@ classification."""
 
 import math
 import random
+import re
 import time
 from fractions import Fraction as F
 
@@ -29,7 +30,7 @@ from cat0sigma.actions import (
     psi_cocycle,
     sl2z_sigma0_complement,
 )
-from cat0sigma.errors import EndNotFixed, UnknownGenerator, UnsupportedNumberForm, WrongSpace
+from cat0sigma.errors import EndNotFixed, ParameterOutOfRange, UnknownGenerator, UnsupportedNumberForm, WrongSpace
 from cat0sigma.spaces import EDirection, EuclideanSpace, H2_INFINITY, HyperbolicPlane, TreeSpace
 from cat0sigma.trees import CayleyTree, HnnDown, HnnTree, HnnUp, TreePoint, invert_word, make_word_end
 
@@ -101,6 +102,24 @@ def test_group_action_rejects_distance_distortion():
         MoebiusIsometry(2, 0, 0, 2)
     with pytest.raises(WrongSpace):
         GroupAction(EuclideanSpace(2), {"a": MoebiusIsometry(1, 0, 0, 1)})
+
+
+def test_group_action_checks_that_generators_fit_its_space():
+    # Each constructor checks the values it sees; the fit with the space is
+    # checked once, by the action, and named by the generator.
+    rot = EuclideanIsometry([[0, 0, 1], [0, 1, 0], [-1, 0, 0]], (0, 0, 0))
+    hnn2 = TreeSpace(HnnTree(2))
+    cases = [
+        (EuclideanSpace(2), rot, WrongSpace, "generator 'a': translation of dimension 3 in E2"),
+        (hnn2, HnnIsometry(2, 1, F(1, 3)), ValueError, "generator 'a': add 1/3 is not an 2-adic rational"),
+        (hnn2, HnnIsometry(3, 1, 0), WrongSpace, "generator 'a': HNN isometry of index 3 on "),
+        (hnn2, HnnIsometry(2, 10**7, 0), ParameterOutOfRange, "generator 'a': shift 10000000 exceeds"),
+        (TreeSpace(CayleyTree(2)), CayleyIsometry((1, 3)), ValueError, "generator 'a': letter 3 outside rank 2"),
+    ]
+    for space, iso, error, message in cases:
+        with pytest.raises(error, match=f"^{re.escape(message)}"):
+            GroupAction(space, {"a": iso})
+    assert GroupAction(EuclideanSpace(3), {"a": rot}).generators == {"a": rot}
 
 
 def test_group_action_accepts_what_the_gram_rule_accepts():

@@ -203,7 +203,7 @@ def calls_in(cls: ast.ClassDef, method: str) -> set[str]:
                 out.add(getattr(func, "attr", None) or getattr(func, "id", None))
                 if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "self" and func.attr in methods:
                     todo.append(func.attr)
-    return out
+    return out - {None}  # a called expression, such as type(exc)(...), has no name
 
 
 def validating_classes(tree: ast.Module) -> set[str]:
@@ -229,12 +229,14 @@ def test_guard_follows_self_calls():
 
 
 def test_isometries_are_checked_only_where_they_are_built():
-    # The class constructors and from_json check an isometry; a group
-    # action takes its generators as they are, and a product or an inverse
+    # The class constructors check an isometry's values; a group action
+    # checks once that each generator fits its space, with the generator's
+    # check and without sampling or applying it, and a product or an inverse
     # of checked isometries is not checked again.
     tree = ast.parse((PACKAGE / "actions.py").read_text(encoding="utf-8"))
     classes = {top.name: top for top in tree.body if isinstance(top, ast.ClassDef)}
     init_calls = calls_in(classes["GroupAction"], "__init__")
+    assert "check" in init_calls
     assert {name for name in init_calls if name.startswith("sample") or name == "apply"} == set()
     validating = validating_classes(tree)
     assert {"EuclideanIsometry", "MoebiusIsometry"} <= validating

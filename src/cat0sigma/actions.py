@@ -762,10 +762,13 @@ class IterateCheck:
 
 
 def iterate_shift_check(cfg: ControlConfiguration, f: Mapping, e, m: int) -> IterateCheck:
-    """Check gsh(f^m) >= m gsh(f) for a label-closed map f."""
+    """Check gsh(f^m) >= m gsh(f) for a label-closed map f: every image
+    is a label of f's own domain."""
     for label, target in f.items():
         if not _is_label(cfg, target):
             raise NotClosed(f"image of {label!r} is not a configuration label")
+        if target not in f:
+            raise NotClosed(f"image {target!r} of {label!r} is outside the map's domain")
     space = cfg.space
     base = _shift(space, _image_pairs(cfg, f), space.check_target(e))
     current = {label: label for label in f}

@@ -4,7 +4,7 @@
 the *strictly* positive cone of a finite set of rational vectors by
 eliminating variables one at a time, keeping track of strictness.  It is a
 transparent enumeration oracle: ``verify`` and the tests check the simplex
-and the integer kernel search of :mod:`cat0sigma.sphere` against it, so it
+and the positive-circuit search of :mod:`cat0sigma.sphere` against it, so it
 shares no code with them and imports nothing but the standard library.
 
 Every row is a primitive integer row: each input row is scaled once (by the

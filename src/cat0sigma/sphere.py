@@ -9,19 +9,18 @@ hemisphere membership is a strict inequality and floating point would make
 it undecidable on the boundary.
 
 All values are immutable and all operations are pure functions without
-hidden state, safe to evaluate concurrently.  The m-function is decided by
-an LP finiteness test, then a subset search bounded by the basis: one
+hidden state, safe to evaluate concurrently.  The m-function takes the same
+two steps for every character chi, in the quotient by chi: one
 fraction-free phase-1 simplex either returns a Farkas (or, for the zero
 character, Gordan) vector that proves the value infinite, or a basic
-solution whose support size bounds the count, and only smaller subsets of
-rays are then tried, each by one exact integer kernel computation.  The
-Fourier-Motzkin decider of ``exactlp`` serves only as an oracle in
-``verify`` and the tests.
+solution whose support size bounds the count, and a depth-first search
+for positive circuits, one fraction-free reduction per node, then finds
+the fewest rays below that bound.  The Fourier-Motzkin decider of
+``exactlp`` serves only as an oracle in ``verify`` and the tests.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -276,58 +275,29 @@ def _integer_row(row: Sequence[Fraction]) -> list[int]:
     return [int(c * m) for c in row]
 
 
-def _positive_kernel(columns: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
-    """The primitive strictly positive vector spanning the kernel of the
-    integer matrix with these columns, or None when the kernel is not a
-    line spanned by a strictly positive vector.
-
-    At the end of :func:`_eliminate` each pivot row reads d x_p + a x_f = 0
-    for the one free column f, so (x_p, x_f) = (-a, d) spans the kernel.
-    """
-    n = len(columns)
-    rows = [list(r) for r in zip(*columns)]
-    pivot_cols, prev = _eliminate(rows, n)
-    if len(pivot_cols) != n - 1:
-        return None
-    free = next(c for c in range(n) if c not in pivot_cols)
-    sign = 1 if prev > 0 else -1
-    x = [abs(prev)] * n
-    for row, c in zip(rows, pivot_cols):
-        x[c] = -sign * row[free]
-    if min(x) <= 0:
-        return None
-    g = gcd(*x)
-    return tuple(v // g for v in x)
-
-
 def _conic_lp(
     columns: Sequence[Sequence[int]], target: Sequence[int]
 ) -> tuple[Optional[tuple[int, ...]], Optional[tuple[int, ...]]]:
-    """Decide whether target is a nonnegative combination of the integer
-    columns: phase 1 of the simplex method with Bland's rule (Bland 1977).
+    """Decide whether the target, an integer vector >= 0, is a nonnegative
+    combination of the integer columns: phase 1 of the simplex method with
+    Bland's rule (Bland 1977).
 
     Returns (support, None), with the sorted indices of the columns that a
     basic feasible solution uses with a positive coefficient, or
     (None, y), with a primitive integer Farkas vector: y . a >= 0 for every
     column a and y . target < 0.
 
-    The rows with a negative right-hand side are negated and each row gets
-    an artificial column; the phase-1 objective, the sum of the artificial
-    variables, is one more row of the tableau.  Every pivot is the
-    fraction-free step of :func:`_pivot`, so the tableau holds d times the
-    true one, with d > 0 the last pivot.  Only original columns enter the
-    basis.  When none of them has a negative reduced cost, the objective
-    row over the artificial columns reads d (1 - pi) for the simplex
-    multipliers pi, with pi . a <= 0 on every (sign-adjusted) column and
-    pi . target equal to the phase-1 optimum.  An optimum above 0 makes
-    -d pi, with the row signs undone, a Farkas vector.
+    Each row gets an artificial column; the phase-1 objective, the sum of
+    the artificial variables, is one more row of the tableau.  Every pivot
+    is the fraction-free step of :func:`_pivot`, so the tableau holds d
+    times the true one, with d > 0 the last pivot.  Only original columns
+    enter the basis.  When none of them has a negative reduced cost, the
+    objective row over the artificial columns reads d (1 - pi) for the
+    simplex multipliers pi, with pi . a <= 0 on every column and pi . target
+    the phase-1 optimum.  An optimum above 0 makes -d pi a Farkas vector.
     """
     k, n = len(target), len(columns)
-    signs = [-1 if b < 0 else 1 for b in target]
-    rows = [
-        [s * a[i] for a in columns] + [int(j == i) for j in range(k)] + [s * target[i]]
-        for i, s in enumerate(signs)
-    ]
+    rows = [[a[i] for a in columns] + [int(j == i) for j in range(k)] + [target[i]] for i in range(k)]
     obj = [-sum(col) for col in zip(*rows)]
     obj[n : n + k] = [0] * k
     rows.append(obj)
@@ -347,9 +317,42 @@ def _conic_lp(
         basis[r] = c
     if obj[-1] == 0:
         return tuple(sorted(b for b, row in zip(basis, rows) if b < n and row[-1] > 0)), None
-    y = [s * (obj[n + i] - prev) for i, s in enumerate(signs)]
+    y = [obj[n + i] - prev for i in range(k)]
     g = gcd(*y)
     return None, tuple(v // g for v in y)
+
+
+def _circuit_search(vectors: Sequence[tuple[int, ...]], weights: Sequence[int], best: int) -> int:
+    """The size of the smallest positive circuit below best, else best: a
+    minimal dependent set of the vectors whose dependency lam, up to sign,
+    is >= 0 with sum lam_a w_a > 0.  Independent sets grow depth-first, in
+    index order; when a vector joins, the later ones take one fraction-free
+    step of :func:`_pivot` on it.  Each row is tagged with the combination
+    of the set it stands for, and its own coefficient is the last pivot, so
+    a row that reaches zero closes a circuit and its tags are the
+    dependency.  Every circuit is met as the dependency of its last vector
+    on the others, so no set grows to best - 1 members.
+    """
+    d = len(vectors[0])
+
+    def grow(rows: list[tuple[int, list[int]]], ws: list[int], prev: int) -> None:
+        nonlocal best
+        for j, row in rows:
+            if not any(row[:d]):
+                lam = [prev * t for t in row[d : d + len(ws)]]
+                if min(lam, default=0) >= 0 and sum(t * w for t, w in zip(lam, ws)) + prev * prev * weights[j] > 0:
+                    best = min(best, 1 + len(lam) - lam.count(0))
+        live = [(j, row) for j, row in rows if any(row[:d])]
+        for at, (j, top) in enumerate(live):
+            if len(ws) >= best - 2:
+                return
+            top[d + len(ws)] = prev
+            later = [top] + [row for _, row in live[at + 1 :]]
+            p = _pivot(later, 0, next(c for c, x in enumerate(top) if x), prev)
+            grow([(i, row) for (i, _), row in zip(live[at + 1 :], later[1:])], ws + [weights[j]], p)
+
+    grow([(j, list(v) + [0] * max(best - 2, 0)) for j, v in enumerate(vectors)], [], 1)
+    return best
 
 
 def minimal_ray_count(A: Iterable[SpherePoint], chi: Character) -> int | float:
@@ -357,45 +360,42 @@ def minimal_ray_count(A: Iterable[SpherePoint], chi: Character) -> int | float:
     conic combination equals chi, or infinity if there is none.
 
     The zero character is allowed; its representation must be nontrivial
-    (at least one ray, all coefficients > 0).  An LP finiteness test comes
-    first, then a subset search bounded by the basis.  chi enters as the
-    primitive vector of its ray, a positive multiple.
+    (at least one ray, all coefficients > 0).  Every chi takes the same
+    steps, in the quotient by chi.  With p the primitive vector of chi and
+    p_i its first nonzero entry, a ray a maps to (p_i a_j - a_i p_j)_{j != i}
+    (the kernel is the line of p) with the weight w_a = sign(p_i) a_i; for
+    chi = 0 the map is the identity and every weight 1.  Rays with
+    sum lam_a a = t p, lam > 0, represent chi exactly when t > 0, that is
+    when sum lam_a w_a > 0.
 
-    - The LP (:func:`_conic_lp`) asks for lam >= 0 with sum lam_a a = chi;
-      for chi = 0 every ray and chi get a trailing coordinate, 1 and 1, so
-      that sum lam_a = 1 rules out lam = 0.  The support of any feasible
-      lam is a strictly positive representation, so an infeasible LP means
-      infinity, with a Farkas vector y (y . a >= 0 on the rays, y . chi < 0)
-      or for chi = 0 a Gordan vector (y . a > 0 on every ray) as the proof.
+    - The LP (:func:`_conic_lp`) asks for lam >= 0 with image sum 0 and
+      sum lam_a w_a = 1; the support of any feasible lam represents chi.
+      An infeasible LP means infinity, and its Farkas vector y lifts to
+      z = sum_{j != i} y_j (p_i e_j - p_j e_i) + y_last sign(p_i) e_i with
+      z . a >= 0 on the rays and z . p < 0 (for chi = 0, y_last < 0 makes
+      the first k entries of y pair positively with every ray: Gordan).
     - A basic feasible solution uses s rays, at most k (k + 1 for chi = 0),
-      so s bounds the count.  Subsets of 1 .. s - 1 rays are tried in
-      increasing size; a subset S is accepted exactly when the integer
-      matrix [S | -chi] (just [S] for chi = 0) has a one-dimensional
-      kernel spanned by a strictly positive vector (:func:`_positive_kernel`).
-      A minimal representation uses linearly independent rays (a circuit
-      for chi = 0), so this test finds it.  When none is found, s rays are
-      the fewest.
+      so s bounds the count.  A minimal representation is independent
+      (Caratheodory's theorem for cones; a circuit for chi = 0), so its
+      image is a positive circuit, and every positive circuit represents
+      chi.  :func:`_circuit_search` finds the smallest one below s.
     """
     pts = sorted(set(A), key=lambda s: s.primitive)
-    for p in pts:
-        if p.k != chi.k:
-            raise DimensionMismatch(f"point rank {p.k}, character rank {chi.k}")
+    for a in pts:
+        if a.k != chi.k:
+            raise DimensionMismatch(f"point rank {a.k}, character rank {chi.k}")
     if chi.is_zero:
-        vectors = [p.primitive for p in pts]
-        tail: list[tuple[int, ...]] = []
-        support, _ = _conic_lp([v + (1,) for v in vectors], (0,) * chi.k + (1,))
+        vectors, weights = [a.primitive for a in pts], [1] * len(pts)
     else:
-        ray = normalize_ray(chi)
-        vectors = [p.primitive for p in pts if p != ray]
-        tail = [tuple(-c for c in ray.primitive)]
-        support, _ = _conic_lp(vectors, ray.primitive)
+        p = normalize_ray(chi).primitive
+        i = next(j for j, c in enumerate(p) if c)
+        rays = [a.primitive for a in pts if a.primitive != p]
+        vectors = [tuple(p[i] * a[j] - a[i] * p[j] for j in range(chi.k) if j != i) for a in rays]
+        weights = [a[i] if p[i] > 0 else -a[i] for a in rays]
+    support, _ = _conic_lp([v + (w,) for v, w in zip(vectors, weights)], (0,) * (chi.k - (not chi.is_zero)) + (1,))
     if support is None:
         return INF
-    for size in range(1, len(support)):
-        for subset in itertools.combinations(vectors, size):
-            if _positive_kernel(list(subset) + tail) is not None:
-                return size
-    return len(support)
+    return _circuit_search(vectors, weights, len(support))
 
 
 @dataclass(frozen=True)

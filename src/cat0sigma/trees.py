@@ -557,12 +557,19 @@ class HnnTree(TreeModel):
             raise ValueError(f"HNN tree vertices are (level, center) balls of index {self.index}")
         if v.num == v.exp == 0:
             return
-        # 0 < num < n^(level + exp) with exp >= 0; the gap is infinite when
-        # the signs already fail.  The logarithms err by about 1e-9 here, so
-        # outside a 1e-6 margin they settle it without the power.
-        n, k = self.index, v.level + v.exp
-        gap = math.log2(v.num) - k * self._log2 if v.exp >= 0 and k > 0 and v.num > 0 else math.inf
-        if gap > 1e-6 or (gap > -1e-6 and v.num >= _power(n, k)):
+        # 0 < num < n^(level + exp) with exp >= 0.  The bit lengths b of num
+        # and nb of n settle it unless k (nb - 1) < b <= k nb, and there
+        # k < b, so k log2 n is a float.  The logarithms err by about 1e-9
+        # there, so outside a 1e-6 margin they settle it without the power.
+        n, k, b = self.index, v.level + v.exp, v.num.bit_length()
+        if v.exp < 0 or k <= 0 or v.num <= 0 or b > k * n.bit_length():
+            outside = True
+        elif b <= k * (n.bit_length() - 1):
+            outside = False
+        else:
+            gap = math.log2(v.num) - k * self._log2
+            outside = gap > 1e-6 or (gap > -1e-6 and v.num >= _power(n, k))
+        if outside:
             raise ValueError(f"center {v.num}/{n}^{v.exp} outside [0, {n}^{v.level})")
         # Lowest terms, so that equal balls are equal tuples.
         if v.exp and v.num % n == 0:

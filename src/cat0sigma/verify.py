@@ -426,7 +426,7 @@ def suite_tits(seed: int = 0) -> SuiteReport:
 
 
 # ---------------------------------------------------------------------------
-# m-values: the simplex and the bounded kernel search against the elimination oracle
+# m-values: the simplex and the positive-circuit search against the elimination oracle
 
 
 def enumeration_ray_count(A, chi: Character) -> int | float:

@@ -1,6 +1,6 @@
 """The Fourier-Motzkin eliminator against hand-checked systems, against the
-Fraction eliminator it replaced, and against the integer kernel test of the
-m-function search."""
+Fraction eliminator it replaced, and against the positive-circuit search of
+the m-function."""
 
 import random
 import time
@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 from cat0sigma.exactlp import strictly_representable_fm
-from cat0sigma.sphere import _positive_kernel
+from cat0sigma.sphere import _circuit_search
 from oracles import rational_rank
 
 
@@ -31,10 +31,11 @@ def test_representable_needs_all_coefficients_positive():
     assert strictly_representable_fm(vectors, (F(1), F(2))) is True
 
 
-def test_fm_matches_positive_kernel_on_seeded_systems():
+def test_fm_matches_circuit_search_on_seeded_systems():
     # target = sum lam_i v_i with every lam_i > 0 iff the columns
     # v_1..v_j, -target have a strictly positive kernel vector.  When that
-    # kernel is a line, the integer kernel test decides it on its own.
+    # kernel is a line, its support is the only circuit, so the search
+    # finds a positive circuit of all j + 1 columns exactly then.
     rng = random.Random(20240)
     compared = 0
     for _ in range(400):
@@ -46,7 +47,8 @@ def test_fm_matches_positive_kernel_on_seeded_systems():
         if rational_rank([list(r) for r in zip(*columns)]) != j:
             continue
         compared += 1
-        assert strictly_representable_fm(vectors, target) == (_positive_kernel(columns) is not None), (vectors, target)
+        found = _circuit_search(columns, [1] * (j + 1), j + 2)
+        assert strictly_representable_fm(vectors, target) == (found == j + 1), (vectors, target)
     assert compared > 200
 
 

@@ -74,6 +74,11 @@ def test_shift_errors():
         shift_report(cfg, {"zz": (1.0, 0.0)}, EDirection((1, 0)))
     with pytest.raises(NotClosed):
         iterate_shift_check(cfg, {"x": (1.0, 0.0)}, EDirection((1, 0)), 2)
+    # y is a configuration label but not in the map's domain, so f^2 is
+    # undefined at x; this used to end in a bare KeyError.
+    pair = ControlConfiguration(E2, {"x": (0.0, 0.0), "y": (1.0, 0.0)})
+    with pytest.raises(NotClosed, match="outside the map's domain"):
+        iterate_shift_check(pair, {"x": "y"}, EDirection((1, 0)), 2)
 
 
 def test_iterate_examples():

@@ -1,7 +1,10 @@
 """Character sphere: rays, hemispheres, polyhedral sets, m-values, and the
 join description of Euclidean translation actions."""
 
+import ast
+import collections
 import math
+import pathlib
 import random
 import time
 from fractions import Fraction as F
@@ -11,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cat0sigma import sphere
+from cat0sigma.exactlp import strictly_representable_fm
 from cat0sigma.errors import DimensionMismatch, NotTranslationAction, ZeroCharacter
 from cat0sigma.sphere import (
     Character,
@@ -18,8 +22,8 @@ from cat0sigma.sphere import (
     OpenHemisphere,
     PolyhedralSet,
     SpherePoint,
+    _circuit_search,
     _conic_lp,
-    _positive_kernel,
     euclidean_join_decomposition,
     m_value,
     minimal_ray_count,
@@ -215,6 +219,38 @@ def test_m_value_equals_enumeration_oracle_on_rank_four_five_rays():
     assert INF in values and len(set(values)) >= 3, values
 
 
+def test_minimal_ray_count_equals_enumeration_oracle_at_ranks_five_and_six():
+    # Ranks 5 and 6 with eight or nine rays, where the circuit search
+    # grows sets of up to k members.  For chi = 0 the last ray is opposite
+    # a positive combination of four or five others, so that finite counts
+    # up to k + 1 occur; otherwise chi is a sum of two or three of the rays
+    # or random.
+    rng = random.Random(56)
+    counts = []
+    for i in range(24):
+        k, size = 5 + i % 2, 8 + i % 4 // 2
+        rays = set()
+        while len(rays) < size - (i % 3 == 0):
+            v = [rng.randrange(-2, 3) for _ in range(k)]
+            if any(v):
+                rays.add(_primitive(v))
+        rays = sorted(rays)
+        if i % 3 == 0:
+            chi = (0,) * k
+            combination = [-sum(rng.randrange(1, 3) * c for c in row) for row in zip(*rng.sample(rays, 4 + i % 2))]
+            if any(combination) and _primitive(combination) not in rays:
+                rays.append(_primitive(combination))
+        elif i % 3 == 1:
+            chi = tuple(map(sum, zip(*rng.sample(rays, rng.randrange(2, 4)))))
+        else:
+            chi = tuple(rng.randrange(-2, 3) for _ in range(k))
+        points = [SpherePoint(a) for a in rays]
+        count = minimal_ray_count(points, Character(chi))
+        assert count == enumeration_ray_count(points, Character(chi)), (rays, chi)
+        counts.append(count)
+    assert INF in counts and len(set(counts)) >= 4, counts
+
+
 def test_m_value_monotone_under_enlarging_the_set():
     rng = random.Random(7)
     for _ in range(60):
@@ -308,36 +344,40 @@ def lp_instances(draw):
 def test_lp_certificates_hold_in_integer_arithmetic(instance):
     rays, chi = instance
     k = len(chi)
-    # The LP that minimal_ray_count solves: chi on its primitive vector
-    # with its own ray removed; for chi = 0, a trailing 1 on every ray and
-    # the target (0, ..., 0, 1).
+    # The LP that minimal_ray_count solves: each ray a goes to its image in
+    # the quotient by chi with the weight w_a, and the target is the last
+    # unit vector.  For chi = 0 the image is a and the weight 1.
     if any(chi):
-        target = _primitive(chi)
-        vectors = [a for a in rays if a != target]
-        support, y = _conic_lp(vectors, target)
-        tail = [tuple(-c for c in target)]
+        p = _primitive(chi)
+        i = next(j for j, c in enumerate(p) if c)
+        sign = 1 if p[i] > 0 else -1
+        vectors = [a for a in rays if a != p]
+        columns = [tuple(p[i] * a[j] - a[i] * p[j] for j in range(k) if j != i) + (sign * a[i],) for a in vectors]
     else:
         vectors = rays
-        support, y = _conic_lp([a + (1,) for a in rays], (0,) * k + (1,))
-        tail = []
+        columns = [a + (1,) for a in rays]
+    support, y = _conic_lp(columns, (0,) * (k - 1 if any(chi) else k) + (1,))
     points = [SpherePoint(a) for a in rays]
     count = minimal_ray_count(points, Character(chi))
     assert count == enumeration_ray_count(points, Character(chi))
     if support is None:
-        assert count == INF
+        assert count == INF and y[-1] < 0
         if any(chi):
-            # Farkas: the rays lie in a closed half-space that misses chi.
-            assert all(_dot(y, a) >= 0 for a in vectors) and _dot(y, target) < 0
+            # The Farkas vector lifted to the character's coordinates: the
+            # rays lie in a closed half-space that misses chi.
+            z = [0] * k
+            for j, yj in zip([j for j in range(k) if j != i], y):
+                z[j] += yj * p[i]
+                z[i] -= yj * p[j]
+            z[i] += y[-1] * sign
+            assert all(_dot(z, a) >= 0 for a in vectors) and _dot(z, p) < 0
         else:
             # Gordan: every ray lies in one open half-space.
             assert all(_dot(y[:k], a) > 0 for a in vectors)
     else:
         assert 0 < len(support) <= k + (not any(chi)) and count <= len(support)
         used = [vectors[i] for i in support]
-        witness = _positive_kernel(used + tail)
-        assert witness is not None and min(witness) > 0
-        combination = [sum(w * a[c] for w, a in zip(witness, used)) for c in range(k)]
-        assert combination == ([witness[-1] * c for c in target] if any(chi) else [0] * k)
+        assert strictly_representable_fm(used, chi)
 
 
 def _pointed_cone(k, size, seed):
@@ -349,16 +389,16 @@ def _pointed_cone(k, size, seed):
     return [SpherePoint(a) for a in sorted(rays)]
 
 
-def _counting_kernel(monkeypatch):
-    """The column counts of the _positive_kernel calls made from here on."""
+def _counting_search(monkeypatch):
+    """The (best, result) pairs of the _circuit_search calls made from here on."""
     calls = []
-    kernel = sphere._positive_kernel
+    search = sphere._circuit_search
 
-    def counted(columns):
-        calls.append(len(columns))
-        return kernel(columns)
+    def counted(vectors, weights, best):
+        calls.append((best, search(vectors, weights, best)))
+        return calls[-1][1]
 
-    monkeypatch.setattr(sphere, "_positive_kernel", counted)
+    monkeypatch.setattr(sphere, "_circuit_search", counted)
     return calls
 
 
@@ -366,8 +406,8 @@ def _counting_kernel(monkeypatch):
 def test_m_zero_on_pointed_cones_tries_no_subset(monkeypatch, k, size):
     # The bounded subset search tried every subset of up to k + 1 rays
     # here: 1.1 s at rank 5 and 3.8 s at rank 6 on a 2-CPU machine.  One
-    # LP with a Gordan certificate now decides it.
-    calls = _counting_kernel(monkeypatch)
+    # LP with a Gordan certificate now decides it, and no circuit is sought.
+    calls = _counting_search(monkeypatch)
     cone = _pointed_cone(k, size, seed=100 * k + size)
     start = time.perf_counter()
     assert minimal_ray_count(cone, Character.zero(k)) == INF
@@ -377,7 +417,7 @@ def test_m_zero_on_pointed_cones_tries_no_subset(monkeypatch, k, size):
 
 def test_subset_search_stops_below_the_basis_size(monkeypatch):
     # Nine rays in rank 6 whose LP basis uses six of them, while five
-    # rays already form a positive circuit; no subset of six is tried.
+    # rays already form a positive circuit; one search below six finds it.
     rays = [
         (-1, -2, -2, -1, 1, -1), (-1, -1, 2, 0, 1, 0), (-1, 1, -2, 2, -2, 2),
         (0, -2, 2, 0, 0, -1), (0, 1, 1, 0, 0, -1), (0, 2, 0, -1, 1, 2),
@@ -385,11 +425,41 @@ def test_subset_search_stops_below_the_basis_size(monkeypatch):
     ]
     support, _ = _conic_lp([a + (1,) for a in rays], (0,) * 6 + (1,))
     assert len(support) == 6
-    calls = _counting_kernel(monkeypatch)
+    calls = _counting_search(monkeypatch)
     points = [SpherePoint(a) for a in rays]
     assert minimal_ray_count(points, Character.zero(6)) == 5
-    assert max(calls) == 5 and len(calls) <= sum(math.comb(9, size) for size in range(1, 6))
+    assert calls == [(6, 5)]
     assert enumeration_ray_count(points, Character.zero(6)) == 5
+
+
+# ---------------------------------------------------------------------------
+# Tooling guard: one set-up and one search for every chi
+
+
+SPHERE_SOURCE = pathlib.Path(sphere.__file__).read_text(encoding="utf-8")
+
+
+def called_names(source: str, function: str) -> collections.Counter:
+    """How often the body of the module-level function calls each plain name."""
+    top = next(node for node in ast.parse(source).body if getattr(node, "name", None) == function)
+    return collections.Counter(
+        node.func.id for node in ast.walk(top) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    )
+
+
+def test_guard_counts_the_calls_of_a_function():
+    sample = "def f(x):\n    if x:\n        return g(x)\n    return g(h(x)) + x.g()\n"
+    assert called_names(sample, "f") == collections.Counter({"g": 2, "h": 1})
+
+
+def test_minimal_ray_count_has_one_lp_and_one_search_for_every_chi():
+    calls = called_names(SPHERE_SOURCE, "minimal_ray_count")
+    assert calls["_conic_lp"] == 1 and calls["_circuit_search"] == 1
+    tree = ast.parse(SPHERE_SOURCE)
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "itertools" not in imported
+    assert "_positive_kernel" not in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
 
 
 # ---------------------------------------------------------------------------

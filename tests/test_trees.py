@@ -192,12 +192,16 @@ def test_vertex_checks_reject_with_their_messages():
     # ball of (1, 1, 0, 2)) and another index.
     hnn = HnnTree(2)
     hnn.check_vertex(HnnVertex(1, 1, 0, 2))
+    # A level above float range: the bit lengths settle the range, which
+    # used to end in OverflowError.
+    hnn.check_vertex(HnnVertex(10**400, 1, 0, 2))
     for v, message in [
         (HnnVertex(1, 2, 0, 2), "center 2/2^0 outside [0, 2^1)"),
         (HnnVertex(-1, 1, 0, 2), "center 1/2^0 outside [0, 2^-1)"),
         (HnnVertex(-(10**400), 1, 0, 2), f"center 1/2^0 outside [0, 2^-{10**400})"),
         (HnnVertex(3, 1, -1, 2), "center 1/2^-1 outside [0, 2^3)"),
         (HnnVertex(1, 2, 1, 2), "center 2/2^1 is not in lowest terms"),
+        (HnnVertex(10**400, 2, 1, 2), "center 2/2^1 is not in lowest terms"),
         (HnnVertex(0, 0, 0, 3), "balls of index 2"),
     ]:
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -22,7 +22,6 @@ from cat0sigma.sphere import (
     OpenHemisphere,
     PolyhedralSet,
     SpherePoint,
-    _circuit_search,
     _conic_lp,
     euclidean_join_decomposition,
     m_value,
@@ -376,8 +375,7 @@ def test_lp_certificates_hold_in_integer_arithmetic(instance):
             assert all(_dot(y[:k], a) > 0 for a in vectors)
     else:
         assert 0 < len(support) <= k + (not any(chi)) and count <= len(support)
-        used = [vectors[i] for i in support]
-        assert strictly_representable_fm(used, chi)
+        assert strictly_representable_fm([vectors[s] for s in support], chi)
 
 
 def _pointed_cone(k, size, seed):

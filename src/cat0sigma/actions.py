@@ -638,10 +638,31 @@ def character_at_end(action: GroupAction, e, a, word: str):
     generator to fix e (raises EndNotFixed otherwise)."""
     space = action.space
     e = space.check_boundary(e)
+    _check_fixed(action, e)
+    return _psi(action, word, space.check_point(a), e)
+
+
+def characters_from_json(action: GroupAction, data: Mapping):
+    """The end of a JSON character problem ("end", "base" and "words",
+    strings over the generator names) and chi_end on each word.  The end and
+    the base are checked once, where the space's JSON readers read them, and
+    the generators are tested once for fixing the end."""
+    space = action.space
+    end = space.parse_boundary(data["end"])
+    base = space.parse_point(data["base"])
+    words = read_field(data, "words", list)
+    if not all(isinstance(word, str) for word in words):
+        raise ValueError(f"words are strings over the generator names, got {words!r}")
+    if words:  # an empty word list asks nothing of the end
+        _check_fixed(action, end)
+    return end, {word: _psi(action, word, base, end) for word in words}
+
+
+def _check_fixed(action: GroupAction, e) -> None:
+    space = action.space
     for name, iso in sorted(action.generators.items()):
         if not space.boundary_equal(iso.boundary(space, e), e):
             raise EndNotFixed(f"generator {name!r} moves the boundary point {e!r}")
-    return _psi(action, word, space.check_point(a), e)
 
 
 def psi_cocycle(action: GroupAction, e, word: str, a):
@@ -667,9 +688,19 @@ class ControlConfiguration:
     points: dict
 
     def __init__(self, space: ModelSpace, points: Mapping):
-        if not points:
+        self._fill(space, {label: space.check_point(p) for label, p in points.items()})
+
+    @classmethod
+    def from_json(cls, space: ModelSpace, data: Mapping) -> "ControlConfiguration":
+        """The configuration of a JSON object {label: point}; each point is
+        checked once, where space.parse_point reads it."""
+        cfg = cls.__new__(cls)
+        cfg._fill(space, {label: space.parse_point(p) for label, p in data.items()})
+        return cfg
+
+    def _fill(self, space: ModelSpace, checked: dict) -> None:
+        if not checked:
             raise EmptyConfiguration("control configurations are nonempty")
-        checked = {label: space.check_point(p) for label, p in points.items()}
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "points", checked)
 
@@ -718,17 +749,17 @@ def _is_label(cfg: ControlConfiguration, value) -> bool:
         return False
 
 
-def _image_pairs(cfg: ControlConfiguration, f: Mapping) -> dict:
+def _image_pairs(cfg: ControlConfiguration, f: Mapping, read) -> dict:
     """(point, image) by label for the map f on the configuration; an image
-    is a label or a raw point, which is checked here.  Labels win over raw
-    points when a value could be read as either."""
+    is a label or a raw point, which read checks: the space's check_point,
+    or its parse_point for JSON.  Labels win over raw points when a value
+    could be read as either."""
     if not f:
         raise EmptyConfiguration("the map has empty domain")
     for label in f:
         if label not in cfg.points:
             raise NotClosed(f"domain label {label!r} is not in the configuration")
-    return {label: (cfg.points[label], cfg.points[x] if _is_label(cfg, x) else cfg.space.check_point(x))
-            for label, x in f.items()}
+    return {label: (cfg.points[label], cfg.points[x] if _is_label(cfg, x) else read(x)) for label, x in f.items()}
 
 
 def _shift(space: ModelSpace, pairs: Mapping, e) -> ShiftReport:
@@ -750,7 +781,18 @@ def shift_report(cfg: ControlConfiguration, f: Mapping, e) -> ShiftReport:
     beta(x); the guaranteed shift is its minimum over the configuration,
     and the map is a contraction toward e when that minimum is positive.
     """
-    return _shift(cfg.space, _image_pairs(cfg, f), cfg.space.check_target(e))
+    space = cfg.space
+    return _shift(space, _image_pairs(cfg, f, space.check_point), space.check_target(e))
+
+
+def shift_report_from_json(space: ModelSpace, data: Mapping) -> ShiftReport:
+    """The shift report of a JSON shift problem in the space: "config"
+    ({label: point}), "map" ({label: label or point}) and "end".  Each
+    point, raw image and the end is checked once, where the space's JSON
+    readers read it."""
+    cfg = ControlConfiguration.from_json(space, read_field(data, "config", dict))
+    pairs = _image_pairs(cfg, read_field(data, "map", dict), space.parse_point)
+    return _shift(space, pairs, space.parse_boundary(data["end"]))
 
 
 @dataclass(frozen=True)
@@ -770,11 +812,11 @@ def iterate_shift_check(cfg: ControlConfiguration, f: Mapping, e, m: int) -> Ite
         if target not in f:
             raise NotClosed(f"image {target!r} of {label!r} is outside the map's domain")
     space = cfg.space
-    base = _shift(space, _image_pairs(cfg, f), space.check_target(e))
+    base = _shift(space, _image_pairs(cfg, f, space.check_point), space.check_target(e))
     current = {label: label for label in f}
     for _ in range(m):
         current = {label: f[current[label]] for label in current}
-    iterate = _shift(space, _image_pairs(cfg, current), base.end)
+    iterate = _shift(space, _image_pairs(cfg, current, space.check_point), base.end)
     bound = m * base.gsh
     return IterateCheck(iterate.gsh >= bound - space.slack(GLOBAL_TOL), m, iterate.gsh, bound)
 
@@ -791,7 +833,7 @@ def equivariance_check(
 ) -> EquivarianceCheck:
     """gsh toward g e of the translated map g f equals gsh toward e of f."""
     space = cfg.space
-    pairs = _image_pairs(cfg, f)
+    pairs = _image_pairs(cfg, f, space.check_point)
     e = space.check_boundary(e)
     isos = action.letters(word)
     original = _shift(space, pairs, e)

@@ -19,14 +19,15 @@ import os
 import sys
 import time
 
-from . import actions as ac
-from . import jsonio, spaces as sp, svg, treesigma as ts, verify
+from . import jsonio
 from .errors import Cat0SigmaError, DegreeOutOfRange, UnsupportedDimension, UsageError
-from .raag import SimpleGraph, coordinate_hemisphere, flag_verdict
-from .sphere import PolyhedralSet
-from .treesigma import GraphOfGroupsSummary, MFPRData
 
 PROG = "cat0sigma"
+# The names of verify.SUITES, sorted: the parser offers them without
+# importing verify, which imports every other module.
+SUITE_NAMES = (
+    "audits", "busemann", "character", "cocompact", "horoball", "raag", "shift", "sl2z", "sphere", "tits", "treesigma"
+)
 
 
 def _log(msg: str, stderr) -> None:
@@ -69,11 +70,14 @@ def _space_override(args, data):
 
 
 # ---------------------------------------------------------------------------
-# Command handlers.  Each returns (exit_code, payload).
+# Command handlers.  Each returns (exit_code, payload), and each imports the
+# modules it uses, so a command loads no module it does not need.
 
 
 def cmd_busemann(args, data):
-    space = sp.space_from_json(data["space"])
+    from .spaces import space_from_json
+
+    space = space_from_json(data["space"])
     ray = jsonio.parse_ray(space, data["ray"])
     points = [space.parse_point(p) for p in jsonio.read_field(data, "points", list, [])]
     schedule = [space.parse_scalar(t) for t in jsonio.read_field(data, "schedule", list, []) or [1, 2, 5, 10, 20, 40]]
@@ -108,7 +112,9 @@ def cmd_busemann(args, data):
 
 
 def cmd_tits(args, data):
-    space = sp.space_from_json(data["space"])
+    from .spaces import space_from_json
+
+    space = space_from_json(data["space"])
     results = []
     ok = True
     for pair in jsonio.read_field(data, "pairs", list):
@@ -123,13 +129,9 @@ def cmd_tits(args, data):
 
 
 def cmd_character(args, data):
-    action = ac.action_from_json(data["action"])
-    end = action.space.parse_boundary(data["end"])
-    base = action.space.parse_point(data["base"])
-    words = jsonio.read_field(data, "words", list)
-    if not all(isinstance(word, str) for word in words):
-        raise ValueError(f"words are strings over the generator names, got {words!r}")
-    values = {word: ac.character_at_end(action, end, base, word) for word in words}
+    from .actions import action_from_json, characters_from_json
+
+    end, values = characters_from_json(action_from_json(data["action"]), data)
     payload = {
         "command": "character",
         "seed": args.seed,
@@ -140,15 +142,9 @@ def cmd_character(args, data):
 
 
 def cmd_shift(args, data):
-    space = sp.space_from_json(data["space"])
-    cfg = ac.ControlConfiguration(
-        space, {label: space.parse_point(p) for label, p in jsonio.read_field(data, "config", dict).items()}
-    )
-    fmap = {}
-    for label, target in jsonio.read_field(data, "map", dict).items():
-        fmap[label] = target if isinstance(target, str) and target in cfg.points else space.parse_point(target)
-    end = space.parse_boundary(data["end"])
-    report = ac.shift_report(cfg, fmap, end)
+    from . import actions as ac, spaces as sp
+
+    report = ac.shift_report_from_json(sp.space_from_json(data["space"]), data)
     payload = {
         "command": "shift",
         "seed": args.seed,
@@ -162,6 +158,8 @@ def cmd_shift(args, data):
 
 
 def cmd_cocompact(args, data):
+    from . import actions as ac
+
     action = ac.action_from_json(data["action"])
     base = action.space.parse_point(data["base"])
     verdict = ac.cocompactness_witness(action, base, args.radius, depth=args.depth, seed=args.seed)
@@ -176,17 +174,15 @@ def cmd_cocompact(args, data):
     return 0, payload
 
 
-def _load_graph(path) -> SimpleGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return SimpleGraph.from_json(json.loads(text))
-    return SimpleGraph.from_edge_list(text)
-
-
 def cmd_raag(args, data):
-    graph = _load_graph(args.graph)
+    from .raag import SimpleGraph, coordinate_hemisphere, flag_verdict
+
+    with open(args.graph, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    if text.lstrip().startswith("{"):
+        graph = SimpleGraph.from_json(json.loads(text))
+    else:
+        graph = SimpleGraph.from_edge_list(text)
     verdict = flag_verdict(graph, args.n)
     payload = {
         "command": "raag",
@@ -204,7 +200,9 @@ def cmd_raag(args, data):
         k = len(graph.vertices)
         if k > 3:
             raise UnsupportedDimension(f"sphere pictures need at most 3 vertices, graph has {k}")
-        chamber = PolyhedralSet.from_clauses(
+        from . import sphere, svg
+
+        chamber = sphere.PolyhedralSet.from_clauses(
             k, [[coordinate_hemisphere(graph, v) for v in graph.vertices]]
         )
         svg.emit_sphere_svg(chamber, args.svg)
@@ -224,29 +222,35 @@ def _add_degrees(args, summary, payload) -> None:
     up to fl(G), 8 when it is infinite) when --table or --csv is given or
     --n is not, and the value at --n when --table is not given.  A negative
     --n is rejected before any table or CSV is made."""
+    from .treesigma import dynamical_sigma, sigma_table
+
     if args.n is not None and args.n < 0:
         raise DegreeOutOfRange(f"degree {args.n} outside [0, {summary.fl_group}]")
     if args.table or args.n is None or args.csv:
         n_max = args.n if args.n is not None else (int(summary.fl_group) if summary.fl_group != math.inf else 8)
-        rows = ts.sigma_table(summary, n_max)
+        rows = sigma_table(summary, n_max)
         payload["table"] = [{"n": n, "value": v} for n, v in rows]
         if args.csv:
             _write_csv(args.csv, rows)
             payload["csv"] = args.csv
     if args.n is not None and not args.table:
         payload["n"] = args.n
-        payload["value"] = ts.dynamical_sigma(summary, args.n)
+        payload["value"] = dynamical_sigma(summary, args.n)
 
 
 def cmd_tree_sigma(args, data):
+    from .treesigma import GraphOfGroupsSummary
+
     payload = {"command": "tree-sigma", "seed": args.seed, "summary": data}
     _add_degrees(args, GraphOfGroupsSummary.from_json(data), payload)
     return 0, payload
 
 
 def cmd_mfpr(args, data):
+    from .treesigma import MFPRData, mfpr_lengths
+
     mfpr = MFPRData.from_json(data)
-    summary = ts.mfpr_lengths(mfpr)
+    summary = mfpr_lengths(mfpr)
     payload = {
         "command": "mfpr",
         "seed": args.seed,
@@ -259,12 +263,16 @@ def cmd_mfpr(args, data):
     }
     _add_degrees(args, summary, payload)
     if args.svg:
+        from . import svg
+
         svg.emit_sphere_svg(list(mfpr.complement), args.svg)
         payload["svg"] = args.svg
     return 0, payload
 
 
 def cmd_audit(args, data):
+    from . import actions as ac, spaces as sp
+
     space = sp.space_from_json(data["space"])
     e1, e2 = _boundary_pair(space, jsonio.read_field(data, "ends", list))
     if args.which == "local-busemann":
@@ -296,7 +304,9 @@ def cmd_audit(args, data):
 
 
 def cmd_verify(args, data):
-    names = sorted(verify.SUITES) if args.suite == "all" else [args.suite]
+    from . import verify
+
+    names = SUITE_NAMES if args.suite == "all" else [args.suite]
     reports = []
     for name in names:
         start = time.perf_counter()
@@ -368,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("audit", space=True)
     p.add_argument("--which", required=True, choices=["local-busemann", "angle-estimate"])
     p = add("verify", data=False)
-    p.add_argument("--suite", default="all", choices=sorted(verify.SUITES) + ["all"])
+    p.add_argument("--suite", default="all", choices=[*SUITE_NAMES, "all"])
     return parser
 
 

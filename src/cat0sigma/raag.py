@@ -31,7 +31,6 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from .errors import DegreeOutOfRange, UnknownVertex
 from .homology import HomologyProfile, SimplicialComplex, homology, join_homology
 from .jsonio import parse_int, read_field
-from .sphere import OpenHemisphere, SpherePoint
 from .trees import cyclic_reduce, reduce_word
 
 # Relator visits one Tietze trivialization may spend before it answers
@@ -481,6 +480,8 @@ def bestvina_brady(graph: SimpleGraph, n: int) -> str:
 def coordinate_hemisphere(graph: SimpleGraph, v) -> OpenHemisphere:
     """The open hemisphere of characters positive on one vertex generator,
     in coordinates indexed by the graph's vertex order."""
+    from .sphere import OpenHemisphere, SpherePoint
+
     if v not in graph.vertices:
         raise UnknownVertex(f"{v!r} is not a vertex")
     i = graph.vertices.index(v)

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from cat0sigma import cli, raag, spaces as sp
+from cat0sigma import cli, raag, spaces as sp, verify
 from cat0sigma.trees import CayleyTree, HnnTree
 
 
@@ -329,7 +329,7 @@ def test_raag_join_job_builds_one_flag_complex_and_one_homology_per_factor(monke
 def count_snf_rows(monkeypatch) -> list:
     """The row count of every matrix handed to the Smith form, through the
     module global that homology() calls."""
-    homology = importlib.import_module("cat0sigma.homology")  # the package exports a function of that name
+    from cat0sigma import homology
     shapes = []
     original = homology.smith_normal_form
 
@@ -417,10 +417,67 @@ def test_one_parser_serves_many_runs():
 
 
 def test_parser_is_not_built_at_import():
-    probe = "import cat0sigma.cli as c; print(c.build_parser.cache_info().currsize)"
+    # Importing the CLI builds no parser and loads only the errors and the
+    # JSON readers of the package; each command then loads the modules it
+    # uses and no other.  Every probe runs in a fresh interpreter.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
-    assert result.stdout == "0\n"
+    loaded = "sorted(m for m in sys.modules if m.split('.')[0] == 'cat0sigma')"
+
+    def probe(code):
+        script = f"import io, json, sys\nimport cat0sigma.cli as c\nout = [{code}, {loaded}]\nprint(json.dumps(out))"
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+        return json.loads(result.stdout)
+
+    assert probe("c.build_parser.cache_info().currsize") == [
+        0, ["cat0sigma", "cat0sigma.cli", "cat0sigma.errors", "cat0sigma.jsonio"]
+    ]
+    unused = {
+        "mfpr --data mfpr_rank4_circuit.json --table": "actions spaces trees raag homology verify exactlp",
+        "raag --graph raag_octahedron.json --n 2": "sphere svg actions spaces treesigma verify exactlp",
+        "busemann --data busemann_cayley.json": "sphere raag homology treesigma verify exactlp",
+    }
+    for job, modules in unused.items():
+        argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in job.split()]
+        code, names = probe(f"c.run({argv!r}, stdout=io.StringIO())")
+        assert code == 0 and {f"cat0sigma.{m}" for m in modules.split()}.isdisjoint(names), (job, names)
+
+
+# The public names of the package, by the submodule that defines them.
+PACKAGE_EXPORTS = {
+    "actions": "ControlConfiguration EuclideanIsometry CayleyIsometry HnnIsometry GroupAction MoebiusIsometry "
+    "QuadraticIrrational ShiftReport angle_estimate_audit character_at_end classify_isometry cocompactness_witness "
+    "equivariance_check fixed_ends_tree iterate_shift_check local_busemann_audit psi_cocycle shift_report "
+    "sl2z_sigma0_complement",
+    "homology": "SimplicialComplex join_homology smith_normal_form",
+    "raag": "SimpleGraph bestvina_brady connectivity_verdict coordinate_hemisphere dominated_core flag_complex "
+    "flag_verdict join_factors",
+    "spaces": "EDirection EuclideanSpace GeneralizedRay H2_INFINITY Horoball HyperbolicPlane TreeSpace "
+    "angular_distance asymptotic_offset busemann busemann_limit_audit comparison_angle distance geodesic_point "
+    "horoball_contains ray_from tits_distance",
+    "sphere": "Character MValue OpenHemisphere PolyhedralSet SpherePoint euclidean_join_decomposition m_value "
+    "minimal_ray_count normalize_ray polyhedral_contains",
+    "trees": "CayleyTree HnnDown HnnTree HnnUp RegularTree TreePoint WordEnd make_word_end",
+    "treesigma": "GraphOfGroupsSummary MFPRData brown_consistency dynamical_sigma mfpr_lengths sigma_table",
+}
+
+
+def test_package_exports_and_suite_names():
+    # The package loads a submodule when one of its names is first read.  A
+    # submodule's own name is the submodule, so ``homology`` is the module
+    # and the function is ``cat0sigma.homology.homology``.
+    import cat0sigma
+
+    listed = set(dir(cat0sigma))
+    for module, names in PACKAGE_EXPORTS.items():
+        for name in names.split():
+            assert getattr(cat0sigma, name) is getattr(importlib.import_module(f"cat0sigma.{module}"), name), name
+            assert name in listed, name
+    for module in ("errors", "homology"):
+        assert getattr(cat0sigma, module) is importlib.import_module(f"cat0sigma.{module}")
+        assert module in listed
+    with pytest.raises(AttributeError):
+        cat0sigma.no_such_name
+    assert cli.SUITE_NAMES == tuple(sorted(verify.SUITES))
 
 
 def test_package_runs_as_a_module():
@@ -464,18 +521,18 @@ def test_busemann_job_checks_its_ray_end_once(monkeypatch):
 
 
 # Point and end checks per golden job.  Each is one check by the reader that
-# parses the value, or one by the library function it is handed to
-# (GroupAction's sample center, the base and end of each character word,
-# ControlConfiguration's points); nothing computes a check on an image, a
-# sample, an orbit point, a ray point or a probe end.
+# parses the value, or one by the library function it is handed to; a
+# character job checks its end and base once for all its words, and a shift
+# job each point, raw image and its end once.  Nothing computes a check on
+# an image, a sample, an orbit point, a ray point or a probe end.
 CHECKS_PER_JOB = {
     "tits_tree.json": {"check_end": 6},
-    "character_cayley.json": {"check_point": 6, "check_end": 6},
-    "character_hnn.json": {"check_point": 6, "check_end": 6},
+    "character_cayley.json": {"check_point": 1, "check_end": 1},
+    "character_hnn.json": {"check_point": 1, "check_end": 1},
     "cocompact_f2.json": {"check_point": 2},
     "audit_local_tree.json": {"check_point": 3, "check_end": 4},
     "audit_local_e2.json": {"check_point": 3},
-    "shift_tree.json": {"check_point": 8, "check_end": 2},
+    "shift_tree.json": {"check_point": 4, "check_end": 1},
 }
 
 

@@ -58,17 +58,15 @@ def test_only_space_modules_check_model_classes():
 
 def check_point_callers(source: str, method: str = "check_point") -> set[str]:
     """Names of the module-level functions and the "Class.method"s whose
-    bodies call ``.check_point`` (or the given method)."""
+    bodies call ``.check_point`` (or the given method) or hand it on as a
+    value for a helper to call."""
     out = set()
     for top in ast.parse(source).body:
         defs = [(top.name, top)] if isinstance(top, ast.FunctionDef) else []
         if isinstance(top, ast.ClassDef):
             defs = [(f"{top.name}.{f.name}", f) for f in top.body if isinstance(f, ast.FunctionDef)]
         for name, func in defs:
-            if any(
-                isinstance(node, ast.Call) and getattr(node.func, "attr", None) == method
-                for node in ast.walk(func)
-            ):
+            if any(isinstance(node, ast.Attribute) and node.attr == method for node in ast.walk(func)):
                 out.add(name)
     return out
 
@@ -107,11 +105,14 @@ CHECKING_ENDS = {
     "angular_distance",
     "tits_distance",
 }
-# The public functions of actions, each for the points from its caller.
+# The public functions of actions, each for the points from its caller (the
+# shift checks hand check_point to _image_pairs for the raw images).
 CHECKING_ACTIONS = {
     "GroupAction.apply",
     "ControlConfiguration.__init__",
-    "_image_pairs",
+    "shift_report",
+    "iterate_shift_check",
+    "equivariance_check",
     "character_at_end",
     "psi_cocycle",
     "cocompactness_witness",
@@ -132,8 +133,9 @@ def test_guard_finds_check_point_callers():
         "def entry(M, p):\n    return M.distance(M.check_point(p), p)\n"
         "class S:\n    def distance(self, a, b):\n        return [self.check_point(x) for x in (a, b)]\n"
         "    def ray_point(self, ray, t):\n        return ray.base\n"
+        "def handing_on(cfg, f):\n    return pairs(cfg, f, cfg.space.check_point)\n"
     )
-    assert check_point_callers(sample) == {"entry", "S.distance"}
+    assert check_point_callers(sample) == {"entry", "S.distance", "handing_on"}
 
 
 def test_points_are_checked_only_where_they_enter():

@@ -633,29 +633,17 @@ def fixed_ends_tree(action: GroupAction) -> FixedEndReport:
 # Endpoint characters and the Busemann cocycle
 
 
-def character_at_end(action: GroupAction, e, a, word: str):
-    """chi_e(g) = beta(ga) - beta(a) along a ray from a to e; requires every
-    generator to fix e (raises EndNotFixed otherwise)."""
+def character_at_end(action: GroupAction, e, a, words: Sequence[str]) -> dict:
+    """{g: chi_e(g)} for the words g, where chi_e(g) = beta(ga) - beta(a)
+    along the ray from a to e; requires every generator to fix e (raises
+    EndNotFixed otherwise)."""
     space = action.space
-    e = space.check_boundary(e)
+    e, a = space.check_boundary(e), space.check_point(a)
+    if not words:  # an empty word list asks nothing of the end
+        return {}
     _check_fixed(action, e)
-    return _psi(action, word, space.check_point(a), e)
-
-
-def characters_from_json(action: GroupAction, data: Mapping):
-    """The end of a JSON character problem ("end", "base" and "words",
-    strings over the generator names) and chi_end on each word.  The end and
-    the base are checked once, where the space's JSON readers read them, and
-    the generators are tested once for fixing the end."""
-    space = action.space
-    end = space.parse_boundary(data["end"])
-    base = space.parse_point(data["base"])
-    words = read_field(data, "words", list)
-    if not all(isinstance(word, str) for word in words):
-        raise ValueError(f"words are strings over the generator names, got {words!r}")
-    if words:  # an empty word list asks nothing of the end
-        _check_fixed(action, end)
-    return end, {word: _psi(action, word, base, end) for word in words}
+    ray = space.ray_from(a, e)
+    return {word: _psi(action, word, ray) for word in words}
 
 
 def _check_fixed(action: GroupAction, e) -> None:
@@ -668,11 +656,13 @@ def _check_fixed(action: GroupAction, e) -> None:
 def psi_cocycle(action: GroupAction, e, word: str, a):
     """psi_e(g, a) = beta(ga) - beta(a); defined for every g, whether or not
     it fixes e, and independent of the ray chosen for e."""
-    return _psi(action, word, action.space.check_point(a), action.space.check_target(e))
+    space = action.space
+    return _psi(action, word, space.ray_from(space.check_point(a), space.check_target(e)))
 
 
-def _psi(action: GroupAction, word: str, a, e):
-    ray = action.space.ray_from(a, e)
+def _psi(action: GroupAction, word: str, ray: GeneralizedRay):
+    """beta(ga) - beta(a) along the ray from a."""
+    a = ray.base
     return ray.busemann(action._evaluate(action.letters(word), a)) - ray.busemann(a)
 
 
@@ -688,21 +678,10 @@ class ControlConfiguration:
     points: dict
 
     def __init__(self, space: ModelSpace, points: Mapping):
-        self._fill(space, {label: space.check_point(p) for label, p in points.items()})
-
-    @classmethod
-    def from_json(cls, space: ModelSpace, data: Mapping) -> "ControlConfiguration":
-        """The configuration of a JSON object {label: point}; each point is
-        checked once, where space.parse_point reads it."""
-        cfg = cls.__new__(cls)
-        cfg._fill(space, {label: space.parse_point(p) for label, p in data.items()})
-        return cfg
-
-    def _fill(self, space: ModelSpace, checked: dict) -> None:
-        if not checked:
+        if not points:
             raise EmptyConfiguration("control configurations are nonempty")
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "points", checked)
+        object.__setattr__(self, "points", {label: space.check_point(p) for label, p in points.items()})
 
     def labels(self):
         return sorted(self.points, key=str)
@@ -749,17 +728,17 @@ def _is_label(cfg: ControlConfiguration, value) -> bool:
         return False
 
 
-def _image_pairs(cfg: ControlConfiguration, f: Mapping, read) -> dict:
+def _image_pairs(cfg: ControlConfiguration, f: Mapping) -> dict:
     """(point, image) by label for the map f on the configuration; an image
-    is a label or a raw point, which read checks: the space's check_point,
-    or its parse_point for JSON.  Labels win over raw points when a value
-    could be read as either."""
+    is a label or a raw point, which is checked here.  Labels win over raw
+    points when a value could be read as either."""
     if not f:
         raise EmptyConfiguration("the map has empty domain")
     for label in f:
         if label not in cfg.points:
             raise NotClosed(f"domain label {label!r} is not in the configuration")
-    return {label: (cfg.points[label], cfg.points[x] if _is_label(cfg, x) else read(x)) for label, x in f.items()}
+    check = cfg.space.check_point
+    return {label: (cfg.points[label], cfg.points[x] if _is_label(cfg, x) else check(x)) for label, x in f.items()}
 
 
 def _shift(space: ModelSpace, pairs: Mapping, e) -> ShiftReport:
@@ -781,18 +760,7 @@ def shift_report(cfg: ControlConfiguration, f: Mapping, e) -> ShiftReport:
     beta(x); the guaranteed shift is its minimum over the configuration,
     and the map is a contraction toward e when that minimum is positive.
     """
-    space = cfg.space
-    return _shift(space, _image_pairs(cfg, f, space.check_point), space.check_target(e))
-
-
-def shift_report_from_json(space: ModelSpace, data: Mapping) -> ShiftReport:
-    """The shift report of a JSON shift problem in the space: "config"
-    ({label: point}), "map" ({label: label or point}) and "end".  Each
-    point, raw image and the end is checked once, where the space's JSON
-    readers read it."""
-    cfg = ControlConfiguration.from_json(space, read_field(data, "config", dict))
-    pairs = _image_pairs(cfg, read_field(data, "map", dict), space.parse_point)
-    return _shift(space, pairs, space.parse_boundary(data["end"]))
+    return _shift(cfg.space, _image_pairs(cfg, f), cfg.space.check_target(e))
 
 
 @dataclass(frozen=True)
@@ -812,11 +780,11 @@ def iterate_shift_check(cfg: ControlConfiguration, f: Mapping, e, m: int) -> Ite
         if target not in f:
             raise NotClosed(f"image {target!r} of {label!r} is outside the map's domain")
     space = cfg.space
-    base = _shift(space, _image_pairs(cfg, f, space.check_point), space.check_target(e))
+    base = _shift(space, _image_pairs(cfg, f), space.check_target(e))
     current = {label: label for label in f}
     for _ in range(m):
         current = {label: f[current[label]] for label in current}
-    iterate = _shift(space, _image_pairs(cfg, current, space.check_point), base.end)
+    iterate = _shift(space, _image_pairs(cfg, current), base.end)
     bound = m * base.gsh
     return IterateCheck(iterate.gsh >= bound - space.slack(GLOBAL_TOL), m, iterate.gsh, bound)
 
@@ -833,7 +801,7 @@ def equivariance_check(
 ) -> EquivarianceCheck:
     """gsh toward g e of the translated map g f equals gsh toward e of f."""
     space = cfg.space
-    pairs = _image_pairs(cfg, f, space.check_point)
+    pairs = _image_pairs(cfg, f)
     e = space.check_boundary(e)
     isos = action.letters(word)
     original = _shift(space, pairs, e)
@@ -980,16 +948,13 @@ def local_busemann_audit(
     return AuditReport(passed, len(pts), worst, {"R": R, "rhs": rhs})
 
 
-def angle_estimate_audit(M: ModelSpace, ray1: GeneralizedRay, ray2: GeneralizedRay, schedule) -> AuditReport:
-    """Check the chord bound d(ray1(t), ray2(t)) <= 2 t sin(angle/2) where
-    the angle is the angular distance of the two endpoints; equality on
-    E^k, inequality elsewhere."""
-    ray1, ray2 = M.check_ray(ray1), M.check_ray(ray2)
-    if ray1.is_degenerate or ray2.is_degenerate:
-        raise ValueError("the chord estimate needs rays to boundary points")
-    if M.distance(ray1.base, ray2.base) > M.slack(1e-12):
-        raise ValueError("the chord estimate needs a common base point")
-    ang = M.angular_distance(ray1.end, ray2.end)
+def angle_estimate_audit(M: ModelSpace, base, e, e2, schedule) -> AuditReport:
+    """Check the chord bound d(ray1(t), ray2(t)) <= 2 t sin(angle/2) for the
+    rays from the base to the ends e and e2, where the angle is the angular
+    distance of the two ends; equality on E^k, inequality elsewhere."""
+    base, e, e2 = M.check_point(base), M.check_boundary(e), M.check_boundary(e2)
+    ray1, ray2 = M.ray_from(base, e), M.ray_from(base, e2)
+    ang = M.angular_distance(e, e2)
     worst = None
     rows = []
     for t in schedule:

@@ -71,20 +71,21 @@ def _space_override(args, data):
 
 # ---------------------------------------------------------------------------
 # Command handlers.  Each returns (exit_code, payload), and each imports the
-# modules it uses, so a command loads no module it does not need.
+# modules it uses, so a command loads no module it does not need.  The JSON
+# readers only parse; the library function a handler hands a value to checks
+# it, and a handler that computes with space methods checks each value once.
 
 
 def cmd_busemann(args, data):
-    from .spaces import space_from_json
+    from . import spaces as sp
 
-    space = space_from_json(data["space"])
-    ray = jsonio.parse_ray(space, data["ray"])
-    points = [space.parse_point(p) for p in jsonio.read_field(data, "points", list, [])]
+    space = sp.space_from_json(data["space"])
+    ray = sp.ray_from(space, *jsonio.parse_ray(space, data["ray"]))
+    points = [space.check_point(space.parse_point(p)) for p in jsonio.read_field(data, "points", list, [])]
     schedule = [space.parse_scalar(t) for t in jsonio.read_field(data, "schedule", list, []) or [1, 2, 5, 10, 20, 40]]
     mono_slack = space.slack(1e-12)
     bound_slack = space.slack(args.tol)
     values, audits = [], []
-    # The points and the ray base were checked where they were parsed.
     for p in points:
         closed = ray.busemann(p)
         vals = [v for _, v in ray.limit_audit(p, schedule)]
@@ -118,8 +119,7 @@ def cmd_tits(args, data):
     results = []
     ok = True
     for pair in jsonio.read_field(data, "pairs", list):
-        # The ends were checked where they were parsed.
-        e1, e2 = _boundary_pair(space, pair)
+        e1, e2 = (space.check_boundary(e) for e in _boundary_pair(space, pair))
         ang = space.angular_distance(e1, e2)
         td = space.tits_distance(e1, e2)
         ok = ok and td >= ang - args.tol
@@ -129,14 +129,19 @@ def cmd_tits(args, data):
 
 
 def cmd_character(args, data):
-    from .actions import action_from_json, characters_from_json
+    from .actions import action_from_json, character_at_end
 
-    end, values = characters_from_json(action_from_json(data["action"]), data)
+    action = action_from_json(data["action"])
+    end = action.space.parse_boundary(data["end"])
+    base = action.space.parse_point(data["base"])
+    words = jsonio.read_field(data, "words", list)
+    if not all(isinstance(word, str) for word in words):
+        raise ValueError(f"words are strings over the generator names, got {words!r}")
     payload = {
         "command": "character",
         "seed": args.seed,
         "end": end,
-        "values": values,
+        "values": character_at_end(action, end, base, words),
     }
     return 0, payload
 
@@ -144,7 +149,13 @@ def cmd_character(args, data):
 def cmd_shift(args, data):
     from . import actions as ac, spaces as sp
 
-    report = ac.shift_report_from_json(sp.space_from_json(data["space"]), data)
+    space = sp.space_from_json(data["space"])
+    config = jsonio.read_field(data, "config", dict)
+    points = {label: space.parse_point(p) for label, p in config.items()}
+    fmap = jsonio.read_field(data, "map", dict)
+    # A map value is a label when it is a string key of the configuration.
+    images = {label: x if isinstance(x, str) and x in config else space.parse_point(x) for label, x in fmap.items()}
+    report = ac.shift_report(ac.ControlConfiguration(space, points), images, space.parse_boundary(data["end"]))
     payload = {
         "command": "shift",
         "seed": args.seed,
@@ -288,9 +299,8 @@ def cmd_audit(args, data):
         )
     else:
         base = space.parse_point(data["base"])
-        ray1, ray2 = space.ray_from(base, e1), space.ray_from(base, e2)
         schedule = [space.parse_scalar(t) for t in jsonio.read_field(data, "schedule", list, [1, 2, 5, 10])]
-        report = ac.angle_estimate_audit(space, ray1, ray2, schedule)
+        report = ac.angle_estimate_audit(space, base, e1, e2, schedule)
     payload = {
         "command": "audit",
         "which": args.which,

@@ -1,7 +1,8 @@
 """JSON parsing and serialization for points, boundary points, rays and
 reports.  The schemas are documented in docs/formats.md.  Each model space
 parses its own points and ends with the readers here, which turn a
-malformed shape into a ValueError (exit 2 on the command line)."""
+malformed shape into a ValueError (exit 2 on the command line).  They only
+parse: the library function that receives a value checks it."""
 
 from __future__ import annotations
 
@@ -73,9 +74,8 @@ def parse_end_or_point(space, data):
 
 
 def parse_ray(space, data):
-    base = space.parse_point(read_field(data, "base"))
-    end = parse_end_or_point(space, read_field(data, "end"))
-    return space.ray_from(base, end)
+    """The (base, target) pair of a ray, as read; spaces.ray_from checks both."""
+    return space.parse_point(read_field(data, "base")), parse_end_or_point(space, read_field(data, "end"))
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,13 @@ cocompactness test.  The module-level functions (:func:`distance`,
 :func:`busemann`, :func:`ray_from`, ...) are the public entry points and
 hold only the logic that all spaces share.
 
-A point or an end is checked once, where it enters: the JSON readers and
-the entry points check each one from their caller (``check_point``,
-``check_boundary``, ``check_target``) and hand the checked value to the
-space methods, which compute and check nothing.  Values the library
-builds itself (ray points, samples, images under an isometry, probe ends)
-are valid by construction; a ray is checked only to belong to the space.
+Readers only parse: ``parse_point`` and ``parse_boundary`` check the JSON
+structure and the numbers.  The entry point that receives a value checks
+it, once (``check_point``, ``check_boundary``, ``check_target``), and
+hands it to the space methods, which compute and check nothing.  Values
+the library builds itself (ray points, samples, images under an isometry,
+probe ends) are valid by construction; a ray is checked only to belong to
+the space.
 
 A generalized ray is a unit-speed geodesic ray, or a geodesic segment held
 constant after its endpoint (the degenerate case, with the stopping
@@ -70,17 +71,19 @@ class ModelSpace:
     """A model CAT(0) space.  Each subclass implements the per-space
     operations that the entry points below dispatch to: ``check_point``,
     ``check_boundary``, ``check_target`` (a ray's target, an end or a
-    point), ``origin``, ``to_json``, the JSON readers (``parse_point``, ``parse_boundary``,
-    ``parse_scalar``), ``distance``, ``geodesic_point``, ``ray_from``,
-    ``ray_point``, ``busemann_to_end`` (the closed form toward a boundary
-    point), ``angle_between_rays``, one seeded draw of a point
-    (``sample_point``) or an end (``sample_end``), and the cocompactness
-    helpers ``orbit_key``, ``region`` and ``probe_ends``.
+    point), ``origin``, ``to_json``, the JSON readers (``parse_point``,
+    ``parse_boundary``, ``parse_scalar``), ``distance``,
+    ``geodesic_point``, ``ray_from``, ``ray_point``, ``busemann_to_end``
+    (the closed form toward a boundary point), ``angle_between_rays``, one
+    seeded draw of a point (``sample_point``) or an end (``sample_end``),
+    and the cocompactness helpers ``orbit_key``, ``region`` and
+    ``probe_ends``.
 
-    The methods take points and ends already returned by ``check_point``,
-    ``check_boundary`` or ``check_target`` (or built by the space itself)
-    and do not check them again; ``check_ray`` rejects a ray of another
-    space.
+    The readers only parse, and the entry point that receives a value
+    checks it.  The methods take points and ends already returned by
+    ``check_point``, ``check_boundary`` or ``check_target`` (or built by the
+    space itself) and do not check them again; ``check_ray`` rejects a ray
+    of another space.
 
     ``exact`` spaces (the trees) compute over Fractions with zero slack.
     ``flat`` marks Euclidean space, whose boundary is a round sphere in
@@ -175,10 +178,10 @@ class EuclideanSpace(ModelSpace):
     def parse_point(self, data):
         if not isinstance(data, list):
             raise ValueError(f"a point of {self.name} is a list of {self.k} numbers, got {data!r}")
-        return self.check_point(tuple(parse_real(c) for c in data))
+        return tuple(parse_real(c) for c in data)
 
     def parse_boundary(self, data):
-        return self.check_boundary(EDirection(tuple(parse_real(c) for c in read_field(data, "direction", list))))
+        return EDirection(tuple(parse_real(c) for c in read_field(data, "direction", list)))
 
     def distance(self, a, b):
         return _norm(_sub(a, b))
@@ -293,13 +296,11 @@ class HyperbolicPlane(ModelSpace):
             x, y = data
         else:
             raise ValueError(f'an H2 point is {{"x": X, "y": Y}} or [X, Y], got {data!r}')
-        return self.check_point(complex(parse_real(x), parse_real(y)))
+        return complex(parse_real(x), parse_real(y))
 
     def parse_boundary(self, data):
         xi = read_field(data, "xi") if isinstance(data, dict) else data
-        if xi in ("inf", "oo", "infinity"):
-            return H2_INFINITY
-        return self.check_boundary(parse_fraction(xi))
+        return H2_INFINITY if xi in ("inf", "oo", "infinity") else parse_fraction(xi)
 
     def distance(self, a, b):
         return _h2_distance(a, b)
@@ -391,6 +392,8 @@ class TreeSpace(ModelSpace):
         if not isinstance(p, TreePoint):
             p = TreePoint(p)
         self.model.check_vertex(p.vertex)
+        if p.up and self.model.parent(p.vertex) is None:
+            raise WrongSpace(f"the root {p.vertex!r} has no parent edge to hold the offset {p.up}")
         return p
 
     def check_boundary(self, e):
@@ -405,15 +408,12 @@ class TreeSpace(ModelSpace):
 
     def parse_point(self, data):
         if not isinstance(data, dict):
-            return self.check_point(TreePoint(self.model.parse_vertex(data)))
+            return TreePoint(self.model.parse_vertex(data))
         vertex = self.model.parse_vertex(read_field(data, "vertex"))
-        p = self.check_point(TreePoint(vertex, parse_fraction(read_field(data, "up", default=0))))
-        if p.up and self.model.parent(vertex) is None:
-            raise WrongSpace(f"the root {vertex!r} has no parent edge to hold the offset {p.up}")
-        return p
+        return TreePoint(vertex, parse_fraction(read_field(data, "up", default=0)))
 
     def parse_boundary(self, data):
-        return self.check_boundary(self.model.parse_end(data))
+        return self.model.parse_end(data)
 
     def parse_scalar(self, data):
         return parse_fraction(data)

@@ -173,7 +173,7 @@ def test_classification_examples():
     assert cls6.kind == "hyperbolic" and cls6.translation_length == 1
     assert cls6.axis_ends == (HnnDown(F(-6, 5)), HnnUp())
     assert classify_isometry(hnn6, "T").axis_ends == (HnnUp(), HnnDown(F(0)))
-    assert character_at_end(hnn6, HnnUp(), hnn6.space.origin(), "t") == -1
+    assert character_at_end(hnn6, HnnUp(), hnn6.space.origin(), ["t"]) == {"t": -1}
 
 
 def test_classifying_a_long_conjugate_takes_one_pass():
@@ -227,19 +227,23 @@ def test_fixed_ends_examples():
 def test_character_examples():
     hyp = GroupAction.moebius({"p": [[1, 1], [0, 1]], "h": [[2, 0], [0, F(1, 2)]]})
     base = 1j
-    assert abs(character_at_end(hyp, H2_INFINITY, base, "p")) < 1e-12
-    assert abs(character_at_end(hyp, H2_INFINITY, base, "h") - math.log(4)) < 1e-12
-    assert abs(character_at_end(hyp, H2_INFINITY, base, "hp") - math.log(4)) < 1e-9
+    chi = character_at_end(hyp, H2_INFINITY, base, ["p", "h", "hp"])
+    assert list(chi) == ["p", "h", "hp"]
+    assert abs(chi["p"]) < 1e-12
+    assert abs(chi["h"] - math.log(4)) < 1e-12
+    assert abs(chi["hp"] - math.log(4)) < 1e-9
 
     hnn = GroupAction.ascending_hnn(2)
     origin = hnn.space.origin()
-    assert character_at_end(hnn, HnnUp(), origin, "a") == 0
-    assert character_at_end(hnn, HnnUp(), origin, "t") == -1
-    assert character_at_end(hnn, HnnUp(), origin, "taT") == -1 + 0 + 1
+    assert character_at_end(hnn, HnnUp(), origin, ["a", "t", "taT", "t"]) == {"a": 0, "t": -1, "taT": -1 + 0 + 1}
 
     moved = GroupAction.moebius({"m": [[1, 3], [0, 1]], "h": [[3, 0], [0, F(1, 3)]]})
     with pytest.raises(EndNotFixed):
-        character_at_end(moved, F(0), 1j, "m")
+        character_at_end(moved, F(0), 1j, ["m"])
+    # No word asks nothing of the end, but the end and the base are checked.
+    assert character_at_end(moved, F(0), 1j, []) == {}
+    with pytest.raises(WrongSpace):
+        character_at_end(moved, F(0), complex(0, -1), [])
 
 
 def test_character_additivity_and_base_independence(rng):
@@ -249,13 +253,9 @@ def test_character_additivity_and_base_independence(rng):
     for _ in range(40):
         g = "".join(rng.choice("atAT") for _ in range(rng.randrange(1, 4)))
         h = "".join(rng.choice("atAT") for _ in range(rng.randrange(1, 4)))
-        total = character_at_end(hnn, HnnUp(), origin, g + h)
-        assert total == character_at_end(hnn, HnnUp(), origin, g) + character_at_end(
-            hnn, HnnUp(), origin, h
-        )
-        assert character_at_end(hnn, HnnUp(), other, g) == character_at_end(
-            hnn, HnnUp(), origin, g
-        )
+        chi = character_at_end(hnn, HnnUp(), origin, [g, h, g + h])
+        assert chi[g + h] == chi[g] + chi[h]
+        assert character_at_end(hnn, HnnUp(), other, [g]) == {g: chi[g]}
 
 
 def test_psi_cocycle_identity(rng):
@@ -276,14 +276,12 @@ def test_psi_matches_character_when_the_end_is_fixed():
     for a in [1j, complex(0.5, 2.0)]:
         for word in ["p", "h", "hp"]:
             psi = psi_cocycle(hyp, H2_INFINITY, word, a)
-            chi = character_at_end(hyp, H2_INFINITY, a, word)
+            chi = character_at_end(hyp, H2_INFINITY, a, [word])[word]
             assert abs(psi - chi) < 1e-9
     hnn = GroupAction.ascending_hnn(2)
     base = hnn.space.origin()
     for word in ["t", "a", "taT"]:
-        assert psi_cocycle(hnn, HnnUp(), word, base) == character_at_end(
-            hnn, HnnUp(), base, word
-        )
+        assert {word: psi_cocycle(hnn, HnnUp(), word, base)} == character_at_end(hnn, HnnUp(), base, [word])
 
 
 def test_psi_for_translations_is_inner_product():

@@ -520,19 +520,21 @@ def test_busemann_job_checks_its_ray_end_once(monkeypatch):
     assert code == 0 and len(ends) == 1
 
 
-# Point and end checks per golden job.  Each is one check by the reader that
-# parses the value, or one by the library function it is handed to; a
-# character job checks its end and base once for all its words, and a shift
-# job each point, raw image and its end once.  Nothing computes a check on
-# an image, a sample, an orbit point, a ray point or a probe end.
+# Point and end checks, and tree rays built, per golden job.  The readers
+# only parse, and each value is checked once, by the library function it is
+# handed to; a character job checks its end and base once for all its words
+# and builds one ray, and a shift job checks each point, raw image and its
+# end once.  Nothing computes a check on an image, a sample, an orbit point,
+# a ray point or a probe end.
 CHECKS_PER_JOB = {
     "tits_tree.json": {"check_end": 6},
-    "character_cayley.json": {"check_point": 1, "check_end": 1},
-    "character_hnn.json": {"check_point": 1, "check_end": 1},
-    "cocompact_f2.json": {"check_point": 2},
-    "audit_local_tree.json": {"check_point": 3, "check_end": 4},
-    "audit_local_e2.json": {"check_point": 3},
-    "shift_tree.json": {"check_point": 4, "check_end": 1},
+    "character_cayley.json": {"check_point": 1, "check_end": 1, "ray_from": 1},
+    "character_hnn.json": {"check_point": 1, "check_end": 1, "ray_from": 1},
+    "cocompact_f2.json": {"check_point": 1},
+    "audit_local_tree.json": {"check_point": 2, "check_end": 2, "ray_from": 2},
+    "audit_local_e2.json": {"check_point": 2},
+    "audit_angle_tree.json": {"check_point": 1, "check_end": 2, "ray_from": 2},
+    "shift_tree.json": {"check_point": 4, "check_end": 1, "ray_from": 1},
 }
 
 
@@ -547,6 +549,7 @@ def test_golden_jobs_check_each_point_and_end_once(monkeypatch):
         counted(cls, "check_point")
     for cls in (CayleyTree, HnnTree):
         counted(cls, "check_end")
+    counted(sp.TreeSpace, "ray_from")
     cases = json.loads((GOLDEN / "cli_stdout.json").read_text(encoding="utf-8"))
     for name, expected in CHECKS_PER_JOB.items():
         case = next(c for c in cases if c["argv"][2] == name)

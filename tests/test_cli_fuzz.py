@@ -15,7 +15,7 @@ from cat0sigma import cli
 from cat0sigma.jsonio import jsonable, parse_int
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
-FUZZED_COMMANDS = {"busemann", "tits", "character", "shift", "audit", "tree-sigma"}
+FUZZED_COMMANDS = {"busemann", "tits", "character", "shift", "cocompact", "audit", "tree-sigma"}
 CASES = [
     case["argv"]
     for case in json.loads((GOLDEN / "cli_stdout.json").read_text(encoding="utf-8"))

@@ -2,6 +2,7 @@
 
 import collections
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +19,7 @@ from cat0sigma.actions import (
     shift_report,
 )
 from cat0sigma.errors import EmptyConfiguration, NotClosed, WrongSpace
-from cat0sigma.spaces import EDirection, EuclideanSpace, H2_INFINITY, HyperbolicPlane, TreeSpace, ray_from
+from cat0sigma.spaces import EDirection, EuclideanSpace, H2_INFINITY, HyperbolicPlane, TreeSpace
 from cat0sigma.trees import CayleyTree, HnnTree, HnnUp, TreePoint, make_word_end
 
 E2 = EuclideanSpace(2)
@@ -180,27 +181,22 @@ def make_end_down():
 
 
 def test_angle_estimate_audit_examples():
-    r1 = ray_from(E2, (0.0, 0.0), EDirection((1, 0)))
-    r2 = ray_from(E2, (0.0, 0.0), EDirection((0, 1)))
-    rep = angle_estimate_audit(E2, r1, r2, [1, 2, 5, 10])
+    rep = angle_estimate_audit(E2, (0.0, 0.0), EDirection((1, 0)), EDirection((0, 1)), [1, 2, 5, 10])
     assert rep.passed
     assert abs(rep.worst_slack) < 1e-9  # flat case: equality
 
     H2 = HyperbolicPlane()
-    h1 = ray_from(H2, 1j, F(0))
-    h2 = ray_from(H2, 1j, F(1))
-    rep = angle_estimate_audit(H2, h1, h2, [1.0, 2.0, 5.0, 10.0])
+    rep = angle_estimate_audit(H2, 1j, F(0), F(1), [1.0, 2.0, 5.0, 10.0])
     assert rep.passed and rep.worst_slack > 0.3  # strict for non-opposite rays
 
     T = TreeSpace(CayleyTree(2))
-    t1 = ray_from(T, TreePoint(()), make_word_end((), (1,)))
-    t2 = ray_from(T, TreePoint(()), make_word_end((), (2,)))
-    rep = angle_estimate_audit(T, t1, t2, [F(1), F(2), F(3)])
+    rep = angle_estimate_audit(T, TreePoint(()), make_word_end((), (1,)), make_word_end((), (2,)), [F(1), F(2), F(3)])
     assert rep.passed
-    with pytest.raises(ValueError):
-        angle_estimate_audit(E2, r1, ray_from(E2, (1.0, 0.0), EDirection((0, 1))), [1])
-    # A ray of another space, or one that stops at a point, has no chord bound.
-    with pytest.raises(WrongSpace):
-        angle_estimate_audit(H2, h1, r2, [1])
-    with pytest.raises(ValueError, match="^the chord estimate needs rays to boundary points$"):
-        angle_estimate_audit(E2, r1, ray_from(E2, (0.0, 0.0), (1.0, 0.0)), [1])
+    # A point passed as an end has no chord bound.
+    with pytest.raises(WrongSpace, match=f"^{re.escape('boundary of H2 is R plus infinity, got 2j')}$"):
+        angle_estimate_audit(H2, 1j, F(0), 2j, [1])
+    with pytest.raises(ValueError, match="^ends of a cayley tree are word ends$"):
+        angle_estimate_audit(T, TreePoint(()), make_word_end((), (1,)), TreePoint((1,)), [F(1)])
+    hnn = TreeSpace(HnnTree(2))
+    with pytest.raises(ValueError, match="^HNN tree ends are HnnUp or HnnDown$"):
+        angle_estimate_audit(hnn, hnn.origin(), HnnUp(), hnn.origin(), [F(1)])

@@ -1,11 +1,12 @@
 """Tooling guards for the space protocol: only the space and tree modules
-may ask which model space or tree model a value is, and a point or an end
-is checked once, where it enters (the entry points and JSON readers),
-never again by the space methods that compute with it."""
+may ask which model space or tree model a value is, the JSON readers only
+parse, and a point or an end is checked once, by the entry point that
+receives it, never again by the space methods that compute with it."""
 
 import ast
 import pathlib
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -56,19 +57,25 @@ def test_only_space_modules_check_model_classes():
 # Where points are checked
 
 
-def check_point_callers(source: str, method: str = "check_point") -> set[str]:
-    """Names of the module-level functions and the "Class.method"s whose
-    bodies call ``.check_point`` (or the given method) or hand it on as a
-    value for a helper to call."""
-    out = set()
+def checks_used(source: str) -> dict[str, set[str]]:
+    """The ``check_*`` names that each module-level function and each
+    "Class.method" calls or hands on as a value for a helper to call, as an
+    attribute (``M.check_point``) or as a bare name (``check_depth``)."""
+    out = {}
     for top in ast.parse(source).body:
         defs = [(top.name, top)] if isinstance(top, ast.FunctionDef) else []
         if isinstance(top, ast.ClassDef):
             defs = [(f"{top.name}.{f.name}", f) for f in top.body if isinstance(f, ast.FunctionDef)]
         for name, func in defs:
-            if any(isinstance(node, ast.Attribute) and node.attr == method for node in ast.walk(func)):
-                out.add(name)
+            names = (getattr(node, "attr", None) or getattr(node, "id", None) for node in ast.walk(func))
+            out[name] = {n for n in names if n and n.startswith("check_")}
     return out
+
+
+def check_point_callers(source: str, method: str = "check_point") -> set[str]:
+    """Names of the module-level functions and the "Class.method"s whose
+    bodies call ``.check_point`` (or the given method) or hand it on."""
+    return {name for name, used in checks_used(source).items() if method in used}
 
 
 # The space methods that compute with checked points.
@@ -82,20 +89,12 @@ CHECKING_SPACES = {
     "busemann_limit_audit",
     "comparison_angle",
     "sample_points_near",
-    # The JSON readers.
-    "EuclideanSpace.parse_point",
-    "HyperbolicPlane.parse_point",
-    "TreeSpace.parse_point",
     # The check of a ray's target, a point or an end, for the entry point
     # ray_from (H2 tells them apart by type).
     "EuclideanSpace.check_target",
     "TreeSpace.check_target",
 }
 CHECKING_ENDS = {
-    # The JSON readers.
-    "EuclideanSpace.parse_boundary",
-    "HyperbolicPlane.parse_boundary",
-    "TreeSpace.parse_boundary",
     # The check of a ray's target, for the entry point ray_from.
     "EuclideanSpace.check_target",
     "HyperbolicPlane.check_target",
@@ -105,23 +104,25 @@ CHECKING_ENDS = {
     "angular_distance",
     "tits_distance",
 }
-# The public functions of actions, each for the points from its caller (the
-# shift checks hand check_point to _image_pairs for the raw images).
+# The public functions of actions, each for the points from its caller, and
+# _image_pairs, which checks the raw images of the shift checks' maps.
 CHECKING_ACTIONS = {
     "GroupAction.apply",
     "ControlConfiguration.__init__",
-    "shift_report",
-    "iterate_shift_check",
-    "equivariance_check",
+    "_image_pairs",
     "character_at_end",
     "psi_cocycle",
     "cocompactness_witness",
     "local_busemann_audit",
+    "angle_estimate_audit",
 }
 # The public functions of actions, each for the ends from its caller:
-# boundary_apply, character_at_end and equivariance_check take an end, the
-# others a ray's target, an end or a point.
-ACTIONS_CHECKING_ENDS = {"GroupAction.boundary_apply", "character_at_end", "equivariance_check"}
+# boundary_apply, character_at_end, equivariance_check and
+# angle_estimate_audit take an end, the others a ray's target, an end or a
+# point.
+ACTIONS_CHECKING_ENDS = {
+    "GroupAction.boundary_apply", "character_at_end", "equivariance_check", "angle_estimate_audit"
+}
 ACTIONS_CHECKING_TARGETS = {"psi_cocycle", "shift_report", "iterate_shift_check", "local_busemann_audit"}
 # The entry points of spaces that check what they are given; actions calls
 # the space methods and the rays' busemann instead.
@@ -134,8 +135,32 @@ def test_guard_finds_check_point_callers():
         "class S:\n    def distance(self, a, b):\n        return [self.check_point(x) for x in (a, b)]\n"
         "    def ray_point(self, ray, t):\n        return ray.base\n"
         "def handing_on(cfg, f):\n    return pairs(cfg, f, cfg.space.check_point)\n"
+        "def bare(n):\n    check_depth('n', n)\n"
     )
     assert check_point_callers(sample) == {"entry", "S.distance", "handing_on"}
+    assert {name: used for name, used in checks_used(sample).items() if used} == {
+        "entry": {"check_point"}, "S.distance": {"check_point"}, "handing_on": {"check_point"}, "bare": {"check_depth"}
+    }
+
+
+def test_readers_only_parse():
+    # The JSON readers build values and check only the JSON structure and
+    # the numbers; the entry point that receives a value checks it.
+    readers = {
+        name: used
+        for name, used in checks_used((PACKAGE / "spaces.py").read_text(encoding="utf-8")).items()
+        if name.partition(".")[2] in ("parse_point", "parse_boundary")
+    }
+    assert len(readers) == 6 and {name: used for name, used in readers.items() if used} == {}
+    in_jsonio = checks_used((PACKAGE / "jsonio.py").read_text(encoding="utf-8"))
+    assert "parse_ray" in in_jsonio and {name: used for name, used in in_jsonio.items() if used} == {}
+    # The handlers hand each value to one checked library function, except
+    # busemann and tits, which compute with space methods and check each
+    # parsed point or end once.
+    in_cli = checks_used((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert {name: used for name, used in in_cli.items() if used} == {
+        "cmd_busemann": {"check_point"}, "cmd_tits": {"check_boundary"}
+    }
 
 
 def test_points_are_checked_only_where_they_enter():
@@ -146,10 +171,10 @@ def test_points_are_checked_only_where_they_enter():
 
 
 def test_ends_are_checked_only_where_they_enter():
-    # A parsed end is checked by parse_boundary, the library entry points
-    # check the ends from their caller (ray_from through check_target), and
-    # the space methods that they hand them to, boundary_equal and the
-    # boundary metrics among them, compute with them as they are.
+    # The library entry points check the ends from their caller (ray_from
+    # through check_target), and the space methods that they hand them to,
+    # boundary_equal and the boundary metrics among them, compute with them
+    # as they are.
     spaces_source = (PACKAGE / "spaces.py").read_text(encoding="utf-8")
     in_spaces = check_point_callers(spaces_source, "check_boundary")
     assert not {name for name in in_spaces if name.partition(".")[2] in COMPUTING_METHODS | {"ray_from"}}
@@ -158,9 +183,6 @@ def test_ends_are_checked_only_where_they_enter():
     actions_source = (PACKAGE / "actions.py").read_text(encoding="utf-8")
     assert check_point_callers(actions_source, "check_boundary") == ACTIONS_CHECKING_ENDS
     assert check_point_callers(actions_source, "check_target") == ACTIONS_CHECKING_TARGETS
-    for name in ("jsonio.py", "cli.py"):
-        source = (PACKAGE / name).read_text(encoding="utf-8")
-        assert check_point_callers(source, "check_boundary") | check_point_callers(source, "check_target") == set()
 
 
 def spaces_names_used(source: str) -> set[str]:
@@ -260,6 +282,16 @@ BAD_POINTS = {
     ),
     "e2-dimension": (sp.EuclideanSpace(2), (1.0, 2.0, 3.0), WrongSpace, "point of dimension 3 in E2"),
     "h2-real-axis": (sp.HyperbolicPlane(), complex(1, 0), WrongSpace, "point (1+0j) is not in the upper half-plane"),
+    # A word tree's root has no parent edge, so no point lies on it.
+    "cayley-root-offset": (
+        CAYLEY2, TreePoint((), Fraction(1, 2)), WrongSpace, "the root () has no parent edge to hold the offset 1/2"
+    ),
+    "regular-root-offset": (
+        sp.TreeSpace(RegularTree(3)),
+        TreePoint((), Fraction(1, 3)),
+        WrongSpace,
+        "the root () has no parent edge to hold the offset 1/3",
+    ),
 }
 
 

@@ -36,7 +36,7 @@ def _log(msg: str, stderr) -> None:
 
 
 def _dump(payload, out_path, stdout) -> None:
-    text = json.dumps(jsonio.jsonable(payload), sort_keys=True, indent=2) + "\n"
+    text = jsonio.dumps(payload)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -352,6 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
         "functions, characters, shift calculus and invariant formulas.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each command's own parser, by name
 
     def add(name, data=True, space=False, tol=False):
         p = sub.add_parser(name)
@@ -415,9 +416,14 @@ def _input_error(exc, stderr) -> int:
 def run(argv, stdout=None, stderr=None) -> int:
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
+    parser = build_parser()
+    # A command line that starts with a command is parsed once, by that
+    # command's parser; the top-level parser sees the rest (--help, no command).
+    command = parser.commands.get(argv[0]) if argv else None
     try:
         with contextlib.redirect_stdout(stdout):
-            args = build_parser().parse_args(argv)
+            args = (parser.parse_args(argv) if command is None
+                    else command.parse_args(argv[1:], argparse.Namespace(command=argv[0])))
     except SystemExit:  # --help has printed the usage to stdout
         return 0
     except UsageError as exc:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 _REQUIRED = object()
 
@@ -100,7 +101,7 @@ def jsonable(value):
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
     if isinstance(value, complex):
-        return {"x": value.real, "y": value.imag}
+        return {"x": jsonable(value.real), "y": jsonable(value.imag)}
     to_json = getattr(value, "to_json", None)
     if to_json is not None:
         return jsonable(to_json())
@@ -114,3 +115,46 @@ def jsonable(value):
             items = sorted(items, key=str)
         return [jsonable(v) for v in items]
     return str(value)
+
+
+def dumps(value) -> str:
+    """The report text ``json.dumps(jsonable(value), sort_keys=True, indent=2) + "\\n"``,
+    written in one pass; jsonable converts each value not of an exact JSON type."""
+    out = []
+    _write(value, out, "\n")
+    return "".join(out) + "\n"
+
+
+def _write(value, out, newline) -> None:
+    kind = type(value)
+    if kind is str:
+        out.append(_quote(value))
+    elif kind is int or (kind is float and math.isfinite(value)):
+        out.append(repr(value))
+    elif value is None or kind is bool:
+        out.append("null" if value is None else "true" if value else "false")
+    elif kind in (dict, list, tuple) and not value:
+        out.append("{}" if kind is dict else "[]")
+    elif kind is dict:  # keys become str(k), as in jsonable: of keys that collide the last one wins
+        inner = newline + "  "
+        sep = "{" + inner
+        for k, v in sorted({str(k): v for k, v in value.items()}.items()):
+            out.append(f"{sep}{_quote(k)}: ")
+            _write(v, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif kind is list or kind is tuple:
+        inner = newline + "  "
+        sep = "[" + inner
+        for v in value:
+            out.append(sep)
+            _write(v, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        converted = jsonable(value)
+        if converted is not value:
+            _write(converted, out, newline)
+        else:  # a subclass of str, int or float, which jsonable keeps as it is
+            base = str if isinstance(value, str) else float if isinstance(value, float) else int
+            out.append(_quote(value) if base is str else base.__repr__(value))

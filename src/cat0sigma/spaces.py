@@ -314,9 +314,8 @@ class HyperbolicPlane(ModelSpace):
         return geo.point(sa + (t if sb >= sa else -t))
 
     def check_target(self, e):
-        # A complex number with positive imaginary part is all that
-        # check_point asks of a point.
-        return e if isinstance(e, complex) and e.imag > 0 else self.check_boundary(e)
+        # An end is real or infinity: every complex number is a point.
+        return self.check_point(e) if isinstance(e, complex) else self.check_boundary(e)
 
     def ray_from(self, a, e):
         if isinstance(e, complex):

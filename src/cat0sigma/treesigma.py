@@ -146,8 +146,8 @@ class MFPRData:
     def has_antipodal_pair(self) -> bool:
         """The finite-presentability convention forbids diametrically
         opposite points in the complement; True when the convention fails."""
-        points = set(self.complement)
-        return any(p.antipode() in points for p in points)
+        vectors = {p.primitive for p in self.complement}
+        return any(tuple(-c for c in v) in vectors for v in vectors)
 
     def to_json(self) -> dict:
         return {

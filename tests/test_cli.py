@@ -1,6 +1,7 @@
 """Command-line interface: every command, exit codes, determinism,
 round-tripping of emitted JSON."""
 
+import argparse
 import collections
 import importlib
 import io
@@ -416,6 +417,54 @@ def test_one_parser_serves_many_runs():
     assert cli.build_parser() is cli.build_parser()
 
 
+def golden_command_lines():
+    """The command line of every golden job, mfpr's included, with its input
+    files resolved."""
+    lines = [c["argv"] for c in json.loads((GOLDEN / "cli_stdout.json").read_text(encoding="utf-8"))]
+    mfpr = json.loads((GOLDEN / "mfpr_stdout.json").read_text(encoding="utf-8"))
+    lines += [["mfpr", "--data", c["input"], *c["args"]] for c in mfpr]
+    return [[str(GOLDEN / a) if a.endswith((".json", ".txt")) else a for a in argv] for argv in lines]
+
+
+def test_each_command_line_is_parsed_once_by_its_command(monkeypatch):
+    # A command line that starts with a command is parsed by that command's
+    # parser alone, into the Namespace the top-level parser gives.
+    seen = []
+    for name in cli.HANDLERS:
+        monkeypatch.setitem(cli.HANDLERS, name, lambda args, data: seen.append(vars(args).copy()) or (0, {}))
+    parses = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "parse_known_args", lambda self, *a: parses.append(self.prog) or parse_known_args(self, *a)
+    )
+    lines = golden_command_lines()
+    assert {argv[0] for argv in lines} == set(cli.HANDLERS)
+    for argv in lines:
+        seen.clear()
+        parses.clear()
+        assert run_cli(argv) == (0, "{}\n", ""), argv
+        assert parses == [f"cat0sigma {argv[0]}"], argv
+        del seen[0]["stderr"]
+        assert seen == [vars(cli.build_parser().parse_args(argv))], argv
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "cat0sigma: the following arguments are required: command"),
+        (["nope"], "cat0sigma: argument command: invalid choice: 'nope' (choose from 'busemann', 'tits', "
+         "'character', 'shift', 'cocompact', 'raag', 'tree-sigma', 'mfpr', 'audit', 'verify')"),
+        (["--bogus"], "cat0sigma: the following arguments are required: command"),
+        (["mfpr", "--data", "x.json", "--bogus"], "cat0sigma mfpr: unrecognized arguments: --bogus"),
+    ],
+    ids=["empty", "unknown-command", "unknown-top-level-option", "unknown-option"],
+)
+def test_malformed_command_lines_are_one_line_usage_errors(argv, message):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [json.dumps({"error": "UsageError", "message": message}, sort_keys=True)]
+
+
 def test_parser_is_not_built_at_import():
     # Importing the CLI builds no parser and loads only the errors and the
     # JSON readers of the package; each command then loads the modules it
@@ -593,6 +642,14 @@ def test_help_goes_to_the_given_stdout(capsys):
     # Without a stdout argument the usage goes to sys.stdout, as before.
     assert cli.run(["--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: cat0sigma")
+
+
+def test_h2_ray_end_below_the_axis_is_reported_as_a_point(tmp_path):
+    ray = {"base": {"x": 0, "y": 1}, "end": {"point": [1, -1]}}
+    data = write(tmp_path, "h2.json", {"space": {"space": "H2"}, "ray": ray, "points": []})
+    code, out, err = run_cli(["busemann", "--data", data])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "WrongSpace", "message": "point (1-1j) is not in the upper half-plane"}
 
 
 def test_audit_command(tmp_path):

@@ -90,8 +90,9 @@ CHECKING_SPACES = {
     "comparison_angle",
     "sample_points_near",
     # The check of a ray's target, a point or an end, for the entry point
-    # ray_from (H2 tells them apart by type).
+    # ray_from.
     "EuclideanSpace.check_target",
+    "HyperbolicPlane.check_target",
     "TreeSpace.check_target",
 }
 CHECKING_ENDS = {
@@ -326,7 +327,7 @@ def test_entry_points_reject_bad_points(case, entry):
     (CAYLEY2, WordEnd((1, -1), (2,)), "word (1, -1, 2, 2, 2) is not reduced at position 1"),
     (CAYLEY2, WordEnd((), (3,)), "letter 3 outside rank 2"),
     (sp.EuclideanSpace(2), sp.EDirection((0.6, 0.0, 0.8)), "direction of dimension 3 in E2"),
-    (sp.HyperbolicPlane(), complex(1, -1), "boundary of H2 is R plus infinity, got (1-1j)"),
+    (sp.HyperbolicPlane(), complex(1, -1), "point (1-1j) is not in the upper half-plane"),
 ], ids=["cayley-unreduced", "cayley-letter", "e2-dimension", "h2-lower-half-plane"])
 def test_ray_from_rejects_bad_ends(M, bad, message):
     with pytest.raises((ValueError, WrongSpace), match=f"^{re.escape(message)}$"):

@@ -23,6 +23,7 @@ inverses the library computes from checked isometries.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -870,18 +871,43 @@ def _orbit(action: GroupAction, a, depth: int):
     return list(seen.values()), depth
 
 
+def _directed_hausdorff(space: ModelSpace, samples, orbit):
+    """The largest distance from a sample to its nearest orbit point, and
+    the first sample at that distance (-inf and None without samples).
+
+    Exact, with Taha and Hanbury's early break: a sample's scan of the orbit
+    stops once the sample lies within the largest distance found so far,
+    and only a strictly larger distance replaces the sample, as max() would.
+    """
+    worst, worst_point = -math.inf, None
+    for p in samples:
+        nearest = math.inf
+        for q in orbit:
+            d = space.distance(p, q)
+            if d < nearest:
+                nearest = d
+                if nearest <= worst:
+                    break
+        if nearest > worst:
+            worst, worst_point = nearest, p
+    return worst, worst_point
+
+
 def cocompactness_witness(action: GroupAction, a, radius: float, depth: int = 6, seed: int = 0):
     """Desk-scale test of the dichotomy "every direction reaches into the
     orbit iff the action is cocompact".
 
     Returns a NetCertificate when every sampled point of a bounded region
-    lies within ``radius`` of the enumerated orbit of a; otherwise searches
-    for an EmptyHoroballWitness: a direction e and level s whose horoball
-    is met by the sampled region but by no enumerated orbit point (level
-    margin 1, following the construction that tracks points at growing
-    distance from the orbit).  Returns Unknown when the depth is exhausted
-    without either certificate, or when the orbit outgrows ORBIT_BUDGET
-    points before the depth is reached.
+    lies within ``radius`` of the enumerated orbit of a; its
+    ``max_min_distance`` is the exact directed Hausdorff distance from the
+    samples to the orbit.  Otherwise searches for an EmptyHoroballWitness:
+    a direction e and level s whose horoball is met by the sampled region
+    but by no enumerated orbit point (level margin 1, following the
+    construction that tracks points at growing distance from the orbit).
+    Returns Unknown when the depth is exhausted without either certificate,
+    or when the orbit outgrows ORBIT_BUDGET points before the depth is
+    reached.  The cost is the orbit enumeration plus one early-exit scan of
+    the orbit per sample.
     """
     if depth < 0 or not radius >= 0:  # NaN fails every comparison
         raise ValueError(f"depth {depth} and radius {radius} must be nonnegative numbers")
@@ -894,9 +920,8 @@ def cocompactness_witness(action: GroupAction, a, radius: float, depth: int = 6,
         )
     region_radius, samples = space.region(a, depth, seed)
 
-    nearest = ((min(space.distance(p, q) for q in orbit), p) for p in samples)
-    worst, worst_point = max(nearest, key=lambda pair: pair[0], default=(None, None))
-    if worst is not None and worst <= radius:
+    worst, worst_point = _directed_hausdorff(space, samples, orbit)
+    if worst_point is not None and worst <= radius:
         return NetCertificate(radius, float(region_radius), len(samples), len(orbit), worst)
 
     for e in space.probe_ends(a, worst_point):
@@ -928,7 +953,13 @@ def local_busemann_audit(
     points p of the r-ball around the common base, with the radius
     R = r (1 + 2 r / eps) + eps (any value strictly above r (1 + 2 r / eps)
     works; this one is used throughout).
+
+    The points are the first ``samples`` within r of the seeded stream of
+    :func:`spaces.point_stream`, among its first 2 ``samples``; the audit
+    stops drawing and measuring once it has them.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
     c = M.check_point(c)
     if M.exact:
         r, eps = Fraction(r), Fraction(eps)
@@ -938,11 +969,8 @@ def local_busemann_audit(
     ray1 = M.ray_from(c, M.check_target(e))
     ray2 = M.ray_from(c, M.check_target(e2))
     rhs = 2 * eps + M.distance(ray1.point_at(R), ray2.point_at(R))
-    pts = [
-        p
-        for p in spaces.sample_points_near(M, c, samples * 2, radius=float(r), seed=seed)
-        if M.distance(c, p) <= r
-    ][:samples]
+    drawn = itertools.islice(spaces.point_stream(M, c, float(r), seed), 2 * samples)
+    pts = list(itertools.islice((p for p in drawn if M.distance(c, p) <= r), samples))
     worst = min((rhs - abs(ray1.busemann(p) - ray2.busemann(p)) for p in pts), default=None)
     passed = worst is not None and worst > 0
     return AuditReport(passed, len(pts), worst, {"R": R, "rhs": rhs})

@@ -429,7 +429,7 @@ class TreeSpace(ModelSpace):
 
     def ray_from(self, a, e):
         if isinstance(e, (WordEnd, HnnUp, HnnDown)):
-            return GeneralizedRay(self, a, e, None)
+            return GeneralizedRay(self, a, e, None, trees.point_height(self.model, a, e))
         return GeneralizedRay(self, a, e, trees.point_distance(self.model, a, e))
 
     def ray_point(self, ray, t):
@@ -439,8 +439,9 @@ class TreeSpace(ModelSpace):
         return trees.ray_point_at(self.model, ray.base, ray.end, Fraction(t))
 
     def busemann_to_end(self, ray, b):
-        # The difference of the end's horofunction heights.
-        value = trees.point_height(self.model, ray.base, ray.end) - trees.point_height(self.model, b, ray.end)
+        # The difference of the end's horofunction heights; the ray carries
+        # its base's.
+        value = ray._param - trees.point_height(self.model, b, ray.end)
         return value if isinstance(value, Fraction) else Fraction(value)
 
     def angle_between_rays(self, ray1, ray2):
@@ -625,14 +626,17 @@ class GeneralizedRay:
 
     ``end`` is a point of the space or a boundary point; ``mu`` is the
     stopping parameter for the degenerate case (the ray is constant from mu
-    on) and None for a genuine ray.
+    on) and None for a genuine ray.  ``_param`` is the space's closed-form
+    data, computed once with the ray: the unit direction on E^k, the
+    geodesic and its sign on H2, and the base's horofunction height toward
+    the end on a tree.
     """
 
     space: ModelSpace
     base: object
     end: object
     mu: Optional[Real]
-    _param: tuple = None
+    _param: object = None
 
     @property
     def is_degenerate(self) -> bool:
@@ -807,10 +811,18 @@ def asymptotic_offset(M: ModelSpace, ray1: GeneralizedRay, ray2: GeneralizedRay,
 
 
 def sample_points_near(M: ModelSpace, center, count: int, radius: float = 3.0, seed: int = 0):
-    """Deterministic sample of points within the given radius of center."""
-    rng = random.Random(str((seed, M.name, "points")))
+    """Deterministic sample of points within the given radius of center:
+    the first count points of :func:`point_stream`."""
+    stream = point_stream(M, center, radius, seed)
+    return [next(stream) for _ in range(count)]
+
+
+def point_stream(M: ModelSpace, center, radius: float = 3.0, seed: int = 0):
+    """The endless seeded stream of points within the given radius of
+    center.  The center is checked on the call, before any point is drawn."""
     center = M.check_point(center)
-    return [M.sample_point(center, radius, rng) for _ in range(count)]
+    rng = random.Random(str((seed, M.name, "points")))
+    return (M.sample_point(center, radius, rng) for _ in itertools.count())
 
 
 def sample_boundary_points(M: ModelSpace, count: int, seed: int = 0):

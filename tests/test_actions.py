@@ -7,10 +7,13 @@ import random
 import re
 import time
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cat0sigma import spaces as sp
+from cat0sigma import actions, spaces as sp, trees
 from cat0sigma.actions import (
     CayleyIsometry,
     EuclideanIsometry,
@@ -326,6 +329,99 @@ def test_orbit_budget_stops_deep_free_group_orbits():
     assert time.perf_counter() - start < 5
     assert isinstance(verdict, UnknownVerdict)
     assert str(ORBIT_BUDGET) in verdict.reason and "word length 8" in verdict.reason
+
+
+def _all_pairs_max_min(space, samples, orbit):
+    """Reference for the early-exit scan: every sample against every orbit
+    point, and the first sample of largest nearest distance."""
+    nearest = [(min(space.distance(p, q) for q in orbit), p) for p in samples]
+    return max(nearest, key=lambda pair: pair[0], default=(-math.inf, None))
+
+
+# Seeded actions for the scan oracle: lattices of E1 and E2, free and
+# cyclic groups on the Cayley tree, ascending HNN extensions, Moebius maps.
+def _moebius(rng):
+    pool = {"s": [[0, -1], [1, 0]], "p": [[1, 1], [0, 1]], "q": [[1, 0], [2, 1]], "h": [[2, 1], [1, 1]]}
+    return GroupAction.moebius({name: pool[name] for name in rng.sample(sorted(pool), rng.randint(1, 2))})
+
+
+def _reduced_word(rng, rank, length):
+    word = []
+    while len(word) < length:
+        letter = rng.choice([1, -1]) * rng.randint(1, rank)
+        if not word or word[-1] != -letter:
+            word.append(letter)
+    return tuple(word)
+
+
+SCAN_ACTIONS = {
+    "E1": lambda rng: GroupAction.euclidean_translations(1, {"a": (rng.randint(0, 2),)}),
+    "E2": lambda rng: GroupAction.euclidean_translations(
+        2, rng.choice([{"a": (1, 0), "b": (rng.randint(-1, 1), 1)}, {"a": (1, rng.choice([-1, 1]))}])
+    ),
+    "F2": lambda rng: GroupAction.free_group(2),
+    "cyclic-cayley": lambda rng: GroupAction.cyclic_on_cayley_tree(2, _reduced_word(rng, 2, rng.randint(1, 3))),
+    "hnn2": lambda rng: GroupAction.ascending_hnn(2),
+    "hnn3": lambda rng: GroupAction.ascending_hnn(3),
+    "H2": _moebius,
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example(kind="E2", draw=0, depth=5, radius=1, seed=0)  # Z^2: a net
+# The line of (1, -1): its horoball end is the direction of the witness point.
+@example(kind="E2", draw=6, depth=5, radius=0.5, seed=0)
+@given(
+    kind=st.sampled_from(sorted(SCAN_ACTIONS)),
+    draw=st.integers(0, 10**6),
+    depth=st.integers(0, 5),
+    radius=st.sampled_from([0, 0.25, 0.75, 1, 2]),
+    seed=st.integers(0, 20),
+)
+def test_cocompactness_scan_matches_all_pairs(kind, draw, depth, radius, seed):
+    # The early-exit scan gives the verdict of the all-pairs max-min,
+    # type and fields, the witness point that probe_ends reads among them.
+    # Even draws start at the origin, odd draws at a seeded point near it.
+    rng = random.Random(draw)
+    action = SCAN_ACTIONS[kind](rng)
+    base = action.space.origin()
+    if draw % 2:
+        base = sp.sample_points_near(action.space, base, 1, radius=2.0, seed=draw)[0]
+    verdict = cocompactness_witness(action, base, radius, depth=depth, seed=seed)
+    with mock.patch.object(actions, "_directed_hausdorff", _all_pairs_max_min):
+        reference = cocompactness_witness(action, base, radius, depth=depth, seed=seed)
+    assert verdict == reference and repr(verdict) == repr(reference)
+
+
+def test_cocompactness_scan_keeps_the_first_farthest_sample():
+    # Euclidean probe_ends reads the witness point, so ties go as in max().
+    E1 = EuclideanSpace(1)
+    samples, orbit = [(-1.0,), (0.5,), (1.0,)], [(0.0,), (3.0,)]
+    assert actions._directed_hausdorff(E1, samples, orbit) == _all_pairs_max_min(E1, samples, orbit) == (1.0, (-1.0,))
+    assert actions._directed_hausdorff(E1, [], orbit) == _all_pairs_max_min(E1, [], orbit) == (-math.inf, None)
+
+
+def test_cocompactness_scan_stops_early(monkeypatch):
+    # All pairs: 77,221 distances for F2 at depth 6, and 264 heights for the
+    # cyclic group's horoball probe (two per Busemann value).
+    calls = {"distance": 0, "point_height": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(TreeSpace, "distance")
+    counted(trees, "point_height")
+    verdict = cocompactness_witness(GroupAction.free_group(2), TreePoint(()), 1, depth=6)
+    assert isinstance(verdict, NetCertificate) and calls["distance"] <= 3000
+    calls.update(distance=0, point_height=0)
+    verdict = cocompactness_witness(GroupAction.cyclic_on_cayley_tree(2, (1,)), TreePoint(()), 1, depth=6)
+    assert isinstance(verdict, EmptyHoroballWitness) and calls["point_height"] <= 140
 
 
 def test_modular_group_is_not_cocompact():

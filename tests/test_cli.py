@@ -670,6 +670,17 @@ def test_audit_command(tmp_path):
     assert json.loads(out)["passed"] is True
 
 
+def test_audit_rejects_a_negative_sample_count(tmp_path):
+    # An input error naming the field, not a failed audit of no points.
+    payload = {
+        "space": {"space": "E2"}, "center": [0, 0], "r": 1, "eps": "1/10",
+        "ends": [{"direction": [1, 0]}, {"direction": [0, 1]}], "samples": -3,
+    }
+    code, out, err = run_cli(["audit", "--data", write(tmp_path, "audit.json", payload), "--which", "local-busemann"])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "ValueError", "message": "samples must be nonnegative, got -3"}
+
+
 def test_verify_command():
     code, out, _ = run_cli(["verify", "--suite", "sl2z", "--seed", "7"])
     assert code == 0

@@ -174,6 +174,43 @@ def test_local_busemann_audit_spec_examples():
     assert rep.passed and rep.worst_slack > 0
 
 
+@pytest.mark.parametrize("samples", [0, 1, 20])
+def test_local_busemann_audit_stops_at_the_points_it_keeps(samples, monkeypatch):
+    # Its points are the first `samples` within r of the seeded stream,
+    # among the first 2 `samples` drawn; it draws and measures no more.  At
+    # r = 1/2 on the HNN tree, 32 of the first 40 points lie within r.
+    T = TreeSpace(HnnTree(2))
+    c, r = T.origin(), F(1, 2)
+    ends = (HnnUp(), make_end_down())
+    points = sp.sample_points_near(T, c, 2 * samples, radius=float(r), seed=5)
+    kept = [i for i, p in enumerate(points) if T.distance(c, p) <= r][:samples]
+    drawn = []
+    sample_point = TreeSpace.sample_point
+    monkeypatch.setattr(TreeSpace, "sample_point", lambda self, *args: drawn.append(1) or sample_point(self, *args))
+    rep = local_busemann_audit(T, c, r, F(1, 3), *ends, samples=samples, seed=5)
+    assert len(drawn) == (kept[-1] + 1 if samples and len(kept) == samples else 2 * samples)
+    assert rep.samples == len(kept) == samples
+    rays = [sp.ray_from(T, c, e) for e in ends]
+    slacks = [rep.details["rhs"] - abs(rays[0].busemann(points[i]) - rays[1].busemann(points[i])) for i in kept]
+    assert rep.worst_slack == min(slacks, default=None)
+
+
+def test_local_busemann_audit_rejects_a_negative_sample_count():
+    with pytest.raises(ValueError, match="samples must be nonnegative, got -1"):
+        local_busemann_audit(E2, (0.0, 0.0), 1.0, 0.1, EDirection((1, 0)), EDirection((0, 1)), samples=-1)
+
+
+def test_point_samples_check_their_center_when_called():
+    # Also for no points, and before the stream's first draw.
+    for count in (0, 3):
+        with pytest.raises(WrongSpace, match="dimension 1"):
+            sp.sample_points_near(E2, (0.0,), count)
+    with pytest.raises(WrongSpace, match="dimension 1"):
+        sp.point_stream(E2, (0.0,))
+    stream = sp.point_stream(E2, (1.0, 2.0), radius=2.0, seed=3)
+    assert [next(stream) for _ in range(4)] == sp.sample_points_near(E2, (1.0, 2.0), 4, radius=2.0, seed=3)
+
+
 def make_end_down():
     from cat0sigma.trees import HnnDown
 

@@ -88,7 +88,9 @@ CHECKING_SPACES = {
     "busemann",
     "busemann_limit_audit",
     "comparison_angle",
-    "sample_points_near",
+    # The seeded point stream, which sample_points_near takes its prefixes
+    # from, for its center.
+    "point_stream",
     # The check of a ray's target, a point or an end, for the entry point
     # ray_from.
     "EuclideanSpace.check_target",

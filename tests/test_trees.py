@@ -520,25 +520,30 @@ def _deep_point(model, end, L):
 def test_busemann_value_reads_two_heights_and_no_ray_vertex(model, end, monkeypatch):
     # One value is the difference of two horofunction heights, at any merge
     # distance up to the depth budget (the Cayley word has length L + 5, the
-    # down-end points lie at level L + 5).
+    # down-end points lie at level L + 5).  The ray reads its base's height
+    # once, when it is built, and each value reads its point's.
     M = sp.TreeSpace(model)
-    ray = sp.ray_from(M, M.origin(), end)
     calls = _count_calls(monkeypatch, (model, "ray_vertex"), (model, "height"))
     for L in (200, 10**5, DEPTH_BUDGET - 5):
         b = _deep_point(model, end, L)
         calls.update(ray_vertex=0, height=0)
         start = time.perf_counter()
+        ray = sp.ray_from(M, M.origin(), end)
+        assert calls == {"ray_vertex": 0, "height": 1}
         assert sp.busemann(M, ray, b) == L - 5
         assert time.perf_counter() - start < 2.0
         assert calls == {"ray_vertex": 0, "height": 2}
+        assert sp.busemann(M, ray, b) == L - 5
+        assert calls == {"ray_vertex": 0, "height": 3}
 
 
 @pytest.mark.parametrize(
     "model", [CayleyTree(2), RegularTree(3), HnnTree(2), HnnTree(3)], ids=["cayley2", "regular3", "hnn2", "hnn3"]
 )
 def test_busemann_and_its_limit_audit_share_no_model_method(model, monkeypatch, rng):
-    # The closed form reads heights only; the audit reads ray points and
-    # distances only, so each checks the other.
+    # The closed form reads heights only, one per ray built and one per
+    # value; the audit reads ray points and distances only, so each checks
+    # the other.
     M = sp.TreeSpace(model)
     base = TreePoint(model.children(model.base_vertex())[1], F(1, 3))
     points = sp.sample_points_near(M, base, 12, seed=4)
@@ -550,7 +555,7 @@ def test_busemann_and_its_limit_audit_share_no_model_method(model, monkeypatch, 
     rays = [sp.ray_from(M, base, end) for end in ends]
     values = [sp.busemann(M, ray, b) for ray in rays for b in points]
     assert geodesic == {"meet": 0, "ray_vertex": 0, "ray_point_at": 0, "point_distance": 0}
-    assert heights == {"height": 2 * len(values), "point_height": 2 * len(values)}
+    assert heights == {"height": len(rays) + len(values), "point_height": len(rays) + len(values)}
     heights.update(height=0, point_height=0)
     limits = [sp.busemann_limit_audit(M, ray, b, [0, 1, 5, 12])[-1][1] for ray in rays for b in points]
     assert heights == {"height": 0, "point_height": 0}

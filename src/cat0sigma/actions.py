@@ -969,7 +969,7 @@ def local_busemann_audit(
     ray1 = M.ray_from(c, M.check_target(e))
     ray2 = M.ray_from(c, M.check_target(e2))
     rhs = 2 * eps + M.distance(ray1.point_at(R), ray2.point_at(R))
-    drawn = itertools.islice(spaces.point_stream(M, c, float(r), seed), 2 * samples)
+    drawn = itertools.islice(spaces.unchecked_point_stream(M, c, float(r), seed), 2 * samples)
     pts = list(itertools.islice((p for p in drawn if M.distance(c, p) <= r), samples))
     worst = min((rhs - abs(ray1.busemann(p) - ray2.busemann(p)) for p in pts), default=None)
     passed = worst is not None and worst > 0

@@ -35,6 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -128,14 +129,15 @@ class ModelSpace:
 
 @dataclass(frozen=True)
 class EDirection:
-    """Boundary point of E^k: a unit direction vector (within 1e-12)."""
+    """Boundary point of E^k: a unit direction vector (within 1e-12), with
+    finite coordinates."""
 
     vector: tuple
 
     def __init__(self, vector):
         v = tuple(float(c) for c in vector)
         n = math.sqrt(sum(c * c for c in v))
-        if abs(n - 1.0) > 1e-12:
+        if not abs(n - 1.0) <= 1e-12:  # also for a NaN coordinate
             raise WrongSpace(f"boundary direction {v} is not a unit vector")
         object.__setattr__(self, "vector", v)
 
@@ -160,7 +162,10 @@ class EuclideanSpace(ModelSpace):
             raise WrongSpace("boundary direction used where an interior point is required")
         if len(p) != self.k:
             raise WrongSpace(f"point of dimension {len(p)} in {self.name}")
-        return tuple(float(c) for c in p)
+        p = tuple(float(c) for c in p)
+        if not all(math.isfinite(c) for c in p):
+            raise WrongSpace(f"point {p} of {self.name} has a non-finite coordinate")
+        return p
 
     def check_boundary(self, e):
         if not isinstance(e, EDirection):
@@ -247,7 +252,7 @@ class EuclideanSpace(ModelSpace):
             for i in range(self.k)
         ]
         out = [p for p in itertools.product(*axes) if _norm(_sub(p, center)) <= radius + 1e-9]
-        out.extend(sample_points_near(self, center, 64, radius=radius, seed=seed))
+        out.extend(itertools.islice(unchecked_point_stream(self, center, radius, seed), 64))
         return radius, out
 
     def probe_ends(self, center, far_point):
@@ -272,14 +277,15 @@ class HyperbolicPlane(ModelSpace):
 
     def check_point(self, p):
         z = complex(p) if not isinstance(p, complex) else p
-        if z.imag <= 0:
+        if not (z.imag > 0 and math.isfinite(z.real) and math.isfinite(z.imag)):
             raise WrongSpace(f"point {z} is not in the upper half-plane")
         return z
 
     def check_boundary(self, e):
         if e == H2_INFINITY:
             return H2_INFINITY
-        if isinstance(e, (int, float, Fraction)):
+        # Also rejects NaN, -inf and values beyond the binary64 range.
+        if isinstance(e, (int, float, Fraction)) and abs(e) <= sys.float_info.max:
             return e
         raise WrongSpace(f"boundary of H2 is R plus infinity, got {e!r}")
 
@@ -365,7 +371,7 @@ class HyperbolicPlane(ModelSpace):
 
     def region(self, center, depth: int, seed: int):
         radius = max(2.0, depth / 2.0)
-        return radius, sample_points_near(self, center, 200, radius=radius, seed=seed)
+        return radius, list(itertools.islice(unchecked_point_stream(self, center, radius, seed), 200))
 
     def probe_ends(self, center, far_point):
         return [H2_INFINITY, Fraction(0), Fraction(1), Fraction(-1)]
@@ -713,7 +719,7 @@ def busemann_limit_audit(M: ModelSpace, ray: GeneralizedRay, b, schedule: Sequen
     degenerate rays it is constant from mu on.  Deliberately uses only the
     metric, no closed forms, so it can audit :func:`busemann`.
     """
-    return ray.limit_audit(M.check_point(b), schedule)
+    return M.check_ray(ray).limit_audit(M.check_point(b), schedule)
 
 
 @dataclass(frozen=True)
@@ -757,8 +763,12 @@ def angle_between_rays(M: ModelSpace, ray1: GeneralizedRay, ray2: GeneralizedRay
 
     Closed form on E^k; the monotone limit of comparison angles with a
     doubling refinement (stop when the step is below GLOBAL_TOL) on H2; and
-    the first-edge rule (0 or pi) on trees.
+    the first-edge rule (0 or pi) on trees.  Raises ValueError when the
+    bases differ.
     """
+    ray1, ray2 = M.check_ray(ray1), M.check_ray(ray2)
+    if M.distance(ray1.base, ray2.base) > M.slack(1e-12):
+        raise ValueError("the angle between rays needs a common base point")
     return M.angle_between_rays(ray1, ray2)
 
 
@@ -798,7 +808,7 @@ def asymptotic_offset(M: ModelSpace, ray1: GeneralizedRay, ray2: GeneralizedRay,
         raise NotAsymptotic(f"endpoints differ: {ray1.end!r} vs {ray2.end!r}")
     c = ray1.busemann(ray2.base) - ray2.busemann(ray2.base)
     worst = 0.0
-    for p in sample_points_near(M, ray1.base, 10, seed=seed):
+    for p in itertools.islice(unchecked_point_stream(M, ray1.base, 3.0, seed), 10):
         dev = abs((ray1.busemann(p) - ray2.busemann(p)) - c)
         worst = max(worst, float(dev))
     if worst > GLOBAL_TOL:
@@ -813,14 +823,18 @@ def asymptotic_offset(M: ModelSpace, ray1: GeneralizedRay, ray2: GeneralizedRay,
 def sample_points_near(M: ModelSpace, center, count: int, radius: float = 3.0, seed: int = 0):
     """Deterministic sample of points within the given radius of center:
     the first count points of :func:`point_stream`."""
-    stream = point_stream(M, center, radius, seed)
-    return [next(stream) for _ in range(count)]
+    return list(itertools.islice(point_stream(M, center, radius, seed), count))
 
 
 def point_stream(M: ModelSpace, center, radius: float = 3.0, seed: int = 0):
     """The endless seeded stream of points within the given radius of
     center.  The center is checked on the call, before any point is drawn."""
-    center = M.check_point(center)
+    return unchecked_point_stream(M, M.check_point(center), radius, seed)
+
+
+def unchecked_point_stream(M: ModelSpace, center, radius: float, seed: int):
+    """:func:`point_stream` around a center already checked, for the
+    library functions that checked it where it entered."""
     rng = random.Random(str((seed, M.name, "points")))
     return (M.sample_point(center, radius, rng) for _ in itertools.count())
 

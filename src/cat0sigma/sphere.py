@@ -4,9 +4,10 @@ A character of a group G with fixed free-abelianized rank k is stored as an
 exact rational vector of length k (coordinates with respect to a chosen
 basis of Hom(G, R)).  The character sphere S(G) is the set of nonzero
 characters modulo positive scaling; a point of it is stored as the unique
-primitive integer vector on the ray.  Everything in this module is exact:
-hemisphere membership is a strict inequality and floating point would make
-it undecidable on the boundary.
+primitive integer vector on the ray, and a subset of S(G) is a
+:class:`PolyhedralSet` of open hemispheres or a tuple of sphere points.
+Everything in this module is exact: hemisphere membership is a strict
+inequality and floating point would make it undecidable on the boundary.
 
 All values are immutable and all operations are pure functions without
 hidden state, safe to evaluate concurrently.  The m-function takes the same
@@ -138,28 +139,16 @@ class OpenHemisphere:
         return sum(n * c for n, c in zip(self.normal.primitive, p.primitive)) > 0
 
 
-MODE_HEMISPHERES = "hemispheres"
-MODE_FINITE_COMPLEMENT = "finite_complement"
-
-
 @dataclass(frozen=True)
 class PolyhedralSet:
     """A finite union of finite intersections of open hemispheres on S(G).
 
     An empty clause list denotes the empty set; a clause with zero
-    hemispheres denotes all of S(G).  The alternative ``finite_complement``
-    mode describes the set as everything except a finite list of rational
-    points (the shape the complement of the first invariant takes for
-    metabelian groups of finite Prufer rank).
+    hemispheres denotes all of S(G).
     """
 
     k: int
     clauses: tuple[tuple[OpenHemisphere, ...], ...] = ()
-    complement_points: Optional[frozenset[SpherePoint]] = None
-
-    @property
-    def mode(self) -> str:
-        return MODE_HEMISPHERES if self.complement_points is None else MODE_FINITE_COMPLEMENT
 
     @staticmethod
     def empty(k: int) -> "PolyhedralSet":
@@ -178,14 +167,6 @@ class PolyhedralSet:
                     raise DimensionMismatch(f"hemisphere rank {h.k} in a rank-{k} set")
         return PolyhedralSet(k, cl)
 
-    @staticmethod
-    def complement_of_points(k: int, points: Iterable[SpherePoint]) -> "PolyhedralSet":
-        pts = frozenset(points)
-        for p in pts:
-            if p.k != k:
-                raise DimensionMismatch(f"point rank {p.k} in a rank-{k} set")
-        return PolyhedralSet(k, (), pts)
-
     def contains(self, p: SpherePoint) -> bool:
         return polyhedral_contains(self, p)
 
@@ -194,11 +175,6 @@ class PolyhedralSet:
         return polyhedral_contains(self, normalize_ray(chi))
 
     def to_json(self) -> dict:
-        if self.mode == MODE_FINITE_COMPLEMENT:
-            return {
-                "k": self.k,
-                "complement_points": sorted(list(p.primitive) for p in self.complement_points),
-            }
         return {
             "k": self.k,
             "clauses": [[list(h.normal.primitive) for h in clause] for clause in self.clauses],
@@ -206,23 +182,17 @@ class PolyhedralSet:
 
     @staticmethod
     def from_json(data: Mapping) -> "PolyhedralSet":
-        k = int(data["k"])
-        if "complement_points" in data:
-            pts = [SpherePoint(tuple(int(c) for c in v)) for v in data["complement_points"]]
-            return PolyhedralSet.complement_of_points(k, pts)
         clauses = [
             tuple(OpenHemisphere(SpherePoint(tuple(int(c) for c in normal))) for normal in clause)
             for clause in data.get("clauses", [])
         ]
-        return PolyhedralSet.from_clauses(k, clauses)
+        return PolyhedralSet.from_clauses(int(data["k"]), clauses)
 
 
 def polyhedral_contains(P: PolyhedralSet, p: SpherePoint) -> bool:
     """Exact membership: p satisfies every strict inequality of some clause."""
     if p.k != P.k:
         raise DimensionMismatch(f"set in rank {P.k}, point in rank {p.k}")
-    if P.mode == MODE_FINITE_COMPLEMENT:
-        return p not in P.complement_points
     for clause in P.clauses:
         if all(h.contains(p) for h in clause):
             return True
@@ -414,10 +384,6 @@ class MValue:
         if self.value != INF and (not isinstance(self.value, int) or self.value < 1):
             raise ValueError(f"finite m-values are integers >= 1, got {self.value}")
 
-    @property
-    def is_finite(self) -> bool:
-        return self.value != INF
-
     def __le__(self, other):
         return self.value <= (other.value if isinstance(other, MValue) else other)
 
@@ -480,9 +446,9 @@ class EuclideanSigmaDescription:
 
     N is the span of the translation vectors, N' its orthogonal complement;
     the boundary sphere is the spherical join of the unit spheres of N and
-    N'.  A direction e belongs to the invariant iff it is not purely in N'
-    and the N-component's ray passes the membership test of the given
-    sphere set, equivalently iff mu(e) is nonzero and lies in the set.
+    N'.  A direction e belongs to the invariant iff mu(e) is nonzero and
+    lies in the given sphere set; as <v_g, e> = <v_g, proj_N e>, that is
+    iff e is not purely in N' and the N-component's ray lies in the set.
     """
 
     k: int
@@ -512,44 +478,6 @@ class EuclideanSigmaDescription:
 
     def contains(self, direction: Sequence[RationalLike]) -> bool:
         mu = self.mu(direction)
-        return mu is not None and polyhedral_contains(self.sigma_g, mu)
-
-    def join_components(
-        self, direction: Sequence[RationalLike]
-    ) -> tuple[Optional[tuple[Fraction, ...]], Optional[tuple[Fraction, ...]]]:
-        """Split a direction into its N-part and N'-part (unnormalized).
-
-        Returns (u, w) with u the orthogonal projection onto N and w the
-        remainder; either may be None when zero.  Used to check the join
-        description against the pointwise character computation.
-        """
-        e = [_frac(c) for c in direction]
-        if len(e) != self.k:
-            raise DimensionMismatch(f"direction rank {len(e)}, space rank {self.k}")
-        basis = self.span_basis
-        if basis:
-            # Exact orthogonal projection: solve (B B^T) x = B e, u = B^T x.
-            # The Gram matrix is nonsingular, so row i of the eliminated
-            # system reads d x_i = its last entry.
-            r = len(basis)
-            system = [_integer_row([sum(a * c for a, c in zip(b, row)) for row in (*basis, e)]) for b in basis]
-            _, d = _eliminate(system, r)
-            x = [Fraction(row[r], d) for row in system]
-            u = [sum(x[i] * basis[i][t] for i in range(r)) for t in range(self.k)]
-        else:
-            u = [Fraction(0)] * self.k
-        w = [a - c for a, c in zip(e, u)]
-        u_t = tuple(u) if any(c != 0 for c in u) else None
-        w_t = tuple(w) if any(c != 0 for c in w) else None
-        return u_t, w_t
-
-    def contains_by_join(self, direction: Sequence[RationalLike]) -> bool:
-        """Join-formula membership: drop the pure-N' subsphere, test the
-        N-component's induced ray.  Agrees with contains() identically."""
-        u, _ = self.join_components(direction)
-        if u is None:
-            return False
-        mu = self.mu(u)
         return mu is not None and polyhedral_contains(self.sigma_g, mu)
 
     def describe(self) -> dict:

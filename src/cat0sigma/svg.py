@@ -12,7 +12,7 @@ import math
 from typing import Iterable, Optional
 
 from .errors import UnsupportedDimension
-from .sphere import MODE_FINITE_COMPLEMENT, PolyhedralSet, SpherePoint
+from .sphere import PolyhedralSet, SpherePoint
 
 SIZE = 400
 CENTER = SIZE / 2
@@ -60,19 +60,15 @@ def _clause_member(clauses, direction) -> bool:
 
 
 def render_sphere_svg(obj, points: Optional[Iterable[SpherePoint]] = None) -> str:
-    """Render a PolyhedralSet and/or a list of sphere points to SVG text."""
+    """Render a PolyhedralSet (with optional marked points) or a list of
+    sphere points to SVG text."""
     if isinstance(obj, PolyhedralSet):
-        k = obj.k
-        pset = obj
-        pts = list(points or [])
-        if pset.mode == MODE_FINITE_COMPLEMENT:
-            pts = sorted(pset.complement_points, key=lambda p: p.primitive)
+        k, pset, pts = obj.k, obj, list(points or [])
     else:
         pts = sorted(obj, key=lambda p: p.primitive)
         if not pts:
             raise UnsupportedDimension("empty point list has no dimension")
-        k = pts[0].k
-        pset = None
+        k, pset = pts[0].k, None
     if k == 1:
         return _render_s0(pset, pts)
     if k == 2:
@@ -106,7 +102,7 @@ def _render_s1(pset, pts) -> str:
     lines: list[str] = []
     _header(lines)
     lines.append(f'<circle class="outline" cx="{_fmt(CENTER)}" cy="{_fmt(CENTER)}" r="{_fmt(RADIUS)}"/>')
-    if pset is not None and pset.mode != MODE_FINITE_COMPLEMENT:
+    if pset is not None:
         segments = 720
         run: list[tuple[float, float]] = []
         for i in range(segments + 1):
@@ -136,7 +132,7 @@ def _render_s2(pset, pts) -> str:
     lines: list[str] = []
     _header(lines)
     lines.append(f'<circle class="outline" cx="{_fmt(CENTER)}" cy="{_fmt(CENTER)}" r="{_fmt(RADIUS)}"/>')
-    if pset is not None and pset.mode != MODE_FINITE_COMPLEMENT:
+    if pset is not None:
         normals = sorted(
             {h.normal.primitive for clause in pset.clauses for h in clause}
         )

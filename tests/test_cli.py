@@ -572,16 +572,17 @@ def test_busemann_job_checks_its_ray_end_once(monkeypatch):
 # Point and end checks, and tree rays built, per golden job.  The readers
 # only parse, and each value is checked once, by the library function it is
 # handed to; a character job checks its end and base once for all its words
-# and builds one ray, and a shift job checks each point, raw image and its
-# end once.  Nothing computes a check on an image, a sample, an orbit point,
-# a ray point or a probe end.
+# and builds one ray, a local audit checks its center once for all its
+# samples, and a shift job checks each point, raw image and its end once.
+# Nothing computes a check on an image, a sample, an orbit point, a ray
+# point or a probe end.
 CHECKS_PER_JOB = {
     "tits_tree.json": {"check_end": 6},
     "character_cayley.json": {"check_point": 1, "check_end": 1, "ray_from": 1},
     "character_hnn.json": {"check_point": 1, "check_end": 1, "ray_from": 1},
     "cocompact_f2.json": {"check_point": 1},
-    "audit_local_tree.json": {"check_point": 2, "check_end": 2, "ray_from": 2},
-    "audit_local_e2.json": {"check_point": 2},
+    "audit_local_tree.json": {"check_point": 1, "check_end": 2, "ray_from": 2},
+    "audit_local_e2.json": {"check_point": 1},
     "audit_angle_tree.json": {"check_point": 1, "check_end": 2, "ray_from": 2},
     "shift_tree.json": {"check_point": 4, "check_end": 1, "ray_from": 1},
 }
@@ -749,6 +750,10 @@ MALFORMED = {
     "busemann-points-number": ("busemann", {"space": {"space": "H2"}, "ray": H2_RAY, "points": 5}),
     "busemann-schedule-number": ("busemann", {"space": {"space": "H2"}, "ray": H2_RAY, "points": [], "schedule": 3}),
     "h2-point-number": ("busemann", {"space": {"space": "H2"}, "ray": H2_RAY, "points": [5]}),
+    "h2-end-beyond-binary64": (
+        "busemann",
+        {"space": {"space": "H2"}, "ray": {"base": [0, 1], "end": {"boundary": {"xi": str(10**400)}}}, "points": []},
+    ),
     "hnn-vertex-list": (
         "character",
         {"action": HNN_ACTION, "end": {"up": True}, "base": {"vertex": [1, 2]}, "words": ["t"]},

@@ -1,13 +1,16 @@
 """Tooling guard: the Fourier-Motzkin oracle shares no code with production.
 ``exactlp`` imports only the standard library, and only ``verify`` (the
-oracle side of the package) imports ``exactlp``.  The rational rank oracle
-lives in the tests, not in the package."""
+oracle side of the package) imports ``exactlp``.  The test oracles in
+``tests/oracles.py`` import only the standard library, and the rational
+rank oracle and the orthogonal split of the join description live there,
+not in the package."""
 
 import ast
 import pathlib
 import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "cat0sigma"
+ORACLES = pathlib.Path(__file__).resolve().parent / "oracles.py"
 
 
 def imported_modules(source: str) -> list[tuple[int, str]]:
@@ -56,6 +59,11 @@ def test_exactlp_imports_only_the_standard_library():
     assert [(line, m) for line, m in imported_modules(source) if not is_stdlib(m)] == []
 
 
+def test_test_oracles_import_only_the_standard_library():
+    source = ORACLES.read_text(encoding="utf-8")
+    assert [(line, m) for line, m in imported_modules(source) if not is_stdlib(m)] == []
+
+
 def test_only_verify_imports_exactlp():
     importers = {
         path.name
@@ -84,5 +92,17 @@ def test_no_package_module_defines_the_rank_oracle():
     assert bound_names(sample) == {"rational_rank", "z", "w"}
     definers = [
         path.name for path in sorted(PACKAGE.glob("*.py")) if "rational_rank" in bound_names(path.read_text(encoding="utf-8"))
+    ]
+    assert definers == []
+
+
+def test_no_package_module_defines_the_join_twin():
+    forks = {"join_components", "contains_by_join"}
+    sample = "class D:\n    def contains_by_join(self, e):\n        pass\n"
+    assert forks & bound_names(sample) == {"contains_by_join"}
+    definers = [
+        (path.name, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in sorted(forks & bound_names(path.read_text(encoding="utf-8")))
     ]
     assert definers == []

@@ -4,6 +4,7 @@ parse, and a point or an end is checked once, by the entry point that
 receives it, never again by the space methods that compute with it."""
 
 import ast
+import math
 import pathlib
 import re
 from fractions import Fraction
@@ -57,10 +58,10 @@ def test_only_space_modules_check_model_classes():
 # Where points are checked
 
 
-def checks_used(source: str) -> dict[str, set[str]]:
-    """The ``check_*`` names that each module-level function and each
-    "Class.method" calls or hands on as a value for a helper to call, as an
-    attribute (``M.check_point``) or as a bare name (``check_depth``)."""
+def names_used(source: str) -> dict[str, set[str]]:
+    """The names that each module-level function and each "Class.method"
+    reads, as an attribute (``M.check_point``) or as a bare name
+    (``check_depth``)."""
     out = {}
     for top in ast.parse(source).body:
         defs = [(top.name, top)] if isinstance(top, ast.FunctionDef) else []
@@ -68,8 +69,14 @@ def checks_used(source: str) -> dict[str, set[str]]:
             defs = [(f"{top.name}.{f.name}", f) for f in top.body if isinstance(f, ast.FunctionDef)]
         for name, func in defs:
             names = (getattr(node, "attr", None) or getattr(node, "id", None) for node in ast.walk(func))
-            out[name] = {n for n in names if n and n.startswith("check_")}
+            out[name] = {n for n in names if n}
     return out
+
+
+def checks_used(source: str) -> dict[str, set[str]]:
+    """The ``check_*`` names that each module-level function and each
+    "Class.method" calls or hands on as a value for a helper to call."""
+    return {name: {n for n in used if n.startswith("check_")} for name, used in names_used(source).items()}
 
 
 def check_point_callers(source: str, method: str = "check_point") -> set[str]:
@@ -89,7 +96,8 @@ CHECKING_SPACES = {
     "busemann_limit_audit",
     "comparison_angle",
     # The seeded point stream, which sample_points_near takes its prefixes
-    # from, for its center.
+    # from, for its center.  The library functions that checked their
+    # center where it entered draw from its unchecked core instead.
     "point_stream",
     # The check of a ray's target, a point or an end, for the entry point
     # ray_from.
@@ -186,6 +194,26 @@ def test_ends_are_checked_only_where_they_enter():
     actions_source = (PACKAGE / "actions.py").read_text(encoding="utf-8")
     assert check_point_callers(actions_source, "check_boundary") == ACTIONS_CHECKING_ENDS
     assert check_point_callers(actions_source, "check_target") == ACTIONS_CHECKING_TARGETS
+
+
+def test_centers_are_checked_once():
+    # point_stream and sample_points_near check the center on the call; the
+    # functions that sample around a center they have checked already read
+    # the unchecked core of the stream.
+    streams = {"point_stream", "sample_points_near", "unchecked_point_stream"}
+    readers = {}
+    for module in ("spaces.py", "actions.py"):
+        for name, used in names_used((PACKAGE / module).read_text(encoding="utf-8")).items():
+            if used & streams:
+                readers[name] = used & streams
+    assert readers == {
+        "EuclideanSpace.region": {"unchecked_point_stream"},
+        "HyperbolicPlane.region": {"unchecked_point_stream"},
+        "asymptotic_offset": {"unchecked_point_stream"},
+        "sample_points_near": {"point_stream"},
+        "point_stream": {"unchecked_point_stream"},
+        "local_busemann_audit": {"unchecked_point_stream"},
+    }
 
 
 def spaces_names_used(source: str) -> set[str]:
@@ -295,6 +323,11 @@ BAD_POINTS = {
         WrongSpace,
         "the root () has no parent edge to hold the offset 1/3",
     ),
+    # Non-finite parts, which no comparison rejects by itself.
+    "e2-nan": (sp.EuclideanSpace(2), (math.nan, 0.0), WrongSpace, "point (nan, 0.0) of E2 has a non-finite coordinate"),
+    "e2-inf": (sp.EuclideanSpace(2), (0.0, math.inf), WrongSpace, "point (0.0, inf) of E2 has a non-finite coordinate"),
+    "h2-nan": (sp.HyperbolicPlane(), complex(math.nan, 1), WrongSpace, "point (nan+1j) is not in the upper half-plane"),
+    "h2-inf": (sp.HyperbolicPlane(), complex(0, math.inf), WrongSpace, "point infj is not in the upper half-plane"),
 }
 
 
@@ -330,7 +363,11 @@ def test_entry_points_reject_bad_points(case, entry):
     (CAYLEY2, WordEnd((), (3,)), "letter 3 outside rank 2"),
     (sp.EuclideanSpace(2), sp.EDirection((0.6, 0.0, 0.8)), "direction of dimension 3 in E2"),
     (sp.HyperbolicPlane(), complex(1, -1), "point (1-1j) is not in the upper half-plane"),
-], ids=["cayley-unreduced", "cayley-letter", "e2-dimension", "h2-lower-half-plane"])
+    # A direction is checked where it is built.
+    (sp.EuclideanSpace(2), lambda: sp.EDirection((math.nan, 0.0)), "boundary direction (nan, 0.0) is not a unit vector"),
+    (sp.HyperbolicPlane(), math.nan, "boundary of H2 is R plus infinity, got nan"),
+    (sp.HyperbolicPlane(), -math.inf, "boundary of H2 is R plus infinity, got -inf"),
+], ids=["cayley-unreduced", "cayley-letter", "e2-dimension", "h2-lower-half-plane", "e2-nan", "h2-nan", "h2-minus-inf"])
 def test_ray_from_rejects_bad_ends(M, bad, message):
     with pytest.raises((ValueError, WrongSpace), match=f"^{re.escape(message)}$"):
-        sp.ray_from(M, M.origin(), bad)
+        sp.ray_from(M, M.origin(), bad() if callable(bad) else bad)

@@ -292,6 +292,47 @@ def test_angle_between_rays_matches_angular_distance_on_e2():
     assert abs(angle_between_rays(H2, h1, h3) - math.pi / 2) < 1e-6
 
 
+def test_ray_entry_points_reject_foreign_rays():
+    r3 = ray_from(E3, (0, 0, 0), EDirection((1, 0, 0)))
+    with pytest.raises(WrongSpace, match="ray does not belong to the given space"):
+        busemann_limit_audit(E2, r3, (1, 1), [1, 10])
+    with pytest.raises(WrongSpace, match="ray does not belong to the given space"):
+        angle_between_rays(E2, r3, r3)
+    r2 = ray_from(E2, (0, 0), EDirection((1, 0)))
+    with pytest.raises(WrongSpace, match="ray does not belong to the given space"):
+        angle_between_rays(E2, r2, r3)
+
+
+def test_angle_between_rays_needs_a_common_base():
+    r1 = ray_from(E2, (0, 0), EDirection((1, 0)))
+    r2 = ray_from(E2, (5, 5), EDirection((0, 1)))
+    with pytest.raises(ValueError, match="the angle between rays needs a common base point"):
+        angle_between_rays(E2, r1, r2)
+    t1 = ray_from(TC, TreePoint(()), make_word_end((), (1,)))
+    t2 = ray_from(TC, TreePoint((2,)), make_word_end((), (1,)))
+    with pytest.raises(ValueError, match="common base point"):
+        angle_between_rays(TC, t1, t2)
+
+
+def test_non_finite_values_are_not_points_or_ends():
+    nan, inf = math.nan, math.inf
+    for bad in ((nan, 0.0), (0.0, inf), (-inf, 1.0)):
+        with pytest.raises(WrongSpace, match="non-finite coordinate"):
+            distance(E2, bad, (0, 0))
+    for bad in ((nan, 0.0), (inf, 0.0), (nan, nan)):
+        with pytest.raises(WrongSpace, match="is not a unit vector"):
+            EDirection(bad)
+    for bad in (complex(nan, 1), complex(0, nan), complex(inf, 1), complex(0, inf)):
+        with pytest.raises(WrongSpace, match="is not in the upper half-plane"):
+            distance(H2, bad, 1j)
+    for bad in (nan, -inf, F(10**400)):
+        with pytest.raises(WrongSpace, match="boundary of H2 is R plus infinity"):
+            ray_from(H2, 1j, bad)
+        with pytest.raises(WrongSpace, match="boundary of H2 is R plus infinity"):
+            tits_distance(H2, bad, bad)
+    assert tits_distance(H2, H2_INFINITY, H2_INFINITY) == 0.0
+
+
 def test_angular_and_tits_examples():
     assert abs(angular_distance(E3, EDirection((1, 0, 0)), EDirection((0, 1, 0))) - math.pi / 2) < 1e-12
     assert angular_distance(TC, make_word_end((), (1,)), make_word_end((), (2,))) == math.pi

@@ -31,6 +31,7 @@ from cat0sigma.sphere import (
 )
 from cat0sigma.treesigma import generate_sphere_points
 from cat0sigma.verify import enumeration_m_value, enumeration_ray_count
+from oracles import orthogonal_split
 
 INF = float("inf")
 
@@ -83,15 +84,6 @@ def test_polyhedral_membership_ignores_positive_scaling():
     scaled = chi.scaled(F(9, 4))
     assert pset.contains_character(chi) == pset.contains_character(scaled)
     assert pset.contains(normalize_ray(chi)) == pset.contains_character(chi)
-
-
-def test_finite_complement_mode():
-    pts = [SpherePoint((1,)), SpherePoint((-1,))]
-    pset = PolyhedralSet.complement_of_points(1, pts)
-    assert pset.mode == "finite_complement"
-    assert not pset.contains(SpherePoint((1,)))
-    round_trip = PolyhedralSet.from_json(pset.to_json())
-    assert round_trip.complement_points == pset.complement_points
 
 
 def test_polyhedral_json_round_trip():
@@ -494,19 +486,27 @@ def test_join_description_line_in_plane():
     assert desc.contains((0, 1)) is False  # pole: purely in the complement
     assert desc.mu((3, 7)) == SpherePoint((1,))
     assert desc.mu((0, 1)) is None
-    # The pointwise character computation agrees with the join formula.
+    # The pointwise character computation agrees with the join formula:
+    # drop the pure-N' subsphere, test the ray of the N-component.
     for direction in [(1, 0), (1, 5), (-1, 2), (0, 1), (0, -1), (2, -9)]:
-        assert desc.contains(direction) == desc.contains_by_join(direction)
+        u, _ = orthogonal_split([(1, 0)], direction)
+        by_join = any(u) and sigma.contains(desc.mu(u))
+        assert desc.contains(direction) == by_join
 
 
 def test_join_components_are_orthogonal_split():
-    desc = euclidean_join_decomposition({"a": (1, 1, 0), "b": (0, 1, 1)}, PolyhedralSet.full(2), 1)
-    u, w = desc.join_components((1, 0, 0))
-    assert u is not None and w is not None
-    total = tuple(a + b for a, b in zip(u, w))
-    assert total == (F(1), F(0), F(0))
-    for b in desc.span_basis:
-        assert sum(x * y for x, y in zip(w, b)) == 0
+    vectors = {"a": (1, 1, 0), "b": (0, 1, 1)}
+    desc = euclidean_join_decomposition(vectors, PolyhedralSet.full(2), 1)
+    for direction in [(1, 0, 0), (0, 0, 1), (2, -3, 5), (1, -1, 1)]:
+        u, w = orthogonal_split(vectors.values(), direction)
+        assert tuple(a + b for a, b in zip(u, w)) == tuple(F(c) for c in direction)
+        # u lies in N = span(span_basis), w in N' = span(complement_basis).
+        for b in desc.span_basis:
+            assert sum(x * y for x, y in zip(w, b)) == 0
+        for c in desc.complement_basis:
+            assert sum(x * y for x, y in zip(u, c)) == 0
+        assert desc.character_at(u) == desc.character_at(direction)
+    assert orthogonal_split(vectors.values(), (1, -1, 1))[0] == (0, 0, 0)
 
 
 def test_join_rejects_rotations():

@@ -905,9 +905,10 @@ def cocompactness_witness(action: GroupAction, a, radius: float, depth: int = 6,
     but by no enumerated orbit point (level margin 1, following the
     construction that tracks points at growing distance from the orbit).
     Returns Unknown when the depth is exhausted without either certificate,
-    or when the orbit outgrows ORBIT_BUDGET points before the depth is
-    reached.  The cost is the orbit enumeration plus one early-exit scan of
-    the orbit per sample.
+    when the orbit outgrows ORBIT_BUDGET points before the depth is reached,
+    or when the region outgrows ``spaces.REGION_BUDGET`` points.  The cost
+    is the orbit enumeration plus one early-exit scan of the orbit per
+    sample.
     """
     if depth < 0 or not radius >= 0:  # NaN fails every comparison
         raise ValueError(f"depth {depth} and radius {radius} must be nonnegative numbers")
@@ -919,6 +920,8 @@ def cocompactness_witness(action: GroupAction, a, radius: float, depth: int = 6,
             f"orbit budget of {ORBIT_BUDGET} points exceeded at word length {reached} of depth {depth}"
         )
     region_radius, samples = space.region(a, depth, seed)
+    if samples is None:
+        return UnknownVerdict(f"region budget of {spaces.REGION_BUDGET} grid points exceeded in {space.name}")
 
     worst, worst_point = _directed_hausdorff(space, samples, orbit)
     if worst_point is not None and worst <= radius:
@@ -955,8 +958,8 @@ def local_busemann_audit(
     works; this one is used throughout).
 
     The points are the first ``samples`` within r of the seeded stream of
-    :func:`spaces.point_stream`, among its first 2 ``samples``; the audit
-    stops drawing and measuring once it has them.
+    :func:`spaces.unchecked_point_stream` around c, among its first 2
+    ``samples``; the audit stops drawing and measuring once it has them.
     """
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")

@@ -14,7 +14,6 @@ import argparse
 import contextlib
 import functools
 import json
-import math
 import os
 import sys
 import time
@@ -230,16 +229,15 @@ def _write_csv(path, rows) -> None:
 
 def _add_degrees(args, summary, payload) -> None:
     """The degree report shared by tree-sigma and mfpr: a table up to --n (or
-    up to fl(G), 8 when it is infinite) when --table or --csv is given or
-    --n is not, and the value at --n when --table is not given.  A negative
-    --n is rejected before any table or CSV is made."""
+    to the default of ``sigma_table``) when --table or --csv is given or --n
+    is not, and the value at --n when --table is not given.  A negative --n
+    is rejected before any table or CSV is made."""
     from .treesigma import dynamical_sigma, sigma_table
 
     if args.n is not None and args.n < 0:
         raise DegreeOutOfRange(f"degree {args.n} outside [0, {summary.fl_group}]")
     if args.table or args.n is None or args.csv:
-        n_max = args.n if args.n is not None else (int(summary.fl_group) if summary.fl_group != math.inf else 8)
-        rows = sigma_table(summary, n_max)
+        rows = sigma_table(summary, args.n)
         payload["table"] = [{"n": n, "value": v} for n, v in rows]
         if args.csv:
             _write_csv(args.csv, rows)

@@ -2,13 +2,13 @@
 
 Euclidean k-space and the hyperbolic plane (upper half-plane model) are
 computed in binary64 with a global tolerance of 1e-9 for assertions;
-simplicial trees are exact over ints and Fractions.  Each space class
-owns its operations: distance, geodesics, generalized rays, the Busemann
-closed form, boundary equality, angles and the angular and Tits metrics, the
-seeded samplers, parsing of its points and ends, and the helpers of the
-cocompactness test.  The module-level functions (:func:`distance`,
-:func:`busemann`, :func:`ray_from`, ...) are the public entry points and
-hold only the logic that all spaces share.
+simplicial trees are exact over ints and Fractions.  Each space class owns
+its operations: distance, geodesics, generalized rays, the closed forms of
+Busemann functions and of angles between rays, boundary equality, the
+angular and Tits metrics, the seeded samplers, parsing of its points and
+ends, and the helpers of the cocompactness test.  The module-level functions
+(:func:`distance`, :func:`busemann`, :func:`ray_from`, ...) are the public
+entry points and hold only the logic that all spaces share.
 
 Readers only parse: ``parse_point`` and ``parse_boundary`` check the JSON
 structure and the numbers.  The entry point that receives a value checks
@@ -35,7 +35,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -60,6 +59,14 @@ from .trees import (
 GLOBAL_TOL = 1e-9
 
 H2_INFINITY = math.inf
+
+# Grid points of one Euclidean cocompactness region (region gives None
+# above it): the 8^k grid of E^6 (1.1 s at depth 1) fits, E^7's (5.4 s) not.
+REGION_BUDGET = 8**6
+
+# The H2 closed forms square coordinates in binary64: |Re z|, Im z, 1 / Im z
+# and |xi| at most H2_LIMIT keep the squares finite and nonzero (1e154 not).
+H2_LIMIT = 1e153
 
 Real = Union[int, float, Fraction]
 
@@ -247,6 +254,8 @@ class EuclideanSpace(ModelSpace):
         # Even tick count keeps grid points off any integer lattice through
         # the center, so lattice orbits are probed at their worst spots.
         ticks = 8
+        if ticks**self.k > REGION_BUDGET:
+            return radius, None
         axes = [
             [center[i] + radius * (2.0 * t / (ticks - 1) - 1.0) for t in range(ticks)]
             for i in range(self.k)
@@ -279,15 +288,19 @@ class HyperbolicPlane(ModelSpace):
         z = complex(p) if not isinstance(p, complex) else p
         if not (z.imag > 0 and math.isfinite(z.real) and math.isfinite(z.imag)):
             raise WrongSpace(f"point {z} is not in the upper half-plane")
+        if not (abs(z.real) <= H2_LIMIT and 1 / H2_LIMIT <= z.imag <= H2_LIMIT):
+            raise WrongSpace(f"point {z} of H2 is out of range: |Re z|, Im z and 1 / Im z must be at most {H2_LIMIT:g}")
         return z
 
     def check_boundary(self, e):
         if e == H2_INFINITY:
             return H2_INFINITY
-        # Also rejects NaN, -inf and values beyond the binary64 range.
-        if isinstance(e, (int, float, Fraction)) and abs(e) <= sys.float_info.max:
-            return e
-        raise WrongSpace(f"boundary of H2 is R plus infinity, got {e!r}")
+        # Also rejects NaN and -inf.
+        if not isinstance(e, (int, float, Fraction)) or not abs(e) < math.inf:
+            raise WrongSpace(f"boundary of H2 is R plus infinity, got {e!r}")
+        if abs(e) > H2_LIMIT:
+            raise WrongSpace(f"boundary of H2 is R plus infinity, with |xi| <= {H2_LIMIT:g} here, got {e!r}")
+        return e
 
     def origin(self):
         return complex(0.0, 1.0)
@@ -315,7 +328,7 @@ class HyperbolicPlane(ModelSpace):
         t = min(max(float(t), 0.0), d)
         if d == 0:
             return a
-        geo = _h2_geodesic_through(a, b)
+        geo = _h2_geodesic_through(a, b.real, abs(b) ** 2)
         sa, sb = geo.param(a), geo.param(b)
         return geo.point(sa + (t if sb >= sa else -t))
 
@@ -326,7 +339,7 @@ class HyperbolicPlane(ModelSpace):
     def ray_from(self, a, e):
         if isinstance(e, complex):
             mu = _h2_distance(a, e)
-            geo = _h2_geodesic_through(a, e)
+            geo = _h2_geodesic_through(a, e.real, abs(e) ** 2)
             sign = +1 if geo.param(e) >= geo.param(a) else -1
             return GeneralizedRay(self, a, e, mu, (geo, sign))
         geo, sign = _h2_geodesic_to_boundary(a, e)
@@ -340,22 +353,12 @@ class HyperbolicPlane(ModelSpace):
         return _h2_busemann(ray.end, ray.base, b)
 
     def angle_between_rays(self, ray1, ray2):
-        # The monotone limit of comparison angles, halving the time until
-        # the step is below GLOBAL_TOL.
-        t = 1.0
-        prev = None
-        for _ in range(64):
-            a1 = ray1.point_at(t)
-            a2 = ray2.point_at(t)
-            d12 = _h2_distance(a1, a2)
-            if d12 == 0:
-                return 0.0
-            angle = _comparison_angle(self, ray1.base, a1, a2)
-            if prev is not None and abs(angle - prev) < GLOBAL_TOL:
-                return angle
-            prev = angle
-            t /= 2.0
-        return prev
+        # The model is conformal: the Euclidean angle between the unit
+        # tangents at the base, the argument of their quotient.
+        if ray1.mu == 0 or ray2.mu == 0:
+            raise DegenerateTriangle("a ray of length 0 makes no angle")
+        turn = _h2_tangent(ray2) * _h2_tangent(ray1).conjugate()
+        return math.atan2(abs(turn.imag), turn.real)
 
     def sample_point(self, center, radius, rng):
         xi = math.tan(rng.uniform(-1.5, 1.5))
@@ -602,10 +605,11 @@ class _H2Circle:
         return complex(self.center + self.radius * cos_t, self.radius * sin_t)
 
 
-def _h2_geodesic_through(z: complex, w: complex):
-    if abs(z.real - w.real) < 1e-14:
+def _h2_geodesic_through(z: complex, x: float, square: float):
+    """The geodesic through z and w in H2 or on R, given as x = Re w and square = |w|^2."""
+    if abs(z.real - x) < 1e-14:
         return _H2Vertical(z.real)
-    c = (abs(z) ** 2 - abs(w) ** 2) / (2.0 * (z.real - w.real))
+    c = (abs(z) ** 2 - square) / (2.0 * (z.real - x))
     return _H2Circle(c, abs(z - complex(c, 0.0)))
 
 
@@ -615,11 +619,15 @@ def _h2_geodesic_to_boundary(z: complex, xi):
     if xi == H2_INFINITY:
         return _H2Vertical(z.real), +1
     x = float(xi)
-    if abs(z.real - x) < 1e-14:
-        return _H2Vertical(z.real), -1
-    c = (abs(z) ** 2 - x * x) / (2.0 * (z.real - x))
-    geo = _H2Circle(c, abs(z - complex(c, 0.0)))
-    return geo, (+1 if x < c else -1)
+    geo = _h2_geodesic_through(z, x, x * x)
+    return geo, (+1 if isinstance(geo, _H2Circle) and x < geo.center else -1)
+
+
+def _h2_tangent(ray) -> complex:
+    """The unit tangent of an H2 ray at its base: +-i on a vertical line,
+    +-i times the unit radius (z - c) / r on a circle."""
+    geo, sign = ray._param
+    return sign * 1j * ((ray.base - geo.center) / geo.radius if isinstance(geo, _H2Circle) else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -745,10 +753,7 @@ def horoball_contains(M: ModelSpace, H: Horoball, b) -> bool:
 def comparison_angle(M: ModelSpace, apex, b, c) -> float:
     """Angle at the apex of the Euclidean comparison triangle with the same
     three side lengths."""
-    return _comparison_angle(M, M.check_point(apex), M.check_point(b), M.check_point(c))
-
-
-def _comparison_angle(M: ModelSpace, apex, b, c) -> float:
+    apex, b, c = M.check_point(apex), M.check_point(b), M.check_point(c)
     p = M.distance(apex, b)
     q = M.distance(apex, c)
     r = M.distance(b, c)
@@ -761,10 +766,11 @@ def _comparison_angle(M: ModelSpace, apex, b, c) -> float:
 def angle_between_rays(M: ModelSpace, ray1: GeneralizedRay, ray2: GeneralizedRay) -> float:
     """Alexandrov angle between two rays from a common base point.
 
-    Closed form on E^k; the monotone limit of comparison angles with a
-    doubling refinement (stop when the step is below GLOBAL_TOL) on H2; and
-    the first-edge rule (0 or pi) on trees.  Raises ValueError when the
-    bases differ.
+    Closed forms on all three spaces: the angle between the directions on
+    E^k; on H2, whose model is conformal, the Euclidean angle between the
+    rays' unit tangents at the base (a ray of length 0 raises
+    DegenerateTriangle); and the first-edge rule (0 or pi) on trees.
+    Raises ValueError when the bases differ.
     """
     ray1, ray2 = M.check_ray(ray1), M.check_ray(ray2)
     if M.distance(ray1.base, ray2.base) > M.slack(1e-12):
@@ -821,20 +827,15 @@ def asymptotic_offset(M: ModelSpace, ray1: GeneralizedRay, ray2: GeneralizedRay,
 
 
 def sample_points_near(M: ModelSpace, center, count: int, radius: float = 3.0, seed: int = 0):
-    """Deterministic sample of points within the given radius of center:
-    the first count points of :func:`point_stream`."""
-    return list(itertools.islice(point_stream(M, center, radius, seed), count))
-
-
-def point_stream(M: ModelSpace, center, radius: float = 3.0, seed: int = 0):
-    """The endless seeded stream of points within the given radius of
-    center.  The center is checked on the call, before any point is drawn."""
-    return unchecked_point_stream(M, M.check_point(center), radius, seed)
+    """The first count points of :func:`unchecked_point_stream` around
+    center, which is checked on the call, before any point is drawn."""
+    return list(itertools.islice(unchecked_point_stream(M, M.check_point(center), radius, seed), count))
 
 
 def unchecked_point_stream(M: ModelSpace, center, radius: float, seed: int):
-    """:func:`point_stream` around a center already checked, for the
-    library functions that checked it where it entered."""
+    """The endless seeded stream of points within the given radius of a
+    center already checked, for the library functions that checked it
+    where it entered."""
     rng = random.Random(str((seed, M.name, "points")))
     return (M.sample_point(center, radius, rng) for _ in itertools.count())
 

@@ -128,11 +128,6 @@ class OpenHemisphere:
     def k(self) -> int:
         return self.normal.k
 
-    def contains_character(self, chi: Character) -> bool:
-        if chi.k != self.k:
-            raise DimensionMismatch(f"hemisphere in rank {self.k}, character in rank {chi.k}")
-        return sum(n * c for n, c in zip(self.normal.primitive, chi.coords)) > 0
-
     def contains(self, p: SpherePoint) -> bool:
         if p.k != self.k:
             raise DimensionMismatch(f"hemisphere in rank {self.k}, point in rank {p.k}")
@@ -170,23 +165,6 @@ class PolyhedralSet:
     def contains(self, p: SpherePoint) -> bool:
         return polyhedral_contains(self, p)
 
-    def contains_character(self, chi: Character) -> bool:
-        """Membership of the ray [chi]; exact, raises ZeroCharacter on chi = 0."""
-        return polyhedral_contains(self, normalize_ray(chi))
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "clauses": [[list(h.normal.primitive) for h in clause] for clause in self.clauses],
-        }
-
-    @staticmethod
-    def from_json(data: Mapping) -> "PolyhedralSet":
-        clauses = [
-            tuple(OpenHemisphere(SpherePoint(tuple(int(c) for c in normal))) for normal in clause)
-            for clause in data.get("clauses", [])
-        ]
-        return PolyhedralSet.from_clauses(int(data["k"]), clauses)
 
 
 def polyhedral_contains(P: PolyhedralSet, p: SpherePoint) -> bool:
@@ -384,12 +362,6 @@ class MValue:
         if self.value != INF and (not isinstance(self.value, int) or self.value < 1):
             raise ValueError(f"finite m-values are integers >= 1, got {self.value}")
 
-    def __le__(self, other):
-        return self.value <= (other.value if isinstance(other, MValue) else other)
-
-    def __lt__(self, other):
-        return self.value < (other.value if isinstance(other, MValue) else other)
-
 
 def m_value(A: Iterable[SpherePoint], chi: Character) -> MValue:
     r = minimal_ray_count(A, chi)
@@ -400,26 +372,6 @@ def m_value(A: Iterable[SpherePoint], chi: Character) -> MValue:
 # Translation actions on Euclidean k-space: the join description of the
 # invariant and the map mu sending a boundary direction to the ray of the
 # induced character.
-
-
-def _extract_translation_vectors(rho) -> list[tuple[Fraction, ...]]:
-    """Exact translation vectors of rho, which is either a GroupAction by
-    Euclidean translations or a mapping name -> vector.
-
-    Binary floats convert to Fraction without loss, so float input stays
-    exact.  Raises NotTranslationAction when a generator carries a
-    nontrivial rotation part.
-    """
-    if hasattr(rho, "translation_vectors"):
-        vectors = rho.translation_vectors()
-    elif isinstance(rho, Mapping):
-        vectors = rho
-    else:
-        raise NotTranslationAction(f"cannot read translation vectors from {type(rho).__name__}")
-    out = []
-    for name in sorted(vectors):
-        out.append(tuple(_frac(c) for c in vectors[name]))
-    return out
 
 
 def _orthogonal_complement_basis(span: Sequence[tuple[Fraction, ...]], k: int) -> list[tuple[Fraction, ...]]:
@@ -497,16 +449,16 @@ class EuclideanSigmaDescription:
         }
 
 
-def euclidean_join_decomposition(rho, sigma_g: PolyhedralSet, n: int) -> EuclideanSigmaDescription:
+def euclidean_join_decomposition(translations: Mapping, sigma_g: PolyhedralSet, n: int) -> EuclideanSigmaDescription:
     """Describe the degree-n invariant of a Euclidean translation action.
 
-    rho acts on E^k by translations (a GroupAction or a mapping
-    name -> translation vector); sigma_g describes the group invariant on
-    S(G) in coordinates indexed by the sorted generator names.  When every
-    translation vector is zero the span N is trivial, the description is
-    empty and mu is identically zero.
+    translations maps each generator name to its translation vector on E^k,
+    exactly (for a GroupAction, ``action.translation_vectors()``, which
+    rejects a rotation part); sigma_g describes the group invariant on S(G)
+    in coordinates indexed by the sorted names.  When every translation
+    vector is zero the description is empty and mu is identically zero.
     """
-    vectors = _extract_translation_vectors(rho)
+    vectors = [tuple(_frac(c) for c in translations[name]) for name in sorted(translations)]
     if not vectors:
         raise NotTranslationAction("action has no generators")
     k = len(vectors[0])

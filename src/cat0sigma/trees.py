@@ -313,10 +313,6 @@ class TreeModel:
             nbrs = nbrs + [parent]
         return nbrs
 
-    def vertex_distance(self, u, v) -> int:
-        _, i, j = self.meet(u, v)
-        return i + j
-
 
 class WordTree(TreeModel):
     """Rooted tree whose vertices are words from the root (parent = drop the
@@ -605,9 +601,6 @@ class HnnTree(TreeModel):
         # x - c = (num n^e - c_num unit n^exp) / (unit n^(exp + e)).
         diff = num * _power(n, v.exp) - v.num * unit * _power(n, exp)
         return _valuation(diff, n) - exp - v.exp if diff else math.inf
-
-    def contains_value(self, v: HnnVertex, x: Fraction) -> bool:
-        return self._valuation_from(v, x) >= v.level
 
     def meet(self, u: HnnVertex, v: HnnVertex) -> tuple[HnnVertex, int, int]:
         # The balls of u and v first coincide where n^level divides c_u - c_v.

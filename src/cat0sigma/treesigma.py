@@ -40,6 +40,9 @@ WHOLE_BOUNDARY = "whole_boundary"
 SINGLETON = "singleton"
 EMPTY = "empty"
 
+# Rows of one degree table (tree-sigma and mfpr with --table or --csv).
+TABLE_BUDGET = 10_000
+
 
 def _length(value):
     """A length from JSON: an integer >= 0 or "inf"."""
@@ -106,12 +109,12 @@ def dynamical_sigma(summary: GraphOfGroupsSummary, n: int) -> str:
 
 
 def sigma_table(summary: GraphOfGroupsSummary, n_max: Optional[int] = None) -> list[tuple[int, str]]:
-    """Rows (n, value) for n = 0..n_max (default: the group length when
-    finite)."""
+    """Rows (n, value) for n = 0..n_max, by default the group length or 8
+    when it is infinite; DegreeOutOfRange, first, beyond TABLE_BUDGET rows."""
     if n_max is None:
-        if summary.fl_group == INF:
-            raise DegreeOutOfRange("unbounded table: pass n_max for infinite fl")
-        n_max = int(summary.fl_group)
+        n_max = 8 if summary.fl_group == INF else int(summary.fl_group)
+    if n_max >= TABLE_BUDGET:
+        raise DegreeOutOfRange(f"a table to degree {n_max} exceeds the table budget of {TABLE_BUDGET} rows")
     return [(n, dynamical_sigma(summary, n)) for n in range(0, n_max + 1)]
 
 

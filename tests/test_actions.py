@@ -34,7 +34,7 @@ from cat0sigma.actions import (
     sl2z_sigma0_complement,
 )
 from cat0sigma.errors import EndNotFixed, ParameterOutOfRange, UnknownGenerator, UnsupportedNumberForm, WrongSpace
-from cat0sigma.spaces import EDirection, EuclideanSpace, H2_INFINITY, HyperbolicPlane, TreeSpace
+from cat0sigma.spaces import EDirection, EuclideanSpace, H2_INFINITY, REGION_BUDGET, HyperbolicPlane, TreeSpace
 from cat0sigma.trees import CayleyTree, HnnDown, HnnTree, HnnUp, TreePoint, invert_word, make_word_end
 
 
@@ -329,6 +329,16 @@ def test_orbit_budget_stops_deep_free_group_orbits():
     assert time.perf_counter() - start < 5
     assert isinstance(verdict, UnknownVerdict)
     assert str(ORBIT_BUDGET) in verdict.reason and "word length 8" in verdict.reason
+
+
+def test_region_budget_stops_high_dimensional_grids():
+    # The region's grid has 8^k points: 8^9 = 134217728 on E^9, which took
+    # minutes to build.
+    act = GroupAction.euclidean_translations(9, {"a": (1,) + (0,) * 8})
+    start = time.perf_counter()
+    verdict = cocompactness_witness(act, (0.0,) * 9, 0.75, depth=1)
+    assert time.perf_counter() - start < 1
+    assert verdict == UnknownVerdict(f"region budget of {REGION_BUDGET} grid points exceeded in E9")
 
 
 def _all_pairs_max_min(space, samples, orbit):

@@ -202,6 +202,29 @@ def test_mfpr_and_tree_sigma_share_the_degree_report(tmp_path):
     assert reports[0][0] == "n,value\n0,whole_boundary\n1,whole_boundary\n2,singleton\n"
 
 
+@pytest.mark.parametrize("command", ["mfpr", "tree-sigma"])
+def test_degree_tables_have_a_row_budget(tmp_path, command):
+    # Both inputs have infinite fl(G); --n 3000000 --table once wrote 167 MB.
+    data = write(
+        tmp_path,
+        "d.json",
+        {"k": 2, "complement": [[-2, -1], [1, 2], [2, 3]], "splitting_character": ["-2", "-4"]}
+        if command == "mfpr"
+        else {"fl_group": "inf", "fl_stabilizers": 1, "has_fixed_end": False},
+    )
+    csv = tmp_path / "out.csv"
+    for n, flags in ((10**4, ["--table"]), (3 * 10**6, ["--table"]), (10**9, ["--csv", str(csv)])):
+        code, out, err = run_cli([command, "--data", data, "--n", str(n), *flags])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "DegreeOutOfRange",
+            "message": f"a table to degree {n} exceeds the table budget of 10000 rows",
+        }
+        assert not csv.exists()
+    code, out, _ = run_cli([command, "--data", data, "--n", str(10**4 - 1), "--table"])
+    assert code == 0 and len(json.loads(out)["table"]) == 10**4
+
+
 NEGATIVE_DEGREE = {
     f"{command}-{name}": (command, flags)
     for command in ("mfpr", "tree-sigma")
@@ -821,6 +844,27 @@ MALFORMED.update(
         "cocompact-negative-depth": ("cocompact", F2_ACTION, "--radius", "1", "--depth", "-5"),
         "cocompact-negative-radius": ("cocompact", F2_ACTION, "--radius", "-1"),
         "cocompact-nan-radius": ("cocompact", F2_ACTION, "--radius", "nan"),
+    }
+)
+# H2 values whose squares leave binary64, in the busemann_h2 golden input.
+BUSEMANN_H2 = json.loads((GOLDEN / "busemann_h2.json").read_text(encoding="utf-8"))
+
+
+def busemann_h2_with(xi=None, base=None, points=None):
+    end = {"boundary": {"xi": xi}} if xi else BUSEMANN_H2["ray"]["end"]
+    ray = {"base": base or BUSEMANN_H2["ray"]["base"], "end": end}
+    return ("busemann", dict(BUSEMANN_H2, ray=ray, points=points or BUSEMANN_H2["points"]))
+
+
+MALFORMED.update(
+    {
+        "h2-end-1e160": busemann_h2_with(xi="1e160"),
+        "h2-end-minus-1e200": busemann_h2_with(xi="-1e200"),
+        "h2-end-1e300": busemann_h2_with(xi="1e300"),
+        "h2-base-far": busemann_h2_with(base=[1e200, 1]),
+        "h2-point-far": busemann_h2_with(points=[[1e200, 1]]),
+        "h2-base-near-axis": busemann_h2_with(base=[0, 1e-200]),
+        "h2-base-and-point-near-axis": busemann_h2_with(base=[0, 1e-170], points=[[1, 1e-170]]),
     }
 )
 

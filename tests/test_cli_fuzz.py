@@ -84,3 +84,58 @@ def test_json_ints_read_exactly_and_other_numbers_as_before():
     ]:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_int(value)
+
+
+# H2 documents with slots for a real part ("X"), an imaginary part ("Y")
+# and a finite end ("XI").
+H2_SLOTTED = [
+    ("busemann", {"ray": {"base": ["X", "Y"], "end": {"boundary": {"xi": "XI"}}}, "points": [["X", "Y"], ["X", "Y"]]}),
+    ("busemann", {"ray": {"base": ["X", "Y"], "end": {"point": ["X", "Y"]}}, "points": [["X", "Y"]]}),
+    ("busemann", {"ray": {"base": ["X", "Y"], "end": {"boundary": {"xi": "inf"}}}, "points": [["X", "Y"]]}),
+    ("tits", {"pairs": [[{"xi": "XI"}, {"xi": "XI"}], [{"xi": "XI"}, "inf"]]}),
+    ("shift", {"config": {"x": ["X", "Y"], "y": ["X", "Y"]}, "map": {"x": "y", "y": ["X", "Y"]}, "end": {"xi": "XI"}}),
+    ("audit", {"base": ["X", "Y"], "ends": [{"xi": "XI"}, {"xi": "XI"}]}),
+    ("audit", {"center": ["X", "Y"], "r": "1/2", "eps": "1/5", "ends": [{"xi": "XI"}, "inf"], "samples": 5}),
+]
+
+
+def filled(node, values):
+    """The document with each slot, in order, taking the next of values: a
+    magnitude m (|m| for "Y", the string of m for "XI"), or None for a
+    default of the slot's own."""
+    if isinstance(node, dict):
+        return {key: filled(child, values) for key, child in node.items()}
+    if isinstance(node, list):
+        return [filled(child, values) for child in node]
+    if node not in ("X", "Y", "XI"):
+        return node
+    i, m = len(values), values.pop(0)
+    if m is None:
+        return {"X": float(i), "Y": 1.0 + i / 4, "XI": str(i + 3)}[node]
+    return {"X": m, "Y": abs(m), "XI": repr(m)}[node]
+
+
+def slot_count(document):
+    return sum(json.dumps(document).count(f'"{slot}"') for slot in ("X", "Y", "XI"))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_h2_magnitudes_never_raise(data, workdir, monkeypatch):
+    # A magnitude +-10^k, |k| <= 308, in any set of an H2 document's slots:
+    # exit 0, 1 or 2, never a traceback.
+    monkeypatch.delenv("SIGMA_LOG", raising=False)
+    command, document = data.draw(st.sampled_from(H2_SLOTTED))
+    m = data.draw(st.sampled_from([1.0, -1.0])) * float(f"1e{data.draw(st.integers(-308, 308))}")
+    mask = data.draw(st.lists(st.booleans(), min_size=slot_count(document), max_size=slot_count(document)))
+    target = workdir / "h2.json"
+    target.write_text(json.dumps(dict(filled(document, [m if on else None for on in mask]), space={"space": "H2"})))
+    which = (["--which", "angle-estimate" if "base" in document else "local-busemann"]) if command == "audit" else []
+
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.run([command, *which, "--data", str(target)], stdout=out, stderr=err)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and set(json.loads(lines[0])) == {"error", "message"}

@@ -106,3 +106,28 @@ def test_no_package_module_defines_the_join_twin():
         for name in sorted(forks & bound_names(path.read_text(encoding="utf-8")))
     ]
     assert definers == []
+
+
+def test_no_package_module_defines_a_second_path():
+    # Each of these answered a question that another entry answers: the
+    # stream that sample_points_near checks, meet and point_distance, the
+    # valuation, contains(normalize_ray(chi)), the H2 angle's closed form
+    # and GroupAction.translation_vectors.
+    seconds = {
+        "point_stream",
+        "vertex_distance",
+        "contains_value",
+        "contains_character",
+        "_comparison_angle",
+        "_extract_translation_vectors",
+    }
+    definers = [
+        (path.name, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in sorted(seconds & bound_names(path.read_text(encoding="utf-8")))
+    ]
+    assert definers == []
+    from cat0sigma.sphere import MValue, PolyhedralSet
+
+    assert not {"to_json", "from_json"} & set(vars(PolyhedralSet))
+    assert not {"__le__", "__lt__"} & set(vars(MValue))

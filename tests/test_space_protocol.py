@@ -95,10 +95,10 @@ CHECKING_SPACES = {
     "busemann",
     "busemann_limit_audit",
     "comparison_angle",
-    # The seeded point stream, which sample_points_near takes its prefixes
-    # from, for its center.  The library functions that checked their
-    # center where it entered draw from its unchecked core instead.
-    "point_stream",
+    # The checked entry to the seeded point stream, for its center.  The
+    # library functions that checked their center where it entered draw
+    # from the unchecked stream instead.
+    "sample_points_near",
     # The check of a ray's target, a point or an end, for the entry point
     # ray_from.
     "EuclideanSpace.check_target",
@@ -197,10 +197,10 @@ def test_ends_are_checked_only_where_they_enter():
 
 
 def test_centers_are_checked_once():
-    # point_stream and sample_points_near check the center on the call; the
-    # functions that sample around a center they have checked already read
-    # the unchecked core of the stream.
-    streams = {"point_stream", "sample_points_near", "unchecked_point_stream"}
+    # sample_points_near checks the center on the call; the functions that
+    # sample around a center they have checked already read the unchecked
+    # stream.
+    streams = {"sample_points_near", "unchecked_point_stream"}
     readers = {}
     for module in ("spaces.py", "actions.py"):
         for name, used in names_used((PACKAGE / module).read_text(encoding="utf-8")).items():
@@ -210,8 +210,7 @@ def test_centers_are_checked_once():
         "EuclideanSpace.region": {"unchecked_point_stream"},
         "HyperbolicPlane.region": {"unchecked_point_stream"},
         "asymptotic_offset": {"unchecked_point_stream"},
-        "sample_points_near": {"point_stream"},
-        "point_stream": {"unchecked_point_stream"},
+        "sample_points_near": {"unchecked_point_stream"},
         "local_busemann_audit": {"unchecked_point_stream"},
     }
 
@@ -328,6 +327,15 @@ BAD_POINTS = {
     "e2-inf": (sp.EuclideanSpace(2), (0.0, math.inf), WrongSpace, "point (0.0, inf) of E2 has a non-finite coordinate"),
     "h2-nan": (sp.HyperbolicPlane(), complex(math.nan, 1), WrongSpace, "point (nan+1j) is not in the upper half-plane"),
     "h2-inf": (sp.HyperbolicPlane(), complex(0, math.inf), WrongSpace, "point infj is not in the upper half-plane"),
+    # Parts whose squares leave binary64, which the H2 closed forms take.
+    "h2-far": (
+        sp.HyperbolicPlane(), complex(1e200, 1), WrongSpace,
+        "point (1e+200+1j) of H2 is out of range: |Re z|, Im z and 1 / Im z must be at most 1e+153",
+    ),
+    "h2-near-axis": (
+        sp.HyperbolicPlane(), complex(0, 1e-200), WrongSpace,
+        "point 1e-200j of H2 is out of range: |Re z|, Im z and 1 / Im z must be at most 1e+153",
+    ),
 }
 
 
@@ -367,7 +375,15 @@ def test_entry_points_reject_bad_points(case, entry):
     (sp.EuclideanSpace(2), lambda: sp.EDirection((math.nan, 0.0)), "boundary direction (nan, 0.0) is not a unit vector"),
     (sp.HyperbolicPlane(), math.nan, "boundary of H2 is R plus infinity, got nan"),
     (sp.HyperbolicPlane(), -math.inf, "boundary of H2 is R plus infinity, got -inf"),
-], ids=["cayley-unreduced", "cayley-letter", "e2-dimension", "h2-lower-half-plane", "e2-nan", "h2-nan", "h2-minus-inf"])
+    (
+        sp.HyperbolicPlane(),
+        Fraction(-10**160),
+        f"boundary of H2 is R plus infinity, with |xi| <= 1e+153 here, got {Fraction(-10**160)!r}",
+    ),
+], ids=[
+    "cayley-unreduced", "cayley-letter", "e2-dimension", "h2-lower-half-plane", "e2-nan", "h2-nan", "h2-minus-inf",
+    "h2-far-end",
+])
 def test_ray_from_rejects_bad_ends(M, bad, message):
     with pytest.raises((ValueError, WrongSpace), match=f"^{re.escape(message)}$"):
         sp.ray_from(M, M.origin(), bad() if callable(bad) else bad)

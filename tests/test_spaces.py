@@ -286,10 +286,62 @@ def test_angle_between_rays_matches_angular_distance_on_e2():
     # H2: two rays from i toward 0 and infinity are opposite.
     h1 = ray_from(H2, 1j, H2_INFINITY)
     h2 = ray_from(H2, 1j, 0)
-    assert abs(angle_between_rays(H2, h1, h2) - math.pi) < 1e-6
+    assert abs(angle_between_rays(H2, h1, h2) - math.pi) < 1e-12
     # H2 rays toward infinity and 1 from i meet at pi/2 (ideal triangle).
     h3 = ray_from(H2, 1j, 1)
-    assert abs(angle_between_rays(H2, h1, h3) - math.pi / 2) < 1e-6
+    assert abs(angle_between_rays(H2, h1, h3) - math.pi / 2) < 1e-12
+
+
+def _h2_target(rng, base):
+    """An end (infinity or a real number) or a point: one on a random
+    geodesic from the base at distance 0.01 to 4, or one drawn in a box."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return H2_INFINITY
+    if kind == 1:
+        return rng.uniform(-10.0, 10.0)
+    if kind == 2:
+        return ray_from(H2, base, math.tan(rng.uniform(-1.5, 1.5))).point_at(rng.uniform(0.01, 4.0))
+    return complex(rng.uniform(-5.0, 5.0), rng.uniform(0.05, 5.0))
+
+
+def test_h2_angle_between_rays_matches_small_comparison_angles():
+    # Oracle: the comparison angle at t = 1e-3 along both rays, which the
+    # closed form does not use; on H2 the two differ by about t^2 / 6.
+    rng = random.Random(2024)
+    kinds = {"end": 0, "point": 0}
+    for _ in range(1200):
+        base = complex(rng.uniform(-3.0, 3.0), rng.uniform(0.1, 3.0))
+        r1, r2 = ray_from(H2, base, _h2_target(rng, base)), ray_from(H2, base, _h2_target(rng, base))
+        for r in (r1, r2):
+            kinds["point" if r.is_degenerate else "end"] += 1
+        p1, p2 = r1.point_at(1e-3), r2.point_at(1e-3)
+        oracle = 0.0 if distance(H2, p1, p2) == 0 else comparison_angle(H2, base, p1, p2)
+        assert abs(angle_between_rays(H2, r1, r2) - oracle) < 1e-6, (base, r1.end, r2.end)
+    assert min(kinds.values()) > 1000
+
+
+@pytest.mark.parametrize("base, t1, t2, expected", [
+    # The halving loop returned 3.0172 here, far from the oracle.
+    (complex(-0.31213474329451074, 0.734632578978311), complex(-0.31207430331790587, 1.3100093832451118),
+     8.671176828681503, 0.16312),
+    # The halving loop raised DegenerateTriangle here.
+    (complex(1.463590782061229, 0.5465291602809125), -0.555043825351099, complex(1.478848736835892, 2.955844847397445),
+     0.53078),
+])
+def test_h2_angle_between_rays_pinned(base, t1, t2, expected):
+    r1, r2 = ray_from(H2, base, t1), ray_from(H2, base, t2)
+    assert abs(angle_between_rays(H2, r1, r2) - expected) < 1e-5
+    assert abs(comparison_angle(H2, base, r1.point_at(1e-3), r2.point_at(1e-3)) - expected) < 1e-5
+
+
+def test_h2_ray_of_length_zero_makes_no_angle():
+    still = ray_from(H2, 1j, 1j)
+    for other in (still, ray_from(H2, 1j, 2j), ray_from(H2, 1j, H2_INFINITY)):
+        with pytest.raises(DegenerateTriangle):
+            angle_between_rays(H2, still, other)
+        with pytest.raises(DegenerateTriangle):
+            angle_between_rays(H2, other, still)
 
 
 def test_ray_entry_points_reject_foreign_rays():

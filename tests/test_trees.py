@@ -244,7 +244,7 @@ def test_hnn_check_vertex_needs_no_power_at_the_depth_budget():
 def test_regular_tree_distance_example():
     # Nodes at addresses "ab" and "ac" are two apart, through "a".
     model = RegularTree(3)
-    assert model.vertex_distance((0, 0), (0, 1)) == 2
+    assert point_distance(model, TreePoint((0, 0)), TreePoint((0, 1))) == 2
     path = [walk_to_point(model, TreePoint((0, 0)), TreePoint((0, 1)), t) for t in range(3)]
     assert path == [TreePoint((0, 0)), TreePoint((0,)), TreePoint((0, 1))]
 
@@ -260,7 +260,7 @@ def test_cayley_tree_distance_is_word_metric():
         for _ in range(rng.randrange(0, 6)):
             v = rng.choice(model.children(v))
         expected = len(reduce_word(invert_word(u) + v))
-        assert model.vertex_distance(u, v) == expected
+        assert point_distance(model, TreePoint(u), TreePoint(v)) == expected
 
 
 def test_cayley_left_multiplication_end():
@@ -292,7 +292,7 @@ def test_hnn_vertex_structure():
     # Distance between the two grandchildren below different children.
     a = model.vertex(2, F(1))   # digits 1,0 below base
     b = model.vertex(2, F(2))   # digits 0,1
-    assert model.vertex_distance(a, b) == 4
+    assert point_distance(model, TreePoint(a), TreePoint(b)) == 4
 
 
 def test_hnn_ray_vertices_and_containment():
@@ -310,7 +310,7 @@ def test_hnn_ray_vertices_and_containment():
     assert model.vertex_containing(F(1, 3), 0) == model.vertex(0, F(0))
     # The ball containing 1/3 at level 2 has the 2-adic expansion of 1/3.
     v = model.vertex_containing(F(1, 3), 2)
-    assert model.contains_value(v, F(1, 3))
+    assert model._valuation_from(v, F(1, 3)) >= 2
 
 
 def test_hnn_affine_action_is_isometric():
@@ -322,7 +322,7 @@ def test_hnn_affine_action_is_isometric():
         for v in verts:
             gu = model.affine_vertex(shift, add, u)
             gv = model.affine_vertex(shift, add, v)
-            assert model.vertex_distance(gu, gv) == model.vertex_distance(u, v)
+            assert point_distance(model, TreePoint(gu), TreePoint(gv)) == point_distance(model, TreePoint(u), TreePoint(v))
 
 
 def test_point_distance_same_edge_and_across():
@@ -503,7 +503,7 @@ def _deep_point(model, end, L):
     if isinstance(end, HnnUp):
         return TreePoint(model.vertex(5 - L, F(1, 2**L)))
     ball = model.vertex_containing(end.value, L)
-    off = next(c for c in model.children(ball) if not model.contains_value(c, end.value))
+    off = next(c for c in model.children(ball) if model._valuation_from(c, end.value) < c.level)
     return TreePoint(model.canonical(L + 5, off.num, off.exp))
 
 
@@ -604,11 +604,10 @@ def test_hnn_composite_index():
     # 1/5 inverts mod every power of 6: 5 * 1037 = 4 * 1296 + 1.
     v = model.vertex_containing(F(1, 5), 4)
     assert v == model.vertex(4, F(1037))
-    assert model.contains_value(v, F(1, 5))
-    for level in [-2, 0, 1, 3]:
+    for level in [-2, 0, 1, 3, 4]:
         w = model.vertex_containing(F(1, 5), level)
         model.check_vertex(w)
-        assert model.contains_value(w, F(1, 5))
+        assert model._valuation_from(w, F(1, 5)) >= level
     # Mixed denominator 1/10 = (1/2) * (1/5): one step below level -1.
     assert n_valuation(F(1, 10), 6) == -1
 

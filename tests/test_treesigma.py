@@ -22,6 +22,7 @@ from cat0sigma.treesigma import (
     generate_summary,
     mfpr_lengths,
     sigma_table,
+    TABLE_BUDGET,
 )
 from cat0sigma.verify import mfpr_sigma_oracle
 
@@ -66,6 +67,15 @@ def test_chain_validation():
     with pytest.raises(InvalidChain):
         GraphOfGroupsSummary(3, 1, True, None)
     GraphOfGroupsSummary(INF, 2, True, INF)  # infinite lengths are values
+
+
+def test_sigma_table_default_and_budget():
+    infinite = GraphOfGroupsSummary(INF, 1, True, INF)
+    assert [n for n, _ in sigma_table(infinite)] == list(range(9))
+    assert len(sigma_table(infinite, TABLE_BUDGET - 1)) == TABLE_BUDGET
+    for summary, n_max in ((infinite, TABLE_BUDGET), (infinite, 10**9), (GraphOfGroupsSummary(10**9, 1, False), None)):
+        with pytest.raises(DegreeOutOfRange, match=f"exceeds the table budget of {TABLE_BUDGET} rows"):
+            sigma_table(summary, n_max)
 
 
 def test_sigma_table_partitions_the_range(rng):

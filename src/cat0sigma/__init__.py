@@ -35,7 +35,7 @@ _SUBMODULES = (
 _EXPORTS = {
     "actions": (
         "ControlConfiguration EuclideanIsometry CayleyIsometry HnnIsometry GroupAction MoebiusIsometry "
-        "QuadraticIrrational ShiftReport angle_estimate_audit character_at_end classify_isometry "
+        "QuadraticIrrational ShiftReport angle_estimate_audit character_at_end "
         "cocompactness_witness equivariance_check fixed_ends_tree iterate_shift_check local_busemann_audit "
         "psi_cocycle shift_report sl2z_sigma0_complement"
     ),
@@ -46,15 +46,15 @@ _EXPORTS = {
     ),
     "spaces": (
         "EDirection EuclideanSpace GeneralizedRay H2_INFINITY Horoball HyperbolicPlane TreeSpace angular_distance "
-        "asymptotic_offset busemann busemann_limit_audit comparison_angle distance geodesic_point horoball_contains "
+        "asymptotic_offset busemann busemann_limit_audit distance horoball_contains "
         "ray_from tits_distance"
     ),
     "sphere": (
-        "Character MValue OpenHemisphere PolyhedralSet SpherePoint euclidean_join_decomposition m_value "
+        "Character MValue OpenHemisphere PolyhedralSet SpherePoint m_value "
         "minimal_ray_count normalize_ray polyhedral_contains"
     ),
     "trees": "CayleyTree HnnDown HnnTree HnnUp RegularTree TreePoint WordEnd make_word_end",
-    "treesigma": "GraphOfGroupsSummary MFPRData brown_consistency dynamical_sigma mfpr_lengths sigma_table",
+    "treesigma": "GraphOfGroupsSummary MFPRData dynamical_sigma mfpr_lengths sigma_table",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = sorted(_HOME)

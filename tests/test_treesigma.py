@@ -13,10 +13,8 @@ from cat0sigma.treesigma import (
     EMPTY,
     SINGLETON,
     WHOLE_BOUNDARY,
-    BrownReport,
     GraphOfGroupsSummary,
     MFPRData,
-    brown_consistency,
     dynamical_sigma,
     generate_mfpr_data,
     generate_summary,
@@ -173,25 +171,6 @@ def test_antipodal_pair_detection_and_convention(rng):
         from cat0sigma.sphere import m_value
 
         assert m_value(gen.complement, Character.zero(gen.k)).value >= 2
-
-
-def test_brown_consistency():
-    # A single rooted tree with chi = (0, -1) covers A = {(0, 1)}.
-    A = [SpherePoint((0, 1))]
-    report = brown_consistency(A, [Character([0, -1])])
-    assert report.consistent and report.uncovered == ()
-
-    extra = [SpherePoint((0, 1)), SpherePoint((1, 0))]
-    report = brown_consistency(extra, [Character([0, -1])])
-    assert report.consistent
-    assert report.uncovered == (SpherePoint((1, 0)),)
-
-    report = brown_consistency([], [])
-    assert report.consistent and report.uncovered == ()
-
-    missing = brown_consistency([SpherePoint((1, 0))], [Character([0, -1])])
-    assert not missing.consistent
-    assert missing.missing == (SpherePoint((0, 1)),)
 
 
 def test_mfpr_json_round_trip():

@@ -50,7 +50,7 @@ _EXPORTS = {
         "ray_from tits_distance"
     ),
     "sphere": (
-        "Character MValue OpenHemisphere PolyhedralSet SpherePoint m_value "
+        "Character OpenHemisphere PolyhedralSet SpherePoint m_value "
         "minimal_ray_count normalize_ray polyhedral_contains"
     ),
     "trees": "CayleyTree HnnDown HnnTree HnnUp RegularTree TreePoint WordEnd make_word_end",

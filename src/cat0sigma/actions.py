@@ -68,8 +68,8 @@ GLOBAL_TOL = spaces.GLOBAL_TOL
 
 # ---------------------------------------------------------------------------
 # Isometries: each class has apply(space, p), boundary(space, e), inverse,
-# to_json, check(space) (the fit with the space) and from_json(space, data);
-# the tree isometries also classify themselves.
+# check(space) (the fit with the space) and from_json(space, data); the
+# tree isometries also classify themselves.
 
 
 def _built(cls, **fields):
@@ -148,9 +148,6 @@ class EuclideanIsometry:
         v = tuple(-sum(mt[i][j] * self.translation[j] for j in range(k)) for i in range(k))
         return _built(EuclideanIsometry, matrix=mt, translation=v)
 
-    def to_json(self) -> dict:
-        return {"matrix": [list(r) for r in self.matrix], "translation": list(self.translation)}
-
 
 def _num(x):
     """Normalize a matrix entry: floats stay floats, everything else (ints,
@@ -212,9 +209,6 @@ class MoebiusIsometry:
     def inverse(self) -> "MoebiusIsometry":
         return _built(MoebiusIsometry, a=self.d, b=-self.b, c=-self.c, d=self.a)
 
-    def to_json(self) -> dict:
-        return {"matrix": [[str(self.a), str(self.b)], [str(self.c), str(self.d)]]}
-
 
 @dataclass(frozen=True)
 class CayleyIsometry:
@@ -249,9 +243,6 @@ class CayleyIsometry:
 
     def inverse(self) -> "CayleyIsometry":
         return CayleyIsometry(invert_word(self.word))
-
-    def to_json(self) -> dict:
-        return {"word": list(self.word)}
 
     def classify(self) -> "IsometryClass":
         """Hyperbolic along the axis of the cyclically reduced core."""
@@ -302,9 +293,6 @@ class HnnIsometry:
     def inverse(self) -> "HnnIsometry":
         n = Fraction(self.index)
         return HnnIsometry(self.index, -self.shift, -(n ** (-self.shift)) * self.add)
-
-    def to_json(self) -> dict:
-        return {"shift": self.shift, "add": str(self.add)}
 
     def classify(self) -> "IsometryClass":
         """Elliptic (with a fixed vertex) for shift 0, else hyperbolic."""
@@ -442,12 +430,6 @@ class GroupAction:
         for iso in reversed(isos):
             e = iso.boundary(self.space, e)
         return e
-
-    def to_json(self) -> dict:
-        return {
-            "space": self.space.to_json(),
-            "generators": {name: iso.to_json() for name, iso in sorted(self.generators.items())},
-        }
 
 
 def action_from_json(data: Mapping) -> GroupAction:
@@ -810,7 +792,7 @@ def cocompactness_witness(action: GroupAction, a, radius: float, depth: int = 6,
         )
     region_radius, samples = space.region(a, depth, seed)
     if samples is None:
-        return UnknownVerdict(f"region budget of {spaces.REGION_BUDGET} grid points exceeded in {space.name}")
+        return UnknownVerdict(f"region budget of {spaces.REGION_BUDGET} {space.region_unit} exceeded in {space.name}")
 
     worst, worst_point = _directed_hausdorff(space, samples, orbit)
     if worst_point is not None and worst <= radius:

@@ -69,10 +69,11 @@ def _space_override(args, data):
 
 
 # ---------------------------------------------------------------------------
-# Command handlers.  Each returns (exit_code, payload), and each imports the
-# modules it uses, so a command loads no module it does not need.  The JSON
-# readers only parse; the library function a handler hands a value to checks
-# it, and a handler that computes with space methods checks each value once.
+# Command handlers.  Each returns (exit_code, payload), to which run() adds
+# the command and the seed, and each imports the modules it uses, so a
+# command loads no module it does not need.  The JSON readers only parse;
+# the library function a handler hands a value to checks it, and a handler
+# that computes with space methods checks each value once.
 
 
 def cmd_busemann(args, data):
@@ -101,14 +102,7 @@ def cmd_busemann(args, data):
             }
         )
     ok = all(a["monotone"] and a["bounded"] for a in audits)
-    payload = {
-        "command": "busemann",
-        "seed": args.seed,
-        "space": space.to_json(),
-        "values": values,
-        "limit_audit": audits,
-    }
-    return (0 if ok else 1), payload
+    return (0 if ok else 1), {"space": space.to_json(), "values": values, "limit_audit": audits}
 
 
 def cmd_tits(args, data):
@@ -123,8 +117,7 @@ def cmd_tits(args, data):
         td = space.tits_distance(e1, e2)
         ok = ok and td >= ang - args.tol
         results.append({"angular": ang, "tits": td})
-    payload = {"command": "tits", "seed": args.seed, "space": space.to_json(), "results": results}
-    return (0 if ok else 1), payload
+    return (0 if ok else 1), {"space": space.to_json(), "results": results}
 
 
 def cmd_character(args, data):
@@ -136,13 +129,7 @@ def cmd_character(args, data):
     words = jsonio.read_field(data, "words", list)
     if not all(isinstance(word, str) for word in words):
         raise ValueError(f"words are strings over the generator names, got {words!r}")
-    payload = {
-        "command": "character",
-        "seed": args.seed,
-        "end": end,
-        "values": character_at_end(action, end, base, words),
-    }
-    return 0, payload
+    return 0, {"end": end, "values": character_at_end(action, end, base, words)}
 
 
 def cmd_shift(args, data):
@@ -156,8 +143,6 @@ def cmd_shift(args, data):
     images = {label: x if isinstance(x, str) and x in config else space.parse_point(x) for label, x in fmap.items()}
     report = ac.shift_report(ac.ControlConfiguration(space, points), images, space.parse_boundary(data["end"]))
     payload = {
-        "command": "shift",
-        "seed": args.seed,
         "shifts": report.shifts,
         "displacements": report.displacements,
         "gsh": report.gsh,
@@ -174,8 +159,6 @@ def cmd_cocompact(args, data):
     base = action.space.parse_point(data["base"])
     verdict = ac.cocompactness_witness(action, base, args.radius, depth=args.depth, seed=args.seed)
     payload = {
-        "command": "cocompact",
-        "seed": args.seed,
         "radius": args.radius,
         "depth": args.depth,
         "verdict": type(verdict).__name__,
@@ -195,8 +178,6 @@ def cmd_raag(args, data):
         graph = SimpleGraph.from_edge_list(text)
     verdict = flag_verdict(graph, args.n)
     payload = {
-        "command": "raag",
-        "seed": args.seed,
         "n": args.n,
         "membership": verdict.membership,
         "verdict": {
@@ -250,7 +231,7 @@ def _add_degrees(args, summary, payload) -> None:
 def cmd_tree_sigma(args, data):
     from .treesigma import GraphOfGroupsSummary
 
-    payload = {"command": "tree-sigma", "seed": args.seed, "summary": data}
+    payload = {"summary": data}
     _add_degrees(args, GraphOfGroupsSummary.from_json(data), payload)
     return 0, payload
 
@@ -261,8 +242,6 @@ def cmd_mfpr(args, data):
     mfpr = MFPRData.from_json(data)
     summary = mfpr_lengths(mfpr)
     payload = {
-        "command": "mfpr",
-        "seed": args.seed,
         "lengths": {
             "fl_group": summary.fl_group,
             "cl_character": summary.cl_character,
@@ -300,9 +279,7 @@ def cmd_audit(args, data):
         schedule = [space.parse_scalar(t) for t in jsonio.read_field(data, "schedule", list, [1, 2, 5, 10])]
         report = ac.angle_estimate_audit(space, base, e1, e2, schedule)
     payload = {
-        "command": "audit",
         "which": args.which,
-        "seed": args.seed,
         "passed": report.passed,
         "samples": report.samples,
         "worst_slack": report.worst_slack,
@@ -321,13 +298,7 @@ def cmd_verify(args, data):
         reports.append(verify.run_suite(name, seed=args.seed))
         _log(f"suite {name} (seed {args.seed}): {1000 * (time.perf_counter() - start):.1f} ms", args.stderr)
     ok = all(r.ok for r in reports)
-    payload = {
-        "command": "verify",
-        "seed": args.seed,
-        "ok": ok,
-        "suites": [r.to_json() for r in reports],
-    }
-    return (0 if ok else 1), payload
+    return (0 if ok else 1), {"ok": ok, "suites": [r.to_json() for r in reports]}
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +403,7 @@ def run(argv, stdout=None, stderr=None) -> int:
         _log(f"running {args.command} (seed {args.seed})", stderr)
         args.stderr = stderr  # handlers that log as they go write here
         code, payload = HANDLERS[args.command](args, data)
-        _dump(payload, args.out, stdout)
+        _dump({"command": args.command, "seed": args.seed, **payload}, args.out, stdout)
         return code
     except (Cat0SigmaError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         return _input_error(exc, stderr)

@@ -63,9 +63,6 @@ class SimpleGraph:
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", frozenset(es))
 
-    def adjacent(self, u, v) -> bool:
-        return frozenset((u, v)) in self.edges
-
     def adjacency(self) -> dict:
         """Each vertex's set of neighbours, built in one pass over the edges."""
         adj: dict = {v: set() for v in self.vertices}
@@ -104,12 +101,6 @@ class SimpleGraph:
             if not (isinstance(e, list) and len(e) == 2):
                 raise ValueError(f"an edge is a pair [u, v], got {e!r}")
         return SimpleGraph(map(vertex, read_field(data, "vertices", list)), [tuple(map(vertex, e)) for e in edges])
-
-    def to_json(self) -> dict:
-        return {
-            "vertices": list(self.vertices),
-            "edges": sorted(sorted(e) for e in self.edges),
-        }
 
     @staticmethod
     def from_edge_list(text: str) -> "SimpleGraph":

@@ -55,8 +55,10 @@ GLOBAL_TOL = 1e-9
 
 H2_INFINITY = math.inf
 
-# Grid points of one Euclidean cocompactness region (region gives None
-# above it): the 8^k grid of E^6 (1.1 s at depth 1) fits, E^7's (5.4 s) not.
+# Points of one cocompactness region (region gives None above it): the 8^k
+# grid of E^6 (1.1 s at depth 1) fits, E^7's (5.4 s) not; so does the tree
+# ball of HNN(6) at radius 6 (65318 vertices, 1.9 s for the cocompact run),
+# and at radius 7 (391915, 9.5 s) not.
 REGION_BUDGET = 8**6
 
 # The H2 closed forms square coordinates in binary64: |Re z|, Im z, 1 / Im z
@@ -79,7 +81,8 @@ class ModelSpace:
     ``ray_point``, ``busemann_to_end`` (the closed form toward a boundary
     point), one seeded draw of a point (``sample_point``) or an end
     (``sample_end``), and the cocompactness helpers ``orbit_key``,
-    ``region`` and ``probe_ends``.
+    ``region`` (with ``region_unit``, what it counts against
+    ``REGION_BUDGET``) and ``probe_ends``.
 
     The readers only parse, and the entry point that receives a value
     checks it.  The methods take points and ends already returned by
@@ -151,6 +154,7 @@ class EuclideanSpace(ModelSpace):
     points are :class:`EDirection` unit vectors."""
 
     flat = True
+    region_unit = "grid points"
 
     def __init__(self, k: int):
         if k < 1:
@@ -357,6 +361,7 @@ class TreeSpace(ModelSpace):
     """A locally finite simplicial tree given by a lazy descriptor."""
 
     exact = True
+    region_unit = "vertices"
 
     def __init__(self, model: TreeModel):
         self.model = model
@@ -431,8 +436,15 @@ class TreeSpace(ModelSpace):
         return self.model.sample_end(rng)
 
     def region(self, center, depth: int, seed: int):
-        """All vertices within the radius."""
+        """All vertices within the radius, or None when there are more than
+        REGION_BUDGET.  Every model has one degree d, so the ball holds
+        1 + d((d - 1)^r - 1)/(d - 2) vertices (1 + 2r when d = 2); for d > 2
+        that passes the budget by r = 19, so no larger power is taken."""
         radius = max(2, depth // 2)
+        d = len(self.model.neighbors(center.vertex))
+        size = 1 + 2 * radius if d == 2 else 1 + d * ((d - 1) ** min(radius, 19) - 1) // (d - 2)
+        if size > REGION_BUDGET:
+            return radius, None
         out, frontier, seen = [TreePoint(center.vertex)], [center.vertex], {center.vertex}
         for _ in range(radius):
             new = []
@@ -549,6 +561,11 @@ class _H2Circle:
     radius: float
 
     def param(self, z: complex) -> float:
+        # Seen from a point high above it, a foot close to Re z puts the
+        # center past binary64.  The closed-form Busemann value does not use
+        # the circle; a ray point does, and is out of range.
+        if math.isinf(self.center):
+            raise ParameterOutOfRange(f"the geodesic through {z} has its center beyond binary64")
         # tan(theta/2) via half-angle identities, choosing the form that
         # avoids cancellation near either foot of the semicircle.
         x = z.real - self.center

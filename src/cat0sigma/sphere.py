@@ -54,11 +54,6 @@ class Character:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    def __add__(self, other: "Character") -> "Character":
-        if self.k != other.k:
-            raise DimensionMismatch(f"characters of rank {self.k} and {other.k}")
-        return Character(a + b for a, b in zip(self.coords, other.coords))
-
     def __neg__(self) -> "Character":
         return Character(-c for c in self.coords)
 
@@ -96,9 +91,6 @@ class SpherePoint:
     @property
     def k(self) -> int:
         return len(self.primitive)
-
-    def antipode(self) -> "SpherePoint":
-        return SpherePoint(tuple(-c for c in self.primitive))
 
     def character(self) -> Character:
         return Character(self.primitive)
@@ -144,14 +136,6 @@ class PolyhedralSet:
 
     k: int
     clauses: tuple[tuple[OpenHemisphere, ...], ...] = ()
-
-    @staticmethod
-    def empty(k: int) -> "PolyhedralSet":
-        return PolyhedralSet(k, ())
-
-    @staticmethod
-    def full(k: int) -> "PolyhedralSet":
-        return PolyhedralSet(k, ((),))
 
     @staticmethod
     def from_clauses(k: int, clauses: Iterable[Iterable[OpenHemisphere]]) -> "PolyhedralSet":
@@ -324,8 +308,7 @@ def minimal_ray_count(A: Iterable[SpherePoint], chi: Character) -> int | float:
     return _circuit_search(vectors, weights, len(support))
 
 
-@dataclass(frozen=True)
-class MValue:
+def m_value(A: Iterable[SpherePoint], chi: Character) -> int | float:
     """sup of the k for which chi is *not* a sum of k characters with rays in
     A - {[chi]}; infinite when no representation exists at all.
 
@@ -333,14 +316,5 @@ class MValue:
     one with any number >= r of summands (split a summand into positive
     multiples of itself), and none with fewer, so exactly the k < r fail.
     """
-
-    value: int | float
-
-    def __post_init__(self):
-        if self.value != INF and (not isinstance(self.value, int) or self.value < 1):
-            raise ValueError(f"finite m-values are integers >= 1, got {self.value}")
-
-
-def m_value(A: Iterable[SpherePoint], chi: Character) -> MValue:
     r = minimal_ray_count(A, chi)
-    return MValue(INF if r == INF else r - 1)
+    return INF if r == INF else r - 1

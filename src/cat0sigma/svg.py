@@ -9,7 +9,6 @@ timestamps, fixed float formatting, sorted iteration everywhere.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional
 
 from .errors import UnsupportedDimension
 from .sphere import PolyhedralSet, SpherePoint
@@ -59,11 +58,10 @@ def _clause_member(clauses, direction) -> bool:
     return False
 
 
-def render_sphere_svg(obj, points: Optional[Iterable[SpherePoint]] = None) -> str:
-    """Render a PolyhedralSet (with optional marked points) or a list of
-    sphere points to SVG text."""
+def render_sphere_svg(obj) -> str:
+    """Render a PolyhedralSet or a list of sphere points to SVG text."""
     if isinstance(obj, PolyhedralSet):
-        k, pset, pts = obj.k, obj, list(points or [])
+        k, pset, pts = obj.k, obj, []
     else:
         pts = sorted(obj, key=lambda p: p.primitive)
         if not pts:
@@ -171,7 +169,7 @@ def _great_circle_path(normal) -> str:
     return f'<path class="gc" d="{d}"/>'
 
 
-def emit_sphere_svg(obj, path, points: Optional[Iterable[SpherePoint]] = None) -> None:
-    text = render_sphere_svg(obj, points)
+def emit_sphere_svg(obj, path) -> None:
+    text = render_sphere_svg(obj)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

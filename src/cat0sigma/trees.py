@@ -245,65 +245,28 @@ class HnnVertex:
     exp: int
     index: int
 
-    @property
-    def center(self) -> Fraction:
-        return Fraction(self.num, self.index**self.exp)
-
-    def to_json(self) -> dict:
-        return {"level": self.level, "center": self.center}
-
 
 # ---------------------------------------------------------------------------
 # Models
 
 
 class TreeModel:
-    """Shared geodesic machinery.  Subclasses supply the local structure,
-    the closed forms ``ancestor``, ``meet``, ``ray_vertex`` and ``height``, the JSON
-    readers ``parse_vertex`` and ``parse_end`` (docs/formats.md),
-    ``sample_end(rng)`` for the seeded samplers, and ``basic_ends()``: a
-    few ends of rays from the base vertex, probed by the cocompactness
-    test."""
-
-    def base_vertex(self):
-        raise NotImplementedError
+    """Shared geodesic machinery.  Each subclass supplies the local
+    structure: ``base_vertex()``, ``level(v)``, ``children(v)``,
+    ``check_vertex(v)``, ``check_end(end)`` and ``descriptor()`` (its JSON
+    form); the closed forms ``ancestor(v, k)`` (the vertex k levels above
+    v), ``meet(u, v)`` (the highest vertex of the geodesic from u to v, with
+    the number of steps from u and from v up to it), ``ray_vertex(v, end,
+    k)`` (the k-th vertex of the geodesic ray from v to the end) and
+    ``height(v, end)`` (the horofunction height of v toward the end, which
+    falls by one per step along a ray to the end, and whether v's parent
+    edge points toward the end); the JSON readers ``parse_vertex`` and
+    ``parse_end`` (docs/formats.md); ``sample_end(rng)`` for the seeded
+    samplers; and ``basic_ends()``: a few ends of rays from the base
+    vertex, probed by the cocompactness test."""
 
     def parent(self, v):
         return self.ancestor(v, 1)
-
-    def level(self, v) -> int:
-        raise NotImplementedError
-
-    def children(self, v) -> list:
-        raise NotImplementedError
-
-    def ancestor(self, v, k: int):
-        """The vertex k levels above v."""
-        raise NotImplementedError
-
-    def meet(self, u, v) -> tuple[object, int, int]:
-        """The highest vertex of the geodesic from u to v, with the number
-        of steps from u and from v up to it."""
-        raise NotImplementedError
-
-    def ray_vertex(self, v, end, k: int):
-        """The k-th vertex of the geodesic ray from v to the end."""
-        raise NotImplementedError
-
-    def height(self, v, end) -> tuple[int, bool]:
-        """The horofunction height of v toward the end (it falls by one per
-        step along a ray to the end), and whether v's parent edge points
-        toward the end."""
-        raise NotImplementedError
-
-    def check_vertex(self, v) -> None:
-        raise NotImplementedError
-
-    def check_end(self, end) -> None:
-        raise NotImplementedError
-
-    def descriptor(self) -> dict:
-        raise NotImplementedError
 
     def neighbors(self, v) -> list:
         """The children of v, then its parent (when it has one)."""

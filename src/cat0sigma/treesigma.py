@@ -147,13 +147,6 @@ class MFPRData:
         vectors = {p.primitive for p in self.complement}
         return any(tuple(-c for c in v) in vectors for v in vectors)
 
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "complement": [list(p.primitive) for p in self.complement],
-            "splitting_character": [str(c) for c in self.splitting_character.coords],
-        }
-
     @staticmethod
     def from_json(data) -> "MFPRData":
         complement = read_field(data, "complement", list)
@@ -172,12 +165,12 @@ def mfpr_lengths(data: MFPRData) -> GraphOfGroupsSummary:
     of the splitting has a fixed end.  A zero chi is its own negative, so
     its m-values are m(0)."""
     chi = data.splitting_character
-    m_zero = m_value(data.complement, Character.zero(data.k)).value
+    m_zero = m_value(data.complement, Character.zero(data.k))
     if chi.is_zero:
         m_chi = m_neg = m_zero
     else:
-        m_chi = m_value(data.complement, chi).value
-        m_neg = m_value(data.complement, -chi).value
+        m_chi = m_value(data.complement, chi)
+        m_neg = m_value(data.complement, -chi)
     return GraphOfGroupsSummary(
         fl_group=m_zero,
         fl_stabilizers=min(m_chi, m_neg, m_zero),

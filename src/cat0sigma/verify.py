@@ -94,7 +94,7 @@ def _suite_spaces():
     ]
 
 
-def _random_ray(M, rng: random.Random, seed: int):
+def _random_ray(M, seed: int):
     base = sp.sample_points_near(M, M.origin(), 1, radius=2.0, seed=seed)[0]
     end = sp.sample_boundary_points(M, 1, seed=seed)[0]
     return sp.ray_from(M, base, end)
@@ -131,8 +131,7 @@ def suite_busemann(seed: int = 0) -> SuiteReport:
     for M in _suite_spaces():
         exact = M.exact
         for i in range(100):
-            rng = random.Random(str((seed, M.name, i)))
-            ray = _random_ray(M, rng, seed * 1000 + i)
+            ray = _random_ray(M, seed * 1000 + i)
             b = sp.sample_points_near(M, M.origin(), 1, radius=3.0, seed=seed * 7 + i)[0]
             closed = sp.busemann(M, ray, b)
 
@@ -202,7 +201,7 @@ def suite_horoball(seed: int = 0) -> SuiteReport:
         exact = M.exact
         for i in range(40):
             rng = random.Random(str((seed, "horoball", M.name, i)))
-            ray = _random_ray(M, rng, seed * 31 + i)
+            ray = _random_ray(M, seed * 31 + i)
             if ray.is_degenerate:
                 continue
             s1 = Fraction(rng.randrange(0, 3)) if exact else rng.uniform(0.0, 2.0)
@@ -307,7 +306,7 @@ def suite_character(seed: int = 0) -> SuiteReport:
 # Shift calculus
 
 
-def _random_configuration(M, rng: random.Random, size: int, seed: int):
+def _random_configuration(M, size: int, seed: int):
     pts = sp.sample_points_near(M, M.origin(), size, radius=3.0, seed=seed)
     return ac.ControlConfiguration(M, {f"x{i}": p for i, p in enumerate(pts)})
 
@@ -322,7 +321,7 @@ def suite_shift(seed: int = 0) -> SuiteReport:
         for i in range(50):
             rng = random.Random(str((seed, "shift", M.name, i)))
             size = rng.randrange(2, 6)
-            cfg = _random_configuration(M, rng, size, seed * 23 + i)
+            cfg = _random_configuration(M, size, seed * 23 + i)
             e = sp.sample_boundary_points(M, 1, seed=seed * 29 + i)[0]
             labels = cfg.labels()
             closed_map = {x: rng.choice(labels) for x in labels}
@@ -354,7 +353,7 @@ def suite_shift(seed: int = 0) -> SuiteReport:
         names = sorted(action.generators)
         for i in range(25):
             rng = random.Random(str((seed, "equi", label, i)))
-            cfg = _random_configuration(M, rng, rng.randrange(2, 5), seed * 37 + i)
+            cfg = _random_configuration(M, rng.randrange(2, 5), seed * 37 + i)
             e = sp.sample_boundary_points(M, 1, seed=seed * 41 + i)[0]
             labels = cfg.labels()
             fmap = {x: rng.choice(labels) for x in labels}
@@ -468,13 +467,13 @@ def suite_sphere(seed: int = 0) -> SuiteReport:
                 chi = Character(tuple(1 for _ in range(k)))
         else:
             chi = rng.choice(pts).character().scaled(rng.choice([1, 2, Fraction(1, 2)]))
-        value = m_value(pts, chi).value
+        value = m_value(pts, chi)
         via_fm = enumeration_m_value(pts, chi)
         oracle.record(value == via_fm, None if value == via_fm else 1.0)
 
         extra = ts.generate_sphere_points(rng, k, 1, forbid_antipodal=False)
         bigger = list(dict.fromkeys(list(pts) + extra))
-        via_big = m_value(bigger, chi).value
+        via_big = m_value(bigger, chi)
         mono.record(via_big <= value)
     return report
 
@@ -489,9 +488,9 @@ def mfpr_sigma_oracle(data: ts.MFPRData) -> list:
     formula code: the whole boundary while n <= min(m(chi), m(-chi), m(0)),
     the fixed end alone while n <= min(m(chi), m(0)), empty up to m(0)."""
     chi = data.splitting_character
-    m_zero = m_value(data.complement, Character.zero(data.k)).value
-    m_chi = m_value(data.complement, chi).value
-    m_neg = m_value(data.complement, -chi).value
+    m_zero = m_value(data.complement, Character.zero(data.k))
+    m_chi = m_value(data.complement, chi)
+    m_neg = m_value(data.complement, -chi)
     whole, fixed_end = min(m_chi, m_neg, m_zero), min(m_chi, m_zero)
     top = 8 if m_zero == math.inf else min(int(m_zero), 8)
     return [ts.WHOLE_BOUNDARY if n <= whole else ts.SINGLETON if n <= fixed_end else ts.EMPTY for n in range(top + 1)]

@@ -21,7 +21,6 @@ from cat0sigma.actions import (
     HnnIsometry,
     MoebiusIsometry,
     QuadraticIrrational,
-    action_from_json,
     character_at_end,
     cocompactness_witness,
     EmptyHoroballWitness,
@@ -34,7 +33,7 @@ from cat0sigma.actions import (
 )
 from cat0sigma.errors import EndNotFixed, ParameterOutOfRange, UnknownGenerator, UnsupportedNumberForm, WrongSpace
 from cat0sigma.spaces import EDirection, EuclideanSpace, H2_INFINITY, REGION_BUDGET, HyperbolicPlane, TreeSpace
-from cat0sigma.trees import CayleyTree, HnnDown, HnnTree, HnnUp, TreePoint, invert_word, make_word_end
+from cat0sigma.trees import CayleyTree, HnnDown, HnnTree, HnnUp, RegularTree, TreePoint, invert_word, make_word_end
 
 
 def test_apply_examples():
@@ -317,6 +316,31 @@ def test_region_budget_stops_high_dimensional_grids():
     assert verdict == UnknownVerdict(f"region budget of {REGION_BUDGET} grid points exceeded in E9")
 
 
+def test_region_budget_stops_large_tree_balls():
+    # The ball of radius depth // 2 in HNN(6) holds 1 + 7 (6^r - 1) / 5
+    # vertices: 65318 at depth 12, 391915 at depth 14, whose listing took
+    # about 9 s; the orbit of t stays small, so no orbit budget stops it.
+    act = GroupAction(TreeSpace(HnnTree(6)), {"t": HnnIsometry(6, 1, 0)})
+    start = time.perf_counter()
+    verdict = cocompactness_witness(act, TreePoint(HnnTree(6).base_vertex()), 1, depth=14)
+    assert time.perf_counter() - start < 0.5
+    assert verdict == UnknownVerdict(f"region budget of {REGION_BUDGET} vertices exceeded in tree")
+
+
+@pytest.mark.parametrize("model", [CayleyTree(1), CayleyTree(2), RegularTree(3), HnnTree(2)], ids=repr)
+def test_tree_region_budget_counts_the_ball_it_lists(model, monkeypatch):
+    # The ball's size is computed before listing it; a budget one short of
+    # the listed ball refuses it, at the root and below it.
+    space = TreeSpace(model)
+    for center in (model.base_vertex(), model.children(model.base_vertex())[0]):
+        for depth in (4, 7):
+            _, ball = space.region(TreePoint(center), depth, 0)
+            assert len(set(ball)) == len(ball)
+            monkeypatch.setattr(sp, "REGION_BUDGET", len(ball) - 1)
+            assert space.region(TreePoint(center), depth, 0)[1] is None
+            monkeypatch.undo()
+
+
 def _all_pairs_max_min(space, samples, orbit):
     """Reference for the early-exit scan: every sample against every orbit
     point, and the first sample of largest nearest distance."""
@@ -437,14 +461,3 @@ def test_sl2z_complement_examples():
         sl2z_sigma0_complement(0.333333)
     with pytest.raises(UnsupportedNumberForm):
         sl2z_sigma0_complement("pi")
-
-
-def test_action_json_round_trip():
-    for action in [
-        GroupAction.euclidean_translations(2, {"a": (1, 0)}),
-        GroupAction.moebius({"p": [[1, 1], [0, 1]]}),
-        GroupAction.free_group(2),
-        GroupAction.ascending_hnn(3),
-    ]:
-        again = action_from_json(action.to_json())
-        assert again.to_json() == action.to_json()

@@ -465,8 +465,11 @@ def test_each_command_line_is_parsed_once_by_its_command(monkeypatch):
     for argv in lines:
         seen.clear()
         parses.clear()
-        assert run_cli(argv) == (0, "{}\n", ""), argv
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, ""), argv
         assert parses == [f"cat0sigma {argv[0]}"], argv
+        # run() adds the command and the seed to the handler's payload.
+        assert json.loads(out) == {"command": argv[0], "seed": seen[0]["seed"]}, argv
         del seen[0]["stderr"]
         assert seen == [vars(cli.build_parser().parse_args(argv))], argv
 
@@ -526,7 +529,7 @@ PACKAGE_EXPORTS = {
     "spaces": "EDirection EuclideanSpace GeneralizedRay H2_INFINITY Horoball HyperbolicPlane TreeSpace "
     "angular_distance asymptotic_offset busemann busemann_limit_audit distance horoball_contains "
     "ray_from tits_distance",
-    "sphere": "Character MValue OpenHemisphere PolyhedralSet SpherePoint m_value "
+    "sphere": "Character OpenHemisphere PolyhedralSet SpherePoint m_value "
     "minimal_ray_count normalize_ray polyhedral_contains",
     "trees": "CayleyTree HnnDown HnnTree HnnUp RegularTree TreePoint WordEnd make_word_end",
     "treesigma": "GraphOfGroupsSummary MFPRData dynamical_sigma mfpr_lengths sigma_table",
@@ -734,9 +737,10 @@ def test_outputs_are_byte_deterministic(busemann_file, tmp_path):
 
 
 # raag --svg snapshots, by graph and degree: the coordinate chamber of one
-# vertex on S^0, with its member point marked, and the three coordinate
-# great circles of a path on three vertices on S^2.
-SVG_SNAPSHOTS = {"raag_vertex": 1, "raag_path3": 2}
+# vertex on S^0, with its member point marked, the member quarter arc of
+# an edge on S^1, and the three coordinate great circles of a path on
+# three vertices on S^2.
+SVG_SNAPSHOTS = {"raag_vertex": 1, "raag_edge": 1, "raag_path3": 2}
 
 
 @pytest.mark.parametrize("graph", list(SVG_SNAPSHOTS))
@@ -880,6 +884,16 @@ MALFORMED.update(
         "h2-point-far": busemann_h2_with(points=[[1e200, 1]]),
         "h2-base-near-axis": busemann_h2_with(base=[0, 1e-200]),
         "h2-base-and-point-near-axis": busemann_h2_with(base=[0, 1e-170], points=[[1, 1e-170]]),
+        # A ray point on the geodesic from 1e152 i toward 1e-6, whose circle
+        # center is past binary64: ParameterOutOfRange, not a math domain error.
+        "h2-ray-point-center-beyond-binary64": busemann_h2_with(xi="1/1000000", base=[0, 1e152]),
+        "h2-local-audit-center-beyond-binary64": (
+            "audit",
+            {"space": {"space": "H2"}, "center": [0, 1e152], "r": 2, "eps": "1/2",
+             "ends": [{"xi": 0}, {"xi": "1/1000000"}]},
+            "--which",
+            "local-busemann",
+        ),
     }
 )
 

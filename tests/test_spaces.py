@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from cat0sigma import spaces as sp
-from cat0sigma.errors import NotAsymptotic, WrongSpace
+from cat0sigma.errors import NotAsymptotic, ParameterOutOfRange, WrongSpace
 from cat0sigma.spaces import (
     EDirection,
     EuclideanSpace,
@@ -170,6 +170,15 @@ def test_h2_busemann_where_the_square_leaves_binary64():
     # the value is log(1e-153) - 2 log 2.
     ray = ray_from(H2, 1j, -1e153)
     assert busemann(H2, ray, complex(1e153, 1e-153)) == pytest.approx(math.log(1e-153) - 2 * math.log(2))
+
+
+def test_h2_ray_whose_circle_center_leaves_binary64():
+    # The geodesic from 1e152 i toward 1e-6 is a circle centered near
+    # -5e309: the closed form answers, and a ray point is out of range.
+    ray = ray_from(H2, 1e152j, F(1, 10**6))
+    assert busemann(H2, ray, 1j) == pytest.approx(152 * math.log(10))
+    with pytest.raises(ParameterOutOfRange, match="center beyond binary64"):
+        ray.point_at(1)
 
 
 def test_tree_busemann_agrees_with_far_point_formula(rng):

@@ -17,7 +17,6 @@ from cat0sigma.exactlp import strictly_representable_fm
 from cat0sigma.errors import DimensionMismatch, ZeroCharacter
 from cat0sigma.sphere import (
     Character,
-    MValue,
     OpenHemisphere,
     PolyhedralSet,
     SpherePoint,
@@ -53,7 +52,7 @@ def test_normalize_ray_is_scale_invariant_and_odd(coords, scale):
         return
     base = normalize_ray(chi)
     assert normalize_ray(chi.scaled(scale)) == base
-    assert normalize_ray(-chi) == base.antipode()
+    assert normalize_ray(-chi) == SpherePoint(tuple(-c for c in base.primitive))
 
 
 def test_sphere_point_validation():
@@ -68,9 +67,9 @@ def test_polyhedral_membership_examples():
     hemi = OpenHemisphere(v)
     pset = PolyhedralSet.from_clauses(2, [[hemi]])
     assert polyhedral_contains(pset, v) is True
-    assert polyhedral_contains(pset, v.antipode()) is False
-    assert polyhedral_contains(PolyhedralSet.empty(2), v) is False
-    assert polyhedral_contains(PolyhedralSet.full(2), v.antipode()) is True
+    assert polyhedral_contains(pset, SpherePoint((-1, 0))) is False
+    assert polyhedral_contains(PolyhedralSet(2, ()), v) is False
+    assert polyhedral_contains(PolyhedralSet(2, ((),)), SpherePoint((-1, 0))) is True
     with pytest.raises(DimensionMismatch):
         polyhedral_contains(pset, SpherePoint((1, 0, 0)))
 
@@ -115,14 +114,14 @@ def test_minimal_ray_count_reaches_the_caratheodory_bounds():
 
 
 def test_m_value_frozen_examples():
-    assert m_value([], Character.zero(3)).value == INF
+    assert m_value([], Character.zero(3)) == INF
     pair = [SpherePoint((1,)), SpherePoint((-1,))]
-    assert m_value(pair, Character.zero(1)).value == 1
-    assert m_value(pair, Character([1])).value == INF
+    assert m_value(pair, Character.zero(1)) == 1
+    assert m_value(pair, Character([1])) == INF
     trio = [SpherePoint((1, 0)), SpherePoint((0, 1)), SpherePoint((-1, -1))]
-    assert m_value(trio, Character.zero(2)).value == 2
-    assert m_value(trio, Character([-1, 0])).value == 1
-    assert m_value(trio, Character([1, 0])).value == INF
+    assert m_value(trio, Character.zero(2)) == 2
+    assert m_value(trio, Character([-1, 0])) == 1
+    assert m_value(trio, Character([1, 0])) == INF
 
 
 def test_m_value_removes_the_ray_of_chi_itself():
@@ -132,11 +131,14 @@ def test_m_value_removes_the_ray_of_chi_itself():
 
 
 def test_m_value_validation():
-    with pytest.raises(ValueError):
-        MValue(0)
-    with pytest.raises(ValueError):
-        MValue(F(3, 2))
-    assert MValue(INF).value == INF
+    # Finite m-values are integers >= 1: a representation needs two rays.
+    rng = random.Random(5)
+    for _ in range(60):
+        k = rng.randrange(1, 4)
+        pts = generate_sphere_points(rng, k, rng.randrange(0, 7), forbid_antipodal=False)
+        chi = Character(tuple(rng.randrange(-2, 3) for _ in range(k)))
+        value = m_value(pts, chi)
+        assert value == INF or (type(value) is int and value >= 1), (pts, chi, value)
 
 
 def test_m_value_equals_enumeration_oracle_on_seeded_instances():
@@ -146,8 +148,9 @@ def test_m_value_equals_enumeration_oracle_on_seeded_instances():
     for i in range(240):
         k = rng.randrange(1, 4)
         pts = generate_sphere_points(rng, k, rng.randrange(0, 7), forbid_antipodal=i % 2 == 0)
-        if i % 2 == 1 and pts and pts[0].antipode() not in pts:
-            pts.append(pts[0].antipode())
+        anti = pts and SpherePoint(tuple(-c for c in pts[0].primitive))
+        if i % 2 == 1 and pts and anti not in pts:
+            pts.append(anti)
         if i % 4 == 0:
             chi = Character.zero(k)
         elif i % 4 == 1:
@@ -156,16 +159,16 @@ def test_m_value_equals_enumeration_oracle_on_seeded_instances():
             chi = rng.choice(pts).character().scaled(rng.choice([2, F(1, 2), F(-3, 2)]))
         else:
             chi = Character(tuple(rng.randrange(-3, 4) for _ in range(k)))
-        assert m_value(pts, chi).value == enumeration_m_value(pts, chi), (pts, chi)
+        assert m_value(pts, chi) == enumeration_m_value(pts, chi), (pts, chi)
     for i in range(60):
         pts = generate_sphere_points(rng, 4, rng.randrange(0, 5), forbid_antipodal=False)
         if i % 3 == 0:
             chi = Character.zero(4)
         elif i % 3 == 1 and pts:
-            chi = rng.choice(pts).antipode().character()
+            chi = -rng.choice(pts).character()
         else:
             chi = Character(tuple(rng.randrange(-2, 3) for _ in range(4)))
-        assert m_value(pts, chi).value == enumeration_m_value(pts, chi), (pts, chi)
+        assert m_value(pts, chi) == enumeration_m_value(pts, chi), (pts, chi)
 
 
 def test_m_value_equals_enumeration_oracle_on_rank_four_five_rays():
@@ -189,7 +192,7 @@ def test_m_value_equals_enumeration_oracle_on_rank_four_five_rays():
             chi = Character([sum(rng.choice([1, 2, F(1, 2)]) * p.primitive[c] for p in subset) for c in range(4)])
         else:
             chi = Character(tuple(F(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in range(4)))
-        value = m_value(pts, chi).value
+        value = m_value(pts, chi)
         assert value == enumeration_m_value(pts, chi), (pts, chi)
         values.append(value)
     assert INF in values and len(set(values)) >= 3, values
@@ -234,8 +237,8 @@ def test_m_value_monotone_under_enlarging_the_set():
         pts = generate_sphere_points(rng, k, rng.randrange(1, 6), forbid_antipodal=False)
         extra = generate_sphere_points(rng, k, 2, forbid_antipodal=False)
         chi = Character(tuple(rng.randrange(-2, 3) for _ in range(k)))
-        small = m_value(pts, chi).value
-        large = m_value(list(dict.fromkeys(pts + extra)), chi).value
+        small = m_value(pts, chi)
+        large = m_value(list(dict.fromkeys(pts + extra)), chi)
         assert large <= small
 
 
@@ -252,8 +255,8 @@ def test_m_chi_near_m_zero_holds_often_but_not_always():
         if not pts:
             continue
         chi = rng.choice(pts).character()
-        m_zero = m_value(pts, Character.zero(k)).value
-        m_chi = m_value(pts, chi).value
+        m_zero = m_value(pts, Character.zero(k))
+        m_chi = m_value(pts, chi)
         if m_zero == INF:
             continue
         if m_chi == m_zero:
@@ -268,8 +271,8 @@ def test_m_chi_near_m_zero_holds_often_but_not_always():
         SpherePoint(v)
         for v in [(-3, -1, 0), (2, 0, -3), (0, 2, -3), (-2, -1, 3), (2, 2, -3)]
     ]
-    assert m_value(pts, Character([-3, -1, 0])).value == 2
-    assert m_value(pts, Character.zero(3)).value == 2
+    assert m_value(pts, Character([-3, -1, 0])) == 2
+    assert m_value(pts, Character.zero(3)) == 2
     # Frozen counterexample to the universal form (verified by hand):
     # chi = (1,0,-1) = 2/3 (1,-1,0) + 1/3 (1,2,-3), so m(chi) = 1, while
     # the zero character needs four rays, so m(0) = 3.
@@ -278,8 +281,8 @@ def test_m_chi_near_m_zero_holds_often_but_not_always():
         for v in [(2, -3, -3), (1, 0, -1), (1, -1, 0), (1, 2, -3), (-3, -1, -1), (2, 1, 3)]
     ]
     chi = Character([1, 0, -1])
-    assert m_value(pts, chi).value == 1
-    assert m_value(pts, Character.zero(3)).value == 3
+    assert m_value(pts, chi) == 1
+    assert m_value(pts, Character.zero(3)) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from cat0sigma import spaces as sp
 from cat0sigma import trees
 from cat0sigma.errors import ParameterOutOfRange
-from cat0sigma.jsonio import jsonable
 from cat0sigma.trees import (
     DEPTH_BUDGET,
     CayleyTree,
@@ -680,11 +679,12 @@ def _end_step(model, v, end):
     end's value (its word is a prefix of the end), up otherwise."""
     if isinstance(model, HnnTree):
         n = model.index
-        if isinstance(end, HnnUp) or _reference_n_valuation(end.value - v.center, n) < v.level:
+        center = F(v.num, n**v.exp)
+        if isinstance(end, HnnUp) or _reference_n_valuation(end.value - center, n) < v.level:
             return model.parent(v)
-        t = (end.value - v.center) / F(n) ** v.level
+        t = (end.value - center) / F(n) ** v.level
         digit = (t.numerator * pow(t.denominator, -1, n)) % n
-        return model.vertex(v.level + 1, v.center + digit * F(n) ** v.level)
+        return model.vertex(v.level + 1, center + digit * F(n) ** v.level)
     if end.head(len(v)) == v:
         return end.head(len(v) + 1)
     return v[:-1]
@@ -774,12 +774,10 @@ def test_integer_hnn_model_matches_the_fraction_formulas(case):
     model, ref = HnnTree(n), _FractionHnn(n)
 
     def pair(w):
-        # Each vertex is canonical, in lowest terms, and its JSON is the
-        # (level, center) ball.
+        # Each vertex is canonical and in lowest terms.
         model.check_vertex(w)
         assert w.exp == 0 or w.num % n, w
-        assert jsonable(w) == {"level": w.level, "center": jsonable(w.center)}
-        return w.level, w.center
+        return w.level, F(w.num, n**w.exp)
 
     u, v = model.vertex(lu, cu), model.vertex(lv, cv)
     assert pair(u) == (lu, cu) and pair(v) == (lv, cv)

@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 # ``homology`` is reached as ``cat0sigma.homology.homology``.
 _SUBMODULES = (
     "actions", "cli", "errors", "exactlp", "homology", "jsonio", "raag",
-    "spaces", "sphere", "svg", "trees", "treesigma", "verify",
+    "spaces", "sphere", "svg", "trees", "treesigma", "verify", "words",
 )
 _EXPORTS = {
     "actions": (

@@ -56,12 +56,10 @@ from .trees import (
     HnnUp,
     TreePoint,
     check_depth,
-    cyclic_reduce,
-    invert_word,
     make_word_end,
     n_valuation,
-    reduce_word,
 )
+from .words import cyclic_reduce, invert_word, reduce_word
 
 GLOBAL_TOL = spaces.GLOBAL_TOL
 

@@ -7,7 +7,6 @@ parse: the library function that receives a value checks it."""
 from __future__ import annotations
 
 import math
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -105,6 +104,10 @@ def jsonable(value):
     to_json = getattr(value, "to_json", None)
     if to_json is not None:
         return jsonable(to_json())
+    # Imported here, not at the top: the CLI imports this module at start-up,
+    # and dataclasses, which loads inspect, was half of its import time.
+    from dataclasses import fields, is_dataclass
+
     if is_dataclass(value) and not isinstance(value, type):
         return {f.name: jsonable(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, dict):

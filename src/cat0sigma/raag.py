@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from .errors import DegreeOutOfRange, UnknownVertex
 from .homology import HomologyProfile, SimplicialComplex, homology, join_homology
 from .jsonio import parse_int, read_field
-from .trees import cyclic_reduce, reduce_word
+from .words import cyclic_reduce, reduce_word
 
 # Relator visits one Tietze trivialization may spend before it answers
 # Unknown.

@@ -46,8 +46,7 @@ from typing import Optional, Union
 
 from .errors import ParameterOutOfRange
 from .jsonio import parse_fraction, parse_int, read_field
-
-Word = tuple[int, ...]
+from .words import Word, reduce_word
 
 # At the budget one Busemann value or ray point takes at most about 0.35 s
 # on a 2-vCPU machine when the point lies near the ray or far from it (on a
@@ -379,29 +378,6 @@ class RegularTree(WordTree):
 
     def descriptor(self) -> dict:
         return {"type": "regular", "degree": self.degree}
-
-
-def reduce_word(word) -> Word:
-    out: list[int] = []
-    for letter in word:
-        if out and out[-1] == -letter:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
-
-
-def cyclic_reduce(word: Word) -> tuple[Word, Word]:
-    """(c, core) for a reduced word w = c . core . c^-1 with core cyclically
-    reduced: count the end pairs that cancel, then slice once."""
-    n, k = len(word), 0
-    while 2 * k + 1 < n and word[k] == -word[n - 1 - k]:
-        k += 1
-    return word[:k], word[k : n - k]
-
-
-def invert_word(word) -> Word:
-    return tuple(-x for x in reversed(word))
 
 
 class CayleyTree(WordTree):

@@ -33,7 +33,8 @@ from cat0sigma.actions import (
 )
 from cat0sigma.errors import EndNotFixed, ParameterOutOfRange, UnknownGenerator, UnsupportedNumberForm, WrongSpace
 from cat0sigma.spaces import EDirection, EuclideanSpace, H2_INFINITY, REGION_BUDGET, HyperbolicPlane, TreeSpace
-from cat0sigma.trees import CayleyTree, HnnDown, HnnTree, HnnUp, RegularTree, TreePoint, invert_word, make_word_end
+from cat0sigma.trees import CayleyTree, HnnDown, HnnTree, HnnUp, RegularTree, TreePoint, make_word_end
+from cat0sigma.words import invert_word
 
 
 def test_apply_examples():

@@ -493,27 +493,32 @@ def test_malformed_command_lines_are_one_line_usage_errors(argv, message):
 
 def test_parser_is_not_built_at_import():
     # Importing the CLI builds no parser and loads only the errors and the
-    # JSON readers of the package; each command then loads the modules it
-    # uses and no other.  Every probe runs in a fresh interpreter.
+    # JSON readers of the package, and neither dataclasses nor inspect; each
+    # command then loads the modules it uses and no other.  Every probe runs
+    # in a fresh interpreter.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     loaded = "sorted(m for m in sys.modules if m.split('.')[0] == 'cat0sigma')"
+    added = "sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))"
 
     def probe(code):
-        script = f"import io, json, sys\nimport cat0sigma.cli as c\nout = [{code}, {loaded}]\nprint(json.dumps(out))"
+        script = (
+            "import io, json, sys\nbefore = set(sys.modules)\nimport cat0sigma.cli as c\n"
+            f"out = [{added}, {code}, {loaded}]\nprint(json.dumps(out))"
+        )
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
         return json.loads(result.stdout)
 
     assert probe("c.build_parser.cache_info().currsize") == [
-        0, ["cat0sigma", "cat0sigma.cli", "cat0sigma.errors", "cat0sigma.jsonio"]
+        [], 0, ["cat0sigma", "cat0sigma.cli", "cat0sigma.errors", "cat0sigma.jsonio"]
     ]
     unused = {
         "mfpr --data mfpr_rank4_circuit.json --table": "actions spaces trees raag homology verify exactlp",
-        "raag --graph raag_octahedron.json --n 2": "sphere svg actions spaces treesigma verify exactlp",
+        "raag --graph raag_octahedron.json --n 2": "sphere svg actions spaces trees treesigma verify exactlp",
         "busemann --data busemann_cayley.json": "sphere raag homology treesigma verify exactlp",
     }
     for job, modules in unused.items():
         argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in job.split()]
-        code, names = probe(f"c.run({argv!r}, stdout=io.StringIO())")
+        _, code, names = probe(f"c.run({argv!r}, stdout=io.StringIO())")
         assert code == 0 and {f"cat0sigma.{m}" for m in modules.split()}.isdisjoint(names), (job, names)
 
 
@@ -788,61 +793,89 @@ HNN_DOWN_RAY = {"base": {"vertex": HNN_ROOT}, "end": {"boundary": {"down": "1/2"
 CAYLEY2 = {"space": "tree", "descriptor": {"type": "cayley", "rank": 2}}
 CAYLEY_RAY = {"base": {"vertex": []}, "end": {"boundary": {"period": [1]}}}
 HNN_ACTION = {"space": HNN2, "generators": {"a": {"shift": 0, "add": "1"}, "t": {"shift": 1, "add": "0"}}}
+# Each case: the diagnostic's "error", the command, its payload and any
+# further command-line arguments.
 MALFORMED = {
-    "busemann-points-number": ("busemann", {"space": {"space": "H2"}, "ray": H2_RAY, "points": 5}),
-    "busemann-schedule-number": ("busemann", {"space": {"space": "H2"}, "ray": H2_RAY, "points": [], "schedule": 3}),
-    "h2-point-number": ("busemann", {"space": {"space": "H2"}, "ray": H2_RAY, "points": [5]}),
+    "busemann-points-number": ("ValueError", "busemann", {"space": {"space": "H2"}, "ray": H2_RAY, "points": 5}),
+    "busemann-schedule-number": (
+        "ValueError",
+        "busemann",
+        {"space": {"space": "H2"}, "ray": H2_RAY, "points": [], "schedule": 3},
+    ),
+    "h2-point-number": ("ValueError", "busemann", {"space": {"space": "H2"}, "ray": H2_RAY, "points": [5]}),
     "h2-end-beyond-binary64": (
+        "WrongSpace",
         "busemann",
         {"space": {"space": "H2"}, "ray": {"base": [0, 1], "end": {"boundary": {"xi": str(10**400)}}}, "points": []},
     ),
     "hnn-vertex-list": (
+        "ValueError",
         "character",
         {"action": HNN_ACTION, "end": {"up": True}, "base": {"vertex": [1, 2]}, "words": ["t"]},
     ),
-    "top-level-array": ("busemann", [{"space": {"space": "H2"}}]),
-    "tits-bare-space-name": ("tits", {"space": "E2", "pairs": []}),
-    "tits-tree-boundary-number": ("tits", {"space": HNN2, "pairs": [[7, {"up": True}]]}),
+    "top-level-array": ("ValueError", "busemann", [{"space": {"space": "H2"}}]),
+    "tits-bare-space-name": ("ValueError", "tits", {"space": "E2", "pairs": []}),
+    "tits-tree-boundary-number": ("ValueError", "tits", {"space": HNN2, "pairs": [[7, {"up": True}]]}),
     "shift-config-list": (
+        "ValueError",
         "shift",
         {"space": {"space": "E2"}, "config": [1], "map": {}, "end": {"direction": [1, 0]}},
     ),
-    "raag-edge-number": ("raag", {"vertices": [0, 1], "edges": [1]}),
-    "raag-vertices-number": ("raag", {"vertices": 5, "edges": []}),
-    "raag-edge-endpoint-list": ("raag", {"vertices": [0, 1], "edges": [[0, [1]]]}),
-    "raag-vertex-list": ("raag", {"vertices": [[0], 1], "edges": []}),
-    "mfpr-k-list": ("mfpr", {"k": [2], "complement": [[1, 0]], "splitting_character": ["-1", "0"]}),
-    "mfpr-complement-point-number": ("mfpr", {"k": 1, "complement": [1], "splitting_character": ["-1"]}),
-    "mfpr-character-coordinate-list": ("mfpr", {"k": 2, "complement": [[1, 0]], "splitting_character": [[1], 0]}),
-    "mfpr-character-number": ("mfpr", {"k": 1, "complement": [[1]], "splitting_character": 5}),
+    "raag-edge-number": ("ValueError", "raag", {"vertices": [0, 1], "edges": [1]}),
+    "raag-vertices-number": ("ValueError", "raag", {"vertices": 5, "edges": []}),
+    "raag-edge-endpoint-list": ("ValueError", "raag", {"vertices": [0, 1], "edges": [[0, [1]]]}),
+    "raag-vertex-list": ("ValueError", "raag", {"vertices": [[0], 1], "edges": []}),
+    "mfpr-k-list": ("ValueError", "mfpr", {"k": [2], "complement": [[1, 0]], "splitting_character": ["-1", "0"]}),
+    "mfpr-complement-point-number": ("ValueError", "mfpr", {"k": 1, "complement": [1], "splitting_character": ["-1"]}),
+    "mfpr-character-coordinate-list": (
+        "ValueError",
+        "mfpr",
+        {"k": 2, "complement": [[1, 0]], "splitting_character": [[1], 0]},
+    ),
+    "mfpr-character-number": ("ValueError", "mfpr", {"k": 1, "complement": [[1]], "splitting_character": 5}),
     "tree-sigma-fixed-end-string-false": (
+        "ValueError",
         "tree-sigma",
         {"fl_group": 3, "fl_stabilizers": 1, "has_fixed_end": "false", "cl_character": 2},
     ),
     "tree-sigma-fixed-end-string": (
+        "ValueError",
         "tree-sigma",
         {"fl_group": 3, "fl_stabilizers": 1, "has_fixed_end": "x", "cl_character": 2},
     ),
     "tree-sigma-fixed-end-number": (
+        "ValueError",
         "tree-sigma",
         {"fl_group": 3, "fl_stabilizers": 1, "has_fixed_end": -1, "cl_character": 2},
     ),
-    "tree-sigma-negative-lengths": ("tree-sigma", {"fl_group": -1, "fl_stabilizers": -1, "has_fixed_end": False}),
-    "tree-sigma-length-list": ("tree-sigma", {"fl_group": [3], "fl_stabilizers": 1, "has_fixed_end": False}),
+    "tree-sigma-negative-lengths": (
+        "ValueError",
+        "tree-sigma",
+        {"fl_group": -1, "fl_stabilizers": -1, "has_fixed_end": False},
+    ),
+    "tree-sigma-length-list": (
+        "ValueError",
+        "tree-sigma",
+        {"fl_group": [3], "fl_stabilizers": 1, "has_fixed_end": False},
+    ),
     # Beyond trees.DEPTH_BUDGET = 10**6: a ray time, a word length, an HNN level.
     "busemann-cayley-time-over-depth-budget": (
+        "ParameterOutOfRange",
         "busemann",
         {"space": CAYLEY2, "ray": CAYLEY_RAY, "points": [[2]], "schedule": [1, 3 * 10**6]},
     ),
     "busemann-hnn-down-time-over-depth-budget": (
+        "ParameterOutOfRange",
         "busemann",
         {"space": HNN3, "ray": HNN_DOWN_RAY, "points": [{"vertex": HNN_ROOT}], "schedule": [10**6 + 1]},
     ),
     "busemann-cayley-word-over-depth-budget": (
+        "ParameterOutOfRange",
         "busemann",
         {"space": CAYLEY2, "ray": CAYLEY_RAY, "points": ["a" * (10**6 + 1)]},
     ),
     "character-hnn-shift-over-depth-budget": (
+        "ParameterOutOfRange",
         "character",
         {
             "action": {"space": HNN2, "generators": {"t": {"shift": 10**6 + 1, "add": "0"}}},
@@ -852,6 +885,7 @@ MALFORMED = {
         },
     ),
     "busemann-hnn-level-over-depth-budget": (
+        "ParameterOutOfRange",
         "busemann",
         {"space": HNN3, "ray": HNN_DOWN_RAY, "points": [{"vertex": {"level": -(10**6) - 1, "center": 0}}]},
     ),
@@ -860,34 +894,35 @@ MALFORMED = {
 F2_ACTION = json.loads((GOLDEN / "cocompact_f2.json").read_text(encoding="utf-8"))
 MALFORMED.update(
     {
-        "cocompact-negative-depth": ("cocompact", F2_ACTION, "--radius", "1", "--depth", "-5"),
-        "cocompact-negative-radius": ("cocompact", F2_ACTION, "--radius", "-1"),
-        "cocompact-nan-radius": ("cocompact", F2_ACTION, "--radius", "nan"),
+        "cocompact-negative-depth": ("ValueError", "cocompact", F2_ACTION, "--radius", "1", "--depth", "-5"),
+        "cocompact-negative-radius": ("ValueError", "cocompact", F2_ACTION, "--radius", "-1"),
+        "cocompact-nan-radius": ("ValueError", "cocompact", F2_ACTION, "--radius", "nan"),
     }
 )
 # H2 values whose squares leave binary64, in the busemann_h2 golden input.
 BUSEMANN_H2 = json.loads((GOLDEN / "busemann_h2.json").read_text(encoding="utf-8"))
 
 
-def busemann_h2_with(xi=None, base=None, points=None):
+def busemann_h2_with(error, xi=None, base=None, points=None):
     end = {"boundary": {"xi": xi}} if xi else BUSEMANN_H2["ray"]["end"]
     ray = {"base": base or BUSEMANN_H2["ray"]["base"], "end": end}
-    return ("busemann", dict(BUSEMANN_H2, ray=ray, points=points or BUSEMANN_H2["points"]))
+    return (error, "busemann", dict(BUSEMANN_H2, ray=ray, points=points or BUSEMANN_H2["points"]))
 
 
 MALFORMED.update(
     {
-        "h2-end-1e160": busemann_h2_with(xi="1e160"),
-        "h2-end-minus-1e200": busemann_h2_with(xi="-1e200"),
-        "h2-end-1e300": busemann_h2_with(xi="1e300"),
-        "h2-base-far": busemann_h2_with(base=[1e200, 1]),
-        "h2-point-far": busemann_h2_with(points=[[1e200, 1]]),
-        "h2-base-near-axis": busemann_h2_with(base=[0, 1e-200]),
-        "h2-base-and-point-near-axis": busemann_h2_with(base=[0, 1e-170], points=[[1, 1e-170]]),
+        "h2-end-1e160": busemann_h2_with("WrongSpace", xi="1e160"),
+        "h2-end-minus-1e200": busemann_h2_with("WrongSpace", xi="-1e200"),
+        "h2-end-1e300": busemann_h2_with("WrongSpace", xi="1e300"),
+        "h2-base-far": busemann_h2_with("WrongSpace", base=[1e200, 1]),
+        "h2-point-far": busemann_h2_with("WrongSpace", points=[[1e200, 1]]),
+        "h2-base-near-axis": busemann_h2_with("WrongSpace", base=[0, 1e-200]),
+        "h2-base-and-point-near-axis": busemann_h2_with("WrongSpace", base=[0, 1e-170], points=[[1, 1e-170]]),
         # A ray point on the geodesic from 1e152 i toward 1e-6, whose circle
         # center is past binary64: ParameterOutOfRange, not a math domain error.
-        "h2-ray-point-center-beyond-binary64": busemann_h2_with(xi="1/1000000", base=[0, 1e152]),
+        "h2-ray-point-center-beyond-binary64": busemann_h2_with("ParameterOutOfRange", xi="1/1000000", base=[0, 1e152]),
         "h2-local-audit-center-beyond-binary64": (
+            "ParameterOutOfRange",
             "audit",
             {"space": {"space": "H2"}, "center": [0, 1e152], "r": 2, "eps": "1/2",
              "ends": [{"xi": 0}, {"xi": "1/1000000"}]},
@@ -916,12 +951,14 @@ def test_h2_local_audit_passes_across_the_range_of_centers(tmp_path):
 
 @pytest.mark.parametrize("case", list(MALFORMED.values()), ids=list(MALFORMED))
 def test_malformed_shapes_are_input_errors(tmp_path, case):
-    command, payload, *extra = case
+    error, command, payload, *extra = case
     flag = "--graph" if command == "raag" else "--data"
     code, out, err = run_cli([command, flag, write(tmp_path, "bad.json", payload), *extra])
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1
-    assert set(json.loads(err)) == {"error", "message"}
+    diagnostic = json.loads(err)
+    assert set(diagnostic) == {"error", "message"}
+    assert diagnostic["error"] == error, diagnostic
 
 
 def test_hnn_generator_add_is_checked_where_it_is_read(tmp_path):

@@ -1,6 +1,7 @@
 """The one-pass report writer: jsonio.dumps gives the same text as
 json.dumps over jsonable, on every kind of value a report can hold."""
 
+import dataclasses
 import enum
 import json
 import math
@@ -80,3 +81,22 @@ CASES = {
 def test_dumps_matches_json_dumps_on_report_values(value):
     assert jsonio.dumps(value) == reference(value)
 
+
+
+@dataclasses.dataclass(frozen=True)
+class Reading:
+    zeta: F
+    alpha: tuple
+    mid: object = None
+
+
+def test_jsonable_gives_dataclass_fields_in_order():
+    # A dataclass without to_json becomes the dict of its fields, in the
+    # order they are declared, each converted in turn.
+    value = jsonio.jsonable(Reading(F(1, 3), (F(2), Reading(F(0), ()))))
+    assert list(value.items()) == [
+        ("zeta", "1/3"),
+        ("alpha", ["2", {"zeta": "0", "alpha": [], "mid": None}]),
+        ("mid", None),
+    ]
+    assert list(value["alpha"][1]) == ["zeta", "alpha", "mid"]

@@ -24,16 +24,14 @@ from cat0sigma.trees import (
     TreePoint,
     WordEnd,
     _shared_part,
-    cyclic_reduce,
-    invert_word,
     make_word_end,
     n_valuation,
     point_distance,
     ray_point_at,
-    reduce_word,
     tree_from_descriptor,
     walk_to_point,
 )
+from cat0sigma.words import cyclic_reduce, invert_word, reduce_word
 
 
 def test_descriptor_round_trip():

@@ -34,15 +34,6 @@ def _log(msg: str, stderr) -> None:
         print(f"{PROG}: {msg}", file=stderr)
 
 
-def _dump(payload, out_path, stdout) -> None:
-    text = jsonio.dumps(payload)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        stdout.write(text)
-
-
 def _load(path):
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -55,17 +46,6 @@ def _boundary_pair(space, pair):
     if not (isinstance(pair, list) and len(pair) == 2):
         raise ValueError(f"expected a list of two boundary points, got {pair!r}")
     return space.parse_boundary(pair[0]), space.parse_boundary(pair[1])
-
-
-def _space_override(args, data):
-    """--space overrides the space named in the data file: either a bare
-    name like E2 / H2 or a JSON descriptor for trees."""
-    if getattr(args, "space", None):
-        text = args.space
-        spec = json.loads(text) if text.lstrip().startswith("{") else {"space": text}
-        data = dict(data or {})
-        data["space"] = spec
-    return data
 
 
 # ---------------------------------------------------------------------------
@@ -323,22 +303,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices  # each command's own parser, by name
 
-    def add(name, data=True, space=False, tol=False):
+    def add(name, data=True, tol=False):
         p = sub.add_parser(name)
         if data:
             p.add_argument("--data", required=True, help="input JSON file")
-        if space:
-            p.add_argument("--space", help="override the space in the data file (E2, H2, or a JSON descriptor)")
         p.add_argument("--seed", type=int, default=0)
         if tol:
             p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--out", help="write the JSON report here instead of stdout")
         return p
 
-    add("busemann", space=True, tol=True)
-    add("tits", space=True, tol=True)
+    add("busemann", tol=True)
+    add("tits", tol=True)
     add("character")
-    add("shift", space=True)
+    add("shift")
     p = add("cocompact")
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--depth", type=int, default=6)
@@ -355,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", action="store_true")
     p.add_argument("--csv", help="also write the degree table as CSV")
     p.add_argument("--svg", help="emit the complement point set as SVG")
-    p = add("audit", space=True)
+    p = add("audit")
     p.add_argument("--which", required=True, choices=["local-busemann", "angle-estimate"])
     p = add("verify", data=False)
     p.add_argument("--suite", default="all", choices=[*SUITE_NAMES, "all"])
@@ -399,11 +376,10 @@ def run(argv, stdout=None, stderr=None) -> int:
         return _input_error(exc, stderr)
     try:
         data = _load(args.data) if getattr(args, "data", None) else None
-        data = _space_override(args, data)
         _log(f"running {args.command} (seed {args.seed})", stderr)
         args.stderr = stderr  # handlers that log as they go write here
         code, payload = HANDLERS[args.command](args, data)
-        _dump({"command": args.command, "seed": args.seed, **payload}, args.out, stdout)
+        stdout.write(jsonio.dumps({"command": args.command, "seed": args.seed, **payload}))
         return code
     except (Cat0SigmaError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         return _input_error(exc, stderr)

@@ -147,18 +147,10 @@ class PolyhedralSet:
         return PolyhedralSet(k, cl)
 
     def contains(self, p: SpherePoint) -> bool:
-        return polyhedral_contains(self, p)
-
-
-
-def polyhedral_contains(P: PolyhedralSet, p: SpherePoint) -> bool:
-    """Exact membership: p satisfies every strict inequality of some clause."""
-    if p.k != P.k:
-        raise DimensionMismatch(f"set in rank {P.k}, point in rank {p.k}")
-    for clause in P.clauses:
-        if all(h.contains(p) for h in clause):
-            return True
-    return False
+        """Exact membership: p satisfies every strict inequality of some clause."""
+        if p.k != self.k:
+            raise DimensionMismatch(f"set in rank {self.k}, point in rank {p.k}")
+        return any(all(h.contains(p) for h in clause) for clause in self.clauses)
 
 
 INF = math.inf

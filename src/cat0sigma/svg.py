@@ -2,8 +2,9 @@
 
 S^0 is two marked points, S^1 a circle with member arcs drawn thick, S^2
 an orthographic projection with the boundary great circle of each
-hemisphere.  Output is byte-identical across runs for identical input: no
-timestamps, fixed float formatting, sorted iteration everywhere.
+hemisphere and, drawn thick on it, the arcs that bound a member region.
+Output is byte-identical across runs for identical input: no timestamps,
+fixed float formatting, sorted iteration everywhere.
 """
 
 from __future__ import annotations
@@ -102,21 +103,25 @@ def _render_s1(pset, pts) -> str:
     lines.append(f'<circle class="outline" cx="{_fmt(CENTER)}" cy="{_fmt(CENTER)}" r="{_fmt(RADIUS)}"/>')
     if pset is not None:
         segments = 720
-        run: list[tuple[float, float]] = []
-        for i in range(segments + 1):
-            theta = 2.0 * math.pi * i / segments
-            d = (math.cos(theta), math.sin(theta))
-            if _clause_member(pset.clauses, d):
-                run.append(_xy(*d))
-            else:
-                _flush_run(lines, run)
-                run = []
-        _flush_run(lines, run)
+        thetas = (2.0 * math.pi * i / segments for i in range(segments + 1))
+        _member_arcs(lines, pset.clauses, [(math.cos(theta), math.sin(theta)) for theta in thetas])
     for p in pts:
         x, y = _xy(*_unit(p.primitive))
         lines.append(f'<circle class="pt" cx="{_fmt(x)}" cy="{_fmt(y)}" r="6"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
+
+
+def _member_arcs(lines: list[str], clauses, directions) -> None:
+    """Draw each run of consecutive directions that some clause holds."""
+    run: list[tuple[float, float]] = []
+    for d in directions:
+        if _clause_member(clauses, d):
+            run.append(_xy(d[0], d[1]))
+        else:
+            _flush_run(lines, run)
+            run = []
+    _flush_run(lines, run)
 
 
 def _flush_run(lines: list[str], run: list) -> None:
@@ -134,8 +139,16 @@ def _render_s2(pset, pts) -> str:
         normals = sorted(
             {h.normal.primitive for clause in pset.clauses for h in clause}
         )
+        lines.extend(_great_circle_path(normal) for normal in normals)
+        # The boundary of a member region on the great circle of a normal:
+        # where every other hemisphere of a clause that holds it is positive.
         for normal in normals:
-            lines.append(_great_circle_path(normal))
+            others = [
+                [h for h in clause if h.normal.primitive != normal]
+                for clause in pset.clauses
+                if any(h.normal.primitive == normal for h in clause)
+            ]
+            _member_arcs(lines, others, _great_circle(normal))
     for p in pts:
         x, y, z = _unit(p.primitive)
         px, py = _xy(x, y)
@@ -148,6 +161,14 @@ def _render_s2(pset, pts) -> str:
 def _great_circle_path(normal) -> str:
     """Orthographic projection (drop z) of the great circle normal to the
     given vector."""
+    coords = [_xy(x, y) for x, y, _ in _great_circle(normal)]
+    d = "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in coords)
+    return f'<path class="gc" d="{d}"/>'
+
+
+def _great_circle(normal) -> list[list[float]]:
+    """Unit vectors at 181 equal steps once around the great circle normal
+    to the given vector."""
     n = _unit(normal)
     # Orthonormal pair spanning the plane orthogonal to n.
     pick = (1.0, 0.0, 0.0) if abs(n[0]) < 0.9 else (0.0, 1.0, 0.0)
@@ -158,15 +179,9 @@ def _great_circle_path(normal) -> str:
         n[2] * u[0] - n[0] * u[2],
         n[0] * u[1] - n[1] * u[0],
     ]
-    coords = []
     segments = 180
-    for i in range(segments + 1):
-        theta = 2.0 * math.pi * i / segments
-        x = math.cos(theta) * u[0] + math.sin(theta) * v[0]
-        y = math.cos(theta) * u[1] + math.sin(theta) * v[1]
-        coords.append(_xy(x, y))
-    d = "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in coords)
-    return f'<path class="gc" d="{d}"/>'
+    thetas = (2.0 * math.pi * i / segments for i in range(segments + 1))
+    return [[math.cos(theta) * u[i] + math.sin(theta) * v[i] for i in range(3)] for theta in thetas]
 
 
 def emit_sphere_svg(obj, path) -> None:

@@ -1,15 +1,17 @@
 """Reachability guard: every public function of the package runs.
 
 The golden command lines, ``verify --suite all --seed 0`` and the
-``raag --svg`` snapshots run in-process under a call hook.  Every callable
-name in ``cat0sigma.__all__``, every public module-level function of
-``src/cat0sigma/*.py`` and every function written in the body of a public
-class there (methods, static methods and properties, but not the ones
-``dataclass`` generates) must be called by them; a class named in
-``__all__`` counts as called when a function defined in its body runs (a
-dataclass's generated ``__init__`` among them).  A public function that no
-command reaches is deleted, or named in ``UNREACHED`` with the reason it
-has to stay.
+``--svg`` snapshots run in-process under a call hook.  Every public
+module-level function of ``src/cat0sigma/*.py`` and every function written
+in the body of a public class there (methods, static methods and
+properties, but not the ones ``dataclass`` generates) must be called by
+them; a public dataclass counts as called when a function defined in its
+body runs (a generated ``__init__`` among them), so a pure record is
+guarded too.  A public function that no command reaches is deleted, or
+named in ``UNREACHED`` with the reason it has to stay.
+
+Every option of every command must appear on one of those command lines,
+or be named in ``UNUSED_OPTIONS`` with the reason it has no golden line.
 """
 
 import dataclasses
@@ -23,7 +25,7 @@ import types
 
 import cat0sigma
 from cat0sigma import cli
-from test_cli import SVG_SNAPSHOTS
+from test_cli import SVG_SNAPSHOTS, snapshot_command_line
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 PACKAGE = pathlib.Path(cat0sigma.__file__).parent
@@ -40,18 +42,24 @@ UNREACHED = {
     "of each flag complex",
 }
 
+# Options that stay although no golden or snapshot command line passes them.
+UNUSED_OPTIONS = {
+    "--tol": "every golden busemann and tits job runs at the default tolerance",
+    "--csv": "it writes a file whose path lands in stdout, so no golden can hold its report; "
+    "test_cli checks the file",
+}
+
 
 def command_lines(svg_dir) -> list:
     """Every golden job but the single-suite verify lines, which the run of
-    all suites at seed 0 repeats; that run; and the raag --svg snapshots."""
+    all suites at seed 0 repeats; that run; and the --svg snapshots."""
     cases = json.loads((GOLDEN / "cli_stdout.json").read_text(encoding="utf-8"))
     lines = [c["argv"] for c in cases if c["argv"][0] != "verify"]
     mfpr = json.loads((GOLDEN / "mfpr_stdout.json").read_text(encoding="utf-8"))
     lines += [["mfpr", "--data", c["input"], *c["args"]] for c in mfpr]
     lines.append(["verify", "--suite", "all", "--seed", "0"])
-    for graph, n in SVG_SNAPSHOTS.items():
-        lines.append(["raag", "--graph", f"{graph}.json", "--n", str(n), "--svg", str(svg_dir / f"{graph}.svg")])
-    return [[str(GOLDEN / a) if a.endswith((".json", ".txt")) else a for a in argv] for argv in lines]
+    lines = [[str(GOLDEN / a) if a.endswith((".json", ".txt")) else a for a in argv] for argv in lines]
+    return lines + [snapshot_command_line(name, svg_dir / f"{name}.svg") for name in SVG_SNAPSHOTS]
 
 
 def functions_of(obj) -> list:
@@ -71,10 +79,10 @@ def written_functions(cls) -> list:
 
 
 def public_names() -> dict:
-    """"module.name" -> the public callable, for the names in __all__ and
-    the public functions defined at module level; "module.Class.name" ->
-    each function written in the body of a public class."""
-    out = {f"{cat0sigma._HOME[name]}.{name}": getattr(cat0sigma, name) for name in cat0sigma.__all__}
+    """"module.name" -> each public function defined at module level and
+    each public dataclass; "module.Class.name" -> each function written in
+    the body of a public class."""
+    out = {}
     for path in sorted(PACKAGE.glob("*.py")):
         if path.stem.startswith("_"):
             continue
@@ -83,10 +91,12 @@ def public_names() -> dict:
             if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
                 continue
             if inspect.isclass(obj):
+                if dataclasses.is_dataclass(obj):
+                    out[f"{path.stem}.{name}"] = obj
                 out.update({f"{path.stem}.{name}.{f.__name__}": f for f in written_functions(obj)})
             elif inspect.isfunction(inspect.unwrap(obj)):
                 out[f"{path.stem}.{name}"] = obj
-    return {name: obj for name, obj in out.items() if callable(obj)}
+    return out
 
 
 def test_guard_counts_a_class_by_its_body():
@@ -135,3 +145,16 @@ def test_every_public_function_is_called_by_a_command(tmp_path):
     reached = {name for code in called for name in codes.get(code, ())}
     assert sorted(set(names) - reached - set(UNREACHED)) == []
     assert sorted(reached & set(UNREACHED)) == []
+
+
+def test_every_option_is_on_a_command_line(tmp_path):
+    options = {
+        option
+        for command in cli.build_parser().commands.values()
+        for action in command._actions
+        for option in action.option_strings
+    } - {"-h", "--help"}
+    used = {a for argv in command_lines(tmp_path) for a in argv if a.startswith("--")}
+    assert set(UNUSED_OPTIONS) <= options
+    assert sorted(options - used - set(UNUSED_OPTIONS)) == []
+    assert sorted(used & set(UNUSED_OPTIONS)) == []

@@ -24,7 +24,6 @@ from cat0sigma.sphere import (
     m_value,
     minimal_ray_count,
     normalize_ray,
-    polyhedral_contains,
 )
 from cat0sigma.treesigma import generate_sphere_points
 from cat0sigma.verify import enumeration_m_value, enumeration_ray_count
@@ -66,12 +65,12 @@ def test_polyhedral_membership_examples():
     v = SpherePoint((1, 0))
     hemi = OpenHemisphere(v)
     pset = PolyhedralSet.from_clauses(2, [[hemi]])
-    assert polyhedral_contains(pset, v) is True
-    assert polyhedral_contains(pset, SpherePoint((-1, 0))) is False
-    assert polyhedral_contains(PolyhedralSet(2, ()), v) is False
-    assert polyhedral_contains(PolyhedralSet(2, ((),)), SpherePoint((-1, 0))) is True
+    assert pset.contains(v) is True
+    assert pset.contains(SpherePoint((-1, 0))) is False
+    assert PolyhedralSet(2, ()).contains(v) is False
+    assert PolyhedralSet(2, ((),)).contains(SpherePoint((-1, 0))) is True
     with pytest.raises(DimensionMismatch):
-        polyhedral_contains(pset, SpherePoint((1, 0, 0)))
+        pset.contains(SpherePoint((1, 0, 0)))
 
 
 def test_polyhedral_membership_ignores_positive_scaling():

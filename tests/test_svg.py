@@ -48,6 +48,18 @@ def test_two_sphere_hemisphere_boundary_circles():
     assert text.count('class="pt"') == 1 and text.count('class="pt-back"') == 1
 
 
+def test_two_sphere_member_arcs_bound_the_region():
+    # The positive octant is bounded by a quarter of each coordinate great
+    # circle, and a lone hemisphere by the whole of its circle.
+    axes = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    octant = PolyhedralSet.from_clauses(3, [[OpenHemisphere(SpherePoint(e)) for e in axes]])
+    half = PolyhedralSet.from_clauses(3, [[OpenHemisphere(SpherePoint((1, 1, 0)))]])
+    arcs = {}
+    for name, pset in (("octant", octant), ("half", half)):
+        lines = render_sphere_svg(pset).splitlines()
+        arcs[name] = [line.count(" L ") for line in lines if line.startswith('<path class="member"')]
+    assert arcs == {"octant": [43, 43, 43], "half": [180]}
+
 def test_rendering_is_deterministic():
     pset = PolyhedralSet.from_clauses(2, [[OpenHemisphere(SpherePoint((2, -3)))]])
     assert render_sphere_svg(pset) == render_sphere_svg(pset)

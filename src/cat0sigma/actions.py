@@ -47,7 +47,6 @@ from .spaces import (
     H2_INFINITY,
     HyperbolicPlane,
     ModelSpace,
-    TreeSpace,
 )
 from .trees import (
     CayleyTree,
@@ -219,25 +218,24 @@ class CayleyIsometry:
         object.__setattr__(self, "word", reduce_word(tuple(word)))
 
     @staticmethod
-    def from_json(space: TreeSpace, data) -> "CayleyIsometry":
-        return CayleyIsometry(space.model.parse_vertex(read_field(data, "word", list)))
+    def from_json(space: CayleyTree, data) -> "CayleyIsometry":
+        return CayleyIsometry(space.parse_vertex(read_field(data, "word", list)))
 
-    def check(self, space: TreeSpace) -> None:
-        space.model.check_vertex(self.word)
+    def check(self, space: CayleyTree) -> None:
+        space.check_vertex(self.word)
 
-    def apply(self, space, p: TreePoint) -> TreePoint:
-        model = space.model
-        gv = model.left_multiply_vertex(self.word, p.vertex)
+    def apply(self, space: CayleyTree, p: TreePoint) -> TreePoint:
+        gv = space.left_multiply_vertex(self.word, p.vertex)
         if p.up == 0:
             return TreePoint(gv)
-        gparent = model.left_multiply_vertex(self.word, model.parent(p.vertex))
+        gparent = space.left_multiply_vertex(self.word, space.parent(p.vertex))
         # Left multiplication can flip which endpoint of the edge is deeper.
-        if model.parent(gv) == gparent:
+        if space.parent(gv) == gparent:
             return TreePoint(gv, p.up)
         return TreePoint(gparent, 1 - p.up)
 
-    def boundary(self, space, end):
-        return space.model.left_multiply_end(self.word, end)
+    def boundary(self, space: CayleyTree, end):
+        return space.left_multiply_end(self.word, end)
 
     def inverse(self) -> "CayleyIsometry":
         return CayleyIsometry(invert_word(self.word))
@@ -267,20 +265,19 @@ class HnnIsometry:
         object.__setattr__(self, "add", Fraction(add))
 
     @staticmethod
-    def from_json(space: TreeSpace, data) -> "HnnIsometry":
+    def from_json(space: HnnTree, data) -> "HnnIsometry":
         shift, add = parse_int(read_field(data, "shift")), parse_fraction(read_field(data, "add"))
-        return HnnIsometry(space.model.index, shift, add)
+        return HnnIsometry(space.index, shift, add)
 
-    def check(self, space: TreeSpace) -> None:
-        model = space.model
-        if self.index != model.index:
+    def check(self, space: HnnTree) -> None:
+        if self.index != space.index:
             raise WrongSpace(f"HNN isometry of index {self.index} on {space.name}")
         check_depth("shift", self.shift)
-        model.affine_vertex(0, self.add, model.base_vertex())  # rejects an add that is not n-adic
+        space.affine_vertex(0, self.add, space.base_vertex())  # rejects an add that is not n-adic
 
-    def apply(self, space, p: TreePoint) -> TreePoint:
+    def apply(self, space: HnnTree, p: TreePoint) -> TreePoint:
         # Affine maps preserve the parent direction, so offsets carry over.
-        return TreePoint(space.model.affine_vertex(self.shift, self.add, p.vertex), p.up)
+        return TreePoint(space.affine_vertex(self.shift, self.add, p.vertex), p.up)
 
     def boundary(self, space, end):
         if isinstance(end, HnnUp):
@@ -321,7 +318,7 @@ ISOMETRY_TYPES = {
 
 def isometry_type(space: ModelSpace) -> type:
     """The isometry class that acts on the space."""
-    cls = ISOMETRY_TYPES.get(space.family())
+    cls = ISOMETRY_TYPES.get(type(space))
     if cls is None:
         raise WrongSpace(f"no isometries implemented on {space.name}")
     return cls
@@ -365,7 +362,7 @@ class GroupAction:
     @staticmethod
     def free_group(rank: int) -> "GroupAction":
         """The free group acting on its own Cayley tree by left translation."""
-        space = TreeSpace(CayleyTree(rank))
+        space = CayleyTree(rank)
         names = "abcdefghijklmnopqrstuvwxyz"[:rank]
         gens = {names[i]: CayleyIsometry((i + 1,)) for i in range(rank)}
         return GroupAction(space, gens)
@@ -373,7 +370,7 @@ class GroupAction:
     @staticmethod
     def cyclic_on_cayley_tree(rank: int, word) -> "GroupAction":
         """The cyclic group generated by one word of the free group."""
-        space = TreeSpace(CayleyTree(rank))
+        space = CayleyTree(rank)
         return GroupAction(space, {"h": CayleyIsometry(word)})
 
     @staticmethod
@@ -381,7 +378,7 @@ class GroupAction:
         """The ascending HNN extension of index n on its Bass-Serre tree:
         the base generator fixes the origin ball, the stable letter moves
         one level away from the fixed upward end."""
-        space = TreeSpace(HnnTree(index))
+        space = HnnTree(index)
         gens = {
             "a": HnnIsometry(index, 0, 1),
             "t": HnnIsometry(index, 1, 0),

@@ -64,7 +64,7 @@ def cmd_busemann(args, data):
     points = [space.check_point(space.parse_point(p)) for p in jsonio.read_field(data, "points", list, [])]
     schedule = [space.parse_scalar(t) for t in jsonio.read_field(data, "schedule", list, []) or [1, 2, 5, 10, 20, 40]]
     mono_slack = space.slack(1e-12)
-    bound_slack = space.slack(args.tol)
+    bound_slack = space.slack(sp.GLOBAL_TOL)
     values, audits = [], []
     for p in points:
         closed = ray.busemann(p)
@@ -86,7 +86,7 @@ def cmd_busemann(args, data):
 
 
 def cmd_tits(args, data):
-    from .spaces import space_from_json
+    from .spaces import GLOBAL_TOL, space_from_json
 
     space = space_from_json(data["space"])
     results = []
@@ -95,7 +95,7 @@ def cmd_tits(args, data):
         e1, e2 = (space.check_boundary(e) for e in _boundary_pair(space, pair))
         ang = space.angular_distance(e1, e2)
         td = space.tits_distance(e1, e2)
-        ok = ok and td >= ang - args.tol
+        ok = ok and td >= ang - GLOBAL_TOL
         results.append({"angular": ang, "tits": td})
     return (0 if ok else 1), {"space": space.to_json(), "results": results}
 
@@ -156,6 +156,16 @@ def cmd_raag(args, data):
         graph = SimpleGraph.from_json(json.loads(text))
     else:
         graph = SimpleGraph.from_edge_list(text)
+    if args.svg:
+        k = len(graph.vertices)
+        if k > 3:
+            raise UnsupportedDimension(f"sphere pictures need at most 3 vertices, graph has {k}")
+        from . import sphere, svg
+
+        chamber = sphere.PolyhedralSet.from_clauses(
+            k, [[coordinate_hemisphere(graph, v) for v in graph.vertices]]
+        )
+        picture = svg.render_sphere_svg(chamber)
     verdict = flag_verdict(graph, args.n)
     payload = {
         "n": args.n,
@@ -168,41 +178,29 @@ def cmd_raag(args, data):
         },
     }
     if args.svg:
-        k = len(graph.vertices)
-        if k > 3:
-            raise UnsupportedDimension(f"sphere pictures need at most 3 vertices, graph has {k}")
-        from . import sphere, svg
-
-        chamber = sphere.PolyhedralSet.from_clauses(
-            k, [[coordinate_hemisphere(graph, v) for v in graph.vertices]]
-        )
-        svg.emit_sphere_svg(chamber, args.svg)
+        _write_picture(args.svg, picture)
         payload["svg"] = args.svg
     return 0, payload
 
 
-def _write_csv(path, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("n,value\n")
-        for n, v in rows:
-            fh.write(f"{n},{v}\n")
+def _write_picture(path, text) -> None:
+    """Write an SVG picture, rendered before the command computed anything,
+    so that a picture it cannot draw is refused first."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _add_degrees(args, summary, payload) -> None:
     """The degree report shared by tree-sigma and mfpr: a table up to --n (or
-    to the default of ``sigma_table``) when --table or --csv is given or --n
-    is not, and the value at --n when --table is not given.  A negative --n
-    is rejected before any table or CSV is made."""
+    to the default of ``sigma_table``) when --table is given or --n is not,
+    and the value at --n when --table is not given.  A negative --n is
+    rejected before any table is made."""
     from .treesigma import dynamical_sigma, sigma_table
 
     if args.n is not None and args.n < 0:
         raise DegreeOutOfRange(f"degree {args.n} outside [0, {summary.fl_group}]")
-    if args.table or args.n is None or args.csv:
-        rows = sigma_table(summary, args.n)
-        payload["table"] = [{"n": n, "value": v} for n, v in rows]
-        if args.csv:
-            _write_csv(args.csv, rows)
-            payload["csv"] = args.csv
+    if args.table or args.n is None:
+        payload["table"] = [{"n": n, "value": v} for n, v in sigma_table(summary, args.n)]
     if args.n is not None and not args.table:
         payload["n"] = args.n
         payload["value"] = dynamical_sigma(summary, args.n)
@@ -220,6 +218,10 @@ def cmd_mfpr(args, data):
     from .treesigma import MFPRData, mfpr_lengths
 
     mfpr = MFPRData.from_json(data)
+    if args.svg:
+        from . import svg
+
+        picture = svg.render_sphere_svg(list(mfpr.complement))
     summary = mfpr_lengths(mfpr)
     payload = {
         "lengths": {
@@ -231,9 +233,7 @@ def cmd_mfpr(args, data):
     }
     _add_degrees(args, summary, payload)
     if args.svg:
-        from . import svg
-
-        svg.emit_sphere_svg(list(mfpr.complement), args.svg)
+        _write_picture(args.svg, picture)
         payload["svg"] = args.svg
     return 0, payload
 
@@ -303,17 +303,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices  # each command's own parser, by name
 
-    def add(name, data=True, tol=False):
+    def add(name, data=True):
         p = sub.add_parser(name)
         if data:
             p.add_argument("--data", required=True, help="input JSON file")
         p.add_argument("--seed", type=int, default=0)
-        if tol:
-            p.add_argument("--tol", type=float, default=1e-9)
         return p
 
-    add("busemann", tol=True)
-    add("tits", tol=True)
+    add("busemann")
+    add("tits")
     add("character")
     add("shift")
     p = add("cocompact")
@@ -326,11 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("tree-sigma")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--table", action="store_true")
-    p.add_argument("--csv", help="also write the degree table as CSV")
     p = add("mfpr")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--table", action="store_true")
-    p.add_argument("--csv", help="also write the degree table as CSV")
     p.add_argument("--svg", help="emit the complement point set as SVG")
     p = add("audit")
     p.add_argument("--which", required=True, choices=["local-busemann", "angle-estimate"])

@@ -1,14 +1,17 @@
-"""The three model CAT(0) spaces and their boundary geometry.
+"""The model CAT(0) spaces and their boundary geometry.
 
-Euclidean k-space and the hyperbolic plane (upper half-plane model) are
-computed in binary64 with a global tolerance of 1e-9 for assertions;
-simplicial trees are exact over ints and Fractions.  Each space class owns
-its operations: distance, generalized rays, the closed forms of Busemann
-functions, boundary equality, the angular and Tits metrics, the seeded
-samplers, parsing of its points and ends, and the helpers of the
-cocompactness test.  The module-level functions
+Every model space is a :class:`ModelSpace`: Euclidean k-space and the
+hyperbolic plane (upper half-plane model), defined here and computed in
+binary64 with a global tolerance of 1e-9 for assertions, and the locally
+finite simplicial trees of :mod:`trees`, exact over ints and Fractions.
+Each space class owns its operations: distance, generalized rays, the
+closed forms of Busemann functions, boundary equality, the angular and
+Tits metrics, the seeded samplers, parsing of its points and ends, and the
+helpers of the cocompactness test.  The module-level functions
 (:func:`distance`, :func:`busemann`, :func:`ray_from`, ...) are the public
-entry points and hold only the logic that all spaces share.
+entry points and hold only the logic that all spaces share.  The tree
+module imports this one, so this one loads it only in
+:func:`space_from_json`, for a tree descriptor.
 
 Readers only parse: ``parse_point`` and ``parse_boundary`` check the JSON
 structure and the numbers.  The entry point that receives a value checks
@@ -39,17 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from . import trees
 from .errors import NotAsymptotic, ParameterOutOfRange, WrongSpace
 from .jsonio import parse_fraction, parse_real, read_field
-from .trees import (
-    HnnDown,
-    HnnUp,
-    TreeModel,
-    TreePoint,
-    WordEnd,
-    tree_from_descriptor,
-)
 
 GLOBAL_TOL = 1e-9
 
@@ -73,16 +67,21 @@ Real = Union[int, float, Fraction]
 
 
 class ModelSpace:
-    """A model CAT(0) space.  Each subclass implements the per-space
-    operations that the entry points below dispatch to: ``check_point``,
-    ``check_boundary``, ``check_target`` (a ray's target, an end or a
-    point), ``origin``, ``to_json``, the JSON readers (``parse_point``,
-    ``parse_boundary``, ``parse_scalar``), ``distance``, ``ray_from``,
-    ``ray_point``, ``busemann_to_end`` (the closed form toward a boundary
-    point), one seeded draw of a point (``sample_point``) or an end
-    (``sample_end``), and the cocompactness helpers ``orbit_key``,
-    ``region`` (with ``region_unit``, what it counts against
-    ``REGION_BUDGET``) and ``probe_ends``.
+    """A model CAT(0) space: :class:`EuclideanSpace`,
+    :class:`HyperbolicPlane`, or a tree model of :mod:`trees`
+    (``RegularTree``, ``CayleyTree``, ``HnnTree``, whose base
+    ``TreeModel`` computes these operations from each model's local
+    structure).  Each subclass implements the per-space operations that the
+    entry points below dispatch to: ``check_point`` and ``check_boundary``
+    (each returns the value it checked), ``check_target`` (a ray's target,
+    an end or a point), ``origin``, ``to_json`` (the form that
+    :func:`space_from_json` reads back), the JSON readers
+    (``parse_point``, ``parse_boundary``, ``parse_scalar``), ``distance``,
+    ``ray_from``, ``ray_point``, ``busemann_to_end`` (the closed form
+    toward a boundary point), one seeded draw of a point
+    (``sample_point``) or an end (``sample_end``), and the cocompactness
+    helpers ``orbit_key``, ``region`` (with ``region_unit``, what it counts
+    against ``REGION_BUDGET``) and ``probe_ends(center, far_point)``.
 
     The readers only parse, and the entry point that receives a value
     checks it.  The methods take points and ends already returned by
@@ -104,11 +103,6 @@ class ModelSpace:
     def slack(self, tol):
         """Allowed error of a comparison: 0 on exact spaces, tol otherwise."""
         return 0 if self.exact else tol
-
-    def family(self) -> type:
-        """The class that fixes how isometries of this space are
-        represented: the space's own class, or the tree model's on trees."""
-        return type(self)
 
     def parse_scalar(self, data):
         return parse_real(data)
@@ -353,120 +347,14 @@ class HyperbolicPlane(ModelSpace):
         return [H2_INFINITY, Fraction(0), Fraction(1), Fraction(-1)]
 
 
-# Edge offsets of sampled tree points, 0 twice as often as each other value.
-_SAMPLE_OFFSETS = (Fraction(0), Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3))
-
-
-class TreeSpace(ModelSpace):
-    """A locally finite simplicial tree given by a lazy descriptor."""
-
-    exact = True
-    region_unit = "vertices"
-
-    def __init__(self, model: TreeModel):
-        self.model = model
-        self.name = "tree"
-
-    def family(self) -> type:
-        return type(self.model)
-
-    def check_point(self, p):
-        if not isinstance(p, TreePoint):
-            p = TreePoint(p)
-        self.model.check_vertex(p.vertex)
-        if p.up and self.model.parent(p.vertex) is None:
-            raise WrongSpace(f"the root {p.vertex!r} has no parent edge to hold the offset {p.up}")
-        return p
-
-    def check_boundary(self, e):
-        self.model.check_end(e)
-        return e
-
-    def origin(self):
-        return TreePoint(self.model.base_vertex())
-
-    def to_json(self):
-        return {"space": "tree", "descriptor": self.model.descriptor()}
-
-    def parse_point(self, data):
-        if not isinstance(data, dict):
-            return TreePoint(self.model.parse_vertex(data))
-        vertex = self.model.parse_vertex(read_field(data, "vertex"))
-        return TreePoint(vertex, parse_fraction(read_field(data, "up", default=0)))
-
-    def parse_boundary(self, data):
-        return self.model.parse_end(data)
-
-    def parse_scalar(self, data):
-        return parse_fraction(data)
-
-    def distance(self, a, b):
-        return trees.point_distance(self.model, a, b)
-
-    def check_target(self, e):
-        return self.check_boundary(e) if isinstance(e, (WordEnd, HnnUp, HnnDown)) else self.check_point(e)
-
-    def ray_from(self, a, e):
-        if isinstance(e, (WordEnd, HnnUp, HnnDown)):
-            return GeneralizedRay(self, a, e, None, trees.point_height(self.model, a, e))
-        return GeneralizedRay(self, a, e, trees.point_distance(self.model, a, e))
-
-    def ray_point(self, ray, t):
-        trees.check_depth("ray parameter", t)
-        if ray.is_degenerate:
-            return trees.walk_to_point(self.model, ray.base, ray.end, Fraction(t))
-        return trees.ray_point_at(self.model, ray.base, ray.end, Fraction(t))
-
-    def busemann_to_end(self, ray, b):
-        # The difference of the end's horofunction heights; the ray carries
-        # its base's.
-        value = ray._param - trees.point_height(self.model, b, ray.end)
-        return value if isinstance(value, Fraction) else Fraction(value)
-
-    def sample_point(self, center, radius, rng):
-        v = center.vertex
-        for _ in range(rng.randrange(0, max(1, int(radius)))):
-            v = rng.choice(self.model.neighbors(v))
-        up = rng.choice(_SAMPLE_OFFSETS)
-        if up and self.model.parent(v) is None:
-            up = _SAMPLE_OFFSETS[0]
-        return TreePoint(v, up)
-
-    def sample_end(self, rng):
-        return self.model.sample_end(rng)
-
-    def region(self, center, depth: int, seed: int):
-        """All vertices within the radius, or None when there are more than
-        REGION_BUDGET.  Every model has one degree d, so the ball holds
-        1 + d((d - 1)^r - 1)/(d - 2) vertices (1 + 2r when d = 2); for d > 2
-        that passes the budget by r = 19, so no larger power is taken."""
-        radius = max(2, depth // 2)
-        d = len(self.model.neighbors(center.vertex))
-        size = 1 + 2 * radius if d == 2 else 1 + d * ((d - 1) ** min(radius, 19) - 1) // (d - 2)
-        if size > REGION_BUDGET:
-            return radius, None
-        out, frontier, seen = [TreePoint(center.vertex)], [center.vertex], {center.vertex}
-        for _ in range(radius):
-            new = []
-            for v in frontier:
-                for w in self.model.neighbors(v):
-                    if w not in seen:
-                        seen.add(w)
-                        new.append(w)
-                        out.append(TreePoint(w))
-            frontier = new
-        return radius, out
-
-    def probe_ends(self, center, far_point):
-        return self.model.basic_ends()
-
-
 def space_from_json(data) -> ModelSpace:
     name = read_field(data, "space", str)
     if name == "H2":
         return HyperbolicPlane()
     if name == "tree":
-        return TreeSpace(tree_from_descriptor(read_field(data, "descriptor")))
+        from .trees import tree_from_descriptor  # trees imports this module
+
+        return tree_from_descriptor(read_field(data, "descriptor"))
     if name.startswith("E"):
         return EuclideanSpace(int(name[1:]))
     raise ValueError(f"unknown space {name!r}")
@@ -677,7 +565,7 @@ def busemann(M: ModelSpace, ray: GeneralizedRay, b):
     Degenerate rays use mu - d(b, ray(mu)).  Otherwise: the inner product
     with the direction on E^k; a logarithmic density quotient on H2; and on
     trees h(ray(0)) - h(b) for the horofunction height h toward the end
-    (:func:`trees.point_height`).
+    (:meth:`trees.TreeModel.point_height`).
     """
     return M.check_ray(ray).busemann(M.check_point(b))
 

@@ -3,6 +3,8 @@
 S^0 is two marked points, S^1 a circle with member arcs drawn thick, S^2
 an orthographic projection with the boundary great circle of each
 hemisphere and, drawn thick on it, the arcs that bound a member region.
+On S^2 what lies behind the sphere (z < 0) is drawn in a back style:
+dashed great circles, faint member arcs and hollow points.
 Output is byte-identical across runs for identical input: no timestamps,
 fixed float formatting, sorted iteration everywhere.
 """
@@ -26,6 +28,12 @@ STYLE = (
     "path.gc{fill:none;stroke:#b3122e;stroke-width:1}"
     "line.axis{stroke:#ccc;stroke-width:1}"
 )
+# Added to the style of an S^2 picture of a set, whose great circles and
+# member arcs can pass behind the sphere.
+BACK_STYLE = (
+    "path.member-back{stroke:#0a7d33;stroke-width:7;fill:none;stroke-linecap:round;stroke-opacity:0.35}"
+    "path.gc-back{fill:none;stroke:#b3122e;stroke-width:1;stroke-dasharray:4 4}"
+)
 
 
 def _fmt(x: float) -> str:
@@ -33,13 +41,13 @@ def _fmt(x: float) -> str:
     return "0.000000" if out == "-0.000000" else out
 
 
-def _header(lines: list[str]) -> None:
+def _header(lines: list[str], style: str = STYLE) -> None:
     lines.append('<?xml version="1.0" encoding="UTF-8"?>')
     lines.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
         f'viewBox="0 0 {SIZE} {SIZE}">'
     )
-    lines.append(f"<style>{STYLE}</style>")
+    lines.append(f"<style>{style}</style>")
 
 
 def _xy(x: float, y: float) -> tuple[float, float]:
@@ -104,7 +112,8 @@ def _render_s1(pset, pts) -> str:
     if pset is not None:
         segments = 720
         thetas = (2.0 * math.pi * i / segments for i in range(segments + 1))
-        _member_arcs(lines, pset.clauses, [(math.cos(theta), math.sin(theta)) for theta in thetas])
+        circle = [(math.cos(theta), math.sin(theta)) for theta in thetas]
+        _paths(lines, "member", circle, lambda d: _clause_member(pset.clauses, d))
     for p in pts:
         x, y = _xy(*_unit(p.primitive))
         lines.append(f'<circle class="pt" cx="{_fmt(x)}" cy="{_fmt(y)}" r="6"/>')
@@ -112,34 +121,44 @@ def _render_s1(pset, pts) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _member_arcs(lines: list[str], clauses, directions) -> None:
-    """Draw each run of consecutive directions that some clause holds."""
+def _paths(lines: list[str], cls: str, directions, keep=lambda d: True) -> None:
+    """Draw each run of consecutive directions that keep holds as a path of
+    the class.  On S^2 a run is split where it passes behind the sphere
+    (z < 0), and its back part, of the class cls-back, starts at the last
+    point of the part before it, so the two meet."""
     run: list[tuple[float, float]] = []
+    back = False
     for d in directions:
-        if _clause_member(clauses, d):
-            run.append(_xy(d[0], d[1]))
-        else:
-            _flush_run(lines, run)
+        if not keep(d):
+            _flush_run(lines, cls, back, run)
             run = []
-    _flush_run(lines, run)
+            continue
+        behind = len(d) == 3 and d[2] < 0
+        if behind != back:
+            _flush_run(lines, cls, back, run)
+            run, back = run[-1:], behind
+        run.append(_xy(d[0], d[1]))
+    _flush_run(lines, cls, back, run)
 
 
-def _flush_run(lines: list[str], run: list) -> None:
+def _flush_run(lines: list[str], cls: str, back: bool, run: list) -> None:
     if len(run) < 2:
         return
     d = "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in run)
-    lines.append(f'<path class="member" d="{d}"/>')
+    suffix = "-back" if back else ""
+    lines.append(f'<path class="{cls}{suffix}" d="{d}"/>')
 
 
 def _render_s2(pset, pts) -> str:
     lines: list[str] = []
-    _header(lines)
+    _header(lines, STYLE if pset is None else STYLE + BACK_STYLE)
     lines.append(f'<circle class="outline" cx="{_fmt(CENTER)}" cy="{_fmt(CENTER)}" r="{_fmt(RADIUS)}"/>')
     if pset is not None:
         normals = sorted(
             {h.normal.primitive for clause in pset.clauses for h in clause}
         )
-        lines.extend(_great_circle_path(normal) for normal in normals)
+        for normal in normals:
+            _paths(lines, "gc", _great_circle(normal))
         # The boundary of a member region on the great circle of a normal:
         # where every other hemisphere of a clause that holds it is positive.
         for normal in normals:
@@ -148,7 +167,7 @@ def _render_s2(pset, pts) -> str:
                 for clause in pset.clauses
                 if any(h.normal.primitive == normal for h in clause)
             ]
-            _member_arcs(lines, others, _great_circle(normal))
+            _paths(lines, "member", _great_circle(normal), lambda d: _clause_member(others, d))
     for p in pts:
         x, y, z = _unit(p.primitive)
         px, py = _xy(x, y)
@@ -156,14 +175,6 @@ def _render_s2(pset, pts) -> str:
         lines.append(f'<circle class="{cls}" cx="{_fmt(px)}" cy="{_fmt(py)}" r="6"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
-
-
-def _great_circle_path(normal) -> str:
-    """Orthographic projection (drop z) of the great circle normal to the
-    given vector."""
-    coords = [_xy(x, y) for x, y, _ in _great_circle(normal)]
-    d = "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in coords)
-    return f'<path class="gc" d="{d}"/>'
 
 
 def _great_circle(normal) -> list[list[float]]:
@@ -182,9 +193,3 @@ def _great_circle(normal) -> list[list[float]]:
     segments = 180
     thetas = (2.0 * math.pi * i / segments for i in range(segments + 1))
     return [[math.cos(theta) * u[i] + math.sin(theta) * v[i] for i in range(3)] for theta in thetas]
-
-
-def emit_sphere_svg(obj, path) -> None:
-    text = render_sphere_svg(obj)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)

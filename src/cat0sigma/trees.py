@@ -1,6 +1,13 @@
-"""Lazy locally finite simplicial trees with exact arithmetic.
+"""Lazy locally finite simplicial trees with exact arithmetic, the third
+kind of model space beside E^k and H2.
 
-Three families cover everything the rest of the package needs:
+Each tree model is a :class:`spaces.ModelSpace` named "tree": points are
+metric points (:class:`TreePoint`, a vertex and an offset toward its
+parent), boundary points are ends, and the model owns the per-space
+operations that the entry points of :mod:`spaces` dispatch to.  This
+module imports :mod:`spaces`; that module loads this one only to read a
+tree descriptor.  Three families cover everything the rest of the
+package needs:
 
 * ``RegularTree(degree)`` -- the degree-regular tree, vertices addressed by
   digit words from a root.
@@ -44,8 +51,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import ParameterOutOfRange
+from . import spaces
+from .errors import ParameterOutOfRange, WrongSpace
 from .jsonio import parse_fraction, parse_int, read_field
+from .spaces import GeneralizedRay, ModelSpace
 from .words import Word, reduce_word
 
 # At the budget one Busemann value or ray point takes at most about 0.35 s
@@ -246,23 +255,53 @@ class HnnVertex:
 
 
 # ---------------------------------------------------------------------------
+# Metric points: a vertex plus an offset toward its parent
+
+
+@dataclass(frozen=True)
+class TreePoint:
+    """Point of the metric tree: ``up`` of the way from ``vertex`` toward
+    its parent, with up in [0, 1).  up = 0 is the vertex itself."""
+
+    vertex: object
+    up: Fraction = Fraction(0)
+
+    def __init__(self, vertex, up=Fraction(0)):
+        if not isinstance(up, Fraction):
+            up = Fraction(up)
+        if not 0 <= up.numerator < up.denominator:
+            raise ValueError("edge offset must lie in [0, 1)")
+        object.__setattr__(self, "vertex", vertex)
+        object.__setattr__(self, "up", up)
+
+
+# ---------------------------------------------------------------------------
 # Models
 
+# Edge offsets of sampled tree points, 0 twice as often as each other value.
+_SAMPLE_OFFSETS = (Fraction(0), Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3))
 
-class TreeModel:
-    """Shared geodesic machinery.  Each subclass supplies the local
-    structure: ``base_vertex()``, ``level(v)``, ``children(v)``,
-    ``check_vertex(v)``, ``check_end(end)`` and ``descriptor()`` (its JSON
-    form); the closed forms ``ancestor(v, k)`` (the vertex k levels above
-    v), ``meet(u, v)`` (the highest vertex of the geodesic from u to v, with
-    the number of steps from u and from v up to it), ``ray_vertex(v, end,
-    k)`` (the k-th vertex of the geodesic ray from v to the end) and
-    ``height(v, end)`` (the horofunction height of v toward the end, which
-    falls by one per step along a ray to the end, and whether v's parent
-    edge points toward the end); the JSON readers ``parse_vertex`` and
-    ``parse_end`` (docs/formats.md); ``sample_end(rng)`` for the seeded
-    samplers; and ``basic_ends()``: a few ends of rays from the base
-    vertex, probed by the cocompactness test."""
+
+class TreeModel(ModelSpace):
+    """A locally finite simplicial tree, the model space "tree": the
+    space operations of :class:`spaces.ModelSpace` on metric points and
+    ends, computed exactly from the local structure.  Each subclass
+    supplies ``base_vertex()``, ``level(v)``, ``children(v)``,
+    ``check_vertex(v)``, ``check_boundary(end)`` and ``descriptor()`` (its
+    JSON form); the closed forms ``ancestor(v, k)`` (the vertex k levels
+    above v), ``meet(u, v)`` (the highest vertex of the geodesic from u to
+    v, with the number of steps from u and from v up to it),
+    ``ray_vertex(v, end, k)`` (the k-th vertex of the geodesic ray from v
+    to the end) and ``height(v, end)`` (the horofunction height of v toward
+    the end, which falls by one per step along a ray to the end, and
+    whether v's parent edge points toward the end); the JSON readers
+    ``parse_vertex`` and ``parse_boundary`` (docs/formats.md);
+    ``sample_end(rng)`` for the seeded samplers; and ``probe_ends``: a few
+    ends of rays from the base vertex, probed by the cocompactness test."""
+
+    name = "tree"
+    exact = True
+    region_unit = "vertices"
 
     def parent(self, v):
         return self.ancestor(v, 1)
@@ -274,6 +313,157 @@ class TreeModel:
         if parent is not None:
             nbrs = nbrs + [parent]
         return nbrs
+
+    def check_point(self, p):
+        if not isinstance(p, TreePoint):
+            p = TreePoint(p)
+        self.check_vertex(p.vertex)
+        if p.up and self.parent(p.vertex) is None:
+            raise WrongSpace(f"the root {p.vertex!r} has no parent edge to hold the offset {p.up}")
+        return p
+
+    def origin(self):
+        return TreePoint(self.base_vertex())
+
+    def to_json(self):
+        return {"space": "tree", "descriptor": self.descriptor()}
+
+    def parse_point(self, data):
+        if not isinstance(data, dict):
+            return TreePoint(self.parse_vertex(data))
+        vertex = self.parse_vertex(read_field(data, "vertex"))
+        return TreePoint(vertex, parse_fraction(read_field(data, "up", default=0)))
+
+    def parse_scalar(self, data):
+        return parse_fraction(data)
+
+    def distance(self, p: TreePoint, q: TreePoint) -> Fraction:
+        """Exact distance between two metric points.
+
+        From d(p.vertex, q.vertex), each offset is subtracted when its edge
+        climbs toward the meet and added when its vertex is the meet.
+        """
+        if p.vertex == q.vertex:
+            return abs(p.up - q.up)
+        _, i, j = self.meet(p.vertex, q.vertex)
+        d = i + j
+        if p.up:
+            d += p.up if i == 0 else -p.up
+        if q.up:
+            d += q.up if j == 0 else -q.up
+        return d if isinstance(d, Fraction) else Fraction(d)
+
+    def point_height(self, p: TreePoint, end: TreeEnd) -> int | Fraction:
+        """Horofunction height of a metric point toward an end: its vertex's
+        height (an int), less the offset when the parent edge points toward
+        the end and plus it otherwise."""
+        h, toward = self.height(p.vertex, end)
+        if not p.up:
+            return h
+        return h - p.up if toward else h + p.up
+
+    def check_target(self, e):
+        return self.check_boundary(e) if isinstance(e, (WordEnd, HnnUp, HnnDown)) else self.check_point(e)
+
+    def ray_from(self, a, e):
+        if isinstance(e, (WordEnd, HnnUp, HnnDown)):
+            return GeneralizedRay(self, a, e, None, self.point_height(a, e))
+        return GeneralizedRay(self, a, e, self.distance(a, e))
+
+    def ray_point(self, ray, t):
+        check_depth("ray parameter", t)
+        if ray.is_degenerate:
+            return self.walk_to_point(ray.base, ray.end, t)
+        return self.ray_point_at(ray.base, ray.end, t)
+
+    def busemann_to_end(self, ray, b):
+        # The difference of the end's horofunction heights; the ray carries
+        # its base's.
+        value = ray._param - self.point_height(b, ray.end)
+        return value if isinstance(value, Fraction) else Fraction(value)
+
+    def sample_point(self, center, radius, rng):
+        v = center.vertex
+        for _ in range(rng.randrange(0, max(1, int(radius)))):
+            v = rng.choice(self.neighbors(v))
+        up = rng.choice(_SAMPLE_OFFSETS)
+        if up and self.parent(v) is None:
+            up = _SAMPLE_OFFSETS[0]
+        return TreePoint(v, up)
+
+    def region(self, center, depth: int, seed: int):
+        """All vertices within the radius, or None when there are more than
+        ``spaces.REGION_BUDGET``.  Every model has one degree d, so the ball
+        holds 1 + d((d - 1)^r - 1)/(d - 2) vertices (1 + 2r when d = 2); for
+        d > 2 that passes the budget by r = 19, so no larger power is taken."""
+        radius = max(2, depth // 2)
+        d = len(self.neighbors(center.vertex))
+        size = 1 + 2 * radius if d == 2 else 1 + d * ((d - 1) ** min(radius, 19) - 1) // (d - 2)
+        if size > spaces.REGION_BUDGET:
+            return radius, None
+        out, frontier, seen = [TreePoint(center.vertex)], [center.vertex], {center.vertex}
+        for _ in range(radius):
+            new = []
+            for v in frontier:
+                for w in self.neighbors(v):
+                    if w not in seen:
+                        seen.add(w)
+                        new.append(w)
+                        out.append(TreePoint(w))
+            frontier = new
+        return radius, out
+
+    def _point_along(self, vertex_at, s: Fraction) -> TreePoint:
+        """Point at arc coordinate s >= 0 along a path of adjacent vertices,
+        where vertex_at(k) is its k-th vertex."""
+        whole = math.floor(s)
+        frac = s - whole
+        a = vertex_at(whole)
+        if frac == 0:
+            return TreePoint(a)
+        b = vertex_at(whole + 1)
+        if self.level(b) < self.level(a):
+            return TreePoint(a, frac)
+        return TreePoint(b, 1 - frac)
+
+    def walk_to_point(self, start: TreePoint, target: TreePoint, t: Fraction) -> TreePoint:
+        """Point at arc length t along the geodesic from start to target."""
+        t = Fraction(t)
+        total = self.distance(start, target)
+        if t < 0 or t > total:
+            raise ValueError(f"parameter {t} outside [0, {total}]")
+        if start.vertex == target.vertex:
+            sign = 1 if target.up > start.up else -1
+            return TreePoint(start.vertex, start.up + sign * t)
+        u, v, s = start.vertex, target.vertex, start.up
+        _, i, j = self.meet(u, v)
+        # An offset whose vertex is the meet (the path leaves it downward)
+        # lies on the parent edge above the path, so the path runs through
+        # the parent.
+        if start.up and i == 0:
+            u, j, s = self.parent(u), j + 1, 1 - start.up
+        if target.up and j == 0:
+            v, i = self.parent(v), i + 1
+        return self._point_along(lambda k: self.ancestor(u, k) if k <= i else self.ancestor(v, i + j - k), s + t)
+
+    def ray_point_at(self, base: TreePoint, end: TreeEnd, t: Fraction) -> TreePoint:
+        """Point at arc length t >= 0 along the geodesic ray from base to an
+        end."""
+        t = Fraction(t)
+        if t < 0:
+            raise ValueError("ray parameter must be nonnegative")
+        v, s = base.vertex, base.up + t
+        if base.up and self.level(self.ray_vertex(v, end, 1)) > self.level(v):
+            # The ray crosses the base's edge downward, so it runs on the
+            # ray from the parent.
+            v, s = self.parent(v), 1 - base.up + t
+        return self._point_along(functools.partial(self.ray_vertex, v, end), s)
+
+
+def _head_with_seams(end: WordEnd) -> Word:
+    """The head of a word end that holds each of its letters and each seam
+    between periods: two periods and one more letter."""
+    return end.head(len(end.prefix) + 2 * len(end.period) + 1)
 
 
 class WordTree(TreeModel):
@@ -306,12 +496,11 @@ class WordTree(TreeModel):
         p = _common_prefix(v, end.head(len(v)))
         return len(v) - 2 * p, p < len(v)
 
-    def check_end(self, end: TreeEnd) -> None:
-        # Two periods and one more letter cover every letter of the end and
-        # every seam between periods.
+    def check_boundary(self, end: TreeEnd) -> WordEnd:
         if not isinstance(end, WordEnd):
             raise ValueError(f"ends of a {self.descriptor()['type']} tree are word ends")
-        self.check_vertex(end.head(len(end.prefix) + 2 * len(end.period) + 1))
+        self.check_vertex(_head_with_seams(end))
+        return end
 
     def parse_vertex(self, data) -> Word:
         if not isinstance(data, (list, tuple)):
@@ -319,7 +508,7 @@ class WordTree(TreeModel):
         check_depth("word length", len(data))
         return tuple(parse_int(x) for x in data)
 
-    def parse_end(self, data) -> WordEnd:
+    def parse_boundary(self, data) -> WordEnd:
         prefix = self.parse_vertex(read_field(data, "prefix", default=()))
         return make_word_end(prefix, self.parse_vertex(read_field(data, "period")))
 
@@ -338,19 +527,19 @@ class WordTree(TreeModel):
             period = w[len(v):]
             try:
                 end = make_word_end(v, period)
-                self.check_end(end)
+                self.check_vertex(_head_with_seams(end))
                 return end
             except ValueError:
                 continue
         return make_word_end((), (self.children(self.base_vertex())[0][-1],))
 
-    def basic_ends(self) -> list[WordEnd]:
+    def probe_ends(self, center, far_point) -> list[WordEnd]:
         """The ends letter^infinity for each letter that repeats validly."""
         out = []
         for child in self.children(self.base_vertex()):
             try:
                 end = make_word_end((), (child[-1],))
-                self.check_end(end)
+                self.check_vertex(_head_with_seams(end))
                 out.append(end)
             except ValueError:
                 continue
@@ -510,16 +699,17 @@ class HnnTree(TreeModel):
         if v.exp and v.num % n == 0:
             raise ValueError(f"center {v.num}/{n}^{v.exp} is not in lowest terms")
 
-    def check_end(self, end: TreeEnd) -> None:
+    def check_boundary(self, end: TreeEnd) -> TreeEnd:
         if not isinstance(end, (HnnUp, HnnDown)):
             raise ValueError("HNN tree ends are HnnUp or HnnDown")
+        return end
 
     def parse_vertex(self, data) -> HnnVertex:
         level = parse_int(read_field(data, "level"))
         check_depth("level", level)
         return self.vertex(level, parse_fraction(read_field(data, "center")))
 
-    def parse_end(self, data) -> TreeEnd:
+    def parse_boundary(self, data) -> TreeEnd:
         if read_field(data, "up", default=False) is True:
             return HnnUp()
         return HnnDown(parse_fraction(read_field(data, "down")))
@@ -529,7 +719,7 @@ class HnnTree(TreeModel):
             return HnnUp()
         return HnnDown(Fraction(rng.randrange(-30, 31), rng.choice([1, 1, 2, 3, 5])))
 
-    def basic_ends(self) -> list[TreeEnd]:
+    def probe_ends(self, center, far_point) -> list[TreeEnd]:
         """The upward end and the downward ends toward 0, 1, ..., n - 1."""
         return [HnnUp()] + [HnnDown(Fraction(d)) for d in range(self.index)]
 
@@ -602,98 +792,3 @@ def tree_from_descriptor(desc: dict) -> TreeModel:
     if kind == "hnn":
         return HnnTree(parse_int(read_field(desc, "index")))
     raise ValueError(f"unknown tree descriptor {desc!r}")
-
-
-# ---------------------------------------------------------------------------
-# Metric points: a vertex plus an offset toward its parent
-
-
-@dataclass(frozen=True)
-class TreePoint:
-    """Point of the metric tree: ``up`` of the way from ``vertex`` toward
-    its parent, with up in [0, 1).  up = 0 is the vertex itself."""
-
-    vertex: object
-    up: Fraction = Fraction(0)
-
-    def __init__(self, vertex, up=Fraction(0)):
-        if not isinstance(up, Fraction):
-            up = Fraction(up)
-        if not 0 <= up.numerator < up.denominator:
-            raise ValueError("edge offset must lie in [0, 1)")
-        object.__setattr__(self, "vertex", vertex)
-        object.__setattr__(self, "up", up)
-
-
-def point_distance(model: TreeModel, p: TreePoint, q: TreePoint) -> Fraction:
-    """Exact distance between two metric points.
-
-    From d(p.vertex, q.vertex), each offset is subtracted when its edge
-    climbs toward the meet and added when its vertex is the meet.
-    """
-    if p.vertex == q.vertex:
-        return abs(p.up - q.up)
-    _, i, j = model.meet(p.vertex, q.vertex)
-    d = i + j
-    if p.up:
-        d += p.up if i == 0 else -p.up
-    if q.up:
-        d += q.up if j == 0 else -q.up
-    return d if isinstance(d, Fraction) else Fraction(d)
-
-
-def point_height(model: TreeModel, p: TreePoint, end: TreeEnd) -> int | Fraction:
-    """Horofunction height of a metric point toward an end: its vertex's
-    height (an int), less the offset when the parent edge points toward the
-    end and plus it otherwise."""
-    h, toward = model.height(p.vertex, end)
-    if not p.up:
-        return h
-    return h - p.up if toward else h + p.up
-
-
-def _point_along(model: TreeModel, vertex_at, s: Fraction) -> TreePoint:
-    """Point at arc coordinate s >= 0 along a path of adjacent vertices,
-    where vertex_at(k) is its k-th vertex."""
-    whole = math.floor(s)
-    frac = s - whole
-    a = vertex_at(whole)
-    if frac == 0:
-        return TreePoint(a)
-    b = vertex_at(whole + 1)
-    if model.level(b) < model.level(a):
-        return TreePoint(a, frac)
-    return TreePoint(b, 1 - frac)
-
-
-def walk_to_point(model: TreeModel, start: TreePoint, target: TreePoint, t: Fraction) -> TreePoint:
-    """Point at arc length t along the geodesic from start to target."""
-    t = Fraction(t)
-    total = point_distance(model, start, target)
-    if t < 0 or t > total:
-        raise ValueError(f"parameter {t} outside [0, {total}]")
-    if start.vertex == target.vertex:
-        sign = 1 if target.up > start.up else -1
-        return TreePoint(start.vertex, start.up + sign * t)
-    u, v, s = start.vertex, target.vertex, start.up
-    _, i, j = model.meet(u, v)
-    # An offset whose vertex is the meet (the path leaves it downward) lies
-    # on the parent edge above the path, so the path runs through the parent.
-    if start.up and i == 0:
-        u, j, s = model.parent(u), j + 1, 1 - start.up
-    if target.up and j == 0:
-        v, i = model.parent(v), i + 1
-    return _point_along(model, lambda k: model.ancestor(u, k) if k <= i else model.ancestor(v, i + j - k), s + t)
-
-
-def ray_point_at(model: TreeModel, base: TreePoint, end: TreeEnd, t: Fraction) -> TreePoint:
-    """Point at arc length t >= 0 along the geodesic ray from base to an end."""
-    t = Fraction(t)
-    if t < 0:
-        raise ValueError("ray parameter must be nonnegative")
-    v, s = base.vertex, base.up + t
-    if base.up and model.level(model.ray_vertex(v, end, 1)) > model.level(v):
-        # The ray crosses the base's edge downward, so it runs on the ray
-        # from the parent.
-        v, s = model.parent(v), 1 - base.up + t
-    return _point_along(model, functools.partial(model.ray_vertex, v, end), s)

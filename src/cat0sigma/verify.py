@@ -88,9 +88,9 @@ def _suite_spaces():
         sp.EuclideanSpace(2),
         sp.EuclideanSpace(3),
         sp.HyperbolicPlane(),
-        sp.TreeSpace(CayleyTree(2)),
-        sp.TreeSpace(HnnTree(2)),
-        sp.TreeSpace(HnnTree(3)),
+        CayleyTree(2),
+        HnnTree(2),
+        HnnTree(3),
     ]
 
 
@@ -373,7 +373,7 @@ def suite_audits(seed: int = 0) -> SuiteReport:
     local = report.check("local Busemann comparison bound, strict")
     chord = report.check("chord length <= 2 t sin(angle/2)")
 
-    for M in (sp.EuclideanSpace(2), sp.HyperbolicPlane(), sp.TreeSpace(CayleyTree(2))):
+    for M in (sp.EuclideanSpace(2), sp.HyperbolicPlane(), CayleyTree(2)):
         exact = M.exact
         for i in range(100):
             rng = random.Random(str((seed, "audit", M.name, i)))

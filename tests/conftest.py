@@ -11,10 +11,10 @@ def all_spaces():
         sp.EuclideanSpace(2),
         sp.EuclideanSpace(3),
         sp.HyperbolicPlane(),
-        sp.TreeSpace(CayleyTree(2)),
-        sp.TreeSpace(RegularTree(3)),
-        sp.TreeSpace(HnnTree(2)),
-        sp.TreeSpace(HnnTree(3)),
+        CayleyTree(2),
+        RegularTree(3),
+        HnnTree(2),
+        HnnTree(3),
     ]
 
 

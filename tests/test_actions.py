@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cat0sigma import actions, spaces as sp, trees
+from cat0sigma import actions, spaces as sp
 from cat0sigma.actions import (
     CayleyIsometry,
     EuclideanIsometry,
@@ -32,8 +32,8 @@ from cat0sigma.actions import (
     sl2z_sigma0_complement,
 )
 from cat0sigma.errors import EndNotFixed, ParameterOutOfRange, UnknownGenerator, UnsupportedNumberForm, WrongSpace
-from cat0sigma.spaces import EDirection, EuclideanSpace, H2_INFINITY, REGION_BUDGET, HyperbolicPlane, TreeSpace
-from cat0sigma.trees import CayleyTree, HnnDown, HnnTree, HnnUp, RegularTree, TreePoint, make_word_end
+from cat0sigma.spaces import EDirection, EuclideanSpace, H2_INFINITY, REGION_BUDGET
+from cat0sigma.trees import CayleyTree, HnnDown, HnnTree, HnnUp, RegularTree, TreeModel, TreePoint, make_word_end
 from cat0sigma.words import invert_word
 
 
@@ -109,13 +109,13 @@ def test_group_action_checks_that_generators_fit_its_space():
     # Each constructor checks the values it sees; the fit with the space is
     # checked once, by the action, and named by the generator.
     rot = EuclideanIsometry([[0, 0, 1], [0, 1, 0], [-1, 0, 0]], (0, 0, 0))
-    hnn2 = TreeSpace(HnnTree(2))
+    hnn2 = HnnTree(2)
     cases = [
         (EuclideanSpace(2), rot, WrongSpace, "generator 'a': translation of dimension 3 in E2"),
         (hnn2, HnnIsometry(2, 1, F(1, 3)), ValueError, "generator 'a': add 1/3 is not an 2-adic rational"),
         (hnn2, HnnIsometry(3, 1, 0), WrongSpace, "generator 'a': HNN isometry of index 3 on "),
         (hnn2, HnnIsometry(2, 10**7, 0), ParameterOutOfRange, "generator 'a': shift 10000000 exceeds"),
-        (TreeSpace(CayleyTree(2)), CayleyIsometry((1, 3)), ValueError, "generator 'a': letter 3 outside rank 2"),
+        (CayleyTree(2), CayleyIsometry((1, 3)), ValueError, "generator 'a': letter 3 outside rank 2"),
     ]
     for space, iso, error, message in cases:
         with pytest.raises(error, match=f"^{re.escape(message)}"):
@@ -192,10 +192,10 @@ def test_fixed_ends_examples():
     free = GroupAction.free_group(2)
     assert fixed_ends_tree(free).status == "empty"
 
-    only_b = GroupAction(TreeSpace(HnnTree(2)), {"a": HnnIsometry(2, 0, 1)})
+    only_b = GroupAction(HnnTree(2), {"a": HnnIsometry(2, 0, 1)})
     assert fixed_ends_tree(only_b).status == "singleton"
 
-    trivial = GroupAction(TreeSpace(CayleyTree(2)), {"e": CayleyIsometry(())})
+    trivial = GroupAction(CayleyTree(2), {"e": CayleyIsometry(())})
     assert fixed_ends_tree(trivial).status == "all"
 
 
@@ -228,7 +228,7 @@ def test_character_examples():
 def test_character_additivity_and_base_independence(rng):
     hnn = GroupAction.ascending_hnn(3)
     origin = hnn.space.origin()
-    other = TreePoint(hnn.space.model.vertex_containing(F(5), 2))
+    other = TreePoint(hnn.space.vertex_containing(F(5), 2))
     for _ in range(40):
         g = "".join(rng.choice("atAT") for _ in range(rng.randrange(1, 4)))
         h = "".join(rng.choice("atAT") for _ in range(rng.randrange(1, 4)))
@@ -321,7 +321,7 @@ def test_region_budget_stops_large_tree_balls():
     # The ball of radius depth // 2 in HNN(6) holds 1 + 7 (6^r - 1) / 5
     # vertices: 65318 at depth 12, 391915 at depth 14, whose listing took
     # about 9 s; the orbit of t stays small, so no orbit budget stops it.
-    act = GroupAction(TreeSpace(HnnTree(6)), {"t": HnnIsometry(6, 1, 0)})
+    act = GroupAction(HnnTree(6), {"t": HnnIsometry(6, 1, 0)})
     start = time.perf_counter()
     verdict = cocompactness_witness(act, TreePoint(HnnTree(6).base_vertex()), 1, depth=14)
     assert time.perf_counter() - start < 0.5
@@ -332,13 +332,12 @@ def test_region_budget_stops_large_tree_balls():
 def test_tree_region_budget_counts_the_ball_it_lists(model, monkeypatch):
     # The ball's size is computed before listing it; a budget one short of
     # the listed ball refuses it, at the root and below it.
-    space = TreeSpace(model)
     for center in (model.base_vertex(), model.children(model.base_vertex())[0]):
         for depth in (4, 7):
-            _, ball = space.region(TreePoint(center), depth, 0)
+            _, ball = model.region(TreePoint(center), depth, 0)
             assert len(set(ball)) == len(ball)
             monkeypatch.setattr(sp, "REGION_BUDGET", len(ball) - 1)
-            assert space.region(TreePoint(center), depth, 0)[1] is None
+            assert model.region(TreePoint(center), depth, 0)[1] is None
             monkeypatch.undo()
 
 
@@ -426,8 +425,8 @@ def test_cocompactness_scan_stops_early(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    counted(TreeSpace, "distance")
-    counted(trees, "point_height")
+    counted(TreeModel, "distance")
+    counted(TreeModel, "point_height")
     verdict = cocompactness_witness(GroupAction.free_group(2), TreePoint(()), 1, depth=6)
     assert isinstance(verdict, NetCertificate) and calls["distance"] <= 3000
     calls.update(distance=0, point_height=0)

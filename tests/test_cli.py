@@ -15,7 +15,7 @@ import time
 import pytest
 
 from cat0sigma import cli, raag, spaces as sp, verify
-from cat0sigma.trees import CayleyTree, HnnTree
+from cat0sigma.trees import CayleyTree, HnnTree, TreeModel
 
 
 def run_cli(argv):
@@ -181,7 +181,7 @@ def test_mfpr_command(tmp_path):
 def test_mfpr_and_tree_sigma_share_the_degree_report(tmp_path):
     # An MFPR splitting with lengths fl(G) = inf, cl(chi) = inf, base 1, and
     # a tree-sigma summary with the same lengths: the same flags give the
-    # same table, value and CSV rows.
+    # same table and value.
     mfpr = write(
         tmp_path, "m.json", {"k": 2, "complement": [[-2, -1], [1, 2], [2, 3]], "splitting_character": ["-2", "-4"]}
     )
@@ -191,14 +191,17 @@ def test_mfpr_and_tree_sigma_share_the_degree_report(tmp_path):
     for n in ("1", "2"):
         reports = []
         for command, data in (("mfpr", mfpr), ("tree-sigma", summary)):
-            csv = tmp_path / f"{command}-{n}.csv"
-            code, out, err = run_cli([command, "--data", data, "--n", n, "--csv", str(csv)])
-            assert (code, err) == (0, ""), command
-            payload = json.loads(out)
-            assert payload["csv"] == str(csv)
-            reports.append((csv.read_text(encoding="utf-8"), payload["table"], payload["value"]))
+            payloads = []
+            for flags in (["--table"], []):
+                code, out, err = run_cli([command, "--data", data, "--n", n, *flags])
+                assert (code, err) == (0, ""), command
+                payloads.append(json.loads(out))
+            reports.append((payloads[0]["table"], payloads[1]["value"]))
         assert reports[0] == reports[1]
-    assert reports[0][0] == "n,value\n0,whole_boundary\n1,whole_boundary\n2,singleton\n"
+    assert reports[0] == (
+        [{"n": 0, "value": "whole_boundary"}, {"n": 1, "value": "whole_boundary"}, {"n": 2, "value": "singleton"}],
+        "singleton",
+    )
 
 
 @pytest.mark.parametrize("command", ["mfpr", "tree-sigma"])
@@ -211,15 +214,13 @@ def test_degree_tables_have_a_row_budget(tmp_path, command):
         if command == "mfpr"
         else {"fl_group": "inf", "fl_stabilizers": 1, "has_fixed_end": False},
     )
-    csv = tmp_path / "out.csv"
-    for n, flags in ((10**4, ["--table"]), (3 * 10**6, ["--table"]), (10**9, ["--csv", str(csv)])):
-        code, out, err = run_cli([command, "--data", data, "--n", str(n), *flags])
+    for n in (10**4, 3 * 10**6, 10**9):
+        code, out, err = run_cli([command, "--data", data, "--n", str(n), "--table"])
         assert (code, out) == (2, "")
         assert json.loads(err) == {
             "error": "DegreeOutOfRange",
             "message": f"a table to degree {n} exceeds the table budget of 10000 rows",
         }
-        assert not csv.exists()
     code, out, _ = run_cli([command, "--data", data, "--n", str(10**4 - 1), "--table"])
     assert code == 0 and len(json.loads(out)["table"]) == 10**4
 
@@ -227,7 +228,7 @@ def test_degree_tables_have_a_row_budget(tmp_path, command):
 NEGATIVE_DEGREE = {
     f"{command}-{name}": (command, flags)
     for command in ("mfpr", "tree-sigma")
-    for name, flags in (("table", ["--table"]), ("csv", ["--csv"]), ("value", []))
+    for name, flags in (("table", ["--table"]), ("value", []))
 }
 NEGATIVE_DEGREE["raag-value"] = ("raag", [])
 
@@ -243,14 +244,10 @@ def test_negative_degree_is_an_input_error(tmp_path, command, flags):
         if command == "raag"
         else {"fl_group": 3, "fl_stabilizers": 1, "has_fixed_end": True, "cl_character": 2},
     )
-    csv = tmp_path / "out.csv"
-    if flags == ["--csv"]:
-        flags = ["--csv", str(csv)]
     flag = "--graph" if command == "raag" else "--data"
     code, out, err = run_cli([command, flag, data, "--n", "-1", *flags])
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == "DegreeOutOfRange"
-    assert not csv.exists()
 
 
 def test_mfpr_rejects_rank_zero(tmp_path):
@@ -295,22 +292,45 @@ def test_cli_stdout_matches_golden_files(sigma_log, monkeypatch):
 
 def test_options_exist_only_where_a_command_reads_them(tmp_path):
     # An option that a command would ignore is a usage error, reported on
-    # the given stderr as one line of JSON: --tol on verify, and --out and
-    # --space on every command, since the report goes to stdout only and
-    # the space comes from the data file only.  --out writes no file.
+    # the given stderr as one line of JSON: --out, --space, --tol and --csv
+    # on every command, since the report goes to stdout only, the space
+    # comes from the data file only, the tolerance is spaces.GLOBAL_TOL and
+    # the degree table is in the report.  --out and --csv write no file.
     report = tmp_path / "report.json"
     first = {}
     for argv in golden_command_lines():
         first.setdefault(argv[0], argv)
-    lines = [["verify", "--suite", "tits", "--tol", "1e-3"], ["raag"]]
-    lines += [[*argv, "--out", str(report)] for argv in first.values()]
-    lines += [[*argv, "--space", "E2"] for argv in first.values()]
+    lines = [["raag"]]
+    for option, value in (("--out", str(report)), ("--space", "E2"), ("--tol", "1e-3"), ("--csv", str(report))):
+        lines += [[*argv, option, value] for argv in first.values()]
     for argv in lines:
         code, out, err = run_cli(argv)
         assert (code, out) == (2, ""), argv
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "UsageError"
     assert len(first) == 10 and not report.exists()
+
+
+def test_a_picture_is_refused_before_anything_is_computed(monkeypatch, tmp_path):
+    # A picture of more than S^2 is refused with exit 2 before the m-function
+    # or a flag complex is computed, and no file is written.
+    from cat0sigma import treesigma
+
+    calls = collections.Counter()
+    for module, name in ((treesigma, "mfpr_lengths"), (raag, "flag_complex")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, _f=original, _n=name: calls.update([_n]) or _f(*args))
+    svg = tmp_path / "picture.svg"
+    refused = {
+        "mfpr_rank4_circuit.json": "can draw S^0, S^1, S^2 only, not k = 4",
+        "raag_k4.json": "sphere pictures need at most 3 vertices, graph has 4",
+    }
+    for name, message in refused.items():
+        command = ["mfpr", "--data"] if name.startswith("mfpr") else ["raag", "--graph"]
+        code, out, err = run_cli([*command, str(GOLDEN / name), "--svg", str(svg)])
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [json.dumps({"error": "UnsupportedDimension", "message": message}, sort_keys=True)]
+    assert dict(calls) == {} and not svg.exists()
 
 
 def count_raag_calls(monkeypatch) -> dict:
@@ -512,6 +532,7 @@ def test_parser_is_not_built_at_import():
         "mfpr --data mfpr_rank4_circuit.json --table": "actions spaces trees raag homology verify exactlp",
         "raag --graph raag_octahedron.json --n 2": "sphere svg actions spaces trees treesigma verify exactlp",
         "busemann --data busemann_cayley.json": "sphere raag homology treesigma verify exactlp",
+        "busemann --data busemann_h2.json": "trees words actions sphere raag homology treesigma verify exactlp",
     }
     for job, modules in unused.items():
         argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in job.split()]
@@ -562,8 +583,8 @@ def test_busemann_job_checks_its_ray_end_once(monkeypatch):
     # parse_boundary checks the end where it is read; the ray built from it
     # takes it as it is.
     ends = []
-    check_end = CayleyTree.check_end
-    monkeypatch.setattr(CayleyTree, "check_end", lambda self, end: ends.append(end) or check_end(self, end))
+    check_boundary = CayleyTree.check_boundary
+    monkeypatch.setattr(CayleyTree, "check_boundary", lambda self, end: ends.append(end) or check_boundary(self, end))
     code, _, _ = run_cli(["busemann", "--data", str(GOLDEN / "busemann_cayley_deep.json")])
     assert code == 0 and len(ends) == 1
 
@@ -576,14 +597,14 @@ def test_busemann_job_checks_its_ray_end_once(monkeypatch):
 # Nothing computes a check on an image, a sample, an orbit point, a ray
 # point or a probe end.
 CHECKS_PER_JOB = {
-    "tits_tree.json": {"check_end": 6},
-    "character_cayley.json": {"check_point": 1, "check_end": 1, "ray_from": 1},
-    "character_hnn.json": {"check_point": 1, "check_end": 1, "ray_from": 1},
+    "tits_tree.json": {"check_boundary": 6},
+    "character_cayley.json": {"check_point": 1, "check_boundary": 1, "ray_from": 1},
+    "character_hnn.json": {"check_point": 1, "check_boundary": 1, "ray_from": 1},
     "cocompact_f2.json": {"check_point": 1},
-    "audit_local_tree.json": {"check_point": 1, "check_end": 2, "ray_from": 2},
+    "audit_local_tree.json": {"check_point": 1, "check_boundary": 2, "ray_from": 2},
     "audit_local_e2.json": {"check_point": 1},
-    "audit_angle_tree.json": {"check_point": 1, "check_end": 2, "ray_from": 2},
-    "shift_tree.json": {"check_point": 4, "check_end": 1, "ray_from": 1},
+    "audit_angle_tree.json": {"check_point": 1, "check_boundary": 2, "ray_from": 2},
+    "shift_tree.json": {"check_point": 4, "check_boundary": 1, "ray_from": 1},
 }
 
 
@@ -594,11 +615,11 @@ def test_golden_jobs_check_each_point_and_end_once(monkeypatch):
         original = getattr(cls, method)
         monkeypatch.setattr(cls, method, lambda *args: counts.update([method]) or original(*args))
 
-    for cls in (sp.EuclideanSpace, sp.HyperbolicPlane, sp.TreeSpace):
+    for cls in (sp.EuclideanSpace, sp.HyperbolicPlane, TreeModel):
         counted(cls, "check_point")
     for cls in (CayleyTree, HnnTree):
-        counted(cls, "check_end")
-    counted(sp.TreeSpace, "ray_from")
+        counted(cls, "check_boundary")
+    counted(TreeModel, "ray_from")
     cases = json.loads((GOLDEN / "cli_stdout.json").read_text(encoding="utf-8"))
     for name, expected in CHECKS_PER_JOB.items():
         case = next(c for c in cases if c["argv"][2] == name)

@@ -19,8 +19,8 @@ from cat0sigma.actions import (
     shift_report,
 )
 from cat0sigma.errors import EmptyConfiguration, NotClosed, WrongSpace
-from cat0sigma.spaces import EDirection, EuclideanSpace, H2_INFINITY, HyperbolicPlane, TreeSpace
-from cat0sigma.trees import CayleyTree, HnnTree, HnnUp, TreePoint, make_word_end
+from cat0sigma.spaces import EDirection, EuclideanSpace, H2_INFINITY, HyperbolicPlane
+from cat0sigma.trees import CayleyTree, HnnTree, HnnUp, TreeModel, TreePoint, make_word_end
 
 E2 = EuclideanSpace(2)
 
@@ -41,7 +41,7 @@ def test_unit_translation_shifts_by_one():
 
 
 def test_tree_step_toward_end_shifts_exactly_one():
-    T = TreeSpace(CayleyTree(2))
+    T = CayleyTree(2)
     end = make_word_end((), (1,))
     cfg = ControlConfiguration(
         T, {"r": TreePoint(()), "s": TreePoint((2,)), "t": TreePoint((1, 1))}
@@ -59,7 +59,7 @@ def test_shift_bound_holds_in_type(space):
     cfg = ControlConfiguration(space, {i: p for i, p in enumerate(pts)})
     end = sp.sample_boundary_points(space, 1, seed=92)[0]
     rep = shift_report(cfg, {i: (i + 1) % 5 for i in range(5)}, end)
-    slack = 0 if isinstance(space, TreeSpace) else 1e-12
+    slack = 0 if space.exact else 1e-12
     for label, sh in rep.shifts.items():
         assert abs(sh) <= rep.displacements[label] + slack
         assert rep.gsh <= sh
@@ -105,7 +105,7 @@ def test_iterate_examples():
 def test_strict_contraction_iterate():
     # A genuinely contracting closed map: everything hops one step toward
     # the end along a ray configuration, top absorbs.
-    T = TreeSpace(CayleyTree(2))
+    T = CayleyTree(2)
     end = make_word_end((), (1,))
     chain = {i: TreePoint((1,) * i) for i in range(6)}
     cfg = ControlConfiguration(T, chain)
@@ -149,14 +149,14 @@ def test_shift_checks_check_each_argument_once(monkeypatch):
     fmap = {i: (i + 1) % 5 for i in range(5)}
     end = make_word_end((2,), (1,))
     counts = collections.Counter()
-    for cls, method in ((TreeSpace, "check_point"), (CayleyTree, "check_end")):
+    for cls, method in ((CayleyTree, "check_point"), (CayleyTree, "check_boundary")):
         original = getattr(cls, method)
         monkeypatch.setattr(cls, method, lambda *args, m=method, f=original: counts.update([m]) or f(*args))
     assert equivariance_check(cfg, fmap, free, "abA", end).passed
-    assert dict(counts) == {"check_end": 1}
+    assert dict(counts) == {"check_boundary": 1}
     counts.clear()
     iterate_shift_check(cfg, fmap, end, 3)
-    assert dict(counts) == {"check_end": 1}
+    assert dict(counts) == {"check_boundary": 1}
 
 
 def test_local_busemann_audit_spec_examples():
@@ -169,7 +169,7 @@ def test_local_busemann_audit_spec_examples():
     H2 = HyperbolicPlane()
     rep = local_busemann_audit(H2, 1j, 1.0, 0.1, H2_INFINITY, F(1000), samples=50)
     assert rep.passed
-    T = TreeSpace(HnnTree(2))
+    T = HnnTree(2)
     rep = local_busemann_audit(T, T.origin(), F(2), F(1, 3), HnnUp(), make_end_down(), samples=20)
     assert rep.passed and rep.worst_slack > 0
 
@@ -179,14 +179,14 @@ def test_local_busemann_audit_stops_at_the_points_it_keeps(samples, monkeypatch)
     # Its points are the first `samples` within r of the seeded stream,
     # among the first 2 `samples` drawn; it draws and measures no more.  At
     # r = 1/2 on the HNN tree, 32 of the first 40 points lie within r.
-    T = TreeSpace(HnnTree(2))
+    T = HnnTree(2)
     c, r = T.origin(), F(1, 2)
     ends = (HnnUp(), make_end_down())
     points = sp.sample_points_near(T, c, 2 * samples, radius=float(r), seed=5)
     kept = [i for i, p in enumerate(points) if T.distance(c, p) <= r][:samples]
     drawn = []
-    sample_point = TreeSpace.sample_point
-    monkeypatch.setattr(TreeSpace, "sample_point", lambda self, *args: drawn.append(1) or sample_point(self, *args))
+    sample_point = TreeModel.sample_point
+    monkeypatch.setattr(TreeModel, "sample_point", lambda self, *args: drawn.append(1) or sample_point(self, *args))
     rep = local_busemann_audit(T, c, r, F(1, 3), *ends, samples=samples, seed=5)
     assert len(drawn) == (kept[-1] + 1 if samples and len(kept) == samples else 2 * samples)
     assert rep.samples == len(kept) == samples
@@ -224,7 +224,7 @@ def test_angle_estimate_audit_examples():
     rep = angle_estimate_audit(H2, 1j, F(0), F(1), [1.0, 2.0, 5.0, 10.0])
     assert rep.passed and rep.worst_slack > 0.3  # strict for non-opposite rays
 
-    T = TreeSpace(CayleyTree(2))
+    T = CayleyTree(2)
     rep = angle_estimate_audit(T, TreePoint(()), make_word_end((), (1,)), make_word_end((), (2,)), [F(1), F(2), F(3)])
     assert rep.passed
     # A point passed as an end has no chord bound.
@@ -232,6 +232,6 @@ def test_angle_estimate_audit_examples():
         angle_estimate_audit(H2, 1j, F(0), 2j, [1])
     with pytest.raises(ValueError, match="^ends of a cayley tree are word ends$"):
         angle_estimate_audit(T, TreePoint(()), make_word_end((), (1,)), TreePoint((1,)), [F(1)])
-    hnn = TreeSpace(HnnTree(2))
+    hnn = HnnTree(2)
     with pytest.raises(ValueError, match="^HNN tree ends are HnnUp or HnnDown$"):
         angle_estimate_audit(hnn, hnn.origin(), HnnUp(), hnn.origin(), [F(1)])

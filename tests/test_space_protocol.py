@@ -1,7 +1,9 @@
 """Tooling guards for the space protocol: only the space and tree modules
 may ask which model space or tree model a value is, the JSON readers only
 parse, and a point or an end is checked once, by the entry point that
-receives it, never again by the space methods that compute with it."""
+receives it, never again by the space methods that compute with it.  The
+space methods live in two modules: ``spaces`` (E^k, H2 and the entry
+points) and ``trees`` (the tree models), and the guards read both."""
 
 import ast
 import math
@@ -17,7 +19,7 @@ from cat0sigma.trees import CayleyTree, HnnTree, HnnVertex, RegularTree, TreePoi
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "cat0sigma"
 OWNERS = {"spaces.py", "trees.py"}
-MODEL_CLASSES = {"EuclideanSpace", "HyperbolicPlane", "TreeSpace", "CayleyTree", "HnnTree", "RegularTree"}
+MODEL_CLASSES = {"EuclideanSpace", "HyperbolicPlane", "TreeModel", "WordTree", "CayleyTree", "HnnTree", "RegularTree"}
 
 
 def _class_names(node):
@@ -40,8 +42,8 @@ def model_class_checks(source: str) -> list[tuple[int, str]]:
 
 
 def test_guard_detects_model_class_checks():
-    sample = "if isinstance(M, sp.TreeSpace) or isinstance(m, (int, HnnTree)):\n    pass\n"
-    assert model_class_checks(sample) == [(1, "TreeSpace"), (1, "HnnTree")]
+    sample = "if isinstance(M, sp.HyperbolicPlane) or isinstance(m, (int, HnnTree)):\n    pass\n"
+    assert model_class_checks(sample) == [(1, "HyperbolicPlane"), (1, "HnnTree")]
 
 
 def test_only_space_modules_check_model_classes():
@@ -85,6 +87,17 @@ def check_point_callers(source: str, method: str = "check_point") -> set[str]:
     return {name for name, used in checks_used(source).items() if method in used}
 
 
+def space_sources() -> list[str]:
+    """The sources of the two modules that hold space methods."""
+    return [(PACKAGE / module).read_text(encoding="utf-8") for module in SPACE_MODULES]
+
+
+def space_check_callers(method: str = "check_point") -> set[str]:
+    """check_point_callers over both space modules."""
+    return set().union(*(check_point_callers(source, method) for source in space_sources()))
+
+
+SPACE_MODULES = ("spaces.py", "trees.py")
 # The space methods that compute with checked points.
 COMPUTING_METHODS = {"distance", "ray_point", "busemann_to_end"}
 CHECKING_SPACES = {
@@ -101,13 +114,13 @@ CHECKING_SPACES = {
     # ray_from.
     "EuclideanSpace.check_target",
     "HyperbolicPlane.check_target",
-    "TreeSpace.check_target",
+    "TreeModel.check_target",
 }
 CHECKING_ENDS = {
     # The check of a ray's target, for the entry point ray_from.
     "EuclideanSpace.check_target",
     "HyperbolicPlane.check_target",
-    "TreeSpace.check_target",
+    "TreeModel.check_target",
     # The entry points of the boundary metrics, each for the two ends from
     # its caller.
     "angular_distance",
@@ -157,10 +170,13 @@ def test_readers_only_parse():
     # the numbers; the entry point that receives a value checks it.
     readers = {
         name: used
-        for name, used in checks_used((PACKAGE / "spaces.py").read_text(encoding="utf-8")).items()
+        for source in space_sources()
+        for name, used in checks_used(source).items()
         if name.partition(".")[2] in ("parse_point", "parse_boundary")
     }
-    assert len(readers) == 6 and {name: used for name, used in readers.items() if used} == {}
+    # E^k and H2 two each; the tree models one parse_point and a
+    # parse_boundary each for word trees and the HNN tree.
+    assert len(readers) == 7 and {name: used for name, used in readers.items() if used} == {}
     in_jsonio = checks_used((PACKAGE / "jsonio.py").read_text(encoding="utf-8"))
     assert "parse_ray" in in_jsonio and {name: used for name, used in in_jsonio.items() if used} == {}
     # The handlers hand each value to one checked library function, except
@@ -173,7 +189,7 @@ def test_readers_only_parse():
 
 
 def test_points_are_checked_only_where_they_enter():
-    in_spaces = check_point_callers((PACKAGE / "spaces.py").read_text(encoding="utf-8"))
+    in_spaces = space_check_callers()
     assert not {name for name in in_spaces if name.partition(".")[2] in COMPUTING_METHODS}
     assert in_spaces == CHECKING_SPACES
     assert check_point_callers((PACKAGE / "actions.py").read_text(encoding="utf-8")) == CHECKING_ACTIONS
@@ -184,11 +200,10 @@ def test_ends_are_checked_only_where_they_enter():
     # through check_target), and the space methods that they hand them to,
     # boundary_equal and the boundary metrics among them, compute with them
     # as they are.
-    spaces_source = (PACKAGE / "spaces.py").read_text(encoding="utf-8")
-    in_spaces = check_point_callers(spaces_source, "check_boundary")
+    in_spaces = space_check_callers("check_boundary")
     assert not {name for name in in_spaces if name.partition(".")[2] in COMPUTING_METHODS | {"ray_from"}}
     assert in_spaces == CHECKING_ENDS
-    assert check_point_callers(spaces_source, "check_target") == {"ray_from"}
+    assert space_check_callers("check_target") == {"ray_from"}
     actions_source = (PACKAGE / "actions.py").read_text(encoding="utf-8")
     assert check_point_callers(actions_source, "check_boundary") == ACTIONS_CHECKING_ENDS
     assert check_point_callers(actions_source, "check_target") == ACTIONS_CHECKING_TARGETS
@@ -200,7 +215,7 @@ def test_centers_are_checked_once():
     # stream.
     streams = {"sample_points_near", "unchecked_point_stream"}
     readers = {}
-    for module in ("spaces.py", "actions.py"):
+    for module in (*SPACE_MODULES, "actions.py"):
         for name, used in names_used((PACKAGE / module).read_text(encoding="utf-8")).items():
             if used & streams:
                 readers[name] = used & streams
@@ -296,16 +311,29 @@ def test_isometries_are_checked_only_where_they_are_built():
         assert calls_in(classes[name], "inverse") & validating == set(), name
 
 
+@pytest.mark.parametrize(
+    "M",
+    [sp.EuclideanSpace(2), sp.HyperbolicPlane(), RegularTree(3), CayleyTree(2), HnnTree(2)],
+    ids=["E2", "H2", "regular3", "cayley2", "hnn2"],
+)
+def test_each_model_space_reads_back_its_json(M):
+    # Every model space, the tree models included, is a ModelSpace that
+    # space_from_json rebuilds from its JSON form.
+    again = sp.space_from_json(M.to_json())
+    assert isinstance(again, sp.ModelSpace)
+    assert (type(again), again.name, again.to_json()) == (type(M), M.name, M.to_json())
+
+
 # Each model with one hand-built bad point and the error it draws today.
-CAYLEY2 = sp.TreeSpace(CayleyTree(2))
+CAYLEY2 = CayleyTree(2)
 BAD_POINTS = {
     "cayley-unreduced": (CAYLEY2, TreePoint((1, -1)), ValueError, "word (1, -1) is not reduced at position 1"),
     "cayley-letter": (CAYLEY2, TreePoint((3,)), ValueError, "letter 3 outside rank 2"),
     "regular-digit": (
-        sp.TreeSpace(RegularTree(3)), TreePoint((3,)), ValueError, "address digit 3 out of range at position 0"
+        RegularTree(3), TreePoint((3,)), ValueError, "address digit 3 out of range at position 0"
     ),
     "hnn-lowest-terms": (
-        sp.TreeSpace(HnnTree(2)), TreePoint(HnnVertex(1, 2, 1, 2)), ValueError, "center 2/2^1 is not in lowest terms"
+        HnnTree(2), TreePoint(HnnVertex(1, 2, 1, 2)), ValueError, "center 2/2^1 is not in lowest terms"
     ),
     "e2-dimension": (sp.EuclideanSpace(2), (1.0, 2.0, 3.0), WrongSpace, "point of dimension 3 in E2"),
     "h2-real-axis": (sp.HyperbolicPlane(), complex(1, 0), WrongSpace, "point (1+0j) is not in the upper half-plane"),
@@ -314,7 +342,7 @@ BAD_POINTS = {
         CAYLEY2, TreePoint((), Fraction(1, 2)), WrongSpace, "the root () has no parent edge to hold the offset 1/2"
     ),
     "regular-root-offset": (
-        sp.TreeSpace(RegularTree(3)),
+        RegularTree(3),
         TreePoint((), Fraction(1, 3)),
         WrongSpace,
         "the root () has no parent edge to hold the offset 1/3",

@@ -15,7 +15,6 @@ from cat0sigma.spaces import (
     H2_INFINITY,
     Horoball,
     HyperbolicPlane,
-    TreeSpace,
     angular_distance,
     asymptotic_offset,
     busemann,
@@ -30,9 +29,9 @@ from cat0sigma.trees import CayleyTree, HnnDown, HnnTree, HnnUp, RegularTree, Tr
 E2 = EuclideanSpace(2)
 E3 = EuclideanSpace(3)
 H2 = HyperbolicPlane()
-TC = TreeSpace(CayleyTree(2))
-TR = TreeSpace(RegularTree(3))
-TH = TreeSpace(HnnTree(2))
+TC = CayleyTree(2)
+TR = RegularTree(3)
+TH = HnnTree(2)
 
 
 def h2_vertical_length(y1: float, y2: float, steps: int = 200_000) -> float:
@@ -84,7 +83,7 @@ def test_geodesic_point_is_unit_speed_on_h2_circle():
 
 
 def test_distance_triangle_inequality_seeded(space, rng):
-    exact = isinstance(space, TreeSpace)
+    exact = space.exact
     pts = sp.sample_points_near(space, space.origin(), 12, radius=3.0, seed=9)
     for _ in range(40):
         a, b, c = rng.sample(pts, 3)
@@ -98,7 +97,7 @@ def test_distance_triangle_inequality_seeded(space, rng):
 def test_cat0_midpoint_comparison(space, rng):
     # Midpoints of two sides are at most half the third side apart;
     # equality in the flat case.
-    exact = isinstance(space, TreeSpace)
+    exact = space.exact
     pts = sp.sample_points_near(space, space.origin(), 9, radius=2.5, seed=17)
     for _ in range(20):
         a, b, c = rng.sample(pts, 3)
@@ -198,7 +197,7 @@ def test_tree_busemann_agrees_with_far_point_formula(rng):
 
 
 def test_busemann_limit_audit_monotone_bounded(space):
-    exact = isinstance(space, TreeSpace)
+    exact = space.exact
     base = space.origin()
     end = sp.sample_boundary_points(space, 1, seed=3)[0]
     ray = ray_from(space, base, end)
@@ -223,14 +222,14 @@ def test_busemann_degenerate_formula(space):
     b = pts[1]
     expected = mu - distance(space, b, tip)
     got = busemann(space, ray, b)
-    if isinstance(space, TreeSpace):
+    if space.exact:
         assert got == expected
     else:
         assert abs(got - expected) < 1e-9
     # Constant after mu.
     seq = busemann_limit_audit(space, ray, b, [mu, mu + 1, mu + 2])
     vals = [v for _, v in seq]
-    assert max(vals) - min(vals) <= (0 if isinstance(space, TreeSpace) else 1e-12)
+    assert max(vals) - min(vals) <= (0 if space.exact else 1e-12)
 
 
 def test_horoball_examples():
@@ -249,7 +248,7 @@ def test_horoball_examples():
 def test_horoball_contains_balls_along_ray(space, rng):
     end = sp.sample_boundary_points(space, 1, seed=21)[0]
     ray = ray_from(space, space.origin(), end)
-    exact = isinstance(space, TreeSpace)
+    exact = space.exact
     s = F(1) if exact else 1.0
     hb = Horoball(ray, s)
     for t in ([F(3), F(5)] if exact else [3.0, 5.0]):
@@ -338,4 +337,4 @@ def test_asymptotic_offset_all_spaces(space):
     c = asymptotic_offset(space, r1, r2, seed=2)
     probe = sp.sample_points_near(space, base1, 1, radius=3.0, seed=44)[0]
     dev = (busemann(space, r1, probe) - busemann(space, r2, probe)) - c
-    assert abs(dev) <= (0 if isinstance(space, TreeSpace) else 1e-9)
+    assert abs(dev) <= (0 if space.exact else 1e-9)

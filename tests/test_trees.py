@@ -26,10 +26,7 @@ from cat0sigma.trees import (
     _shared_part,
     make_word_end,
     n_valuation,
-    point_distance,
-    ray_point_at,
     tree_from_descriptor,
-    walk_to_point,
 )
 from cat0sigma.words import cyclic_reduce, invert_word, reduce_word
 
@@ -241,8 +238,8 @@ def test_hnn_check_vertex_needs_no_power_at_the_depth_budget():
 def test_regular_tree_distance_example():
     # Nodes at addresses "ab" and "ac" are two apart, through "a".
     model = RegularTree(3)
-    assert point_distance(model, TreePoint((0, 0)), TreePoint((0, 1))) == 2
-    path = [walk_to_point(model, TreePoint((0, 0)), TreePoint((0, 1)), t) for t in range(3)]
+    assert model.distance(TreePoint((0, 0)), TreePoint((0, 1))) == 2
+    path = [model.walk_to_point(TreePoint((0, 0)), TreePoint((0, 1)), t) for t in range(3)]
     assert path == [TreePoint((0, 0)), TreePoint((0,)), TreePoint((0, 1))]
 
 
@@ -257,7 +254,7 @@ def test_cayley_tree_distance_is_word_metric():
         for _ in range(rng.randrange(0, 6)):
             v = rng.choice(model.children(v))
         expected = len(reduce_word(invert_word(u) + v))
-        assert point_distance(model, TreePoint(u), TreePoint(v)) == expected
+        assert model.distance(TreePoint(u), TreePoint(v)) == expected
 
 
 def test_cayley_left_multiplication_end():
@@ -289,7 +286,7 @@ def test_hnn_vertex_structure():
     # Distance between the two grandchildren below different children.
     a = model.vertex(2, F(1))   # digits 1,0 below base
     b = model.vertex(2, F(2))   # digits 0,1
-    assert point_distance(model, TreePoint(a), TreePoint(b)) == 4
+    assert model.distance(TreePoint(a), TreePoint(b)) == 4
 
 
 def test_hnn_ray_vertices_and_containment():
@@ -319,17 +316,17 @@ def test_hnn_affine_action_is_isometric():
         for v in verts:
             gu = model.affine_vertex(shift, add, u)
             gv = model.affine_vertex(shift, add, v)
-            assert point_distance(model, TreePoint(gu), TreePoint(gv)) == point_distance(model, TreePoint(u), TreePoint(v))
+            assert model.distance(TreePoint(gu), TreePoint(gv)) == model.distance(TreePoint(u), TreePoint(v))
 
 
 def test_point_distance_same_edge_and_across():
     model = CayleyTree(2)
     p = TreePoint((1,), F(1, 4))
     q = TreePoint((1,), F(3, 4))
-    assert point_distance(model, p, q) == F(1, 2)
+    assert model.distance(p, q) == F(1, 2)
     r = TreePoint((2,), F(1, 2))
     # p is 3/4 deep on the a-edge; r is 1/2 deep on the b-edge.
-    assert point_distance(model, p, r) == F(3, 4) + F(1, 2)
+    assert model.distance(p, r) == F(3, 4) + F(1, 2)
 
 
 def test_point_distance_axioms_seeded(rng):
@@ -346,11 +343,11 @@ def test_point_distance_axioms_seeded(rng):
 
     for _ in range(120):
         p, q, r = random_point(), random_point(), random_point()
-        dpq = point_distance(model, p, q)
-        assert dpq == point_distance(model, q, p)
+        dpq = model.distance(p, q)
+        assert dpq == model.distance(q, p)
         assert dpq >= 0
         assert (dpq == 0) == (p == q)
-        assert dpq <= point_distance(model, p, r) + point_distance(model, r, q)
+        assert dpq <= model.distance(p, r) + model.distance(r, q)
 
 
 def test_walk_to_point_recovers_distances(rng):
@@ -367,14 +364,14 @@ def test_walk_to_point_recovers_distances(rng):
 
     for _ in range(60):
         p, q = random_point(), random_point()
-        total = point_distance(model, p, q)
+        total = model.distance(p, q)
         if total == 0:
             continue
         for frac in [F(0), F(1, 3), F(1, 2), F(7, 8), F(1)]:
             t = frac * total
-            mid = walk_to_point(model, p, q, t)
-            assert point_distance(model, p, mid) == t
-            assert point_distance(model, mid, q) == total - t
+            mid = model.walk_to_point(p, q, t)
+            assert model.distance(p, mid) == t
+            assert model.distance(mid, q) == total - t
 
 
 def test_ray_point_at_is_unit_speed(rng):
@@ -387,12 +384,12 @@ def test_ray_point_at_is_unit_speed(rng):
         for end in ends:
             prev = base
             for t in [F(1, 2), F(1), F(5, 2), F(4)]:
-                pos = ray_point_at(model, base, end, t)
-                assert point_distance(model, base, pos) == t
+                pos = model.ray_point_at(base, end, t)
+                assert model.distance(base, pos) == t
             # From an offset base as well.
-            off = ray_point_at(model, base, end, F(1, 2))
-            pos = ray_point_at(model, off, end, F(2))
-            assert point_distance(model, off, pos) == F(2)
+            off = model.ray_point_at(base, end, F(1, 2))
+            pos = model.ray_point_at(off, end, F(2))
+            assert model.distance(off, pos) == F(2)
 
 
 def _bfs_distances(model, u, radius):
@@ -466,9 +463,9 @@ def test_point_distance_and_walk_match_breadth_first_reference(model, rng):
     for p in pts:
         for q in pts:
             total = _reference_distance(model, p, q, bfs)
-            assert point_distance(model, p, q) == total, (p, q)
+            assert model.distance(p, q) == total, (p, q)
             for frac in [F(0), F(1, 3), F(1, 2), F(1)]:
-                mid = walk_to_point(model, p, q, frac * total)
+                mid = model.walk_to_point(p, q, frac * total)
                 model.check_vertex(mid.vertex)
                 assert mid.up == 0 or model.parent(mid.vertex) is not None
                 assert _reference_distance(model, p, mid, bfs) == frac * total, (p, q, frac)
@@ -519,18 +516,17 @@ def test_busemann_value_reads_two_heights_and_no_ray_vertex(model, end, monkeypa
     # distance up to the depth budget (the Cayley word has length L + 5, the
     # down-end points lie at level L + 5).  The ray reads its base's height
     # once, when it is built, and each value reads its point's.
-    M = sp.TreeSpace(model)
     calls = _count_calls(monkeypatch, (model, "ray_vertex"), (model, "height"))
     for L in (200, 10**5, DEPTH_BUDGET - 5):
         b = _deep_point(model, end, L)
         calls.update(ray_vertex=0, height=0)
         start = time.perf_counter()
-        ray = sp.ray_from(M, M.origin(), end)
+        ray = sp.ray_from(model, model.origin(), end)
         assert calls == {"ray_vertex": 0, "height": 1}
-        assert sp.busemann(M, ray, b) == L - 5
+        assert sp.busemann(model, ray, b) == L - 5
         assert time.perf_counter() - start < 2.0
         assert calls == {"ray_vertex": 0, "height": 2}
-        assert sp.busemann(M, ray, b) == L - 5
+        assert sp.busemann(model, ray, b) == L - 5
         assert calls == {"ray_vertex": 0, "height": 3}
 
 
@@ -541,27 +537,26 @@ def test_busemann_and_its_limit_audit_share_no_model_method(model, monkeypatch, 
     # The closed form reads heights only, one per ray built and one per
     # value; the audit reads ray points and distances only, so each checks
     # the other.
-    M = sp.TreeSpace(model)
     base = TreePoint(model.children(model.base_vertex())[1], F(1, 3))
-    points = sp.sample_points_near(M, base, 12, seed=4)
-    ends = model.basic_ends() + [model.sample_end(rng) for _ in range(3)]
+    points = sp.sample_points_near(model, base, 12, seed=4)
+    ends = model.probe_ends(model.origin(), None) + [model.sample_end(rng) for _ in range(3)]
     geodesic = _count_calls(
-        monkeypatch, (model, "meet"), (model, "ray_vertex"), (trees, "ray_point_at"), (trees, "point_distance")
+        monkeypatch, (model, "meet"), (model, "ray_vertex"), (model, "ray_point_at"), (model, "distance")
     )
-    heights = _count_calls(monkeypatch, (model, "height"), (trees, "point_height"))
-    rays = [sp.ray_from(M, base, end) for end in ends]
-    values = [sp.busemann(M, ray, b) for ray in rays for b in points]
-    assert geodesic == {"meet": 0, "ray_vertex": 0, "ray_point_at": 0, "point_distance": 0}
+    heights = _count_calls(monkeypatch, (model, "height"), (model, "point_height"))
+    rays = [sp.ray_from(model, base, end) for end in ends]
+    values = [sp.busemann(model, ray, b) for ray in rays for b in points]
+    assert geodesic == {"meet": 0, "ray_vertex": 0, "ray_point_at": 0, "distance": 0}
     assert heights == {"height": len(rays) + len(values), "point_height": len(rays) + len(values)}
     heights.update(height=0, point_height=0)
-    limits = [sp.busemann_limit_audit(M, ray, b, [0, 1, 5, 12])[-1][1] for ray in rays for b in points]
+    limits = [sp.busemann_limit_audit(model, ray, b, [0, 1, 5, 12])[-1][1] for ray in rays for b in points]
     assert heights == {"height": 0, "point_height": 0}
-    assert geodesic["ray_point_at"] > 0 and geodesic["point_distance"] > 0
+    assert geodesic["ray_point_at"] > 0 and geodesic["distance"] > 0
     assert limits == values
 
 
 def test_depth_budget_bounds_parsed_depths_and_ray_parameters():
-    cayley, hnn = sp.TreeSpace(CayleyTree(2)), sp.TreeSpace(HnnTree(3))
+    cayley, hnn = CayleyTree(2), HnnTree(3)
     # test_cli.py's malformed inputs cover a letter string and a negative level.
     for space, data in [
         (cayley, {"vertex": [1] * (DEPTH_BUDGET + 1)}),
@@ -579,7 +574,7 @@ def test_depth_budget_bounds_parsed_depths_and_ray_parameters():
     # Levels at the budget parse, and lie twice the budget apart.
     low, high = (hnn.parse_point({"vertex": {"level": s * DEPTH_BUDGET, "center": 0}}) for s in (-1, 1))
     segment = sp.ray_from(hnn, low, high)
-    assert segment.point_at(7) == TreePoint(hnn.model.vertex(7 - DEPTH_BUDGET, F(0)))
+    assert segment.point_at(7) == TreePoint(hnn.vertex(7 - DEPTH_BUDGET, F(0)))
     with pytest.raises(ParameterOutOfRange, match="depth budget"):
         segment.point_at(DEPTH_BUDGET + 1)
 
@@ -816,7 +811,7 @@ def test_valuation_of_large_powers_from_the_bottom_and_the_top():
 def test_meet_and_ray_vertex_match_the_climb_and_the_step_rule(model):
     rng = random.Random(str(model.descriptor()))
     base = model.base_vertex()
-    ends = model.basic_ends() + [model.sample_end(rng) for _ in range(4)]
+    ends = model.probe_ends(model.origin(), None) + [model.sample_end(rng) for _ in range(4)]
     if isinstance(model, HnnTree):
         ends += [HnnDown(F(1, 3)), HnnDown(F(-7, 5)), HnnDown(F(5, 4))]
     for end in ends:
@@ -843,8 +838,8 @@ def test_meet_and_ray_vertex_match_the_climb_and_the_step_rule(model):
 def _ray_point_busemann(model, base, end, b):
     """T - d(b, ray(T)) at T = d(base, b): the geodesic from b has joined
     the ray by then, and t - d(b, ray(t)) is constant from there on."""
-    T = point_distance(model, base, b)
-    return T - point_distance(model, b, ray_point_at(model, base, end, T))
+    T = model.distance(base, b)
+    return T - model.distance(b, model.ray_point_at(base, end, T))
 
 
 @pytest.mark.parametrize(
@@ -854,9 +849,8 @@ def _ray_point_busemann(model, base, end, b):
 )
 def test_busemann_heights_match_the_ray_point_evaluation(model):
     rng = random.Random(str(("heights", model.descriptor())))
-    M = sp.TreeSpace(model)
     root = model.base_vertex()
-    ends = model.basic_ends() + [model.sample_end(rng) for _ in range(6)]
+    ends = model.probe_ends(model.origin(), None) + [model.sample_end(rng) for _ in range(6)]
     if isinstance(model, HnnTree):
         ends += [HnnDown(F(1, 3)), HnnDown(F(-7, 5)), HnnDown(F(5, 4)), HnnDown(F(1, model.index**3))]
 
@@ -875,8 +869,8 @@ def test_busemann_heights_match_the_ray_point_evaluation(model):
     for _ in range(2100):
         end = rng.choice(ends)
         base, b = point(end), point(end)
-        ray = sp.ray_from(M, base, end)
-        assert sp.busemann(M, ray, b) == _ray_point_busemann(model, base, end, b), (base, end, b)
+        ray = sp.ray_from(model, base, end)
+        assert sp.busemann(model, ray, b) == _ray_point_busemann(model, base, end, b), (base, end, b)
         kinds["up" if isinstance(end, HnnUp) else "other"] += 1
         kinds["offset"] += bool(base.up and b.up)
         # The ray leaves the base downward, across the base's own edge.

@@ -267,9 +267,10 @@ class TreePoint:
     up: Fraction = Fraction(0)
 
     def __init__(self, vertex, up=Fraction(0)):
-        if not isinstance(up, Fraction):
+        if type(up) is not Fraction:
             up = Fraction(up)
-        if not 0 <= up.numerator < up.denominator:
+        num, den = up.as_integer_ratio()
+        if not 0 <= num < den:
             raise ValueError("edge offset must lie in [0, 1)")
         object.__setattr__(self, "vertex", vertex)
         object.__setattr__(self, "up", up)
@@ -341,26 +342,29 @@ class TreeModel(ModelSpace):
         """Exact distance between two metric points.
 
         From d(p.vertex, q.vertex), each offset is subtracted when its edge
-        climbs toward the meet and added when its vertex is the meet.
+        climbs toward the meet and added when its vertex is the meet; the
+        sum is taken over the common denominator of the offsets.
         """
+        pn, pd = p.up.as_integer_ratio()
+        qn, qd = q.up.as_integer_ratio()
         if p.vertex == q.vertex:
-            return abs(p.up - q.up)
+            return Fraction(abs(pn * qd - qn * pd), pd * qd)
         _, i, j = self.meet(p.vertex, q.vertex)
-        d = i + j
-        if p.up:
-            d += p.up if i == 0 else -p.up
-        if q.up:
-            d += q.up if j == 0 else -q.up
-        return d if isinstance(d, Fraction) else Fraction(d)
+        if i:
+            pn = -pn
+        if j:
+            qn = -qn
+        return Fraction((i + j) * pd * qd + pn * qd + qn * pd, pd * qd)
 
     def point_height(self, p: TreePoint, end: TreeEnd) -> int | Fraction:
         """Horofunction height of a metric point toward an end: its vertex's
         height (an int), less the offset when the parent edge points toward
         the end and plus it otherwise."""
         h, toward = self.height(p.vertex, end)
-        if not p.up:
+        num, den = p.up.as_integer_ratio()
+        if not num:
             return h
-        return h - p.up if toward else h + p.up
+        return Fraction(h * den - num if toward else h * den + num, den)
 
     def check_target(self, e):
         return self.check_boundary(e) if isinstance(e, (WordEnd, HnnUp, HnnDown)) else self.check_point(e)
@@ -379,8 +383,9 @@ class TreeModel(ModelSpace):
     def busemann_to_end(self, ray, b):
         # The difference of the end's horofunction heights; the ray carries
         # its base's.
-        value = ray._param - self.point_height(b, ray.end)
-        return value if isinstance(value, Fraction) else Fraction(value)
+        an, ad = ray._param.as_integer_ratio()
+        bn, bd = self.point_height(b, ray.end).as_integer_ratio()
+        return Fraction(an * bd - bn * ad, ad * bd)
 
     def sample_point(self, center, radius, rng):
         v = center.vertex
@@ -413,18 +418,17 @@ class TreeModel(ModelSpace):
             frontier = new
         return radius, out
 
-    def _point_along(self, vertex_at, s: Fraction) -> TreePoint:
-        """Point at arc coordinate s >= 0 along a path of adjacent vertices,
-        where vertex_at(k) is its k-th vertex."""
-        whole = math.floor(s)
-        frac = s - whole
+    def _point_along(self, vertex_at, num: int, den: int) -> TreePoint:
+        """Point at arc coordinate num / den >= 0 along a path of adjacent
+        vertices, where vertex_at(k) is its k-th vertex."""
+        whole, rem = divmod(num, den)
         a = vertex_at(whole)
-        if frac == 0:
+        if not rem:
             return TreePoint(a)
         b = vertex_at(whole + 1)
         if self.level(b) < self.level(a):
-            return TreePoint(a, frac)
-        return TreePoint(b, 1 - frac)
+            return TreePoint(a, Fraction(rem, den))
+        return TreePoint(b, Fraction(den - rem, den))
 
     def walk_to_point(self, start: TreePoint, target: TreePoint, t: Fraction) -> TreePoint:
         """Point at arc length t along the geodesic from start to target."""
@@ -435,29 +439,34 @@ class TreeModel(ModelSpace):
         if start.vertex == target.vertex:
             sign = 1 if target.up > start.up else -1
             return TreePoint(start.vertex, start.up + sign * t)
-        u, v, s = start.vertex, target.vertex, start.up
+        u, v = start.vertex, target.vertex
+        sn, sd = start.up.as_integer_ratio()
         _, i, j = self.meet(u, v)
         # An offset whose vertex is the meet (the path leaves it downward)
         # lies on the parent edge above the path, so the path runs through
         # the parent.
-        if start.up and i == 0:
-            u, j, s = self.parent(u), j + 1, 1 - start.up
+        if sn and i == 0:
+            u, j, sn = self.parent(u), j + 1, sd - sn
         if target.up and j == 0:
             v, i = self.parent(v), i + 1
-        return self._point_along(lambda k: self.ancestor(u, k) if k <= i else self.ancestor(v, i + j - k), s + t)
+        tn, td = t.as_integer_ratio()
+        return self._point_along(
+            lambda k: self.ancestor(u, k) if k <= i else self.ancestor(v, i + j - k), sn * td + tn * sd, sd * td
+        )
 
     def ray_point_at(self, base: TreePoint, end: TreeEnd, t: Fraction) -> TreePoint:
         """Point at arc length t >= 0 along the geodesic ray from base to an
         end."""
-        t = Fraction(t)
-        if t < 0:
+        tn, td = t.as_integer_ratio()
+        if tn < 0:
             raise ValueError("ray parameter must be nonnegative")
-        v, s = base.vertex, base.up + t
-        if base.up and self.level(self.ray_vertex(v, end, 1)) > self.level(v):
+        v = base.vertex
+        un, ud = base.up.as_integer_ratio()
+        if un and self.level(self.ray_vertex(v, end, 1)) > self.level(v):
             # The ray crosses the base's edge downward, so it runs on the
             # ray from the parent.
-            v, s = self.parent(v), 1 - base.up + t
-        return self._point_along(functools.partial(self.ray_vertex, v, end), s)
+            v, un = self.parent(v), ud - un
+        return self._point_along(functools.partial(self.ray_vertex, v, end), un * td + tn * ud, ud * td)
 
 
 def _head_with_seams(end: WordEnd) -> Word:

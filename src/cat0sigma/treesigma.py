@@ -187,7 +187,14 @@ def mfpr_lengths(data: MFPRData) -> GraphOfGroupsSummary:
 def generate_sphere_points(rng: random.Random, k: int, count: int, forbid_antipodal: bool = True) -> list[SpherePoint]:
     """Up to count distinct primitive vectors with entries drawn from -3..3,
     in at most 400 draws; repeats (and antipodes, when forbidden) are
-    rejected on the integer tuples before any SpherePoint is built."""
+    rejected on the integer tuples before any SpherePoint is built.
+
+    count is capped at the size of the pool, so the draws stop once it is
+    used up.  By Moebius inversion over the gcd the pool holds
+    7^k - 2 * 3^k + 1 primitive vectors (2, 32, 290 and 2240 for k = 1..4),
+    and half as many classes when antipodes are forbidden."""
+    pool = 7**k - 2 * 3**k + 1
+    count = min(count, pool // 2 if forbid_antipodal else pool)
     vectors: list[tuple[int, ...]] = []
     attempts = 0
     while len(vectors) < count and attempts < 400:

@@ -328,7 +328,11 @@ def test_region_budget_stops_large_tree_balls():
     assert verdict == UnknownVerdict(f"region budget of {REGION_BUDGET} vertices exceeded in tree")
 
 
-@pytest.mark.parametrize("model", [CayleyTree(1), CayleyTree(2), RegularTree(3), HnnTree(2)], ids=repr)
+@pytest.mark.parametrize(
+    "model",
+    [CayleyTree(1), CayleyTree(2), RegularTree(3), HnnTree(2)],
+    ids=lambda model: "-".join(map(str, model.descriptor().values())),
+)
 def test_tree_region_budget_counts_the_ball_it_lists(model, monkeypatch):
     # The ball's size is computed before listing it; a budget one short of
     # the listed ball refuses it, at the root and below it.

@@ -67,6 +67,9 @@ def test_polyhedral_membership_examples():
     pset = PolyhedralSet.from_clauses(2, [[hemi]])
     assert pset.contains(v) is True
     assert pset.contains(SpherePoint((-1, 0))) is False
+    # The hemisphere is open: a point of its boundary great circle is out.
+    assert hemi.contains(SpherePoint((0, 1))) is False
+    assert pset.contains(SpherePoint((0, 1))) is False
     assert PolyhedralSet(2, ()).contains(v) is False
     assert PolyhedralSet(2, ((),)).contains(SpherePoint((-1, 0))) is True
     with pytest.raises(DimensionMismatch):

@@ -17,6 +17,7 @@ from cat0sigma.treesigma import (
     MFPRData,
     dynamical_sigma,
     generate_mfpr_data,
+    generate_sphere_points,
     generate_summary,
     mfpr_lengths,
     sigma_table,
@@ -171,6 +172,38 @@ def test_antipodal_pair_detection_and_convention(rng):
         from cat0sigma.sphere import m_value
 
         assert m_value(gen.complement, Character.zero(gen.k)) >= 2
+
+
+class CountingRandom(random.Random):
+    """A seeded Random that keeps every value randrange returns."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = []
+
+    def randrange(self, *args):
+        self.draws.append(super().randrange(*args))
+        return self.draws[-1]
+
+
+@pytest.mark.parametrize("forbid_antipodal", [False, True], ids=["antipodes", "no-antipodes"])
+def test_sphere_points_stop_drawing_when_the_pool_is_used_up(forbid_antipodal):
+    # Rank 1 has two primitive vectors, +1 and -1, one class when antipodes
+    # are forbidden.  Asking for six returns the pool, and the last draw is
+    # the one that completes it, where the 400-draw limit used to be spent.
+    for seed in range(10):
+        rng = CountingRandom(seed)
+        points = generate_sphere_points(rng, 1, 6, forbid_antipodal=forbid_antipodal)
+        if forbid_antipodal:
+            assert len(points) == 1 and points[0].primitive in ((1,), (-1,))
+        else:
+            assert sorted(p.primitive for p in points) == [(-1,), (1,)]
+        # Every draw before the last is 0 or repeats a sign; the last one
+        # brings the sign that fills the pool.
+        *before, last = rng.draws
+        signs = {d > 0 for d in before if d}
+        assert last and (last > 0) not in signs
+        assert len(signs) == (0 if forbid_antipodal else 1)
 
 
 def test_mfpr_json_round_trip():

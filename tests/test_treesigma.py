@@ -189,8 +189,8 @@ class CountingRandom(random.Random):
 @pytest.mark.parametrize("forbid_antipodal", [False, True], ids=["antipodes", "no-antipodes"])
 def test_sphere_points_stop_drawing_when_the_pool_is_used_up(forbid_antipodal):
     # Rank 1 has two primitive vectors, +1 and -1, one class when antipodes
-    # are forbidden.  Asking for six returns the pool, and the last draw is
-    # the one that completes it, where the 400-draw limit used to be spent.
+    # are forbidden.  Asking for six returns the pool, and no draw follows
+    # the one that completes it.
     for seed in range(10):
         rng = CountingRandom(seed)
         points = generate_sphere_points(rng, 1, 6, forbid_antipodal=forbid_antipodal)

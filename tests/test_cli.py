@@ -733,12 +733,14 @@ def test_outputs_are_byte_deterministic(busemann_file, tmp_path):
 # chamber of one vertex on S^0, with its member point marked, the member
 # quarter arc of an edge on S^1, and the octant of a path on three vertices
 # on S^2, drawn as its three coordinate great circles and the member arc on
-# each; the complement of a rank-2 mfpr instance as points on S^1, and of a
-# rank-3 one on S^2, in front of the picture and behind it.
+# each; the complement of a rank-1 mfpr instance as points on S^0, of a
+# rank-2 one on S^1, and of a rank-3 one on S^2, in front of the picture and
+# behind it.
 SVG_SNAPSHOTS = {
     "raag_vertex": ["raag", "--graph", "raag_vertex.json", "--n", "1"],
     "raag_edge": ["raag", "--graph", "raag_edge.json", "--n", "1"],
     "raag_path3": ["raag", "--graph", "raag_path3.json", "--n", "2"],
+    "mfpr_rank1_antipodal": ["mfpr", "--data", "mfpr_rank1_antipodal.json"],
     "mfpr_rank2_trio": ["mfpr", "--data", "mfpr_rank2_trio.json"],
     "mfpr_rank3_fractional": ["mfpr", "--data", "mfpr_rank3_fractional.json"],
 }

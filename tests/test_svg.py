@@ -12,6 +12,8 @@ def test_zero_sphere_complement_pair_is_two_dots():
     text = render_sphere_svg(pts)
     assert text.count('<circle class="pt"') == 2
     assert "<svg" in text and text.endswith("</svg>\n")
+    text = render_sphere_svg([SpherePoint((-1,))])
+    assert text.count('<circle class="pt"') == 1 and text.count('<circle class="out"') == 1
 
 
 def test_zero_sphere_membership_coloring():

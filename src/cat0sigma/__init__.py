@@ -2,8 +2,8 @@
 
 The package computes, exactly where the space allows it:
 
-* the character sphere of a group with hemispheres, polyhedral subsets and
-  the m-function deciding minimal conic representations (``sphere``);
+* the character sphere of a group and the m-function deciding minimal
+  conic representations (``sphere``);
 * distances, geodesics, generalized rays, Busemann functions, horoballs
   and the angular/Tits metrics on Euclidean space, the hyperbolic plane
   and locally finite simplicial trees (``spaces``, ``trees``);

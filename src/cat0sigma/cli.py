@@ -1,5 +1,5 @@
 """Command-line entry point: batch computations, audits, the verification
-runner, and SVG emission of character-sphere sets.
+runner, and SVG pictures of character-sphere points.
 
 Every command is deterministic given its inputs and seed; the seed appears
 in every report.  Exit codes: 0 success, 1 a checked property failed,
@@ -19,7 +19,7 @@ import sys
 import time
 
 from . import jsonio
-from .errors import Cat0SigmaError, DegreeOutOfRange, UnsupportedDimension, UsageError
+from .errors import Cat0SigmaError, DegreeOutOfRange, UsageError
 
 PROG = "cat0sigma"
 # The names of verify.SUITES, sorted: the parser offers them without
@@ -148,7 +148,7 @@ def cmd_cocompact(args, data):
 
 
 def cmd_raag(args, data):
-    from .raag import SimpleGraph, coordinate_hemisphere, flag_verdict
+    from .raag import SimpleGraph, flag_verdict
 
     with open(args.graph, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -156,16 +156,6 @@ def cmd_raag(args, data):
         graph = SimpleGraph.from_json(json.loads(text))
     else:
         graph = SimpleGraph.from_edge_list(text)
-    if args.svg:
-        k = len(graph.vertices)
-        if k > 3:
-            raise UnsupportedDimension(f"sphere pictures need at most 3 vertices, graph has {k}")
-        from . import sphere, svg
-
-        chamber = sphere.PolyhedralSet.from_clauses(
-            k, [[coordinate_hemisphere(graph, v) for v in graph.vertices]]
-        )
-        picture = svg.render_sphere_svg(chamber)
     verdict = flag_verdict(graph, args.n)
     payload = {
         "n": args.n,
@@ -177,17 +167,7 @@ def cmd_raag(args, data):
             "homology_vanishing": verdict.homology_vanishing,
         },
     }
-    if args.svg:
-        _write_picture(args.svg, picture)
-        payload["svg"] = args.svg
     return 0, payload
-
-
-def _write_picture(path, text) -> None:
-    """Write an SVG picture, rendered before the command computed anything,
-    so that a picture it cannot draw is refused first."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
 
 
 def _add_degrees(args, summary, payload) -> None:
@@ -219,6 +199,8 @@ def cmd_mfpr(args, data):
 
     mfpr = MFPRData.from_json(data)
     if args.svg:
+        # Rendered before the m-function is computed, so that a picture it
+        # cannot draw is refused first.
         from . import svg
 
         picture = svg.render_sphere_svg(list(mfpr.complement))
@@ -233,7 +215,8 @@ def cmd_mfpr(args, data):
     }
     _add_degrees(args, summary, payload)
     if args.svg:
-        _write_picture(args.svg, picture)
+        with open(args.svg, "w", encoding="utf-8") as fh:
+            fh.write(picture)
         payload["svg"] = args.svg
     return 0, payload
 
@@ -320,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("raag", data=False)
     p.add_argument("--graph", required=True, help="graph JSON or edge-list file")
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--svg", help="emit the positive coordinate chamber as SVG")
     p = add("tree-sigma")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--table", action="store_true")

@@ -466,15 +466,3 @@ def bestvina_brady(graph: SimpleGraph, n: int) -> str:
     the right-angled Artin group of the graph: In / Out / Unknown, by the
     flag-complex connectivity criterion (:func:`flag_verdict`)."""
     return flag_verdict(graph, n).membership
-
-
-def coordinate_hemisphere(graph: SimpleGraph, v) -> OpenHemisphere:
-    """The open hemisphere of characters positive on one vertex generator,
-    in coordinates indexed by the graph's vertex order."""
-    from .sphere import OpenHemisphere, SpherePoint
-
-    if v not in graph.vertices:
-        raise UnknownVertex(f"{v!r} is not a vertex")
-    i = graph.vertices.index(v)
-    normal = tuple(1 if j == i else 0 for j in range(len(graph.vertices)))
-    return OpenHemisphere(SpherePoint(normal))

@@ -1,13 +1,13 @@
-"""The character sphere: rays of additive characters, hemispheres, m-values.
+"""The character sphere: rays of additive characters and m-values.
 
 A character of a group G with fixed free-abelianized rank k is stored as an
 exact rational vector of length k (coordinates with respect to a chosen
 basis of Hom(G, R)).  The character sphere S(G) is the set of nonzero
 characters modulo positive scaling; a point of it is stored as the unique
-primitive integer vector on the ray, and a subset of S(G) is a
-:class:`PolyhedralSet` of open hemispheres or a tuple of sphere points.
-Everything in this module is exact: hemisphere membership is a strict
-inequality and floating point would make it undecidable on the boundary.
+primitive integer vector on the ray, and a finite subset of S(G) as a
+tuple of sphere points.  Everything in this module is exact: whether a
+positive combination of rays equals chi is an equality, which floating
+point cannot decide.
 
 All values are immutable and all operations are pure functions without
 hidden state, safe to evaluate concurrently.  The m-function takes the same
@@ -108,49 +108,6 @@ def normalize_ray(chi: Character) -> SpherePoint:
     for v in ints:
         g = gcd(g, abs(v))
     return SpherePoint(tuple(v // g for v in ints))
-
-
-@dataclass(frozen=True)
-class OpenHemisphere:
-    """The open hemisphere of rays pairing strictly positively with a normal."""
-
-    normal: SpherePoint
-
-    @property
-    def k(self) -> int:
-        return self.normal.k
-
-    def contains(self, p: SpherePoint) -> bool:
-        if p.k != self.k:
-            raise DimensionMismatch(f"hemisphere in rank {self.k}, point in rank {p.k}")
-        return sum(n * c for n, c in zip(self.normal.primitive, p.primitive)) > 0
-
-
-@dataclass(frozen=True)
-class PolyhedralSet:
-    """A finite union of finite intersections of open hemispheres on S(G).
-
-    An empty clause list denotes the empty set; a clause with zero
-    hemispheres denotes all of S(G).
-    """
-
-    k: int
-    clauses: tuple[tuple[OpenHemisphere, ...], ...] = ()
-
-    @staticmethod
-    def from_clauses(k: int, clauses: Iterable[Iterable[OpenHemisphere]]) -> "PolyhedralSet":
-        cl = tuple(tuple(c) for c in clauses)
-        for clause in cl:
-            for h in clause:
-                if h.k != k:
-                    raise DimensionMismatch(f"hemisphere rank {h.k} in a rank-{k} set")
-        return PolyhedralSet(k, cl)
-
-    def contains(self, p: SpherePoint) -> bool:
-        """Exact membership: p satisfies every strict inequality of some clause."""
-        if p.k != self.k:
-            raise DimensionMismatch(f"set in rank {self.k}, point in rank {p.k}")
-        return any(all(h.contains(p) for h in clause) for clause in self.clauses)
 
 
 INF = math.inf

@@ -295,7 +295,8 @@ def test_options_exist_only_where_a_command_reads_them(tmp_path):
     # the given stderr as one line of JSON: --out, --space, --tol and --csv
     # on every command, since the report goes to stdout only, the space
     # comes from the data file only, the tolerance is spaces.GLOBAL_TOL and
-    # the degree table is in the report.  --out and --csv write no file.
+    # the degree table is in the report; and --svg on raag, which draws no
+    # picture.  --out, --csv and --svg write no file.
     report = tmp_path / "report.json"
     first = {}
     for argv in golden_command_lines():
@@ -303,6 +304,7 @@ def test_options_exist_only_where_a_command_reads_them(tmp_path):
     lines = [["raag"]]
     for option, value in (("--out", str(report)), ("--space", "E2"), ("--tol", "1e-3"), ("--csv", str(report))):
         lines += [[*argv, option, value] for argv in first.values()]
+    lines.append([*first["raag"], "--svg", str(report)])
     for argv in lines:
         code, out, err = run_cli(argv)
         assert (code, out) == (2, ""), argv
@@ -313,7 +315,8 @@ def test_options_exist_only_where_a_command_reads_them(tmp_path):
 
 def test_a_picture_is_refused_before_anything_is_computed(monkeypatch, tmp_path):
     # A picture of more than S^2 is refused with exit 2 before the m-function
-    # or a flag complex is computed, and no file is written.
+    # is computed, raag refuses --svg as a usage error before a flag complex
+    # is computed, and no file is written.
     from cat0sigma import treesigma
 
     calls = collections.Counter()
@@ -321,15 +324,12 @@ def test_a_picture_is_refused_before_anything_is_computed(monkeypatch, tmp_path)
         original = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, _f=original, _n=name: calls.update([_n]) or _f(*args))
     svg = tmp_path / "picture.svg"
-    refused = {
-        "mfpr_rank4_circuit.json": "can draw S^0, S^1, S^2 only, not k = 4",
-        "raag_k4.json": "sphere pictures need at most 3 vertices, graph has 4",
-    }
-    for name, message in refused.items():
-        command = ["mfpr", "--data"] if name.startswith("mfpr") else ["raag", "--graph"]
-        code, out, err = run_cli([*command, str(GOLDEN / name), "--svg", str(svg)])
-        assert (code, out) == (2, "")
-        assert err.splitlines() == [json.dumps({"error": "UnsupportedDimension", "message": message}, sort_keys=True)]
+    code, out, err = run_cli(["mfpr", "--data", str(GOLDEN / "mfpr_rank4_circuit.json"), "--svg", str(svg)])
+    assert (code, out) == (2, "")
+    message = "can draw S^0, S^1, S^2 only, not k = 4"
+    assert err.splitlines() == [json.dumps({"error": "UnsupportedDimension", "message": message}, sort_keys=True)]
+    code, out, err = run_cli(["raag", "--graph", str(GOLDEN / "raag_k4.json"), "--svg", str(svg)])
+    assert (code, out, len(err.splitlines()), json.loads(err)["error"]) == (2, "", 1, "UsageError")
     assert dict(calls) == {} and not svg.exists()
 
 
@@ -729,17 +729,10 @@ def test_outputs_are_byte_deterministic(busemann_file, tmp_path):
     assert snapshots[0] == snapshots[1]
 
 
-# --svg snapshots, by the name of the golden picture: the coordinate
-# chamber of one vertex on S^0, with its member point marked, the member
-# quarter arc of an edge on S^1, and the octant of a path on three vertices
-# on S^2, drawn as its three coordinate great circles and the member arc on
-# each; the complement of a rank-1 mfpr instance as points on S^0, of a
-# rank-2 one on S^1, and of a rank-3 one on S^2, in front of the picture and
-# behind it.
+# mfpr --svg snapshots, by the name of the golden picture: the complement
+# of a rank-1 instance as points on S^0, of a rank-2 one on S^1, and of a
+# rank-3 one on S^2, in front of the picture and behind it.
 SVG_SNAPSHOTS = {
-    "raag_vertex": ["raag", "--graph", "raag_vertex.json", "--n", "1"],
-    "raag_edge": ["raag", "--graph", "raag_edge.json", "--n", "1"],
-    "raag_path3": ["raag", "--graph", "raag_path3.json", "--n", "2"],
     "mfpr_rank1_antipodal": ["mfpr", "--data", "mfpr_rank1_antipodal.json"],
     "mfpr_rank2_trio": ["mfpr", "--data", "mfpr_rank2_trio.json"],
     "mfpr_rank3_fractional": ["mfpr", "--data", "mfpr_rank3_fractional.json"],
@@ -751,21 +744,12 @@ def snapshot_command_line(name, svg) -> list:
     return [str(GOLDEN / a) if a.endswith(".json") else a for a in SVG_SNAPSHOTS[name]] + ["--svg", str(svg)]
 
 
-def check_snapshot(tmp_path, name):
+@pytest.mark.parametrize("name", SVG_SNAPSHOTS)
+def test_mfpr_svg_matches_snapshot(tmp_path, name):
     svg = tmp_path / "picture.svg"
     code, out, err = run_cli(snapshot_command_line(name, svg))
     assert (code, err, json.loads(out)["svg"]) == (0, "", str(svg))
     assert svg.read_bytes() == (GOLDEN / f"{name}.svg").read_bytes()
-
-
-@pytest.mark.parametrize("name", [name for name in SVG_SNAPSHOTS if name.startswith("raag")])
-def test_raag_svg_matches_snapshot(tmp_path, name):
-    check_snapshot(tmp_path, name)
-
-
-@pytest.mark.parametrize("name", [name for name in SVG_SNAPSHOTS if name.startswith("mfpr")])
-def test_mfpr_svg_matches_snapshot(tmp_path, name):
-    check_snapshot(tmp_path, name)
 
 
 def test_emitted_json_reparses(busemann_file):
@@ -792,8 +776,8 @@ def test_error_paths(tmp_path):
         encoding="utf-8",
     )
     code, _, err = run_cli(["raag", "--graph", str(graph), "--n", "1", "--svg", str(tmp_path / "x.svg")])
-    assert code == 2
-    assert json.loads(err)["error"] == "UnsupportedDimension"
+    assert code == 2 and len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "UsageError" and not (tmp_path / "x.svg").exists()
 
 
 H2_RAY = {"base": {"x": 0, "y": 1}, "end": {"boundary": {"xi": "inf"}}}

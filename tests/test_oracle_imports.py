@@ -127,6 +127,3 @@ def test_no_package_module_defines_a_second_path():
         for name in sorted(seconds & bound_names(path.read_text(encoding="utf-8")))
     ]
     assert definers == []
-    from cat0sigma.sphere import PolyhedralSet
-
-    assert not {"to_json", "from_json"} & set(vars(PolyhedralSet))

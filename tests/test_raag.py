@@ -1,6 +1,5 @@
 """Graphs, dominated-vertex cores, join factors, flag complexes,
-connectivity verdicts, the diagonal-character membership test, and
-coordinate hemispheres."""
+connectivity verdicts and the diagonal-character membership test."""
 
 import itertools
 import json
@@ -19,7 +18,6 @@ from cat0sigma.raag import (
     SimpleGraph,
     bestvina_brady,
     connectivity_verdict,
-    coordinate_hemisphere,
     dominated_core,
     edge_path_presentation,
     flag_complex,
@@ -28,7 +26,6 @@ from cat0sigma.raag import (
     strong_collapses,
     tietze_trivialize,
 )
-from cat0sigma.sphere import Character, SpherePoint, normalize_ray
 from test_homology import RP2_TRIANGLES
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -439,12 +436,3 @@ def test_membership_is_monotone_in_the_degree():
             if high == IN:
                 assert low == IN
 
-
-def test_coordinate_hemisphere():
-    graph = SimpleGraph(["u", "v", "w"], [("u", "v")])
-    hemi = coordinate_hemisphere(graph, "u")
-    assert hemi.normal == SpherePoint((1, 0, 0))
-    diagonal = Character([1, 1, 1])
-    assert hemi.contains(normalize_ray(diagonal))
-    with pytest.raises(UnknownVertex):
-        coordinate_hemisphere(graph, "zz")

@@ -1,4 +1,4 @@
-"""Character sphere: rays, hemispheres, polyhedral sets and m-values."""
+"""Character sphere: rays and m-values."""
 
 import ast
 import collections
@@ -17,8 +17,6 @@ from cat0sigma.exactlp import strictly_representable_fm
 from cat0sigma.errors import DimensionMismatch, ZeroCharacter
 from cat0sigma.sphere import (
     Character,
-    OpenHemisphere,
-    PolyhedralSet,
     SpherePoint,
     _conic_lp,
     m_value,
@@ -59,31 +57,6 @@ def test_sphere_point_validation():
         SpherePoint((2, 4))
     with pytest.raises(ZeroCharacter):
         SpherePoint((0, 0))
-
-
-def test_polyhedral_membership_examples():
-    v = SpherePoint((1, 0))
-    hemi = OpenHemisphere(v)
-    pset = PolyhedralSet.from_clauses(2, [[hemi]])
-    assert pset.contains(v) is True
-    assert pset.contains(SpherePoint((-1, 0))) is False
-    # The hemisphere is open: a point of its boundary great circle is out.
-    assert hemi.contains(SpherePoint((0, 1))) is False
-    assert pset.contains(SpherePoint((0, 1))) is False
-    assert PolyhedralSet(2, ()).contains(v) is False
-    assert PolyhedralSet(2, ((),)).contains(SpherePoint((-1, 0))) is True
-    with pytest.raises(DimensionMismatch):
-        pset.contains(SpherePoint((1, 0, 0)))
-
-
-def test_polyhedral_membership_ignores_positive_scaling():
-    normal = (2, -3)
-    pset = PolyhedralSet.from_clauses(2, [[OpenHemisphere(SpherePoint(normal))]])
-    chi = Character([F(7, 3), F(1, 6)])
-    for c in (chi, chi.scaled(F(9, 4)), -chi, chi.scaled(F(1, 100))):
-        # The strict inequality on the rational coordinates themselves.
-        by_sign = sum(n * x for n, x in zip(normal, c.coords)) > 0
-        assert pset.contains(normalize_ray(c)) == by_sign
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ The package computes, exactly where the space allows it:
   command-line interface (``cli``).
 
 Each name is imported from the submodule that defines it, as in
-``from cat0sigma.spaces import busemann``.
+``from cat0sigma.spaces import ray_from``.
 """
 
 __version__ = "0.1.0"

@@ -203,7 +203,7 @@ def cmd_mfpr(args, data):
         # cannot draw is refused first.
         from . import svg
 
-        picture = svg.render_sphere_svg(list(mfpr.complement))
+        picture = svg.render_sphere_svg(mfpr.k, mfpr.complement)
     summary = mfpr_lengths(mfpr)
     payload = {
         "lengths": {

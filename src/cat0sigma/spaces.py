@@ -8,15 +8,16 @@ Each space class owns its operations: distance, generalized rays, the
 closed forms of Busemann functions, boundary equality, the angular and
 Tits metrics, the seeded samplers, parsing of its points and ends, and the
 helpers of the cocompactness test.  The module-level functions
-(:func:`distance`, :func:`busemann`, :func:`ray_from`, ...) are the public
-entry points and hold only the logic that all spaces share.  The tree
-module imports this one, so this one loads it only in
+(:func:`ray_from`, the boundary metrics, :func:`asymptotic_offset` and the
+samplers) are the public entry points and hold only the logic that all
+spaces share; a ray computes its own Busemann values and limit audits.
+The tree module imports this one, so this one loads it only in
 :func:`space_from_json`, for a tree descriptor.
 
 Readers only parse: ``parse_point`` and ``parse_boundary`` check the JSON
-structure and the numbers.  The entry point that receives a value checks
-it, once (``check_point``, ``check_boundary``, ``check_target``), and
-hands it to the space methods, which compute and check nothing.  Values
+structure and the numbers.  The function that receives a value checks it,
+once (``check_point``, ``check_boundary``, ``check_target``), and hands it
+to the space methods and the rays, which compute and check nothing.  Values
 the library builds itself (ray points, samples, images under an isometry,
 probe ends) are valid by construction; a ray is checked only to belong to
 the space.
@@ -25,8 +26,8 @@ A generalized ray is a unit-speed geodesic ray, or a geodesic segment held
 constant after its endpoint (the degenerate case, with the stopping
 parameter stored as ``mu``).  The Busemann function of a ray is
 ``beta(b) = lim_t (d(ray(0), ray(t)) - d(b, ray(t)))``; each space has a
-closed form, and :func:`busemann_limit_audit` evaluates the defining limit
-directly so the two can be checked against each other.
+closed form, and :meth:`GeneralizedRay.limit_audit` evaluates the defining
+limit directly so the two can be checked against each other.
 
 Values are immutable and the functions pure; tree expansion is lazy but
 deterministic and replayable, with no caller-visible state.  The samplers
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,6 +60,8 @@ REGION_BUDGET = 8**6
 # The H2 closed forms square coordinates in binary64: |Re z|, Im z, 1 / Im z
 # and |xi| at most H2_LIMIT keep the squares finite and nonzero (1e154 not).
 H2_LIMIT = 1e153
+# H2_LIMIT as an exact rational, for ends given as ints or Fractions.
+H2_LIMIT_EXACT = Fraction(H2_LIMIT)
 
 Real = Union[int, float, Fraction]
 
@@ -71,20 +75,20 @@ class ModelSpace:
     :class:`HyperbolicPlane`, or a tree model of :mod:`trees`
     (``RegularTree``, ``CayleyTree``, ``HnnTree``, whose base
     ``TreeModel`` computes these operations from each model's local
-    structure).  Each subclass implements the per-space operations that the
-    entry points below dispatch to: ``check_point`` and ``check_boundary``
-    (each returns the value it checked), ``check_target`` (a ray's target,
-    an end or a point), ``origin``, ``to_json`` (the form that
-    :func:`space_from_json` reads back), the JSON readers
-    (``parse_point``, ``parse_boundary``, ``parse_scalar``), ``distance``,
-    ``ray_from``, ``ray_point``, ``busemann_to_end`` (the closed form
-    toward a boundary point), one seeded draw of a point
-    (``sample_point``) or an end (``sample_end``), and the cocompactness
-    helpers ``orbit_key``, ``region`` (with ``region_unit``, what it counts
-    against ``REGION_BUDGET``) and ``probe_ends(center, far_point)``.
+    structure).  Each subclass implements the per-space operations:
+    ``check_point`` and ``check_boundary`` (each returns the value it
+    checked), ``check_target`` (a ray's target, an end or a point),
+    ``origin``, ``to_json`` (the form that :func:`space_from_json` reads
+    back), the JSON readers (``parse_point``, ``parse_boundary``,
+    ``parse_scalar``), ``distance``, ``ray_from``, ``ray_point``,
+    ``busemann_to_end`` (the closed form toward a boundary point), one
+    seeded draw of a point (``sample_point``) or an end (``sample_end``),
+    and the cocompactness helpers ``orbit_key``, ``region`` (with
+    ``region_unit``, what it counts against ``REGION_BUDGET``) and
+    ``probe_ends(center, far_point)``.
 
-    The readers only parse, and the entry point that receives a value
-    checks it.  The methods take points and ends already returned by
+    The readers only parse, and the function that receives a value checks
+    it.  The methods take points and ends already returned by
     ``check_point``, ``check_boundary`` or ``check_target`` (or built by the
     space itself) and do not check them again; ``check_ray`` rejects a ray
     of another space.
@@ -134,7 +138,7 @@ class EDirection:
 
     def __init__(self, vector):
         v = tuple(float(c) for c in vector)
-        n = math.sqrt(sum(c * c for c in v))
+        n = _norm(v)
         if not abs(n - 1.0) <= 1e-12:  # also for a NaN coordinate
             raise WrongSpace(f"boundary direction {v} is not a unit vector")
         object.__setattr__(self, "vector", v)
@@ -281,7 +285,7 @@ class HyperbolicPlane(ModelSpace):
         # Also rejects NaN and -inf.
         if not isinstance(e, (int, float, Fraction)) or not abs(e) < math.inf:
             raise WrongSpace(f"boundary of H2 is R plus infinity, got {e!r}")
-        if abs(e) > H2_LIMIT:
+        if abs(e) > (H2_LIMIT if isinstance(e, float) else H2_LIMIT_EXACT):
             raise WrongSpace(f"boundary of H2 is R plus infinity, with |xi| <= {H2_LIMIT:g} here, got {e!r}")
         return e
 
@@ -317,15 +321,17 @@ class HyperbolicPlane(ModelSpace):
             geo = _h2_geodesic_through(a, e.real, abs(e) ** 2)
             sign = +1 if geo.param(e) >= geo.param(a) else -1
             return GeneralizedRay(self, a, e, mu, (geo, sign))
-        geo, sign = _h2_geodesic_to_boundary(a, e)
-        return GeneralizedRay(self, a, e, None, (geo, sign))
+        x = None if e == H2_INFINITY else float(e)
+        geo, sign = _h2_geodesic_to_boundary(a, x)
+        return GeneralizedRay(self, a, e, None, (geo, sign, x, _h2_poisson_log(a, x)))
 
     def ray_point(self, ray, t):
-        geo, sign = ray._param
+        geo, sign = ray._param[:2]
         return geo.point(geo.param(ray.base) + sign * float(t))
 
     def busemann_to_end(self, ray, b):
-        return _h2_busemann(ray.end, ray.base, b)
+        _, _, x, base_term = ray._param
+        return _h2_busemann(x, base_term, ray.base, b)
 
     def sample_point(self, center, radius, rng):
         xi = math.tan(rng.uniform(-1.5, 1.5))
@@ -361,27 +367,28 @@ def space_from_json(data) -> ModelSpace:
 
 
 # ---------------------------------------------------------------------------
-# Vector helpers (Euclidean)
+# Vector helpers (Euclidean).  Each does its float operations in the order
+# of a loop over the coordinates; math.dist, hypot and fsum round differently.
 
 
 def _norm(v) -> float:
-    return math.sqrt(sum(c * c for c in v))
+    return math.sqrt(sum(map(operator.mul, v, v)))
 
 
 def _sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def _add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def _scale(v, s):
-    return tuple(s * c for c in v)
+    return tuple(map(operator.mul, itertools.repeat(s), v))
 
 
 def _dot(a, b) -> float:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
 def direction(v) -> tuple:
@@ -411,18 +418,27 @@ def _h2_distance(z: complex, w: complex) -> float:
     return d
 
 
-def _h2_busemann(xi, base: complex, z: complex) -> float:
-    """log of the Poisson-kernel quotient: the Busemann function toward xi
-    vanishing at the base point."""
-    if xi == H2_INFINITY:
-        return math.log(z.imag) - math.log(base.imag)
-    x = float(xi)
+def _h2_poisson_log(z: complex, x: Optional[float]) -> Optional[float]:
+    """log of the Poisson kernel Im z / |z - x|^2 toward the end x (log Im z
+    toward infinity, x = None); None when the square passes binary64 or the
+    quotient underflows to 0 (whose log raises ValueError)."""
+    if x is None:
+        return math.log(z.imag)
     try:
-        return math.log(z.imag / abs(z - x) ** 2) - math.log(base.imag / abs(base - x) ** 2)
+        return math.log(z.imag / abs(z - x) ** 2)
     except (OverflowError, ValueError):
-        # A square past binary64, or a quotient that underflows to 0 (whose
-        # log raises ValueError): the same value from logs, with no square.
-        return (math.log(z.imag) - 2.0 * math.log(abs(z - x))) - (math.log(base.imag) - 2.0 * math.log(abs(base - x)))
+        return None
+
+
+def _h2_busemann(x: Optional[float], base_term: Optional[float], base: complex, z: complex) -> float:
+    """log of the Poisson-kernel quotient: the Busemann function toward the
+    end x (None for infinity) vanishing at the base point, whose term
+    :func:`_h2_poisson_log` the ray holds."""
+    term = _h2_poisson_log(z, x)
+    if term is not None and base_term is not None:
+        return term - base_term
+    # Either term left binary64: the same value from logs, with no square.
+    return (math.log(z.imag) - 2.0 * math.log(abs(z - x))) - (math.log(base.imag) - 2.0 * math.log(abs(base - x)))
 
 
 # A complete hyperbolic geodesic: a vertical line or a semicircle centered
@@ -481,12 +497,12 @@ def _h2_geodesic_through(z: complex, x: float, square: float):
     return _H2Circle(c, abs(z - complex(c, 0.0)))
 
 
-def _h2_geodesic_to_boundary(z: complex, xi):
-    """The complete geodesic through z with one endpoint xi, plus the sign
-    (+1/-1) of the unit-speed coordinate moving toward xi."""
-    if xi == H2_INFINITY:
+def _h2_geodesic_to_boundary(z: complex, x: Optional[float]):
+    """The complete geodesic through z with one endpoint x (None for
+    infinity), plus the sign (+1/-1) of the unit-speed coordinate moving
+    toward x."""
+    if x is None:
         return _H2Vertical(z.real), +1
-    x = float(xi)
     geo = _h2_geodesic_through(z, x, x * x)
     return geo, (+1 if isinstance(geo, _H2Circle) and x < geo.center else -1)
 
@@ -502,9 +518,12 @@ class GeneralizedRay:
     ``end`` is a point of the space or a boundary point; ``mu`` is the
     stopping parameter for the degenerate case (the ray is constant from mu
     on) and None for a genuine ray.  ``_param`` is the space's closed-form
-    data, computed once with the ray: the unit direction on E^k, the
-    geodesic and its sign on H2, and the base's horofunction height toward
-    the end on a tree.
+    data, computed once with the ray: the unit direction on E^k; the
+    geodesic and its sign on H2, and toward a boundary point also the end as
+    a float (None for infinity) and the base's Poisson term
+    (:func:`_h2_poisson_log`, None where it leaves binary64, so that a ray
+    equals itself); and the base's horofunction height toward the end on a
+    tree.
     """
 
     space: ModelSpace
@@ -529,72 +548,38 @@ class GeneralizedRay:
         return min(t, self.mu) if self.is_degenerate else t
 
     def busemann(self, b):
-        """Closed-form Busemann value at b, a point already checked (see
-        :func:`busemann`, which checks it)."""
+        """Closed-form Busemann value at b, a point already checked.
+
+        Degenerate rays use mu - d(b, ray(mu)).  Otherwise: the inner
+        product with the direction on E^k; a logarithmic density quotient on
+        H2; and on trees h(ray(0)) - h(b) for the horofunction height h
+        toward the end (:meth:`trees.TreeModel.point_height`).  The closed
+        horoball at level s is the set where this is >= s; for a degenerate
+        ray, the closed ball of radius mu - s around the tip.
+        """
         if self.is_degenerate:
             return self.mu - self.space.distance(b, self.point_at(self.mu))
         return self.space.busemann_to_end(self, b)
 
     def limit_audit(self, b, schedule: Sequence[Real]):
-        """The defining limit at b, a point already checked, along the
-        schedule (see :func:`busemann_limit_audit`, which checks it)."""
+        """The defining limit d(ray(0), ray(t)) - d(b, ray(t)) at b, a point
+        already checked, along a schedule of parameters, as (t, value) pairs.
+
+        The sequence is nondecreasing and bounded above by d(ray(0), b); for
+        degenerate rays it is constant from mu on.  Deliberately uses only
+        the metric, no closed forms, so it can audit :meth:`busemann`.
+        """
         return [(t, self.arc_from_base(t) - self.space.distance(b, self.point_at(t))) for t in schedule]
 
 
 # ---------------------------------------------------------------------------
-# Entry points: distances and rays
-
-
-def distance(M: ModelSpace, a, b):
-    return M.distance(M.check_point(a), M.check_point(b))
+# Entry point: rays
 
 
 def ray_from(M: ModelSpace, a, e) -> GeneralizedRay:
     """The unique generalized ray from a to e (a point of M or of its
     boundary); both are checked here."""
     return M.ray_from(M.check_point(a), M.check_target(e))
-
-
-# ---------------------------------------------------------------------------
-# Busemann functions and horoballs
-
-
-def busemann(M: ModelSpace, ray: GeneralizedRay, b):
-    """Closed-form Busemann value of the ray at b.
-
-    Degenerate rays use mu - d(b, ray(mu)).  Otherwise: the inner product
-    with the direction on E^k; a logarithmic density quotient on H2; and on
-    trees h(ray(0)) - h(b) for the horofunction height h toward the end
-    (:meth:`trees.TreeModel.point_height`).
-    """
-    return M.check_ray(ray).busemann(M.check_point(b))
-
-
-def busemann_limit_audit(M: ModelSpace, ray: GeneralizedRay, b, schedule: Sequence[Real]):
-    """Evaluate the defining limit d(ray(0), ray(t)) - d(b, ray(t)) along a
-    schedule of parameters.  Returns the list of (t, value) pairs.
-
-    The sequence is nondecreasing and bounded above by d(ray(0), b); for
-    degenerate rays it is constant from mu on.  Deliberately uses only the
-    metric, no closed forms, so it can audit :func:`busemann`.
-    """
-    return M.check_ray(ray).limit_audit(M.check_point(b), schedule)
-
-
-@dataclass(frozen=True)
-class Horoball:
-    """Sublevel data (ray, s) for the closed horoball at level s: the set
-    where the Busemann function of the ray is >= s."""
-
-    ray: GeneralizedRay
-    level: Real
-
-
-def horoball_contains(M: ModelSpace, H: Horoball, b) -> bool:
-    """Membership decided through the Busemann function only.  For a
-    degenerate ray this is exactly the closed ball of radius mu - s around
-    the tip."""
-    return busemann(M, H.ray, b) >= H.level
 
 
 # ---------------------------------------------------------------------------

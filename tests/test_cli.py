@@ -333,6 +333,24 @@ def test_a_picture_is_refused_before_anything_is_computed(monkeypatch, tmp_path)
     assert dict(calls) == {} and not svg.exists()
 
 
+def test_a_picture_of_an_empty_complement_shows_the_empty_sphere(tmp_path):
+    # The rank comes from the data, not from a first point: with no
+    # complement the picture is the empty S^0, S^1 or S^2, and the report is
+    # the one without --svg plus the file name.
+    from cat0sigma.svg import render_sphere_svg
+
+    for k in (1, 2, 3):
+        data = write(tmp_path, f"empty{k}.json", {"k": k, "complement": [], "splitting_character": ["1"] + ["0"] * (k - 1)})
+        svg = tmp_path / f"empty{k}.svg"
+        code, plain, _ = run_cli(["mfpr", "--data", data])
+        assert code == 0
+        code, out, _ = run_cli(["mfpr", "--data", data, "--svg", str(svg)])
+        assert code == 0
+        report = json.loads(out)
+        assert report.pop("svg") == str(svg) and report == json.loads(plain)
+        assert svg.read_text(encoding="utf-8") == render_sphere_svg(k, [])
+
+
 def count_raag_calls(monkeypatch) -> dict:
     """Counters on raag.flag_complex and the homology function that raag
     calls, wherever raag or the CLI holds them."""
@@ -544,8 +562,8 @@ def test_package_exports_and_suite_names():
     # The package holds no table of names: each is imported from the
     # submodule that defines it.
     with pytest.raises(ImportError):
-        from cat0sigma import busemann  # noqa: F401
-    from cat0sigma.spaces import busemann  # noqa: F401
+        from cat0sigma import ray_from  # noqa: F401
+    from cat0sigma.spaces import ray_from  # noqa: F401
     assert cli.SUITE_NAMES == tuple(sorted(verify.SUITES))
 
 

@@ -101,11 +101,8 @@ SPACE_MODULES = ("spaces.py", "trees.py")
 # The space methods that compute with checked points.
 COMPUTING_METHODS = {"distance", "ray_point", "busemann_to_end"}
 CHECKING_SPACES = {
-    # The entry points, each for the points from its caller.
-    "distance",
+    # The entry point of rays, for the base from its caller.
     "ray_from",
-    "busemann",
-    "busemann_limit_audit",
     # The checked entry to the seeded point stream, for its center.  The
     # library functions that checked their center where it entered draw
     # from the unchecked stream instead.
@@ -148,7 +145,7 @@ ACTIONS_CHECKING_ENDS = {
 ACTIONS_CHECKING_TARGETS = {"psi_cocycle", "shift_report", "iterate_shift_check", "local_busemann_audit"}
 # The entry points of spaces that check what they are given; actions calls
 # the space methods and the rays' busemann instead.
-CHECKING_ENTRY_POINTS = {"distance", "ray_from", "busemann", "busemann_limit_audit", "angular_distance", "tits_distance"}
+CHECKING_ENTRY_POINTS = {"ray_from", "angular_distance", "tits_distance"}
 
 
 def test_guard_finds_check_point_callers():
@@ -369,14 +366,16 @@ def _end(M):
 
 
 ENTRY_POINTS = {
-    "distance": lambda M, bad: sp.distance(M, M.origin(), bad),
+    # The busemann command and verify compute distances, Busemann values and
+    # limit audits with the methods, on points checked once by check_point.
+    "distance": lambda M, bad: M.distance(M.origin(), M.check_point(bad)),
     "ray_from": lambda M, bad: sp.ray_from(M, bad, _end(M)),
     # The point at t on the geodesic from a to b is the point at t of the
     # ray from a to b, which checks b as its target.
     "geodesic_point": lambda M, bad: sp.ray_from(M, M.origin(), bad).point_at(0),
-    "busemann": lambda M, bad: sp.busemann(M, sp.ray_from(M, M.origin(), _end(M)), bad),
-    "busemann-degenerate": lambda M, bad: sp.busemann(M, sp.ray_from(M, M.origin(), M.origin()), bad),
-    "busemann_limit_audit": lambda M, bad: sp.busemann_limit_audit(M, sp.ray_from(M, M.origin(), _end(M)), bad, [0, 1]),
+    "busemann": lambda M, bad: sp.ray_from(M, M.origin(), _end(M)).busemann(M.check_point(bad)),
+    "busemann-degenerate": lambda M, bad: sp.ray_from(M, M.origin(), M.origin()).busemann(M.check_point(bad)),
+    "busemann_limit_audit": lambda M, bad: sp.ray_from(M, M.origin(), _end(M)).limit_audit(M.check_point(bad), [0, 1]),
     "GroupAction.apply": lambda M, bad: actions.GroupAction(M, {}).apply("", bad),
     "ControlConfiguration": lambda M, bad: actions.ControlConfiguration(M, {"x": M.origin(), "y": bad}),
     "cocompactness_witness": lambda M, bad: actions.cocompactness_witness(actions.GroupAction(M, {}), bad, 1, depth=1),

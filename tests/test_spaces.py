@@ -3,6 +3,7 @@ boundary metrics.  Derived expected values are frozen from independent oracles n
 in the comments."""
 
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -13,14 +14,9 @@ from cat0sigma.spaces import (
     EDirection,
     EuclideanSpace,
     H2_INFINITY,
-    Horoball,
     HyperbolicPlane,
     angular_distance,
     asymptotic_offset,
-    busemann,
-    busemann_limit_audit,
-    distance,
-    horoball_contains,
     ray_from,
     tits_distance,
 )
@@ -48,18 +44,33 @@ def h2_vertical_length(y1: float, y2: float, steps: int = 200_000) -> float:
 
 
 def test_distance_examples():
-    assert distance(E2, (0, 0), (3, 4)) == 5.0
+    assert E2.distance((0, 0), (3, 4)) == 5.0
     # Oracle: quadrature of the hyperbolic line element along the vertical.
-    assert abs(distance(H2, 1j, 2j) - h2_vertical_length(1.0, 2.0)) < 1e-9
-    assert abs(distance(H2, 1j, 2j) - math.log(2)) < 1e-12
-    assert distance(TR, TreePoint((0, 0)), TreePoint((0, 1))) == 2
+    assert abs(H2.distance(1j, 2j) - h2_vertical_length(1.0, 2.0)) < 1e-9
+    assert abs(H2.distance(1j, 2j) - math.log(2)) < 1e-12
+    assert TR.distance(TreePoint((0, 0)), TreePoint((0, 1))) == 2
 
 
 def test_distance_errors():
     with pytest.raises(WrongSpace):
-        distance(E2, (0, 0, 0), (1, 1, 1))
+        E2.check_point((0, 0, 0))
     with pytest.raises(WrongSpace):
-        distance(H2, complex(0, -1), 1j)
+        H2.check_point(complex(0, -1))
+
+
+def test_euclidean_kernels_match_the_coordinate_loops(rng):
+    # The map kernels do the float operations of the loops they replace, in
+    # the same order, so the values are the same floats.
+    for k in (1, 2, 3, 7):
+        for _ in range(200):
+            a = tuple(rng.uniform(-1e3, 1e3) * 10.0 ** rng.randrange(-8, 9) for _ in range(k))
+            b = tuple(rng.uniform(-1e3, 1e3) for _ in range(k))
+            assert sp._norm(a).hex() == math.sqrt(sum(c * c for c in a)).hex()
+            assert sp._sub(a, b) == tuple(x - y for x, y in zip(a, b))
+            assert sp._add(a, b) == tuple(x + y for x, y in zip(a, b))
+            assert sp._dot(a, b).hex() == sum(x * y for x, y in zip(a, b)).hex()
+            for s in (rng.uniform(-5, 5), 3, F(1, 3)):
+                assert sp._scale(a, s) == tuple(s * c for c in a)
 
 
 def test_geodesic_point_examples():
@@ -75,11 +86,11 @@ def test_geodesic_point_examples():
 
 def test_geodesic_point_is_unit_speed_on_h2_circle():
     a, b = complex(-1, 1), complex(2, 0.5)
-    total = distance(H2, a, b)
+    total = H2.distance(a, b)
     for frac in [0.25, 0.5, 0.9]:
         z = ray_from(H2, a, b).point_at(frac * total)
-        assert abs(distance(H2, a, z) - frac * total) < 1e-9
-        assert abs(distance(H2, z, b) - (1 - frac) * total) < 1e-9
+        assert abs(H2.distance(a, z) - frac * total) < 1e-9
+        assert abs(H2.distance(z, b) - (1 - frac) * total) < 1e-9
 
 
 def test_distance_triangle_inequality_seeded(space, rng):
@@ -87,11 +98,11 @@ def test_distance_triangle_inequality_seeded(space, rng):
     pts = sp.sample_points_near(space, space.origin(), 12, radius=3.0, seed=9)
     for _ in range(40):
         a, b, c = rng.sample(pts, 3)
-        dab = distance(space, a, b)
-        dba = distance(space, b, a)
+        dab = space.distance(a, b)
+        dba = space.distance(b, a)
         assert dab == dba if exact else abs(dab - dba) <= 1e-9
         slack = 0 if exact else 1e-9
-        assert dab <= distance(space, a, c) + distance(space, c, b) + slack
+        assert dab <= space.distance(a, c) + space.distance(c, b) + slack
 
 
 def test_cat0_midpoint_comparison(space, rng):
@@ -101,13 +112,13 @@ def test_cat0_midpoint_comparison(space, rng):
     pts = sp.sample_points_near(space, space.origin(), 9, radius=2.5, seed=17)
     for _ in range(20):
         a, b, c = rng.sample(pts, 3)
-        dab, dac = distance(space, a, b), distance(space, a, c)
+        dab, dac = space.distance(a, b), space.distance(a, c)
         if dab == 0 or dac == 0:
             continue
         m1 = ray_from(space, a, b).point_at(dab / 2 if not exact else F(dab, 2))
         m2 = ray_from(space, a, c).point_at(dac / 2 if not exact else F(dac, 2))
-        lhs = distance(space, m1, m2)
-        rhs = distance(space, b, c) / 2 if not exact else F(distance(space, b, c), 2)
+        lhs = space.distance(m1, m2)
+        rhs = space.distance(b, c) / 2 if not exact else F(space.distance(b, c), 2)
         if isinstance(space, EuclideanSpace):
             assert abs(lhs - rhs) <= 1e-9
         else:
@@ -127,7 +138,7 @@ def test_ray_examples():
     up = ray_from(H2, 2j, H2_INFINITY)
     for t in [0.5, 1.0, 2.0]:
         assert abs(up.point_at(t) - 2j * math.exp(t)) < 1e-9
-        assert abs(distance(H2, 2j, up.point_at(t)) - t) < 1e-12
+        assert abs(H2.distance(2j, up.point_at(t)) - t) < 1e-12
 
     tray = ray_from(TC, TreePoint(()), make_word_end((), (1,)))
     assert tray.point_at(F(3)) == TreePoint((1, 1, 1))
@@ -153,14 +164,14 @@ def test_h2_ray_toward_finite_point_lands_there():
 def test_busemann_frozen_examples():
     # E2, ray (t, 0), b = (3, 4): the limit t - d stabilizes at 3.
     ray = ray_from(E2, (0, 0), EDirection((1, 0)))
-    assert abs(busemann(E2, ray, (3, 4)) - 3.0) < 1e-12
+    assert abs(ray.busemann((3, 4)) - 3.0) < 1e-12
     # H2 vertical: oracle = finite-t limit, frozen value log 2.
     up = ray_from(H2, 1j, H2_INFINITY)
-    assert abs(busemann(H2, up, 2j) - math.log(2)) < 1e-12
+    assert abs(up.busemann(2j) - math.log(2)) < 1e-12
     # Tree: b hanging at distance 2 off gamma(3) gives 3 - 2 = 1.
     tray = ray_from(TC, TreePoint(()), make_word_end((), (1,)))
     hang = TreePoint((1, 1, 1, 2, 2))
-    assert busemann(TC, tray, hang) == 1
+    assert tray.busemann(hang) == 1
 
 
 def test_h2_busemann_where_the_square_leaves_binary64():
@@ -168,16 +179,69 @@ def test_h2_busemann_where_the_square_leaves_binary64():
     # underflows to 0, whose log raised ValueError.  |i - xi| is 1e153, so
     # the value is log(1e-153) - 2 log 2.
     ray = ray_from(H2, 1j, -1e153)
-    assert busemann(H2, ray, complex(1e153, 1e-153)) == pytest.approx(math.log(1e-153) - 2 * math.log(2))
+    assert ray.busemann(complex(1e153, 1e-153)) == pytest.approx(math.log(1e-153) - 2 * math.log(2))
 
 
 def test_h2_ray_whose_circle_center_leaves_binary64():
     # The geodesic from 1e152 i toward 1e-6 is a circle centered near
     # -5e309: the closed form answers, and a ray point is out of range.
     ray = ray_from(H2, 1e152j, F(1, 10**6))
-    assert busemann(H2, ray, 1j) == pytest.approx(152 * math.log(10))
+    assert ray.busemann(1j) == pytest.approx(152 * math.log(10))
     with pytest.raises(ParameterOutOfRange, match="center beyond binary64"):
         ray.point_at(1)
+
+
+def _two_point_h2_busemann(xi, base, z):
+    """The Busemann value toward xi vanishing at base, with both Poisson
+    terms computed for each value, and logs alone where a term leaves
+    binary64."""
+    if xi == H2_INFINITY:
+        return math.log(z.imag) - math.log(base.imag)
+    x = float(xi)
+    try:
+        return math.log(z.imag / abs(z - x) ** 2) - math.log(base.imag / abs(base - x) ** 2)
+    except (OverflowError, ValueError):
+        return (math.log(z.imag) - 2.0 * math.log(abs(z - x))) - (math.log(base.imag) - 2.0 * math.log(abs(base - x)))
+
+
+def test_h2_busemann_from_the_rays_terms_matches_the_two_point_formula():
+    # A ray to an end holds the end as a float and its base's Poisson term;
+    # each value is the same float as the two-point formula, also where a
+    # term underflows and the logs take over.  Bases and points reach
+    # H2_LIMIT in every direction.
+    L = sp.H2_LIMIT
+    reals, heights = (-L, -1e150, -1.0, 0.0, 0.5, 1e150, L), (1 / L, 1e-150, 1.0, 3.0, 1e150, L)
+    points = [complex(x, y) for x in reals for y in heights]
+    ends = [H2_INFINITY, 0, F(0), 0.0, 1, F(-1, 3), 0.75, 10**150, -(10**150), F(10**150), F(-(10**150)), 1e150, -1e150]
+    ends += [F(L), -L]
+    fallbacks = 0
+    for xi in ends:
+        for base in points:
+            ray = ray_from(H2, base, xi)
+            for z in points:
+                assert ray.busemann(z).hex() == _two_point_h2_busemann(xi, base, z).hex(), (xi, base, z)
+                x = None if xi == H2_INFINITY else float(xi)
+                fallbacks += sp._h2_poisson_log(base, x) is None or sp._h2_poisson_log(z, x) is None
+    assert fallbacks > 100
+
+
+def test_h2_end_limit_is_exact_for_ints_and_fractions():
+    limit = F(sp.H2_LIMIT)
+    for good in (limit, -limit, int(limit), sp.H2_LIMIT, -sp.H2_LIMIT):
+        assert H2.check_boundary(good) == good
+    for bad in (limit + 1, -(limit + 1), int(limit) + 1, math.nextafter(sp.H2_LIMIT, math.inf)):
+        message = f"boundary of H2 is R plus infinity, with |xi| <= 1e+153 here, got {bad!r}"
+        with pytest.raises(WrongSpace, match=f"^{re.escape(message)}$"):
+            H2.check_boundary(bad)
+
+
+def test_h2_ray_whose_base_term_underflows_equals_itself():
+    # Im a / |a - xi|^2 = 1e-153 / 1e306 underflows: the ray holds None
+    # there, not a NaN, so two rays built alike are equal.
+    base = complex(0.0, 1 / sp.H2_LIMIT)
+    ray = ray_from(H2, base, sp.H2_LIMIT)
+    assert ray._param[2:] == (sp.H2_LIMIT, None)
+    assert ray == ray_from(H2, base, sp.H2_LIMIT)
 
 
 def test_tree_busemann_agrees_with_far_point_formula(rng):
@@ -190,10 +254,10 @@ def test_tree_busemann_agrees_with_far_point_formula(rng):
             b = sp.sample_points_near(T, T.origin(), 1, radius=3.0, seed=600 + i)[0]
             end = sp.sample_boundary_points(T, 1, seed=700 + i)[0]
             ray = ray_from(T, base, end)
-            far = int(distance(T, base, b)) + 5
+            far = int(T.distance(base, b)) + 5
             y = ray.point_at(F(far))
-            expected = distance(T, base, y) - distance(T, b, y)
-            assert busemann(T, ray, b) == expected
+            expected = T.distance(base, y) - T.distance(b, y)
+            assert ray.busemann(b) == expected
 
 
 def test_busemann_limit_audit_monotone_bounded(space):
@@ -203,14 +267,14 @@ def test_busemann_limit_audit_monotone_bounded(space):
     ray = ray_from(space, base, end)
     b = sp.sample_points_near(space, base, 1, radius=3.0, seed=4)[0]
     schedule = list(range(0, 12)) if exact else [0.5, 1, 2, 4, 8, 16, 32]
-    seq = busemann_limit_audit(space, ray, b, schedule)
+    seq = ray.limit_audit(b, schedule)
     values = [v for _, v in seq]
-    top = distance(space, base, b)
+    top = space.distance(base, b)
     for i in range(len(values) - 1):
         assert values[i] <= values[i + 1] + (0 if exact else 1e-12)
     assert all(v <= top + (0 if exact else 1e-12) for v in values)
     if exact:
-        assert values[-1] == busemann(space, ray, b)
+        assert values[-1] == ray.busemann(b)
 
 
 def test_busemann_degenerate_formula(space):
@@ -220,29 +284,28 @@ def test_busemann_degenerate_formula(space):
     mu = ray.mu
     tip = ray.point_at(mu)
     b = pts[1]
-    expected = mu - distance(space, b, tip)
-    got = busemann(space, ray, b)
+    expected = mu - space.distance(b, tip)
+    got = ray.busemann(b)
     if space.exact:
         assert got == expected
     else:
         assert abs(got - expected) < 1e-9
     # Constant after mu.
-    seq = busemann_limit_audit(space, ray, b, [mu, mu + 1, mu + 2])
+    seq = ray.limit_audit(b, [mu, mu + 1, mu + 2])
     vals = [v for _, v in seq]
     assert max(vals) - min(vals) <= (0 if space.exact else 1e-12)
 
 
 def test_horoball_examples():
+    # The closed horoball at level s is where the Busemann value is >= s.
     ray = ray_from(E2, (0, 0), EDirection((1, 0)))
-    hb = Horoball(ray, 2.0)
-    assert horoball_contains(E2, hb, (3, 0)) is True
-    assert horoball_contains(E2, hb, (1, 5)) is False
+    assert ray.busemann((3.0, 0.0)) >= 2.0
+    assert not ray.busemann((1.0, 5.0)) >= 2.0
     # Degenerate horoball is the ball of radius mu - s around the tip.
     dray = ray_from(E2, (0, 0), (3, 0))
-    hb2 = Horoball(dray, 1.0)
-    assert horoball_contains(E2, hb2, (4.9, 0)) is True
-    assert horoball_contains(E2, hb2, (5.1, 0)) is False
-    assert horoball_contains(E2, hb2, (3.0, 1.9)) is True
+    assert dray.busemann((4.9, 0.0)) >= 1.0
+    assert not dray.busemann((5.1, 0.0)) >= 1.0
+    assert dray.busemann((3.0, 1.9)) >= 1.0
 
 
 def test_horoball_contains_balls_along_ray(space, rng):
@@ -250,12 +313,11 @@ def test_horoball_contains_balls_along_ray(space, rng):
     ray = ray_from(space, space.origin(), end)
     exact = space.exact
     s = F(1) if exact else 1.0
-    hb = Horoball(ray, s)
     for t in ([F(3), F(5)] if exact else [3.0, 5.0]):
         center = ray.point_at(t)
         for p in sp.sample_points_near(space, center, 4, radius=float(t - s) * 0.85, seed=5):
-            if distance(space, center, p) <= (t - s) - (0 if exact else 1e-9):
-                assert horoball_contains(space, hb, p)
+            if space.distance(center, p) <= (t - s) - (0 if exact else 1e-9):
+                assert ray.busemann(p) >= s
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +326,6 @@ def test_horoball_contains_balls_along_ray(space, rng):
 
 def test_ray_entry_points_reject_foreign_rays():
     r3 = ray_from(E3, (0, 0, 0), EDirection((1, 0, 0)))
-    with pytest.raises(WrongSpace, match="ray does not belong to the given space"):
-        busemann_limit_audit(E2, r3, (1, 1), [1, 10])
-    with pytest.raises(WrongSpace, match="ray does not belong to the given space"):
-        busemann(E2, r3, (1, 1))
     r2 = ray_from(E2, (0, 0), EDirection((1, 0)))
     with pytest.raises(WrongSpace, match="ray does not belong to the given space"):
         asymptotic_offset(E2, r2, r3)
@@ -277,13 +335,13 @@ def test_non_finite_values_are_not_points_or_ends():
     nan, inf = math.nan, math.inf
     for bad in ((nan, 0.0), (0.0, inf), (-inf, 1.0)):
         with pytest.raises(WrongSpace, match="non-finite coordinate"):
-            distance(E2, bad, (0, 0))
+            E2.check_point(bad)
     for bad in ((nan, 0.0), (inf, 0.0), (nan, nan)):
         with pytest.raises(WrongSpace, match="is not a unit vector"):
             EDirection(bad)
     for bad in (complex(nan, 1), complex(0, nan), complex(inf, 1), complex(0, inf)):
         with pytest.raises(WrongSpace, match="is not in the upper half-plane"):
-            distance(H2, bad, 1j)
+            H2.check_point(bad)
     for bad in (nan, -inf, F(10**400)):
         with pytest.raises(WrongSpace, match="boundary of H2 is R plus infinity"):
             ray_from(H2, 1j, bad)
@@ -336,5 +394,5 @@ def test_asymptotic_offset_all_spaces(space):
     r2 = ray_from(space, base2, end)
     c = asymptotic_offset(space, r1, r2, seed=2)
     probe = sp.sample_points_near(space, base1, 1, radius=3.0, seed=44)[0]
-    dev = (busemann(space, r1, probe) - busemann(space, r2, probe)) - c
+    dev = (r1.busemann(probe) - r2.busemann(probe)) - c
     assert abs(dev) <= (0 if space.exact else 1e-9)

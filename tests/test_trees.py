@@ -515,7 +515,8 @@ def test_busemann_value_reads_two_heights_and_no_ray_vertex(model, end, monkeypa
     # One value is the difference of two horofunction heights, at any merge
     # distance up to the depth budget (the Cayley word has length L + 5, the
     # down-end points lie at level L + 5).  The ray reads its base's height
-    # once, when it is built, and each value reads its point's.
+    # once, when it is built, and each value reads its point's.  The timed
+    # value includes the check of its point, as on the command line.
     calls = _count_calls(monkeypatch, (model, "ray_vertex"), (model, "height"))
     for L in (200, 10**5, DEPTH_BUDGET - 5):
         b = _deep_point(model, end, L)
@@ -523,10 +524,10 @@ def test_busemann_value_reads_two_heights_and_no_ray_vertex(model, end, monkeypa
         start = time.perf_counter()
         ray = sp.ray_from(model, model.origin(), end)
         assert calls == {"ray_vertex": 0, "height": 1}
-        assert sp.busemann(model, ray, b) == L - 5
+        assert ray.busemann(model.check_point(b)) == L - 5
         assert time.perf_counter() - start < 2.0
         assert calls == {"ray_vertex": 0, "height": 2}
-        assert sp.busemann(model, ray, b) == L - 5
+        assert ray.busemann(b) == L - 5
         assert calls == {"ray_vertex": 0, "height": 3}
 
 
@@ -545,11 +546,11 @@ def test_busemann_and_its_limit_audit_share_no_model_method(model, monkeypatch, 
     )
     heights = _count_calls(monkeypatch, (model, "height"), (model, "point_height"))
     rays = [sp.ray_from(model, base, end) for end in ends]
-    values = [sp.busemann(model, ray, b) for ray in rays for b in points]
+    values = [ray.busemann(b) for ray in rays for b in points]
     assert geodesic == {"meet": 0, "ray_vertex": 0, "ray_point_at": 0, "distance": 0}
     assert heights == {"height": len(rays) + len(values), "point_height": len(rays) + len(values)}
     heights.update(height=0, point_height=0)
-    limits = [sp.busemann_limit_audit(model, ray, b, [0, 1, 5, 12])[-1][1] for ray in rays for b in points]
+    limits = [ray.limit_audit(b, [0, 1, 5, 12])[-1][1] for ray in rays for b in points]
     assert heights == {"height": 0, "point_height": 0}
     assert geodesic["ray_point_at"] > 0 and geodesic["distance"] > 0
     assert limits == values
@@ -789,6 +790,54 @@ def test_integer_hnn_model_matches_the_fraction_formulas(case):
             assert pair(model.vertex_containing(end.value, level)) == ref.vertex_containing(end.value, level)
 
 
+def _listed_neighbors(model, v):
+    """The neighbours of v written out as a list, the children in order and
+    then the parent, from the definitions: reduced words one letter longer
+    or shorter, digit words, and the HNN balls of the fraction reference."""
+    if isinstance(model, HnnTree):
+        ref = _FractionHnn(model.index)
+        ball = (v.level, F(v.num, model.index**v.exp))
+        return [model.vertex(*w) for w in ref.children(ball) + [ref.ancestor(ball, 1)]]
+    if isinstance(model, CayleyTree):
+        letters = [*range(1, model.rank + 1), *range(-1, -model.rank - 1, -1)]
+        kids = [v + (x,) for x in letters if not v or x != -v[-1]]
+    else:
+        kids = [v + (i,) for i in range(model.degree if not v else model.degree - 1)]
+    return kids + [v[:-1]] if v else kids
+
+
+@pytest.mark.parametrize(
+    "model", [CayleyTree(2), RegularTree(3), HnnTree(2), HnnTree(3)], ids=["cayley2", "regular3", "hnn2", "hnn3"]
+)
+def test_one_neighbour_draw_matches_the_draw_from_the_list(model):
+    # A walk step draws the index of one neighbour and builds that one
+    # alone: the same vertices as rng.choice over the listed neighbours, and
+    # the generator left in the same state.  The HNN walks start below, at
+    # and above level 0, so they cross negative levels.
+    starts = [model.base_vertex()]
+    if isinstance(model, HnnTree):
+        starts += [model.vertex(-4, F(0)), model.vertex(3, F(5, model.index))]
+    for seed in range(12):
+        for start in starts:
+            by_list, by_index = random.Random(seed), random.Random(seed)
+            v = w = start
+            for _ in range(80):
+                v = by_list.choice(_listed_neighbors(model, v))
+                w = model.neighbor(w, by_index.choice(range(model.degree)))
+                assert v == w
+            assert by_list.getstate() == by_index.getstate()
+            assert model.neighbors(v) == _listed_neighbors(model, v)
+            # sample_point walks the same way, then draws an edge offset.
+            by_list, by_index = random.Random(seed), random.Random(seed)
+            v = start
+            for _ in range(by_list.randrange(0, 3)):
+                v = by_list.choice(_listed_neighbors(model, v))
+            up = by_list.choice(trees._SAMPLE_OFFSETS)
+            expected = TreePoint(v, up if model.parent(v) is not None else 0)
+            assert model.sample_point(TreePoint(start), 3.0, by_index) == expected
+            assert by_list.getstate() == by_index.getstate()
+
+
 def test_valuation_of_large_powers_from_the_bottom_and_the_top():
     # Long climbs are also tried from the top; the cofactor decides whether
     # that probe lands (small) or the climb finishes (large).
@@ -870,7 +919,7 @@ def test_busemann_heights_match_the_ray_point_evaluation(model):
         end = rng.choice(ends)
         base, b = point(end), point(end)
         ray = sp.ray_from(model, base, end)
-        assert sp.busemann(model, ray, b) == _ray_point_busemann(model, base, end, b), (base, end, b)
+        assert ray.busemann(b) == _ray_point_busemann(model, base, end, b), (base, end, b)
         kinds["up" if isinstance(end, HnnUp) else "other"] += 1
         kinds["offset"] += bool(base.up and b.up)
         # The ray leaves the base downward, across the base's own edge.

@@ -366,8 +366,8 @@ def _end(M):
 
 
 ENTRY_POINTS = {
-    # The busemann command and verify compute distances, Busemann values and
-    # limit audits with the methods, on points checked once by check_point.
+    # The busemann command computes distances, Busemann values and limit
+    # audits with the methods, on points it checked once with check_point.
     "distance": lambda M, bad: M.distance(M.origin(), M.check_point(bad)),
     "ray_from": lambda M, bad: sp.ray_from(M, bad, _end(M)),
     # The point at t on the geodesic from a to b is the point at t of the

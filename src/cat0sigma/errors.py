@@ -18,12 +18,8 @@ class WrongSpace(Cat0SigmaError):
 
 
 class ParameterOutOfRange(Cat0SigmaError):
-    """A geodesic parameter lies outside [0, d(a, b)], or a tree depth or
-    ray parameter exceeds ``trees.DEPTH_BUDGET``."""
-
-
-class NotAsymptotic(Cat0SigmaError):
-    """The two rays have different endpoints."""
+    """A ray parameter is negative, an H2 ray point lies beyond binary64, or
+    a tree depth or ray parameter exceeds ``trees.DEPTH_BUDGET``."""
 
 
 class UnknownGenerator(Cat0SigmaError):

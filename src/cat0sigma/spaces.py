@@ -8,8 +8,7 @@ Each space class owns its operations: distance, generalized rays, the
 closed forms of Busemann functions, boundary equality, the angular and
 Tits metrics, the seeded samplers, parsing of its points and ends, and the
 helpers of the cocompactness test.  The module-level functions
-(:func:`ray_from`, the boundary metrics, :func:`asymptotic_offset` and the
-samplers) are the public entry points and hold only the logic that all
+(:func:`ray_from` and the seeded samplers) hold only the logic that all
 spaces share; a ray computes its own Busemann values and limit audits.
 The tree module imports this one, so this one loads it only in
 :func:`space_from_json`, for a tree descriptor.
@@ -19,8 +18,8 @@ structure and the numbers.  The function that receives a value checks it,
 once (``check_point``, ``check_boundary``, ``check_target``), and hands it
 to the space methods and the rays, which compute and check nothing.  Values
 the library builds itself (ray points, samples, images under an isometry,
-probe ends) are valid by construction; a ray is checked only to belong to
-the space.
+probe ends, rays) are valid by construction.  :func:`ray_from` is the one
+entry point here that checks what it is given.
 
 A generalized ray is a unit-speed geodesic ray, or a geodesic segment held
 constant after its endpoint (the degenerate case, with the stopping
@@ -44,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .errors import NotAsymptotic, ParameterOutOfRange, WrongSpace
+from .errors import ParameterOutOfRange, WrongSpace
 from .jsonio import parse_fraction, parse_real, read_field
 
 GLOBAL_TOL = 1e-9
@@ -90,12 +89,14 @@ class ModelSpace:
     The readers only parse, and the function that receives a value checks
     it.  The methods take points and ends already returned by
     ``check_point``, ``check_boundary`` or ``check_target`` (or built by the
-    space itself) and do not check them again; ``check_ray`` rejects a ray
-    of another space.
+    space itself) and do not check them again.
 
     ``exact`` spaces (the trees) compute over Fractions with zero slack.
-    ``flat`` marks Euclidean space, whose boundary is a round sphere in
-    the Tits metric; on the others distinct boundary points span a
+    The angular distance of two ends is the supremum over base points of
+    the angle between their rays, and the Tits distance is its length
+    metric (infinity when no rectifiable path joins them).  ``flat`` marks
+    Euclidean space, whose boundary is a round sphere in the Tits metric,
+    where the two agree; on the others distinct boundary points span a
     geodesic line, so the angular metric is 0 or pi and the Tits metric 0
     or infinity, as the defaults below compute.
     """
@@ -110,11 +111,6 @@ class ModelSpace:
 
     def parse_scalar(self, data):
         return parse_real(data)
-
-    def check_ray(self, ray):
-        if ray.space is not self and ray.space.to_json() != self.to_json():
-            raise WrongSpace("ray does not belong to the given space")
-        return ray
 
     def boundary_equal(self, e, e2) -> bool:
         return e == e2
@@ -583,67 +579,12 @@ def ray_from(M: ModelSpace, a, e) -> GeneralizedRay:
 
 
 # ---------------------------------------------------------------------------
-# Boundary metrics
-
-
-def angular_distance(M: ModelSpace, e, e2) -> float:
-    """Supremum over base points of the angle between the representing rays.
-
-    On E^k this is the angle between the two directions.  On H2 and on
-    trees two distinct boundary points are joined by a bi-infinite
-    geodesic, and a base point on it sees them at comparison angle pi.
-    """
-    return M.angular_distance(M.check_boundary(e), M.check_boundary(e2))
-
-
-def tits_distance(M: ModelSpace, e, e2) -> float:
-    """Length metric of the angular metric on the boundary; infinity when
-    no rectifiable path joins the two points.  Coincides with the angular
-    distance on E^k; on H2 and trees the boundary is discrete: 0 or inf.
-    """
-    return M.tits_distance(M.check_boundary(e), M.check_boundary(e2))
-
-
-# ---------------------------------------------------------------------------
-# Asymptotic rays
-
-
-def asymptotic_offset(M: ModelSpace, ray1: GeneralizedRay, ray2: GeneralizedRay, seed: int = 0):
-    """The constant c with beta_ray1 - beta_ray2 = c, for rays with the same
-    endpoint.  Verified to GLOBAL_TOL on ten sampled points; raises
-    NotAsymptotic when the endpoints differ."""
-    ray1, ray2 = M.check_ray(ray1), M.check_ray(ray2)
-    if ray1.is_degenerate != ray2.is_degenerate:
-        raise NotAsymptotic("one ray is degenerate, the other is not")
-    if ray1.is_degenerate:
-        if M.distance(ray1.point_at(ray1.mu), ray2.point_at(ray2.mu)) > M.slack(1e-12):
-            raise NotAsymptotic("degenerate rays end at different points")
-    elif not M.boundary_equal(ray1.end, ray2.end):
-        raise NotAsymptotic(f"endpoints differ: {ray1.end!r} vs {ray2.end!r}")
-    c = ray1.busemann(ray2.base) - ray2.busemann(ray2.base)
-    worst = 0.0
-    for p in itertools.islice(unchecked_point_stream(M, ray1.base, 3.0, seed), 10):
-        dev = abs((ray1.busemann(p) - ray2.busemann(p)) - c)
-        worst = max(worst, float(dev))
-    if worst > GLOBAL_TOL:
-        raise AssertionError(f"Busemann difference deviates by {worst} from constancy")
-    return c
-
-
-# ---------------------------------------------------------------------------
 # Deterministic samplers (seeded; shared by audits and test suites)
-
-
-def sample_points_near(M: ModelSpace, center, count: int, radius: float = 3.0, seed: int = 0):
-    """The first count points of :func:`unchecked_point_stream` around
-    center, which is checked on the call, before any point is drawn."""
-    return list(itertools.islice(unchecked_point_stream(M, M.check_point(center), radius, seed), count))
 
 
 def unchecked_point_stream(M: ModelSpace, center, radius: float, seed: int):
     """The endless seeded stream of points within the given radius of a
-    center already checked, for the library functions that checked it
-    where it entered."""
+    center already checked where it entered, or built by the library."""
     rng = random.Random(str((seed, M.name, "points")))
     return (M.sample_point(center, radius, rng) for _ in itertools.count())
 

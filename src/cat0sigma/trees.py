@@ -434,11 +434,10 @@ class TreeModel(ModelSpace):
         return TreePoint(b, Fraction(den - rem, den))
 
     def walk_to_point(self, start: TreePoint, target: TreePoint, t: Fraction) -> TreePoint:
-        """Point at arc length t along the geodesic from start to target."""
+        """Point at arc length t along the geodesic from start to target, for
+        0 <= t <= d(start, target), as ``GeneralizedRay.point_at`` checks
+        and caps it."""
         t = Fraction(t)
-        total = self.distance(start, target)
-        if t < 0 or t > total:
-            raise ValueError(f"parameter {t} outside [0, {total}]")
         if start.vertex == target.vertex:
             sign = 1 if target.up > start.up else -1
             return TreePoint(start.vertex, start.up + sign * t)
@@ -459,10 +458,8 @@ class TreeModel(ModelSpace):
 
     def ray_point_at(self, base: TreePoint, end: TreeEnd, t: Fraction) -> TreePoint:
         """Point at arc length t >= 0 along the geodesic ray from base to an
-        end."""
+        end; ``GeneralizedRay.point_at`` checks the sign."""
         tn, td = t.as_integer_ratio()
-        if tn < 0:
-            raise ValueError("ray parameter must be nonnegative")
         v = base.vertex
         un, ud = base.up.as_integer_ratio()
         if un and self.level(self.ray_vertex(v, end, 1)) > self.level(v):

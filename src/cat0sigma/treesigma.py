@@ -35,7 +35,7 @@ WHOLE_BOUNDARY = "whole_boundary"
 SINGLETON = "singleton"
 EMPTY = "empty"
 
-# Rows of one degree table (tree-sigma and mfpr with --table or --csv).
+# Rows of one degree table (tree-sigma and mfpr with --table).
 TABLE_BUDGET = 10_000
 
 

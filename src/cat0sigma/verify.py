@@ -4,9 +4,10 @@ Each suite draws its instances from a seeded generator, so a (suite, seed)
 pair is fully reproducible, and returns a report with one line per checked
 property.  The command line exposes these through ``verify --suite``.
 Case counts and the tolerance GLOBAL_TOL are fixed, so the acceptance
-tests run exactly what ``verify`` runs.  The seeded samplers check each
-center they are given, and the suites compute with the space methods and
-the rays' Busemann values on the points and ends that the samplers built.
+tests run exactly what ``verify`` runs.  The suites draw their points from
+the unchecked seeded stream and compute with the space methods and the
+rays' Busemann values, since every point, end and ray they use is built by
+the library itself.
 """
 
 from __future__ import annotations
@@ -97,9 +98,21 @@ def _suite_spaces():
 
 
 def _random_ray(M, seed: int):
-    base = sp.sample_points_near(M, M.origin(), 1, radius=2.0, seed=seed)[0]
+    base = next(sp.unchecked_point_stream(M, M.origin(), 2.0, seed))
     end = sp.sample_boundary_points(M, 1, seed=seed)[0]
     return M.ray_from(base, end)
+
+
+def _rays_differ_by_a_constant(M, ray1, ray2, seed: int) -> bool:
+    """Whether beta_ray1 - beta_ray2 stays within GLOBAL_TOL of its value at
+    ray2's base on ten seeded points around ray1's base, as it does for two
+    rays to one end."""
+    c = ray1.busemann(ray2.base) - ray2.busemann(ray2.base)
+    worst = 0.0
+    for p in itertools.islice(sp.unchecked_point_stream(M, ray1.base, 3.0, seed), 10):
+        dev = abs((ray1.busemann(p) - ray2.busemann(p)) - c)
+        worst = max(worst, float(dev))
+    return worst <= GLOBAL_TOL
 
 
 def euclidean_limit_estimate(M, ray, b) -> float:
@@ -134,7 +147,7 @@ def suite_busemann(seed: int = 0) -> SuiteReport:
         exact = M.exact
         for i in range(100):
             ray = _random_ray(M, seed * 1000 + i)
-            b = sp.sample_points_near(M, M.origin(), 1, radius=3.0, seed=seed * 7 + i)[0]
+            b = next(sp.unchecked_point_stream(M, M.origin(), 3.0, seed * 7 + i))
             closed = ray.busemann(b)
             top = M.distance(ray.base, b)
 
@@ -168,22 +181,18 @@ def suite_busemann(seed: int = 0) -> SuiteReport:
                 hits_ray = ray.point_at(top) == b
                 bound.record((closed == top) == hits_ray)
 
-            b2 = sp.sample_points_near(M, M.origin(), 1, radius=3.0, seed=seed * 13 + i)[0]
+            b2 = next(sp.unchecked_point_stream(M, M.origin(), 3.0, seed * 13 + i))
             lhs = abs(closed - ray.busemann(b2))
             rhs = M.distance(b, b2)
             lipschitz.record(lhs <= rhs + M.slack(GLOBAL_TOL), float(lhs - rhs))
 
             if not ray.is_degenerate:
-                base2 = sp.sample_points_near(M, M.origin(), 1, radius=2.0, seed=seed * 17 + i)[0]
+                base2 = next(sp.unchecked_point_stream(M, M.origin(), 2.0, seed * 17 + i))
                 ray2 = M.ray_from(base2, ray.end)
-                try:
-                    sp.asymptotic_offset(M, ray, ray2, seed=seed)
-                    offset.record(True)
-                except AssertionError:
-                    offset.record(False)
+                offset.record(_rays_differ_by_a_constant(M, ray, ray2, seed))
 
             # Degenerate ray toward an interior point.
-            tip = sp.sample_points_near(M, M.origin(), 1, radius=2.0, seed=seed * 19 + i)[0]
+            tip = next(sp.unchecked_point_stream(M, M.origin(), 2.0, seed * 19 + i))
             dray = M.ray_from(b2, tip)
             mu = dray.mu
             horizon = [mu, mu + 1, mu + 3]
@@ -205,18 +214,16 @@ def suite_horoball(seed: int = 0) -> SuiteReport:
         for i in range(40):
             rng = random.Random(str((seed, "horoball", M.name, i)))
             ray = _random_ray(M, seed * 31 + i)
-            if ray.is_degenerate:
-                continue
             s1 = Fraction(rng.randrange(0, 3)) if exact else rng.uniform(0.0, 2.0)
             s2 = s1 + (Fraction(1) if exact else rng.uniform(0.1, 1.5))
-            for p in sp.sample_points_near(M, ray.point_at(s2 + 1), 5, radius=2.5, seed=seed + i):
+            for p in itertools.islice(sp.unchecked_point_stream(M, ray.point_at(s2 + 1), 2.5, seed + i), 5):
                 beta = ray.busemann(p)
                 if beta >= s2:
                     nesting.record(beta >= s1)
             t = s1 + (Fraction(2) if exact else 2.0)
             center = ray.point_at(t)
             radius = float(t - s1)
-            for p in sp.sample_points_near(M, center, 5, radius=radius * 0.9, seed=seed + i):
+            for p in itertools.islice(sp.unchecked_point_stream(M, center, radius * 0.9, seed + i), 5):
                 if M.distance(center, p) <= (t - s1) - M.slack(1e-9):
                     balls.record(ray.busemann(p) >= s1)
     return report
@@ -261,7 +268,7 @@ def suite_character(seed: int = 0) -> SuiteReport:
             err = abs(chi[g + h] - (chi[g] + chi[h]))
             additive.record(err <= M.slack(GLOBAL_TOL), float(err))
 
-            base2 = sp.sample_points_near(M, base, 1, radius=2.0, seed=seed * 3 + i)[0]
+            base2 = next(sp.unchecked_point_stream(M, base, 2.0, seed * 3 + i))
             err = abs(chi[g] - ac.character_at_end(action, end, base2, [g])[g])
             basefree.record(err <= M.slack(GLOBAL_TOL), float(err))
 
@@ -280,7 +287,7 @@ def suite_character(seed: int = 0) -> SuiteReport:
         rng = random.Random(str((seed, "cocycle", label)))
         for i in range(100):
             e = sp.sample_boundary_points(M, 1, seed=seed * 11 + i)[0]
-            a = sp.sample_points_near(M, M.origin(), 1, radius=2.0, seed=seed * 5 + i)[0]
+            a = next(sp.unchecked_point_stream(M, M.origin(), 2.0, seed * 5 + i))
             g = _random_word(rng, names, rng.randrange(1, 3))
             h = _random_word(rng, names, rng.randrange(1, 3))
             ha = action.apply(h, a)
@@ -309,7 +316,7 @@ def suite_character(seed: int = 0) -> SuiteReport:
 
 
 def _random_configuration(M, size: int, seed: int):
-    pts = sp.sample_points_near(M, M.origin(), size, radius=3.0, seed=seed)
+    pts = itertools.islice(sp.unchecked_point_stream(M, M.origin(), 3.0, seed), size)
     return ac.ControlConfiguration(M, {f"x{i}": p for i, p in enumerate(pts)})
 
 
@@ -379,7 +386,7 @@ def suite_audits(seed: int = 0) -> SuiteReport:
         exact = M.exact
         for i in range(100):
             rng = random.Random(str((seed, "audit", M.name, i)))
-            c = sp.sample_points_near(M, M.origin(), 1, radius=1.5, seed=seed * 43 + i)[0]
+            c = next(sp.unchecked_point_stream(M, M.origin(), 1.5, seed * 43 + i))
             ends = sp.sample_boundary_points(M, 2, seed=seed * 47 + i)
             if exact:
                 r = Fraction(rng.randrange(1, 4))
@@ -409,15 +416,15 @@ def suite_tits(seed: int = 0) -> SuiteReport:
     for M in _suite_spaces():
         for i in range(100):
             es = sp.sample_boundary_points(M, 2, seed=seed * 53 + i)
-            td = sp.tits_distance(M, es[0], es[1])
-            ang = sp.angular_distance(M, es[0], es[1])
+            td = M.tits_distance(es[0], es[1])
+            ang = M.angular_distance(es[0], es[1])
             if M.flat:
                 euclid.record(abs(td - ang) <= GLOBAL_TOL, abs(td - ang))
             else:
                 same = M.boundary_equal(es[0], es[1])
                 discrete.record(td == (0.0 if same else math.inf))
             dominates.record(td >= ang - GLOBAL_TOL)
-            dominates.record(sp.tits_distance(M, es[0], es[0]) <= GLOBAL_TOL)
+            dominates.record(M.tits_distance(es[0], es[0]) <= GLOBAL_TOL)
     return report
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -16,6 +17,11 @@ def all_spaces():
         HnnTree(2),
         HnnTree(3),
     ]
+
+
+def stream_points(M, center, count, radius=3.0, seed=0):
+    """The first count points of the seeded stream around a valid center."""
+    return list(itertools.islice(sp.unchecked_point_stream(M, center, radius, seed), count))
 
 
 def space_id(m):

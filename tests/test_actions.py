@@ -241,7 +241,7 @@ def test_psi_cocycle_identity(rng):
     act = GroupAction.moebius({"s": [[0, -1], [1, 0]], "p": [[1, 1], [0, 1]]})
     for i in range(40):
         e = sp.sample_boundary_points(act.space, 1, seed=100 + i)[0]
-        a = sp.sample_points_near(act.space, 1j, 1, radius=2.0, seed=200 + i)[0]
+        a = next(sp.unchecked_point_stream(act.space, 1j, 2.0, 200 + i))
         g = "".join(rng.choice("spSP") for _ in range(rng.randrange(1, 3)))
         h = "".join(rng.choice("spSP") for _ in range(rng.randrange(1, 3)))
         lhs = psi_cocycle(act, e, g + h, a)
@@ -400,7 +400,7 @@ def test_cocompactness_scan_matches_all_pairs(kind, draw, depth, radius, seed):
     action = SCAN_ACTIONS[kind](rng)
     base = action.space.origin()
     if draw % 2:
-        base = sp.sample_points_near(action.space, base, 1, radius=2.0, seed=draw)[0]
+        base = next(sp.unchecked_point_stream(action.space, base, 2.0, draw))
     verdict = cocompactness_witness(action, base, radius, depth=depth, seed=seed)
     with mock.patch.object(actions, "_directed_hausdorff", _all_pairs_max_min):
         reference = cocompactness_witness(action, base, radius, depth=depth, seed=seed)

@@ -110,11 +110,13 @@ def test_no_package_module_defines_the_join_twin():
 
 def test_no_package_module_defines_a_second_path():
     # Each of these answered a question that another entry answers: the
-    # stream that sample_points_near checks, meet and point_distance, the
-    # valuation, contains(normalize_ray(chi)), the H2 angle's closed form
-    # and GroupAction.translation_vectors.
+    # seeded stream (unchecked_point_stream, twice: the stream and a checked
+    # sampler of its first points), meet and point_distance, the valuation,
+    # contains(normalize_ray(chi)), the H2 angle's closed form and
+    # GroupAction.translation_vectors.
     seconds = {
         "point_stream",
+        "sample_points_near",
         "vertex_distance",
         "contains_value",
         "contains_character",

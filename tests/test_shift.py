@@ -21,6 +21,7 @@ from cat0sigma.actions import (
 from cat0sigma.errors import EmptyConfiguration, NotClosed, WrongSpace
 from cat0sigma.spaces import EDirection, EuclideanSpace, H2_INFINITY, HyperbolicPlane
 from cat0sigma.trees import CayleyTree, HnnTree, HnnUp, TreeModel, TreePoint, make_word_end
+from conftest import stream_points
 
 E2 = EuclideanSpace(2)
 
@@ -55,7 +56,7 @@ def test_tree_step_toward_end_shifts_exactly_one():
 
 def test_shift_bound_holds_in_type(space):
     base = space.origin()
-    pts = sp.sample_points_near(space, base, 5, radius=3.0, seed=91)
+    pts = stream_points(space, base, 5, radius=3.0, seed=91)
     cfg = ControlConfiguration(space, {i: p for i, p in enumerate(pts)})
     end = sp.sample_boundary_points(space, 1, seed=92)[0]
     rep = shift_report(cfg, {i: (i + 1) % 5 for i in range(5)}, end)
@@ -182,7 +183,7 @@ def test_local_busemann_audit_stops_at_the_points_it_keeps(samples, monkeypatch)
     T = HnnTree(2)
     c, r = T.origin(), F(1, 2)
     ends = (HnnUp(), make_end_down())
-    points = sp.sample_points_near(T, c, 2 * samples, radius=float(r), seed=5)
+    points = stream_points(T, c, 2 * samples, radius=float(r), seed=5)
     kept = [i for i, p in enumerate(points) if T.distance(c, p) <= r][:samples]
     drawn = []
     sample_point = TreeModel.sample_point
@@ -198,15 +199,6 @@ def test_local_busemann_audit_stops_at_the_points_it_keeps(samples, monkeypatch)
 def test_local_busemann_audit_rejects_a_negative_sample_count():
     with pytest.raises(ValueError, match="samples must be nonnegative, got -1"):
         local_busemann_audit(E2, (0.0, 0.0), 1.0, 0.1, EDirection((1, 0)), EDirection((0, 1)), samples=-1)
-
-
-def test_point_samples_check_their_center_when_called():
-    # Also for no points, and before the stream's first draw.
-    for count in (0, 3):
-        with pytest.raises(WrongSpace, match="dimension 1"):
-            sp.sample_points_near(E2, (0.0,), count)
-    stream = sp.unchecked_point_stream(E2, (1.0, 2.0), radius=2.0, seed=3)
-    assert [next(stream) for _ in range(4)] == sp.sample_points_near(E2, (1.0, 2.0), 4, radius=2.0, seed=3)
 
 
 def make_end_down():

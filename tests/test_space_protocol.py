@@ -103,10 +103,6 @@ COMPUTING_METHODS = {"distance", "ray_point", "busemann_to_end"}
 CHECKING_SPACES = {
     # The entry point of rays, for the base from its caller.
     "ray_from",
-    # The checked entry to the seeded point stream, for its center.  The
-    # library functions that checked their center where it entered draw
-    # from the unchecked stream instead.
-    "sample_points_near",
     # The check of a ray's target, a point or an end, for the entry point
     # ray_from.
     "EuclideanSpace.check_target",
@@ -118,10 +114,6 @@ CHECKING_ENDS = {
     "EuclideanSpace.check_target",
     "HyperbolicPlane.check_target",
     "TreeModel.check_target",
-    # The entry points of the boundary metrics, each for the two ends from
-    # its caller.
-    "angular_distance",
-    "tits_distance",
 }
 # The public functions of actions, each for the points from its caller, and
 # _image_pairs, which checks the raw images of the shift checks' maps.
@@ -143,9 +135,9 @@ ACTIONS_CHECKING_ENDS = {
     "GroupAction.boundary_apply", "character_at_end", "equivariance_check", "angle_estimate_audit"
 }
 ACTIONS_CHECKING_TARGETS = {"psi_cocycle", "shift_report", "iterate_shift_check", "local_busemann_audit"}
-# The entry points of spaces that check what they are given; actions calls
-# the space methods and the rays' busemann instead.
-CHECKING_ENTRY_POINTS = {"ray_from", "angular_distance", "tits_distance"}
+# The entry points of spaces that check what they are given; actions and
+# verify call the space methods and the rays' busemann instead.
+CHECKING_ENTRY_POINTS = {"ray_from"}
 
 
 def test_guard_finds_check_point_callers():
@@ -207,10 +199,9 @@ def test_ends_are_checked_only_where_they_enter():
 
 
 def test_centers_are_checked_once():
-    # sample_points_near checks the center on the call; the functions that
-    # sample around a center they have checked already read the unchecked
-    # stream.
-    streams = {"sample_points_near", "unchecked_point_stream"}
+    # The functions that sample around a center they have checked already,
+    # or built, read the unchecked stream, and no checked sampler is left.
+    streams = {"unchecked_point_stream"}
     readers = {}
     for module in (*SPACE_MODULES, "actions.py"):
         for name, used in names_used((PACKAGE / module).read_text(encoding="utf-8")).items():
@@ -219,8 +210,6 @@ def test_centers_are_checked_once():
     assert readers == {
         "EuclideanSpace.region": {"unchecked_point_stream"},
         "HyperbolicPlane.region": {"unchecked_point_stream"},
-        "asymptotic_offset": {"unchecked_point_stream"},
-        "sample_points_near": {"unchecked_point_stream"},
         "local_busemann_audit": {"unchecked_point_stream"},
     }
 
@@ -243,8 +232,10 @@ def test_guard_finds_names_used_from_spaces():
 
 
 def test_actions_calls_no_checking_entry_point():
-    used = spaces_names_used((PACKAGE / "actions.py").read_text(encoding="utf-8"))
-    assert used & CHECKING_ENTRY_POINTS == set()
+    # Nor does verify, which computes on the points and ends it draws.
+    for module in ("actions.py", "verify.py"):
+        used = spaces_names_used((PACKAGE / module).read_text(encoding="utf-8"))
+        assert used & CHECKING_ENTRY_POINTS == set(), module
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +275,11 @@ def validating_classes(tree: ast.Module) -> set[str]:
 def test_guard_follows_self_calls():
     sample = (
         "class A:\n    def __init__(self, x):\n        if x:\n            raise ValueError\n        self._check()\n"
-        "    def _check(self):\n        sample_points_near(1)\n"
+        "    def _check(self):\n        sample_point(1)\n"
         "class B:\n    def __init__(self):\n        pass\n"
     )
     tree = ast.parse(sample)
-    assert calls_in(tree.body[0], "__init__") == {"_check", "sample_points_near"}
+    assert calls_in(tree.body[0], "__init__") == {"_check", "sample_point"}
     assert validating_classes(tree) == {"A"}
 
 

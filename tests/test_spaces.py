@@ -9,18 +9,11 @@ from fractions import Fraction as F
 import pytest
 
 from cat0sigma import spaces as sp
-from cat0sigma.errors import NotAsymptotic, ParameterOutOfRange, WrongSpace
-from cat0sigma.spaces import (
-    EDirection,
-    EuclideanSpace,
-    H2_INFINITY,
-    HyperbolicPlane,
-    angular_distance,
-    asymptotic_offset,
-    ray_from,
-    tits_distance,
-)
+from cat0sigma.errors import ParameterOutOfRange, WrongSpace
+from cat0sigma.spaces import EDirection, EuclideanSpace, H2_INFINITY, HyperbolicPlane, ray_from
 from cat0sigma.trees import CayleyTree, HnnDown, HnnTree, HnnUp, RegularTree, TreePoint, make_word_end
+from cat0sigma.verify import _rays_differ_by_a_constant
+from conftest import stream_points
 
 E2 = EuclideanSpace(2)
 E3 = EuclideanSpace(3)
@@ -95,7 +88,7 @@ def test_geodesic_point_is_unit_speed_on_h2_circle():
 
 def test_distance_triangle_inequality_seeded(space, rng):
     exact = space.exact
-    pts = sp.sample_points_near(space, space.origin(), 12, radius=3.0, seed=9)
+    pts = stream_points(space, space.origin(), 12, radius=3.0, seed=9)
     for _ in range(40):
         a, b, c = rng.sample(pts, 3)
         dab = space.distance(a, b)
@@ -109,7 +102,7 @@ def test_cat0_midpoint_comparison(space, rng):
     # Midpoints of two sides are at most half the third side apart;
     # equality in the flat case.
     exact = space.exact
-    pts = sp.sample_points_near(space, space.origin(), 9, radius=2.5, seed=17)
+    pts = stream_points(space, space.origin(), 9, radius=2.5, seed=17)
     for _ in range(20):
         a, b, c = rng.sample(pts, 3)
         dab, dac = space.distance(a, b), space.distance(a, c)
@@ -250,8 +243,8 @@ def test_tree_busemann_agrees_with_far_point_formula(rng):
     # beta = d(base, y) - d(b, y) with plain distances.
     for T in [TC, TR, TH]:
         for i in range(30):
-            base = sp.sample_points_near(T, T.origin(), 1, radius=2.0, seed=500 + i)[0]
-            b = sp.sample_points_near(T, T.origin(), 1, radius=3.0, seed=600 + i)[0]
+            base = next(sp.unchecked_point_stream(T, T.origin(), 2.0, 500 + i))
+            b = next(sp.unchecked_point_stream(T, T.origin(), 3.0, 600 + i))
             end = sp.sample_boundary_points(T, 1, seed=700 + i)[0]
             ray = ray_from(T, base, end)
             far = int(T.distance(base, b)) + 5
@@ -265,7 +258,7 @@ def test_busemann_limit_audit_monotone_bounded(space):
     base = space.origin()
     end = sp.sample_boundary_points(space, 1, seed=3)[0]
     ray = ray_from(space, base, end)
-    b = sp.sample_points_near(space, base, 1, radius=3.0, seed=4)[0]
+    b = next(sp.unchecked_point_stream(space, base, 3.0, 4))
     schedule = list(range(0, 12)) if exact else [0.5, 1, 2, 4, 8, 16, 32]
     seq = ray.limit_audit(b, schedule)
     values = [v for _, v in seq]
@@ -279,7 +272,7 @@ def test_busemann_limit_audit_monotone_bounded(space):
 
 def test_busemann_degenerate_formula(space):
     base = space.origin()
-    pts = sp.sample_points_near(space, base, 2, radius=2.0, seed=11)
+    pts = stream_points(space, base, 2, radius=2.0, seed=11)
     ray = ray_from(space, base, pts[0])
     mu = ray.mu
     tip = ray.point_at(mu)
@@ -315,7 +308,7 @@ def test_horoball_contains_balls_along_ray(space, rng):
     s = F(1) if exact else 1.0
     for t in ([F(3), F(5)] if exact else [3.0, 5.0]):
         center = ray.point_at(t)
-        for p in sp.sample_points_near(space, center, 4, radius=float(t - s) * 0.85, seed=5):
+        for p in stream_points(space, center, 4, radius=float(t - s) * 0.85, seed=5):
             if space.distance(center, p) <= (t - s) - (0 if exact else 1e-9):
                 assert ray.busemann(p) >= s
 
@@ -324,11 +317,14 @@ def test_horoball_contains_balls_along_ray(space, rng):
 # Boundary metrics
 
 
-def test_ray_entry_points_reject_foreign_rays():
-    r3 = ray_from(E3, (0, 0, 0), EDirection((1, 0, 0)))
-    r2 = ray_from(E2, (0, 0), EDirection((1, 0)))
-    with pytest.raises(WrongSpace, match="ray does not belong to the given space"):
-        asymptotic_offset(E2, r2, r3)
+def angular(M, e, e2):
+    """The angular distance of two ends, each checked first."""
+    return M.angular_distance(M.check_boundary(e), M.check_boundary(e2))
+
+
+def tits(M, e, e2):
+    """The Tits distance of two ends, each checked first."""
+    return M.tits_distance(M.check_boundary(e), M.check_boundary(e2))
 
 
 def test_non_finite_values_are_not_points_or_ends():
@@ -346,26 +342,26 @@ def test_non_finite_values_are_not_points_or_ends():
         with pytest.raises(WrongSpace, match="boundary of H2 is R plus infinity"):
             ray_from(H2, 1j, bad)
         with pytest.raises(WrongSpace, match="boundary of H2 is R plus infinity"):
-            tits_distance(H2, bad, bad)
-    assert tits_distance(H2, H2_INFINITY, H2_INFINITY) == 0.0
+            H2.check_boundary(bad)
+    assert tits(H2, H2_INFINITY, H2_INFINITY) == 0.0
 
 
 def test_angular_and_tits_examples():
-    assert abs(angular_distance(E3, EDirection((1, 0, 0)), EDirection((0, 1, 0))) - math.pi / 2) < 1e-12
-    assert angular_distance(TC, make_word_end((), (1,)), make_word_end((), (2,))) == math.pi
-    assert angular_distance(H2, 0, H2_INFINITY) == math.pi
-    assert tits_distance(E2, EDirection((1, 0)), EDirection((0, 1))) == pytest.approx(math.pi / 2)
-    assert tits_distance(H2, 0, H2_INFINITY) == math.inf
-    assert tits_distance(H2, F(1, 2), F(1, 2)) == 0.0
-    assert tits_distance(TH, HnnUp(), HnnDown(F(0))) == math.inf
-    assert tits_distance(TH, HnnDown(F(1, 3)), HnnDown(F(1, 3))) == 0.0
+    assert abs(angular(E3, EDirection((1, 0, 0)), EDirection((0, 1, 0))) - math.pi / 2) < 1e-12
+    assert angular(TC, make_word_end((), (1,)), make_word_end((), (2,))) == math.pi
+    assert angular(H2, 0, H2_INFINITY) == math.pi
+    assert tits(E2, EDirection((1, 0)), EDirection((0, 1))) == pytest.approx(math.pi / 2)
+    assert tits(H2, 0, H2_INFINITY) == math.inf
+    assert tits(H2, F(1, 2), F(1, 2)) == 0.0
+    assert tits(TH, HnnUp(), HnnDown(F(0))) == math.inf
+    assert tits(TH, HnnDown(F(1, 3)), HnnDown(F(1, 3))) == 0.0
 
 
 def test_tits_dominates_angular(space):
     ends = sp.sample_boundary_points(space, 8, seed=33)
     for e1 in ends:
         for e2 in ends:
-            assert tits_distance(space, e1, e2) >= angular_distance(space, e1, e2) - 1e-9
+            assert space.tits_distance(e1, e2) >= space.angular_distance(e1, e2) - 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -373,26 +369,37 @@ def test_tits_dominates_angular(space):
 
 
 def test_asymptotic_offset_examples():
+    # Rays to one end have Busemann functions that differ by a constant.
     r1 = ray_from(E2, (0, 1), EDirection((1, 0)))
     r2 = ray_from(E2, (0, 0), EDirection((1, 0)))
-    assert abs(asymptotic_offset(E2, r1, r2)) < 1e-12
     r3 = ray_from(E2, (-2, 0), EDirection((1, 0)))
-    # The shifted base sits 2 behind: its Busemann values run 2 ahead.
-    assert abs(asymptotic_offset(E2, r2, r3) - (-2.0)) < 1e-12
-    assert asymptotic_offset(E2, r2, r2) == 0.0
-    with pytest.raises(NotAsymptotic):
-        asymptotic_offset(E2, r2, ray_from(E2, (0, 0), EDirection((0, 1))))
-    with pytest.raises(WrongSpace):
-        asymptotic_offset(E2, r2, ray_from(E3, (0, 0, 0), EDirection((1, 0, 0))))
+    for p in ((0.0, 0.0), (3.0, -1.0), (-5.0, 7.5)):
+        assert abs(r1.busemann(p) - r2.busemann(p)) < 1e-12
+        # The shifted base sits 2 behind: its Busemann values run 2 ahead.
+        assert abs((r2.busemann(p) - r3.busemann(p)) - (-2.0)) < 1e-12
 
 
 def test_asymptotic_offset_all_spaces(space):
     base1 = space.origin()
-    base2 = sp.sample_points_near(space, base1, 1, radius=2.0, seed=8)[0]
+    base2 = next(sp.unchecked_point_stream(space, base1, 2.0, 8))
     end = sp.sample_boundary_points(space, 1, seed=12)[0]
     r1 = ray_from(space, base1, end)
     r2 = ray_from(space, base2, end)
-    c = asymptotic_offset(space, r1, r2, seed=2)
-    probe = sp.sample_points_near(space, base1, 1, radius=3.0, seed=44)[0]
-    dev = (r1.busemann(probe) - r2.busemann(probe)) - c
-    assert abs(dev) <= (0 if space.exact else 1e-9)
+    c = r1.busemann(base2) - r2.busemann(base2)
+    for probe in stream_points(space, base1, 10, radius=3.0, seed=2) + stream_points(space, base1, 1, seed=44):
+        dev = (r1.busemann(probe) - r2.busemann(probe)) - c
+        assert abs(dev) <= (0 if space.exact else 1e-9)
+
+
+@pytest.mark.parametrize("M, end, other", [
+    (E2, EDirection((1, 0)), EDirection((0, 1))),
+    (H2, H2_INFINITY, F(0)),
+    (TC, make_word_end((), (1,)), make_word_end((), (2,))),
+], ids=["E2", "H2", "cayley2"])
+def test_verify_offset_check_tells_one_end_from_two(M, end, other):
+    # verify's asymptotic-ray check passes for two rays to one end and fails
+    # for rays to different ends, whose Busemann difference is not constant.
+    base2 = next(sp.unchecked_point_stream(M, M.origin(), 2.0, 8))
+    ray = ray_from(M, M.origin(), end)
+    assert _rays_differ_by_a_constant(M, ray, ray_from(M, base2, end), seed=0)
+    assert not _rays_differ_by_a_constant(M, ray, ray_from(M, base2, other), seed=0)

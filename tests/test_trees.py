@@ -28,6 +28,7 @@ from cat0sigma.trees import (
     n_valuation,
     tree_from_descriptor,
 )
+from conftest import stream_points
 from cat0sigma.words import cyclic_reduce, invert_word, reduce_word
 
 
@@ -539,7 +540,7 @@ def test_busemann_and_its_limit_audit_share_no_model_method(model, monkeypatch, 
     # value; the audit reads ray points and distances only, so each checks
     # the other.
     base = TreePoint(model.children(model.base_vertex())[1], F(1, 3))
-    points = sp.sample_points_near(model, base, 12, seed=4)
+    points = stream_points(model, base, 12, seed=4)
     ends = model.probe_ends(model.origin(), None) + [model.sample_end(rng) for _ in range(3)]
     geodesic = _count_calls(
         monkeypatch, (model, "meet"), (model, "ray_vertex"), (model, "ray_point_at"), (model, "distance")

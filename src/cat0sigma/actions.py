@@ -449,7 +449,7 @@ class IsometryClass:
     ends (attracting first), elliptic elements a fixed vertex witness."""
 
     kind: str
-    translation_length: object = 0
+    translation_length: object
     axis_ends: tuple = ()
     fixed_vertex: object = None
 
@@ -759,7 +759,7 @@ def _directed_hausdorff(space: ModelSpace, samples, orbit):
     return worst, worst_point
 
 
-def cocompactness_witness(action: GroupAction, a, radius: float, depth: int = 6, seed: int = 0):
+def cocompactness_witness(action: GroupAction, a, radius: float, depth: int, seed: int):
     """Desk-scale test of the dichotomy "every direction reaches into the
     orbit iff the action is cocompact".
 

@@ -277,14 +277,14 @@ def test_psi_for_translations_is_inner_product():
 
 def test_lattice_is_a_net():
     act = GroupAction.euclidean_translations(2, {"a": (1, 0), "b": (0, 1)})
-    verdict = cocompactness_witness(act, (0.0, 0.0), 0.75, depth=6)
+    verdict = cocompactness_witness(act, (0.0, 0.0), 0.75, depth=6, seed=0)
     assert isinstance(verdict, NetCertificate)
     assert verdict.max_min_distance <= 0.75
 
 
 def test_thin_subgroup_leaves_an_empty_horoball():
     sub = GroupAction.cyclic_on_cayley_tree(2, (1,))
-    verdict = cocompactness_witness(sub, TreePoint(()), 1, depth=6)
+    verdict = cocompactness_witness(sub, TreePoint(()), 1, depth=6, seed=0)
     assert isinstance(verdict, EmptyHoroballWitness)
     assert verdict.end == make_word_end((), (2,))
     assert verdict.max_orbit_busemann < verdict.level <= verdict.max_region_busemann
@@ -292,7 +292,7 @@ def test_thin_subgroup_leaves_an_empty_horoball():
 
 def test_trivial_group_on_the_line():
     act = GroupAction.euclidean_translations(1, {"a": (0,)})
-    verdict = cocompactness_witness(act, (0.0,), 0.75, depth=4)
+    verdict = cocompactness_witness(act, (0.0,), 0.75, depth=4, seed=0)
     assert isinstance(verdict, EmptyHoroballWitness)
     assert verdict.end == EDirection((1.0,))
 
@@ -301,7 +301,7 @@ def test_orbit_budget_stops_deep_free_group_orbits():
     # F2 has 1 + 4 (3^d - 1) / 2 orbit points within word length d: 4373
     # at depth 7, 13121 at depth 8; depth 12 would need 1062881.
     start = time.perf_counter()
-    verdict = cocompactness_witness(GroupAction.free_group(2), TreePoint(()), 1, depth=12)
+    verdict = cocompactness_witness(GroupAction.free_group(2), TreePoint(()), 1, depth=12, seed=0)
     assert time.perf_counter() - start < 5
     assert isinstance(verdict, UnknownVerdict)
     assert str(ORBIT_BUDGET) in verdict.reason and "word length 8" in verdict.reason
@@ -312,7 +312,7 @@ def test_region_budget_stops_high_dimensional_grids():
     # minutes to build.
     act = GroupAction.euclidean_translations(9, {"a": (1,) + (0,) * 8})
     start = time.perf_counter()
-    verdict = cocompactness_witness(act, (0.0,) * 9, 0.75, depth=1)
+    verdict = cocompactness_witness(act, (0.0,) * 9, 0.75, depth=1, seed=0)
     assert time.perf_counter() - start < 1
     assert verdict == UnknownVerdict(f"region budget of {REGION_BUDGET} grid points exceeded in E9")
 
@@ -323,7 +323,7 @@ def test_region_budget_stops_large_tree_balls():
     # about 9 s; the orbit of t stays small, so no orbit budget stops it.
     act = GroupAction(HnnTree(6), {"t": HnnIsometry(6, 1, 0)})
     start = time.perf_counter()
-    verdict = cocompactness_witness(act, TreePoint(HnnTree(6).base_vertex()), 1, depth=14)
+    verdict = cocompactness_witness(act, TreePoint(HnnTree(6).base_vertex()), 1, depth=14, seed=0)
     assert time.perf_counter() - start < 0.5
     assert verdict == UnknownVerdict(f"region budget of {REGION_BUDGET} vertices exceeded in tree")
 
@@ -431,10 +431,10 @@ def test_cocompactness_scan_stops_early(monkeypatch):
 
     counted(TreeModel, "distance")
     counted(TreeModel, "point_height")
-    verdict = cocompactness_witness(GroupAction.free_group(2), TreePoint(()), 1, depth=6)
+    verdict = cocompactness_witness(GroupAction.free_group(2), TreePoint(()), 1, depth=6, seed=0)
     assert isinstance(verdict, NetCertificate) and calls["distance"] <= 3000
     calls.update(distance=0, point_height=0)
-    verdict = cocompactness_witness(GroupAction.cyclic_on_cayley_tree(2, (1,)), TreePoint(()), 1, depth=6)
+    verdict = cocompactness_witness(GroupAction.cyclic_on_cayley_tree(2, (1,)), TreePoint(()), 1, depth=6, seed=0)
     assert isinstance(verdict, EmptyHoroballWitness) and calls["point_height"] <= 140
 
 
@@ -442,7 +442,7 @@ def test_modular_group_is_not_cocompact():
     # Integer Moebius maps never push i above height 1, so horoballs at
     # the parabolic fixed point at infinity are left empty.
     act = GroupAction.moebius({"s": [[0, -1], [1, 0]], "p": [[1, 1], [0, 1]]})
-    verdict = cocompactness_witness(act, 1j, 0.5, depth=5)
+    verdict = cocompactness_witness(act, 1j, 0.5, depth=5, seed=0)
     assert isinstance(verdict, EmptyHoroballWitness)
     assert verdict.end == H2_INFINITY
     assert verdict.max_orbit_busemann <= 1e-9

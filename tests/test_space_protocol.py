@@ -369,7 +369,7 @@ ENTRY_POINTS = {
     "busemann_limit_audit": lambda M, bad: sp.ray_from(M, M.origin(), _end(M)).limit_audit(M.check_point(bad), [0, 1]),
     "GroupAction.apply": lambda M, bad: actions.GroupAction(M, {}).apply("", bad),
     "ControlConfiguration": lambda M, bad: actions.ControlConfiguration(M, {"x": M.origin(), "y": bad}),
-    "cocompactness_witness": lambda M, bad: actions.cocompactness_witness(actions.GroupAction(M, {}), bad, 1, depth=1),
+    "cocompactness_witness": lambda M, bad: actions.cocompactness_witness(actions.GroupAction(M, {}), bad, 1, depth=1, seed=0),
     "local_busemann_audit": lambda M, bad: actions.local_busemann_audit(M, bad, 1, 1, _end(M), _end(M)),
 }
 

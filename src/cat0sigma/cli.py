@@ -53,7 +53,10 @@ def _boundary_pair(space, pair):
 # the command and the seed, and each imports the modules it uses, so a
 # command loads no module it does not need.  The JSON readers only parse;
 # the library function a handler hands a value to checks it, and a handler
-# that computes with space methods checks each value once.
+# that computes with space methods checks each value once.  Exact values
+# (tree distances and Busemann values) pass through jsonio.rational where
+# they enter a report, so an integral one prints as "n" whether it is an
+# int or a Fraction (docs/formats.md).
 
 
 def cmd_busemann(args, data):
@@ -72,10 +75,10 @@ def cmd_busemann(args, data):
         monotone = all(vals[i] <= vals[i + 1] + mono_slack for i in range(len(vals) - 1))
         top = space.distance(ray.base, p) + bound_slack
         bounded = all(v <= top for v in vals)
-        values.append(closed)
+        values.append(jsonio.rational(closed))
         audits.append(
             {
-                "final": vals[-1] if vals else None,
+                "final": jsonio.rational(vals[-1]) if vals else None,
                 "final_gap": abs(float(vals[-1] - closed)) if vals else None,
                 "monotone": monotone,
                 "bounded": bounded,
@@ -109,7 +112,8 @@ def cmd_character(args, data):
     words = jsonio.read_field(data, "words", list)
     if not all(isinstance(word, str) for word in words):
         raise ValueError(f"words are strings over the generator names, got {words!r}")
-    return 0, {"end": end, "values": character_at_end(action, end, base, words)}
+    values = character_at_end(action, end, base, words)
+    return 0, {"end": end, "values": {word: jsonio.rational(v) for word, v in values.items()}}
 
 
 def cmd_shift(args, data):
@@ -123,10 +127,10 @@ def cmd_shift(args, data):
     images = {label: x if isinstance(x, str) and x in config else space.parse_point(x) for label, x in fmap.items()}
     report = ac.shift_report(ac.ControlConfiguration(space, points), images, space.parse_boundary(data["end"]))
     payload = {
-        "shifts": report.shifts,
-        "displacements": report.displacements,
-        "gsh": report.gsh,
-        "norm": report.norm,
+        "shifts": {label: jsonio.rational(v) for label, v in report.shifts.items()},
+        "displacements": {label: jsonio.rational(v) for label, v in report.displacements.items()},
+        "gsh": jsonio.rational(report.gsh),
+        "norm": jsonio.rational(report.norm),
         "is_contraction": report.is_contraction,
     }
     return 0, payload
@@ -138,11 +142,13 @@ def cmd_cocompact(args, data):
     action = ac.action_from_json(data["action"])
     base = action.space.parse_point(data["base"])
     verdict = ac.cocompactness_witness(action, base, args.radius, depth=args.depth, seed=args.seed)
+    exact = ("max_min_distance", "level", "max_orbit_busemann", "max_region_busemann")
+    detail = {k: jsonio.rational(v) if k in exact else v for k, v in vars(verdict).items()}
     payload = {
         "radius": args.radius,
         "depth": args.depth,
         "verdict": type(verdict).__name__,
-        "detail": verdict,
+        "detail": detail,
     }
     return 0, payload
 

@@ -120,6 +120,13 @@ def jsonable(value):
     return str(value)
 
 
+def rational(value):
+    """An exact value as a report prints it: an int becomes the string "n"
+    that jsonable gives a Fraction with denominator 1, since the trees hold
+    integral values as ints; any other value is returned as it is."""
+    return str(value) if type(value) is int else value
+
+
 def dumps(value) -> str:
     """The report text ``json.dumps(jsonable(value), sort_keys=True, indent=2) + "\\n"``,
     written in one pass; jsonable converts each value not of an exact JSON type."""

@@ -91,7 +91,8 @@ class ModelSpace:
     ``check_point``, ``check_boundary`` or ``check_target`` (or built by the
     space itself) and do not check them again.
 
-    ``exact`` spaces (the trees) compute over Fractions with zero slack.
+    ``exact`` spaces (the trees) compute over ints and Fractions with zero
+    slack.
     The angular distance of two ends is the supremum over base points of
     the angle between their rays, and the Tits distance is its length
     metric (infinity when no rectifiable path joins them).  ``flat`` marks
@@ -551,10 +552,13 @@ class GeneralizedRay:
         H2; and on trees h(ray(0)) - h(b) for the horofunction height h
         toward the end (:meth:`trees.TreeModel.point_height`).  The closed
         horoball at level s is the set where this is >= s; for a degenerate
-        ray, the closed ball of radius mu - s around the tip.
+        ray, the closed ball of radius mu - s around the tip.  A tree value
+        is an int exactly when it is an integer, and a Fraction otherwise.
         """
         if self.is_degenerate:
-            return self.mu - self.space.distance(b, self.point_at(self.mu))
+            value = self.mu - self.space.distance(b, self.point_at(self.mu))
+            # Two offsets' Fractions can differ by an integer.
+            return value.numerator if type(value) is Fraction and value.denominator == 1 else value
         return self.space.busemann_to_end(self, b)
 
     def limit_audit(self, b, schedule: Sequence[Real]):

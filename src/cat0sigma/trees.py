@@ -30,8 +30,11 @@ toward the upward HNN end, and level - 2 min(level, v_n(x - c)) toward the
 downward end x.  The height reads no meet and no ray vertex, so the
 defining limit, evaluated through those, stays an independent check of it.
 All quantities are exact: HNN vertices hold their centers as integers over
-a power of n, heights and vertex distances are ints, and a Fraction enters
-only with an edge offset or a result.
+a power of n, and every tree value (an edge offset, a parsed scalar, a
+height, a distance, a Busemann value) is an int exactly when it is an
+integer and a Fraction otherwise, so values at vertices compute at machine
+int speed.  The command line prints such a value as a string either way
+(docs/formats.md).
 
 Depths read from the input (word lengths, HNN levels and shifts) and ray
 or geodesic parameters are bounded by DEPTH_BUDGET; beyond it ParameterOutOfRange is
@@ -69,6 +72,11 @@ DEPTH_BUDGET = 10**6
 def check_depth(what: str, size) -> None:
     if abs(size) > DEPTH_BUDGET:
         raise ParameterOutOfRange(f"{what} {size} exceeds the tree depth budget of {DEPTH_BUDGET}")
+
+
+def _exact(num: int, den: int) -> int | Fraction:
+    """num / den for den > 0: an int when den divides num, else a Fraction."""
+    return Fraction(num, den) if num % den else num // den
 
 
 def _common_prefix(a: Word, b: Word) -> int:
@@ -261,26 +269,27 @@ class HnnVertex:
 @dataclass(frozen=True)
 class TreePoint:
     """Point of the metric tree: ``up`` of the way from ``vertex`` toward
-    its parent, with up in [0, 1).  up = 0 is the vertex itself."""
+    its parent, with up in [0, 1).  up = 0, the int, is the vertex itself;
+    any other offset is a Fraction."""
 
     vertex: object
-    up: Fraction = Fraction(0)
+    up: int | Fraction = 0
 
-    def __init__(self, vertex, up=Fraction(0)):
-        if type(up) is not Fraction:
+    def __init__(self, vertex, up=0):
+        if type(up) is not int and type(up) is not Fraction:
             up = Fraction(up)
         num, den = up.as_integer_ratio()
         if not 0 <= num < den:
             raise ValueError("edge offset must lie in [0, 1)")
         object.__setattr__(self, "vertex", vertex)
-        object.__setattr__(self, "up", up)
+        object.__setattr__(self, "up", up if num else 0)
 
 
 # ---------------------------------------------------------------------------
 # Models
 
 # Edge offsets of sampled tree points, 0 twice as often as each other value.
-_SAMPLE_OFFSETS = (Fraction(0), Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3))
+_SAMPLE_OFFSETS = (0, 0, Fraction(1, 2), Fraction(1, 3), Fraction(2, 3))
 
 
 class TreeModel(ModelSpace):
@@ -338,26 +347,28 @@ class TreeModel(ModelSpace):
         vertex = self.parse_vertex(read_field(data, "vertex"))
         return TreePoint(vertex, parse_fraction(read_field(data, "up", default=0)))
 
-    def parse_scalar(self, data):
-        return parse_fraction(data)
+    def parse_scalar(self, data) -> int | Fraction:
+        x = parse_fraction(data)
+        return x.numerator if x.denominator == 1 else x
 
-    def distance(self, p: TreePoint, q: TreePoint) -> Fraction:
+    def distance(self, p: TreePoint, q: TreePoint) -> int | Fraction:
         """Exact distance between two metric points.
 
         From d(p.vertex, q.vertex), each offset is subtracted when its edge
         climbs toward the meet and added when its vertex is the meet; the
-        sum is taken over the common denominator of the offsets.
+        sum is taken over the common denominator of the offsets (1 between
+        vertices).
         """
         pn, pd = p.up.as_integer_ratio()
         qn, qd = q.up.as_integer_ratio()
         if p.vertex == q.vertex:
-            return Fraction(abs(pn * qd - qn * pd), pd * qd)
+            return _exact(abs(pn * qd - qn * pd), pd * qd)
         _, i, j = self.meet(p.vertex, q.vertex)
         if i:
             pn = -pn
         if j:
             qn = -qn
-        return Fraction((i + j) * pd * qd + pn * qd + qn * pd, pd * qd)
+        return _exact((i + j) * pd * qd + pn * qd + qn * pd, pd * qd)
 
     def point_height(self, p: TreePoint, end: TreeEnd) -> int | Fraction:
         """Horofunction height of a metric point toward an end: its vertex's
@@ -383,12 +394,12 @@ class TreeModel(ModelSpace):
             return self.walk_to_point(ray.base, ray.end, t)
         return self.ray_point_at(ray.base, ray.end, t)
 
-    def busemann_to_end(self, ray, b):
+    def busemann_to_end(self, ray, b) -> int | Fraction:
         # The difference of the end's horofunction heights; the ray carries
         # its base's.
         an, ad = ray._param.as_integer_ratio()
         bn, bd = self.point_height(b, ray.end).as_integer_ratio()
-        return Fraction(an * bd - bn * ad, ad * bd)
+        return _exact(an * bd - bn * ad, ad * bd)
 
     def sample_point(self, center, radius, rng):
         # The draw of rng.choice(self.neighbors(v)), which has degree items.
@@ -433,11 +444,10 @@ class TreeModel(ModelSpace):
             return TreePoint(a, Fraction(rem, den))
         return TreePoint(b, Fraction(den - rem, den))
 
-    def walk_to_point(self, start: TreePoint, target: TreePoint, t: Fraction) -> TreePoint:
+    def walk_to_point(self, start: TreePoint, target: TreePoint, t: int | Fraction) -> TreePoint:
         """Point at arc length t along the geodesic from start to target, for
         0 <= t <= d(start, target), as ``GeneralizedRay.point_at`` checks
         and caps it."""
-        t = Fraction(t)
         if start.vertex == target.vertex:
             sign = 1 if target.up > start.up else -1
             return TreePoint(start.vertex, start.up + sign * t)
@@ -456,7 +466,7 @@ class TreeModel(ModelSpace):
             lambda k: self.ancestor(u, k) if k <= i else self.ancestor(v, i + j - k), sn * td + tn * sd, sd * td
         )
 
-    def ray_point_at(self, base: TreePoint, end: TreeEnd, t: Fraction) -> TreePoint:
+    def ray_point_at(self, base: TreePoint, end: TreeEnd, t: int | Fraction) -> TreePoint:
         """Point at arc length t >= 0 along the geodesic ray from base to an
         end; ``GeneralizedRay.point_at`` checks the sign."""
         tn, td = t.as_integer_ratio()

@@ -290,6 +290,42 @@ def test_cli_stdout_matches_golden_files(sigma_log, monkeypatch):
         assert (code, out) == (case["code"], case["stdout"]), case["argv"]
 
 
+def _exact_fields(command, report):
+    """The exact values of a tree report, as docs/formats.md lists them."""
+    if command == "busemann":
+        return report["values"] + [a["final"] for a in report["limit_audit"]]
+    if command == "character":
+        return list(report["values"].values())
+    if command == "shift":
+        return [*report["shifts"].values(), *report["displacements"].values(), report["gsh"], report["norm"]]
+    if command == "cocompact":
+        detail = report["detail"]
+        names = ("max_min_distance", "level", "max_orbit_busemann", "max_region_busemann")
+        return [detail[name] for name in names if name in detail]
+    if command == "audit" and report["which"] == "local-busemann":
+        return [report["worst_slack"], report["details"]["R"], report["details"]["rhs"]]
+    return []
+
+
+def test_exact_values_of_tree_goldens_are_strings():
+    # The trees hold integral values as ints; a report prints every exact
+    # value, integral or not, as a string.
+    seen = collections.Counter()
+    for case in json.loads((GOLDEN / "cli_stdout.json").read_text(encoding="utf-8")):
+        if case["argv"][0] in ("raag", "verify", "tree-sigma", "tits"):
+            continue
+        data = json.loads((GOLDEN / case["argv"][2]).read_text(encoding="utf-8"))
+        space = data.get("space") or data["action"]["space"]
+        if space["space"] != "tree":
+            continue
+        code, out, _ = run_cli([str(GOLDEN / a) if a.endswith(".json") else a for a in case["argv"]])
+        assert code == case["code"]
+        fields = _exact_fields(case["argv"][0], json.loads(out))
+        assert all(isinstance(x, str) for x in fields), case["argv"]
+        seen.update(case["argv"][0] for x in fields if "/" not in x)
+    assert set(seen) == {"busemann", "character", "shift", "cocompact", "audit"}
+
+
 def test_options_exist_only_where_a_command_reads_them(tmp_path):
     # An option that a command would ignore is a usage error, reported on
     # the given stderr as one line of JSON: --out, --space, --tol and --csv

@@ -928,3 +928,54 @@ def test_busemann_heights_match_the_ray_point_evaluation(model):
         kinds["crossing"] += bool(base.up) and model.level(first) > model.level(base.vertex)
     assert min(kinds["other"], kinds["offset"], kinds["crossing"]) >= 100, kinds
     assert kinds["up"] >= 100 or not isinstance(model, HnnTree), kinds
+
+
+def _fraction_distance(model, p, q):
+    """d(p, q) over Fractions: the vertices' distance through their meet,
+    less each offset whose edge climbs toward the meet and plus the others."""
+    pu, qu = F(p.up), F(q.up)
+    if p.vertex == q.vertex:
+        return abs(pu - qu)
+    _, i, j = model.meet(p.vertex, q.vertex)
+    return i + j + (-pu if i else pu) + (-qu if j else qu)
+
+
+def _fraction_height(model, p, end):
+    """The horofunction height of a point over Fractions."""
+    h, toward = model.height(p.vertex, end)
+    return h - F(p.up) if toward else h + F(p.up)
+
+
+@pytest.mark.parametrize(
+    "model", [CayleyTree(2), RegularTree(3), HnnTree(2), HnnTree(3)], ids=["cayley2", "regular3", "hnn2", "hnn3"]
+)
+def test_tree_values_are_ints_exactly_when_integral(model):
+    # Offsets, distances, Busemann values toward ends and points and parsed
+    # scalars each equal their Fraction formula, and each is an int exactly
+    # when that formula gives an integer.
+    seen = set()
+
+    def check(kind, value, reference):
+        assert value == reference, (kind, value, reference)
+        assert type(value) is (int if reference.denominator == 1 else F), (kind, value)
+        seen.add((kind, type(value)))
+
+    rng = random.Random(str(("exact", model.descriptor())))
+    points = stream_points(model, model.origin(), 30, radius=4.0, seed=8)
+    for p in points:
+        check("offset", p.up, F(p.up))
+    ends = model.probe_ends(model.origin(), None) + [model.sample_end(rng) for _ in range(3)]
+    for a in points[:8]:
+        for end in ends:
+            ray = sp.ray_from(model, a, end)
+            for b in points:
+                check("busemann to an end", ray.busemann(b), _fraction_height(model, a, end) - _fraction_height(model, b, end))
+        for e in points[8:16]:
+            segment = sp.ray_from(model, a, e)
+            check("distance", segment.mu, _fraction_distance(model, a, e))
+            for b in points:
+                check("busemann to a point", segment.busemann(b), segment.mu - _fraction_distance(model, b, e))
+    for data in (3, -5, 4.0, "3", "6/2", "-0", "0/7", "1/2", "-4/6", "7/3"):
+        check("scalar", model.parse_scalar(data), F(data))
+    assert {kind for kind, _ in seen} == {"offset", "distance", "busemann to an end", "busemann to a point", "scalar"}
+    assert all((kind, t) in seen for kind, _ in seen for t in (int, F)), seen

@@ -966,10 +966,12 @@ def test_tree_values_are_ints_exactly_when_integral(model):
         check("offset", p.up, F(p.up))
     ends = model.probe_ends(model.origin(), None) + [model.sample_end(rng) for _ in range(3)]
     for a in points[:8]:
+        for b in points:
+            check("distance", model.distance(a, b), _fraction_distance(model, a, b))
         for end in ends:
-            ray = sp.ray_from(model, a, end)
+            ray, height = sp.ray_from(model, a, end), _fraction_height(model, a, end)
             for b in points:
-                check("busemann to an end", ray.busemann(b), _fraction_height(model, a, end) - _fraction_height(model, b, end))
+                check("busemann to an end", ray.busemann(b), height - _fraction_height(model, b, end))
         for e in points[8:16]:
             segment = sp.ray_from(model, a, e)
             check("distance", segment.mu, _fraction_distance(model, a, e))

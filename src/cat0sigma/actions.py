@@ -1,11 +1,11 @@
 """Isometric group actions on the model spaces and their boundary calculus.
 
-Covers: evaluation of generator words on points and boundary points, the
-ends fixed by a tree action, endpoint characters of actions fixing a
-boundary point, the Busemann cocycle, the shift calculus for finite
-control configurations (shift, guaranteed shift, norms, contraction flag),
-a desk-scale cocompactness decision, and two numeric audits (the local
-Busemann comparison bound and the chord-versus-angle estimate).
+Covers: evaluation of generator words on points and boundary points,
+endpoint characters of actions fixing a boundary point, the shift calculus
+for finite control configurations (shift, guaranteed shift, norms,
+contraction flag), a desk-scale cocompactness decision, and two numeric
+audits (the local Busemann comparison bound and the chord-versus-angle
+estimate).
 
 Isometries are exact wherever the underlying space is exact: tree
 isometries are deck transformations computed over ints and Fractions, and
@@ -36,7 +36,6 @@ from .errors import (
     EndNotFixed,
     NotClosed,
     UnknownGenerator,
-    UnsupportedNumberForm,
     WrongSpace,
 )
 from .jsonio import parse_fraction, parse_int, parse_real, read_field
@@ -55,18 +54,15 @@ from .trees import (
     HnnUp,
     TreePoint,
     check_depth,
-    make_word_end,
-    n_valuation,
 )
-from .words import cyclic_reduce, invert_word, reduce_word
+from .words import invert_word, reduce_word
 
 GLOBAL_TOL = spaces.GLOBAL_TOL
 
 
 # ---------------------------------------------------------------------------
 # Isometries: each class has apply(space, p), boundary(space, e), inverse,
-# check(space) (the fit with the space) and from_json(space, data); the
-# tree isometries also classify themselves.
+# check(space) (the fit with the space) and from_json(space, data).
 
 
 def _built(cls, **fields):
@@ -240,16 +236,6 @@ class CayleyIsometry:
     def inverse(self) -> "CayleyIsometry":
         return CayleyIsometry(invert_word(self.word))
 
-    def classify(self) -> "IsometryClass":
-        """Hyperbolic along the axis of the cyclically reduced core."""
-        if not self.word:
-            return IsometryClass("identity", 0)
-        prefix, core = cyclic_reduce(self.word)
-        forward = make_word_end(prefix, core)
-        backward = make_word_end(prefix, invert_word(core))
-        return IsometryClass("hyperbolic", len(core), (forward, backward))
-
-
 @dataclass(frozen=True)
 class HnnIsometry:
     """Affine deck transformation x -> n^shift x + add of the Bass-Serre
@@ -288,23 +274,6 @@ class HnnIsometry:
     def inverse(self) -> "HnnIsometry":
         n = Fraction(self.index)
         return HnnIsometry(self.index, -self.shift, -(n ** (-self.shift)) * self.add)
-
-    def classify(self) -> "IsometryClass":
-        """Elliptic (with a fixed vertex) for shift 0, else hyperbolic."""
-        if self.shift == 0:
-            if self.add == 0:
-                return IsometryClass("identity", 0)
-            level = n_valuation(self.add, self.index)
-            witness = HnnTree(self.index).vertex(level, Fraction(0))
-            return IsometryClass("elliptic", 0, (), witness)
-        fixed_value = self.add / (1 - Fraction(self.index) ** self.shift)
-        # Positive shifts contract n-adically toward the finite fixed point
-        # (levels grow, balls shrink), so the downward end attracts.
-        ends = (HnnDown(fixed_value), HnnUp())
-        if self.shift < 0:
-            ends = (ends[1], ends[0])
-        return IsometryClass("hyperbolic", abs(self.shift), ends)
-
 
 Isometry = Union[EuclideanIsometry, MoebiusIsometry, CayleyIsometry, HnnIsometry]
 
@@ -439,65 +408,7 @@ def action_from_json(data: Mapping) -> GroupAction:
 
 
 # ---------------------------------------------------------------------------
-# Fixed ends of tree actions
-
-
-@dataclass(frozen=True)
-class IsometryClass:
-    """The class of one tree isometry: kind is identity / elliptic /
-    hyperbolic; hyperbolic elements carry their translation length and axis
-    ends (attracting first), elliptic elements a fixed vertex witness."""
-
-    kind: str
-    translation_length: object
-    axis_ends: tuple = ()
-    fixed_vertex: object = None
-
-
-@dataclass(frozen=True)
-class FixedEndReport:
-    """Classification of the set of ends fixed by every generator.
-
-    ``status`` is one of empty / singleton / pair / all / unknown.  A pair
-    only arises in the axis case: the two ends of a common translation
-    axis.  ``unknown`` is the answer for elliptic generators on a word
-    tree, where no exact rule applies.
-    """
-
-    status: str
-    ends: tuple = ()
-
-
-def fixed_ends_tree(action: GroupAction) -> FixedEndReport:
-    if not action.space.exact:
-        raise WrongSpace("fixed_ends_tree needs a tree action")
-    space = action.space
-    gens = action.generators
-    classes = {name: gens[name].classify() for name in sorted(gens)}
-    if all(c.kind == "identity" for c in classes.values()):
-        return FixedEndReport("all")
-
-    def fixed_by_all(end) -> bool:
-        return all(iso.boundary(space, end) == end for iso in gens.values())
-
-    hyperbolic = [name for name, c in classes.items() if c.kind == "hyperbolic"]
-    if hyperbolic:
-        # Any end fixed by the whole action is fixed by this hyperbolic
-        # element, hence is one of its two axis ends: the answer is exact.
-        candidates = classes[hyperbolic[0]].axis_ends
-    elif isometry_type(space) is HnnIsometry:
-        # Only elliptic generators remain.  On the HNN tree a nontrivial
-        # translation x -> x + b fixes the upward end and no downward end,
-        # so the answer is again exact.
-        candidates = (HnnUp(),)
-    else:
-        return FixedEndReport("unknown")
-    fixed = tuple(e for e in candidates if fixed_by_all(e))
-    return FixedEndReport(("empty", "singleton", "pair")[len(fixed)], fixed)
-
-
-# ---------------------------------------------------------------------------
-# Endpoint characters and the Busemann cocycle
+# Endpoint characters
 
 
 def character_at_end(action: GroupAction, e, a, words: Sequence[str]) -> dict:
@@ -518,13 +429,6 @@ def _check_fixed(action: GroupAction, e) -> None:
     for name, iso in sorted(action.generators.items()):
         if not space.boundary_equal(iso.boundary(space, e), e):
             raise EndNotFixed(f"generator {name!r} moves the boundary point {e!r}")
-
-
-def psi_cocycle(action: GroupAction, e, word: str, a):
-    """psi_e(g, a) = beta(ga) - beta(a); defined for every g, whether or not
-    it fixes e, and independent of the ray chosen for e."""
-    space = action.space
-    return _psi(action, word, space.ray_from(space.check_point(a), space.check_target(e)))
 
 
 def _psi(action: GroupAction, word: str, ray: GeneralizedRay):
@@ -608,17 +512,6 @@ def _image_pairs(cfg: ControlConfiguration, f: Mapping) -> dict:
     return {label: (cfg.points[label], cfg.points[x] if _is_label(cfg, x) else check(x)) for label, x in f.items()}
 
 
-def _shift(space: ModelSpace, pairs: Mapping, e) -> ShiftReport:
-    """The shift report toward e (a checked end or ray target) of checked
-    (point, image) pairs."""
-    ray = space.ray_from(space.origin(), e)
-    shifts, alphas = {}, {}
-    for label, (src, dst) in sorted(pairs.items(), key=lambda kv: str(kv[0])):
-        shifts[label] = ray.busemann(dst) - ray.busemann(src)
-        alphas[label] = space.distance(src, dst)
-    return ShiftReport(e, shifts, alphas, space.slack(GLOBAL_TOL))
-
-
 def shift_report(cfg: ControlConfiguration, f: Mapping, e) -> ShiftReport:
     """Shift of the map f toward the end e on the configuration.
 
@@ -627,55 +520,15 @@ def shift_report(cfg: ControlConfiguration, f: Mapping, e) -> ShiftReport:
     beta(x); the guaranteed shift is its minimum over the configuration,
     and the map is a contraction toward e when that minimum is positive.
     """
-    return _shift(cfg.space, _image_pairs(cfg, f), cfg.space.check_target(e))
-
-
-@dataclass(frozen=True)
-class IterateCheck:
-    passed: bool
-    m: int
-    gsh_iterate: object
-    lower_bound: object
-
-
-def iterate_shift_check(cfg: ControlConfiguration, f: Mapping, e, m: int) -> IterateCheck:
-    """Check gsh(f^m) >= m gsh(f) for a label-closed map f: every image
-    is a label of f's own domain."""
-    for label, target in f.items():
-        if not _is_label(cfg, target):
-            raise NotClosed(f"image of {label!r} is not a configuration label")
-        if target not in f:
-            raise NotClosed(f"image {target!r} of {label!r} is outside the map's domain")
-    space = cfg.space
-    base = _shift(space, _image_pairs(cfg, f), space.check_target(e))
-    current = {label: label for label in f}
-    for _ in range(m):
-        current = {label: f[current[label]] for label in current}
-    iterate = _shift(space, _image_pairs(cfg, current), base.end)
-    bound = m * base.gsh
-    return IterateCheck(iterate.gsh >= bound - space.slack(GLOBAL_TOL), m, iterate.gsh, bound)
-
-
-@dataclass(frozen=True)
-class EquivarianceCheck:
-    passed: bool
-    gsh_original: object
-    gsh_translated: object
-
-
-def equivariance_check(
-    cfg: ControlConfiguration, f: Mapping, action: GroupAction, word: str, e
-) -> EquivarianceCheck:
-    """gsh toward g e of the translated map g f equals gsh toward e of f."""
     space = cfg.space
     pairs = _image_pairs(cfg, f)
-    e = space.check_boundary(e)
-    isos = action.letters(word)
-    original = _shift(space, pairs, e)
-    moved = {label: (action._evaluate(isos, p), action._evaluate(isos, q)) for label, (p, q) in pairs.items()}
-    translated = _shift(space, moved, action._move_end(isos, e))
-    passed = abs(original.gsh - translated.gsh) <= space.slack(GLOBAL_TOL)
-    return EquivarianceCheck(passed, original.gsh, translated.gsh)
+    e = space.check_target(e)
+    ray = space.ray_from(space.origin(), e)
+    shifts, alphas = {}, {}
+    for label, (src, dst) in sorted(pairs.items(), key=lambda kv: str(kv[0])):
+        shifts[label] = ray.busemann(dst) - ray.busemann(src)
+        alphas[label] = space.distance(src, dst)
+    return ShiftReport(e, shifts, alphas, space.slack(GLOBAL_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -862,54 +715,3 @@ def angle_estimate_audit(M: ModelSpace, base, e, e2, schedule) -> AuditReport:
         if worst is None or slack < worst:
             worst = slack
     return AuditReport(worst is not None and worst >= -GLOBAL_TOL, len(rows), worst, {"angle": ang})
-
-
-# ---------------------------------------------------------------------------
-# The boundary classification for the modular group
-
-
-@dataclass(frozen=True)
-class QuadraticIrrational:
-    """a + b sqrt(d) with rational a, b and a positive nonsquare integer d."""
-
-    a: Fraction
-    b: Fraction
-    d: int
-
-    def __init__(self, a, b, d):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "d", int(d))
-        if self.d <= 0:
-            raise ValueError("the radicand must be positive")
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0 or math.isqrt(self.d) ** 2 == self.d
-
-
-def sl2z_sigma0_complement(e) -> bool:
-    """True iff the boundary point is rational or infinity: these form the
-    single orbit of infinity under the modular group, the complement of the
-    degree-zero invariant of its action on the hyperbolic plane.
-
-    The value must be given exactly: an int, Fraction, a string like
-    "3/7" or "inf", math.inf, or a QuadraticIrrational.  Finite floats are
-    rejected (a binary float is a rational, but almost always an
-    approximation of something else).
-    """
-    if isinstance(e, QuadraticIrrational):
-        return e.is_rational
-    if isinstance(e, str):
-        if e in ("inf", "oo", "infinity"):
-            return True
-        try:
-            Fraction(e)
-            return True
-        except ValueError as exc:
-            raise UnsupportedNumberForm(f"cannot read {e!r} exactly") from exc
-    if e == H2_INFINITY:
-        return True
-    if isinstance(e, (int, Fraction)):
-        return True
-    raise UnsupportedNumberForm(f"{e!r} is not an exact boundary value")

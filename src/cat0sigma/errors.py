@@ -38,10 +38,6 @@ class NotClosed(Cat0SigmaError):
     """The map sends a configuration label outside the configuration."""
 
 
-class UnsupportedNumberForm(Cat0SigmaError):
-    """Boundary value not given exactly (rational, infinity, or a + b*sqrt(d))."""
-
-
 class UnknownVertex(Cat0SigmaError):
     """Vertex is not in the graph."""
 

@@ -459,10 +459,3 @@ def flag_verdict(graph: SimpleGraph, n: int) -> ConnectivityVerdict:
     if len(factors) >= 2:
         return _join_verdict(factors, n)
     return connectivity_verdict(flag_complex(core), n)
-
-
-def bestvina_brady(graph: SimpleGraph, n: int) -> str:
-    """Membership of the diagonal character in the degree-n invariant of
-    the right-angled Artin group of the graph: In / Out / Unknown, by the
-    flag-complex connectivity criterion (:func:`flag_verdict`)."""
-    return flag_verdict(graph, n).membership

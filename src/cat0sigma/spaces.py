@@ -556,9 +556,7 @@ class GeneralizedRay:
         is an int exactly when it is an integer, and a Fraction otherwise.
         """
         if self.is_degenerate:
-            value = self.mu - self.space.distance(b, self.point_at(self.mu))
-            # Two offsets' Fractions can differ by an integer.
-            return value.numerator if type(value) is Fraction and value.denominator == 1 else value
+            return _int_if_integral(self.mu - self.space.distance(b, self.point_at(self.mu)))
         return self.space.busemann_to_end(self, b)
 
     def limit_audit(self, b, schedule: Sequence[Real]):
@@ -567,9 +565,17 @@ class GeneralizedRay:
 
         The sequence is nondecreasing and bounded above by d(ray(0), b); for
         degenerate rays it is constant from mu on.  Deliberately uses only
-        the metric, no closed forms, so it can audit :meth:`busemann`.
+        the metric, no closed forms, so it can audit :meth:`busemann`.  A
+        tree value is an int exactly when it is an integer, as in
+        :meth:`busemann`.
         """
-        return [(t, self.arc_from_base(t) - self.space.distance(b, self.point_at(t))) for t in schedule]
+        return [(t, _int_if_integral(self.arc_from_base(t) - self.space.distance(b, self.point_at(t)))) for t in schedule]
+
+
+def _int_if_integral(value):
+    """A difference of two exact tree values, an int when it is an integer:
+    two Fractions with offsets can differ by an integer.  Floats pass."""
+    return value.numerator if type(value) is Fraction and value.denominator == 1 else value
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +589,7 @@ def ray_from(M: ModelSpace, a, e) -> GeneralizedRay:
 
 
 # ---------------------------------------------------------------------------
-# Deterministic samplers (seeded; shared by audits and test suites)
+# The seeded point stream (for audits, cocompactness regions and verify)
 
 
 def unchecked_point_stream(M: ModelSpace, center, radius: float, seed: int):
@@ -592,8 +598,3 @@ def unchecked_point_stream(M: ModelSpace, center, radius: float, seed: int):
     rng = random.Random(str((seed, M.name, "points")))
     return (M.sample_point(center, radius, rng) for _ in itertools.count())
 
-
-def sample_boundary_points(M: ModelSpace, count: int, seed: int = 0):
-    """Deterministic sample of boundary points of M."""
-    rng = random.Random(str((seed, M.name, "ends")))
-    return [M.sample_end(rng) for _ in range(count)]

@@ -238,17 +238,6 @@ def _n_adic(x: Fraction, n: int) -> tuple[int, int, int]:
     return num * (cofactor // _power(n, top - exp)), den // shared, exp
 
 
-def n_valuation(x: Fraction, n: int) -> int | float:
-    """Largest h such that x / n^h is n-adically integral; +inf for x = 0.
-
-    Denominator factors coprime to n are units and are ignored.
-    """
-    if x == 0:
-        return math.inf
-    num, _, exp = _n_adic(x, n)
-    return _valuation(num, n) - exp
-
-
 @dataclass(frozen=True, slots=True)
 class HnnVertex:
     """Ball c + n^level Z_n of the HNN tree of index n, with its center c =

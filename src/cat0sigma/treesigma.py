@@ -20,9 +20,7 @@ first-class value with saturating minimum throughout.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional
 
 from .errors import DegreeOutOfRange, InvalidChain
@@ -177,59 +175,3 @@ def mfpr_lengths(data: MFPRData) -> GraphOfGroupsSummary:
         has_fixed_end=True,
         cl_character=min(m_chi, m_zero),
     )
-
-
-# ---------------------------------------------------------------------------
-# Seeded instance generation (for property suites; no claim is made about
-# which length gaps are realized by actual groups)
-
-
-def generate_sphere_points(rng: random.Random, k: int, count: int, forbid_antipodal: bool = True) -> list[SpherePoint]:
-    """Up to count distinct primitive vectors with entries drawn from -3..3,
-    in at most 400 draws; repeats (and antipodes, when forbidden) are
-    rejected on the integer tuples before any SpherePoint is built.
-
-    count is capped at the size of the pool, so the draws stop once it is
-    used up.  By Moebius inversion over the gcd the pool holds
-    7^k - 2 * 3^k + 1 primitive vectors (2, 32, 290 and 2240 for k = 1..4),
-    and half as many classes when antipodes are forbidden."""
-    pool = 7**k - 2 * 3**k + 1
-    count = min(count, pool // 2 if forbid_antipodal else pool)
-    vectors: list[tuple[int, ...]] = []
-    attempts = 0
-    while len(vectors) < count and attempts < 400:
-        attempts += 1
-        vec = tuple(rng.randrange(-3, 4) for _ in range(k))
-        g = math.gcd(*vec)
-        if g == 0:
-            continue
-        vec = tuple(c // g for c in vec)
-        if vec in vectors or (forbid_antipodal and tuple(-c for c in vec) in vectors):
-            continue
-        vectors.append(vec)
-    return [SpherePoint(v) for v in vectors]
-
-
-def generate_mfpr_data(rng: random.Random) -> MFPRData:
-    """Random MFPR instance of rank 1-3 with 1-6 complement points: a
-    rational complement without antipodal pairs and a splitting character
-    whose negative ray lies in the complement (as Brown's theorem requires
-    of a genuine splitting)."""
-    k = rng.randrange(1, 4)
-    size = rng.randrange(1, 7)
-    points = generate_sphere_points(rng, k, size)
-    if not points:
-        points = [SpherePoint(tuple(1 if i == 0 else 0 for i in range(k)))]
-    target = rng.choice(points)
-    scale = rng.choice([1, 1, 2, Fraction(1, 2), Fraction(3, 2)])
-    chi = Character(tuple(-scale * c for c in target.primitive))
-    return MFPRData(k, points, chi)
-
-
-def generate_summary(rng: random.Random) -> GraphOfGroupsSummary:
-    """Random finite lengths up to 6, with a fixed end half of the time."""
-    fl_group = rng.choice(range(7))
-    fl_stab = rng.choice(range(fl_group + 1))
-    if rng.random() < 0.5:
-        return GraphOfGroupsSummary(fl_group, fl_stab, False)
-    return GraphOfGroupsSummary(fl_group, fl_stab, True, rng.randrange(fl_stab, fl_group + 1))

@@ -1,6 +1,6 @@
-"""Group actions: word evaluation, boundary actions, tree isometry
-classification, fixed ends, endpoint characters, the cocycle, and the modular-group boundary
-classification."""
+"""Group actions: word evaluation, boundary actions, the axis ends of a
+Cayley word, endpoint characters, the cocycle, cocompactness witnesses and
+the modular-group boundary classification of ``verify``."""
 
 import math
 import random
@@ -20,21 +20,18 @@ from cat0sigma.actions import (
     GroupAction,
     HnnIsometry,
     MoebiusIsometry,
-    QuadraticIrrational,
     character_at_end,
     cocompactness_witness,
     EmptyHoroballWitness,
-    fixed_ends_tree,
     NetCertificate,
     ORBIT_BUDGET,
     UnknownVerdict,
-    psi_cocycle,
-    sl2z_sigma0_complement,
 )
-from cat0sigma.errors import EndNotFixed, ParameterOutOfRange, UnknownGenerator, UnsupportedNumberForm, WrongSpace
+from cat0sigma.errors import EndNotFixed, ParameterOutOfRange, UnknownGenerator, WrongSpace
 from cat0sigma.spaces import EDirection, EuclideanSpace, H2_INFINITY, REGION_BUDGET
-from cat0sigma.trees import CayleyTree, HnnDown, HnnTree, HnnUp, RegularTree, TreeModel, TreePoint, make_word_end
-from cat0sigma.words import invert_word
+from cat0sigma.trees import CayleyTree, HnnTree, HnnUp, RegularTree, TreeModel, TreePoint, make_word_end
+from cat0sigma.verify import _fixed_axis_ends, _psi, _random_ends, _sl2z_cusp
+from cat0sigma.words import cyclic_reduce, invert_word, reduce_word
 
 
 def test_apply_examples():
@@ -133,70 +130,44 @@ def test_group_action_accepts_what_the_gram_rule_accepts():
 
 
 def test_classification_examples():
-    # The tree isometries that fixed_ends_tree classifies.
-    cls = CayleyIsometry((1,)).classify()
-    assert cls.kind == "hyperbolic" and cls.translation_length == 1
-    assert set(cls.axis_ends) == {make_word_end((), (1,)), make_word_end((), (-1,))}
+    # The axis of a word of F2, which verify's cocompact suite reads: a
+    # fixes the two ends of its axis.
+    a = GroupAction.cyclic_on_cayley_tree(2, (1,))
+    assert set(_fixed_axis_ends(a, (1,))) == {make_word_end((), (1,)), make_word_end((), (-1,))}
     # A conjugate has the conjugated axis: b a b^-1.
-    cls2 = CayleyIsometry((2, 1, -2)).classify()
-    assert cls2.translation_length == 1
-    assert cls2.axis_ends[0] == make_word_end((2,), (1,))
-    assert CayleyIsometry(()).classify().kind == "identity"
-
-    t, a = HnnIsometry(2, 1, 0), HnnIsometry(2, 0, 1)
-    assert t.classify().kind == "hyperbolic"
-    assert t.classify().translation_length == 1
-    assert a.classify().kind == "elliptic"
-    assert HnnIsometry(2, 0, 0).classify().kind == "identity"
-
-    # Composite index: ta sends x to 6x + 6, fixing x = -6/5 and the top;
-    # positive shifts contract n-adically toward the finite fixed point.
-    cls6 = HnnIsometry(6, 1, 6).classify()
-    assert cls6.kind == "hyperbolic" and cls6.translation_length == 1
-    assert cls6.axis_ends == (HnnDown(F(-6, 5)), HnnUp())
-    assert HnnIsometry(6, -1, 0).classify().axis_ends == (HnnUp(), HnnDown(F(0)))
+    conjugate = GroupAction.cyclic_on_cayley_tree(2, (2, 1, -2))
+    assert _fixed_axis_ends(conjugate, (2, 1, -2)) == [make_word_end((2,), (1,)), make_word_end((2,), (-1,))]
     hnn6 = GroupAction.ascending_hnn(6)
     assert character_at_end(hnn6, HnnUp(), hnn6.space.origin(), ["t"]) == {"t": -1}
 
 
 def test_classifying_a_long_conjugate_takes_one_pass():
-    # c a c^-1 with |c| = 10^5: the axis is c . a^inf, found in one pass
-    # over the word (peeling one cancelling pair per turn was quadratic).
+    # c a c^-1 with |c| = 10^5: the core a and the prefix c are found in one
+    # pass over the word (peeling one cancelling pair per turn was quadratic).
     c = (1, 2) * 50_000
     start = time.perf_counter()
-    cls = CayleyIsometry(c + (1,) + invert_word(c)).classify()
+    prefix, core = cyclic_reduce(c + (1,) + invert_word(c))
     assert time.perf_counter() - start < 1.0
-    assert (cls.translation_length, cls.axis_ends) == (1, (make_word_end(c, (1,)), make_word_end(c, (-1,))))
+    assert (prefix, core) == (c, (1,))
 
 
 def test_tree_translation_length_is_homogeneous(rng):
+    # The translation length of a word is the length of its cyclically
+    # reduced core.
     for _ in range(20):
-        word = tuple(rng.choice((1, 2, -1, -2)) for _ in range(rng.randrange(1, 4)))
-        base = CayleyIsometry(word).classify()
-        if base.kind != "hyperbolic":
+        word = reduce_word(tuple(rng.choice((1, 2, -1, -2)) for _ in range(rng.randrange(1, 4))))
+        if not word:
             continue
+        length = len(cyclic_reduce(word)[1])
         for n in range(1, 6):
-            assert CayleyIsometry(word * n).classify().translation_length == n * base.translation_length
+            assert len(cyclic_reduce(reduce_word(word * n))[1]) == n * length
 
 
 def test_fixed_ends_examples():
     sub = GroupAction.cyclic_on_cayley_tree(2, (1,))
-    report = fixed_ends_tree(sub)
-    assert report.status == "pair"
-    assert set(report.ends) == {make_word_end((), (1,)), make_word_end((), (-1,))}
-
-    hnn = GroupAction.ascending_hnn(2)
-    report = fixed_ends_tree(hnn)
-    assert report.status == "singleton" and report.ends == (HnnUp(),)
-
-    free = GroupAction.free_group(2)
-    assert fixed_ends_tree(free).status == "empty"
-
-    only_b = GroupAction(HnnTree(2), {"a": HnnIsometry(2, 0, 1)})
-    assert fixed_ends_tree(only_b).status == "singleton"
-
-    trivial = GroupAction(CayleyTree(2), {"e": CayleyIsometry(())})
-    assert fixed_ends_tree(trivial).status == "all"
+    assert set(_fixed_axis_ends(sub, (1,))) == {make_word_end((), (1,)), make_word_end((), (-1,))}
+    # b moves both ends of the axis of a.
+    assert _fixed_axis_ends(GroupAction.free_group(2), (1,)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -240,34 +211,34 @@ def test_character_additivity_and_base_independence(rng):
 def test_psi_cocycle_identity(rng):
     act = GroupAction.moebius({"s": [[0, -1], [1, 0]], "p": [[1, 1], [0, 1]]})
     for i in range(40):
-        e = sp.sample_boundary_points(act.space, 1, seed=100 + i)[0]
+        e = _random_ends(act.space, 1, 100 + i)[0]
         a = next(sp.unchecked_point_stream(act.space, 1j, 2.0, 200 + i))
         g = "".join(rng.choice("spSP") for _ in range(rng.randrange(1, 3)))
         h = "".join(rng.choice("spSP") for _ in range(rng.randrange(1, 3)))
-        lhs = psi_cocycle(act, e, g + h, a)
-        rhs = psi_cocycle(act, e, g, act.apply(h, a)) + psi_cocycle(act, e, h, a)
+        lhs = _psi(act, e, g + h, a)
+        rhs = _psi(act, e, g, act.apply(h, a)) + _psi(act, e, h, a)
         assert abs(lhs - rhs) < 1e-9
-    assert psi_cocycle(act, F(0), "", 1j) == 0.0
+    assert _psi(act, F(0), "", 1j) == 0.0
 
 
 def test_psi_matches_character_when_the_end_is_fixed():
     hyp = GroupAction.moebius({"p": [[1, 1], [0, 1]], "h": [[2, 0], [0, F(1, 2)]]})
     for a in [1j, complex(0.5, 2.0)]:
         for word in ["p", "h", "hp"]:
-            psi = psi_cocycle(hyp, H2_INFINITY, word, a)
+            psi = _psi(hyp, H2_INFINITY, word, a)
             chi = character_at_end(hyp, H2_INFINITY, a, [word])[word]
             assert abs(psi - chi) < 1e-9
     hnn = GroupAction.ascending_hnn(2)
     base = hnn.space.origin()
     for word in ["t", "a", "taT"]:
-        assert {word: psi_cocycle(hnn, HnnUp(), word, base)} == character_at_end(hnn, HnnUp(), base, [word])
+        assert {word: _psi(hnn, HnnUp(), word, base)} == character_at_end(hnn, HnnUp(), base, [word])
 
 
 def test_psi_for_translations_is_inner_product():
     act = GroupAction.euclidean_translations(2, {"v": (0.3, 0.4)})
     e = EDirection((0.6, 0.8))
     for a in [(0.0, 0.0), (5.0, -2.0)]:
-        got = psi_cocycle(act, e, "v", a)
+        got = _psi(act, e, "v", a)
         assert abs(got - (0.3 * 0.6 + 0.4 * 0.8)) < 1e-12
 
 
@@ -453,15 +424,9 @@ def test_modular_group_is_not_cocompact():
 
 
 def test_sl2z_complement_examples():
-    assert sl2z_sigma0_complement(F(3, 7)) is True
-    assert sl2z_sigma0_complement("3/7") is True
-    assert sl2z_sigma0_complement("inf") is True
-    assert sl2z_sigma0_complement(H2_INFINITY) is True
-    assert sl2z_sigma0_complement(QuadraticIrrational(1, 1, 2)) is False
+    assert _sl2z_cusp(F(3, 7)) is True
+    assert _sl2z_cusp(H2_INFINITY) is True
+    assert _sl2z_cusp((1, 1, 2)) is False
     # A square radicand is secretly rational.
-    assert sl2z_sigma0_complement(QuadraticIrrational(1, 1, 4)) is True
-    assert sl2z_sigma0_complement(QuadraticIrrational(F(1, 2), 0, 7)) is True
-    with pytest.raises(UnsupportedNumberForm):
-        sl2z_sigma0_complement(0.333333)
-    with pytest.raises(UnsupportedNumberForm):
-        sl2z_sigma0_complement("pi")
+    assert _sl2z_cusp((1, 1, 4)) is True
+    assert _sl2z_cusp((F(1, 2), 0, 7)) is True

@@ -16,7 +16,6 @@ from cat0sigma.raag import (
     IN,
     OUT,
     SimpleGraph,
-    bestvina_brady,
     connectivity_verdict,
     dominated_core,
     edge_path_presentation,
@@ -255,6 +254,20 @@ def test_join_verdicts_equal_whole_complex_verdicts_on_dense_graphs():
     assert {2, 3, 4} <= factor_counts
 
 
+def test_join_factors_are_read_through_their_share_of_the_top_degree(monkeypatch):
+    # For r factors and top degree t, each factor's profile is computed
+    # through degree max(t - r + 1, 0), no further: the octahedron at n = 2
+    # (three pairs of points, t = 1) reads degree 0 of each pair, and
+    # C5 * C5 at n = 3 (t = 2) degree 1 of each cycle.
+    asked = []
+    monkeypatch.setattr(raag, "homology", lambda K, max_degree=None: asked.append(max_degree) or homology(K, max_degree))
+    flag_verdict(SimpleGraph.octahedron(), 2)
+    assert asked == [0, 0, 0]
+    asked.clear()
+    flag_verdict(graph_join(SimpleGraph.cycle(5), SimpleGraph.cycle(5)), 3)
+    assert asked == [1, 1]
+
+
 RP2_PROFILE = HomologyProfile((1, 0, 0), ((), (2,), ()))
 
 
@@ -269,7 +282,7 @@ def test_kunneth_suspension_moves_torsion_up_a_degree():
         assert joined.profile == whole.profile
     profile = join_homology([homology(flag_complex(rp2)), HomologyProfile((2,), ((),))], 4)
     assert profile == HomologyProfile((1, 0, 0, 0, 0), ((), (), (2,), (), ()))
-    assert [bestvina_brady(suspension, n) for n in range(5)] == [IN, IN, IN, OUT, OUT]
+    assert [flag_verdict(suspension, n).membership for n in range(5)] == [IN, IN, IN, OUT, OUT]
 
 
 def test_kunneth_join_of_projective_planes_has_a_tor_term():
@@ -294,7 +307,7 @@ def test_kunneth_coprime_torsion_vanishes_in_the_join():
     assert join_homology([RP2_PROFILE, profile], 6).reduced_trivial_through(6)
     graph = graph_join(subdivision_graph(RP2_TRIANGLES), moore3)
     assert [len(f.vertices) for f in join_factors(dominated_core(graph))] == [31, 79]
-    assert [bestvina_brady(graph, n) for n in (2, 4, 6, 10)] == [IN] * 4
+    assert [flag_verdict(graph, n).membership for n in (2, 4, 6, 10)] == [IN] * 4
     # Orders that share a factor keep it, as invariant factors: Z/4 (x) Z/6
     # and Tor(Z/4, Z/6) are Z/2; Z/6 (x) (Z + Z/10 + Z/15) is Z/6 + Z/2 + Z/3
     # = (Z/6)^2, and Tor(Z/6, Z/10 + Z/15) = Z/2 + Z/3 = Z/6.
@@ -307,7 +320,7 @@ def test_kunneth_coprime_torsion_vanishes_in_the_join():
 def test_bestvina_brady_decides_k40_on_its_core():
     graph = SimpleGraph.complete(40)
     start = time.perf_counter()
-    assert bestvina_brady(graph, 2) == IN
+    assert flag_verdict(graph, 2).membership == IN
     assert time.perf_counter() - start < 0.05
 
 
@@ -394,7 +407,7 @@ def test_exhausted_tietze_budget_is_an_honest_unknown(monkeypatch):
     # and the verdict is Unknown too.  The octahedron is a join of three
     # pairs of points, whose fundamental group is free; it needs no search.
     icosahedron = SimpleGraph.from_json(json.loads((GOLDEN / "raag_icosahedron.json").read_text(encoding="utf-8")))
-    assert bestvina_brady(icosahedron, 2) == "Unknown"
+    assert flag_verdict(icosahedron, 2).membership == "Unknown"
     octa = flag_verdict(SimpleGraph.octahedron(), 2)
     assert (octa.simply_connected, octa.membership, octa.certificate) == ("yes", "In", None)
 
@@ -403,13 +416,13 @@ def test_bestvina_brady_fixed_points():
     for m in range(1, 7):
         graph = SimpleGraph.complete(m)
         for n in range(0, 6):
-            assert bestvina_brady(graph, n) == IN
+            assert flag_verdict(graph, n).membership == IN
     c4 = SimpleGraph.cycle(4)
-    assert bestvina_brady(c4, 1) == IN
-    assert bestvina_brady(c4, 2) == OUT
+    assert flag_verdict(c4, 1).membership == IN
+    assert flag_verdict(c4, 2).membership == OUT
     octa = SimpleGraph.octahedron()
-    assert bestvina_brady(octa, 2) == IN
-    assert bestvina_brady(octa, 3) == OUT
+    assert flag_verdict(octa, 2).membership == IN
+    assert flag_verdict(octa, 3).membership == OUT
 
 
 def test_bestvina_brady_level_one_is_connectivity(rng):
@@ -419,7 +432,7 @@ def test_bestvina_brady_level_one_is_connectivity(rng):
         graph = SimpleGraph(range(n), edges)
         K = flag_complex(graph)
         connected = homology(K).betti_reduced(0) == 0 if K.simplices else False
-        assert (bestvina_brady(graph, 1) == IN) == connected
+        assert (flag_verdict(graph, 1).membership == IN) == connected
 
 
 def test_membership_is_monotone_in_the_degree():
@@ -431,7 +444,7 @@ def test_membership_is_monotone_in_the_degree():
         SimpleGraph([0, 1, 2], [(0, 1)]),
     ]
     for graph in graphs:
-        values = [bestvina_brady(graph, n) for n in range(0, 5)]
+        values = [flag_verdict(graph, n).membership for n in range(0, 5)]
         for low, high in zip(values, values[1:]):
             if high == IN:
                 assert low == IN

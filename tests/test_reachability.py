@@ -1,14 +1,21 @@
-"""Reachability guard: every public function of the package runs.
+"""Reachability guard: every public function of the package runs for a
+command other than ``verify``.
 
 The golden command lines, ``verify --suite all --seed 0`` and the
-``--svg`` snapshots run in-process under a call hook.  Every public
-module-level function of ``src/cat0sigma/*.py`` and every function written
-in the body of a public class there (methods, static methods and
-properties, but not the ones ``dataclass`` generates) must be called by
-them; a public dataclass counts as called when a function defined in its
-body runs (a generated ``__init__`` among them), so a pure record is
-guarded too.  A public function that no command reaches is deleted, or
-named in ``UNREACHED`` with the reason it has to stay.
+``--svg`` snapshots run in-process under a call hook, which records the
+functions that the ``verify`` line calls apart from those that the other
+lines call.  The public names are every public module-level function of
+``src/cat0sigma/*.py`` and every function written in the body of a public
+class there (methods, static methods and properties, but not the ones
+``dataclass`` generates); a public dataclass counts as called when a
+function defined in its body runs (a generated ``__init__`` among them), so
+a pure record is guarded too.  A name of ``verify`` must be called by one
+of the command lines.  Any other name must be called by a command line
+other than ``verify``; or be named in ``UNREACHED`` with the reason it has
+to stay although nothing calls it; or be named in ``VERIFY_ONLY`` with one
+of the four reasons in ``VERIFY_ONLY_KINDS``, when ``verify`` alone calls
+it.  What only ``verify`` asks for otherwise lives in ``verify``.  A name in
+either table that the commands it excludes do call fails as stale.
 
 Every option of every command must appear on one of those command lines,
 or be named in ``UNUSED_OPTIONS`` with the reason it has no golden line.
@@ -34,12 +41,45 @@ PACKAGE = pathlib.Path(cat0sigma.__file__).parent
 UNREACHED = {
     "cli.main": "the console entry point: it reads sys.argv and exits, and hands both to cli.run, "
     "which the command lines call",
-    "trees.n_valuation": "the fixed vertex of an elliptic HNN generator in fixed_ends_tree; "
-    "no command builds an HNN action for it and verify classifies Cayley actions only",
-    "actions.HnnIsometry.classify": "the HNN branch of fixed_ends_tree, which no command calls "
-    "and which verify builds for Cayley actions only",
     "homology.SimplicialComplex.simplices": "the benchmark's tracer reads it to count the faces "
     "of each flag complex",
+}
+
+# The kinds of public name outside verify that verify alone may call.
+PROTOCOL = "a method of the space, isometry or configuration protocol; no other command calls it on this class"
+ORACLE = "the Fourier-Motzkin oracle, imported by verify alone (test_oracle_imports)"
+HANDLER = "the handler of the verify command"
+EXAMPLE = "a constructor of a fixed example that verify and the tests build"
+VERIFY_ONLY_KINDS = {PROTOCOL, ORACLE, HANDLER, EXAMPLE}
+
+# Public names outside verify that only the verify command line calls.
+VERIFY_ONLY = {
+    "actions.ControlConfiguration.labels": PROTOCOL,
+    "actions.EuclideanIsometry.boundary": PROTOCOL,
+    "actions.GroupAction._move_end": PROTOCOL,
+    "actions.GroupAction.apply": PROTOCOL,
+    "actions.GroupAction.boundary_apply": PROTOCOL,
+    "spaces.EuclideanSpace.boundary_equal": PROTOCOL,
+    "spaces.EuclideanSpace.sample_end": PROTOCOL,
+    "spaces.HyperbolicPlane.origin": PROTOCOL,
+    "spaces.HyperbolicPlane.sample_end": PROTOCOL,
+    "trees.HnnTree.sample_end": PROTOCOL,
+    "trees.TreeModel.children": PROTOCOL,
+    "trees.WordTree.probe_ends": PROTOCOL,
+    "trees.WordTree.sample_end": PROTOCOL,
+    "exactlp.strictly_representable_fm": ORACLE,
+    "cli.cmd_verify": HANDLER,
+    "actions.EuclideanIsometry.pure_translation": EXAMPLE,
+    "actions.GroupAction.ascending_hnn": EXAMPLE,
+    "actions.GroupAction.cyclic_on_cayley_tree": EXAMPLE,
+    "actions.GroupAction.euclidean_translations": EXAMPLE,
+    "actions.GroupAction.free_group": EXAMPLE,
+    "actions.GroupAction.moebius": EXAMPLE,
+    "raag.SimpleGraph.complete": EXAMPLE,
+    "raag.SimpleGraph.cycle": EXAMPLE,
+    "raag.SimpleGraph.octahedron": EXAMPLE,
+    "sphere.Character.scaled": EXAMPLE,
+    "sphere.SpherePoint.character": EXAMPLE,
 }
 
 # Options that stay although no golden or snapshot command line passes them.
@@ -125,25 +165,37 @@ def test_every_public_function_is_called_by_a_command(tmp_path):
     for name, obj in names.items():
         for f in functions_of(obj):
             codes.setdefault(f.__code__, []).append(name)
-    called = set()
+    called = {False: set(), True: set()}  # by verify, by the other commands
+    sink = called[True]
 
     def hook(frame, event, arg):
-        called.add(frame.f_code)
+        sink.add(frame.f_code)  # the set of the command line that runs
 
     cli.build_parser.cache_clear()  # build the parser under the hook, as a fresh process does
     previous = sys.gettrace()
     sys.settrace(hook)
     try:
         for argv in command_lines(tmp_path):
+            sink = called[argv[0] != "verify"]
             assert cli.run(argv, stdout=io.StringIO(), stderr=io.StringIO()) == 0, argv
     finally:
         sys.settrace(previous)
-    reached = {name for code in called for name in codes.get(code, ())}
+    reached = {side: {name for code in found for name in codes.get(code, ())} for side, found in called.items()}
+    outside_verify = {name for name in names if not name.startswith("verify.")}
     # Each name in the message, where pytest's comparison of lists is cut short.
-    unreached = sorted(set(names) - reached - set(UNREACHED))
-    assert not unreached, f"no command line calls {len(unreached)}: {', '.join(unreached)}"
-    stale = sorted(reached & set(UNREACHED))
-    assert not stale, f"named in UNREACHED but called: {', '.join(stale)}"
+    unreached = sorted(
+        (set(names) - outside_verify - reached[False] - reached[True])
+        | (outside_verify - reached[True] - set(UNREACHED) - set(VERIFY_ONLY))
+    )
+    assert not unreached, f"no command line but verify calls {len(unreached)}: {', '.join(unreached)}"
+    stale = sorted(((reached[False] | reached[True]) & set(UNREACHED)) | (reached[True] & set(VERIFY_ONLY)))
+    assert not stale, f"named in UNREACHED or VERIFY_ONLY but called: {', '.join(stale)}"
+    assert set(VERIFY_ONLY) <= outside_verify & reached[False]
+
+
+def test_verify_only_names_have_one_of_the_four_reasons():
+    assert set(VERIFY_ONLY.values()) <= VERIFY_ONLY_KINDS
+    assert not set(VERIFY_ONLY) & set(UNREACHED)
 
 
 def test_every_option_is_on_a_command_line(tmp_path):

@@ -1,4 +1,5 @@
-"""Shift calculus: shift reports, iterates, equivariance, audits."""
+"""Shift calculus: shift reports, and verify's iterates and translates of
+them, audits."""
 
 import collections
 import math
@@ -13,14 +14,13 @@ from cat0sigma.actions import (
     EuclideanIsometry,
     GroupAction,
     angle_estimate_audit,
-    equivariance_check,
-    iterate_shift_check,
     local_busemann_audit,
     shift_report,
 )
 from cat0sigma.errors import EmptyConfiguration, NotClosed, WrongSpace
 from cat0sigma.spaces import EDirection, EuclideanSpace, H2_INFINITY, HyperbolicPlane
 from cat0sigma.trees import CayleyTree, HnnTree, HnnUp, TreeModel, TreePoint, make_word_end
+from cat0sigma.verify import _iterate_gsh, _random_ends, _translated_gsh
 from conftest import stream_points
 
 E2 = EuclideanSpace(2)
@@ -58,7 +58,7 @@ def test_shift_bound_holds_in_type(space):
     base = space.origin()
     pts = stream_points(space, base, 5, radius=3.0, seed=91)
     cfg = ControlConfiguration(space, {i: p for i, p in enumerate(pts)})
-    end = sp.sample_boundary_points(space, 1, seed=92)[0]
+    end = _random_ends(space, 1, 92)[0]
     rep = shift_report(cfg, {i: (i + 1) % 5 for i in range(5)}, end)
     slack = 0 if space.exact else 1e-12
     for label, sh in rep.shifts.items():
@@ -74,33 +74,23 @@ def test_shift_errors():
         shift_report(cfg, {}, EDirection((1, 0)))
     with pytest.raises(NotClosed):
         shift_report(cfg, {"zz": (1.0, 0.0)}, EDirection((1, 0)))
-    with pytest.raises(NotClosed):
-        iterate_shift_check(cfg, {"x": (1.0, 0.0)}, EDirection((1, 0)), 2)
-    # y is a configuration label but not in the map's domain, so f^2 is
-    # undefined at x; this used to end in a bare KeyError.
-    pair = ControlConfiguration(E2, {"x": (0.0, 0.0), "y": (1.0, 0.0)})
-    with pytest.raises(NotClosed, match="outside the map's domain"):
-        iterate_shift_check(pair, {"x": "y"}, EDirection((1, 0)), 2)
 
 
 def test_iterate_examples():
     cfg = ControlConfiguration(E2, {i: (float(i), 0.0) for i in range(9)})
     e = EDirection((1, 0))
     identity = {i: i for i in range(9)}
-    chk = iterate_shift_check(cfg, identity, e, 4)
-    assert chk.passed and chk.gsh_iterate == 0 and chk.lower_bound == 0
+    assert _iterate_gsh(cfg, identity, e, 4) == 0
 
     forward = {i: min(i + 1, 8) for i in range(9)}
-    chk = iterate_shift_check(cfg, forward, e, 3)
-    assert chk.passed
+    assert _iterate_gsh(cfg, forward, e, 3) >= 3 * shift_report(cfg, forward, e).gsh
 
     # Mixed shifts 1 and 2: the iterate clears the bound with slack.
     cfg2 = ControlConfiguration(E2, {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (3.0, 0.0), 3: (6.0, 0.0)})
     hop = {0: 1, 1: 2, 2: 3, 3: 3}
     rep1 = shift_report(cfg2, hop, e)
     assert rep1.gsh == 0.0  # the top label is fixed
-    chk = iterate_shift_check(cfg2, hop, e, 2)
-    assert chk.passed and chk.gsh_iterate >= 2 * rep1.gsh
+    assert _iterate_gsh(cfg2, hop, e, 2) >= 2 * rep1.gsh
 
 
 def test_strict_contraction_iterate():
@@ -116,35 +106,34 @@ def test_strict_contraction_iterate():
     moving = {i: i + 1 for i in range(5)}
     rep2 = shift_report(cfg, moving, end)
     assert rep2.gsh == 1 and rep2.is_contraction
-    chk = iterate_shift_check(cfg, hop, end, 3)
-    assert chk.passed
+    assert _iterate_gsh(cfg, hop, end, 3) >= 3 * rep.gsh
 
 
 def test_equivariance_examples():
     e = EDirection((1, 0))
-    cfg = ControlConfiguration(E2, {"x": (0.0, 0.0), "y": (1.0, 1.0)})
-    fmap = {"x": (1.0, 0.0), "y": (2.0, 1.0)}
+    cfg = ControlConfiguration(E2, {"x": (0.0, 0.0), "y": (1.0, 1.0), "x1": (1.0, 0.0), "y1": (2.0, 1.0)})
+    fmap = {"x": "x1", "y": "y1"}
+    gsh = shift_report(cfg, fmap, e).gsh
     ident = GroupAction.euclidean_translations(2, {"a": (0, 0)})
-    chk = equivariance_check(cfg, fmap, ident, "a", e)
-    assert chk.passed and chk.gsh_original == chk.gsh_translated
+    assert _translated_gsh(ident, cfg, fmap, "a", e) == gsh
 
     quarter = GroupAction(
         E2, {"r": EuclideanIsometry(((0.0, -1.0), (1.0, 0.0)), (0.0, 0.0))}
     )
-    chk = equivariance_check(cfg, fmap, quarter, "r", e)
-    assert chk.passed
+    assert abs(_translated_gsh(quarter, cfg, fmap, "r", e) - gsh) <= 1e-9
 
     free = GroupAction.free_group(2)
     T = free.space
-    cfgT = ControlConfiguration(T, {"x": TreePoint(()), "y": TreePoint((2,))})
-    fT = {"x": TreePoint((1,)), "y": TreePoint(())}
-    chk = equivariance_check(cfgT, fT, free, "ab", make_word_end((), (1,)))
-    assert chk.passed and chk.gsh_original == chk.gsh_translated
+    cfgT = ControlConfiguration(T, {"x": TreePoint(()), "y": TreePoint((2,)), "x1": TreePoint((1,))})
+    fT = {"x": "x1", "y": "x"}
+    end = make_word_end((), (1,))
+    assert _translated_gsh(free, cfgT, fT, "ab", end) == shift_report(cfgT, fT, end).gsh
 
 
 def test_shift_checks_check_each_argument_once(monkeypatch):
-    # The configuration's points are checked when it is built; the shift
-    # checks check the end once and nothing that they move or build.
+    # The configuration's points are checked when it is built; a shift
+    # report, of a map or of its iterate, checks the end once and no point
+    # that it reads by its label.
     free = GroupAction.free_group(2)
     cfg = ControlConfiguration(free.space, {i: TreePoint(w) for i, w in enumerate([(), (1,), (2,), (1, 1), (-2,)])})
     fmap = {i: (i + 1) % 5 for i in range(5)}
@@ -153,10 +142,10 @@ def test_shift_checks_check_each_argument_once(monkeypatch):
     for cls, method in ((CayleyTree, "check_point"), (CayleyTree, "check_boundary")):
         original = getattr(cls, method)
         monkeypatch.setattr(cls, method, lambda *args, m=method, f=original: counts.update([m]) or f(*args))
-    assert equivariance_check(cfg, fmap, free, "abA", end).passed
+    shift_report(cfg, fmap, end)
     assert dict(counts) == {"check_boundary": 1}
     counts.clear()
-    iterate_shift_check(cfg, fmap, end, 3)
+    _iterate_gsh(cfg, fmap, end, 3)
     assert dict(counts) == {"check_boundary": 1}
 
 

@@ -16,6 +16,7 @@ import pytest
 from cat0sigma import actions, spaces as sp
 from cat0sigma.errors import WrongSpace
 from cat0sigma.trees import CayleyTree, HnnTree, HnnVertex, RegularTree, TreePoint, WordEnd
+from cat0sigma.verify import _random_ends
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "cat0sigma"
 OWNERS = {"spaces.py", "trees.py"}
@@ -116,25 +117,21 @@ CHECKING_ENDS = {
     "TreeModel.check_target",
 }
 # The public functions of actions, each for the points from its caller, and
-# _image_pairs, which checks the raw images of the shift checks' maps.
+# _image_pairs, which checks the raw images of shift_report's maps.
 CHECKING_ACTIONS = {
     "GroupAction.apply",
     "ControlConfiguration.__init__",
     "_image_pairs",
     "character_at_end",
-    "psi_cocycle",
     "cocompactness_witness",
     "local_busemann_audit",
     "angle_estimate_audit",
 }
 # The public functions of actions, each for the ends from its caller:
-# boundary_apply, character_at_end, equivariance_check and
-# angle_estimate_audit take an end, the others a ray's target, an end or a
-# point.
-ACTIONS_CHECKING_ENDS = {
-    "GroupAction.boundary_apply", "character_at_end", "equivariance_check", "angle_estimate_audit"
-}
-ACTIONS_CHECKING_TARGETS = {"psi_cocycle", "shift_report", "iterate_shift_check", "local_busemann_audit"}
+# boundary_apply, character_at_end and angle_estimate_audit take an end,
+# the others a ray's target, an end or a point.
+ACTIONS_CHECKING_ENDS = {"GroupAction.boundary_apply", "character_at_end", "angle_estimate_audit"}
+ACTIONS_CHECKING_TARGETS = {"shift_report", "local_busemann_audit"}
 # The entry points of spaces that check what they are given; actions and
 # verify call the space methods and the rays' busemann instead.
 CHECKING_ENTRY_POINTS = {"ray_from"}
@@ -353,7 +350,7 @@ BAD_POINTS = {
 
 
 def _end(M):
-    return sp.sample_boundary_points(M, 1)[0]
+    return _random_ends(M, 1, 0)[0]
 
 
 ENTRY_POINTS = {

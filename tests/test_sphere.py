@@ -23,8 +23,7 @@ from cat0sigma.sphere import (
     minimal_ray_count,
     normalize_ray,
 )
-from cat0sigma.treesigma import generate_sphere_points
-from cat0sigma.verify import enumeration_m_value, enumeration_ray_count
+from cat0sigma.verify import _random_sphere_points, enumeration_m_value, enumeration_ray_count
 
 INF = float("inf")
 
@@ -110,7 +109,7 @@ def test_m_value_validation():
     rng = random.Random(5)
     for _ in range(60):
         k = rng.randrange(1, 4)
-        pts = generate_sphere_points(rng, k, rng.randrange(0, 7), forbid_antipodal=False)
+        pts = _random_sphere_points(rng, k, rng.randrange(0, 7), forbid_antipodal=False)
         chi = Character(tuple(rng.randrange(-2, 3) for _ in range(k)))
         value = m_value(pts, chi)
         assert value == INF or (type(value) is int and value >= 1), (pts, chi, value)
@@ -122,7 +121,7 @@ def test_m_value_equals_enumeration_oracle_on_seeded_instances():
     rng = random.Random(99)
     for i in range(240):
         k = rng.randrange(1, 4)
-        pts = generate_sphere_points(rng, k, rng.randrange(0, 7), forbid_antipodal=i % 2 == 0)
+        pts = _random_sphere_points(rng, k, rng.randrange(0, 7), forbid_antipodal=i % 2 == 0)
         anti = pts and SpherePoint(tuple(-c for c in pts[0].primitive))
         if i % 2 == 1 and pts and anti not in pts:
             pts.append(anti)
@@ -136,7 +135,7 @@ def test_m_value_equals_enumeration_oracle_on_seeded_instances():
             chi = Character(tuple(rng.randrange(-3, 4) for _ in range(k)))
         assert m_value(pts, chi) == enumeration_m_value(pts, chi), (pts, chi)
     for i in range(60):
-        pts = generate_sphere_points(rng, 4, rng.randrange(0, 5), forbid_antipodal=False)
+        pts = _random_sphere_points(rng, 4, rng.randrange(0, 5), forbid_antipodal=False)
         if i % 3 == 0:
             chi = Character.zero(4)
         elif i % 3 == 1 and pts:
@@ -155,7 +154,7 @@ def test_m_value_equals_enumeration_oracle_on_rank_four_five_rays():
     rng = random.Random(404)
     values = []
     for i in range(40):
-        pts = generate_sphere_points(rng, 4, 4 if i % 4 == 1 else 5, forbid_antipodal=False)
+        pts = _random_sphere_points(rng, 4, 4 if i % 4 == 1 else 5, forbid_antipodal=False)
         if i % 4 == 1:
             combination = [-sum(rng.randrange(1, 3) * p.primitive[c] for p in pts) for c in range(4)]
             pts = list(dict.fromkeys(pts + [normalize_ray(Character(combination))]))
@@ -209,8 +208,8 @@ def test_m_value_monotone_under_enlarging_the_set():
     rng = random.Random(7)
     for _ in range(60):
         k = rng.randrange(1, 4)
-        pts = generate_sphere_points(rng, k, rng.randrange(1, 6), forbid_antipodal=False)
-        extra = generate_sphere_points(rng, k, 2, forbid_antipodal=False)
+        pts = _random_sphere_points(rng, k, rng.randrange(1, 6), forbid_antipodal=False)
+        extra = _random_sphere_points(rng, k, 2, forbid_antipodal=False)
         chi = Character(tuple(rng.randrange(-2, 3) for _ in range(k)))
         small = m_value(pts, chi)
         large = m_value(list(dict.fromkeys(pts + extra)), chi)
@@ -226,7 +225,7 @@ def test_m_chi_near_m_zero_holds_often_but_not_always():
     hits = {"equal": 0, "one_less": 0, "other": 0}
     for _ in range(120):
         k = rng.randrange(1, 4)
-        pts = generate_sphere_points(rng, k, rng.randrange(2, 7))
+        pts = _random_sphere_points(rng, k, rng.randrange(2, 7))
         if not pts:
             continue
         chi = rng.choice(pts).character()

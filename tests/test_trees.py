@@ -24,8 +24,9 @@ from cat0sigma.trees import (
     TreePoint,
     WordEnd,
     _shared_part,
+    _n_adic,
+    _valuation,
     make_word_end,
-    n_valuation,
     tree_from_descriptor,
 )
 from conftest import stream_points
@@ -266,6 +267,16 @@ def test_cayley_left_multiplication_end():
     # a^-1 . (a)^inf is (a)^inf again.
     same = model.left_multiply_end((-1,), make_word_end((), (1,)))
     assert same == make_word_end((), (1,))
+
+
+def n_valuation(x, n):
+    """Largest h such that x / n^h is n-adically integral, +inf for x = 0,
+    from the library's helpers: the valuation of the numerator that _n_adic
+    leaves, less its exponent."""
+    if x == 0:
+        return math.inf
+    num, _, exp = _n_adic(x, n)
+    return _valuation(num, n) - exp
 
 
 def test_n_valuation():
@@ -950,10 +961,17 @@ def _fraction_height(model, p, end):
     "model", [CayleyTree(2), RegularTree(3), HnnTree(2), HnnTree(3)], ids=["cayley2", "regular3", "hnn2", "hnn3"]
 )
 def test_tree_values_are_ints_exactly_when_integral(model):
-    # Offsets, distances, Busemann values toward ends and points and parsed
+    # Offsets, distances, Busemann values toward ends and points, the
+    # defining limit at integral and fractional parameters and parsed
     # scalars each equal their Fraction formula, and each is an int exactly
     # when that formula gives an integer.
     seen = set()
+    schedule = [0, 1, F(1, 2), F(3, 2), 4, F(9, 2)]
+
+    def check_limit(ray, b):
+        for t, value in ray.limit_audit(b, schedule):
+            kind = "limit at an integral t" if F(t).denominator == 1 else "limit at a fractional t"
+            check(kind, value, min(F(t), ray.mu if ray.is_degenerate else F(t)) - _fraction_distance(model, b, ray.point_at(t)))
 
     def check(kind, value, reference):
         assert value == reference, (kind, value, reference)
@@ -972,12 +990,18 @@ def test_tree_values_are_ints_exactly_when_integral(model):
             ray, height = sp.ray_from(model, a, end), _fraction_height(model, a, end)
             for b in points:
                 check("busemann to an end", ray.busemann(b), height - _fraction_height(model, b, end))
+            for b in points[:6]:
+                check_limit(ray, b)
         for e in points[8:16]:
             segment = sp.ray_from(model, a, e)
             check("distance", segment.mu, _fraction_distance(model, a, e))
             for b in points:
                 check("busemann to a point", segment.busemann(b), segment.mu - _fraction_distance(model, b, e))
+            check_limit(segment, points[0])
     for data in (3, -5, 4.0, "3", "6/2", "-0", "0/7", "1/2", "-4/6", "7/3"):
         check("scalar", model.parse_scalar(data), F(data))
-    assert {kind for kind, _ in seen} == {"offset", "distance", "busemann to an end", "busemann to a point", "scalar"}
+    assert {kind for kind, _ in seen} == {
+        "offset", "distance", "busemann to an end", "busemann to a point", "limit at an integral t",
+        "limit at a fractional t", "scalar",
+    }
     assert all((kind, t) in seen for kind, _ in seen for t in (int, F)), seen

@@ -16,14 +16,11 @@ from cat0sigma.treesigma import (
     GraphOfGroupsSummary,
     MFPRData,
     dynamical_sigma,
-    generate_mfpr_data,
-    generate_sphere_points,
-    generate_summary,
     mfpr_lengths,
     sigma_table,
     TABLE_BUDGET,
 )
-from cat0sigma.verify import mfpr_sigma_oracle
+from cat0sigma.verify import _random_mfpr_data, _random_sphere_points, _random_summary, mfpr_sigma_oracle
 
 INF = math.inf
 
@@ -79,7 +76,7 @@ def test_sigma_table_default_and_budget():
 
 def test_sigma_table_partitions_the_range(rng):
     for _ in range(60):
-        s = generate_summary(rng)
+        s = _random_summary(rng)
         table = sigma_table(s)
         assert [n for n, _ in table] == list(range(int(s.fl_group) + 1))
         whole = [n for n, v in table if v == WHOLE_BOUNDARY]
@@ -154,7 +151,7 @@ def test_mfpr_matches_fixed_end_formula(rng):
     # is met on some of the instances.
     singletons = 0
     for _ in range(40):
-        data = generate_mfpr_data(rng)
+        data = _random_mfpr_data(rng)
         summary = mfpr_lengths(data)
         assert summary.has_fixed_end
         expected = mfpr_sigma_oracle(data)
@@ -167,7 +164,7 @@ def test_antipodal_pair_detection_and_convention(rng):
     data = MFPRData(1, [SpherePoint((1,)), SpherePoint((-1,))], Character([-1]))
     assert data.has_antipodal_pair()
     for _ in range(30):
-        gen = generate_mfpr_data(rng)
+        gen = _random_mfpr_data(rng)
         assert not gen.has_antipodal_pair()
         from cat0sigma.sphere import m_value
 
@@ -193,7 +190,7 @@ def test_sphere_points_stop_drawing_when_the_pool_is_used_up(forbid_antipodal):
     # the one that completes it.
     for seed in range(10):
         rng = CountingRandom(seed)
-        points = generate_sphere_points(rng, 1, 6, forbid_antipodal=forbid_antipodal)
+        points = _random_sphere_points(rng, 1, 6, forbid_antipodal=forbid_antipodal)
         if forbid_antipodal:
             assert len(points) == 1 and points[0].primitive in ((1,), (-1,))
         else:

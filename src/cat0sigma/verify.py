@@ -17,7 +17,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import pickle
 import random
+import sys
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -101,6 +105,13 @@ def _suite_spaces():
     ]
 
 
+def _share(units, part: tuple[int, int]) -> list:
+    """The units of one loop that part = (rank, n) runs: every n-th, from
+    the rank-th on."""
+    rank, n = part
+    return list(units)[rank::n]
+
+
 def _random_ends(M, count: int, seed: int) -> list:
     """The first count ends of the seeded stream of boundary points of M."""
     rng = random.Random(str((seed, M.name, "ends")))
@@ -144,7 +155,7 @@ def euclidean_limit_estimate(M, ray, b) -> float:
 # Busemann suite
 
 
-def suite_busemann(seed: int = 0) -> SuiteReport:
+def suite_busemann(seed: int = 0, part: tuple[int, int] = (0, 1)) -> SuiteReport:
     report = SuiteReport("busemann", seed)
     agree = report.check("closed form agrees with the defining limit")
     monotone = report.check("limit sequence is nondecreasing and bounded")
@@ -153,7 +164,7 @@ def suite_busemann(seed: int = 0) -> SuiteReport:
     offset = report.check("asymptotic rays differ by a constant")
     degenerate = report.check("degenerate rays: constant after mu, ball horoballs")
 
-    for M in _suite_spaces():
+    for M in _share(_suite_spaces(), part):
         exact = M.exact
         for i in range(100):
             ray = _random_ray(M, seed * 1000 + i)
@@ -182,11 +193,11 @@ def suite_busemann(seed: int = 0) -> SuiteReport:
             monotone.record(mono_ok and all(v <= top + slack for v in values))
 
             bound.record(closed <= top + M.slack(GLOBAL_TOL))
-            on_ray = ray.point_at(min(Fraction(3) if exact else 3.0, ray.mu if ray.is_degenerate else (Fraction(3) if exact else 3.0)))
+            on_ray = ray.point_at(Fraction(3) if exact else 3.0)
             d_on = M.distance(ray.base, on_ray)
             beta_on = ray.busemann(on_ray)
             bound.record(abs(beta_on - d_on) <= M.slack(GLOBAL_TOL), abs(float(beta_on - d_on)))
-            if exact and not ray.is_degenerate:
+            if exact:
                 # Equality characterizes ray points exactly on trees.
                 hits_ray = ray.point_at(top) == b
                 bound.record((closed == top) == hits_ray)
@@ -196,10 +207,9 @@ def suite_busemann(seed: int = 0) -> SuiteReport:
             rhs = M.distance(b, b2)
             lipschitz.record(lhs <= rhs + M.slack(GLOBAL_TOL), float(lhs - rhs))
 
-            if not ray.is_degenerate:
-                base2 = next(sp.unchecked_point_stream(M, M.origin(), 2.0, seed * 17 + i))
-                ray2 = M.ray_from(base2, ray.end)
-                offset.record(_rays_differ_by_a_constant(M, ray, ray2, seed))
+            base2 = next(sp.unchecked_point_stream(M, M.origin(), 2.0, seed * 17 + i))
+            ray2 = M.ray_from(base2, ray.end)
+            offset.record(_rays_differ_by_a_constant(M, ray, ray2, seed))
 
             # Degenerate ray toward an interior point.
             tip = next(sp.unchecked_point_stream(M, M.origin(), 2.0, seed * 19 + i))
@@ -214,12 +224,12 @@ def suite_busemann(seed: int = 0) -> SuiteReport:
     return report
 
 
-def suite_horoball(seed: int = 0) -> SuiteReport:
+def suite_horoball(seed: int = 0, part: tuple[int, int] = (0, 1)) -> SuiteReport:
     report = SuiteReport("horoball", seed)
     nesting = report.check("horoballs nest as the level grows")
     balls = report.check("horoball contains the balls along its ray")
     # The closed horoball of a ray at level s is where its Busemann value is >= s.
-    for M in _suite_spaces():
+    for M in _share(_suite_spaces(), part):
         exact = M.exact
         for i in range(40):
             rng = random.Random(str((seed, "horoball", M.name, i)))
@@ -265,7 +275,7 @@ def _psi(action, e, word: str, a):
     return ray.busemann(action.apply(word, a)) - ray.busemann(a)
 
 
-def suite_character(seed: int = 0) -> SuiteReport:
+def suite_character(seed: int = 0, part: tuple[int, int] = (0, 1)) -> SuiteReport:
     report = SuiteReport("character", seed)
     additive = report.check("endpoint character is additive on words")
     basefree = report.check("endpoint character ignores the base point")
@@ -273,7 +283,7 @@ def suite_character(seed: int = 0) -> SuiteReport:
     action_law = report.check("boundary action is a left action on words")
     hnn_exact = report.check("ascending HNN: base generators 0, stable letter -1")
 
-    for action, end, label in _character_actions():
+    for action, end, label in _share(_character_actions(), part):
         M = action.space
         names = sorted(action.generators)
         rng = random.Random(str((seed, label)))
@@ -298,7 +308,7 @@ def suite_character(seed: int = 0) -> SuiteReport:
         (ac.GroupAction.free_group(2), "F2"),
         (ac.GroupAction.ascending_hnn(2), "hnn"),
     ]
-    for action, label in cocycle_actions:
+    for action, label in _share(cocycle_actions, part):
         M = action.space
         names = sorted(action.generators)
         rng = random.Random(str((seed, "cocycle", label)))
@@ -317,7 +327,7 @@ def suite_character(seed: int = 0) -> SuiteReport:
             e_then = action.boundary_apply(g, action.boundary_apply(h, e))
             action_law.record(M.boundary_equal(e_gh, e_then))
 
-    for index in (2, 3, 5):
+    for index in _share((2, 3, 5), part):
         action = ac.GroupAction.ascending_hnn(index)
         base = action.space.origin()
         up = ac.HnnUp()
@@ -353,13 +363,13 @@ def _translated_gsh(action, cfg, fmap: dict, word: str, e):
     return ac.shift_report(moved, fmap, action.boundary_apply(word, e)).gsh
 
 
-def suite_shift(seed: int = 0) -> SuiteReport:
+def suite_shift(seed: int = 0, part: tuple[int, int] = (0, 1)) -> SuiteReport:
     report = SuiteReport("shift", seed)
     in_type = report.check("|shift| <= displacement holds in-type")
     iterate = report.check("gsh of the m-th iterate >= m gsh")
     equivariant = report.check("gsh is equivariant under translation by g")
 
-    for M in _suite_spaces():
+    for M in _share(_suite_spaces(), part):
         for i in range(50):
             rng = random.Random(str((seed, "shift", M.name, i)))
             size = rng.randrange(2, 6)
@@ -390,7 +400,7 @@ def suite_shift(seed: int = 0) -> SuiteReport:
         (ac.GroupAction.ascending_hnn(2), "hnn"),
         (ac.GroupAction.moebius({"p": [[1, 1], [0, 1]]}), "H2"),
     ]
-    for action, label in equivariance_actions:
+    for action, label in _share(equivariance_actions, part):
         M = action.space
         names = sorted(action.generators)
         for i in range(25):
@@ -409,12 +419,12 @@ def suite_shift(seed: int = 0) -> SuiteReport:
 # Audits (local Busemann comparison and chord-angle estimate)
 
 
-def suite_audits(seed: int = 0) -> SuiteReport:
+def suite_audits(seed: int = 0, part: tuple[int, int] = (0, 1)) -> SuiteReport:
     report = SuiteReport("audits", seed)
     local = report.check("local Busemann comparison bound, strict")
     chord = report.check("chord length <= 2 t sin(angle/2)")
 
-    for M in (sp.EuclideanSpace(2), sp.HyperbolicPlane(), CayleyTree(2)):
+    for M in _share((sp.EuclideanSpace(2), sp.HyperbolicPlane(), CayleyTree(2)), part):
         exact = M.exact
         for i in range(100):
             rng = random.Random(str((seed, "audit", M.name, i)))
@@ -439,13 +449,13 @@ def suite_audits(seed: int = 0) -> SuiteReport:
 # Tits distance facts
 
 
-def suite_tits(seed: int = 0) -> SuiteReport:
+def suite_tits(seed: int = 0, part: tuple[int, int] = (0, 1)) -> SuiteReport:
     report = SuiteReport("tits", seed)
     euclid = report.check("Tits distance equals angular distance on E^k")
     discrete = report.check("distinct ends on H2 and trees: Tits distance infinite")
     dominates = report.check("Tits distance >= angular distance everywhere")
 
-    for M in _suite_spaces():
+    for M in _share(_suite_spaces(), part):
         for i in range(100):
             es = _random_ends(M, 2, seed * 53 + i)
             td = M.tits_distance(es[0], es[1])
@@ -714,7 +724,102 @@ SUITES: dict[str, Callable] = {
 }
 
 
+# The suites whose loops split, each with the number of units (spaces,
+# actions or indices) of its largest loop.  Every unit seeds its own streams
+# from the suite's seed and its index or name, so each process can run any
+# share of them.
+SPLIT_UNITS = {"busemann": 6, "horoball": 6, "character": 5, "shift": 6, "audits": 3, "tits": 6}
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _processes(name: str) -> int:
+    """How many processes run a suite: one per usable CPU and at most one
+    per unit of its largest loop, but one alone when the suite does not
+    split, fork is missing, a trace or profile hook would see only the
+    parent's share, or another thread is alive (forking would copy it
+    stopped)."""
+    if name not in SPLIT_UNITS or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        return 1
+    return min(_usable_cpus(), SPLIT_UNITS[name])
+
+
+def _fork_share(suite: Callable, seed: int, part: tuple[int, int]) -> tuple[int, int]:
+    """Fork a child that runs its part of the suite and writes to a pipe the
+    pickled (passed, failed, worst) of each check, or the exception it
+    raised; returns the child's pid and the pipe's read end."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return pid, r
+    status = 1
+    try:
+        os.close(r)
+        try:
+            report = suite(seed=seed, part=part)
+            share = [(c.passed, c.failed, c.worst) for c in report.checks]
+        except Exception as exc:
+            share = exc
+        try:
+            data = pickle.dumps(share)
+            pickle.loads(data)
+        except Exception:  # an exception that does not survive the pipe
+            data = pickle.dumps(RuntimeError(f"{type(share).__name__}: {share}"))
+        with open(w, "wb") as fh:
+            fh.write(data)
+        status = 0
+    finally:
+        os._exit(status)  # never return into the parent's stack
+
+
+def _reap(pid: int, r: int) -> bytes:
+    """What a child wrote to its pipe, once it has exited."""
+    with open(r, "rb") as fh:
+        data = fh.read()
+    os.waitpid(pid, 0)
+    return data
+
+
 def run_suite(name: str, seed: int = 0) -> SuiteReport:
+    """Run one suite.  A suite of SPLIT_UNITS runs in _processes(name)
+    processes: the parent forks one child per extra process, runs its own
+    share and adds each child's counts to its own, check by check, so the
+    report is the one a single process makes."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](seed=seed)
+    suite = SUITES[name]
+    n = _processes(name)
+    if n == 1:
+        return suite(seed=seed)
+    children = []
+    try:
+        for rank in range(1, n):
+            children.append(_fork_share(suite, seed, (rank, n)))
+        report = suite(seed=seed, part=(0, n))
+    finally:
+        sent = [_reap(pid, r) for pid, r in children]
+    for data in sent:
+        if not data:
+            raise RuntimeError(f"a process running part of suite {name!r} ended without a result")
+        share = pickle.loads(data)
+        if isinstance(share, Exception):
+            raise share
+        for check, (passed, failed, worst) in zip(report.checks, share, strict=True):
+            check.passed += passed
+            check.failed += failed
+            if worst is not None and (check.worst is None or worst > check.worst):
+                check.worst = worst
+    return report

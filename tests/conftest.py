@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 
 import pytest
@@ -41,3 +42,14 @@ def rng():
 @pytest.fixture(params=all_spaces(), ids=space_id)
 def space(request):
     return request.param
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process behind, running or unreaped."""
+    yield
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail("the test left a child process behind")

@@ -11,6 +11,20 @@ the library itself.  What only the suites ask for lives here: their draws
 of ends, sphere points, MFPR instances and length records, and their check
 helpers (the Busemann cocycle, iterates and translates of shift maps, the
 fixed axis ends of a Cayley word, the cusps of the modular group).
+
+``run_suite`` spreads the suites of SPLIT_UNITS over the usable CPUs.
+Their units (the spaces of busemann, horoball, tits, shift and audits, the
+actions of character and of the shift equivariance loop, and the HNN
+indices of character) seed their own draws from the seed and their index
+or name.  Each of up to one process per CPU (and per unit of the suite's
+largest loop) runs every n-th unit of each loop, the suite's
+``part=(rank, n)``, and the parent adds the children's counts to its own,
+so the report is the one a single process makes.  sphere, treesigma and
+sl2z draw from one generator across their cases and, like raag and
+cocompact, run in one process; so does every suite when one CPU is
+usable, fork is missing, a trace or profile hook is set or another thread
+is alive.  Calling a suite function directly runs it whole, in the calling
+process.
 """
 
 from __future__ import annotations
@@ -724,10 +738,7 @@ SUITES: dict[str, Callable] = {
 }
 
 
-# The suites whose loops split, each with the number of units (spaces,
-# actions or indices) of its largest loop.  Every unit seeds its own streams
-# from the suite's seed and its index or name, so each process can run any
-# share of them.
+# The suites that split, each with the number of units of its largest loop.
 SPLIT_UNITS = {"busemann": 6, "horoball": 6, "character": 5, "shift": 6, "audits": 3, "tits": 6}
 
 
@@ -744,9 +755,8 @@ def _processes(name: str) -> int:
     split, fork is missing, a trace or profile hook would see only the
     parent's share, or another thread is alive (forking would copy it
     stopped)."""
-    if name not in SPLIT_UNITS or not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    if sys.gettrace() is not None or sys.getprofile() is not None:
+    hooked = sys.gettrace() is not None or sys.getprofile() is not None
+    if name not in SPLIT_UNITS or not hasattr(os, "fork") or hooked or threading.active_count() > 1:
         return 1
     return min(_usable_cpus(), SPLIT_UNITS[name])
 

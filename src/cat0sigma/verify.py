@@ -119,11 +119,11 @@ def _suite_spaces():
     ]
 
 
-def _share(units, part: tuple[int, int]) -> list:
-    """The units of one loop that part = (rank, n) runs: every n-th, from
-    the rank-th on."""
+def _share(units, part: tuple[int, int]):
+    """The units of one loop (a list or tuple) that part = (rank, n) runs:
+    every n-th, from the rank-th on."""
     rank, n = part
-    return list(units)[rank::n]
+    return units[rank::n]
 
 
 def _random_ends(M, count: int, seed: int) -> list:

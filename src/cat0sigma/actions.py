@@ -668,9 +668,7 @@ class AuditReport:
     details: dict = field(default_factory=dict)
 
 
-def local_busemann_audit(
-    M: ModelSpace, c, r, eps, e, e2, samples: int = 50, seed: int = 0
-) -> AuditReport:
+def local_busemann_audit(M: ModelSpace, c, r, eps, e, e2, samples: int, seed: int) -> AuditReport:
     """Check |beta_1(p) - beta_2(p)| < 2 eps + d(ray1(R), ray2(R)) on random
     points p of the r-ball around the common base, with the radius
     R = r (1 + 2 r / eps) + eps (any value strictly above r (1 + 2 r / eps)

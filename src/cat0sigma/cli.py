@@ -1,9 +1,11 @@
 """Command-line entry point: batch computations, audits, the verification
 runner, and SVG pictures of character-sphere points.
 
-Every command is deterministic given its inputs and seed; the seed appears
-in every report.  Exit codes: 0 success, 1 a checked property failed,
-2 input error (with a machine-readable diagnostic on standard error).
+Every command is deterministic given its inputs and, for the three that
+draw random samples (cocompact, audit and verify), its --seed; the seed
+appears in every report, as 0 for the commands that draw nothing.  Exit
+codes: 0 success, 1 a checked property failed, 2 input error (with a
+machine-readable diagnostic on standard error).
 SIGMA_LOG=1 turns on progress logging to standard error; ``verify`` then
 logs each suite's wall time.
 """
@@ -292,18 +294,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices  # each command's own parser, by name
 
-    def add(name, data=True):
+    def add(name, data=True, draws=False):
         p = sub.add_parser(name)
+        p.set_defaults(seed=0)  # the default of --seed, and the seed a command that draws nothing reports
         if data:
             p.add_argument("--data", required=True, help="input JSON file")
-        p.add_argument("--seed", type=int, default=0)
+        if draws:
+            p.add_argument("--seed", type=int)
         return p
 
     add("busemann")
     add("tits")
     add("character")
     add("shift")
-    p = add("cocompact")
+    p = add("cocompact", draws=True)
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--depth", type=int, default=6)
     p = add("raag", data=False)
@@ -316,9 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--table", action="store_true")
     p.add_argument("--svg", help="emit the complement point set as SVG")
-    p = add("audit")
+    p = add("audit", draws=True)
     p.add_argument("--which", required=True, choices=["local-busemann", "angle-estimate"])
-    p = add("verify", data=False)
+    p = add("verify", data=False, draws=True)
     p.add_argument("--suite", default="all", choices=[*SUITE_NAMES, "all"])
     return parser
 
@@ -365,7 +369,7 @@ def run(argv, stdout=None, stderr=None) -> int:
         code, payload = HANDLERS[args.command](args, data)
         stdout.write(jsonio.dumps({"command": args.command, "seed": args.seed, **payload}))
         return code
-    except (Cat0SigmaError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (Cat0SigmaError, ValueError, KeyError, OSError) as exc:
         return _input_error(exc, stderr)
 
 

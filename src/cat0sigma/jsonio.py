@@ -86,8 +86,7 @@ def jsonable(value):
     """Recursively convert package values to JSON-safe structures.
 
     Exact rationals become "p/q" strings, infinities the string "inf",
-    and geometry objects small tagged dicts (their ``to_json``, or their
-    fields).
+    and geometry objects small tagged dicts (their ``to_json``).
     """
     if value is None or isinstance(value, (bool, int, str)):
         return value
@@ -104,12 +103,6 @@ def jsonable(value):
     to_json = getattr(value, "to_json", None)
     if to_json is not None:
         return jsonable(to_json())
-    # Imported here, not at the top: the CLI imports this module at start-up,
-    # and dataclasses, which loads inspect, was half of its import time.
-    from dataclasses import fields, is_dataclass
-
-    if is_dataclass(value) and not isinstance(value, type):
-        return {f.name: jsonable(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
     if isinstance(value, (list, tuple, set, frozenset)):

@@ -59,8 +59,6 @@ REGION_BUDGET = 8**6
 # The H2 closed forms square coordinates in binary64: |Re z|, Im z, 1 / Im z
 # and |xi| at most H2_LIMIT keep the squares finite and nonzero (1e154 not).
 H2_LIMIT = 1e153
-# H2_LIMIT as an exact rational, for ends given as ints or Fractions.
-H2_LIMIT_EXACT = Fraction(H2_LIMIT)
 
 Real = Union[int, float, Fraction]
 
@@ -282,7 +280,7 @@ class HyperbolicPlane(ModelSpace):
         # Also rejects NaN and -inf.
         if not isinstance(e, (int, float, Fraction)) or not abs(e) < math.inf:
             raise WrongSpace(f"boundary of H2 is R plus infinity, got {e!r}")
-        if abs(e) > (H2_LIMIT if isinstance(e, float) else H2_LIMIT_EXACT):
+        if abs(e) > H2_LIMIT:
             raise WrongSpace(f"boundary of H2 is R plus infinity, with |xi| <= {H2_LIMIT:g} here, got {e!r}")
         return e
 

@@ -114,13 +114,15 @@ class WordEnd:
     def head(self, n: int) -> Word:
         return (self.prefix + self.period * (n // len(self.period) + 1))[:n]
 
+    def to_json(self) -> dict:
+        return {"prefix": list(self.prefix), "period": list(self.period)}
+
 
 def _primitive_period(period: Word) -> Word:
     n = len(period)
     for d in range(1, n + 1):
         if n % d == 0 and period == period[:d] * (n // d):
             return period[:d]
-    return period
 
 
 def make_word_end(prefix, period) -> WordEnd:

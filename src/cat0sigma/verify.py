@@ -438,7 +438,8 @@ def suite_audits(seed: int = 0, part: tuple[int, int] = (0, 1)) -> SuiteReport:
     local = report.check("local Busemann comparison bound, strict")
     chord = report.check("chord length <= 2 t sin(angle/2)")
 
-    for M in _share((sp.EuclideanSpace(2), sp.HyperbolicPlane(), CayleyTree(2)), part):
+    # The two costliest spaces, H2 and Cayley(2), fall to different ranks of two.
+    for M in _share((sp.EuclideanSpace(2), CayleyTree(2), sp.HyperbolicPlane()), part):
         exact = M.exact
         for i in range(100):
             rng = random.Random(str((seed, "audit", M.name, i)))

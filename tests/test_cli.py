@@ -331,22 +331,54 @@ def test_options_exist_only_where_a_command_reads_them(tmp_path):
     # the given stderr as one line of JSON: --out, --space, --tol and --csv
     # on every command, since the report goes to stdout only, the space
     # comes from the data file only, the tolerance is spaces.GLOBAL_TOL and
-    # the degree table is in the report; and --svg on raag, which draws no
-    # picture.  --out, --csv and --svg write no file.
+    # the degree table is in the report; --svg on raag, which draws no
+    # picture; and --seed on the seven commands that draw nothing, whose
+    # reports give seed 0.  --out, --csv and --svg write no file.
     report = tmp_path / "report.json"
     first = {}
     for argv in golden_command_lines():
         first.setdefault(argv[0], argv)
+    seedless = ("busemann", "tits", "character", "shift", "raag", "tree-sigma", "mfpr")
     lines = [["raag"]]
     for option, value in (("--out", str(report)), ("--space", "E2"), ("--tol", "1e-3"), ("--csv", str(report))):
         lines += [[*argv, option, value] for argv in first.values()]
     lines.append([*first["raag"], "--svg", str(report)])
+    lines += [[*first[name], "--seed", "1"] for name in seedless]
     for argv in lines:
         code, out, err = run_cli(argv)
         assert (code, out) == (2, ""), argv
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "UsageError"
     assert len(first) == 10 and not report.exists()
+    for name in seedless:
+        code, out, _ = run_cli(first[name])
+        assert code in (0, 1) and json.loads(out)["seed"] == 0
+
+
+def test_every_option_of_a_command_is_read_by_its_handler(monkeypatch):
+    # Over the golden command lines, each command's handler reads every
+    # option of its parser, except --data, which run() reads.  An option
+    # that no handler reads could only be ignored.
+    read = collections.defaultdict(set)
+
+    def recording(name, handler):
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, attr):
+                read[name].add(attr)
+                return super().__getattribute__(attr)
+
+        return lambda args, data: handler(Recording(**vars(args)), data)
+
+    for name, handler in list(cli.HANDLERS.items()):
+        monkeypatch.setitem(cli.HANDLERS, name, recording(name, handler))
+    for argv in golden_command_lines():
+        code, _, err = run_cli(argv)
+        assert code in (0, 1), (argv, err)
+    commands = cli.build_parser().commands
+    assert sorted(commands) == sorted(cli.HANDLERS)
+    for name, command in commands.items():
+        options = {a.dest for a in command._actions if a.option_strings and a.dest not in ("help", "data")}
+        assert options - read[name] == set(), name
 
 
 def test_a_picture_is_refused_before_anything_is_computed(monkeypatch, tmp_path):
@@ -768,7 +800,7 @@ def test_verify_command():
 def test_outputs_are_byte_deterministic(busemann_file, tmp_path):
     runs = []
     for _ in range(2):
-        code, out, _ = run_cli(["busemann", "--data", busemann_file, "--seed", "3"])
+        code, out, _ = run_cli(["busemann", "--data", busemann_file])
         assert code == 0
         runs.append(out)
     assert runs[0] == runs[1]

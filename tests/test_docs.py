@@ -89,4 +89,4 @@ def test_options_table_matches_the_parser():
     documented = documented_options()
     assert len(documented) == len(set(documented))
     assert sorted(documented) == sorted(parser_options())
-    assert len(documented) == 29
+    assert len(documented) == 22

@@ -367,7 +367,7 @@ ENTRY_POINTS = {
     "GroupAction.apply": lambda M, bad: actions.GroupAction(M, {}).apply("", bad),
     "ControlConfiguration": lambda M, bad: actions.ControlConfiguration(M, {"x": M.origin(), "y": bad}),
     "cocompactness_witness": lambda M, bad: actions.cocompactness_witness(actions.GroupAction(M, {}), bad, 1, depth=1, seed=0),
-    "local_busemann_audit": lambda M, bad: actions.local_busemann_audit(M, bad, 1, 1, _end(M), _end(M)),
+    "local_busemann_audit": lambda M, bad: actions.local_busemann_audit(M, bad, 1, 1, _end(M), _end(M), samples=50, seed=0),
 }
 
 

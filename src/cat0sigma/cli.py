@@ -7,7 +7,7 @@ appears in every report, as 0 for the commands that draw nothing.  Exit
 codes: 0 success, 1 a checked property failed, 2 input error (with a
 machine-readable diagnostic on standard error).
 SIGMA_LOG=1 turns on progress logging to standard error; ``verify`` then
-logs each suite's wall time.
+logs each suite's wall time and the number of processes that ran it.
 """
 
 from __future__ import annotations
@@ -265,9 +265,10 @@ def cmd_verify(args, data):
     names = SUITE_NAMES if args.suite == "all" else [args.suite]
     reports = []
     for name in names:
-        start = time.perf_counter()
+        start, n = time.perf_counter(), verify.processes(name)
         reports.append(verify.run_suite(name, seed=args.seed))
-        _log(f"suite {name} (seed {args.seed}): {1000 * (time.perf_counter() - start):.1f} ms", args.stderr)
+        ms = 1000 * (time.perf_counter() - start)
+        _log(f"suite {name} (seed {args.seed}): {ms:.1f} ms, {n} process{'es' if n > 1 else ''}", args.stderr)
     ok = all(r.ok for r in reports)
     return (0 if ok else 1), {"ok": ok, "suites": [r.to_json() for r in reports]}
 

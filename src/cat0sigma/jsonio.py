@@ -86,7 +86,8 @@ def jsonable(value):
     """Recursively convert package values to JSON-safe structures.
 
     Exact rationals become "p/q" strings, infinities the string "inf",
-    and geometry objects small tagged dicts (their ``to_json``).
+    and geometry objects small tagged dicts (their ``to_json``).  Any other
+    value raises TypeError.
     """
     if value is None or isinstance(value, (bool, int, str)):
         return value
@@ -110,7 +111,7 @@ def jsonable(value):
         if isinstance(value, (set, frozenset)):
             items = sorted(items, key=str)
         return [jsonable(v) for v in items]
-    return str(value)
+    raise TypeError(f"no JSON form for a value of type {type(value).__name__}")
 
 
 def rational(value):

@@ -13,18 +13,19 @@ helpers (the Busemann cocycle, iterates and translates of shift maps, the
 fixed axis ends of a Cayley word, the cusps of the modular group).
 
 ``run_suite`` spreads the suites of SPLIT_UNITS over the usable CPUs.
-Their units (the spaces of busemann, horoball, tits, shift and audits, the
-actions of character and of the shift equivariance loop, and the HNN
-indices of character) seed their own draws from the seed and their index
-or name.  Each of up to one process per CPU (and per unit of the suite's
-largest loop) runs every n-th unit of each loop, the suite's
-``part=(rank, n)``, and the parent adds the children's counts to its own,
-so the report is the one a single process makes.  sphere, treesigma and
-sl2z draw from one generator across their cases and, like raag and
-cocompact, run in one process; so does every suite when one CPU is
-usable, fork is missing, a trace or profile hook is set or another thread
-is alive.  Calling a suite function directly runs it whole, in the calling
-process.
+The units of six of them (the spaces of busemann, horoball, tits, shift
+and audits, the actions of character and of the shift equivariance loop,
+and the HNN indices of character) seed their own draws from the seed and
+their index or name.  sphere and treesigma draw their cases from one
+generator, so every process draws the whole case list in one order and
+keeps its own cases.  Each of up to one process per CPU (at most one per
+unit of the suite's largest loop and at most MAX_PROCESSES) runs every
+n-th unit of each loop, the suite's ``part=(rank, n)``, and the parent
+adds the children's counts to its own, so the report is the one a single
+process makes.  sl2z, raag and cocompact take a few milliseconds and run
+in one process; so does every suite when one CPU is usable, fork is
+missing, a trace or profile hook is set or another thread is alive.
+Calling a suite function directly runs it whole, in the calling process.
 """
 
 from __future__ import annotations
@@ -540,30 +541,36 @@ def _random_sphere_points(rng: random.Random, k: int, count: int, forbid_antipod
     return [SpherePoint(v) for v in vectors]
 
 
-def suite_sphere(seed: int = 0) -> SuiteReport:
+def _random_sphere_case(rng: random.Random) -> tuple[list[SpherePoint], Character, list[SpherePoint]]:
+    """A sphere case: ray set, character and one extra ray, drawn in this order."""
+    k = rng.randrange(1, 4)
+    size = rng.randrange(0, 7)
+    pts = _random_sphere_points(rng, k, size, forbid_antipodal=False)
+    if rng.random() < 0.3 or not pts:
+        chi = Character.zero(k)
+    elif rng.random() < 0.5:
+        chi = Character(tuple(rng.randrange(-3, 4) for _ in range(k)))
+        if chi.is_zero:
+            chi = Character(tuple(1 for _ in range(k)))
+    else:
+        chi = rng.choice(pts).character().scaled(rng.choice([1, 2, Fraction(1, 2)]))
+    return pts, chi, _random_sphere_points(rng, k, 1, forbid_antipodal=False)
+
+
+def suite_sphere(seed: int = 0, part: tuple[int, int] = (0, 1)) -> SuiteReport:
     report = SuiteReport("sphere", seed)
     # The production path decides finiteness by a simplex, and the oracle
     # enumerates subsets by elimination, as the label says.
     oracle = report.check("m-value by simplex equals m-value by elimination")
     mono = report.check("enlarging the ray set never increases the m-value")
+    # One generator draws every case, so each process draws them all and checks its share.
     rng = random.Random(str((seed, "sphere")))
-    for i in range(200):
-        k = rng.randrange(1, 4)
-        size = rng.randrange(0, 7)
-        pts = _random_sphere_points(rng, k, size, forbid_antipodal=False)
-        if rng.random() < 0.3 or not pts:
-            chi = Character.zero(k)
-        elif rng.random() < 0.5:
-            chi = Character(tuple(rng.randrange(-3, 4) for _ in range(k)))
-            if chi.is_zero:
-                chi = Character(tuple(1 for _ in range(k)))
-        else:
-            chi = rng.choice(pts).character().scaled(rng.choice([1, 2, Fraction(1, 2)]))
+    cases = [_random_sphere_case(rng) for _ in range(200)]
+    for pts, chi, extra in _share(cases, part):
         value = m_value(pts, chi)
         via_fm = enumeration_m_value(pts, chi)
         oracle.record(value == via_fm, None if value == via_fm else 1.0)
 
-        extra = _random_sphere_points(rng, k, 1, forbid_antipodal=False)
         bigger = list(dict.fromkeys(list(pts) + extra))
         via_big = m_value(bigger, chi)
         mono.record(via_big <= value)
@@ -614,21 +621,20 @@ def mfpr_sigma_oracle(data: ts.MFPRData) -> list:
     return [ts.WHOLE_BOUNDARY if n <= whole else ts.SINGLETON if n <= fixed_end else ts.EMPTY for n in range(top + 1)]
 
 
-def suite_treesigma(seed: int = 0) -> SuiteReport:
+def suite_treesigma(seed: int = 0, part: tuple[int, int] = (0, 1)) -> SuiteReport:
     report = SuiteReport("treesigma", seed)
     consistent = report.check("MFPR formula factors through the three lengths")
     partition = report.check("fixed-end ranges partition 0..fl(G)")
     convention = report.check("no antipodal pair forces m(0) >= 2")
     rng = random.Random(str((seed, "treesigma")))
-    for i in range(100):
-        data = _random_mfpr_data(rng)
+    cases = [(_random_mfpr_data(rng), _random_summary(rng)) for _ in range(100)]
+    for data, summary2 in _share(cases, part):
         summary = ts.mfpr_lengths(data)
         expected = mfpr_sigma_oracle(data)
         consistent.record([ts.dynamical_sigma(summary, n) for n in range(len(expected))] == expected)
         if not data.has_antipodal_pair():
             convention.record(summary.fl_group >= 2)
 
-        summary2 = _random_summary(rng)
         values = [v for _, v in ts.sigma_table(summary2)]
         expected_whole = int(summary2.fl_stabilizers) + 1
         whole = sum(1 for v in values if v == ts.WHOLE_BOUNDARY)
@@ -740,7 +746,13 @@ SUITES: dict[str, Callable] = {
 
 
 # The suites that split, each with the number of units of its largest loop.
-SPLIT_UNITS = {"busemann": 6, "horoball": 6, "character": 5, "shift": 6, "audits": 3, "tits": 6}
+SPLIT_UNITS = {
+    "busemann": 6, "horoball": 6, "character": 5, "shift": 6, "audits": 3, "tits": 6, "sphere": 200, "treesigma": 100
+}
+# On a 2-vCPU Xeon a fork and reap cost about 2.6 ms and the costliest
+# suite, sphere, 85-100 ms whole, so more processes would gain little: a
+# suite runs in at most this many.
+MAX_PROCESSES = 6
 
 
 def _usable_cpus() -> int:
@@ -750,16 +762,16 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _processes(name: str) -> int:
-    """How many processes run a suite: one per usable CPU and at most one
-    per unit of its largest loop, but one alone when the suite does not
-    split, fork is missing, a trace or profile hook would see only the
-    parent's share, or another thread is alive (forking would copy it
-    stopped)."""
+def processes(name: str) -> int:
+    """How many processes run_suite runs a suite in: one per usable CPU, at
+    most one per unit of its largest loop and at most MAX_PROCESSES, but one
+    alone when the suite does not split, fork is missing, a trace or profile
+    hook would see only the parent's share, or another thread is alive
+    (forking would copy it stopped)."""
     hooked = sys.gettrace() is not None or sys.getprofile() is not None
     if name not in SPLIT_UNITS or not hasattr(os, "fork") or hooked or threading.active_count() > 1:
         return 1
-    return min(_usable_cpus(), SPLIT_UNITS[name])
+    return min(_usable_cpus(), SPLIT_UNITS[name], MAX_PROCESSES)
 
 
 def _fork_share(suite: Callable, seed: int, part: tuple[int, int]) -> tuple[int, int]:
@@ -805,14 +817,14 @@ def _reap(pid: int, r: int) -> bytes:
 
 
 def run_suite(name: str, seed: int = 0) -> SuiteReport:
-    """Run one suite.  A suite of SPLIT_UNITS runs in _processes(name)
+    """Run one suite.  A suite of SPLIT_UNITS runs in processes(name)
     processes: the parent forks one child per extra process, runs its own
     share and adds each child's counts to its own, check by check, so the
     report is the one a single process makes."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     suite = SUITES[name]
-    n = _processes(name)
+    n = processes(name)
     if n == 1:
         return suite(seed=seed)
     children = []

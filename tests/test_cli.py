@@ -1064,8 +1064,10 @@ def test_verify_logs_each_suite_time_only_under_sigma_log(monkeypatch):
     quiet = run_cli(["verify", "--suite", "tits", "--seed", "3"])
     assert quiet[0] == 0 and quiet[2] == ""
     monkeypatch.setenv("SIGMA_LOG", "1")
-    code, out, err = run_cli(["verify", "--suite", "tits", "--seed", "3"])
-    assert (code, out) == quiet[:2]
-    timed = [line for line in err.splitlines() if "suite tits" in line]
-    assert len(timed) == 1
-    assert re.fullmatch(r"cat0sigma: suite tits \(seed 3\): \d+\.\d ms", timed[0])
+    for cpus, processes in [(1, "1 process"), (2, "2 processes")]:
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
+        code, out, err = run_cli(["verify", "--suite", "tits", "--seed", "3"])
+        assert (code, out) == quiet[:2]
+        timed = [line for line in err.splitlines() if "suite tits" in line]
+        assert len(timed) == 1
+        assert re.fullmatch(rf"cat0sigma: suite tits \(seed 3\): \d+\.\d ms, {processes}", timed[0])

@@ -1,6 +1,7 @@
 """The one-pass report writer: jsonio.dumps gives the same text as
 json.dumps over jsonable, on every kind of value a report can hold."""
 
+import dataclasses
 import enum
 import json
 import math
@@ -68,9 +69,6 @@ CASES = {
     "frozenset": frozenset({"b", "a"}),
     "empty": {"dict": {}, "list": [], "tuple": (), "set": set()},
     "complex": [complex(1, -1), complex(0.5, 2), complex(math.inf, 1)],
-    "tree-point": TreePoint((1, -2), F(1, 2)),
-    "hnn-vertex": HNN2.vertex(3, F(5, 4)),
-    "simple-graph": raag.SimpleGraph.cycle(4),
     "int-subclass": [Level.HIGH, {"level": Level.LOW}],
     "str-and-float-subclass": [type("S", (str,), {})("s"), type("R", (float,), {})(2.5)],
     "scalars": [None, True, False, 0, -12, "", "x"],
@@ -80,3 +78,26 @@ CASES = {
 @pytest.mark.parametrize("value", list(CASES.values()), ids=list(CASES))
 def test_dumps_matches_json_dumps_on_report_values(value):
     assert jsonio.dumps(value) == reference(value)
+
+
+@dataclasses.dataclass
+class Point:
+    x: int
+
+
+# No report holds a tree point, an HNN vertex or a graph, so none has a JSON form.
+NO_JSON_FORM = {
+    "object": object(),
+    "dataclass": Point(1),
+    "tree-point": TreePoint((1, -2), F(1, 2)),
+    "hnn-vertex": HNN2.vertex(3, F(5, 4)),
+    "simple-graph": raag.SimpleGraph.cycle(4),
+}
+
+
+@pytest.mark.parametrize("value", list(NO_JSON_FORM.values()), ids=list(NO_JSON_FORM))
+def test_a_value_without_a_json_form_is_refused(value):
+    name = type(value).__name__
+    for convert in (jsonio.jsonable, jsonio.dumps):
+        with pytest.raises(TypeError, match=f"^no JSON form for a value of type {name}$"):
+            convert({"report": [value]})

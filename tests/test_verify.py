@@ -4,6 +4,7 @@ returns the report that one process makes."""
 import os
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -31,6 +32,44 @@ def test_split_run_equals_one_process(name, seed, monkeypatch):
     split = verify.run_suite(name, seed=seed)
     assert len(forks) == min(3, verify.SPLIT_UNITS[name]) - 1
     assert split.to_json() == verify.SUITES[name](seed=seed, part=(0, 1)).to_json()
+
+
+@pytest.mark.parametrize("name", ["sphere", "treesigma"])
+def test_no_more_processes_than_the_cap(name, monkeypatch):
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 64)
+    forks = counted_forks(monkeypatch)
+    split = verify.run_suite(name, seed=0)
+    assert len(forks) == verify.MAX_PROCESSES - 1
+    assert split.to_json() == verify.SUITES[name](seed=0).to_json()
+
+
+# The functions that each case of a suite drawing from one generator is checked with.
+CHECKED_WITH = {"sphere": [(verify, "m_value")], "treesigma": [(verify.ts, "mfpr_lengths"), (verify.ts, "sigma_table")]}
+
+
+def checked_arguments(monkeypatch, name: str, seed: int, part: tuple) -> Counter:
+    """The multiset of arguments that the part of the suite checks with."""
+    calls = Counter()
+    with monkeypatch.context() as m:
+        for module, attr in CHECKED_WITH[name]:
+
+            def record(*args, real=getattr(module, attr), attr=attr):
+                calls[attr, repr(args)] += 1
+                return real(*args)
+
+            m.setattr(module, attr, record)
+        verify.SUITES[name](seed=seed, part=part)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(CHECKED_WITH))
+def test_the_parts_check_the_cases_of_one_process(name, seed, monkeypatch):
+    whole = checked_arguments(monkeypatch, name, seed, (0, 1))
+    assert whole
+    for n in (2, 3):
+        parts = [checked_arguments(monkeypatch, name, seed, (rank, n)) for rank in range(n)]
+        assert sum(parts, Counter()) == whole
 
 
 @pytest.mark.parametrize("name", sorted(verify.SPLIT_UNITS))
@@ -98,21 +137,21 @@ def no_fork():
     raise AssertionError("forked")
 
 
-def run_traced(set_hook):
+def run_traced(name, set_hook):
     previous = sys.gettrace() if set_hook is sys.settrace else sys.getprofile()
     set_hook(lambda *args: None)
     try:
-        return verify.run_suite("tits", seed=1)
+        return verify.run_suite(name, seed=1)
     finally:
         set_hook(previous)
 
 
-def run_beside_a_thread():
+def run_beside_a_thread(name):
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        return verify.run_suite("tits", seed=1)
+        return verify.run_suite(name, seed=1)
     finally:
         release.set()
         thread.join(timeout=10)
@@ -122,9 +161,9 @@ def run_beside_a_thread():
 @pytest.mark.parametrize(
     "cpus, run",
     [
-        (1, lambda: verify.run_suite("tits", seed=1)),
-        (2, lambda: run_traced(sys.settrace)),
-        (2, lambda: run_traced(sys.setprofile)),
+        (1, lambda name: verify.run_suite(name, seed=1)),
+        (2, lambda name: run_traced(name, sys.settrace)),
+        (2, lambda name: run_traced(name, sys.setprofile)),
         (2, run_beside_a_thread),
     ],
     ids=["one-cpu", "trace-hook", "profile-hook", "live-thread"],
@@ -132,4 +171,5 @@ def run_beside_a_thread():
 def test_nothing_forks_when_one_process_must_run_it_all(cpus, run, monkeypatch):
     monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(os, "fork", no_fork)
-    assert run().to_json() == verify.suite_tits(seed=1).to_json()
+    for name in ("tits", "sphere", "treesigma"):
+        assert run(name).to_json() == verify.SUITES[name](seed=1).to_json()

@@ -134,31 +134,30 @@ def _integer_row(row: Sequence[Fraction]) -> list[int]:
     return [int(c * m) for c in row]
 
 
-def _conic_lp(
-    columns: Sequence[Sequence[int]], target: Sequence[int]
-) -> tuple[Optional[tuple[int, ...]], Optional[tuple[int, ...]]]:
-    """Decide whether the target, an integer vector >= 0, is a nonnegative
-    combination of the integer columns: phase 1 of the simplex method with
-    Bland's rule (Bland 1977).
+def _conic_lp(columns: Sequence[Sequence[int]]) -> tuple[Optional[tuple[int, ...]], Optional[tuple[int, ...]]]:
+    """Phase 1 of the simplex method with Bland's rule (Bland 1977): is there
+    lam >= 0 with sum lam_a a = 0 and sum lam_a w_a = 1 over the integer
+    columns (a, w), all of length k?  Returns (support, None), the sorted
+    indices of the columns that a basic feasible solution uses with a
+    positive coefficient, or (None, y), a primitive integer Farkas vector:
+    y . c >= 0 for every column c and y_last < 0.
 
-    Returns (support, None), with the sorted indices of the columns that a
-    basic feasible solution uses with a positive coefficient, or
-    (None, y), with a primitive integer Farkas vector: y . a >= 0 for every
-    column a and y . target < 0.
-
-    Each row gets an artificial column; the phase-1 objective, the sum of
-    the artificial variables, is one more row of the tableau.  Every pivot
-    is the fraction-free step of :func:`_pivot`, so the tableau holds d
-    times the true one, with d > 0 the last pivot.  Only original columns
-    enter the basis.  When none of them has a negative reduced cost, the
-    objective row over the artificial columns reads d (1 - pi) for the
-    simplex multipliers pi, with pi . a <= 0 on every column and pi . target
-    the phase-1 optimum.  An optimum above 0 makes -d pi a Farkas vector.
+    Each row gets an artificial column, and the phase-1 objective (their sum)
+    one more row.  Every pivot is the fraction-free step of :func:`_pivot`, so
+    the tableau holds d times the true one, d > 0 the last pivot; only
+    original columns enter the basis.  The last artificial column stands in
+    for the right-hand side e_k: they are equal in the constraint rows, and
+    pivots keep them so, while in the objective row e_k starts 1 below and
+    each pivot scales the gap by p / prev, to d.  The objective row ends as
+    d (1 - pi) on the artificial columns, pi . c <= 0 on every column, and
+    the optimum pi_last is 0 when the last artificial column reads d.  Then
+    every artificial variable is 0, and the rows with a positive right-hand
+    side give the support; above 0, -d pi is a Farkas vector.
     """
-    k, n = len(target), len(columns)
-    rows = [[a[i] for a in columns] + [int(j == i) for j in range(k)] + [target[i]] for i in range(k)]
+    k, n = len(columns[0]), len(columns)
+    rows = [[a[i] for a in columns] + [int(j == i) for j in range(k)] for i in range(k)]
     obj = [-sum(col) for col in zip(*rows)]
-    obj[n : n + k] = [0] * k
+    obj[n:] = [0] * k
     rows.append(obj)
     basis = list(range(n, n + k))
     prev = 1
@@ -174,8 +173,8 @@ def _conic_lp(
         prev = _pivot(rows, r, c, prev)
         obj = rows[k]
         basis[r] = c
-    if obj[-1] == 0:
-        return tuple(sorted(b for b, row in zip(basis, rows) if b < n and row[-1] > 0)), None
+    if obj[-1] == prev:
+        return tuple(sorted(b for b, row in zip(basis, rows) if row[-1] > 0)), None
     y = [obj[n + i] - prev for i in range(k)]
     g = gcd(*y)
     return None, tuple(v // g for v in y)
@@ -210,7 +209,7 @@ def _circuit_search(vectors: Sequence[tuple[int, ...]], weights: Sequence[int], 
             p = _pivot(later, 0, next(c for c, x in enumerate(top) if x), prev)
             grow([(i, row) for (i, _), row in zip(live[at + 1 :], later[1:])], ws + [weights[j]], p)
 
-    grow([(j, list(v) + [0] * max(best - 2, 0)) for j, v in enumerate(vectors)], [], 1)
+    grow([(j, list(v) + [0] * (best - 2)) for j, v in enumerate(vectors)], [], 1)
     return best
 
 
@@ -229,7 +228,7 @@ def minimal_ray_count(A: Iterable[SpherePoint], chi: Character) -> int | float:
 
     - The LP (:func:`_conic_lp`) asks for lam >= 0 with image sum 0 and
       sum lam_a w_a = 1; the support of any feasible lam represents chi.
-      An infeasible LP means infinity, and its Farkas vector y lifts to
+      No ray, or an infeasible LP, means infinity; a Farkas vector y lifts to
       z = sum_{j != i} y_j (p_i e_j - p_j e_i) + y_last sign(p_i) e_i with
       z . a >= 0 on the rays and z . p < 0 (for chi = 0, y_last < 0 makes
       the first k entries of y pair positively with every ray: Gordan).
@@ -251,7 +250,7 @@ def minimal_ray_count(A: Iterable[SpherePoint], chi: Character) -> int | float:
         rays = [a.primitive for a in pts if a.primitive != p]
         vectors = [tuple(p[i] * a[j] - a[i] * p[j] for j in range(chi.k) if j != i) for a in rays]
         weights = [a[i] if p[i] > 0 else -a[i] for a in rays]
-    support, _ = _conic_lp([v + (w,) for v, w in zip(vectors, weights)], (0,) * (chi.k - (not chi.is_zero)) + (1,))
+    support = _conic_lp([v + (w,) for v, w in zip(vectors, weights)])[0] if vectors else None
     if support is None:
         return INF
     return _circuit_search(vectors, weights, len(support))

@@ -2,11 +2,13 @@
 
 import ast
 import collections
+import inspect
 import math
 import pathlib
 import random
 import time
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -54,6 +56,9 @@ def test_normalize_ray_is_scale_invariant_and_odd(coords, scale):
 def test_sphere_point_validation():
     with pytest.raises(ValueError):
         SpherePoint((2, 4))
+    for entries in [(1.0, 0), (True, 0), ("1", 0)]:
+        with pytest.raises(ValueError, match="integer vectors"):
+            SpherePoint(entries)
     with pytest.raises(ZeroCharacter):
         SpherePoint((0, 0))
 
@@ -298,8 +303,8 @@ def test_lp_certificates_hold_in_integer_arithmetic(instance):
     rays, chi = instance
     k = len(chi)
     # The LP that minimal_ray_count solves: each ray a goes to its image in
-    # the quotient by chi with the weight w_a, and the target is the last
-    # unit vector.  For chi = 0 the image is a and the weight 1.
+    # the quotient by chi with the weight w_a, and the right-hand side is the
+    # last unit vector.  For chi = 0 the image is a and the weight 1.
     if any(chi):
         p = _primitive(chi)
         i = next(j for j, c in enumerate(p) if c)
@@ -309,8 +314,14 @@ def test_lp_certificates_hold_in_integer_arithmetic(instance):
     else:
         vectors = rays
         columns = [a + (1,) for a in rays]
-    support, y = _conic_lp(columns, (0,) * (k - 1 if any(chi) else k) + (1,))
     points = [SpherePoint(a) for a in rays]
+    if not columns:
+        # No ray in the quotient: infinite, and no LP is solved.
+        with mock.patch.object(sphere, "_conic_lp", side_effect=AssertionError("an LP without columns")):
+            assert minimal_ray_count(points, Character(chi)) == INF
+        assert enumeration_ray_count(points, Character(chi)) == INF
+        return
+    support, y = _conic_lp(columns)
     count = minimal_ray_count(points, Character(chi))
     assert count == enumeration_ray_count(points, Character(chi))
     if support is None:
@@ -375,13 +386,25 @@ def test_subset_search_stops_below_the_basis_size(monkeypatch):
         (0, -2, 2, 0, 0, -1), (0, 1, 1, 0, 0, -1), (0, 2, 0, -1, 1, 2),
         (1, -1, 0, -2, -1, -2), (1, 1, 0, 1, -1, 2), (2, 0, -1, 2, 0, -1),
     ]
-    support, _ = _conic_lp([a + (1,) for a in rays], (0,) * 6 + (1,))
+    support, _ = _conic_lp([a + (1,) for a in rays])
     assert len(support) == 6
     calls = _counting_search(monkeypatch)
     points = [SpherePoint(a) for a in rays]
     assert minimal_ray_count(points, Character.zero(6)) == 5
     assert calls == [(6, 5)]
     assert enumeration_ray_count(points, Character.zero(6)) == 5
+
+
+def test_a_circuit_of_weight_sum_one_closes_below_the_basis_size(monkeypatch):
+    # chi = (0, -1, 0) is (-1, -1, 0) + (1, 0, 0), but the LP basis uses three
+    # rays.  In the quotient by chi the two-ray circuit closes with one
+    # coefficient 1 and weight sum exactly 1, the least a positive sum can be.
+    rays = [(-1, -1, 0), (0, -1, 1), (1, 0, -1), (1, 0, 0)]
+    calls = _counting_search(monkeypatch)
+    points = [SpherePoint(a) for a in rays]
+    assert minimal_ray_count(points, Character([0, -1, 0])) == 2
+    assert calls == [(3, 2)]
+    assert enumeration_ray_count(points, Character([0, -1, 0])) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +430,8 @@ def test_guard_counts_the_calls_of_a_function():
 def test_minimal_ray_count_has_one_lp_and_one_search_for_every_chi():
     calls = called_names(SPHERE_SOURCE, "minimal_ray_count")
     assert calls["_conic_lp"] == 1 and calls["_circuit_search"] == 1
+    # The LP answers one question, so it takes the columns and no target.
+    assert list(inspect.signature(sphere._conic_lp).parameters) == ["columns"]
     tree = ast.parse(SPHERE_SOURCE)
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
     imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}

@@ -10,14 +10,19 @@ positive combination of rays equals chi is an equality, which floating
 point cannot decide.
 
 All values are immutable and all operations are pure functions without
-hidden state, safe to evaluate concurrently.  The m-function takes the same
-two steps for every character chi, in the quotient by chi: one
-fraction-free phase-1 simplex either returns a Farkas (or, for the zero
-character, Gordan) vector that proves the value infinite, or a basic
-solution whose support size bounds the count, and a depth-first search
-for positive circuits, one fraction-free reduction per node, then finds
-the fewest rays below that bound.  The Fourier-Motzkin decider of
-``exactlp`` serves only as an oracle in ``verify`` and the tests.
+hidden state, safe to evaluate concurrently.  The m-function has a checking
+entry, ``minimal_ray_count`` (and ``m_value``), which sorts and rank-checks
+the rays and normalises chi to its primitive vector, and an integer core
+on those vectors, which a caller that holds checked rays, as
+``treesigma.mfpr_lengths`` does, runs directly.  The core takes the same
+steps for every character chi, in the quotient by chi: a sign test settles
+many infinite values without a pivot; otherwise one fraction-free phase-1
+simplex either returns a Farkas (or, for the zero character, Gordan)
+vector that proves the value infinite, or a basic solution whose support
+size bounds the count, and a depth-first search for positive circuits, one
+fraction-free reduction per node, then finds the fewest rays below that
+bound.  The Fourier-Motzkin decider of ``exactlp`` serves only as an oracle
+in ``verify`` and the tests.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ class Character:
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def __neg__(self) -> "Character":
         return Character(-c for c in self.coords)
@@ -80,11 +85,9 @@ class SpherePoint:
         if any(not isinstance(c, int) or isinstance(c, bool) for c in vec):
             raise ValueError(f"sphere points carry integer vectors, got {vec!r}")
         object.__setattr__(self, "primitive", vec)
-        if not vec or all(c == 0 for c in vec):
+        g = gcd(*vec)
+        if g == 0:
             raise ZeroCharacter("sphere points come from nonzero characters")
-        g = 0
-        for c in vec:
-            g = gcd(g, abs(c))
         if g != 1:
             raise ValueError(f"vector {vec} is not primitive (gcd {g})")
 
@@ -104,9 +107,7 @@ def normalize_ray(chi: Character) -> SpherePoint:
     if chi.is_zero:
         raise ZeroCharacter("the zero character has no ray")
     ints = _integer_row(chi.coords)
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+    g = gcd(*ints)
     return SpherePoint(tuple(v // g for v in ints))
 
 
@@ -131,7 +132,7 @@ def _pivot(rows: list[list[int]], r: int, c: int, prev: int) -> int:
 def _integer_row(row: Sequence[Fraction]) -> list[int]:
     """The rational row times the lcm of its denominators."""
     m = lcm(*(c.denominator for c in row))
-    return [int(c * m) for c in row]
+    return [c.numerator * (m // c.denominator) for c in row]
 
 
 def _conic_lp(columns: Sequence[Sequence[int]]) -> tuple[Optional[tuple[int, ...]], Optional[tuple[int, ...]]]:
@@ -156,8 +157,7 @@ def _conic_lp(columns: Sequence[Sequence[int]]) -> tuple[Optional[tuple[int, ...
     """
     k, n = len(columns[0]), len(columns)
     rows = [[a[i] for a in columns] + [int(j == i) for j in range(k)] for i in range(k)]
-    obj = [-sum(col) for col in zip(*rows)]
-    obj[n:] = [0] * k
+    obj = [-sum(a) for a in columns] + [0] * k
     rows.append(obj)
     basis = list(range(n, n + k))
     prev = 1
@@ -178,6 +178,24 @@ def _conic_lp(columns: Sequence[Sequence[int]]) -> tuple[Optional[tuple[int, ...
     y = [obj[n + i] - prev for i in range(k)]
     g = gcd(*y)
     return None, tuple(v // g for v in y)
+
+
+def _signs_rule_out(vectors: Sequence[tuple[int, ...]], weights: Sequence[int]) -> bool:
+    """Whether the signs of the entries alone show that no lam >= 0 has
+    sum lam_a a = 0 over the vectors and sum lam_a w_a > 0.  A coordinate
+    that is >= 0 on every live vector (or <= 0 on every one) forces lam_a = 0
+    on each vector where it is nonzero, and those vectors leave; the answer
+    is yes when no live vector is left with a positive weight, as with no
+    vectors at all.  It costs no pivot."""
+    live = list(zip(vectors, weights))
+    pruned = True
+    while pruned:
+        pruned = False
+        for i, coord in enumerate(zip(*[v for v, _ in live])):
+            if any(coord) and (min(coord) >= 0 or max(coord) <= 0):
+                live, pruned = [(v, w) for v, w in live if not v[i]], True
+                break
+    return all(w <= 0 for _, w in live)
 
 
 def _circuit_search(vectors: Sequence[tuple[int, ...]], weights: Sequence[int], best: int) -> int:
@@ -213,19 +231,23 @@ def _circuit_search(vectors: Sequence[tuple[int, ...]], weights: Sequence[int], 
     return best
 
 
-def minimal_ray_count(A: Iterable[SpherePoint], chi: Character) -> int | float:
-    """Least number of distinct rays of A - {[chi]} whose strictly positive
-    conic combination equals chi, or infinity if there is none.
+def _ray_count(rays: Sequence[tuple[int, ...]], p: Optional[tuple[int, ...]]) -> int | float:
+    """The minimal ray count on checked input, all in integers: the least
+    number of the rays other than p whose strictly positive conic
+    combination is a positive multiple of p (for p = None, the zero
+    character: is zero), or infinity if there is none.  The rays are
+    sorted, distinct and primitive, p is primitive, and all have rank k.
 
-    The zero character is allowed; its representation must be nontrivial
-    (at least one ray, all coefficients > 0).  Every chi takes the same
-    steps, in the quotient by chi.  With p the primitive vector of chi and
-    p_i its first nonzero entry, a ray a maps to (p_i a_j - a_i p_j)_{j != i}
+    Every chi takes the same steps, in the quotient by chi.  With p_i the
+    first nonzero entry of p, a ray a maps to (p_i a_j - a_i p_j)_{j != i}
     (the kernel is the line of p) with the weight w_a = sign(p_i) a_i; for
     chi = 0 the map is the identity and every weight 1.  Rays with
     sum lam_a a = t p, lam > 0, represent chi exactly when t > 0, that is
     when sum lam_a w_a > 0.
 
+    - :func:`_signs_rule_out` first drops the rays that the signs of the
+      image coordinates force to lam_a = 0; when none of positive weight
+      is left, the value is infinite and no LP runs.
     - The LP (:func:`_conic_lp`) asks for lam >= 0 with image sum 0 and
       sum lam_a w_a = 1; the support of any feasible lam represents chi.
       No ray, or an infeasible LP, means infinity; a Farkas vector y lifts to
@@ -238,31 +260,46 @@ def minimal_ray_count(A: Iterable[SpherePoint], chi: Character) -> int | float:
       image is a positive circuit, and every positive circuit represents
       chi.  :func:`_circuit_search` finds the smallest one below s.
     """
-    pts = sorted(set(A), key=lambda s: s.primitive)
-    for a in pts:
-        if a.k != chi.k:
-            raise DimensionMismatch(f"point rank {a.k}, character rank {chi.k}")
-    if chi.is_zero:
-        vectors, weights = [a.primitive for a in pts], [1] * len(pts)
+    if p is None:
+        vectors, weights = rays, [1] * len(rays)
     else:
-        p = normalize_ray(chi).primitive
         i = next(j for j, c in enumerate(p) if c)
-        rays = [a.primitive for a in pts if a.primitive != p]
-        vectors = [tuple(p[i] * a[j] - a[i] * p[j] for j in range(chi.k) if j != i) for a in rays]
+        others = [j for j in range(len(p)) if j != i]
+        rays = [a for a in rays if a != p]
+        vectors = [tuple([p[i] * a[j] - a[i] * p[j] for j in others]) for a in rays]
         weights = [a[i] if p[i] > 0 else -a[i] for a in rays]
-    support = _conic_lp([v + (w,) for v, w in zip(vectors, weights)])[0] if vectors else None
+    if _signs_rule_out(vectors, weights):
+        return INF
+    support = _conic_lp([v + (w,) for v, w in zip(vectors, weights)])[0]
     if support is None:
         return INF
     return _circuit_search(vectors, weights, len(support))
+
+
+def minimal_ray_count(A: Iterable[SpherePoint], chi: Character) -> int | float:
+    """Least number of distinct rays of A - {[chi]} whose strictly positive
+    conic combination equals chi, or infinity if there is none.
+
+    The zero character is allowed; its representation must be nontrivial
+    (at least one ray, all coefficients > 0).  This is the checking entry:
+    it sorts the distinct rays of A, checks their rank against chi's and
+    normalises chi to its primitive vector, then hands the integer vectors
+    to the core :func:`_ray_count`, which describes the method.
+    """
+    rays, k = sorted({a.primitive for a in A}), chi.k
+    for a in rays:
+        if len(a) != k:
+            raise DimensionMismatch(f"point rank {len(a)}, character rank {k}")
+    return _ray_count(rays, None if chi.is_zero else normalize_ray(chi).primitive)
 
 
 def m_value(A: Iterable[SpherePoint], chi: Character) -> int | float:
     """sup of the k for which chi is *not* a sum of k characters with rays in
     A - {[chi]}; infinite when no representation exists at all.
 
-    Equals minimal_ray_count - 1: a representation by r distinct rays gives
-    one with any number >= r of summands (split a summand into positive
-    multiples of itself), and none with fewer, so exactly the k < r fail.
+    Equals minimal_ray_count - 1 (infinity minus 1 is infinity): a
+    representation by r distinct rays gives one with any number >= r of
+    summands (split a summand into positive multiples of itself), and none
+    with fewer, so exactly the k < r fail.
     """
-    r = minimal_ray_count(A, chi)
-    return INF if r == INF else r - 1
+    return minimal_ray_count(A, chi) - 1

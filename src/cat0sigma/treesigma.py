@@ -25,7 +25,7 @@ from typing import Iterable, Optional
 
 from .errors import DegreeOutOfRange, InvalidChain
 from .jsonio import parse_fraction, parse_int, read_field
-from .sphere import Character, SpherePoint, m_value
+from .sphere import Character, SpherePoint, _ray_count, m_value, normalize_ray
 
 INF = math.inf
 
@@ -151,7 +151,7 @@ class MFPRData:
         for v in complement:
             if not isinstance(v, list):
                 raise ValueError(f"a complement point is a list of integers, got {v!r}")
-        pts = [SpherePoint(tuple(parse_int(c) for c in v)) for v in complement]
+        pts = [SpherePoint(tuple(map(parse_int, v))) for v in complement]
         chi = Character(parse_fraction(c) for c in read_field(data, "splitting_character", list))
         return MFPRData(parse_int(read_field(data, "k")), pts, chi)
 
@@ -161,14 +161,19 @@ def mfpr_lengths(data: MFPRData) -> GraphOfGroupsSummary:
     m(0), cl(chi) = min(m(chi), m(0)), and the base group's length
     min(m(chi), m(-chi), m(0)) as the stabilizer length.  The rooted tree
     of the splitting has a fixed end.  A zero chi is its own negative, so
-    its m-values are m(0)."""
+    its m-values are m(0), which the checking entry m_value gives.
+
+    For a nonzero chi, chi is normalised once to its primitive vector p,
+    and the integer core of the m-function runs for 0, p and -p on the
+    complement's vectors, which MFPRData holds sorted, distinct and of
+    rank k, so nothing sorts or checks them again."""
     chi = data.splitting_character
-    m_zero = m_value(data.complement, Character.zero(data.k))
     if chi.is_zero:
-        m_chi = m_neg = m_zero
+        m_zero = m_chi = m_neg = m_value(data.complement, chi)
     else:
-        m_chi = m_value(data.complement, chi)
-        m_neg = m_value(data.complement, -chi)
+        rays = [a.primitive for a in data.complement]
+        p = normalize_ray(chi).primitive
+        m_zero, m_chi, m_neg = (_ray_count(rays, q) - 1 for q in (None, p, tuple(-c for c in p)))
     return GraphOfGroupsSummary(
         fl_group=m_zero,
         fl_stabilizers=min(m_chi, m_neg, m_zero),

@@ -10,6 +10,10 @@ identical:
 - a positive rational multiple of chi, which names the same sphere point;
 - a shuffled ray order.
 
+One more relation changes the answer in a known way: chi -> -chi swaps
+m(chi) and m(-chi), so the group and stabilizer lengths stay and the
+smaller of the two connectivity lengths is the stabilizer length.
+
 The transforms are written here and share no code with the library, so
 they check the m-function without a second implementation of it.  They run
 in ranks 1-8; in ranks 5-8 no other oracle checks an m-value.
@@ -114,6 +118,21 @@ def test_mfpr_lengths_and_table_are_invariant(k, relation):
         rays, chi = _instance(k, rng)
         moved_rays, moved_chi = RELATIONS[relation](rays, chi, rng)
         assert _answer(k, moved_rays, moved_chi) == _answer(k, rays, chi), (rays, chi)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_negating_chi_keeps_both_finiteness_lengths(k):
+    # chi -> -chi swaps m(chi) and m(-chi): fl_group = m(0) and fl_stabilizers
+    # = min(m(chi), m(-chi), m(0)) stay, and the smaller of the two
+    # connectivity lengths, min(m(chi), m(0)) and min(m(-chi), m(0)), is the
+    # stabilizer length.
+    rng = random.Random(f"invariance negate {k}")
+    for _ in range(40 if k < 5 else 24):
+        rays, chi = _instance(k, rng)
+        summary, _ = _answer(k, rays, chi)
+        negated, _ = _answer(k, rays, [-c for c in chi])
+        assert (negated.fl_group, negated.fl_stabilizers) == (summary.fl_group, summary.fl_stabilizers), (rays, chi)
+        assert min(summary.cl_character, negated.cl_character) == summary.fl_stabilizers, (rays, chi)
 
 
 def _run(argv):

@@ -78,7 +78,9 @@ VERIFY_ONLY = {
     "raag.SimpleGraph.complete": EXAMPLE,
     "raag.SimpleGraph.cycle": EXAMPLE,
     "raag.SimpleGraph.octahedron": EXAMPLE,
+    "sphere.Character.__neg__": EXAMPLE,
     "sphere.Character.scaled": EXAMPLE,
+    "sphere.Character.zero": EXAMPLE,
     "sphere.SpherePoint.character": EXAMPLE,
 }
 

@@ -378,6 +378,33 @@ def test_m_zero_on_pointed_cones_tries_no_subset(monkeypatch, k, size):
     assert calls == []
 
 
+def test_signs_decide_without_an_lp_and_the_lp_decides_the_rest(monkeypatch):
+    # A coordinate of one sign on every live vector forces lam = 0 on the
+    # vectors where it is nonzero; with no live vector of positive weight
+    # left the value is infinite, and no LP runs.
+    lps = []
+    lp = sphere._conic_lp
+    monkeypatch.setattr(sphere, "_conic_lp", lambda columns: lps.append(columns) or lp(columns))
+    decided = [
+        (_pointed_cone(4, 12, seed=1), Character.zero(4)),
+        # No coordinate has one strict sign.  Three rounds: the first
+        # coordinate (>= 0) removes (1, 0, 1), then the third (<= 0 on what
+        # is left) removes (0, 1, -1), then the second removes (0, -1, 0).
+        ([SpherePoint((1, 0, 1)), SpherePoint((0, 1, -1)), SpherePoint((0, -1, 0))], Character.zero(3)),
+        # chi = (1, 0): the images 1 and -1 take both signs, but the weights
+        # are -1 and 0.
+        ([SpherePoint((-1, 1)), SpherePoint((0, -1))], Character([1, 0])),
+    ]
+    for points, chi in decided:
+        assert minimal_ray_count(points, chi) == INF == enumeration_ray_count(points, chi)
+    assert lps == []
+    # Every coordinate takes both signs, yet (1, 1) pairs positively with
+    # every ray: the LP finds that Gordan certificate.
+    points = [SpherePoint((1, 2)), SpherePoint((2, -1)), SpherePoint((-1, 3))]
+    assert minimal_ray_count(points, Character.zero(2)) == INF == enumeration_ray_count(points, Character.zero(2))
+    assert len(lps) == 1
+
+
 def test_subset_search_stops_below_the_basis_size(monkeypatch):
     # Nine rays in rank 6 whose LP basis uses six of them, while five
     # rays already form a positive circuit; one search below six finds it.
@@ -408,7 +435,7 @@ def test_a_circuit_of_weight_sum_one_closes_below_the_basis_size(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Tooling guard: one set-up and one search for every chi
+# Tooling guard: one check, one LP and one search for every chi
 
 
 SPHERE_SOURCE = pathlib.Path(sphere.__file__).read_text(encoding="utf-8")
@@ -428,7 +455,11 @@ def test_guard_counts_the_calls_of_a_function():
 
 
 def test_minimal_ray_count_has_one_lp_and_one_search_for_every_chi():
-    calls = called_names(SPHERE_SOURCE, "minimal_ray_count")
+    # The checking entry hands every chi to the integer core once, and the
+    # core asks one LP and one search.
+    entry = called_names(SPHERE_SOURCE, "minimal_ray_count")
+    assert entry["_ray_count"] == 1 and entry["_conic_lp"] == 0 and entry["_circuit_search"] == 0
+    calls = called_names(SPHERE_SOURCE, "_ray_count")
     assert calls["_conic_lp"] == 1 and calls["_circuit_search"] == 1
     # The LP answers one question, so it takes the columns and no target.
     assert list(inspect.signature(sphere._conic_lp).parameters) == ["columns"]

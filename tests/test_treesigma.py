@@ -1,12 +1,13 @@
 """Piecewise invariant formulas for tree actions and MFPR groups."""
 
+import collections
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from cat0sigma import sphere
+from cat0sigma import sphere, treesigma
 from cat0sigma.errors import DegreeOutOfRange, InvalidChain
 from cat0sigma.sphere import Character, SpherePoint
 from cat0sigma.treesigma import (
@@ -20,7 +21,13 @@ from cat0sigma.treesigma import (
     sigma_table,
     TABLE_BUDGET,
 )
-from cat0sigma.verify import _random_mfpr_data, _random_sphere_points, _random_summary, mfpr_sigma_oracle
+from cat0sigma.verify import (
+    _random_mfpr_data,
+    _random_sphere_points,
+    _random_summary,
+    enumeration_m_value,
+    mfpr_sigma_oracle,
+)
 
 INF = math.inf
 
@@ -111,20 +118,70 @@ def test_mfpr_lengths_frozen_examples():
     assert lengths == GraphOfGroupsSummary(fl_group=2, fl_stabilizers=1, has_fixed_end=True, cl_character=1)
 
 
+KINDS = ("zero", "integer", "fractional", "own ray", "antipode")
+
+
+def _shared_sign_instance(rng, i):
+    """Rank 1-4, up to six distinct primitive rays (four in rank 4), and a
+    chi of one of KINDS: zero, random integer, random fractional, a positive
+    multiple of a complement ray, or a negative one, so that chi's own ray
+    or its antipode lies in the complement."""
+    k = 1 + i % 4
+    pts = _random_sphere_points(rng, k, rng.randrange(1, 5 if k == 4 else 7), forbid_antipodal=False)
+    kind = KINDS[i // 4 % len(KINDS)]
+    if kind == "zero":
+        chi = Character.zero(k)
+    elif kind == "integer":
+        chi = Character([rng.randrange(-3, 4) for _ in range(k)])
+    elif kind == "fractional":
+        chi = Character([F(rng.randrange(-3, 4), rng.randrange(1, 4)) for _ in range(k)])
+    else:
+        scale = rng.choice([1, 2, F(1, 3), F(3, 2)]) * (1 if kind == "own ray" else -1)
+        chi = rng.choice(pts).character().scaled(scale)
+    return MFPRData(k, pts, chi), kind
+
+
+def test_mfpr_lengths_equal_the_elimination_oracle_for_0_chi_and_minus_chi():
+    # mfpr_lengths checks the complement once and runs the integer core on
+    # the primitive vectors of 0, chi and -chi; mfpr_sigma_oracle shares that
+    # core, so the lengths are built here from Fourier-Motzkin m-values.
+    rng = random.Random(4242)
+    kinds = collections.Counter()
+    for i in range(240):
+        data, kind = _shared_sign_instance(rng, i)
+        chi = data.splitting_character
+        m_zero = enumeration_m_value(data.complement, Character.zero(data.k))
+        m_chi = enumeration_m_value(data.complement, chi)
+        m_neg = enumeration_m_value(data.complement, -chi)
+        expected = GraphOfGroupsSummary(m_zero, min(m_chi, m_neg, m_zero), True, min(m_chi, m_zero))
+        assert mfpr_lengths(data) == expected, (data, kind)
+        kinds[kind, data.k, m_chi == INF, m_neg == INF] += 1
+    # Every kind in every rank, and finite m(chi) and m(-chi) next to infinite ones.
+    assert {(kind, k) for kind, k, _, _ in kinds} == {(kind, k) for kind in KINDS for k in range(1, 5)}
+    assert {(a, b) for _, _, a, b in kinds} == {(False, False), (False, True), (True, False), (True, True)}
+
+
 def test_a_zero_splitting_character_runs_one_ray_search(monkeypatch):
     # chi = -chi = 0 when the splitting character is zero, so m(chi) and
-    # m(-chi) are m(0); a nonzero chi needs all three searches.
+    # m(-chi) are m(0); a nonzero chi needs all three runs of the integer
+    # core, on the primitive vectors of 0, chi and -chi.
     calls = []
-    search = sphere.minimal_ray_count
-    monkeypatch.setattr(sphere, "minimal_ray_count", lambda A, chi: calls.append(chi) or search(A, chi))
+    core = sphere._ray_count
+
+    def counted(rays, p):
+        calls.append(p)
+        return core(rays, p)
+
+    monkeypatch.setattr(sphere, "_ray_count", counted)
+    monkeypatch.setattr(treesigma, "_ray_count", counted)
     trio = [SpherePoint((1, 0)), SpherePoint((0, 1)), SpherePoint((-1, -1))]
     for chi, searches, lengths in (
-        (Character([0, 0]), 1, GraphOfGroupsSummary(2, 2, True, 2)),
-        (Character([-1, 0]), 3, GraphOfGroupsSummary(2, 1, True, 1)),
+        (Character([0, 0]), [None], GraphOfGroupsSummary(2, 2, True, 2)),
+        (Character([-2, 0]), [None, (-1, 0), (1, 0)], GraphOfGroupsSummary(2, 1, True, 1)),
     ):
         calls.clear()
         assert mfpr_lengths(MFPRData(2, trio, chi)) == lengths
-        assert len(calls) == searches
+        assert calls == searches
 
 
 def test_mfpr_piecewise_values():

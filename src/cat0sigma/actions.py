@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
@@ -368,8 +368,6 @@ class GroupAction:
     def letters(self, word: str) -> list[Isometry]:
         out = []
         for ch in word:
-            if ch.isspace():
-                continue
             lower = ch.lower()
             if lower not in self.generators:
                 raise UnknownGenerator(f"letter {ch!r} is not a generator")
@@ -492,24 +490,16 @@ class ShiftReport:
         object.__setattr__(self, "is_contraction", gsh > 0)
 
 
-def _is_label(cfg: ControlConfiguration, value) -> bool:
-    try:
-        return value in cfg.points
-    except TypeError:
-        return False
-
-
 def _image_pairs(cfg: ControlConfiguration, f: Mapping) -> dict:
     """(point, image) by label for the map f on the configuration; an image
-    is a label or a raw point, which is checked here.  Labels win over raw
-    points when a value could be read as either."""
+    is a label of the configuration or a point, which is checked here."""
     if not f:
         raise EmptyConfiguration("the map has empty domain")
     for label in f:
         if label not in cfg.points:
             raise NotClosed(f"domain label {label!r} is not in the configuration")
     check = cfg.space.check_point
-    return {label: (cfg.points[label], cfg.points[x] if _is_label(cfg, x) else check(x)) for label, x in f.items()}
+    return {label: (cfg.points[label], cfg.points[x] if x in cfg.points else check(x)) for label, x in f.items()}
 
 
 def shift_report(cfg: ControlConfiguration, f: Mapping, e) -> ShiftReport:
@@ -665,7 +655,7 @@ class AuditReport:
     passed: bool
     samples: int
     worst_slack: object
-    details: dict = field(default_factory=dict)
+    details: dict
 
 
 def local_busemann_audit(M: ModelSpace, c, r, eps, e, e2, samples: int, seed: int) -> AuditReport:
@@ -704,12 +694,9 @@ def angle_estimate_audit(M: ModelSpace, base, e, e2, schedule) -> AuditReport:
     ray1, ray2 = M.ray_from(base, e), M.ray_from(base, e2)
     ang = M.angular_distance(e, e2)
     worst = None
-    rows = []
     for t in schedule:
         lhs = M.distance(ray1.point_at(t), ray2.point_at(t))
-        rhs = 2 * float(t) * math.sin(ang / 2)
-        slack = rhs - float(lhs)
-        rows.append((float(t), float(lhs), rhs))
+        slack = 2 * float(t) * math.sin(ang / 2) - float(lhs)
         if worst is None or slack < worst:
             worst = slack
-    return AuditReport(worst is not None and worst >= -GLOBAL_TOL, len(rows), worst, {"angle": ang})
+    return AuditReport(worst is not None and worst >= -GLOBAL_TOL, len(schedule), worst, {"angle": ang})

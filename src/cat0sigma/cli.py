@@ -265,9 +265,9 @@ def cmd_verify(args, data):
     names = SUITE_NAMES if args.suite == "all" else [args.suite]
     reports = []
     for name in names:
-        start, n = time.perf_counter(), verify.processes(name)
+        start = time.perf_counter()
         reports.append(verify.run_suite(name, seed=args.seed))
-        ms = 1000 * (time.perf_counter() - start)
+        ms, n = 1000 * (time.perf_counter() - start), reports[-1].processes
         _log(f"suite {name} (seed {args.seed}): {ms:.1f} ms, {n} process{'es' if n > 1 else ''}", args.stderr)
     ok = all(r.ok for r in reports)
     return (0 if ok else 1), {"ok": ok, "suites": [r.to_json() for r in reports]}

@@ -194,17 +194,15 @@ class HomologyProfile:
         )
 
 
-def homology(K: SimplicialComplex, max_degree: int | None = None) -> HomologyProfile:
+def homology(K: SimplicialComplex, max_degree: int) -> HomologyProfile:
     """Integer simplicial homology of a finite complex via Smith reduction.
 
-    Computes degrees 0..max_degree (default: the dimension of K).  The rank
-    of each boundary map is the number of its invariant factors, all
-    nonzero; the factors above 1 are the torsion.  Homology vanishes above
-    the dimension, so boundary maps are built only through degree
-    min(max_degree, dim K) + 1 and the higher degrees are zero.
+    Computes degrees 0..max_degree.  The rank of each boundary map is the
+    number of its invariant factors, all nonzero; the factors above 1 are
+    the torsion.  Homology vanishes above the dimension, so boundary maps
+    are built only through degree min(max_degree, dim K) + 1 and the
+    higher degrees are zero.
     """
-    if max_degree is None:
-        max_degree = max(K.dimension, 0)
     top = min(max_degree, K.dimension)
     counts = [len(K.faces(d)) for d in range(top + 2)]
     factors = [smith_normal_form(K.boundary_matrix(d)) if counts[d] else [] for d in range(top + 2)]

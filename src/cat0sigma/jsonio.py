@@ -99,18 +99,13 @@ def jsonable(value):
         return value
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
-    if isinstance(value, complex):
-        return {"x": jsonable(value.real), "y": jsonable(value.imag)}
     to_json = getattr(value, "to_json", None)
     if to_json is not None:
         return jsonable(to_json())
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = list(value)
-        if isinstance(value, (set, frozenset)):
-            items = sorted(items, key=str)
-        return [jsonable(v) for v in items]
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
     raise TypeError(f"no JSON form for a value of type {type(value).__name__}")
 
 

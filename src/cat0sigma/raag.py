@@ -237,7 +237,7 @@ class TietzeCertificate:
     generators: int
     relators: int
     steps: int
-    log: tuple = ()
+    log: tuple
 
 
 def _spanning_tree(vertices: list, edges: list) -> set:

@@ -166,8 +166,6 @@ class EuclideanSpace(ModelSpace):
         return p
 
     def check_boundary(self, e):
-        if not isinstance(e, EDirection):
-            e = EDirection(e)
         if len(e.vector) != self.k:
             raise WrongSpace(f"direction of dimension {len(e.vector)} in {self.name}")
         return e
@@ -223,10 +221,10 @@ class EuclideanSpace(ModelSpace):
         return _add(center, _scale(offset, r / n if n else 0.0))
 
     def sample_end(self, rng):
-        v = [rng.gauss(0.0, 1.0) for _ in range(self.k)]
-        while _norm(v) < 1e-6:
+        while True:
             v = [rng.gauss(0.0, 1.0) for _ in range(self.k)]
-        return EDirection(direction(v))
+            if _norm(v) >= 1e-6:
+                return EDirection(direction(v))
 
     def orbit_key(self, p):
         return tuple(round(c, 9) for c in p)

@@ -267,8 +267,6 @@ class TreePoint:
     up: int | Fraction = 0
 
     def __init__(self, vertex, up=0):
-        if type(up) is not int and type(up) is not Fraction:
-            up = Fraction(up)
         num, den = up.as_integer_ratio()
         if not 0 <= num < den:
             raise ValueError("edge offset must lie in [0, 1)")
@@ -319,8 +317,6 @@ class TreeModel(ModelSpace):
         return [self.neighbor(v, i) for i in range(self.degree - (self.parent(v) is not None))]
 
     def check_point(self, p):
-        if not isinstance(p, TreePoint):
-            p = TreePoint(p)
         self.check_vertex(p.vertex)
         if p.up and self.parent(p.vertex) is None:
             raise WrongSpace(f"the root {p.vertex!r} has no parent edge to hold the offset {p.up}")
@@ -333,8 +329,6 @@ class TreeModel(ModelSpace):
         return {"space": "tree", "descriptor": self.descriptor()}
 
     def parse_point(self, data):
-        if not isinstance(data, dict):
-            return TreePoint(self.parse_vertex(data))
         vertex = self.parse_vertex(read_field(data, "vertex"))
         return TreePoint(vertex, parse_fraction(read_field(data, "up", default=0)))
 
@@ -704,11 +698,8 @@ class HnnTree(TreeModel):
         # k < b, so k log2 n is a float.  The logarithms err by about 1e-9
         # there, so outside a 1e-6 margin they settle it without the power.
         n, k, b = self.index, v.level + v.exp, v.num.bit_length()
-        if v.exp < 0 or k <= 0 or v.num <= 0 or b > k * n.bit_length():
-            outside = True
-        elif b <= k * (n.bit_length() - 1):
-            outside = False
-        else:
+        outside = v.exp < 0 or k <= 0 or v.num <= 0 or b > k * n.bit_length()
+        if not outside and b > k * (n.bit_length() - 1):
             gap = math.log2(v.num) - k * self._log2
             outside = gap > 1e-6 or (gap > -1e-6 and v.num >= _power(n, k))
         if outside:

@@ -59,7 +59,6 @@ class CheckResult:
     passed: int = 0
     failed: int = 0
     worst: Optional[float] = None
-    note: str = ""
 
     def record(self, ok: bool, err: Optional[float] = None):
         if ok:
@@ -81,7 +80,7 @@ class CheckResult:
             "passed": self.passed,
             "failed": self.failed,
             "worst_error": self.worst,
-            "note": self.note,
+            "note": "",
         }
 
 
@@ -90,6 +89,7 @@ class SuiteReport:
     suite: str
     seed: int
     checks: list = field(default_factory=list)
+    processes: int = 1  # the processes that ran it, set by run_suite; to_json leaves it out
 
     def check(self, name: str) -> CheckResult:
         c = CheckResult(name)
@@ -511,8 +511,7 @@ def enumeration_ray_count(A, chi: Character) -> int | float:
 
 def enumeration_m_value(A, chi: Character) -> int | float:
     """The m-value from ``enumeration_ray_count``: one less, or infinity."""
-    r = enumeration_ray_count(A, chi)
-    return math.inf if r == math.inf else r - 1
+    return enumeration_ray_count(A, chi) - 1
 
 
 def _random_sphere_points(rng: random.Random, k: int, count: int, forbid_antipodal: bool = True) -> list[SpherePoint]:
@@ -590,8 +589,6 @@ def _random_mfpr_data(rng: random.Random) -> ts.MFPRData:
     k = rng.randrange(1, 4)
     size = rng.randrange(1, 7)
     points = _random_sphere_points(rng, k, size)
-    if not points:
-        points = [SpherePoint(tuple(1 if i == 0 else 0 for i in range(k)))]
     target = rng.choice(points)
     scale = rng.choice([1, 1, 2, Fraction(1, 2), Fraction(3, 2)])
     chi = Character(tuple(-scale * c for c in target.primitive))
@@ -820,7 +817,8 @@ def run_suite(name: str, seed: int = 0) -> SuiteReport:
     """Run one suite.  A suite of SPLIT_UNITS runs in processes(name)
     processes: the parent forks one child per extra process, runs its own
     share and adds each child's counts to its own, check by check, so the
-    report is the one a single process makes."""
+    report is the one a single process makes, with the number of processes
+    in its ``processes``."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     suite = SUITES[name]
@@ -845,4 +843,5 @@ def run_suite(name: str, seed: int = 0) -> SuiteReport:
             check.failed += failed
             if worst is not None and (check.worst is None or worst > check.worst):
                 check.worst = worst
+    report.processes = n
     return report

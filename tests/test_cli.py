@@ -5,6 +5,7 @@ import argparse
 import collections
 import io
 import json
+import math
 import os
 import pathlib
 import re
@@ -305,6 +306,62 @@ def _exact_fields(command, report):
     if command == "audit" and report["which"] == "local-busemann":
         return [report["worst_slack"], report["details"]["R"], report["details"]["rhs"]]
     return []
+
+
+def golden_report(*argv):
+    """The report of the golden job with this command line."""
+    case = next(c for c in json.loads((GOLDEN / "cli_stdout.json").read_text(encoding="utf-8")) if c["argv"] == list(argv))
+    return json.loads(case["stdout"])
+
+
+def test_goldens_of_budgets_and_edge_forms_match_values_computed_apart(tmp_path):
+    # Each golden job that runs a branch no other golden runs, against a
+    # value that does not come from the code path it runs.
+    def reason(data, radius, depth):
+        report = golden_report("cocompact", "--data", data, "--radius", radius, "--depth", depth)
+        return report["verdict"], report["detail"]["reason"]
+
+    # Z^2 at radius 0.1 is covered by neither: no net and no empty horoball.
+    assert reason("cocompact_e2.json", "0.1", "6") == ("UnknownVerdict", "no certificate within depth 6")
+    # E7's grid has 8^7 points, past the budget of 8^6.
+    assert reason("cocompact_e7.json", "1", "1") == (
+        "UnknownVerdict", f"region budget of {8**6} grid points exceeded in E7"
+    )
+    # The identity's orbit is the base alone; the HNN(6) ball of radius 7
+    # holds 1 + 7 (6^7 - 1) / 5 vertices, past the budget.
+    assert 1 + 7 * (6**7 - 1) // 5 > 8**6
+    assert reason("cocompact_hnn6_identity.json", "1", "14") == (
+        "UnknownVerdict", f"region budget of {8**6} vertices exceeded in tree"
+    )
+    # Toward 0 from i, the Busemann value is log(Im z / |z|^2), here in logs.
+    far = golden_report("busemann", "--data", "busemann_h2_far.json")["values"]
+    assert far == pytest.approx([-2 * math.log(1e152), math.log(1e-150) - 2 * math.log(1e153)], rel=1e-15)
+    assert far[1] == -1049.9788024052848
+    # Toward 5i from i: d(i, 5i) - d(z, 5i), with d(z, w) = arccosh(1 + |z - w|^2 / (2 Im z Im w)).
+    vertical = golden_report("busemann", "--data", "busemann_h2_vertical.json")["values"]
+    assert vertical == pytest.approx([math.log(2), math.log(5 / 2), math.log(5) - math.acosh(1 + 17 / 10)], rel=1e-14)
+    empty = golden_report("raag", "--graph", "raag_empty.json")
+    assert (empty["membership"], empty["verdict"]["nonempty"]) == ("Out", False)
+    assert golden_report("character", "--data", "character_h2_float.json")["values"] == {}
+    # fl(G) infinite tabulates to degree 8, as fl(G) = 8 does.
+    finite = dict(json.loads((GOLDEN / "tree_sigma_inf.json").read_text(encoding="utf-8")), fl_group=8)
+    _, out, _ = run_cli(["tree-sigma", "--data", write(tmp_path, "finite.json", finite), "--table"])
+    assert golden_report("tree-sigma", "--data", "tree_sigma_inf.json", "--table")["table"] == json.loads(out)["table"]
+    # An integral float index and a level string read as the ints of busemann_hnn.json.
+    assert golden_report("busemann", "--data", "busemann_hnn_number_forms.json") == golden_report(
+        "busemann", "--data", "busemann_hnn.json"
+    )
+    # Toward the end 0 from the root, a level-L ball whose center has 3-adic
+    # valuation v has Busemann value v - (L - v); the limit walk agrees.
+    probe = golden_report("busemann", "--data", "busemann_hnn3_probe.json")
+    document = json.loads((GOLDEN / "busemann_hnn3_probe.json").read_text(encoding="utf-8"))
+    expected = []
+    for point in document["points"]:
+        center, v = int(point["vertex"]["center"]), 0
+        while center % 3 == 0:
+            center, v = center // 3, v + 1
+        expected.append(str(2 * v - point["vertex"]["level"]))
+    assert probe["values"] == expected == [a["final"] for a in probe["limit_audit"]]
 
 
 def test_exact_values_of_tree_goldens_are_strings():
@@ -943,7 +1000,7 @@ MALFORMED = {
     "busemann-cayley-time-over-depth-budget": (
         "ParameterOutOfRange",
         "busemann",
-        {"space": CAYLEY2, "ray": CAYLEY_RAY, "points": [[2]], "schedule": [1, 3 * 10**6]},
+        {"space": CAYLEY2, "ray": CAYLEY_RAY, "points": [{"vertex": [2]}], "schedule": [1, 3 * 10**6]},
     ),
     "busemann-hnn-down-time-over-depth-budget": (
         "ParameterOutOfRange",
@@ -953,7 +1010,7 @@ MALFORMED = {
     "busemann-cayley-word-over-depth-budget": (
         "ParameterOutOfRange",
         "busemann",
-        {"space": CAYLEY2, "ray": CAYLEY_RAY, "points": ["a" * (10**6 + 1)]},
+        {"space": CAYLEY2, "ray": CAYLEY_RAY, "points": [{"vertex": "a" * (10**6 + 1)}]},
     ),
     "character-hnn-shift-over-depth-budget": (
         "ParameterOutOfRange",
@@ -971,6 +1028,82 @@ MALFORMED = {
         {"space": HNN3, "ray": HNN_DOWN_RAY, "points": [{"vertex": {"level": -(10**6) - 1, "center": 0}}]},
     ),
 }
+# Input errors that no other test raises.
+E2_RAY = {"base": [0, 0], "end": {"boundary": {"direction": [1, 0]}}}
+E2_CHARACTER = {
+    "action": {"space": {"space": "E2"}, "generators": {"a": {"matrix": [[1, 0], [0, 1]], "translation": [1, 0]}}},
+    "end": {"direction": [0, 1]},
+    "base": [0, 0],
+    "words": ["a"],
+}
+C4_GRAPH = {"vertices": [0, 1, 2, 3], "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}
+MALFORMED.update(
+    {
+        "space-e0": ("ValueError", "busemann", {"space": {"space": "E0"}, "ray": E2_RAY, "points": []}),
+        "space-regular-degree-2": (
+            "ValueError",
+            "busemann",
+            {"space": {"space": "tree", "descriptor": {"type": "regular", "degree": 2}}, "ray": CAYLEY_RAY, "points": []},
+        ),
+        "space-cayley-rank-0": (
+            "ValueError",
+            "busemann",
+            {"space": {"space": "tree", "descriptor": {"type": "cayley", "rank": 0}}, "ray": CAYLEY_RAY, "points": []},
+        ),
+        "space-hnn-index-1": (
+            "ValueError",
+            "busemann",
+            {"space": {"space": "tree", "descriptor": {"type": "hnn", "index": 1}}, "ray": HNN_DOWN_RAY, "points": []},
+        ),
+        "hnn-center-outside-ball": (
+            "ValueError",
+            "busemann",
+            {"space": HNN2, "ray": HNN_DOWN_RAY, "points": [{"vertex": {"level": 1, "center": "2"}}]},
+        ),
+        "action-on-regular-tree": (
+            "WrongSpace",
+            "cocompact",
+            {
+                "action": {"space": {"space": "tree", "descriptor": {"type": "regular", "degree": 3}},
+                           "generators": {"a": {"word": [0]}}},
+                "base": {"vertex": []},
+            },
+            "--radius",
+            "1",
+        ),
+        "generator-name-of-two-letters": (
+            "ValueError",
+            "character",
+            dict(E2_CHARACTER, action=dict(E2_CHARACTER["action"], generators={"ab": {"matrix": [[1, 0], [0, 1]], "translation": [1, 0]}}), words=["ab"]),
+        ),
+        "local-audit-eps-0": (
+            "ValueError",
+            "audit",
+            {"space": {"space": "E2"}, "center": [0, 0], "r": 1, "eps": 0, "ends": [{"direction": [1, 0]}, {"direction": [0, 1]}]},
+            "--which",
+            "local-busemann",
+        ),
+        "number-division-by-zero": ("ValueError", "busemann", {"space": {"space": "E2"}, "ray": E2_RAY, "points": [["1/0", 0]]}),
+        "number-beyond-binary64": ("ValueError", "busemann", {"space": {"space": "E2"}, "ray": E2_RAY, "points": [[10**400, 0]]}),
+        "number-infinity": ("ValueError", "busemann", {"space": {"space": "E2"}, "ray": E2_RAY, "points": [[math.inf, 0]]}),
+        "raag-edge-list-line-of-three": ("ValueError", "raag", "0 1\na b c\n"),
+        "raag-negative-degree-on-a-join": ("DegreeOutOfRange", "raag", C4_GRAPH, "--n", "-1"),
+        "word-of-a-digit": ("UnknownGenerator", "character", dict(E2_CHARACTER, words=["1"])),
+        "mfpr-point-of-wrong-rank": ("ValueError", "mfpr", {"k": 2, "complement": [[1, 0], [1]], "splitting_character": ["-1", "0"]}),
+        "mfpr-character-of-wrong-rank": (
+            "ValueError",
+            "mfpr",
+            {"k": 2, "complement": [[1, 0], [0, 1]], "splitting_character": ["-1"]},
+        ),
+        # Im = 1e150 e^1000 passes binary64.
+        "h2-ray-point-beyond-binary64": (
+            "ParameterOutOfRange",
+            "busemann",
+            {"space": {"space": "H2"}, "ray": {"base": [0, 1e150], "end": {"boundary": {"xi": "inf"}}}, "points": [[0, 1]],
+             "schedule": [1000]},
+        ),
+    }
+)
 # Sizes given on the command line follow the payload.
 F2_ACTION = json.loads((GOLDEN / "cocompact_f2.json").read_text(encoding="utf-8"))
 MALFORMED.update(
@@ -1034,7 +1167,9 @@ def test_h2_local_audit_passes_across_the_range_of_centers(tmp_path):
 def test_malformed_shapes_are_input_errors(tmp_path, case):
     error, command, payload, *extra = case
     flag = "--graph" if command == "raag" else "--data"
-    code, out, err = run_cli([command, flag, write(tmp_path, "bad.json", payload), *extra])
+    path = tmp_path / "bad.json"  # a string payload is an edge list, written as it is
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload), encoding="utf-8")
+    code, out, err = run_cli([command, flag, str(path), *extra])
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1
     diagnostic = json.loads(err)

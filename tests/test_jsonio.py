@@ -31,7 +31,6 @@ leaves = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.text(),
     st.fractions(),
-    st.complex_numbers(allow_nan=True, allow_infinity=True),
     st.sampled_from(list(Level)),
     st.builds(make_word_end, st.lists(st.integers(1, 3), max_size=3), st.lists(st.integers(1, 3), min_size=1, max_size=3)),
 )
@@ -42,7 +41,6 @@ values = st.recursive(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
         st.dictionaries(keys, children, max_size=4),
-        st.frozensets(st.one_of(st.integers(), st.text(max_size=3)), max_size=4),
     ),
     max_leaves=25,
 )
@@ -65,10 +63,7 @@ CASES = {
     "colliding-keys": {1: "int", "1": "str"},
     "colliding-keys-reversed": {"1": "str", 1: "int"},
     "tuple": (1, (2, 3), ()),
-    "set": {3, 1, 2},
-    "frozenset": frozenset({"b", "a"}),
-    "empty": {"dict": {}, "list": [], "tuple": (), "set": set()},
-    "complex": [complex(1, -1), complex(0.5, 2), complex(math.inf, 1)],
+    "empty": {"dict": {}, "list": [], "tuple": ()},
     "int-subclass": [Level.HIGH, {"level": Level.LOW}],
     "str-and-float-subclass": [type("S", (str,), {})("s"), type("R", (float,), {})(2.5)],
     "scalars": [None, True, False, 0, -12, "", "x"],
@@ -85,9 +80,13 @@ class Point:
     x: int
 
 
-# No report holds a tree point, an HNN vertex or a graph, so none has a JSON form.
+# No report holds a set, a complex number, a tree point, an HNN vertex or a
+# graph, so none has a JSON form.
 NO_JSON_FORM = {
     "object": object(),
+    "set": {3, 1, 2},
+    "frozenset": frozenset({"b", "a"}),
+    "complex": complex(1, -1),
     "dataclass": Point(1),
     "tree-point": TreePoint((1, -2), F(1, 2)),
     "hnn-vertex": HNN2.vertex(3, F(5, 4)),

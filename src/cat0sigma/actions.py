@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
@@ -35,6 +34,7 @@ from .errors import (
     EmptyConfiguration,
     EndNotFixed,
     NotClosed,
+    ParameterOutOfRange,
     UnknownGenerator,
     WrongSpace,
 )
@@ -55,6 +55,7 @@ from .trees import (
     TreePoint,
     check_depth,
 )
+from .value import Value
 from .words import invert_word, reduce_word
 
 GLOBAL_TOL = spaces.GLOBAL_TOL
@@ -65,12 +66,11 @@ GLOBAL_TOL = spaces.GLOBAL_TOL
 # check(space) (the fit with the space) and from_json(space, data).
 
 
-def _built(cls, **fields):
+def _built(cls, *fields):
     """The inverse of a checked isometry, set up without running the checks
     of the class constructor again."""
     iso = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(iso, name, value)
+    Value.__init__(iso, *fields)
     return iso
 
 
@@ -81,12 +81,10 @@ def _square_matrix(data, n: int) -> list:
     return data
 
 
-@dataclass(frozen=True)
-class EuclideanIsometry:
+class EuclideanIsometry(Value):
     """p -> Q p + v with Q orthogonal (within 1e-9)."""
 
-    matrix: tuple
-    translation: tuple
+    __slots__ = ("matrix", "translation")
 
     def __init__(self, matrix, translation):
         m = tuple(tuple(float(x) for x in row) for row in matrix)
@@ -99,8 +97,7 @@ class EuclideanIsometry:
                 gram = sum(m[r][i] * m[r][j] for r in range(k))
                 if abs(gram - (1.0 if i == j else 0.0)) > 1e-9:
                     raise ValueError("matrix is not orthogonal within 1e-9")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "translation", v)
+        super().__init__(m, v)
 
     @staticmethod
     def pure_translation(vector) -> "EuclideanIsometry":
@@ -139,7 +136,7 @@ class EuclideanIsometry:
         k = len(self.translation)
         mt = tuple(tuple(self.matrix[j][i] for j in range(k)) for i in range(k))
         v = tuple(-sum(mt[i][j] * self.translation[j] for j in range(k)) for i in range(k))
-        return _built(EuclideanIsometry, matrix=mt, translation=v)
+        return _built(EuclideanIsometry, mt, v)
 
 
 def _num(x):
@@ -150,16 +147,12 @@ def _num(x):
     return parse_fraction(x)
 
 
-@dataclass(frozen=True)
-class MoebiusIsometry:
+class MoebiusIsometry(Value):
     """Real 2x2 matrix of determinant one acting on the upper half-plane by
     fractional linear maps.  Rational entries act exactly on rational
     boundary points."""
 
-    a: object
-    b: object
-    c: object
-    d: object
+    __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
         a, b, c, d = _num(a), _num(b), _num(c), _num(d)
@@ -170,10 +163,7 @@ class MoebiusIsometry:
                 raise ValueError(f"determinant {det} != 1")
         elif abs(float(det) - 1.0) > 1e-12:
             raise ValueError(f"determinant {det} != 1 within 1e-12")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        super().__init__(a, b, c, d)
 
     @staticmethod
     def from_json(space: HyperbolicPlane, data) -> "MoebiusIsometry":
@@ -200,18 +190,17 @@ class MoebiusIsometry:
         return num / den
 
     def inverse(self) -> "MoebiusIsometry":
-        return _built(MoebiusIsometry, a=self.d, b=-self.b, c=-self.c, d=self.a)
+        return _built(MoebiusIsometry, self.d, -self.b, -self.c, self.a)
 
 
-@dataclass(frozen=True)
-class CayleyIsometry:
+class CayleyIsometry(Value):
     """Left multiplication by a reduced word on the Cayley tree of a free
     group."""
 
-    word: tuple
+    __slots__ = ("word",)
 
     def __init__(self, word):
-        object.__setattr__(self, "word", reduce_word(tuple(word)))
+        super().__init__(reduce_word(tuple(word)))
 
     @staticmethod
     def from_json(space: CayleyTree, data) -> "CayleyIsometry":
@@ -236,19 +225,14 @@ class CayleyIsometry:
     def inverse(self) -> "CayleyIsometry":
         return CayleyIsometry(invert_word(self.word))
 
-@dataclass(frozen=True)
-class HnnIsometry:
+class HnnIsometry(Value):
     """Affine deck transformation x -> n^shift x + add of the Bass-Serre
     tree of an ascending HNN extension of index n."""
 
-    index: int
-    shift: int
-    add: Fraction
+    __slots__ = ("index", "shift", "add")
 
     def __init__(self, index: int, shift: int, add):
-        object.__setattr__(self, "index", int(index))
-        object.__setattr__(self, "shift", int(shift))
-        object.__setattr__(self, "add", Fraction(add))
+        super().__init__(int(index), int(shift), Fraction(add))
 
     @staticmethod
     def from_json(space: HnnTree, data) -> "HnnIsometry":
@@ -439,25 +423,21 @@ def _psi(action: GroupAction, word: str, ray: GeneralizedRay):
 # Shift calculus on finite control configurations
 
 
-@dataclass(frozen=True)
-class ControlConfiguration:
+class ControlConfiguration(Value):
     """A finite labeled set of control points in one model space."""
 
-    space: ModelSpace
-    points: dict
+    __slots__ = ("space", "points")
 
     def __init__(self, space: ModelSpace, points: Mapping):
         if not points:
             raise EmptyConfiguration("control configurations are nonempty")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "points", {label: space.check_point(p) for label, p in points.items()})
+        super().__init__(space, {label: space.check_point(p) for label, p in points.items()})
 
     def labels(self):
         return sorted(self.points, key=str)
 
 
-@dataclass(frozen=True)
-class ShiftReport:
+class ShiftReport(Value):
     """Per-point shifts toward an end, displacements, guaranteed shift and
     norm of a map on a control configuration.
 
@@ -466,12 +446,7 @@ class ShiftReport:
     elsewhere), not merely offered to tests.
     """
 
-    end: object
-    shifts: dict
-    displacements: dict
-    gsh: object
-    norm: object
-    is_contraction: bool
+    __slots__ = ("end", "shifts", "displacements", "gsh", "norm", "is_contraction")
 
     def __init__(self, end, shifts: dict, displacements: dict, tol):
         for label, sh in shifts.items():
@@ -482,12 +457,7 @@ class ShiftReport:
                 )
         gsh = min(shifts.values())
         norm = max(displacements.values())
-        object.__setattr__(self, "end", end)
-        object.__setattr__(self, "shifts", dict(shifts))
-        object.__setattr__(self, "displacements", dict(displacements))
-        object.__setattr__(self, "gsh", gsh)
-        object.__setattr__(self, "norm", norm)
-        object.__setattr__(self, "is_contraction", gsh > 0)
+        super().__init__(end, dict(shifts), dict(displacements), gsh, norm, gsh > 0)
 
 
 def _image_pairs(cfg: ControlConfiguration, f: Mapping) -> dict:
@@ -525,27 +495,16 @@ def shift_report(cfg: ControlConfiguration, f: Mapping, e) -> ShiftReport:
 # Cocompactness at desk scale
 
 
-@dataclass(frozen=True)
-class NetCertificate:
-    radius: float
-    region_radius: float
-    sample_count: int
-    orbit_size: int
-    max_min_distance: object
+class NetCertificate(Value):
+    __slots__ = ("radius", "region_radius", "sample_count", "orbit_size", "max_min_distance")
 
 
-@dataclass(frozen=True)
-class EmptyHoroballWitness:
-    end: object
-    level: object
-    max_orbit_busemann: object
-    max_region_busemann: object
-    orbit_size: int
+class EmptyHoroballWitness(Value):
+    __slots__ = ("end", "level", "max_orbit_busemann", "max_region_busemann", "orbit_size")
 
 
-@dataclass(frozen=True)
-class UnknownVerdict:
-    reason: str
+class UnknownVerdict(Value):
+    __slots__ = ("reason",)
 
 
 # Largest orbit the cocompactness test enumerates.  Above every orbit the
@@ -650,12 +609,14 @@ def cocompactness_witness(action: GroupAction, a, radius: float, depth: int, see
 # Numeric audits
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    passed: bool
-    samples: int
-    worst_slack: object
-    details: dict
+class AuditReport(Value):
+    __slots__ = ("passed", "samples", "worst_slack", "details")
+
+
+# Most points one local audit accepts.  At the budget a whole audit job
+# takes about 0.9 s on E2, 1.6 s on H2, 1.4-1.8 s on a Cayley tree and
+# 2.6 s on a regular tree (2-vCPU Xeon), in time linear in the count.
+SAMPLE_BUDGET = 10**5
 
 
 def local_busemann_audit(M: ModelSpace, c, r, eps, e, e2, samples: int, seed: int) -> AuditReport:
@@ -670,6 +631,8 @@ def local_busemann_audit(M: ModelSpace, c, r, eps, e, e2, samples: int, seed: in
     """
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
+    if samples > SAMPLE_BUDGET:
+        raise ParameterOutOfRange(f"{samples} samples exceed the audit sample budget of {SAMPLE_BUDGET}")
     c = M.check_point(c)
     if M.exact:
         r, eps = Fraction(r), Fraction(eps)

@@ -145,7 +145,8 @@ def cmd_cocompact(args, data):
     base = action.space.parse_point(data["base"])
     verdict = ac.cocompactness_witness(action, base, args.radius, depth=args.depth, seed=args.seed)
     exact = ("max_min_distance", "level", "max_orbit_busemann", "max_region_busemann")
-    detail = {k: jsonio.rational(v) if k in exact else v for k, v in vars(verdict).items()}
+    fields = {k: getattr(verdict, k) for k in verdict.__slots__}
+    detail = {k: jsonio.rational(v) if k in exact else v for k, v in fields.items()}
     payload = {
         "radius": args.radius,
         "depth": args.depth,

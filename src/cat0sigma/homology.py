@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
+
+from .value import Value
 
 Simplex = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class SimplicialComplex:
     """Finite abstract simplicial complex, given by generating simplices.
 
@@ -27,13 +27,10 @@ class SimplicialComplex:
     asked for, so a caller that reads a skeleton never builds the rest.
     """
 
-    generators: frozenset
-    _faces: dict = field(repr=False, compare=False)  # dimension -> its faces, sorted
-
     def __init__(self, simplices: Iterable[Sequence[int]]):
         normalized = (tuple(sorted(set(s))) for s in simplices)
-        object.__setattr__(self, "generators", frozenset(s for s in normalized if s))
-        object.__setattr__(self, "_faces", {})
+        self.generators = frozenset(s for s in normalized if s)
+        self._faces = {}  # dimension -> its faces, sorted
 
     @property
     def dimension(self) -> int:
@@ -166,8 +163,7 @@ def _invariant_factors(orders: Iterable[int]) -> list[int]:
 # Homology profiles
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
+class HomologyProfile(Value):
     """Betti numbers and torsion coefficients per degree.
 
     ``betti[i]`` is the unreduced Betti number (so betti[0] counts
@@ -176,8 +172,7 @@ class HomologyProfile:
     ordered by divisibility.  Reduced numbers differ only in degree 0.
     """
 
-    betti: tuple
-    torsion: tuple
+    __slots__ = ("betti", "torsion")
 
     def betti_reduced(self, degree: int) -> int:
         if degree == 0:

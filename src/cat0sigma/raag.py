@@ -25,12 +25,12 @@ first homology vanishes, and the answer is never Unknown.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DegreeOutOfRange, UnknownVertex
 from .homology import HomologyProfile, SimplicialComplex, homology, join_homology
 from .jsonio import parse_int, read_field
+from .value import Value
 from .words import cyclic_reduce, reduce_word
 
 # Relator visits one Tietze trivialization may spend before it answers
@@ -38,12 +38,10 @@ from .words import cyclic_reduce, reduce_word
 TIETZE_BUDGET = 10_000
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
+class SimpleGraph(Value):
     """A finite simple graph: no loops, no multi-edges."""
 
-    vertices: tuple
-    edges: frozenset
+    __slots__ = ("vertices", "edges")
 
     def __init__(self, vertices: Iterable, edges: Iterable[Sequence]):
         verts = tuple(vertices)
@@ -60,8 +58,7 @@ class SimpleGraph:
             if u not in seen or v not in seen:
                 raise UnknownVertex(f"edge {e!r} uses an undeclared vertex")
             es.add(frozenset((u, v)))
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "edges", frozenset(es))
+        super().__init__(verts, frozenset(es))
 
     def adjacency(self) -> dict:
         """Each vertex's set of neighbours, built in one pass over the edges."""
@@ -231,13 +228,8 @@ def join_factors(graph: SimpleGraph) -> list[SimpleGraph]:
 # Simple connectivity by bounded Tietze trivialization
 
 
-@dataclass(frozen=True)
-class TietzeCertificate:
-    trivialized: bool
-    generators: int
-    relators: int
-    steps: int
-    log: tuple
+class TietzeCertificate(Value):
+    __slots__ = ("trivialized", "generators", "relators", "steps", "log")
 
 
 def _spanning_tree(vertices: list, edges: list) -> set:
@@ -354,8 +346,7 @@ OUT = "Out"
 MEMBERSHIP_UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class ConnectivityVerdict:
+class ConnectivityVerdict(Value):
     """Status of the requirements for (n-1)-connectedness of a complex.
 
     connected and homology vanishing are decided; simple connectivity may
@@ -364,13 +355,7 @@ class ConnectivityVerdict:
     is free; No carries nonvanishing first homology.
     """
 
-    level: int
-    nonempty: bool
-    connected: str
-    simply_connected: str
-    homology_vanishing: str
-    profile: Optional[HomologyProfile] = None
-    certificate: Optional[TietzeCertificate] = None
+    __slots__ = ("level", "nonempty", "connected", "simply_connected", "homology_vanishing", "profile", "certificate")
 
     def all_requirements(self) -> str:
         """Combined verdict for (level-1)-connectedness."""
@@ -409,7 +394,7 @@ def connectivity_verdict(K: SimplicialComplex, n: int) -> ConnectivityVerdict:
     if n < 0:
         raise DegreeOutOfRange(f"degree {n} is negative")
     if not K.generators:
-        return ConnectivityVerdict(n, False, NO, NO, NO)
+        return ConnectivityVerdict(n, False, NO, NO, NO, None, None)
     top = max(min(n - 1, K.dimension), 1)
     profile = homology(K, max_degree=top)
     if profile.reduced_trivial_through(1):

@@ -28,9 +28,9 @@ parameter stored as ``mu``).  The Busemann function of a ray is
 closed form, and :meth:`GeneralizedRay.limit_audit` evaluates the defining
 limit directly so the two can be checked against each other.
 
-Values are immutable and the functions pure; tree expansion is lazy but
-deterministic and replayable, with no caller-visible state.  The samplers
-take explicit seeds.
+Values are immutable (:class:`value.Value`) and the functions pure; tree
+expansion is lazy but deterministic and replayable, with no caller-visible
+state.  The samplers take explicit seeds.
 """
 
 from __future__ import annotations
@@ -39,12 +39,12 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import ParameterOutOfRange, WrongSpace
 from .jsonio import parse_fraction, parse_real, read_field
+from .value import Value
 
 GLOBAL_TOL = 1e-9
 
@@ -124,19 +124,18 @@ class ModelSpace:
         return p
 
 
-@dataclass(frozen=True)
-class EDirection:
+class EDirection(Value):
     """Boundary point of E^k: a unit direction vector (within 1e-12), with
     finite coordinates."""
 
-    vector: tuple
+    __slots__ = ("vector",)
 
     def __init__(self, vector):
         v = tuple(float(c) for c in vector)
         n = _norm(v)
         if not abs(n - 1.0) <= 1e-12:  # also for a NaN coordinate
             raise WrongSpace(f"boundary direction {v} is not a unit vector")
-        object.__setattr__(self, "vector", v)
+        super().__init__(v)
 
     def to_json(self) -> dict:
         return {"direction": list(self.vector)}
@@ -438,9 +437,8 @@ def _h2_busemann(x: Optional[float], base_term: Optional[float], base: complex, 
 # on the real axis.  Parametrized by a unit-speed coordinate s.
 
 
-@dataclass(frozen=True)
-class _H2Vertical:
-    x: float
+class _H2Vertical(Value):
+    __slots__ = ("x",)
 
     def param(self, z: complex) -> float:
         return math.log(z.imag)
@@ -452,10 +450,8 @@ class _H2Vertical:
             raise ParameterOutOfRange(f"the point at height exp({s}) is beyond binary64") from None
 
 
-@dataclass(frozen=True)
-class _H2Circle:
-    center: float
-    radius: float
+class _H2Circle(Value):
+    __slots__ = ("center", "radius")
 
     def param(self, z: complex) -> float:
         # Seen from a point high above it, a foot close to Re z puts the
@@ -504,8 +500,7 @@ def _h2_geodesic_to_boundary(z: complex, x: Optional[float]):
 # Generalized rays
 
 
-@dataclass(frozen=True)
-class GeneralizedRay:
+class GeneralizedRay(Value):
     """Unit-speed generalized geodesic ray.
 
     ``end`` is a point of the space or a boundary point; ``mu`` is the
@@ -519,11 +514,15 @@ class GeneralizedRay:
     tree.
     """
 
-    space: ModelSpace
-    base: object
-    end: object
-    mu: Optional[Real]
-    _param: object = None
+    __slots__ = ("space", "base", "end", "mu", "_param")
+
+    def __init__(self, space: ModelSpace, base, end, mu: Optional[Real], _param):
+        # Each field set here, not by the base: every ray value builds one.
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "end", end)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "_param", _param)
 
     @property
     def is_degenerate(self) -> bool:

@@ -9,31 +9,31 @@ tuple of sphere points.  Everything in this module is exact: whether a
 positive combination of rays equals chi is an equality, which floating
 point cannot decide.
 
-All values are immutable and all operations are pure functions without
-hidden state, safe to evaluate concurrently.  The m-function has a checking
-entry, ``minimal_ray_count`` (and ``m_value``), which sorts and rank-checks
-the rays and normalises chi to its primitive vector, and an integer core
-on those vectors, which a caller that holds checked rays, as
-``treesigma.mfpr_lengths`` does, runs directly.  The core takes the same
-steps for every character chi, in the quotient by chi: a sign test settles
-many infinite values without a pivot; otherwise one fraction-free phase-1
-simplex either returns a Farkas (or, for the zero character, Gordan)
-vector that proves the value infinite, or a basic solution whose support
-size bounds the count, and a depth-first search for positive circuits, one
-fraction-free reduction per node, then finds the fewest rays below that
-bound.  The Fourier-Motzkin decider of ``exactlp`` serves only as an oracle
-in ``verify`` and the tests.
+All values are immutable (:class:`value.Value`) and all operations are pure
+functions without hidden state, safe to evaluate concurrently.  The
+m-function has a checking entry, ``minimal_ray_count`` (and ``m_value``),
+which sorts and rank-checks the rays and normalises chi to its primitive
+vector, and an integer core on those vectors, which a caller that holds
+checked rays, as ``treesigma.mfpr_lengths`` does, runs directly.  The core
+takes the same steps for every character chi, in the quotient by chi: a
+sign test settles many infinite values without a pivot; otherwise one
+fraction-free phase-1 simplex either returns a Farkas (or, for the zero
+character, Gordan) vector that proves the value infinite, or a basic
+solution whose support size bounds the count, and a depth-first search for
+positive circuits, one fraction-free reduction per node, then finds the
+fewest rays below that bound.  The Fourier-Motzkin decider of ``exactlp``
+serves only as an oracle in ``verify`` and the tests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import DimensionMismatch, ZeroCharacter
+from .value import Value
 
 RationalLike = Union[int, Fraction, float, str]
 
@@ -42,14 +42,13 @@ def _frac(x: RationalLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(Value):
     """An additive character G -> R in coordinates, as exact rationals."""
 
-    coords: tuple[Fraction, ...]
+    __slots__ = ("coords",)
 
     def __init__(self, coords: Iterable[RationalLike]):
-        object.__setattr__(self, "coords", tuple(_frac(c) for c in coords))
+        super().__init__(tuple(_frac(c) for c in coords))
 
     @property
     def k(self) -> int:
@@ -70,26 +69,25 @@ class Character:
         return Character([Fraction(0)] * k)
 
 
-@dataclass(frozen=True)
-class SpherePoint:
+class SpherePoint(Value):
     """A point of S(G): the primitive integer vector on a ray of characters.
 
     Two sphere points are equal iff their vectors are identical; the sign of
     the vector is the orientation of the ray (antipodes are distinct).
     """
 
-    primitive: tuple[int, ...]
+    __slots__ = ("primitive",)
 
-    def __post_init__(self):
-        vec = tuple(self.primitive)
+    def __init__(self, primitive):
+        vec = tuple(primitive)
         if any(not isinstance(c, int) or isinstance(c, bool) for c in vec):
             raise ValueError(f"sphere points carry integer vectors, got {vec!r}")
-        object.__setattr__(self, "primitive", vec)
         g = gcd(*vec)
         if g == 0:
             raise ZeroCharacter("sphere points come from nonzero characters")
         if g != 1:
             raise ValueError(f"vector {vec} is not primitive (gcd {g})")
+        super().__init__(vec)
 
     @property
     def k(self) -> int:

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -58,6 +57,7 @@ from . import spaces
 from .errors import ParameterOutOfRange, WrongSpace
 from .jsonio import parse_fraction, parse_int, read_field
 from .spaces import GeneralizedRay, ModelSpace
+from .value import Value
 from .words import Word, reduce_word
 
 # At the budget one Busemann value or ray point takes at most about 0.35 s
@@ -98,8 +98,7 @@ def _common_prefix(a: Word, b: Word) -> int:
 # Ends
 
 
-@dataclass(frozen=True)
-class WordEnd:
+class WordEnd(Value):
     """Eventually periodic end prefix . period^infinity of a rooted word tree.
 
     Stored in canonical form: the period is primitive (not a proper power)
@@ -108,8 +107,7 @@ class WordEnd:
     :func:`make_word_end` so equal infinite words compare equal.
     """
 
-    prefix: Word
-    period: Word
+    __slots__ = ("prefix", "period")
 
     def head(self, n: int) -> Word:
         return (self.prefix + self.period * (n // len(self.period) + 1))[:n]
@@ -140,22 +138,22 @@ def make_word_end(prefix, period) -> WordEnd:
     return WordEnd(prefix[: len(prefix) - k], period[p - r :] + period[: p - r])
 
 
-@dataclass(frozen=True)
-class HnnUp:
+class HnnUp(Value):
     """The distinguished fixed end of an HNN tree (levels decreasing)."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"up": True}
 
 
-@dataclass(frozen=True)
-class HnnDown:
+class HnnDown(Value):
     """A downward end of an HNN tree: the nested-ball limit of a rational."""
 
-    value: Fraction
+    __slots__ = ("value",)
 
     def __init__(self, value):
-        object.__setattr__(self, "value", Fraction(value))
+        super().__init__(Fraction(value))
 
     def to_json(self) -> dict:
         return {"down": self.value}
@@ -240,36 +238,38 @@ def _n_adic(x: Fraction, n: int) -> tuple[int, int, int]:
     return num * (cofactor // _power(n, top - exp)), den // shared, exp
 
 
-@dataclass(frozen=True, slots=True)
-class HnnVertex:
+class HnnVertex(Value):
     """Ball c + n^level Z_n of the HNN tree of index n, with its center c =
     num / n^exp in [0, n^level) held in lowest terms (exp = 0 or n does not
     divide num).  Build vertices through an :class:`HnnTree`, which keeps
     them canonical, so equal balls are equal tuples of ints."""
 
-    level: int
-    num: int
-    exp: int
-    index: int
+    __slots__ = ("level", "num", "exp", "index")
+
+    def __init__(self, level: int, num: int, exp: int, index: int):
+        # Each field set here, not by the base: the tree walks build many.
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "exp", exp)
+        object.__setattr__(self, "index", index)
 
 
 # ---------------------------------------------------------------------------
 # Metric points: a vertex plus an offset toward its parent
 
 
-@dataclass(frozen=True)
-class TreePoint:
+class TreePoint(Value):
     """Point of the metric tree: ``up`` of the way from ``vertex`` toward
     its parent, with up in [0, 1).  up = 0, the int, is the vertex itself;
     any other offset is a Fraction."""
 
-    vertex: object
-    up: int | Fraction = 0
+    __slots__ = ("vertex", "up")
 
-    def __init__(self, vertex, up=0):
+    def __init__(self, vertex, up: int | Fraction = 0):
         num, den = up.as_integer_ratio()
         if not 0 <= num < den:
             raise ValueError("edge offset must lie in [0, 1)")
+        # Each field set here, not by the base: the tree walks build many.
         object.__setattr__(self, "vertex", vertex)
         object.__setattr__(self, "up", up if num else 0)
 
@@ -371,7 +371,7 @@ class TreeModel(ModelSpace):
     def ray_from(self, a, e):
         if isinstance(e, (WordEnd, HnnUp, HnnDown)):
             return GeneralizedRay(self, a, e, None, self.point_height(a, e))
-        return GeneralizedRay(self, a, e, self.distance(a, e))
+        return GeneralizedRay(self, a, e, self.distance(a, e), None)
 
     def ray_point(self, ray, t):
         check_depth("ray parameter", t)

@@ -20,12 +20,12 @@ first-class value with saturating minimum throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import DegreeOutOfRange, InvalidChain
 from .jsonio import parse_fraction, parse_int, read_field
 from .sphere import Character, SpherePoint, _ray_count, m_value, normalize_ray
+from .value import Value
 
 INF = math.inf
 
@@ -47,8 +47,7 @@ def _length(value):
     return n
 
 
-@dataclass(frozen=True)
-class GraphOfGroupsSummary:
+class GraphOfGroupsSummary(Value):
     """The three lengths steering the piecewise formula.
 
     fl_group and fl_stabilizers are finiteness lengths (stabilizers never
@@ -57,24 +56,17 @@ class GraphOfGroupsSummary:
     has one, squeezed between the other two lengths.
     """
 
-    fl_group: object
-    fl_stabilizers: object
-    has_fixed_end: bool
-    cl_character: Optional[object] = None
+    __slots__ = ("fl_group", "fl_stabilizers", "has_fixed_end", "cl_character")
 
-    def __post_init__(self):
-        if self.fl_stabilizers > self.fl_group:
-            raise InvalidChain(
-                f"stabilizer length {self.fl_stabilizers} exceeds group length {self.fl_group}"
-            )
-        if self.has_fixed_end:
-            if self.cl_character is None:
+    def __init__(self, fl_group, fl_stabilizers, has_fixed_end: bool, cl_character=None):
+        if fl_stabilizers > fl_group:
+            raise InvalidChain(f"stabilizer length {fl_stabilizers} exceeds group length {fl_group}")
+        if has_fixed_end:
+            if cl_character is None:
                 raise InvalidChain("a fixed end requires a connectivity length")
-            if not (self.fl_stabilizers <= self.cl_character <= self.fl_group):
-                raise InvalidChain(
-                    f"chain violated: {self.fl_stabilizers} <= {self.cl_character} "
-                    f"<= {self.fl_group} fails"
-                )
+            if not (fl_stabilizers <= cl_character <= fl_group):
+                raise InvalidChain(f"chain violated: {fl_stabilizers} <= {cl_character} <= {fl_group} fails")
+        super().__init__(fl_group, fl_stabilizers, has_fixed_end, cl_character)
 
     @staticmethod
     def from_json(data) -> "GraphOfGroupsSummary":
@@ -115,16 +107,13 @@ def sigma_table(summary: GraphOfGroupsSummary, n_max: Optional[int] = None) -> l
 # MFPR groups
 
 
-@dataclass(frozen=True)
-class MFPRData:
+class MFPRData(Value):
     """A finitely generated MFPR group presented by what the formulas need:
     the rank k of its character sphere, the finite rational complement A of
     the first invariant, and the splitting character of a rooted tree
     decomposition (zero on the base subgroup, -1 on the stable letter)."""
 
-    k: int
-    complement: tuple
-    splitting_character: Character
+    __slots__ = ("k", "complement", "splitting_character")
 
     def __init__(self, k: int, complement: Iterable[SpherePoint], splitting_character: Character):
         if k < 1:
@@ -135,9 +124,7 @@ class MFPRData:
                 raise ValueError(f"complement point rank {p.k} != {k}")
         if splitting_character.k != k:
             raise ValueError("splitting character has wrong rank")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "complement", comp)
-        object.__setattr__(self, "splitting_character", splitting_character)
+        super().__init__(k, comp, splitting_character)
 
     def has_antipodal_pair(self) -> bool:
         """The finite-presentability convention forbids diametrically

@@ -37,7 +37,6 @@ import pickle
 import random
 import sys
 import threading
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -53,12 +52,12 @@ from .words import cyclic_reduce, invert_word
 GLOBAL_TOL = sp.GLOBAL_TOL
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: int = 0
-    failed: int = 0
-    worst: Optional[float] = None
+    def __init__(self, name: str):
+        self.name = name
+        self.passed = 0
+        self.failed = 0
+        self.worst: Optional[float] = None
 
     def record(self, ok: bool, err: Optional[float] = None):
         if ok:
@@ -84,12 +83,12 @@ class CheckResult:
         }
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    seed: int
-    checks: list = field(default_factory=list)
-    processes: int = 1  # the processes that ran it, set by run_suite; to_json leaves it out
+    def __init__(self, suite: str, seed: int):
+        self.suite = suite
+        self.seed = seed
+        self.checks: list[CheckResult] = []
+        self.processes = 1  # the processes that ran it, set by run_suite; to_json leaves it out
 
     def check(self, name: str) -> CheckResult:
         c = CheckResult(name)

@@ -96,6 +96,27 @@ def test_character_command(tmp_path):
     assert values == {"a": "0", "at": "-1", "t": "-1"}
 
 
+# An end that a generator moves, with the repr of that end in the diagnostic:
+# (space, generator, end, base, the generator's name and the end's repr).
+MOVED_ENDS = {
+    "cayley": ({"space": "tree", "descriptor": {"type": "cayley", "rank": 2}}, {"word": [1]}, {"period": [2]},
+               {"vertex": []}, "a", "WordEnd(prefix=(), period=(2,))"),
+    "hnn": ({"space": "tree", "descriptor": {"type": "hnn", "index": 2}}, {"shift": 0, "add": "1"}, {"down": "1/2"},
+            {"vertex": {"level": 0, "center": "0"}}, "a", "HnnDown(value=Fraction(1, 2))"),
+    "e2": ({"space": "E2"}, {"matrix": [[0, -1], [1, 0]], "translation": [0, 0]}, {"direction": [1, 0]}, [0, 0],
+           "r", "EDirection(vector=(1.0, 0.0))"),
+}
+
+
+@pytest.mark.parametrize("case", list(MOVED_ENDS.values()), ids=list(MOVED_ENDS))
+def test_a_moved_end_is_named_by_its_repr(tmp_path, case):
+    space, generator, end, base, name, shown = case
+    payload = {"action": {"space": space, "generators": {name: generator}}, "end": end, "base": base, "words": [name]}
+    code, out, err = run_cli(["character", "--data", write(tmp_path, "char.json", payload)])
+    message = f"generator {name!r} moves the boundary point {shown}"
+    assert (code, out, err) == (2, "", json.dumps({"error": "EndNotFixed", "message": message}) + "\n")
+
+
 def test_shift_command(tmp_path):
     data = write(
         tmp_path,
@@ -683,6 +704,37 @@ def test_parser_is_not_built_at_import():
         assert code == 0 and {f"cat0sigma.{m}" for m in modules.split()}.isdisjoint(names), (job, names)
 
 
+# One golden command line of each command.
+ONE_LINE_EACH = (
+    "busemann --data busemann_cayley.json",
+    "tits --data tits_e3.json",
+    "character --data character_hnn.json",
+    "shift --data shift_e2.json",
+    "cocompact --data cocompact_e2.json --radius 0.75 --depth 4",
+    "raag --graph raag_c4.json",
+    "tree-sigma --data tree_sigma.json --table",
+    "mfpr --data mfpr_rank4_circuit.json --table",
+    "audit --data audit_local_e2.json --which local-busemann",
+    "verify --suite sl2z",
+)
+
+
+def test_no_command_loads_dataclasses_or_inspect():
+    # The value classes derive from value.Value, which imports neither.
+    # Every line runs in a fresh interpreter.
+    assert sorted(job.split()[0] for job in ONE_LINE_EACH) == sorted(cli.build_parser().commands)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    script = (
+        "import io, sys\nbefore = set(sys.modules)\nimport cat0sigma.cli as c\n"
+        "code = c.run(sys.argv[1:], stdout=io.StringIO())\n"
+        "print(code, sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    for job in ONE_LINE_EACH:
+        argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in job.split()]
+        result = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, check=True)
+        assert result.stdout == "0 []\n", job
+
+
 def test_package_exports_and_suite_names():
     # The package holds no table of names: each is imported from the
     # submodule that defines it.
@@ -1135,6 +1187,13 @@ MALFORMED.update(
         # A ray point on the geodesic from 1e152 i toward 1e-6, whose circle
         # center is past binary64: ParameterOutOfRange, not a math domain error.
         "h2-ray-point-center-beyond-binary64": busemann_h2_with("ParameterOutOfRange", xi="1/1000000", base=[0, 1e152]),
+        "local-audit-samples-beyond-budget": (
+            "ParameterOutOfRange",
+            "audit",
+            dict(json.loads((GOLDEN / "audit_local_e2.json").read_text(encoding="utf-8")), samples=10**5 + 1),
+            "--which",
+            "local-busemann",
+        ),
         "h2-local-audit-center-beyond-binary64": (
             "ParameterOutOfRange",
             "audit",

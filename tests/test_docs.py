@@ -54,6 +54,7 @@ def defined_budgets() -> dict:
 def test_budget_table_matches_the_budget_constants():
     assert documented_budgets() == defined_budgets() == {
         "actions.ORBIT_BUDGET": 5000,
+        "actions.SAMPLE_BUDGET": 10**5,
         "raag.TIETZE_BUDGET": 10_000,
         "spaces.REGION_BUDGET": 262_144,
         "treesigma.TABLE_BUDGET": 10_000,

@@ -81,6 +81,19 @@ def test_split_units_count_the_largest_loop(name):
     assert any(c.passed + c.failed for c in last.checks)
 
 
+def test_split_units_are_the_length_of_the_largest_loop(monkeypatch):
+    share, lengths = verify._share, {}
+
+    def recorded(units, part):
+        lengths[name] = max(lengths.get(name, 0), len(units))
+        return share(units, part)
+
+    monkeypatch.setattr(verify, "_share", recorded)
+    for name in verify.SPLIT_UNITS:
+        verify.SUITES[name](seed=0)
+    assert lengths == verify.SPLIT_UNITS
+
+
 def test_failures_in_a_child_are_counted(monkeypatch):
     parent, record = os.getpid(), verify.CheckResult.record
 

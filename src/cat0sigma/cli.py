@@ -6,19 +6,23 @@ draw random samples (cocompact, audit and verify), its --seed; the seed
 appears in every report, as 0 for the commands that draw nothing.  Exit
 codes: 0 success, 1 a checked property failed, 2 input error (with a
 machine-readable diagnostic on standard error).
+The table OPTIONS is the parser: parse() reads a command line against it in
+one pass, in the forms and with the messages that argparse gives the same
+options: "--opt value" and "--opt=value", a unique prefix of an option,
+negative numbers such as -1 and -.5 as values, the last occurrence of an
+option winning, and -h or --help for the usage (docs/formats.md).
 SIGMA_LOG=1 turns on progress logging to standard error; ``verify`` then
 logs each suite's wall time and the number of processes that ran it.
 """
 
 from __future__ import annotations
 
-import argparse
-import contextlib
-import functools
 import json
 import os
+import re
 import sys
 import time
+from types import SimpleNamespace
 
 from . import jsonio
 from .errors import Cat0SigmaError, DegreeOutOfRange, UsageError
@@ -275,58 +279,147 @@ def cmd_verify(args, data):
 
 
 # ---------------------------------------------------------------------------
+# The command line.  OPTIONS is the parser: command -> option -> (kind,
+# default).  The kind is str, int or float, which converts the value; a
+# tuple of the values allowed; or bool for a flag, which takes no value and
+# is True when given.  REQUIRED as the default marks an option that the
+# command needs.  Each command's options are in the order in which its
+# usage and its messages list them.
+
+REQUIRED = object()
+OPTIONS = {
+    "busemann": {"--data": (str, REQUIRED)},
+    "tits": {"--data": (str, REQUIRED)},
+    "character": {"--data": (str, REQUIRED)},
+    "shift": {"--data": (str, REQUIRED)},
+    "cocompact": {"--data": (str, REQUIRED), "--seed": (int, 0), "--radius": (float, REQUIRED), "--depth": (int, 6)},
+    "raag": {"--graph": (str, REQUIRED), "--n": (int, 1)},
+    "tree-sigma": {"--data": (str, REQUIRED), "--n": (int, None), "--table": (bool, False)},
+    "mfpr": {"--data": (str, REQUIRED), "--n": (int, None), "--table": (bool, False), "--svg": (str, None)},
+    "audit": {
+        "--data": (str, REQUIRED), "--seed": (int, 0), "--which": (("local-busemann", "angle-estimate"), REQUIRED)
+    },
+    "verify": {"--seed": (int, 0), "--suite": ((*SUITE_NAMES, "all"), "all")},
+}
+HELP = ("-h", "--help")  # the options of the program before its command, and of every command
+NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # a word that reads as a negative number is a value
 
 
-class _Parser(argparse.ArgumentParser):
-    """Raises on a malformed command line, so that run() reports it like any
-    other input error instead of printing usage and exiting."""
-
-    def error(self, message):
-        raise UsageError(f"{self.prog}: {message}")
+class HelpAsked(Exception):
+    """-h or --help: run() prints the usage of the command given, or of the
+    program for None, and exits 0."""
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first run() and then reused."""
-    parser = _Parser(
-        prog=PROG,
-        description="Boundary geometry of CAT(0) group actions: Busemann "
-        "functions, characters, shift calculus and invariant formulas.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices  # each command's own parser, by name
+def _read(word, options, prog):
+    """What a word of a command line is, among the option names of the
+    parser that reads it: None for a value, else (option, the value
+    attached with "=" or None), where the option is None when it is
+    unknown.  An option is named in full or by a unique prefix; "-h" takes
+    further "h"s, as "-hh" reads as "-h -h", and attaches anything else."""
+    if word[:1] != "-" or word == "-":
+        return None
+    if word in options:
+        return word, None
+    name, eq, value = word.partition("=")
+    if not (eq and name in options):
+        if word[1] == "-":
+            found = [option for option in options if option.startswith(name)]
+            if len(found) > 1:
+                raise UsageError(f"{prog}: ambiguous option: {word} could match {', '.join(found)}")
+            value = value if eq else None
+        else:
+            found, value = (["-h"], word[2:]) if word[1] == "h" else ([], None)
+        if not found:
+            return None if NEGATIVE.match(word) or " " in word else (None, None)
+        name = found[0]
+    if name == "-h" and value:
+        value = value.lstrip("h") or None
+    return name, value
 
-    def add(name, data=True, draws=False):
-        p = sub.add_parser(name)
-        p.set_defaults(seed=0)  # the default of --seed, and the seed a command that draws nothing reports
-        if data:
-            p.add_argument("--data", required=True, help="input JSON file")
-        if draws:
-            p.add_argument("--seed", type=int)
-        return p
 
-    add("busemann")
-    add("tits")
-    add("character")
-    add("shift")
-    p = add("cocompact", draws=True)
-    p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--depth", type=int, default=6)
-    p = add("raag", data=False)
-    p.add_argument("--graph", required=True, help="graph JSON or edge-list file")
-    p.add_argument("--n", type=int, default=1)
-    p = add("tree-sigma")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--table", action="store_true")
-    p = add("mfpr")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--table", action="store_true")
-    p.add_argument("--svg", help="emit the complement point set as SVG")
-    p = add("audit", draws=True)
-    p.add_argument("--which", required=True, choices=["local-busemann", "angle-estimate"])
-    p = add("verify", data=False, draws=True)
-    p.add_argument("--suite", default="all", choices=[*SUITE_NAMES, "all"])
-    return parser
+def parse(argv) -> SimpleNamespace:
+    """The command line read in one pass against OPTIONS, as argparse reads
+    the same options: the command, "seed" and each option of the command
+    under its name without dashes.  Raises UsageError for a line that does
+    not parse and HelpAsked for -h or --help.  Every word after the command
+    is read before any value is converted, and the words that nothing takes
+    are reported after every other error."""
+    unknown, command, words = [], None, ()
+    for i, word in enumerate(argv):  # before the command, -h and --help are the only options
+        item = None if word == "--" else _read(word, HELP, PROG)
+        if item is None:
+            command, words = word, argv[i + 1 :]
+            break
+        if item[0] is not None:
+            raise HelpAsked(None) if item[1] is None else UsageError(
+                f"{PROG}: argument -h/--help: ignored explicit argument {item[1]!r}"
+            )
+        unknown.append(word)
+    if command is None or command == "--" and not words:
+        raise UsageError(f"{PROG}: the following arguments are required: command")
+    if command not in OPTIONS:
+        raise UsageError(
+            f"{PROG}: argument command: invalid choice: {command!r} (choose from {', '.join(map(repr, OPTIONS))})"
+        )
+    table = OPTIONS[command]
+    prog = f"{PROG} {command}"
+    end = words.index("--") if "--" in words else len(words)  # no word from a "--" on is an option
+    options = (*HELP, *table)
+    read = [_read(word, options, prog) for word in words[:end]]
+    values = {"command": command, "seed": 0}
+    values.update((option[2:], default) for option, (_, default) in table.items() if default is not REQUIRED)
+    rest, i = [], 0
+    while i < end:
+        option, value = read[i] or (None, None)
+        i += 1
+        if option is None:
+            rest.append(words[i - 1])
+            continue
+        if option in HELP:
+            raise HelpAsked(command) if value is None else UsageError(
+                f"{prog}: argument -h/--help: ignored explicit argument {value!r}"
+            )
+        kind = table[option][0]
+        if kind is bool:
+            if value is not None:
+                raise UsageError(f"{prog}: argument {option}: ignored explicit argument {value!r}")
+            value = True
+        else:
+            if value is None:
+                if i == end or read[i] is not None:
+                    raise UsageError(f"{prog}: argument {option}: expected one argument")
+                value = words[i]
+                i += 1
+            if type(kind) is tuple:
+                if value not in kind:
+                    choices = ", ".join(map(repr, kind))
+                    raise UsageError(f"{prog}: argument {option}: invalid choice: {value!r} (choose from {choices})")
+            elif kind is not str:
+                try:
+                    value = kind(value)
+                except ValueError:
+                    raise UsageError(f"{prog}: argument {option}: invalid {kind.__name__} value: {value!r}") from None
+        values[option[2:]] = value
+    missing = [option for option in table if option[2:] not in values]
+    if missing:
+        raise UsageError(f"{prog}: the following arguments are required: {', '.join(missing)}")
+    if unknown or end < len(words) or rest:
+        left = " ".join([*unknown, *rest, *words[end:]])
+        raise UsageError(f"{PROG if unknown else prog}: unrecognized arguments: {left}")
+    return SimpleNamespace(**values)
+
+
+def usage(command=None) -> str:
+    """What --help prints: the usage of a command, or of the program for
+    None, from OPTIONS."""
+    if command is None:
+        return f"usage: {PROG} [-h] {{{','.join(OPTIONS)}}} ...\n"
+    words = [f"usage: {PROG} {command} [-h]"]
+    for option, (kind, default) in OPTIONS[command].items():
+        value = "{" + ",".join(kind) + "}" if type(kind) is tuple else option[2:].upper()
+        word = option if kind is bool else f"{option} {value}"
+        words.append(word if default is REQUIRED else f"[{word}]")
+    return " ".join(words) + "\n"
 
 
 HANDLERS = {
@@ -352,25 +445,17 @@ def _input_error(exc, stderr) -> int:
 def run(argv, stdout=None, stderr=None) -> int:
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
-    parser = build_parser()
-    # A command line that starts with a command is parsed once, by that
-    # command's parser; the top-level parser sees the rest (--help, no command).
-    command = parser.commands.get(argv[0]) if argv else None
     try:
-        with contextlib.redirect_stdout(stdout):
-            args = (parser.parse_args(argv) if command is None
-                    else command.parse_args(argv[1:], argparse.Namespace(command=argv[0])))
-    except SystemExit:  # --help has printed the usage to stdout
-        return 0
-    except UsageError as exc:
-        return _input_error(exc, stderr)
-    try:
-        data = _load(args.data) if getattr(args, "data", None) else None
+        args = parse(argv)
+        data = _load(args.data) if hasattr(args, "data") else None
         _log(f"running {args.command} (seed {args.seed})", stderr)
         args.stderr = stderr  # handlers that log as they go write here
         code, payload = HANDLERS[args.command](args, data)
         stdout.write(jsonio.dumps({"command": args.command, "seed": args.seed, **payload}))
         return code
+    except HelpAsked as exc:
+        stdout.write(usage(*exc.args))
+        return 0
     except (Cat0SigmaError, ValueError, KeyError, OSError) as exc:
         return _input_error(exc, stderr)
 

@@ -124,30 +124,52 @@ def dumps(value) -> str:
     return "".join(out) + "\n"
 
 
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
 def _write(value, out, newline) -> None:
+    """Append the text of value, whose lines after the first start with
+    newline.  The members of a dict and the items of a list that are exact
+    JSON scalars are written in place, without a call."""
     kind = type(value)
     if kind is str:
         out.append(_quote(value))
     elif kind is int or (kind is float and math.isfinite(value)):
         out.append(repr(value))
     elif value is None or kind is bool:
-        out.append("null" if value is None else "true" if value else "false")
+        out.append(_LITERALS[value])
     elif kind in (dict, list, tuple) and not value:
         out.append("{}" if kind is dict else "[]")
     elif kind is dict:  # keys become str(k), as in jsonable: of keys that collide the last one wins
         inner = newline + "  "
         sep = "{" + inner
         for k, v in sorted({str(k): v for k, v in value.items()}.items()):
-            out.append(f"{sep}{_quote(k)}: ")
-            _write(v, out, inner)
+            t = type(v)
+            if t is str:
+                out.append(f"{sep}{_quote(k)}: {_quote(v)}")
+            elif t is int or t is float and math.isfinite(v):
+                out.append(f"{sep}{_quote(k)}: {v!r}")
+            elif v is None or t is bool:
+                out.append(f"{sep}{_quote(k)}: {_LITERALS[v]}")
+            else:
+                out.append(f"{sep}{_quote(k)}: ")
+                _write(v, out, inner)
             sep = "," + inner
         out.append(newline + "}")
     elif kind is list or kind is tuple:
         inner = newline + "  "
         sep = "[" + inner
         for v in value:
-            out.append(sep)
-            _write(v, out, inner)
+            t = type(v)
+            if t is str:
+                out.append(sep + _quote(v))
+            elif t is int or t is float and math.isfinite(v):
+                out.append(f"{sep}{v!r}")
+            elif v is None or t is bool:
+                out.append(sep + _LITERALS[v])
+            else:
+                out.append(sep)
+                _write(v, out, inner)
             sep = "," + inner
         out.append(newline + "]")
     else:

@@ -58,7 +58,7 @@ from .errors import ParameterOutOfRange, WrongSpace
 from .jsonio import parse_fraction, parse_int, read_field
 from .spaces import GeneralizedRay, ModelSpace
 from .value import Value
-from .words import Word, reduce_word
+from .words import Word, multiply
 
 # At the budget one Busemann value or ray point takes at most about 0.35 s
 # on a 2-vCPU machine when the point lies near the ray or far from it (on a
@@ -619,15 +619,14 @@ class CayleyTree(WordTree):
             letters.append(-idx if ch.isupper() else idx)
         return tuple(letters)
 
-    def left_multiply_vertex(self, g, v: Word) -> Word:
-        return reduce_word(tuple(g) + tuple(v))
+    def left_multiply_vertex(self, g: Word, v: Word) -> Word:
+        return multiply(g, v)
 
-    def left_multiply_end(self, g, end: WordEnd) -> WordEnd:
+    def left_multiply_end(self, g: Word, end: WordEnd) -> WordEnd:
         # Cancellation of g against the infinite word stops after at most
         # |g| letters, so acting on a long enough finite head is exact.
         copies = (len(g) + len(end.period)) // len(end.period) + 1
-        head = tuple(end.prefix) + tuple(end.period) * copies
-        return make_word_end(reduce_word(tuple(g) + head), end.period)
+        return make_word_end(multiply(g, end.prefix + end.period * copies), end.period)
 
     def descriptor(self) -> dict:
         return {"type": "cayley", "rank": self.rank}

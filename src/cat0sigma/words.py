@@ -18,6 +18,15 @@ def reduce_word(word) -> Word:
     return tuple(out)
 
 
+def multiply(u: Word, v: Word) -> Word:
+    """The reduced word of u . v for reduced words u and v: only the letters
+    at the junction can cancel."""
+    k, n = 0, min(len(u), len(v))
+    while k < n and u[-1 - k] == -v[k]:
+        k += 1
+    return u[: len(u) - k] + v[k:]
+
+
 def cyclic_reduce(word: Word) -> tuple[Word, Word]:
     """(c, core) for a reduced word w = c . core . c^-1 with core cyclically
     reduced: count the end pairs that cancel, then slice once."""

@@ -1,6 +1,9 @@
 """Independent oracles for the tests.  They share no code with the
 production paths they check."""
 
+import argparse
+import contextlib
+import io
 from fractions import Fraction
 
 
@@ -31,3 +34,80 @@ def rational_rank(matrix) -> int:
         if row == rows:
             break
     return rank
+
+
+class ReferenceRefusal(Exception):
+    """A command line that the reference parser refuses; the message is
+    the one argparse gives."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ReferenceRefusal(f"{self.prog}: {message}")
+
+    def _get_values(self, action, arg_strings):
+        # argparse drops a "--" attached to an option with "=" (--data=--)
+        # and stores [], which the handlers fail on or misread (--which=--
+        # ran the angle audit); read it as the value "--".
+        if action.option_strings and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
+
+def reference_parser(suite_names):
+    """The argparse parser that the command line had before its option
+    table, with each command's parser under ``.commands``."""
+    parser = _Parser(prog="cat0sigma")
+    sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
+
+    def add(name, data=True, draws=False):
+        p = sub.add_parser(name)
+        p.set_defaults(seed=0)
+        if data:
+            p.add_argument("--data", required=True)
+        if draws:
+            p.add_argument("--seed", type=int)
+        return p
+
+    add("busemann")
+    add("tits")
+    add("character")
+    add("shift")
+    p = add("cocompact", draws=True)
+    p.add_argument("--radius", type=float, required=True)
+    p.add_argument("--depth", type=int, default=6)
+    p = add("raag", data=False)
+    p.add_argument("--graph", required=True)
+    p.add_argument("--n", type=int, default=1)
+    p = add("tree-sigma")
+    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--table", action="store_true")
+    p = add("mfpr")
+    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--table", action="store_true")
+    p.add_argument("--svg")
+    p = add("audit", draws=True)
+    p.add_argument("--which", required=True, choices=["local-busemann", "angle-estimate"])
+    p = add("verify", data=False, draws=True)
+    p.add_argument("--suite", default="all", choices=[*suite_names, "all"])
+    return parser
+
+
+def reference_parse(parser, argv):
+    """The command line read as the CLI read it with argparse: a line that
+    starts with a command by that command's parser alone, any other by the
+    program's parser.  The values as a dict; for -h or --help, the name of
+    the command whose usage is printed (None for the program's own)."""
+    command = parser.commands.get(argv[0]) if argv else None
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            if command is None:
+                return vars(parser.parse_args(argv))
+            return vars(command.parse_args(argv[1:], argparse.Namespace(command=argv[0])))
+    except SystemExit:
+        prog = out.getvalue().split()[2]
+        return ("help", prog if prog in parser.commands else None)

@@ -1,7 +1,6 @@
 """Command-line interface: every command, exit codes, determinism,
 round-tripping of emitted JSON."""
 
-import argparse
 import collections
 import io
 import json
@@ -12,11 +11,15 @@ import re
 import subprocess
 import sys
 import time
+import types
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cat0sigma import cli, raag, spaces as sp, verify
+from cat0sigma.errors import UsageError
 from cat0sigma.trees import CayleyTree, HnnTree, TreeModel
+from oracles import ReferenceRefusal, reference_parse, reference_parser
 
 
 def run_cli(argv):
@@ -440,7 +443,7 @@ def test_every_option_of_a_command_is_read_by_its_handler(monkeypatch):
     read = collections.defaultdict(set)
 
     def recording(name, handler):
-        class Recording(argparse.Namespace):
+        class Recording(types.SimpleNamespace):
             def __getattribute__(self, attr):
                 read[name].add(attr)
                 return super().__getattribute__(attr)
@@ -452,10 +455,9 @@ def test_every_option_of_a_command_is_read_by_its_handler(monkeypatch):
     for argv in golden_command_lines():
         code, _, err = run_cli(argv)
         assert code in (0, 1), (argv, err)
-    commands = cli.build_parser().commands
-    assert sorted(commands) == sorted(cli.HANDLERS)
-    for name, command in commands.items():
-        options = {a.dest for a in command._actions if a.option_strings and a.dest not in ("help", "data")}
+    assert sorted(cli.OPTIONS) == sorted(cli.HANDLERS)
+    for name, table in cli.OPTIONS.items():
+        options = {option[2:] for option in table} - {"data"}
         assert options - read[name] == set(), name
 
 
@@ -598,10 +600,11 @@ def test_raag_degree_above_the_dimension_reads_no_further_degrees():
 
 
 def test_one_parser_serves_many_runs():
-    # The parser is built on the first run() and reused; interleaving good
-    # and malformed command lines in one process changes no result.
+    # The parser is the option table, which no run changes: interleaving
+    # good and malformed command lines in one process changes no result.
     golden = json.loads((GOLDEN / "cli_stdout.json").read_text(encoding="utf-8"))
     picks = [golden[i] for i in (0, 9, 13, 21, 25, len(golden) - 1)]
+    before = repr(cli.OPTIONS)
     malformed = [
         [],
         ["nope"],
@@ -618,7 +621,7 @@ def test_one_parser_serves_many_runs():
             code, out, err = run_cli(bad)
             assert (code, out) == (2, ""), bad
             assert json.loads(err)["error"] == "UsageError"
-    assert cli.build_parser() is cli.build_parser()
+    assert repr(cli.OPTIONS) == before
 
 
 def golden_command_lines():
@@ -630,17 +633,19 @@ def golden_command_lines():
     return [[str(GOLDEN / a) if a.endswith((".json", ".txt")) else a for a in argv] for argv in lines]
 
 
+# The argparse parser that the option table replaces, as the reference.
+REFERENCE = reference_parser(cli.SUITE_NAMES)
+
+
 def test_each_command_line_is_parsed_once_by_its_command(monkeypatch):
-    # A command line that starts with a command is parsed by that command's
-    # parser alone, into the Namespace the top-level parser gives.
+    # A command line is parsed once, by cli.parse, into the values that the
+    # reference parser gives, and the handler of its command receives them.
     seen = []
     for name in cli.HANDLERS:
         monkeypatch.setitem(cli.HANDLERS, name, lambda args, data: seen.append(vars(args).copy()) or (0, {}))
     parses = []
-    parse_known_args = argparse.ArgumentParser.parse_known_args
-    monkeypatch.setattr(
-        argparse.ArgumentParser, "parse_known_args", lambda self, *a: parses.append(self.prog) or parse_known_args(self, *a)
-    )
+    parse = cli.parse
+    monkeypatch.setattr(cli, "parse", lambda argv: parses.append(argv[0]) or parse(argv))
     lines = golden_command_lines()
     assert {argv[0] for argv in lines} == set(cli.HANDLERS)
     for argv in lines:
@@ -648,11 +653,114 @@ def test_each_command_line_is_parsed_once_by_its_command(monkeypatch):
         parses.clear()
         code, out, err = run_cli(argv)
         assert (code, err) == (0, ""), argv
-        assert parses == [f"cat0sigma {argv[0]}"], argv
+        assert parses == [argv[0]], argv
         # run() adds the command and the seed to the handler's payload.
         assert json.loads(out) == {"command": argv[0], "seed": seen[0]["seed"]}, argv
         del seen[0]["stderr"]
-        assert seen == [vars(cli.build_parser().parse_args(argv))], argv
+        assert seen == [reference_parse(REFERENCE, argv)], argv
+
+
+def read_by_table(argv) -> dict:
+    return vars(cli.parse(argv))
+
+
+def read_by_reference(argv):
+    return reference_parse(REFERENCE, argv)
+
+
+def outcome(read, argv):
+    """("values", dict), ("help", command) or ("refused", message) for argv
+    read by read_by_table or read_by_reference; a float value as its repr,
+    so that a nan compares."""
+    try:
+        values = read(argv)
+    except (UsageError, ReferenceRefusal) as exc:
+        return "refused", str(exc)
+    except cli.HelpAsked as exc:
+        return "help", exc.args[0]
+    if isinstance(values, tuple):  # the reference's help
+        return values
+    return "values", {k: repr(v) if isinstance(v, float) else v for k, v in values.items()}
+
+
+# Words of command lines: every command and option name, prefixes that are
+# unique or ambiguous (--d on cocompact, --s on verify), numbers, negative
+# numbers, "-", "--", "-h" and its runs, and words that name nothing.
+OPTION_NAMES = sorted({option for table in cli.OPTIONS.values() for option in table}) + ["-h", "--help"]
+PREFIXES = ["--d", "--da", "--de", "--s", "--se", "--su", "--r", "--t", "--w", "--h", "--he", "--g", "--sv", "---", "-hh", "-hx", "-x"]
+VALUES = [
+    "in.json", "0", "3", "-1", "-.5", "-1e5", "1e3", "2.5", "nan", " 7", "1_0", "-1.", "-", "--", "-h", "", "x",
+    "1 2", "all", "sl2z", "local-busemann", "angle-estimate", "hh", "--data x",
+]
+WORDS = st.one_of(
+    st.sampled_from(OPTION_NAMES + PREFIXES + VALUES + ["nope", "mf"] + list(cli.OPTIONS)),
+    st.builds("{}={}".format, st.sampled_from(OPTION_NAMES + PREFIXES[:-3] + ["-h", "--"]), st.sampled_from(VALUES)),
+)
+
+
+@st.composite
+def command_lines(draw):
+    """A command and some of its options with values, in full or by a
+    prefix, with words of the vocabulary put in anywhere; one line in ten
+    has no command first."""
+    command = draw(st.sampled_from(list(cli.OPTIONS)))
+    argv = [command] if draw(st.integers(0, 9)) else []
+    for option in draw(st.lists(st.sampled_from(list(cli.OPTIONS[command])), max_size=4)):
+        name = option[: draw(st.integers(3, len(option)))]
+        value = draw(st.sampled_from(VALUES + ["3", "0.5", "in.json"]))
+        argv += draw(st.sampled_from([[name, value], [f"{name}={value}"], [name]]))
+    for word in draw(st.lists(WORDS, max_size=3)):
+        argv.insert(draw(st.integers(0, len(argv))), word)
+    return argv
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(command_lines())
+def test_the_option_table_parses_as_argparse_did(argv):
+    # Every line is accepted with the same values, answered with the same
+    # usage, or refused with the same message as by the reference parser.
+    assert outcome(read_by_table, argv) == outcome(read_by_reference, argv)
+
+
+FORMS = {
+    "negative-values-prefixes-and-repeats": [
+        "cocompact", "--data", "in.json", "--radius=-.5", "--depth", "-1", "--de", "2", "--seed=-3", "--seed", "4"
+    ],
+    "unique-prefixes": ["verify", "--su", "sl2z", "--se=7"],
+    "attached-values-and-dash": ["mfpr", "--da=in.json", "--tab", "--n", "-0", "--svg", "-"],
+    "last-wins": ["raag", "--graph", "g.json", "--n", "1", "--n", "2"],
+    "padded-int": ["audit", "--data", "in.json", "--which", "angle-estimate", "--seed", " 5"],
+    "help-run": ["busemann", "-hh"],
+    "help-after-unknown": ["--bogus", "busemann", "--help"],
+    "ambiguous-on-cocompact": ["cocompact", "--d", "x"],
+    "ambiguous-on-verify": ["verify", "--s", "1"],
+    "ambiguous-before-help": ["cocompact", "--help", "--d"],
+    "exponent-is-an-option": ["cocompact", "--data", "x", "--radius", "-1e5"],
+    "after-double-dash": ["busemann", "--data", "x", "--", "y"],
+    "attached-double-dash": ["busemann", "--data=--"],
+    "flag-with-value": ["tree-sigma", "--data", "x", "--table=1"],
+    "help-with-value": ["-hx"],
+    "double-dash-alone": ["--"],
+    "double-dash-command": ["--", "busemann"],
+    "negative-command": ["-5", "busemann"],
+}
+
+
+@pytest.mark.parametrize("argv", list(FORMS.values()), ids=list(FORMS))
+def test_the_forms_of_a_command_line_parse_as_argparse_did(argv):
+    result = outcome(read_by_table, argv)
+    assert result == outcome(read_by_reference, argv)
+    assert result[0] in ("values", "help", "refused")
+
+
+def test_an_attached_double_dash_and_an_empty_file_name_are_read_as_file_names(tmp_path):
+    # argparse stored [] for --data=--, and run() read no file for an empty
+    # --data, so that both failed with a traceback; now each names a file
+    # that does not exist.
+    for argv in (["busemann", "--data=--"], ["busemann", "--data", ""], ["raag", "--graph=--"]):
+        code, out, err = run_cli(argv)
+        assert (code, out, json.loads(err)["error"]) == (2, "", "FileNotFoundError"), argv
+    assert run_cli(["verify", "--suite=--"])[0] == 2
 
 
 @pytest.mark.parametrize(
@@ -673,13 +781,13 @@ def test_malformed_command_lines_are_one_line_usage_errors(argv, message):
 
 
 def test_parser_is_not_built_at_import():
-    # Importing the CLI builds no parser and loads only the errors and the
-    # JSON readers of the package, and neither dataclasses nor inspect; each
-    # command then loads the modules it uses and no other.  Every probe runs
-    # in a fresh interpreter.
+    # Importing the CLI loads only the errors and the JSON readers of the
+    # package, and none of argparse, gettext, dataclasses and inspect: the
+    # parser is the option table.  Each command then loads the modules it
+    # uses and no other.  Every probe runs in a fresh interpreter.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     loaded = "sorted(m for m in sys.modules if m.split('.')[0] == 'cat0sigma')"
-    added = "sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))"
+    added = f"sorted(set({sorted(UNLOADED)!r}) & (set(sys.modules) - before))"
 
     def probe(code):
         script = (
@@ -689,9 +797,7 @@ def test_parser_is_not_built_at_import():
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
         return json.loads(result.stdout)
 
-    assert probe("c.build_parser.cache_info().currsize") == [
-        [], 0, ["cat0sigma", "cat0sigma.cli", "cat0sigma.errors", "cat0sigma.jsonio"]
-    ]
+    assert probe("None") == [[], None, ["cat0sigma", "cat0sigma.cli", "cat0sigma.errors", "cat0sigma.jsonio"]]
     unused = {
         "mfpr --data mfpr_rank4_circuit.json --table": "actions spaces trees raag homology verify exactlp",
         "raag --graph raag_octahedron.json --n 2": "sphere svg actions spaces trees treesigma verify exactlp",
@@ -704,6 +810,8 @@ def test_parser_is_not_built_at_import():
         assert code == 0 and {f"cat0sigma.{m}" for m in modules.split()}.isdisjoint(names), (job, names)
 
 
+# Modules that neither the CLI nor any command loads.
+UNLOADED = {"argparse", "gettext", "dataclasses", "inspect"}
 # One golden command line of each command.
 ONE_LINE_EACH = (
     "busemann --data busemann_cayley.json",
@@ -720,14 +828,15 @@ ONE_LINE_EACH = (
 
 
 def test_no_command_loads_dataclasses_or_inspect():
-    # The value classes derive from value.Value, which imports neither.
-    # Every line runs in a fresh interpreter.
-    assert sorted(job.split()[0] for job in ONE_LINE_EACH) == sorted(cli.build_parser().commands)
+    # The value classes derive from value.Value, which imports neither, and
+    # the command line is read from the option table, without argparse and
+    # the gettext it imports.  Every line runs in a fresh interpreter.
+    assert sorted(job.split()[0] for job in ONE_LINE_EACH) == sorted(cli.OPTIONS)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     script = (
         "import io, sys\nbefore = set(sys.modules)\nimport cat0sigma.cli as c\n"
         "code = c.run(sys.argv[1:], stdout=io.StringIO())\n"
-        "print(code, sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+        f"print(code, sorted(set({sorted(UNLOADED)!r}) & (set(sys.modules) - before)))"
     )
     for job in ONE_LINE_EACH:
         argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in job.split()]
@@ -855,6 +964,13 @@ def test_help_goes_to_the_given_stdout(capsys):
         assert cli.run(argv, stdout=buf) == 0
         assert buf.getvalue().startswith("usage: cat0sigma")
         assert capsys.readouterr() == ("", "")
+    # Each command's usage is built from its row of the option table.
+    for command, table in cli.OPTIONS.items():
+        buf = io.StringIO()
+        assert cli.run([command, "-h"], stdout=buf) == 0
+        assert buf.getvalue() == cli.usage(command)
+        assert [w.strip("[]") for w in buf.getvalue().split() if w.lstrip("[").startswith("--")] == list(table)
+    assert cli.usage() == "usage: cat0sigma [-h] {" + ",".join(cli.OPTIONS) + "} ...\n"
     # Without a stdout argument the usage goes to sys.stdout, as before.
     assert cli.run(["--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: cat0sigma")

@@ -77,13 +77,7 @@ def documented_options() -> list[tuple[str, str]]:
 
 
 def parser_options() -> list[tuple[str, str]]:
-    return [
-        (name, option)
-        for name, command in cli.build_parser().commands.items()
-        for action in command._actions
-        for option in action.option_strings
-        if option not in ("-h", "--help")
-    ]
+    return [(name, option) for name, table in cli.OPTIONS.items() for option in table]
 
 
 def test_options_table_matches_the_parser():

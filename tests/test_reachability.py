@@ -57,6 +57,7 @@ BUILD = Value.__init__.__code__  # the hook records the class of each value that
 UNREACHED = {
     "cli.main": "the console entry point: it reads sys.argv and exits, and hands both to cli.run, "
     "which the command lines call",
+    "cli.usage": "--help prints it, and no command line asks for help; tests/test_cli.py runs it",
     "homology.SimplicialComplex.simplices": "the benchmark's tracer reads it to count the faces "
     "of each flag complex",
     "value.Value.__init_subclass__": "it runs when a value class is defined, at import, before the trace hook is set",
@@ -75,12 +76,18 @@ UNRUN = {
     "verify.run_suite": FORKED,
     "cli._log": "a SIGMA_LOG=1 progress line; the command lines run with SIGMA_LOG unset",
     "cli._input_error": "the diagnostic of exit 2; every command line exits 0",
+    "cli.parse": "the usage-error and --help branches: every golden command line is well formed; "
+    "tests/test_cli.py checks them against argparse",
+    "cli._read": "the other spellings of an option (a prefix, --opt=value, -hh) and the words that name no option: "
+    "every golden command line spells each option in full",
     "verify.CheckResult.record": "the failure count, which a passing verify run never adds to",
     "raag.tietze_trivialize": "a relator with no lone generator, which no golden presentation visits "
     "(test_raag.py's <a, b | a^2, ab> does)",
     "raag.ConnectivityVerdict.all_requirements": "the UNKNOWN of a simple connectivity that the Tietze "
     "search leaves open, which no golden complex reaches",
     "words.cyclic_reduce": "the conjugate case: no golden relator or word is a conjugate",
+    "words.reduce_word": "a letter that cancels: every golden isometry word and relator is reduced, and the "
+    "Cayley tree multiplies reduced words with words.multiply; tests/test_trees.py runs it",
     "homology.smith_normal_form": "the Euclidean steps, when no unit pivot is left; the flag RP^2 of "
     "raag_suspended_rp2.txt reports its Z/2 without them",
     "homology._invariant_factors": "the exchange of two orders that do not divide, which no golden "
@@ -148,13 +155,13 @@ def command_lines(svg_dir) -> list:
 
 
 def functions_of(obj) -> list:
-    """The Python functions that run when obj is called: a function itself
-    (unwrapped from a cache), or every function defined in a class body."""
+    """The Python functions that run when obj is called: a function itself,
+    or every function defined in a class body."""
     if isinstance(obj, type):
         members = vars(obj).values()
         found = [getattr(m, "__func__", None) or getattr(m, "fget", None) or m for m in members]
         return [f for f in found if isinstance(f, types.FunctionType)]
-    return [inspect.unwrap(obj)]
+    return [obj]
 
 
 def written_functions(cls) -> list:
@@ -179,7 +186,7 @@ def public_names() -> dict:
                 if issubclass(obj, Value) and obj is not Value:
                     out[f"{path.stem}.{name}"] = obj
                 out.update({f"{path.stem}.{name}.{f.__name__}": f for f in written_functions(obj)})
-            elif inspect.isfunction(inspect.unwrap(obj)):
+            elif inspect.isfunction(obj):
                 out[f"{path.stem}.{name}"] = obj
     return out
 
@@ -201,7 +208,7 @@ def test_guard_counts_a_class_by_its_body():
             return Record(1)
 
     assert [f.__name__ for f in functions_of(Plain)] == ["method"]
-    assert functions_of(cli.build_parser) == [cli.build_parser.__wrapped__]
+    assert functions_of(cli.parse) == [cli.parse]
     assert sorted(f.__name__ for f in written_functions(Record)) == ["double", "make"]
     # The records whose bodies hold no function count as well.
     records = {"actions.NetCertificate", "actions.UnknownVerdict", "actions.AuditReport", "raag.TietzeCertificate"}
@@ -240,7 +247,6 @@ def hooked_run(tmp_path_factory):
             left[code] = set(tracked[code])
         return line_hook if left[code] else None
 
-    cli.build_parser.cache_clear()  # build the parser under the hook, as a fresh process does
     previous = sys.gettrace()
     sys.settrace(hook)
     try:
@@ -381,12 +387,7 @@ def test_verify_only_names_have_one_of_the_four_reasons():
 
 
 def test_every_option_is_on_a_command_line(hooked_run):
-    options = {
-        option
-        for command in cli.build_parser().commands.values()
-        for action in command._actions
-        for option in action.option_strings
-    } - {"-h", "--help"}
+    options = {option for table in cli.OPTIONS.values() for option in table}
     used = {a for argv in hooked_run.lines for a in argv if a.startswith("--")}
     assert set(UNUSED_OPTIONS) <= options
     assert sorted(options - used - set(UNUSED_OPTIONS)) == []

@@ -30,7 +30,7 @@ from cat0sigma.trees import (
     tree_from_descriptor,
 )
 from conftest import stream_points
-from cat0sigma.words import cyclic_reduce, invert_word, reduce_word
+from cat0sigma.words import cyclic_reduce, invert_word, multiply, reduce_word
 
 
 def test_descriptor_round_trip():
@@ -267,6 +267,31 @@ def test_cayley_left_multiplication_end():
     # a^-1 . (a)^inf is (a)^inf again.
     same = model.left_multiply_end((-1,), make_word_end((), (1,)))
     assert same == make_word_end((), (1,))
+
+
+def test_left_multiplication_cancels_at_the_junction_as_reduce_word_does():
+    # Both factors are reduced, so only the letters where they meet cancel:
+    # none, some, all of v (g longer than v) or all of both (v = g^-1).
+    model = CayleyTree(3)
+    rng = random.Random(11)
+
+    def word(length):
+        w = ()
+        for _ in range(length):
+            w = rng.choice(model.children(w))
+        return w
+
+    cases = [((), ()), ((1, 2), ()), ((), (3, -1)), ((1, 2, 3), (-3, -2, -1)), ((1, 2, 3), (-3, -2)), ((1, -2), (2, -1, 3))]
+    for _ in range(400):
+        g, v = word(rng.randrange(0, 8)), word(rng.randrange(0, 8))
+        cases += [(g, v), (g, invert_word(g)), (g + v, invert_word(v)), (g, invert_word(g[rng.randrange(len(g) + 1) :]) + v)]
+    for g, v in cases:
+        v = reduce_word(v)
+        assert multiply(g, v) == model.left_multiply_vertex(g, v) == reduce_word(g + v), (g, v)
+        end = make_word_end(v, word(rng.randrange(1, 4)))
+        head = end.prefix + end.period * (len(g) // len(end.period) + 2)
+        if reduce_word(head) == head:  # a reduced infinite word, as check_boundary passes
+            assert model.left_multiply_end(g, end) == make_word_end(reduce_word(g + head), end.period), (g, end)
 
 
 def n_valuation(x, n):

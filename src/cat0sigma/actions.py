@@ -369,11 +369,9 @@ class GroupAction:
         return p
 
     def boundary_apply(self, word: str, e):
-        return self._move_end(self.letters(word), self.space.check_boundary(e))
-
-    def _move_end(self, isos: list[Isometry], e):
-        """The image of a checked end under the letters, the last first."""
-        for iso in reversed(isos):
+        """The image of an end under the word (leftmost letter acts last)."""
+        e = self.space.check_boundary(e)
+        for iso in reversed(self.letters(word)):
             e = iso.boundary(self.space, e)
         return e
 

@@ -30,11 +30,8 @@ class SimplicialComplex:
     def __init__(self, simplices: Iterable[Sequence[int]]):
         normalized = (tuple(sorted(set(s))) for s in simplices)
         self.generators = frozenset(s for s in normalized if s)
+        self.dimension = max(map(len, self.generators), default=0) - 1
         self._faces = {}  # dimension -> its faces, sorted
-
-    @property
-    def dimension(self) -> int:
-        return max(map(len, self.generators), default=0) - 1
 
     def faces(self, dim: int) -> list[Simplex]:
         """The dim-simplices in sorted order, listed on the first call."""

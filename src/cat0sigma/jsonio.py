@@ -2,7 +2,8 @@
 reports.  The schemas are documented in docs/formats.md.  Each model space
 parses its own points and ends with the readers here, which turn a
 malformed shape into a ValueError (exit 2 on the command line).  They only
-parse: the library function that receives a value checks it."""
+parse: the library function that receives a value checks it.  A report is
+a dict whose keys are str, and dumps writes it."""
 
 from __future__ import annotations
 
@@ -116,66 +117,50 @@ def rational(value):
     return str(value) if type(value) is int else value
 
 
-def dumps(value) -> str:
-    """The report text ``json.dumps(jsonable(value), sort_keys=True, indent=2) + "\\n"``,
-    written in one pass; jsonable converts each value not of an exact JSON type."""
+def dumps(report: dict) -> str:
+    """The text ``json.dumps(jsonable(report), sort_keys=True, indent=2) + "\\n"``
+    of a report, a dict whose keys are str, written in one pass; jsonable
+    converts each value not of an exact JSON type."""
     out = []
-    _write(value, out, "\n")
+    _write(report, out, "\n")
     return "".join(out) + "\n"
 
 
 _LITERALS = {None: "null", True: "true", False: "false"}
 
 
-def _write(value, out, newline) -> None:
-    """Append the text of value, whose lines after the first start with
-    newline.  The members of a dict and the items of a list that are exact
-    JSON scalars are written in place, without a call."""
-    kind = type(value)
-    if kind is str:
-        out.append(_quote(value))
-    elif kind is int or (kind is float and math.isfinite(value)):
-        out.append(repr(value))
-    elif value is None or kind is bool:
-        out.append(_LITERALS[value])
-    elif kind in (dict, list, tuple) and not value:
-        out.append("{}" if kind is dict else "[]")
-    elif kind is dict:  # keys become str(k), as in jsonable: of keys that collide the last one wins
-        inner = newline + "  "
-        sep = "{" + inner
-        for k, v in sorted({str(k): v for k, v in value.items()}.items()):
-            t = type(v)
-            if t is str:
-                out.append(f"{sep}{_quote(k)}: {_quote(v)}")
-            elif t is int or t is float and math.isfinite(v):
-                out.append(f"{sep}{_quote(k)}: {v!r}")
-            elif v is None or t is bool:
-                out.append(f"{sep}{_quote(k)}: {_LITERALS[v]}")
-            else:
-                out.append(f"{sep}{_quote(k)}: ")
-                _write(v, out, inner)
-            sep = "," + inner
-        out.append(newline + "}")
-    elif kind is list or kind is tuple:
-        inner = newline + "  "
-        sep = "[" + inner
-        for v in value:
-            t = type(v)
-            if t is str:
-                out.append(sep + _quote(v))
-            elif t is int or t is float and math.isfinite(v):
-                out.append(f"{sep}{v!r}")
-            elif v is None or t is bool:
-                out.append(sep + _LITERALS[v])
-            else:
-                out.append(sep)
-                _write(v, out, inner)
-            sep = "," + inner
-        out.append(newline + "]")
+def _write(container, out, newline) -> None:
+    """Append the text of a dict with str keys or of a list or tuple, whose
+    lines after the first start with newline.  A member that is an exact JSON
+    scalar, or that jsonable turns into a str, is written in place."""
+    if not container:
+        out.append("{}" if type(container) is dict else "[]")
+        return
+    inner = newline + "  "
+    if type(container) is dict:
+        lead, close = "{" + inner, newline + "}"
+        members = [(f"{_quote(k)}: ", container[k]) for k in sorted(container)]
     else:
-        converted = jsonable(value)
-        if converted is not value:
-            _write(converted, out, newline)
-        else:  # a subclass of str, int or float, which jsonable keeps as it is
-            base = str if isinstance(value, str) else float if isinstance(value, float) else int
-            out.append(_quote(value) if base is str else base.__repr__(value))
+        lead, close = "[" + inner, newline + "]"
+        members = [("", v) for v in container]
+    for key, v in members:
+        t = type(v)
+        if t is str:
+            out.append(lead + key + _quote(v))
+        elif t is int or t is float and math.isfinite(v):
+            out.append(f"{lead}{key}{v!r}")
+        elif v is None or t is bool:
+            out.append(lead + key + _LITERALS[v])
+        else:
+            if t is not dict and t is not list and t is not tuple:
+                converted = jsonable(v)
+                if converted is v:  # a subclass of str, int or float
+                    raise TypeError(f"no JSON form for a value of type {t.__name__}")
+                v = converted
+            if type(v) is str:
+                out.append(lead + key + _quote(v))
+            else:
+                out.append(lead + key)
+                _write(v, out, inner)
+        lead = "," + inner
+    out.append(close)

@@ -264,12 +264,11 @@ class HyperbolicPlane(ModelSpace):
     name = "H2"
 
     def check_point(self, p):
-        z = complex(p) if not isinstance(p, complex) else p
-        if not (z.imag > 0 and math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise WrongSpace(f"point {z} is not in the upper half-plane")
-        if not (abs(z.real) <= H2_LIMIT and 1 / H2_LIMIT <= z.imag <= H2_LIMIT):
-            raise WrongSpace(f"point {z} of H2 is out of range: |Re z|, Im z and 1 / Im z must be at most {H2_LIMIT:g}")
-        return z
+        if not (p.imag > 0 and math.isfinite(p.real) and math.isfinite(p.imag)):
+            raise WrongSpace(f"point {p} is not in the upper half-plane")
+        if not (abs(p.real) <= H2_LIMIT and 1 / H2_LIMIT <= p.imag <= H2_LIMIT):
+            raise WrongSpace(f"point {p} of H2 is out of range: |Re z|, Im z and 1 / Im z must be at most {H2_LIMIT:g}")
+        return p
 
     def check_boundary(self, e):
         if e == H2_INFINITY:

@@ -653,11 +653,10 @@ class HnnTree(TreeModel):
         return HnnVertex(0, 0, 0, self.index)
 
     def vertex(self, level: int, center: Fraction) -> HnnVertex:
-        """The ball of the given level around a center in [0, n^level)
-        whose denominator divides a power of n."""
-        n, num, den = self.index, center.numerator, center.denominator
-        if num < 0 or num and (num * _power(n, -level) >= den if level < 0 else num >= den * _power(n, level)):
-            raise ValueError(f"center {center} outside [0, {n}^{level})")
+        """The ball of the given level around a center whose denominator
+        divides a power of n.  The center is read as it is: check_vertex
+        decides whether it lies in [0, n^level)."""
+        n = self.index
         num, unit, exp = _n_adic(center, n)
         if unit != 1:
             raise ValueError(f"center {center} is not an {n}-adic rational")

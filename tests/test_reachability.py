@@ -93,7 +93,6 @@ UNRUN = {
     "homology._invariant_factors": "the exchange of two orders that do not divide, which no golden "
     "complex's torsion needs",
     "jsonio.jsonable": "the \"nan\" of a NaN float, which no golden report holds",
-    "jsonio._write": "the fallback for a subclass of str, int or float, which no golden report holds",
     "exactlp._integer_row": "rational rows: verify hands the oracle integer vectors only",
     "exactlp.strictly_representable_fm": "the empty vector list, which verify never hands the oracle",
     "trees.WordTree.sample_end": "the fallback after 40 failed draws, which no seed of verify reaches",
@@ -110,7 +109,6 @@ VERIFY_ONLY_KINDS = {PROTOCOL, ORACLE, HANDLER, EXAMPLE}
 VERIFY_ONLY = {
     "actions.ControlConfiguration.labels": PROTOCOL,
     "actions.EuclideanIsometry.boundary": PROTOCOL,
-    "actions.GroupAction._move_end": PROTOCOL,
     "actions.GroupAction.apply": PROTOCOL,
     "actions.GroupAction.boundary_apply": PROTOCOL,
     "spaces.EuclideanSpace.boundary_equal": PROTOCOL,

@@ -75,10 +75,10 @@ def smith_normal_form(matrix: Sequence) -> list[int]:
     """Invariant factors of an integer matrix, positive and ordered by
     divisibility.  Only the diagonal is returned.
 
-    Rows are dense sequences or sparse {column: entry} dicts.  Elimination
-    is sparse and takes unit pivots first (Dumas-Saunders-Villard): the
-    pivot is the first +-1 entry found, or an entry of smallest absolute
-    value when no unit is left.  Row operations clear the pivot column; the
+    Rows are sparse {column: entry} dicts of nonzero entries, which are
+    copied, not changed.  Elimination is sparse and takes unit pivots
+    first (Dumas-Saunders-Villard): the pivot is the first +-1 entry found,
+    or an entry of smallest absolute value when no unit is left.  Row operations clear the pivot column; the
     pivot row is then reduced modulo the pivot by column operations, which
     change no other row, so a unit pivot's row is simply dropped.  A
     remainder that survives either step is strictly smaller than the pivot
@@ -87,7 +87,7 @@ def smith_normal_form(matrix: Sequence) -> list[int]:
     rows = {}
     holders: dict = {}  # column -> indices of the rows with an entry in it
     for i, row in enumerate(matrix):
-        row = dict(row) if isinstance(row, dict) else {j: int(x) for j, x in enumerate(row) if x}
+        row = dict(row)
         if row:
             rows[i] = row
             for j in row:

@@ -13,6 +13,14 @@ core is disconnected, the core is the join of the subgraphs its complement
 components induce, its flag complex is the join of theirs, and the verdict
 is decided from the factors' homology alone.
 
+A graph is held as its vertices in input order and one adjacency bitmask
+per vertex, and the core, the join split and the clique search work on
+those ints.  A core or a factor is the induced subgraph renumbered by the
+order-preserving map of its vertices, so its faces, its spanning tree and
+its Tietze relators are the ones its vertex order gives; and the complex
+keeps its maximal cliques as a set, so the order in which they are found
+changes nothing either.
+
 Connectedness and homology vanishing are decided exactly; simple
 connectivity is undecidable in general, so the verdict is three-valued:
 Yes comes with a Tietze trivialization certificate of the edge-path group,
@@ -39,35 +47,37 @@ TIETZE_BUDGET = 10_000
 
 
 class SimpleGraph(Value):
-    """A finite simple graph: no loops, no multi-edges."""
+    """A finite simple graph: no loops, no multi-edges.
 
-    __slots__ = ("vertices", "edges")
+    It is held as its vertices in input order and one int per vertex, its
+    adjacency mask: bit j of ``masks[i]`` is set when the i-th and the j-th
+    vertex are adjacent.  A neighbourhood test is then an operation on two
+    ints, however many vertices the graph has.  Bit j always stands for the
+    j-th vertex: an induced subgraph renumbers its vertices by the
+    order-preserving map, so the vertex indices of its flag complex, and
+    with them the verdict, follow the input order alone.
+    """
+
+    __slots__ = ("vertices", "masks")
 
     def __init__(self, vertices: Iterable, edges: Iterable[Sequence]):
         verts = tuple(vertices)
-        seen = set()
-        for v in verts:
-            if v in seen:
+        index: dict = {}
+        for i, v in enumerate(verts):
+            if v in index:
                 raise ValueError(f"duplicate vertex {v!r}")
-            seen.add(v)
-        es = set()
+            index[v] = i
+        masks = [0] * len(verts)
         for e in edges:
             u, v = e
             if u == v:
                 raise ValueError(f"loop at {u!r}")
-            if u not in seen or v not in seen:
+            i, j = index.get(u), index.get(v)
+            if i is None or j is None:
                 raise UnknownVertex(f"edge {e!r} uses an undeclared vertex")
-            es.add(frozenset((u, v)))
-        super().__init__(verts, frozenset(es))
-
-    def adjacency(self) -> dict:
-        """Each vertex's set of neighbours, built in one pass over the edges."""
-        adj: dict = {v: set() for v in self.vertices}
-        for e in self.edges:
-            u, v = e
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+        super().__init__(verts, tuple(masks))
 
     @staticmethod
     def complete(m: int) -> "SimpleGraph":
@@ -91,13 +101,13 @@ class SimpleGraph(Value):
         or strings."""
 
         def vertex(v):
-            return v if isinstance(v, str) else parse_int(v)
+            return v if type(v) is int or isinstance(v, str) else parse_int(v)
 
         edges = read_field(data, "edges", list)
         for e in edges:
             if not (isinstance(e, list) and len(e) == 2):
                 raise ValueError(f"an edge is a pair [u, v], got {e!r}")
-        return SimpleGraph(map(vertex, read_field(data, "vertices", list)), [tuple(map(vertex, e)) for e in edges])
+        return SimpleGraph(map(vertex, read_field(data, "vertices", list)), [(vertex(u), vertex(v)) for u, v in edges])
 
     @staticmethod
     def from_edge_list(text: str) -> "SimpleGraph":
@@ -122,30 +132,66 @@ class SimpleGraph(Value):
         return SimpleGraph(vertices, edges)
 
 
+def _bits(mask: int) -> list[int]:
+    """The indices of the set bits of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _induced(graph: SimpleGraph, keep: int) -> SimpleGraph:
+    """The subgraph that the vertices in the mask keep induce, renumbered
+    in graph order: the k-th kept vertex takes bit k."""
+    old = _bits(keep)
+    place = {1 << i: 1 << k for k, i in enumerate(old)}
+    masks = []
+    for i in old:
+        mask, renumbered = graph.masks[i] & keep, 0
+        while mask:
+            low = mask & -mask
+            renumbered |= place[low]
+            mask ^= low
+        masks.append(renumbered)
+    induced = object.__new__(SimpleGraph)  # checked already: no second pass over edges
+    Value.__init__(induced, tuple(graph.vertices[i] for i in old), tuple(masks))
+    return induced
+
+
 def flag_complex(graph: SimpleGraph) -> SimplicialComplex:
     """The complex whose simplices are the cliques of the graph.
 
-    Maximal cliques are enumerated by Bron-Kerbosch with pivoting and
-    generate the complex, which lists the cliques of one size only when
-    they are read.
+    Maximal cliques are enumerated by Bron-Kerbosch with pivoting on the
+    adjacency masks, the candidate and excluded sets held as masks too
+    (bit-parallel, after San Segundo et al.); the pivot leaves the most
+    candidates, ``(masks[u] & P).bit_count()``.  The cliques generate the
+    complex, which lists the cliques of one size only when they are read.
+    Which pivot wins a tie and the order in which cliques are found do not
+    matter: a graph has one set of maximal cliques, and the complex keeps
+    its generators as a set.
     """
-    index = {v: i for i, v in enumerate(graph.vertices)}
-    adj = {index[v]: {index[w] for w in ws} for v, ws in graph.adjacency().items()}
+    masks = graph.masks
     maximal: list[tuple[int, ...]] = []
 
-    def bron_kerbosch(r: set, p: set, x: set):
-        if not p and not x:
-            if r:
-                maximal.append(tuple(sorted(r)))
+    def bron_kerbosch(clique: tuple, p: int, x: int):
+        if not p:
+            if not x:
+                maximal.append(clique)
             return
-        pivot = max(p | x, key=lambda u: len(adj[u] & p))
-        for v in list(p - adj[pivot]):
-            bron_kerbosch(r | {v}, p & adj[v], x & adj[v])
-            p.remove(v)
-            x.add(v)
+        pivot, most = 0, -1
+        for u in _bits(p | x):
+            count = (masks[u] & p).bit_count()
+            if count > most:
+                pivot, most = u, count
+        for v in _bits(p & ~masks[pivot]):
+            bron_kerbosch(clique + (v,), p & masks[v], x & masks[v])
+            p ^= 1 << v
+            x |= 1 << v
 
-    if graph.vertices:
-        bron_kerbosch(set(), set(adj), set())
+    if masks:
+        bron_kerbosch((), (1 << len(masks)) - 1, 0)
     return SimplicialComplex(maximal)
 
 
@@ -157,24 +203,28 @@ def strong_collapses(graph: SimpleGraph) -> Iterator[tuple]:
     The link of such a v in the flag complex is a cone with apex w, so
     deleting v is a strong collapse and keeps the homotopy type
     (Barmak-Minian).  Passes scan the vertices in the graph's order until
-    one deletes nothing.
+    one deletes nothing.  The vertices left are held as a mask alive, and
+    N[v] is contained in N[w] when ``closed[v] & alive & ~closed[w]`` is 0.
+    Which dominating w is found first does not matter: the vertices deleted,
+    and so the core, depend on the scan order alone.
     """
-    closed = graph.adjacency()
-    for v, ws in closed.items():
-        ws.add(v)
+    closed = [mask | 1 << v for v, mask in enumerate(graph.masks)]
+    alive = (1 << len(closed)) - 1
     deleted = True
     while deleted:
         deleted = False
-        for v in graph.vertices:
-            nv = closed.get(v, ())
-            for w in nv:
-                if w != v and nv <= closed[w]:
-                    yield v, w
-                    del closed[v]
-                    for u in nv - {v}:
-                        closed[u].discard(v)
+        for v in _bits(alive):
+            nv = closed[v] & alive
+            others = nv ^ 1 << v
+            while others:
+                low = others & -others
+                w = low.bit_length() - 1
+                if not nv & ~closed[w]:
+                    yield graph.vertices[v], graph.vertices[w]
+                    alive ^= 1 << v
                     deleted = True
                     break
+                others ^= low
 
 
 def dominated_core(graph: SimpleGraph) -> SimpleGraph:
@@ -184,7 +234,7 @@ def dominated_core(graph: SimpleGraph) -> SimpleGraph:
     gone = {v for v, _ in strong_collapses(graph)}
     if not gone:
         return graph
-    return SimpleGraph([v for v in graph.vertices if v not in gone], [e for e in graph.edges if gone.isdisjoint(e)])
+    return _induced(graph, sum(1 << i for i, v in enumerate(graph.vertices) if v not in gone))
 
 
 def join_factors(graph: SimpleGraph) -> list[SimpleGraph]:
@@ -194,34 +244,26 @@ def join_factors(graph: SimpleGraph) -> list[SimpleGraph]:
     Every vertex of one factor is adjacent to every vertex of another, so
     with two or more factors the graph is their join, and its flag complex
     is the join of theirs.  A graph whose complement is connected is its
-    one factor, returned as it is; the empty graph has none.
+    one factor, returned as it is; the empty graph has none.  A component
+    grows from its first vertex by the unplaced vertices that are not
+    neighbours, ``unplaced & ~masks[u]``.
     """
-    adj = graph.adjacency()
-    unplaced = set(graph.vertices)
-    part_of: dict = {}
-    count = 0
-    for v in graph.vertices:
-        if v not in unplaced:
-            continue
-        unplaced.remove(v)
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            part_of[u] = count
-            far = unplaced - adj[u]  # complement neighbours not yet placed
-            unplaced -= far
-            stack.extend(far)
-        count += 1
-    if count < 2:
-        return [graph] if count else []
-    parts = [([], []) for _ in range(count)]
-    for v in graph.vertices:
-        parts[part_of[v]][0].append(v)
-    for e in graph.edges:
-        u, v = e
-        if part_of[u] == part_of[v]:
-            parts[part_of[u]][1].append(e)
-    return [SimpleGraph(vertices, edges) for vertices, edges in parts]
+    unplaced = (1 << len(graph.masks)) - 1
+    parts = []
+    while unplaced:
+        frontier = part = unplaced & -unplaced
+        unplaced ^= part
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            far = unplaced & ~graph.masks[low.bit_length() - 1]
+            unplaced ^= far
+            frontier |= far
+            part |= far
+        parts.append(part)
+    if len(parts) < 2:
+        return [graph] if parts else []
+    return [_induced(graph, part) for part in parts]
 
 
 # ---------------------------------------------------------------------------

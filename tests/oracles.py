@@ -36,6 +36,89 @@ def rational_rank(matrix) -> int:
     return rank
 
 
+def graph_edges(graph) -> frozenset:
+    """The edges of a ``cat0sigma.raag.SimpleGraph`` as a set of vertex
+    pairs, read off its adjacency masks."""
+    vs = graph.vertices
+    return frozenset(frozenset((vs[i], vs[j])) for i, mask in enumerate(graph.masks) for j in range(i) if mask >> j & 1)
+
+
+def closed_neighbourhoods(vertices, edges) -> dict:
+    """Each vertex's closed neighbourhood N[v], as a set."""
+    closed = {v: {v} for v in vertices}
+    for e in edges:
+        u, v = e
+        closed[u].add(v)
+        closed[v].add(u)
+    return closed
+
+
+def set_strong_collapses(vertices, edges):
+    """Delete dominated vertices of a graph given by its vertices and its
+    edge pairs, on closed-neighbourhood sets: passes scan the vertices in
+    order until one deletes nothing, and each deletion is yielded as (v, w)
+    with N[v] contained in N[w].
+
+    Independent of the adjacency masks of ``cat0sigma.raag``, whose core it
+    checks.
+    """
+    closed = closed_neighbourhoods(vertices, edges)
+    deleted = True
+    while deleted:
+        deleted = False
+        for v in vertices:
+            nv = closed.get(v, ())
+            for w in nv:
+                if w != v and nv <= closed[w]:
+                    yield v, w
+                    del closed[v]
+                    for u in nv - {v}:
+                        closed[u].discard(v)
+                    deleted = True
+                    break
+
+
+def set_complement_components(vertices, edges) -> list:
+    """The components of the complement graph as vertex lists, in vertex
+    order, each grown from its first vertex on neighbourhood sets."""
+    adj = {v: c - {v} for v, c in closed_neighbourhoods(vertices, edges).items()}
+    unplaced = set(vertices)
+    parts = []
+    for v in vertices:
+        if v not in unplaced:
+            continue
+        unplaced.remove(v)
+        part, stack = {v}, [v]
+        while stack:
+            far = unplaced - adj[stack.pop()]
+            unplaced -= far
+            part |= far
+            stack.extend(far)
+        parts.append([u for u in vertices if u in part])
+    return parts
+
+
+def set_maximal_cliques(vertices, edges) -> set:
+    """The maximal cliques, as frozensets of vertices, by Bron-Kerbosch
+    with pivoting on neighbourhood sets."""
+    adj = {v: c - {v} for v, c in closed_neighbourhoods(vertices, edges).items()}
+    found = set()
+
+    def expand(r, p, x):
+        if not p and not x:
+            found.add(frozenset(r))
+            return
+        pivot = max(p | x, key=lambda u: len(adj[u] & p))
+        for v in list(p - adj[pivot]):
+            expand(r | {v}, p & adj[v], x & adj[v])
+            p.remove(v)
+            x.add(v)
+
+    if vertices:
+        expand(set(), set(vertices), set())
+    return found
+
+
 class ReferenceRefusal(Exception):
     """A command line that the reference parser refuses; the message is
     the one argparse gives."""

@@ -1352,6 +1352,35 @@ def test_malformed_shapes_are_input_errors(tmp_path, case):
     assert diagnostic["error"] == error, diagnostic
 
 
+# The whole diagnostic of a malformed graph: the first fault in input order
+# wins, a loop is named before an undeclared endpoint, and an edge-list line
+# of three tokens before a loop on an earlier line.
+MALFORMED_GRAPHS = {
+    "loop": ({"vertices": [0, 1], "edges": [[0, 0]]}, "ValueError", "loop at 0"),
+    "edge-list-loop": ("a b\nc c\n", "ValueError", "loop at 'c'"),
+    "edge-list-loop-then-three-tokens": ("c c\na b c\n", "ValueError", "cannot parse edge line 'a b c'"),
+    "duplicate-vertex": ({"vertices": [0, 1, 0], "edges": []}, "ValueError", "duplicate vertex 0"),
+    "duplicate-vertex-and-loop": ({"vertices": [0, 0], "edges": [[0, 0]]}, "ValueError", "duplicate vertex 0"),
+    "undeclared-vertex": ({"vertices": [0, 1], "edges": [[0, 2]]}, "UnknownVertex", "edge (0, 2) uses an undeclared vertex"),
+    "undeclared-loop": ({"vertices": [0], "edges": [[1, 1]]}, "ValueError", "loop at 1"),
+    "undeclared-before-loop": (
+        {"vertices": ["a", 1], "edges": [["a", 2], [1, 1]]},
+        "UnknownVertex",
+        "edge ('a', 2) uses an undeclared vertex",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_GRAPHS.values()), ids=list(MALFORMED_GRAPHS))
+def test_malformed_graphs_give_their_whole_diagnostic(tmp_path, case):
+    payload, error, message = case
+    path = tmp_path / "bad.json"
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload), encoding="utf-8")
+    code, out, err = run_cli(["raag", "--graph", str(path)])
+    assert (code, out) == (2, "")
+    assert err == json.dumps({"error": error, "message": message}) + "\n"
+
+
 def test_hnn_generator_add_is_checked_where_it_is_read(tmp_path):
     # x -> 2x + 1/3 maps no 2-adic ball to a ball; the diagnostic names the
     # generator and the field.

@@ -15,7 +15,7 @@ from cat0sigma.homology import (
     smith_normal_form,
 )
 from cat0sigma.raag import SimpleGraph, connectivity_verdict, flag_complex
-from oracles import rational_rank
+from oracles import graph_edges, rational_rank
 
 # The six-vertex triangulation of the projective plane (antipodal quotient
 # of the icosahedron); its first homology is Z/2.
@@ -35,14 +35,20 @@ def closure(generators) -> set:
     }
 
 
+def sparse_rows(matrix) -> list[dict]:
+    """A dense integer matrix as the sparse {column: entry} rows that the
+    Smith form takes."""
+    return [{j: x for j, x in enumerate(row) if x} for row in matrix]
+
+
 def test_smith_normal_form_known_matrices():
-    assert smith_normal_form([[2, 4], [6, 8]]) == [2, 4]
-    assert smith_normal_form([[1, 0], [0, 1]]) == [1, 1]
-    assert smith_normal_form([[0, 0], [0, 0]]) == []
-    assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
-    assert smith_normal_form([[6]]) == [6]
+    assert smith_normal_form(sparse_rows([[2, 4], [6, 8]])) == [2, 4]
+    assert smith_normal_form(sparse_rows([[1, 0], [0, 1]])) == [1, 1]
+    assert smith_normal_form(sparse_rows([[0, 0], [0, 0]])) == []
+    assert smith_normal_form(sparse_rows([[2, 0], [0, 3]])) == [1, 6]
+    assert smith_normal_form(sparse_rows([[6]])) == [6]
     # Divisibility chain on a bigger example.
-    factors = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+    factors = smith_normal_form(sparse_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]))
     assert factors == [2, 2, 156]
     for a, b in zip(factors, factors[1:]):
         assert b % a == 0
@@ -54,7 +60,7 @@ def test_snf_rank_matches_rational_rank_seeded():
         rows = rng.randrange(1, 6)
         cols = rng.randrange(1, 6)
         m = [[rng.randrange(-5, 6) for _ in range(cols)] for _ in range(rows)]
-        assert len(smith_normal_form(m)) == rational_rank(m)
+        assert len(smith_normal_form(sparse_rows(m))) == rational_rank(m)
 
 
 def test_snf_regression_coefficient_blowup():
@@ -69,7 +75,7 @@ def test_snf_regression_coefficient_blowup():
         [4, -3, 2, 8, -7, 5, 7],
         [-3, 5, -8, 2, -5, -3, -4],
     ]
-    factors = smith_normal_form(m)
+    factors = smith_normal_form(sparse_rows(m))
     assert factors == [1, 1, 1, 1, 1, 1, 1482797]
     assert abs(_exact_det(m)) == 1482797
 
@@ -84,7 +90,7 @@ def test_snf_stress_divisibility_and_determinant():
     for _ in range(12):
         n = rng.randrange(4, 8)
         m = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
-        factors = smith_normal_form(m)
+        factors = smith_normal_form(sparse_rows(m))
         assert len(factors) == rational_rank(m)
         for a, b in zip(factors, factors[1:]):
             assert b % a == 0
@@ -159,7 +165,7 @@ def test_invariant_factors_match_determinantal_divisors():
         entries = [rng.randrange(-6, 7) for _ in range(min(rows, cols))]
         diagonal.append([[entries[i] if i == j else 0 for j in range(cols)] for i in range(rows)])
     for m in general + unit_free + diagonal:
-        assert smith_normal_form(m) == _determinantal_factors(m), m
+        assert smith_normal_form(sparse_rows(m)) == _determinantal_factors(m), m
 
     def nonzero(m):
         return sorted(abs(x) for row in m for x in row if x)
@@ -216,7 +222,7 @@ def test_flag_triangulation_of_the_projective_plane_has_torsion():
     # subdivision, so H1 = Z/2 and the rational Betti numbers vanish.
     cells = sorted(closure(RP2_TRIANGLES))
     graph = SimpleGraph(cells, [(a, b) for a, b in itertools.combinations(cells, 2) if set(a) < set(b) or set(b) < set(a)])
-    assert (len(graph.vertices), len(graph.edges)) == (31, 90)
+    assert (len(graph.vertices), len(graph_edges(graph))) == (31, 90)
     K = flag_complex(graph)
     profile = homology(K, K.dimension)
     assert profile.torsion_at(1) == (2,)
@@ -256,7 +262,6 @@ def test_betti_numbers_match_rational_oracle():
         dense = [[[row.get(j, 0) for j in range(counts[d])] for row in K.boundary_matrix(d)] for d in degrees]
         ranks = [rational_rank(m) for m in dense]
         assert [len(smith_normal_form(K.boundary_matrix(d))) for d in degrees] == ranks
-        assert [len(smith_normal_form(m)) for m in dense] == ranks
         betti = tuple(counts[d] - ranks[d] - ranks[d + 1] + (d == 0) for d in degrees[:-1])
         assert homology(K, K.dimension).betti == betti
     assert [homology(cross_polytope_complex(m), m - 1).betti for m in (1, 4)] == [(2,), (1, 0, 0, 1)]

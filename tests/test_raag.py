@@ -25,6 +25,7 @@ from cat0sigma.raag import (
     strong_collapses,
     tietze_trivialize,
 )
+from oracles import closed_neighbourhoods, graph_edges, set_complement_components, set_maximal_cliques, set_strong_collapses
 from test_homology import RP2_TRIANGLES
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -43,9 +44,10 @@ def brute_force_cliques(graph: SimpleGraph) -> set:
     index = {v: i for i, v in enumerate(graph.vertices)}
     out = set()
     verts = list(graph.vertices)
+    edges = graph_edges(graph)
     for r in range(1, len(verts) + 1):
         for combo in itertools.combinations(verts, r):
-            if all(frozenset(e) in graph.edges for e in itertools.combinations(combo, 2)):
+            if all(frozenset(e) in edges for e in itertools.combinations(combo, 2)):
                 out.add(tuple(sorted(index[v] for v in combo)))
     return out
 
@@ -57,13 +59,14 @@ def test_graph_validation():
         SimpleGraph([0, 1], [(0, 2)])
     with pytest.raises(ValueError):
         SimpleGraph([0, 0], [])
-    g = SimpleGraph([0, 1, 2], [(0, 1), (1, 0)])
-    assert len(g.edges) == 1
+    g = SimpleGraph([0, 1, 2], [(0, 1), (1, 0), (0, 1)])
+    assert g.masks == (0b010, 0b001, 0b000)
+    assert graph_edges(g) == {frozenset((0, 1))}
 
 
 def test_graph_parsers():
     g = SimpleGraph.from_json({"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2]]})
-    assert frozenset((0, 1)) in g.edges and frozenset((0, 2)) not in g.edges
+    assert graph_edges(g) == {frozenset((0, 1)), frozenset((1, 2))}
     text = """
     # a path with an isolated vertex
     a b
@@ -72,7 +75,7 @@ def test_graph_parsers():
     """
     h = SimpleGraph.from_edge_list(text)
     assert set(h.vertices) == {"a", "b", "c", "d"}
-    assert h.edges == {frozenset("ab"), frozenset("bc")}
+    assert graph_edges(h) == {frozenset("ab"), frozenset("bc")}
 
 
 def test_flag_complex_examples():
@@ -95,7 +98,7 @@ def test_flag_complex_matches_brute_force(rng):
         graph = SimpleGraph(range(n), edges)
         K = flag_complex(graph)
         assert set(K.simplices) == brute_force_cliques(graph)
-        for e in graph.edges:
+        for e in graph_edges(graph):
             assert tuple(sorted(e)) in K.simplices
 
 
@@ -118,10 +121,6 @@ def test_verdict_lists_only_the_skeleton_its_degree_reads(monkeypatch):
 
 def verdict_fields(verdict) -> tuple:
     return (verdict.nonempty, verdict.connected, verdict.simply_connected, verdict.homology_vanishing, verdict.membership)
-
-
-def closed_neighbourhoods(graph: SimpleGraph) -> dict:
-    return {v: {v} | {w for w in graph.vertices if frozenset((v, w)) in graph.edges} for v in graph.vertices}
 
 
 def test_core_verdicts_equal_full_complex_verdicts_on_small_graphs():
@@ -147,24 +146,89 @@ def test_each_deletion_is_a_domination_at_its_step(rng):
         graphs.append(SimpleGraph(range(k), [e for e in itertools.combinations(range(k), 2) if rng.random() < p]))
     graphs.append(SimpleGraph.from_edge_list("a b\nb c\nc a\nc d\nd e\nf\n"))
     for graph in graphs:
+        edges = graph_edges(graph)
         left = set(graph.vertices)
         for v, w in strong_collapses(graph):
             assert v != w and {v, w} <= left
-            closed = closed_neighbourhoods(SimpleGraph(left, [e for e in graph.edges if e <= left]))
+            closed = closed_neighbourhoods(left, [e for e in edges if e <= left])
             assert closed[v] <= closed[w]
             left.remove(v)
         core = dominated_core(graph)
         assert core.vertices == tuple(u for u in graph.vertices if u in left)
-        assert core.edges == frozenset(e for e in graph.edges if e <= left)
-        closed = closed_neighbourhoods(core)
+        assert graph_edges(core) == frozenset(e for e in edges if e <= left)
+        closed = closed_neighbourhoods(core.vertices, graph_edges(core))
         assert not any(closed[v] <= closed[w] for v in core.vertices for w in core.vertices if v != w)
         assert dominated_core(core) is core
+
+
+def seeded_graph(rng, k: int, p: float, isolated: int = 0) -> tuple:
+    """A graph on k vertices with int, str or mixed labels in a shuffled
+    order and some isolated vertices, whose edge list holds each edge of
+    density p once or more, either way round, in a shuffled order: the
+    vertex list, the edge list, and the graph built from them."""
+    kind = rng.randrange(3)
+    names = rng.sample(range(10 * k + 10), k)
+    vertices = [x if kind == 0 or (kind == 2 and x % 2) else f"v{x}" for x in names]
+    lonely = set(rng.sample(vertices, min(isolated, k)))
+    pairs = [e for e in itertools.combinations(vertices, 2) if lonely.isdisjoint(e) and rng.random() < p]
+    edges = [e if rng.random() < 0.5 else e[::-1] for e in pairs + rng.sample(pairs, len(pairs) // 4)]
+    rng.shuffle(edges)
+    return vertices, edges, SimpleGraph(vertices, edges)
+
+
+def check_against_the_set_kernel(vertices, edges, graph):
+    """The core, the factors and the maximal cliques of the graph are those
+    of the set-based kernel in tests/oracles.py, and every collapse that
+    the graph's core takes is a domination at its step."""
+    edges = {frozenset(e) for e in edges}
+    assert graph_edges(graph) == edges
+    left = set(vertices)
+    collapses = list(strong_collapses(graph))
+    for v, w in collapses:
+        closed = closed_neighbourhoods(left, [e for e in edges if e <= left])
+        assert v != w and w in left and closed[v] <= closed[w]
+        left.remove(v)
+    assert [v for v, _ in collapses] == [v for v, _ in set_strong_collapses(vertices, edges)]
+    core = dominated_core(graph)
+    core_edges = {e for e in edges if e <= left}
+    assert (list(core.vertices), graph_edges(core)) == ([v for v in vertices if v in left], core_edges)
+    for g, es in ((graph, edges), (core, core_edges)):
+        assert [list(f.vertices) for f in join_factors(g)] == set_complement_components(list(g.vertices), es)
+        cliques = {frozenset(g.vertices[i] for i in s) for s in flag_complex(g).generators}
+        assert cliques == set_maximal_cliques(list(g.vertices), es)
+
+
+def test_mask_kernel_matches_the_set_kernel_on_seeded_graphs():
+    rng = random.Random(20261022)
+    for trial in range(600):
+        k = trial % 15
+        check_against_the_set_kernel(*seeded_graph(rng, k, rng.choice((0.15, 0.3, 0.5, 0.7, 0.85, 1.0)), rng.randrange(3)))
+
+
+def test_mask_kernel_matches_the_set_kernel_past_one_machine_word():
+    # 70-150 vertices: every mask is longer than 64 bits.  A sparse graph,
+    # one with isolated vertices, a near-complete graph (K70 without a
+    # matching of five edges, which collapses to a cross-polytope), and a
+    # sparse graph suspended by two non-adjacent apexes, a join.
+    rng = random.Random(31)
+    check_against_the_set_kernel(*seeded_graph(rng, 150, 0.04))
+    check_against_the_set_kernel(*seeded_graph(rng, 100, 0.08, isolated=9))
+    vertices = list(range(70))
+    matching = {frozenset((2 * i, 2 * i + 1)) for i in range(5)}
+    edges = [e for e in itertools.combinations(vertices, 2) if frozenset(e) not in matching]
+    check_against_the_set_kernel(vertices, edges, SimpleGraph(vertices, edges))
+    sparse_vertices, sparse_edges, _ = seeded_graph(rng, 75, 0.06)
+    vertices = sparse_vertices + ["n", "s"]
+    edges = sparse_edges + [(v, apex) for v in sparse_vertices for apex in ("n", "s")]
+    suspension = SimpleGraph(vertices, edges)
+    assert [len(f.vertices) for f in join_factors(suspension)] == [75, 2]
+    check_against_the_set_kernel(vertices, edges, suspension)
 
 
 def test_complete_graph_collapses_to_one_vertex():
     for m in range(1, 41):
         core = dominated_core(SimpleGraph.complete(m))
-        assert (core.vertices, core.edges) == ((m - 1,), frozenset())
+        assert (core.vertices, core.masks) == ((m - 1,), (0,))
 
 
 def test_cross_polytopes_and_cycles_are_their_own_cores():
@@ -189,14 +253,14 @@ def subdivision_graph(triangles) -> SimpleGraph:
 def graph_join(*graphs) -> SimpleGraph:
     """The join of graphs, the vertex v of the i-th relabelled (i, v)."""
     vertices = [(i, v) for i, g in enumerate(graphs) for v in g.vertices]
-    edges = [((i, u), (i, v)) for i, g in enumerate(graphs) for u, v in g.edges]
+    edges = [((i, u), (i, v)) for i, g in enumerate(graphs) for u, v in graph_edges(g)]
     edges += [(a, b) for a, b in itertools.combinations(vertices, 2) if a[0] != b[0]]
     return SimpleGraph(vertices, edges)
 
 
 def test_join_factors_are_the_complement_components():
     octa = join_factors(SimpleGraph.octahedron())
-    assert [(f.vertices, f.edges) for f in octa] == [((0, 1), frozenset()), ((2, 3), frozenset()), ((4, 5), frozenset())]
+    assert [(f.vertices, f.masks) for f in octa] == [((0, 1), (0, 0)), ((2, 3), (0, 0)), ((4, 5), (0, 0))]
     assert [f.vertices for f in join_factors(SimpleGraph.cycle(4))] == [(0, 2), (1, 3)]
     assert [f.vertices for f in join_factors(SimpleGraph.complete(3))] == [(0,), (1,), (2,)]
     c5 = SimpleGraph.cycle(5)
@@ -209,6 +273,7 @@ def test_join_factors_split_seeded_graphs(rng):
         k = rng.randrange(1, 12)
         p = rng.choice((0.5, 0.7, 0.85))
         graph = SimpleGraph(range(k), [e for e in itertools.combinations(range(k), 2) if rng.random() < p])
+        edges = graph_edges(graph)
         factors = join_factors(graph)
         # A partition into induced subgraphs, in graph order, each with a
         # connected complement, every pair across two factors adjacent.
@@ -216,10 +281,10 @@ def test_join_factors_split_seeded_graphs(rng):
         assert [f.vertices[0] for f in factors] == sorted(f.vertices[0] for f in factors)
         for f in factors:
             assert list(f.vertices) == sorted(f.vertices)
-            assert f.edges == frozenset(e for e in graph.edges if e <= set(f.vertices))
+            assert graph_edges(f) == frozenset(e for e in edges if e <= set(f.vertices))
             assert join_factors(f) == [f]
         for f, g in itertools.combinations(factors, 2):
-            assert all(frozenset((u, v)) in graph.edges for u in f.vertices for v in g.vertices)
+            assert all(frozenset((u, v)) in edges for u in f.vertices for v in g.vertices)
 
 
 def test_join_verdicts_equal_whole_complex_verdicts_on_dense_graphs():
@@ -290,7 +355,7 @@ def test_kunneth_join_of_projective_planes_has_a_tor_term():
     assert join_homology([RP2_PROFILE, RP2_PROFILE], 6) == HomologyProfile((1,) + (0,) * 6, ((), (), (), (2,), (2,), (), ()))
     rp2 = subdivision_graph(RP2_TRIANGLES)
     graph = graph_join(rp2, rp2)
-    assert (len(graph.vertices), len(graph.edges)) == (62, 1141)
+    assert (len(graph.vertices), len(graph_edges(graph))) == (62, 1141)
     start = time.perf_counter()
     verdict = flag_verdict(graph, 5)
     assert time.perf_counter() - start < 0.5  # about 3.5 s on the whole flag complex

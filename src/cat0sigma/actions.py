@@ -56,7 +56,7 @@ from .trees import (
     check_depth,
 )
 from .value import Value
-from .words import invert_word, reduce_word
+from .words import invert_word, multiply, reduce_word
 
 GLOBAL_TOL = spaces.GLOBAL_TOL
 
@@ -210,10 +210,10 @@ class CayleyIsometry(Value):
         space.check_vertex(self.word)
 
     def apply(self, space: CayleyTree, p: TreePoint) -> TreePoint:
-        gv = space.left_multiply_vertex(self.word, p.vertex)
+        gv = multiply(self.word, p.vertex)
         if p.up == 0:
             return TreePoint(gv)
-        gparent = space.left_multiply_vertex(self.word, space.parent(p.vertex))
+        gparent = multiply(self.word, space.parent(p.vertex))
         # Left multiplication can flip which endpoint of the edge is deeper.
         if space.parent(gv) == gparent:
             return TreePoint(gv, p.up)

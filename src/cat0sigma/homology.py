@@ -45,10 +45,6 @@ class SimplicialComplex:
     def simplices(self) -> frozenset:
         return frozenset(s for d in range(self.dimension + 1) for s in self.faces(d))
 
-    @property
-    def vertices(self) -> list[int]:
-        return [s[0] for s in self.faces(0)]
-
     def boundary_matrix(self, dim: int) -> list[dict[int, int]]:
         """Matrix of the boundary map from dim-chains to (dim-1)-chains, as
         sparse rows {column: entry}.

@@ -8,10 +8,11 @@ The diagonal character sends every generator to 1; by the Bestvina-Brady
 criterion it lies in the degree-n invariant of the group exactly when the
 flag complex of the graph is (n-1)-connected.  That depends only on the
 homotopy type, which deleting a dominated vertex keeps, so the verdict is
-decided on the graph's dominated-vertex core.  When the complement of the
-core is disconnected, the core is the join of the subgraphs its complement
-components induce, its flag complex is the join of theirs, and the verdict
-is decided from the factors' homology alone.
+decided on the graph's dominated-vertex core.  The core is the join of the
+subgraphs that the components of its complement induce, and its flag
+complex the join of theirs, so :func:`connectivity_verdict` takes the flag
+complexes of these join factors, one when the complement is connected,
+and decides a join of two or more from the factors' homology alone.
 
 A graph is held as its vertices in input order and one adjacency bitmask
 per vertex, and the core, the join split and the clique search work on
@@ -271,26 +272,7 @@ def join_factors(graph: SimpleGraph) -> list[SimpleGraph]:
 
 
 class TietzeCertificate(Value):
-    __slots__ = ("trivialized", "generators", "relators", "steps", "log")
-
-
-def _spanning_tree(vertices: list, edges: list) -> set:
-    parent = {v: v for v in vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    tree = set()
-    for e in edges:
-        u, v = tuple(e)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            tree.add(e)
-    return tree
+    __slots__ = ("trivialized", "generators", "relators", "steps")
 
 
 def _cyclic_reduce(word: tuple) -> tuple:
@@ -309,7 +291,6 @@ def tietze_trivialize(generator_count: int, relators: list) -> TietzeCertificate
     gens = set(range(1, generator_count + 1))
     rels = [r for r in (_cyclic_reduce(tuple(r)) for r in relators) if r]
     steps = 0
-    log = []
     changed = True
     while changed and steps < TIETZE_BUDGET:
         changed = False
@@ -343,36 +324,40 @@ def tietze_trivialize(generator_count: int, relators: list) -> TietzeCertificate
                         word.append(letter)
                 new_rels.append(_cyclic_reduce(tuple(word)))
             gens.discard(lone)
-            log.append(f"eliminate g{lone} via relator of length {len(r)}")
             rels = [w for w in new_rels if w]
             changed = True
             break
     trivial = not gens and not rels
-    return TietzeCertificate(trivial, len(gens), len(rels), steps, tuple(log[:50]))
+    return TietzeCertificate(trivial, len(gens), len(rels), steps)
 
 
 def edge_path_presentation(K: SimplicialComplex) -> tuple[int, list]:
     """Presentation of the edge-path group of a connected complex: one
-    generator per non-tree edge, one relator per triangle."""
-    vertices = K.vertices
-    edges = [frozenset(s) for s in K.faces(1)]
-    tree = _spanning_tree(vertices, edges)
-    non_tree = [e for e in edges if e not in tree]
-    gen_of = {}
-    for i, e in enumerate(non_tree):
-        u, v = sorted(e)
-        gen_of[(u, v)] = i + 1
-        gen_of[(v, u)] = -(i + 1)
+    generator per non-tree edge, one relator per triangle.
 
-    def letter(u, v):
-        return gen_of.get((u, v), 0)
+    The spanning tree grows in one union-find pass over the edges in sorted
+    order: an edge whose endpoints are joined already is the next
+    generator, read from its first vertex to its second.
+    """
+    parent: dict = {}
 
-    relators = []
-    for tri in K.faces(2):
-        a, b, c = tri
-        word = tuple(x for x in (letter(a, b), letter(b, c), letter(c, a)) if x != 0)
-        relators.append(word)
-    return len(non_tree), relators
+    def find(v):
+        while parent.setdefault(v, v) != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    letters: dict = {}
+    for u, v in K.faces(1):
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+        else:
+            g = len(letters) // 2 + 1
+            letters[u, v], letters[v, u] = g, -g
+    return len(letters) // 2, [
+        tuple(x for x in (letters.get((a, b)), letters.get((b, c)), letters.get((c, a))) if x) for a, b, c in K.faces(2)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -389,12 +374,14 @@ MEMBERSHIP_UNKNOWN = "Unknown"
 
 
 class ConnectivityVerdict(Value):
-    """Status of the requirements for (n-1)-connectedness of a complex.
+    """Status of the requirements for (n-1)-connectedness of a join of
+    complexes, one complex being the join of one factor.
 
     connected and homology vanishing are decided; simple connectivity may
     be Unknown.  Yes for simple connectivity carries a Tietze
-    trivialization certificate, except on a join, whose fundamental group
-    is free; No carries nonvanishing first homology.
+    trivialization certificate, except on a join of two or more factors,
+    whose fundamental group is free; No carries nonvanishing first
+    homology.
     """
 
     __slots__ = ("level", "nonempty", "connected", "simply_connected", "homology_vanishing", "profile", "certificate")
@@ -421,56 +408,40 @@ class ConnectivityVerdict(Value):
         return {YES: IN, NO: OUT, UNKNOWN: MEMBERSHIP_UNKNOWN}[self.all_requirements()]
 
 
-def connectivity_verdict(K: SimplicialComplex, n: int) -> ConnectivityVerdict:
-    """Decide (n-1)-connectedness of a finite complex as far as possible.
+def connectivity_verdict(complexes: Iterable[SimplicialComplex], n: int) -> ConnectivityVerdict:
+    """Decide (n-1)-connectedness of the join of finite complexes as far as
+    possible; one complex is the join of one factor.
 
-    n = 0 asks the complex to be nonempty, n = 1 connected, and n >= 2
+    n = 0 asks the join to be nonempty, n = 1 connected, and n >= 2
     additionally simply connected with reduced homology vanishing up to
-    degree n-1.  A Tietze search for simple connectivity runs only when
-    reduced homology vanishes through degree 1 (connected, H1 = 0); the
-    homology vanishing field reports degrees 0..max(n-1, 0).  Reduced
-    homology vanishes above the dimension, so the profile stops at degree
-    max(min(n-1, dim K), 1), and no simplex above dimension max(n, 2) is
-    listed.
+    degree n-1.  An empty complex is the identity of the join and is
+    dropped.  The join of r factors has dimension sum(dim) + r - 1, and
+    reduced homology vanishes above it, so the profile stops at degree
+    top = max(min(n-1, dimension), 1); the homology vanishing field reports
+    degrees 0..min(max(n-1, 0), top).  Each factor's homology is computed
+    through degree max(top - r + 1, 0), and for two or more factors folded
+    by :func:`homology.join_homology`; no simplex above dimension
+    max(n, 2) is listed.
+
+    A join of two or more factors is homotopy equivalent to a suspension,
+    so its fundamental group is free and it is simply connected exactly
+    when its first homology vanishes.  One complex is simply connected
+    when a Tietze search trivializes its edge-path group, which runs only
+    when its reduced homology vanishes through degree 1.
     """
     if n < 0:
         raise DegreeOutOfRange(f"degree {n} is negative")
-    if not K.generators:
+    complexes = [K for K in complexes if K.generators]
+    if not complexes:
         return ConnectivityVerdict(n, False, NO, NO, NO, None, None)
-    top = max(min(n - 1, K.dimension), 1)
-    profile = homology(K, max_degree=top)
-    if profile.reduced_trivial_through(1):
-        certificate = tietze_trivialize(*edge_path_presentation(K))
-        simply = YES if certificate.trivialized else UNKNOWN
-    else:
-        certificate, simply = None, NO
-    return _verdict(n, top, profile, simply, certificate)
-
-
-def _join_verdict(factors: Sequence[SimpleGraph], n: int) -> ConnectivityVerdict:
-    """The verdict of :func:`connectivity_verdict` for the flag complex of
-    the join of two or more nonempty graphs, from one flag complex and one
-    homology profile per factor.
-
-    The join has dimension sum(dim) + r - 1 for r factors and is connected.
-    Its profile is folded by :func:`homology.join_homology` from factor
-    profiles through degree max(top - r + 1, 0), for the same top degree
-    as on a complex.  A join is homotopy equivalent to a suspension, so its
-    fundamental group is free and it is simply connected exactly when its
-    first homology vanishes: no Tietze search runs.
-    """
-    if n < 0:
-        raise DegreeOutOfRange(f"degree {n} is negative")
-    complexes = [flag_complex(factor) for factor in factors]
     r = len(complexes)
     top = max(min(n - 1, sum(K.dimension for K in complexes) + r - 1), 1)
-    profile = join_homology([homology(K, max_degree=max(top - r + 1, 0)) for K in complexes], top)
-    return _verdict(n, top, profile, YES if profile.reduced_trivial_through(1) else NO)
-
-
-def _verdict(n, top, profile, simply, certificate=None) -> ConnectivityVerdict:
-    """The verdict on a nonempty complex whose profile holds degrees
-    0..top, given its simple-connectivity status."""
+    profiles = [homology(K, max_degree=max(top - r + 1, 0)) for K in complexes]
+    profile = profiles[0] if r == 1 else join_homology(profiles, top)
+    certificate, simply = None, (YES if profile.reduced_trivial_through(1) else NO)
+    if r == 1 and simply == YES:
+        certificate = tietze_trivialize(*edge_path_presentation(complexes[0]))
+        simply = YES if certificate.trivialized else UNKNOWN
     connected = YES if profile.betti_reduced(0) == 0 else NO
     vanishing = YES if profile.reduced_trivial_through(min(max(n - 1, 0), top)) else NO
     return ConnectivityVerdict(n, True, connected, simply, vanishing, profile, certificate)
@@ -478,11 +449,8 @@ def _verdict(n, top, profile, simply, certificate=None) -> ConnectivityVerdict:
 
 def flag_verdict(graph: SimpleGraph, n: int) -> ConnectivityVerdict:
     """The connectivity verdict for the flag complex of a graph, decided on
-    its dominated-vertex core: from the factors when the core is a join
-    (a factor of a core is itself a core), and from the core's whole flag
-    complex otherwise."""
-    core = dominated_core(graph)
-    factors = join_factors(core)
-    if len(factors) >= 2:
-        return _join_verdict(factors, n)
-    return connectivity_verdict(flag_complex(core), n)
+    the join factors of its dominated-vertex core (a factor of a core is
+    itself a core): one flag complex per factor, and one for a core whose
+    complement is connected.  They are built only once the degree is
+    accepted."""
+    return connectivity_verdict((flag_complex(factor) for factor in join_factors(dominated_core(graph))), n)

@@ -619,9 +619,6 @@ class CayleyTree(WordTree):
             letters.append(-idx if ch.isupper() else idx)
         return tuple(letters)
 
-    def left_multiply_vertex(self, g: Word, v: Word) -> Word:
-        return multiply(g, v)
-
     def left_multiply_end(self, g: Word, end: WordEnd) -> WordEnd:
         # Cancellation of g against the infinite word stops after at most
         # |g| letters, so acting on a long enough finite head is exact.

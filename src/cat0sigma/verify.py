@@ -190,7 +190,7 @@ def suite_busemann(seed: int = 0, part: tuple[int, int] = (0, 1)) -> SuiteReport
                 horizon = int(top) + 4
                 audit = ray.limit_audit(b, list(range(horizon + 1)))
                 gap = abs(audit[-1][1] - closed)
-                agree.record(gap == 0, float(gap))
+                agree.record(gap == 0, gap)
             elif not M.flat:
                 audit = ray.limit_audit(b, [1, 2, 5, 10, 20, 40])
                 gap = abs(audit[-1][1] - closed)
@@ -210,7 +210,7 @@ def suite_busemann(seed: int = 0, part: tuple[int, int] = (0, 1)) -> SuiteReport
             on_ray = ray.point_at(Fraction(3) if exact else 3.0)
             d_on = M.distance(ray.base, on_ray)
             beta_on = ray.busemann(on_ray)
-            bound.record(abs(beta_on - d_on) <= M.slack(GLOBAL_TOL), abs(float(beta_on - d_on)))
+            bound.record(abs(beta_on - d_on) <= M.slack(GLOBAL_TOL), abs(beta_on - d_on))
             if exact:
                 # Equality characterizes ray points exactly on trees.
                 hits_ray = ray.point_at(top) == b
@@ -219,7 +219,7 @@ def suite_busemann(seed: int = 0, part: tuple[int, int] = (0, 1)) -> SuiteReport
             b2 = next(sp.unchecked_point_stream(M, M.origin(), 3.0, seed * 13 + i))
             lhs = abs(closed - ray.busemann(b2))
             rhs = M.distance(b, b2)
-            lipschitz.record(lhs <= rhs + M.slack(GLOBAL_TOL), float(lhs - rhs))
+            lipschitz.record(lhs <= rhs + M.slack(GLOBAL_TOL), lhs - rhs)
 
             base2 = next(sp.unchecked_point_stream(M, M.origin(), 2.0, seed * 17 + i))
             ray2 = M.ray_from(base2, ray.end)
@@ -307,11 +307,11 @@ def suite_character(seed: int = 0, part: tuple[int, int] = (0, 1)) -> SuiteRepor
             h = _random_word(rng, names, rng.randrange(1, 4))
             chi = ac.character_at_end(action, end, base, [g, h, g + h])
             err = abs(chi[g + h] - (chi[g] + chi[h]))
-            additive.record(err <= M.slack(GLOBAL_TOL), float(err))
+            additive.record(err <= M.slack(GLOBAL_TOL), err)
 
             base2 = next(sp.unchecked_point_stream(M, base, 2.0, seed * 3 + i))
             err = abs(chi[g] - ac.character_at_end(action, end, base2, [g])[g])
-            basefree.record(err <= M.slack(GLOBAL_TOL), float(err))
+            basefree.record(err <= M.slack(GLOBAL_TOL), err)
 
     cocycle_actions = [
         (ac.GroupAction.euclidean_translations(2, {"a": (1, 0), "b": (0, 1)}), "E2"),
@@ -335,7 +335,7 @@ def suite_character(seed: int = 0, part: tuple[int, int] = (0, 1)) -> SuiteRepor
             lhs = _psi(action, e, g + h, a)
             rhs = _psi(action, e, g, ha) + _psi(action, e, h, a)
             err = abs(lhs - rhs)
-            cocycle.record(err <= M.slack(GLOBAL_TOL), float(err))
+            cocycle.record(err <= M.slack(GLOBAL_TOL), err)
 
             e_gh = action.boundary_apply(g + h, e)
             e_then = action.boundary_apply(g, action.boundary_apply(h, e))
@@ -399,7 +399,7 @@ def suite_shift(seed: int = 0, part: tuple[int, int] = (0, 1)) -> SuiteReport:
                 continue
             m = rng.randrange(1, 6)
             gsh_m, bound = _iterate_gsh(cfg, closed_map, e, m), m * rep.gsh
-            iterate.record(gsh_m >= bound - M.slack(GLOBAL_TOL), float(bound - gsh_m) if gsh_m < bound else 0.0)
+            iterate.record(gsh_m >= bound - M.slack(GLOBAL_TOL), bound - gsh_m if gsh_m < bound else 0.0)
 
     equivariance_actions = [
         (ac.GroupAction.euclidean_translations(2, {"a": (1, 0), "b": (0, 1)}), "E2"),
@@ -425,7 +425,7 @@ def suite_shift(seed: int = 0, part: tuple[int, int] = (0, 1)) -> SuiteReport:
             fmap = {x: rng.choice(labels) for x in labels}
             word = _random_word(rng, names, rng.randrange(1, 3))
             err = abs(ac.shift_report(cfg, fmap, e).gsh - _translated_gsh(action, cfg, fmap, word, e))
-            equivariant.record(err <= M.slack(GLOBAL_TOL), float(err))
+            equivariant.record(err <= M.slack(GLOBAL_TOL), err)
     return report
 
 
@@ -452,11 +452,11 @@ def suite_audits(seed: int = 0, part: tuple[int, int] = (0, 1)) -> SuiteReport:
                 r = rng.uniform(0.5, 2.0)
                 eps = rng.uniform(0.05, 0.5)
             rep = ac.local_busemann_audit(M, c, r, eps, ends[0], ends[1], samples=10, seed=seed + i)
-            local.record(rep.passed, float(rep.worst_slack) if rep.worst_slack is not None else None)
+            local.record(rep.passed, rep.worst_slack)
 
             schedule = [1, 2, 5, 10] if not exact else [Fraction(1), Fraction(2), Fraction(5)]
             rep2 = ac.angle_estimate_audit(M, c, ends[0], ends[1], schedule)
-            chord.record(rep2.passed, float(rep2.worst_slack) if rep2.worst_slack is not None else None)
+            chord.record(rep2.passed, rep2.worst_slack)
     return report
 
 

@@ -1,5 +1,8 @@
 """Independent oracles for the tests.  They share no code with the
-production paths they check."""
+production paths they check, except the reference connectivity verdicts,
+which take the ``cat0sigma.raag`` module as an argument and check the
+spanning tree and the verdict wiring, not the homology or the Tietze
+search they call there."""
 
 import argparse
 import contextlib
@@ -117,6 +120,98 @@ def set_maximal_cliques(vertices, edges) -> set:
     if vertices:
         expand(set(), set(vertices), set())
     return found
+
+
+def spanning_tree(vertices: list, edges: list) -> set:
+    """The edges, as frozensets, that a union-find pass in edge order
+    keeps: each joins two components."""
+    parent = {v: v for v in vertices}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    tree = set()
+    for e in edges:
+        u, v = tuple(e)
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            tree.add(e)
+    return tree
+
+
+def set_edge_path_presentation(K) -> tuple[int, list]:
+    """The edge-path presentation of a connected complex, on edge
+    frozensets and a spanning tree set: one generator per non-tree edge in
+    sorted order, read from its smaller vertex, one relator per triangle.
+
+    Independent of the union-find pass of ``cat0sigma.raag``, whose
+    presentation it checks.
+    """
+    vertices = [s[0] for s in K.faces(0)]
+    edges = [frozenset(s) for s in K.faces(1)]
+    tree = spanning_tree(vertices, edges)
+    non_tree = [e for e in edges if e not in tree]
+    gen_of = {}
+    for i, e in enumerate(non_tree):
+        u, v = sorted(e)
+        gen_of[(u, v)] = i + 1
+        gen_of[(v, u)] = -(i + 1)
+
+    def letter(u, v):
+        return gen_of.get((u, v), 0)
+
+    relators = []
+    for tri in K.faces(2):
+        a, b, c = tri
+        word = tuple(x for x in (letter(a, b), letter(b, c), letter(c, a)) if x != 0)
+        relators.append(word)
+    return len(non_tree), relators
+
+
+def _verdict(raag, n, top, profile, simply, certificate=None):
+    """The verdict on a nonempty complex whose profile holds degrees
+    0..top, given its simple-connectivity status."""
+    connected = raag.YES if profile.betti_reduced(0) == 0 else raag.NO
+    vanishing = raag.YES if profile.reduced_trivial_through(min(max(n - 1, 0), top)) else raag.NO
+    return raag.ConnectivityVerdict(n, True, connected, simply, vanishing, profile, certificate)
+
+
+def complex_verdict(raag, K, n):
+    """The connectivity verdict on one complex, with its profile from
+    ``raag.homology`` and, when reduced homology vanishes through degree 1,
+    a Tietze search on :func:`set_edge_path_presentation`.  The module
+    ``raag`` is passed in, so this file imports only the standard library.
+    """
+    if n < 0:
+        raise raag.DegreeOutOfRange(f"degree {n} is negative")
+    if not K.generators:
+        return raag.ConnectivityVerdict(n, False, raag.NO, raag.NO, raag.NO, None, None)
+    top = max(min(n - 1, K.dimension), 1)
+    profile = raag.homology(K, max_degree=top)
+    if profile.reduced_trivial_through(1):
+        certificate = raag.tietze_trivialize(*set_edge_path_presentation(K))
+        simply = raag.YES if certificate.trivialized else raag.UNKNOWN
+    else:
+        certificate, simply = None, raag.NO
+    return _verdict(raag, n, top, profile, simply, certificate)
+
+
+def join_verdict(raag, factors, n):
+    """The connectivity verdict on the flag complex of the join of two or
+    more nonempty graphs, from one flag complex and one homology profile
+    per factor: the join is simply connected exactly when its first
+    homology vanishes."""
+    if n < 0:
+        raise raag.DegreeOutOfRange(f"degree {n} is negative")
+    complexes = [raag.flag_complex(factor) for factor in factors]
+    r = len(complexes)
+    top = max(min(n - 1, sum(K.dimension for K in complexes) + r - 1), 1)
+    profile = raag.join_homology([raag.homology(K, max_degree=max(top - r + 1, 0)) for K in complexes], top)
+    return _verdict(raag, n, top, profile, raag.YES if profile.reduced_trivial_through(1) else raag.NO)
 
 
 class ReferenceRefusal(Exception):

@@ -275,6 +275,18 @@ def test_negative_degree_is_an_input_error(tmp_path, command, flags):
     assert json.loads(err)["error"] == "DegreeOutOfRange"
 
 
+@pytest.mark.parametrize("graph", ["raag_octahedron.json", "raag_icosahedron.json"], ids=["join", "not-a-join"])
+def test_raag_negative_degree_diagnostic(monkeypatch, graph):
+    # The octahedron's core is a join of three factors; the icosahedron's
+    # complement is connected.  Both refuse --n -1 with the same diagnostic,
+    # before any flag complex is built.
+    calls = count_raag_calls(monkeypatch)
+    code, out, err = run_cli(["raag", "--graph", str(GOLDEN / graph), "--n", "-1"])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "DegreeOutOfRange", "message": "degree -1 is negative"}
+    assert calls == {"flag_complex": 0, "homology": 0}
+
+
 def test_mfpr_rejects_rank_zero(tmp_path):
     data = write(tmp_path, "m0.json", {"k": 0, "complement": [], "splitting_character": []})
     code, out, err = run_cli(["mfpr", "--data", data, "--table"])

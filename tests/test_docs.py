@@ -1,6 +1,7 @@
 """docs/formats.md agrees with the code: its budget table lists every
 module-level ``*_BUDGET`` constant of the package, with its value, and its
-options table every option of every command."""
+options table every option of every command.  The module table of
+README.md has one row per module of the package."""
 
 import ast
 import importlib
@@ -85,3 +86,12 @@ def test_options_table_matches_the_parser():
     assert len(documented) == len(set(documented))
     assert sorted(documented) == sorted(parser_options())
     assert len(documented) == 22
+
+
+def test_readme_module_table_has_a_row_per_module():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    rows = itertools.takewhile(lambda line: line.startswith("|"), text.split("| module | contents |", 1)[1].splitlines()[2:])
+    documented = [re.match(r"\| `cat0sigma\.(\w+)` \|", row).group(1) for row in rows]
+    modules = [path.stem for path in PACKAGE.glob("*.py") if path.stem not in ("__init__", "__main__")]
+    assert len(documented) == len(set(documented))
+    assert sorted(documented) == sorted(modules)

@@ -230,7 +230,7 @@ def test_flag_triangulation_of_the_projective_plane_has_torsion():
     for d in range(K.dimension + 2):
         dense = [[row.get(j, 0) for j in range(len(K.faces(d)))] for row in K.boundary_matrix(d)]
         assert len(smith_normal_form(K.boundary_matrix(d))) == rational_rank(dense)
-    verdicts = [connectivity_verdict(K, n) for n in range(4)]
+    verdicts = [connectivity_verdict([K], n) for n in range(4)]
     assert [v.membership for v in verdicts] == ["In", "In", "Out", "Out"]
     assert (verdicts[2].simply_connected, verdicts[2].homology_vanishing) == ("no", "no")
 
@@ -273,7 +273,7 @@ def test_sparse_smith_form_reaches_large_flag_complexes():
     # the dense Smith form the verdicts took 9.0 s and 5.6 s.
     for build, n in ((lambda: cross_polytope_complex(7), 6), (lambda: flag_complex(SimpleGraph.complete(12)), 4)):
         start = time.perf_counter()
-        assert connectivity_verdict(build(), n).membership == "In"
+        assert connectivity_verdict([build()], n).membership == "In"
         assert time.perf_counter() - start < 2.0
 
 

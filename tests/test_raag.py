@@ -10,7 +10,7 @@ import time
 import pytest
 
 from cat0sigma import raag
-from cat0sigma.errors import UnknownVertex
+from cat0sigma.errors import DegreeOutOfRange, UnknownVertex
 from cat0sigma.homology import HomologyProfile, SimplicialComplex, homology, join_homology
 from cat0sigma.raag import (
     IN,
@@ -25,7 +25,16 @@ from cat0sigma.raag import (
     strong_collapses,
     tietze_trivialize,
 )
-from oracles import closed_neighbourhoods, graph_edges, set_complement_components, set_maximal_cliques, set_strong_collapses
+from oracles import (
+    closed_neighbourhoods,
+    complex_verdict,
+    graph_edges,
+    join_verdict,
+    set_complement_components,
+    set_edge_path_presentation,
+    set_maximal_cliques,
+    set_strong_collapses,
+)
 from test_homology import RP2_TRIANGLES
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -112,7 +121,7 @@ def test_verdict_lists_only_the_skeleton_its_degree_reads(monkeypatch):
     for n in (1, 2, 3):
         asked.clear()
         start = time.perf_counter()
-        assert connectivity_verdict(flag_complex(SimpleGraph.complete(20)), n).membership == IN
+        assert connectivity_verdict([flag_complex(SimpleGraph.complete(20))], n).membership == IN
         elapsed = time.perf_counter() - start
         assert max(asked) <= max(n, 2), n
         if n < 3:
@@ -133,7 +142,7 @@ def test_core_verdicts_equal_full_complex_verdicts_on_small_graphs():
             graph = SimpleGraph(range(k), [e for i, e in enumerate(pairs) if mask >> i & 1])
             full, core = flag_complex(graph), flag_complex(dominated_core(graph))
             for n in range(5):
-                assert verdict_fields(connectivity_verdict(core, n)) == verdict_fields(connectivity_verdict(full, n))
+                assert verdict_fields(connectivity_verdict([core], n)) == verdict_fields(connectivity_verdict([full], n))
                 count += 1
     assert count == 5495
 
@@ -312,7 +321,7 @@ def test_join_verdicts_equal_whole_complex_verdicts_on_dense_graphs():
         factor_counts.add(len(factors))
         K = flag_complex(core)
         for n in range(6):
-            whole, joined = connectivity_verdict(K, n), flag_verdict(core, n)
+            whole, joined = connectivity_verdict([K], n), flag_verdict(core, n)
             assert verdict_fields(joined) == verdict_fields(whole), (core, n)
             assert joined.profile == whole.profile, (core, n)
             assert joined.simply_connected != "unknown" and joined.certificate is None
@@ -342,7 +351,7 @@ def test_kunneth_suspension_moves_torsion_up_a_degree():
     assert [len(f.vertices) for f in join_factors(dominated_core(suspension))] == [31, 2]
     for n in range(6):
         joined = flag_verdict(suspension, n)
-        whole = connectivity_verdict(flag_complex(suspension), n)
+        whole = connectivity_verdict([flag_complex(suspension)], n)
         assert verdict_fields(joined) == verdict_fields(whole)
         assert joined.profile == whole.profile
     profile = join_homology([homology(flag_complex(rp2), 2), HomologyProfile((2,), ((),))], 4)
@@ -448,30 +457,85 @@ def test_edge_path_group_of_sphere_is_trivial():
 
 def test_connectivity_verdicts():
     full = flag_complex(SimpleGraph.complete(5))
-    v = connectivity_verdict(full, 4)
+    v = connectivity_verdict([full], 4)
     assert v.all_requirements() == "yes"
 
     square = flag_complex(SimpleGraph.cycle(4))
-    v = connectivity_verdict(square, 2)
+    v = connectivity_verdict([square], 2)
     assert v.connected == "yes"
     assert v.simply_connected == "no"
     assert v.all_requirements() == "no"
 
     octa = flag_complex(SimpleGraph.octahedron())
-    assert connectivity_verdict(octa, 2).all_requirements() == "yes"
-    assert connectivity_verdict(octa, 3).all_requirements() == "no"
+    assert connectivity_verdict([octa], 2).all_requirements() == "yes"
+    assert connectivity_verdict([octa], 3).all_requirements() == "no"
 
     two_points = flag_complex(SimpleGraph([0, 1], []))
-    v = connectivity_verdict(two_points, 1)
+    v = connectivity_verdict([two_points], 1)
     assert v.connected == "no"
-    assert connectivity_verdict(two_points, 0).all_requirements() == "yes"
+    assert connectivity_verdict([two_points], 0).all_requirements() == "yes"
+
+
+def test_empty_complexes_are_dropped_from_the_join():
+    # The empty complex is the identity of the join: [] and [empty] are the
+    # empty verdict, and [empty, K] is the verdict on K.
+    empty = SimplicialComplex([])
+    octa = flag_complex(SimpleGraph.octahedron())
+    for n in range(4):
+        none = raag.ConnectivityVerdict(n, False, "no", "no", "no", None, None)
+        assert connectivity_verdict([], n) == connectivity_verdict([empty], n) == none
+        assert connectivity_verdict([empty, octa], n) == connectivity_verdict([octa], n)
+        assert connectivity_verdict([octa, empty, empty], n) == connectivity_verdict([octa], n)
+        assert connectivity_verdict([empty], n) == complex_verdict(raag, empty, n)
+    for complexes in ([], [empty], [empty, octa]):
+        with pytest.raises(DegreeOutOfRange, match="degree -1 is negative"):
+            connectivity_verdict(complexes, -1)
+
+
+def reference_flag_verdict(graph, n):
+    """The verdict of the earlier code: from the factors when the core is a
+    join, from the core's whole flag complex otherwise."""
+    core = dominated_core(graph)
+    factors = join_factors(core)
+    if len(factors) >= 2:
+        return join_verdict(raag, factors, n)
+    return complex_verdict(raag, flag_complex(core), n)
+
+
+def test_verdicts_and_presentations_match_the_reference_on_seeded_graphs():
+    # 320 seeded graphs on 0-12 vertices, half of them joins of two or
+    # three sparse graphs on 2-4 vertices (most with a join for a core), and
+    # the suspended RP^2.  The presentation of the whole flag complex has
+    # the reference's generator count and relator list; every field of the
+    # verdict, the profile and the certificate among them, equals the
+    # reference's, on the whole complex and on the graph through its core.
+    rng = random.Random(20261022)
+    graphs = []
+    for trial in range(320):
+        if trial % 2:
+            graphs.append(seeded_graph(rng, trial % 13, rng.choice((0.2, 0.4, 0.6, 0.8, 1.0)), rng.randrange(2))[2])
+        else:
+            sizes = [rng.randrange(2, 5) for _ in range(rng.choice((2, 3)))]
+            graphs.append(graph_join(*(seeded_graph(rng, k, rng.choice((0.0, 0.0, 0.25)))[2] for k in sizes)))
+    graphs.append(graph_join(subdivision_graph(RP2_TRIANGLES), SimpleGraph(["n", "s"], [])))
+    joins = certificates = 0
+    for graph in graphs:
+        K = flag_complex(graph)
+        assert edge_path_presentation(K) == set_edge_path_presentation(K)
+        joins += len(join_factors(dominated_core(graph))) >= 2
+        for n in range(5):
+            whole = connectivity_verdict([K], n)
+            assert whole == complex_verdict(raag, K, n), (graph, n)
+            assert flag_verdict(graph, n) == reference_flag_verdict(graph, n), (graph, n)
+            certificates += whole.certificate is not None
+    assert joins >= 120 and certificates >= 600
 
 
 def test_exhausted_tietze_budget_is_an_honest_unknown(monkeypatch):
     # The octahedron is a 2-sphere, so homology vanishes and only the Tietze
     # search can prove simple connectivity; with no budget it cannot.
     monkeypatch.setattr(raag, "TIETZE_BUDGET", 0)
-    v = connectivity_verdict(flag_complex(SimpleGraph.octahedron()), 2)
+    v = connectivity_verdict([flag_complex(SimpleGraph.octahedron())], 2)
     assert (v.connected, v.simply_connected, v.homology_vanishing) == ("yes", "unknown", "yes")
     assert not v.certificate.trivialized and v.certificate.steps == 0
     assert v.membership == "Unknown"
